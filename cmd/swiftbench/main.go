@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"swift/internal/exp"
+	"swift/internal/prof"
 )
 
 func main() {
@@ -31,6 +32,7 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel experiment workers (0 = GOMAXPROCS)")
 	hashes := flag.Bool("hashes", false, "print per-experiment obs stream hashes instead of reports")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	startProfiles := prof.Flags()
 	flag.Parse()
 
 	if *list {
@@ -48,7 +50,9 @@ func main() {
 	}
 
 	t0 := time.Now()
+	stopProfiles := startProfiles()
 	results := exp.RunAll(order, cfg, *workers)
+	stopProfiles()
 	printed := 0
 	for _, r := range results {
 		if errors.Is(r.Err, exp.ErrUnknown) {

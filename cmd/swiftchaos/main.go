@@ -34,6 +34,7 @@ import (
 	"swift/internal/core"
 	"swift/internal/exp"
 	"swift/internal/obs"
+	"swift/internal/prof"
 	"swift/internal/sched"
 	"swift/internal/sim"
 	"swift/internal/trace"
@@ -61,8 +62,10 @@ func main() {
 	stats := flag.Bool("stats", false, "print the first seed's observability snapshot")
 	fair := flag.Bool("fair", false, "multi-tenant fair-share soak: 3 tenants (weights 2:1:1, one bursty, one quota-capped) under the fair policy")
 	shuffleRep := flag.Bool("shuffle", false, "replicated-shuffle soak: R=3 outputs under a Cache-Worker-crash-only fault mix (every loss should fail over, zero recomputes)")
+	startProfiles := prof.Flags()
 	flag.Parse()
 
+	stopProfiles := startProfiles()
 	outcomes := exp.Sweep(*seeds, *workers, func(i int) seedOutcome {
 		cfg := chaos.Config{
 			Seed:                *seed + int64(i),
@@ -87,6 +90,7 @@ func main() {
 		}
 		return out
 	})
+	stopProfiles()
 
 	failed := 0
 	for i, o := range outcomes {

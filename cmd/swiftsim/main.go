@@ -22,6 +22,7 @@ import (
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/obs"
+	"swift/internal/prof"
 	"swift/internal/sim"
 	"swift/internal/simrun"
 	"swift/internal/tpch"
@@ -41,6 +42,7 @@ func main() {
 	submitJobs := flag.Int("jobs", 40, "client mode: number of jobs to submit")
 	tenant := flag.String("tenant", "", "client mode: tenant label on submitted jobs (empty = default tenant)")
 	drain := flag.Bool("drain", false, "client mode: drain the server after submitting and wait for it to empty")
+	startProfiles := prof.Flags()
 	flag.Parse()
 
 	if *submitAddr != "" {
@@ -72,6 +74,7 @@ func main() {
 	}
 
 	// Clean run (also the baseline for failure injection timing).
+	stopProfiles := startProfiles()
 	clean := runOnce(job.Clone(), ccfg, opts, *seed, "", 0, cleanRec)
 	fmt.Printf("system=%s job=%s machines=%d executors=%d\n", *system, job.ID, *machines, *machines**execs)
 	fmt.Printf("stages=%d tasks=%d\n", job.NumStages(), job.NumTasks())
@@ -86,6 +89,7 @@ func main() {
 			*failStage, at, faulty.Duration(), (faulty.Duration()/clean.Duration()-1)*100,
 			faulty.Restarts, faulty.Resends)
 	}
+	stopProfiles()
 
 	if *stats {
 		fmt.Println()

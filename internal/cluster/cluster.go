@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -94,23 +93,64 @@ type loadEntry struct {
 	busy int
 }
 
+// before orders entries least-loaded first, machine ID breaking ties. A
+// machine has at most one entry (inHeap), so the order is total and the
+// top is independent of the heap's shape.
+func (a loadEntry) before(b loadEntry) bool {
+	return a.busy < b.busy || (a.busy == b.busy && a.id < b.id)
+}
+
+// loadHeap is a binary min-heap of loadEntry values, hand-rolled so
+// entries are never boxed through container/heap's interface{}.
 type loadHeap []loadEntry
 
-func (h loadHeap) Len() int { return len(h) }
-func (h loadHeap) Less(i, j int) bool {
-	if h[i].busy != h[j].busy {
-		return h[i].busy < h[j].busy
+func (h *loadHeap) push(e loadEntry) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].id < h[j].id
+	s[i] = e
+	*h = s
 }
-func (h loadHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *loadHeap) Push(x interface{}) { *h = append(*h, x.(loadEntry)) }
-func (h *loadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// fixTop restores heap order after the top entry's key grew.
+func (h loadHeap) fixTop() {
+	n := len(h)
+	if n == 0 {
+		return
+	}
+	e := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// popTop removes the top entry.
+func (h *loadHeap) popTop() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	*h = s[:n]
+	s[:n].fixTop()
 }
 
 // Cluster tracks machines, executor occupancy and active connection load.
@@ -158,7 +198,7 @@ func New(cfg Config) *Cluster {
 }
 
 func (c *Cluster) pushLoad(m *Machine) {
-	heap.Push(&c.byLoad, loadEntry{id: m.ID, busy: m.busy})
+	c.byLoad.push(loadEntry{id: m.ID, busy: m.busy})
 	c.inHeap[m.ID] = true
 }
 
@@ -210,11 +250,16 @@ func (c *Cluster) takeFrom(m *Machine) ExecutorID {
 // demand is served from the least-loaded healthy machines ("for tasks
 // without locality preference, the most free machine is chosen"). It
 // returns fewer than n when the cluster cannot supply them.
+//
+//lint:hotpath
 func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 	if n <= 0 || c.nFree == 0 {
 		return nil
 	}
-	out := make([]ExecutorID, 0, n)
+	// Sized to what the pool can supply, not to the request: a saturated
+	// scheduler asks for a whole graphlet on every completion and gets the
+	// one executor that just freed.
+	out := make([]ExecutorID, 0, min(n, c.nFree))
 	for _, mid := range locality {
 		if len(out) >= n {
 			break
@@ -232,23 +277,23 @@ func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 		}
 	}
 	// Load-balancing pass over the lazy min-heap.
-	for len(out) < n && c.nFree > 0 && c.byLoad.Len() > 0 {
+	for len(out) < n && c.nFree > 0 && len(c.byLoad) > 0 {
 		top := c.byLoad[0]
 		m := c.machines[top.id]
 		if top.busy != m.busy {
 			// Stale entry: refresh.
-			heap.Pop(&c.byLoad)
-			heap.Push(&c.byLoad, loadEntry{id: m.ID, busy: m.busy})
+			c.byLoad.popTop()
+			c.byLoad.push(loadEntry{id: m.ID, busy: m.busy})
 			continue
 		}
 		if m.Health != Healthy || len(m.freeList) == 0 {
-			heap.Pop(&c.byLoad)
+			c.byLoad.popTop()
 			c.inHeap[m.ID] = false
 			continue
 		}
 		out = append(out, c.takeFrom(m))
 		c.byLoad[0].busy = m.busy // update key in place, then restore heap order
-		heap.Fix(&c.byLoad, 0)
+		c.byLoad.fixTop()
 	}
 	return out
 }
@@ -256,20 +301,29 @@ func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 // Release returns executors to the free pool. Executors on non-healthy
 // machines are not re-pooled (read-only machines drain; failed machines
 // have lost them).
+//
+//lint:hotpath
 func (c *Cluster) Release(execs []ExecutorID) {
 	for _, e := range execs {
-		if !c.busyExec[e] {
-			continue
-		}
-		c.busyExec[e] = false
-		m := c.machines[c.owner[e]]
-		m.busy--
-		if m.Health == Healthy {
-			m.freeList = append(m.freeList, e)
-			c.nFree++
-			if !c.inHeap[m.ID] {
-				c.pushLoad(m)
-			}
+		c.ReleaseOne(e)
+	}
+}
+
+// ReleaseOne is Release for the executor of a single finished task.
+//
+//lint:hotpath
+func (c *Cluster) ReleaseOne(e ExecutorID) {
+	if !c.busyExec[e] {
+		return
+	}
+	c.busyExec[e] = false
+	m := c.machines[c.owner[e]]
+	m.busy--
+	if m.Health == Healthy {
+		m.freeList = append(m.freeList, e)
+		c.nFree++
+		if !c.inHeap[m.ID] {
+			c.pushLoad(m)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (c *Controller) Tasks(job string) []TaskSnapshot {
 	}
 	var out []TaskSnapshot
 	for _, name := range m.job.StageNames() {
-		st := m.stages[name]
+		st := m.stage(name)
 		for i := range st.status {
 			out = append(out, TaskSnapshot{
 				Ref:        TaskRef{Job: job, Stage: name, Index: i},
@@ -148,33 +148,40 @@ func (c *Controller) CheckInvariants() []string {
 		ttc.Jobs++
 		queued := make(map[int]int) // graphlet -> queue entries
 		for _, it := range c.queue {
-			if it.job == jobID {
+			if it.m == m {
 				queued[it.g]++
 			}
+		}
+		// A job-wide dense task key (topological stage offset + task
+		// index) for the pending multiset check.
+		offset := make([]int, len(m.stages)+1)
+		for s, st := range m.stages {
+			offset[s+1] = offset[s] + len(st.status)
 		}
 		pendingInQueue := make([]map[int]int, len(m.gruns)) // graphlet -> task key -> count
 		for g, run := range m.gruns {
 			pendingInQueue[g] = make(map[int]int)
-			for _, ref := range run.pending {
-				st := m.stages[ref.Stage]
-				if st == nil || ref.Index < 0 || ref.Index >= len(st.status) {
-					v = append(v, fmt.Sprintf("%s: graphlet %d pending queue holds invalid ref %s", jobID, g, ref))
+			for _, id := range run.pending {
+				if id.stage < 0 || int(id.stage) >= len(m.stages) || id.index < 0 || int(id.index) >= len(m.stages[id.stage].status) {
+					v = append(v, fmt.Sprintf("%s: graphlet %d pending queue holds invalid task id %+v", jobID, g, id))
 					continue
 				}
-				pendingInQueue[g][taskKey(m, ref)]++
+				pendingInQueue[g][offset[id.stage]+int(id.index)]++
 			}
 		}
 
 		for _, name := range m.job.StageNames() {
-			st := m.stages[name]
+			si := m.stageIdx[name]
+			st := m.stages[si]
 			doneCount, runningCount := 0, 0
 			for i := range st.status {
 				ref := TaskRef{Job: jobID, Stage: name, Index: i}
+				key := offset[si] + i
 				switch st.status[i] {
 				case tPending:
 					totalPending++
 					ttc.Pending++
-					if n := pendingInQueue[st.graphlet][taskKey(m, ref)]; n != 1 {
+					if n := pendingInQueue[st.graphlet][key]; n != 1 {
 						v = append(v, fmt.Sprintf("%s: pending task %s appears %d times in graphlet %d's pending queue (want 1)", jobID, ref, n, st.graphlet))
 					}
 				case tRunning:
@@ -193,14 +200,14 @@ func (c *Controller) CheckInvariants() []string {
 					if c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Failed {
 						v = append(v, fmt.Sprintf("%s: task %s still running on failed machine %d", jobID, ref, c.cl.MachineOf(e)))
 					}
-					if n := pendingInQueue[st.graphlet][taskKey(m, ref)]; n != 0 {
+					if n := pendingInQueue[st.graphlet][key]; n != 0 {
 						v = append(v, fmt.Sprintf("%s: running task %s also in pending queue", jobID, ref))
 					}
 				case tDone:
 					doneCount++
 					totalDone++
 					ttc.Done++
-					if n := pendingInQueue[st.graphlet][taskKey(m, ref)]; n != 0 {
+					if n := pendingInQueue[st.graphlet][key]; n != 0 {
 						v = append(v, fmt.Sprintf("%s: done task %s also in pending queue", jobID, ref))
 					}
 				default:
@@ -213,11 +220,11 @@ func (c *Controller) CheckInvariants() []string {
 			// Recovery consistency: pending consumers imply no
 			// done-but-lost producer outputs.
 			if pendingTasks(st) > 0 {
-				for _, e := range m.job.In(name) {
-					pst := m.stages[e.From]
+				for _, from := range st.in {
+					pst := m.stages[from]
 					for i := range pst.status {
 						if pst.status[i] == tDone && pst.lost[i] {
-							v = append(v, fmt.Sprintf("%s: task %s/%s[%d] output lost but consumer stage %s has pending tasks", jobID, jobID, e.From, i, name))
+							v = append(v, fmt.Sprintf("%s: task %s/%s[%d] output lost but consumer stage %s has pending tasks", jobID, jobID, pst.spec.Name, i, name))
 						}
 					}
 				}
@@ -233,8 +240,7 @@ func (c *Controller) CheckInvariants() []string {
 				}
 			}
 			running := 0
-			for _, name := range m.job.StageNames() {
-				st := m.stages[name]
+			for _, st := range m.stages {
 				if st.graphlet != g {
 					continue
 				}
@@ -295,9 +301,7 @@ func (c *Controller) CheckInvariants() []string {
 	// lookup always resolves), then each maintained record must match the
 	// recount — including records whose tenant retired (recount zero).
 	for _, it := range c.queue {
-		if m := c.jobs[it.job]; m != nil {
-			recountFor(m.tenant).Queued++
-		}
+		recountFor(it.m.tenant).Queued++
 	}
 	names := make([]string, 0, len(c.tenants)+len(tenantRecount))
 	for name := range c.tenants {
@@ -334,17 +338,4 @@ func pendingTasks(st *stageState) int {
 		}
 	}
 	return n
-}
-
-// taskKey flattens a TaskRef into a job-wide dense index for the pending
-// multiset check (stage order × index).
-func taskKey(m *monitor, ref TaskRef) int {
-	key := 0
-	for _, name := range m.job.StageNames() {
-		if name == ref.Stage {
-			return key + ref.Index
-		}
-		key += m.job.Stage(name).Tasks
-	}
-	return -1 - ref.Index
 }

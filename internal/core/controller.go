@@ -36,9 +36,19 @@ const (
 	gDone
 )
 
+// taskID names one task of a job by its stage's topological index and its
+// task index: the controller's internal, pointer-free form of a TaskRef.
+// Pending queues hold taskIDs, so popping, scanning and growing them moves
+// eight bytes per task and gives the collector nothing to trace.
+type taskID struct{ stage, index int32 }
+
 // stageState tracks per-task execution state of one stage.
 type stageState struct {
+	spec     *dag.Stage
 	graphlet int
+	// in and out are the topological indexes of the stage's producers and
+	// consumers, in the job's edge order.
+	in, out  []int
 	status   []taskStatus
 	executor []cluster.ExecutorID // executor of current/last attempt (-1 unknown)
 	attempt  []int
@@ -63,9 +73,9 @@ func (s *stageState) complete() bool { return s.done == len(s.status) }
 // graphletRun tracks scheduling state of one graphlet.
 type graphletRun struct {
 	status  gStatus
-	pending []TaskRef // tasks awaiting an executor, topologically ordered
+	pending []taskID // tasks awaiting an executor, topologically ordered
 	running int
-	gating  []string // external producer stages that must finish first
+	gating  []int // external producer stages (topological indexes) that must finish first
 	// disordered is set when recovery re-inserts a task, so the pending
 	// queue may no longer be in topological order and launch selection
 	// must scan for the most-upstream entry instead of popping the front.
@@ -80,9 +90,8 @@ type monitor struct {
 	graphlets []*graphlet.Graphlet
 	owner     map[string]int // stage -> graphlet index
 	gruns     []*graphletRun
-	stages    map[string]*stageState
+	stages    []*stageState // in topological order
 	modes     map[edgeKey]shuffle.Mode
-	topo      []string       // stage names in topological order
 	stageIdx  map[string]int // stage -> topological index
 	done      bool
 	failed    bool
@@ -90,6 +99,22 @@ type monitor struct {
 	tenant    string        // normalized tenant label (TenantName)
 	tc        *TenantCounts // the tenant's live aggregate counters
 	seq       int           // admission sequence number (policy FIFO tiebreak)
+}
+
+// stage returns the named stage's state, or nil for a name the job does
+// not have. Event entry points resolve a TaskRef's stage name here once;
+// everything below them addresses stages by topological index.
+func (m *monitor) stage(name string) *stageState {
+	i, ok := m.stageIdx[name]
+	if !ok {
+		return nil
+	}
+	return m.stages[i]
+}
+
+// ref renders a task's public name.
+func (m *monitor) ref(stage, index int) TaskRef {
+	return TaskRef{Job: m.job.ID, Stage: m.stages[stage].spec.Name, Index: index}
 }
 
 // Controller is the Swift Admin state machine.
@@ -125,20 +150,31 @@ type Controller struct {
 	// tenants holds per-tenant aggregate counters, maintained O(delta)
 	// alongside the snapshot counters (see tenant.go); nextSeq numbers
 	// admissions for the policy's FIFO tiebreak.
-	tenants  map[string]*TenantCounts
-	nextSeq  int
-	reclaims int // gangs reclaimed by policy preemption, for reports
+	tenants    map[string]*TenantCounts
+	tenantList []*TenantCounts // the same records, sorted by tenant name
+	nextSeq    int
+	reclaims   int // gangs reclaimed by policy preemption, for reports
 	// Shuffle-service recovery counters, for reports: replicaHits counts
 	// lost serving copies recovered by promoting a surviving replica (no
 	// recompute), recomputes counts lost outputs that re-ran the producer
 	// ("rerun" dispositions, replicated or not).
 	replicaHits int
 	recomputes  int
+	// Scratch the scheduling round reuses instead of allocating on every
+	// event: the views handed to the policy (which may not retain them),
+	// the grant bookkeeping, and the deadlock breaker's per-stage marks.
+	items  []sched.Item
+	served []bool
+	usage  []sched.TenantUsage
+	below  []bool
 }
 
+// reqItem is one graphlet resource request. It points at the job's monitor
+// so serving and scanning the queue never look a job up by name; monitors
+// outlive their queue entries (failJob and restartJob filter the queue).
 type reqItem struct {
-	job string
-	g   int
+	m *monitor
+	g int
 }
 
 // NewController builds a controller over the given cluster.
@@ -166,10 +202,14 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 // Cluster returns the managed cluster.
 func (c *Controller) Cluster() *cluster.Cluster { return c.cl }
 
-// Drain returns and clears the accumulated actions.
+// Drain returns the actions accumulated since the last call. The slice is
+// the controller's own buffer, reused for the next event's actions: it is
+// valid until the controller is fed another event, so a caller that keeps
+// actions longer (flow.Service hands them to its sink after releasing its
+// lock) must copy them.
 func (c *Controller) Drain() []Action {
 	a := c.actions
-	c.actions = nil
+	c.actions = c.actions[:0]
 	return a
 }
 
@@ -196,29 +236,39 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	if err != nil {
 		return err
 	}
+	topo, _ := job.TopoOrder() // validated above
 	m := &monitor{
 		job:       job,
 		graphlets: gs,
 		owner:     make(map[string]int),
-		stages:    make(map[string]*stageState),
+		stages:    make([]*stageState, len(topo)),
 		modes:     make(map[edgeKey]shuffle.Mode),
+		stageIdx:  make(map[string]int, len(topo)),
 		tenant:    TenantName(job),
 		seq:       c.nextSeq,
 	}
 	c.nextSeq++
 	m.tc = c.tenantCounts(m.tenant)
+	for i, s := range topo {
+		m.stageIdx[s] = i
+	}
 	for _, g := range gs {
 		for _, s := range g.Stages {
 			m.owner[s] = g.Index
 		}
 	}
-	c.opts.Obs.JobSubmitted(job.ID, len(job.Stages()), job.NumTasks(), len(gs))
+	c.opts.Obs.JobSubmitted(job.ID, len(topo), job.NumTasks(), len(gs))
 	// The adaptive selector samples the load once per admission, so every
 	// edge of one job sees the same observation (and the probe count stays
 	// a pure function of the job arrival sequence).
 	var load shuffle.Load
 	if al := c.opts.AdaptiveLoad; al != nil && al.Probe != nil {
 		load = al.Probe()
+	}
+	for i, name := range topo {
+		spec := job.Stage(name)
+		m.stages[i] = &stageState{spec: spec, graphlet: m.owner[name], attempt: make([]int, spec.Tasks)}
+		m.stages[i].reset()
 	}
 	for _, e := range job.Edges() {
 		crossing := m.owner[e.From] != m.owner[e.To]
@@ -231,22 +281,9 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 			}
 		}
 		m.modes[edgeKey{e.From, e.To}] = mode
-	}
-	for _, s := range job.Stages() {
-		st := &stageState{
-			graphlet: m.owner[s.Name],
-			status:   make([]taskStatus, s.Tasks),
-			executor: make([]cluster.ExecutorID, s.Tasks),
-			attempt:  make([]int, s.Tasks),
-			retries:  make([]int, s.Tasks),
-			started:  make([]bool, s.Tasks),
-			reason:   make([]StartReason, s.Tasks),
-			lost:     make([]bool, s.Tasks),
-		}
-		for i := range st.executor {
-			st.executor[i] = -1
-		}
-		m.stages[s.Name] = st
+		from, to := m.stageIdx[e.From], m.stageIdx[e.To]
+		m.stages[from].out = append(m.stages[from].out, to)
+		m.stages[to].in = append(m.stages[to].in, from)
 	}
 	m.gruns = c.buildGraphletRuns(m)
 	c.jobs[job.ID] = m
@@ -257,36 +294,48 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	return nil
 }
 
+// reset gives every task of the stage a fresh pending state. Attempt
+// numbers are kept: they go on increasing across a job restart so a stale
+// completion can never match.
+func (s *stageState) reset() {
+	tasks := s.spec.Tasks
+	s.status = make([]taskStatus, tasks)
+	s.executor = make([]cluster.ExecutorID, tasks)
+	s.retries = make([]int, tasks)
+	s.started = make([]bool, tasks)
+	s.reason = make([]StartReason, tasks)
+	s.lost = make([]bool, tasks)
+	s.homes = nil
+	s.done = 0
+	for i := range s.executor {
+		s.executor[i] = -1
+	}
+}
+
 // buildGraphletRuns derives the scheduling state for each graphlet:
 // pending-task order (topological within the graphlet) and gating stages
 // (producers of edges entering from outside — the "all its input data are
 // ready" submission rule).
 func (c *Controller) buildGraphletRuns(m *monitor) []*graphletRun {
-	topo, _ := m.job.TopoOrder() // validated at submit
-	m.topo = topo
-	if m.stageIdx == nil {
-		m.stageIdx = make(map[string]int, len(topo))
-		for i, s := range topo {
-			m.stageIdx[s] = i
-		}
-	}
 	runs := make([]*graphletRun, len(m.graphlets))
 	for _, g := range m.graphlets {
-		run := &graphletRun{status: gWaiting}
-		inG := make(map[string]bool, len(g.Stages))
-		for _, s := range g.Stages {
-			inG[s] = true
+		tasks := 0
+		for _, st := range m.stages {
+			if st.graphlet == g.Index {
+				tasks += len(st.status)
+			}
 		}
-		for _, s := range topo {
-			if !inG[s] {
+		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks)}
+		for si, st := range m.stages {
+			if st.graphlet != g.Index {
 				continue
 			}
-			for i := 0; i < m.job.Stage(s).Tasks; i++ {
-				run.pending = append(run.pending, TaskRef{Job: m.job.ID, Stage: s, Index: i})
+			for i := range st.status {
+				run.pending = append(run.pending, taskID{int32(si), int32(i)})
 			}
-			for _, e := range m.job.In(s) {
-				if !inG[e.From] {
-					run.gating = append(run.gating, e.From)
+			for _, from := range st.in {
+				if m.stages[from].graphlet != g.Index {
+					run.gating = append(run.gating, from)
 				}
 			}
 		}
@@ -314,7 +363,7 @@ func (c *Controller) enqueueReady(m *monitor) {
 		}
 		if ready {
 			run.status = gQueued
-			c.queue = append(c.queue, reqItem{job: m.job.ID, g: i})
+			c.queue = append(c.queue, reqItem{m: m, g: i})
 			m.tc.Queued++
 			c.opts.Obs.GraphletQueued(m.job.ID, i, len(run.pending))
 		}
@@ -327,13 +376,13 @@ func (c *Controller) requeue(m *monitor, g int) {
 	run := m.gruns[g]
 	if run.status == gQueued {
 		for _, it := range c.queue {
-			if it.job == m.job.ID && it.g == g {
+			if it.m == m && it.g == g {
 				return
 			}
 		}
 	}
 	run.status = gQueued
-	c.queue = append(c.queue, reqItem{job: m.job.ID, g: g})
+	c.queue = append(c.queue, reqItem{m: m, g: g})
 	m.tc.Queued++
 	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
 }
@@ -423,7 +472,9 @@ func (c *Controller) serveFIFO() {
 	// job died) are dropped; entries still waiting stay in FIFO order. In
 	// the common saturated case one freed executor is absorbed by the
 	// head entry and the loop exits after one iteration with the queue
-	// untouched — this must stay O(1), it runs on every task completion.
+	// untouched. That round is O(1) — serveItem allocates what the pool
+	// has, not what the graphlet wants, and takePending pops the head — and
+	// must stay so: it runs on every task completion.
 	n := len(c.queue)
 	w, i := 0, 0
 	for ; i < n; i++ {
@@ -444,17 +495,20 @@ func (c *Controller) serveFIFO() {
 				break // head-of-line blocking: nothing behind is served
 			}
 		} else {
-			c.queueDropped(item)
+			item.m.tc.Queued--
 		}
 	}
-	if w == i {
-		return // nothing dropped; unprocessed tail already in place
+	switch {
+	case w == i:
+		// Nothing dropped; the unprocessed tail is already in place.
+	case w == 0:
+		// Every visited entry was served: drop the prefix without moving
+		// the (possibly thousands deep) tail.
+		c.queue = c.queue[i:]
+	default:
+		w += copy(c.queue[w:], c.queue[i:])
+		c.queue = c.queue[:w]
 	}
-	for ; i < n; i++ {
-		c.queue[w] = c.queue[i]
-		w++
-	}
-	c.queue = c.queue[:w]
 }
 
 // serveItem tries to allocate executors for one queued graphlet request
@@ -463,8 +517,8 @@ func (c *Controller) serveFIFO() {
 // applies after the StrictGang full-fit check, which keeps gang semantics
 // a property of the graphlet, not of the policy.
 func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
-	m := c.jobs[item.job]
-	if m == nil || m.failed || m.done {
+	m := item.m
+	if m.failed || m.done {
 		return false
 	}
 	run := m.gruns[item.g]
@@ -497,7 +551,7 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 			c.cl.Release(execs[i:])
 			break
 		}
-		c.launch(m, run, c.takePending(m, run), e)
+		c.launch(m, run, c.takePending(run), e)
 	}
 	if len(run.pending) > 0 {
 		return true
@@ -510,27 +564,34 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 // upstream stages first. Freshly built pending queues are topologically
 // ordered, so the common path pops the front in O(1); once recovery
 // re-inserts tasks out of order, the queue is scanned for the entry with
-// the smallest topological index, so a re-pended producer always launches
-// before more of its consumers — launching consumers first would park
-// them on data the producer cannot regenerate without an executor.
-func (c *Controller) takePending(m *monitor, run *graphletRun) TaskRef {
+// the smallest (topological stage index, task index), so a re-pended
+// producer always launches before more of its consumers — launching
+// consumers first would park them on data the producer cannot regenerate
+// without an executor. A disordered queue stays disordered until it
+// empties, and every take from it scans, so the order of what remains
+// does not matter: the head moves into the hole and the slice advances,
+// which for an ordered run is the plain head pop.
+//
+//lint:hotpath
+func (c *Controller) takePending(run *graphletRun) taskID {
+	p := run.pending
 	best := 0
 	if run.disordered {
-		for i := 1; i < len(run.pending); i++ {
-			a, b := run.pending[i], run.pending[best]
-			ia, ib := m.stageIdx[a.Stage], m.stageIdx[b.Stage]
-			if ia < ib || (ia == ib && a.Index < b.Index) {
+		for i := 1; i < len(p); i++ {
+			a, b := p[i], p[best]
+			if a.stage < b.stage || (a.stage == b.stage && a.index < b.index) {
 				best = i
 			}
 		}
 	}
-	ref := run.pending[best]
-	run.pending = append(run.pending[:best], run.pending[best+1:]...)
+	id := p[best]
+	p[best] = p[0]
+	run.pending = p[1:]
 	if run.disordered && len(run.pending) == 0 {
 		run.disordered = false
 		c.disorderedRuns--
 	}
-	return ref
+	return id
 }
 
 // breakDeadlock resolves the one stall the resource loop cannot serve its
@@ -549,70 +610,25 @@ func (c *Controller) takePending(m *monitor, run *graphletRun) TaskRef {
 // whether a task was preempted (i.e. an executor may have been freed).
 func (c *Controller) breakDeadlock() bool {
 	for qi, item := range c.queue {
-		m := c.jobs[item.job]
-		if m == nil || m.failed || m.done {
-			continue
-		}
+		m := item.m
 		run := m.gruns[item.g]
-		if !run.disordered || run.status != gQueued || len(run.pending) == 0 {
+		if !run.disordered || run.status != gQueued || len(run.pending) == 0 || m.failed || m.done {
 			// Every deadlock starves a recovery-re-pended producer, and
 			// re-insertion marks its run disordered — ordered runs cannot
-			// be the blocked side of a deadlock.
+			// be the blocked side of a deadlock. Skipping them costs two
+			// loads; only a queued disordered run is examined.
 			continue
 		}
-		// Stages of this job strictly downstream of any stage with
-		// pending work in this graphlet.
-		below := make(map[string]bool)
-		var mark func(stage string)
-		mark = func(stage string) {
-			for _, e := range m.job.Out(stage) {
-				if !below[e.To] {
-					below[e.To] = true
-					mark(e.To)
-				}
-			}
-		}
-		seen := make(map[string]bool)
-		for _, ref := range run.pending {
-			if !seen[ref.Stage] {
-				seen[ref.Stage] = true
-				mark(ref.Stage)
-			}
-		}
-		// Most-downstream running victim; among equals prefer one whose
-		// executor will actually repool (healthy machine).
-		victim := TaskRef{Index: -1}
-		haveHealthy := false
-		for i := len(m.topo) - 1; i >= 0 && !haveHealthy; i-- {
-			s := m.topo[i]
-			if !below[s] {
-				continue
-			}
-			st := m.stages[s]
-			for idx := range st.status {
-				if st.status[idx] != tRunning {
-					continue
-				}
-				ref := TaskRef{Job: m.job.ID, Stage: s, Index: idx}
-				if c.cl.Machine(c.cl.MachineOf(st.executor[idx])).Health == cluster.Healthy {
-					victim = ref
-					haveHealthy = true
-					break
-				}
-				if victim.Index < 0 {
-					victim = ref
-				}
-			}
-		}
-		if victim.Index < 0 {
+		vs, vi := c.deadlockVictim(m, run)
+		if vs < 0 {
 			continue
 		}
-		st := m.stages[victim.Stage]
-		c.emit(ActAbortTask{Task: victim, Executor: st.executor[victim.Index], Attempt: st.attempt[victim.Index]})
-		c.releaseRunning(m, victim)
-		c.markPending(m, victim, StartRetry)
-		if !m.job.Stage(victim.Stage).Idempotent {
-			c.cascade(m, victim.Stage, st.graphlet, map[string]bool{victim.Stage: true})
+		st := m.stages[vs]
+		c.emit(ActAbortTask{Task: m.ref(vs, vi), Executor: st.executor[vi], Attempt: st.attempt[vi]})
+		c.releaseRunning(m, st, vi)
+		c.markPending(m, vs, vi, StartRetry)
+		if !st.spec.Idempotent {
+			c.cascade(m, vs, st.graphlet, nil)
 		}
 		c.requeue(m, st.graphlet)
 		// Serve the starved producer first: each preemption then launches
@@ -625,32 +641,80 @@ func (c *Controller) breakDeadlock() bool {
 	return false
 }
 
+// deadlockVictim picks the task to preempt for a starved disordered run:
+// the most-downstream running task of the job strictly below any stage
+// with pending work in the run, preferring one whose executor will
+// actually repool (healthy machine). It returns (-1, -1) when nothing
+// below is running.
+func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index int) {
+	// Stages strictly downstream of a pending stage. Topological order
+	// makes one forward sweep a transitive closure: a stage is below if
+	// any producer is pending in this run or itself below.
+	c.below = resized(c.below, len(m.stages))
+	below := c.below
+	for _, id := range run.pending {
+		for _, to := range m.stages[id.stage].out {
+			below[to] = true
+		}
+	}
+	for s, st := range m.stages {
+		if below[s] {
+			for _, to := range st.out {
+				below[to] = true
+			}
+		}
+	}
+	stage, index = -1, -1
+	for s := len(m.stages) - 1; s >= 0; s-- {
+		if !below[s] {
+			continue
+		}
+		st := m.stages[s]
+		for i := range st.status {
+			if st.status[i] != tRunning {
+				continue
+			}
+			if c.cl.Machine(c.cl.MachineOf(st.executor[i])).Health == cluster.Healthy {
+				return s, i
+			}
+			if index < 0 {
+				stage, index = s, i
+			}
+		}
+	}
+	return stage, index
+}
+
 // launch starts one task attempt on an executor and emits the action. The
 // start reason was recorded in the stage state by whoever marked the task
 // pending (fresh submission, retry or cascade).
-func (c *Controller) launch(m *monitor, run *graphletRun, ref TaskRef, e cluster.ExecutorID) {
-	st := m.stages[ref.Stage]
-	reason := st.reason[ref.Index]
-	st.reason[ref.Index] = StartFresh
-	st.status[ref.Index] = tRunning
-	st.executor[ref.Index] = e
-	st.attempt[ref.Index]++
-	st.started[ref.Index] = true
+//
+//lint:hotpath
+func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.ExecutorID) {
+	st := m.stages[id.stage]
+	i := int(id.index)
+	reason := st.reason[i]
+	st.reason[i] = StartFresh
+	st.status[i] = tRunning
+	st.executor[i] = e
+	st.attempt[i]++
+	st.started[i] = true
 	run.running++
 	c.snapDelta(m, -1, 1, 0)
+	ref := TaskRef{Job: m.job.ID, Stage: st.spec.Name, Index: i}
 	c.emit(ActStartTask{
 		Task:     ref,
 		Executor: e,
 		Graphlet: st.graphlet,
-		Attempt:  st.attempt[ref.Index],
+		Attempt:  st.attempt[i],
 		Reason:   reason,
 	})
-	if reason == StartRetry && m.job.Stage(ref.Stage).Idempotent {
+	if reason == StartRetry && st.spec.Idempotent {
 		// Intra-graphlet idempotent recovery: surviving pipeline
 		// producers in the same graphlet re-send buffered output.
-		for _, pe := range m.job.In(ref.Stage) {
-			if m.owner[pe.From] == st.graphlet {
-				c.emit(ActResend{To: ref, FromStage: pe.From})
+		for _, from := range st.in {
+			if pst := m.stages[from]; pst.graphlet == st.graphlet {
+				c.emit(ActResend{To: ref, FromStage: pst.spec.Name})
 			}
 		}
 	}
@@ -658,13 +722,19 @@ func (c *Controller) launch(m *monitor, run *graphletRun, ref TaskRef, e cluster
 
 // TaskFinished records a successful task completion. Stale attempts (from
 // an aborted execution racing its abort) are ignored.
+//
+//lint:hotpath
 func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	m := c.jobs[ref.Job]
 	if m == nil || m.failed || m.done {
 		return
 	}
-	st, ok := m.stages[ref.Stage]
-	if !ok || ref.Index < 0 || ref.Index >= len(st.status) {
+	si, ok := m.stageIdx[ref.Stage]
+	if !ok {
+		return
+	}
+	st := m.stages[si]
+	if ref.Index < 0 || ref.Index >= len(st.status) {
 		return
 	}
 	if st.attempt[ref.Index] != attempt || st.status[ref.Index] != tRunning {
@@ -676,10 +746,10 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	run := m.gruns[st.graphlet]
 	run.running--
 	e := st.executor[ref.Index]
-	if c.opts.ShuffleReplicas > 1 && len(m.job.Out(ref.Stage)) > 0 {
+	if c.opts.ShuffleReplicas > 1 && len(st.out) > 0 {
 		// Replicate the buffered output before the executor is reused: the
 		// copy reads from the producer's Cache Worker, not the executor.
-		c.replicateOutput(m, st, ref, e)
+		c.replicateOutput(st, ref, e)
 	}
 
 	// Reuse the freed executor for the next pending task of the same
@@ -689,9 +759,9 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	// monitor's contract (Section IV-A), so those slots are released
 	// instead and the graphlet asks the scheduler for replacements.
 	if len(run.pending) > 0 && c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Healthy {
-		c.launch(m, run, c.takePending(m, run), e)
+		c.launch(m, run, c.takePending(run), e)
 	} else {
-		c.cl.Release([]cluster.ExecutorID{e})
+		c.cl.ReleaseOne(e)
 		if len(run.pending) > 0 {
 			c.requeue(m, st.graphlet)
 		} else if run.running == 0 && run.status != gDone {
@@ -736,8 +806,8 @@ func (c *Controller) StageComplete(job, stage string) bool {
 	if m == nil {
 		return false
 	}
-	st, ok := m.stages[stage]
-	return ok && st.complete()
+	st := m.stage(stage)
+	return st != nil && st.complete()
 }
 
 // EdgeMode returns the shuffle mode selected for an edge at admission.
@@ -778,8 +848,8 @@ func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
 	if m == nil {
 		return 0, 0, false
 	}
-	st, ok := m.stages[ref.Stage]
-	if !ok || ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tRunning {
+	st := m.stage(ref.Stage)
+	if st == nil || ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tRunning {
 		return 0, 0, false
 	}
 	return st.executor[ref.Index], st.attempt[ref.Index], true
@@ -790,7 +860,7 @@ func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
 // executor's machine (where the Cache Worker already buffered the data),
 // the R−1 extras the next healthy machines on the machine-ID ring — a
 // deterministic placement every component can recompute.
-func (c *Controller) replicateOutput(m *monitor, st *stageState, ref TaskRef, e cluster.ExecutorID) {
+func (c *Controller) replicateOutput(st *stageState, ref TaskRef, e cluster.ExecutorID) {
 	n := c.cl.NumMachines()
 	primary := c.cl.MachineOf(e)
 	homes := make([]cluster.MachineID, 1, c.opts.ShuffleReplicas)

@@ -14,21 +14,35 @@ import (
 // policyItems flattens the request queue for the policy. Entries whose
 // job left the live set or whose graphlet is no longer actually queued
 // carry Pending 0; policies skip them and servePolicy's sweep retires
-// them exactly as the FIFO walk would.
+// them exactly as the FIFO walk would. The result is controller-owned
+// scratch, rebuilt by the next call.
 func (c *Controller) policyItems() []sched.Item {
-	items := make([]sched.Item, len(c.queue))
+	c.items = resized(c.items, len(c.queue))
 	for i, it := range c.queue {
-		pi := sched.Item{Index: i, Job: it.job, Graphlet: it.g}
-		if m := c.jobs[it.job]; m != nil && !m.failed && !m.done {
+		m := it.m
+		pi := &c.items[i]
+		pi.Index, pi.Job, pi.Graphlet = i, m.job.ID, it.g
+		if !m.failed && !m.done {
 			pi.Tenant = m.tenant
 			pi.Seq = m.seq
 			if run := m.gruns[it.g]; run.status == gQueued {
 				pi.Pending = len(run.pending)
 			}
 		}
-		items[i] = pi
 	}
-	return items
+	return c.items
+}
+
+// resized returns s with length n and every element zeroed, reusing its
+// backing array when that is large enough (and over-allocating by half
+// when it is not, so a steadily growing queue reallocates rarely).
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // policyGangs flattens every graphlet currently holding executors, in
@@ -60,18 +74,18 @@ func (c *Controller) policyView() sched.View {
 }
 
 // usageSnapshots projects the per-tenant counters into the policy's usage
-// struct, sorted by tenant name (the View contract).
+// struct, sorted by tenant name (the View contract). Like policyItems the
+// result is scratch the next call overwrites.
 func (c *Controller) usageSnapshots() []sched.TenantUsage {
-	tcs := c.TenantSnapshots()
-	if len(tcs) == 0 {
+	if len(c.tenantList) == 0 {
 		return nil
 	}
-	out := make([]sched.TenantUsage, len(tcs))
-	for i, tc := range tcs {
-		out[i] = sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running,
+	c.usage = resized(c.usage, len(c.tenantList))
+	for i, tc := range c.tenantList {
+		c.usage[i] = sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running,
 			Pending: tc.Pending, Queued: tc.Queued}
 	}
-	return out
+	return c.usage
 }
 
 // servePolicy serves one scheduling round under a non-FIFO policy: ask
@@ -84,7 +98,8 @@ func (c *Controller) servePolicy() {
 		c.serveFIFO()
 		return
 	}
-	served := make([]bool, len(c.queue))
+	c.served = resized(c.served, len(c.queue))
+	served := c.served
 	for _, g := range grants {
 		if c.cl.FreeExecutors() == 0 {
 			break
@@ -105,8 +120,8 @@ func (c *Controller) servePolicy() {
 	for i, it := range c.queue {
 		drop := served[i]
 		if !drop && sweep {
-			m := c.jobs[it.job]
-			if m == nil || m.failed || m.done {
+			m := it.m
+			if m.failed || m.done {
 				drop = true // defensive: failJob/restartJob filter the queue
 			} else if run := m.gruns[it.g]; run.status != gQueued || len(run.pending) == 0 {
 				if run.status == gQueued {
@@ -116,7 +131,7 @@ func (c *Controller) servePolicy() {
 			}
 		}
 		if drop {
-			c.queueDropped(it)
+			it.m.tc.Queued--
 			continue
 		}
 		c.queue[w] = it
@@ -164,8 +179,7 @@ func (c *Controller) reclaimGang(v sched.Victim) bool {
 		return false
 	}
 	aborted := 0
-	for _, s := range m.topo {
-		st := m.stages[s]
+	for si, st := range m.stages {
 		if st.graphlet != v.Graphlet {
 			continue
 		}
@@ -173,15 +187,14 @@ func (c *Controller) reclaimGang(v sched.Victim) bool {
 			if st.status[i] != tRunning {
 				continue
 			}
-			ref := TaskRef{Job: m.job.ID, Stage: s, Index: i}
-			c.emit(ActAbortTask{Task: ref, Executor: st.executor[i], Attempt: st.attempt[i]})
-			c.releaseRunning(m, ref)
-			c.markPending(m, ref, StartRetry)
-			if !m.job.Stage(s).Idempotent {
+			c.emit(ActAbortTask{Task: m.ref(si, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+			c.releaseRunning(m, st, i)
+			c.markPending(m, si, i, StartRetry)
+			if !st.spec.Idempotent {
 				// Successors may have consumed streamed rows; they re-run
 				// too (and any running ones are aborted by the cascade, so
 				// this loop sees them as no longer running).
-				c.cascade(m, s, v.Graphlet, map[string]bool{s: true})
+				c.cascade(m, si, v.Graphlet, nil)
 			}
 			aborted++
 		}

@@ -16,8 +16,12 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 	if m == nil || m.failed || m.done {
 		return
 	}
-	st, ok := m.stages[ref.Stage]
-	if !ok || ref.Index < 0 || ref.Index >= len(st.status) {
+	si, ok := m.stageIdx[ref.Stage]
+	if !ok {
+		return
+	}
+	st := m.stages[si]
+	if ref.Index < 0 || ref.Index >= len(st.status) {
 		return
 	}
 	if st.status[ref.Index] != tRunning || st.attempt[ref.Index] != attempt {
@@ -48,16 +52,16 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, c.opts.MaxTaskRetries))
 		return
 	}
-	c.releaseRunning(m, ref)
-	c.markPending(m, ref, StartRetry)
+	c.releaseRunning(m, st, ref.Index)
+	c.markPending(m, si, ref.Index, StartRetry)
 
 	// Non-idempotent tasks may have streamed rows that successors
 	// already consumed; those successors must re-run too (Fig. 6b). The
 	// cascade stays within the graphlet: cross-graphlet consumers read
 	// from Cache Workers whose contents the re-run will replace before
 	// the consumer graphlet is submitted (Figs. 7a/7b).
-	if !m.job.Stage(ref.Stage).Idempotent {
-		c.cascade(m, ref.Stage, m.stages[ref.Stage].graphlet, map[string]bool{ref.Stage: true})
+	if !st.spec.Idempotent {
+		c.cascade(m, si, st.graphlet, nil)
 	}
 
 	c.requeue(m, st.graphlet)
@@ -65,49 +69,51 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 }
 
 // cascade re-runs every started task of the successor stages of `stage`
-// within graphlet g, transitively.
-func (c *Controller) cascade(m *monitor, stage string, g int, visited map[string]bool) {
-	for _, e := range m.job.Out(stage) {
-		if visited[e.To] || m.owner[e.To] != g {
+// within graphlet g, transitively. Callers pass nil for visited.
+func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
+	if visited == nil {
+		visited = make([]bool, len(m.stages))
+		visited[stage] = true
+	}
+	for _, to := range m.stages[stage].out {
+		st := m.stages[to]
+		if visited[to] || st.graphlet != g {
 			continue
 		}
-		visited[e.To] = true
-		st := m.stages[e.To]
+		visited[to] = true
 		for i := range st.status {
 			if !st.started[i] {
 				continue
 			}
-			ref := TaskRef{Job: m.job.ID, Stage: e.To, Index: i}
 			switch st.status[i] {
 			case tRunning:
-				c.emit(ActAbortTask{Task: ref, Executor: st.executor[i], Attempt: st.attempt[i]})
-				c.releaseRunning(m, ref)
-				c.markPending(m, ref, StartCascade)
+				c.emit(ActAbortTask{Task: m.ref(to, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+				c.releaseRunning(m, st, i)
+				c.markPending(m, to, i, StartCascade)
 			case tDone:
 				st.done--
-				c.markPending(m, ref, StartCascade)
+				c.markPending(m, to, i, StartCascade)
 			case tPending:
 				// already awaiting a fresh run; nothing to cascade
 			}
 		}
 		c.requeue(m, g)
-		c.cascade(m, e.To, g, visited)
+		c.cascade(m, to, g, visited)
 	}
 }
 
 // releaseRunning returns a running task's executor to the pool and fixes
 // the graphlet's running count. The task's status is left to the caller.
-func (c *Controller) releaseRunning(m *monitor, ref TaskRef) {
-	st := m.stages[ref.Stage]
-	if st.status[ref.Index] != tRunning {
+func (c *Controller) releaseRunning(m *monitor, st *stageState, i int) {
+	if st.status[i] != tRunning {
 		return
 	}
 	run := m.gruns[st.graphlet]
 	run.running--
-	if e := st.executor[ref.Index]; e >= 0 {
-		c.cl.Release([]cluster.ExecutorID{e})
+	if e := st.executor[i]; e >= 0 {
+		c.cl.ReleaseOne(e)
 	}
-	st.status[ref.Index] = tPending
+	st.status[i] = tPending
 	c.snapDelta(m, 1, -1, 0)
 }
 
@@ -116,17 +122,17 @@ func (c *Controller) releaseRunning(m *monitor, ref TaskRef) {
 // pending state needs its input data again, so any producer whose buffered
 // output was lost under the "no step taken" rule must re-run first; those
 // producers are revived here, transitively up the DAG.
-func (c *Controller) markPending(m *monitor, ref TaskRef, reason StartReason) {
-	st := m.stages[ref.Stage]
-	c.snapMarkPending(m, st.status[ref.Index])
-	st.status[ref.Index] = tPending
-	st.reason[ref.Index] = reason
-	st.lost[ref.Index] = false // a re-run regenerates the output
+func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
+	st := m.stages[stage]
+	c.snapMarkPending(m, st.status[i])
+	st.status[i] = tPending
+	st.reason[i] = reason
+	st.lost[i] = false // a re-run regenerates the output
 	if st.homes != nil {
-		st.homes[ref.Index] = nil // stale copies; re-replicated at finish
+		st.homes[i] = nil // stale copies; re-replicated at finish
 	}
 	run := m.gruns[st.graphlet]
-	run.pending = append(run.pending, ref)
+	run.pending = append(run.pending, taskID{int32(stage), int32(i)})
 	if !run.disordered {
 		// Launch selection must restore topological order, and the
 		// scheduler's deadlock check watches for disordered runs.
@@ -136,25 +142,25 @@ func (c *Controller) markPending(m *monitor, ref TaskRef, reason StartReason) {
 	if run.status == gDone {
 		run.status = gQueued
 	}
-	c.reviveLostInputs(m, ref.Stage)
+	c.reviveLostInputs(m, st)
 }
 
-// reviveLostInputs re-runs every completed producer task of `stage` whose
+// reviveLostInputs re-runs every completed producer task of a stage whose
 // buffered output was lost while "not needed" — a consumer of that output
 // has just become pending again, so the data is needed after all. The
 // recursion through markPending walks producers upward and terminates
 // because each revived task leaves the done+lost state and the DAG is
 // acyclic.
-func (c *Controller) reviveLostInputs(m *monitor, stage string) {
-	for _, e := range m.job.In(stage) {
-		pst := m.stages[e.From]
+func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
+	for _, from := range st.in {
+		pst := m.stages[from]
 		revived := false
 		for i := range pst.status {
 			if pst.status[i] != tDone || !pst.lost[i] {
 				continue
 			}
 			pst.done--
-			c.markPending(m, TaskRef{Job: m.job.ID, Stage: e.From, Index: i}, StartRetry)
+			c.markPending(m, from, i, StartRetry)
 			revived = true
 		}
 		if revived {
@@ -182,7 +188,7 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 			continue
 		}
 		for _, name := range m.job.StageNames() {
-			st := m.stages[name]
+			st := m.stage(name)
 			for i := range st.status {
 				if st.executor[i] < 0 || c.cl.MachineOf(st.executor[i]) != id {
 					continue
@@ -220,7 +226,7 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 			continue
 		}
 		if v.running {
-			c.emit(ActAbortTask{Task: v.ref, Executor: m.stages[v.ref.Stage].executor[v.ref.Index], Attempt: v.attempt})
+			c.emit(ActAbortTask{Task: v.ref, Executor: m.stage(v.ref.Stage).executor[v.ref.Index], Attempt: v.attempt})
 			c.TaskFailed(v.ref, v.attempt, FailCrash)
 		} else {
 			// Lost output of a finished task: TaskOutputLost applies
@@ -253,7 +259,7 @@ func (c *Controller) strikeReplica(id cluster.MachineID) []TaskRef {
 			continue
 		}
 		for _, name := range m.job.StageNames() {
-			st := m.stages[name]
+			st := m.stage(name)
 			if st.homes == nil {
 				continue
 			}
@@ -294,15 +300,11 @@ func (c *Controller) strikeReplica(id cluster.MachineID) []TaskRef {
 // Cache Worker at launch — so only never-started (pending) consumer tasks
 // still need it ("If T6 and T7 have received the desired data from T4, no
 // step will be taken").
-func (c *Controller) outputStillNeeded(m *monitor, stage string) bool {
-	outs := m.job.Out(stage)
-	if len(outs) == 0 {
-		return false // sink output already delivered to the client
-	}
-	for _, e := range outs {
-		st := m.stages[e.To]
-		for i := range st.status {
-			if st.status[i] == tPending {
+func (c *Controller) outputStillNeeded(m *monitor, st *stageState) bool {
+	// A sink stage has no consumers: its output is already with the client.
+	for _, to := range st.out {
+		for _, status := range m.stages[to].status {
+			if status == tPending {
 				return true
 			}
 		}
@@ -320,8 +322,12 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 	if m == nil || m.failed || m.done {
 		return
 	}
-	st, ok := m.stages[ref.Stage]
-	if !ok || ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tDone {
+	si, ok := m.stageIdx[ref.Stage]
+	if !ok {
+		return
+	}
+	st := m.stages[si]
+	if ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tDone {
 		return
 	}
 	if c.opts.Recovery == JobRestart {
@@ -337,7 +343,7 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 		// wide); clear the stale replica set.
 		st.homes[ref.Index] = nil
 	}
-	if !c.outputStillNeeded(m, ref.Stage) {
+	if !c.outputStillNeeded(m, st) {
 		// "No step will be taken" — but remember the loss so a consumer
 		// that later re-enters the pending state revives this producer.
 		st.lost[ref.Index] = true
@@ -355,9 +361,9 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 		return
 	}
 	st.done--
-	c.markPending(m, ref, StartRetry)
-	if !m.job.Stage(ref.Stage).Idempotent {
-		c.cascade(m, ref.Stage, st.graphlet, map[string]bool{ref.Stage: true})
+	c.markPending(m, si, ref.Index, StartRetry)
+	if !st.spec.Idempotent {
+		c.cascade(m, si, st.graphlet, nil)
 	}
 	c.requeue(m, st.graphlet)
 	c.schedule()
@@ -424,7 +430,7 @@ func (c *Controller) CacheWorkerLost(id cluster.MachineID) {
 			continue
 		}
 		for _, name := range m.job.StageNames() {
-			st := m.stages[name]
+			st := m.stage(name)
 			for i := range st.status {
 				if st.status[i] == tDone && st.executor[i] >= 0 && c.cl.MachineOf(st.executor[i]) == id {
 					lost = append(lost, TaskRef{Job: jobID, Stage: name, Index: i})
@@ -471,7 +477,7 @@ func (c *Controller) ExecutorRestarted(e cluster.ExecutorID) {
 			continue
 		}
 		for _, name := range m.job.StageNames() {
-			st := m.stages[name]
+			st := m.stage(name)
 			for i := range st.status {
 				if st.status[i] == tRunning && st.executor[i] == e {
 					c.TaskFailed(TaskRef{Job: jobID, Stage: name, Index: i}, st.attempt[i], FailCrash)
@@ -494,26 +500,13 @@ func (c *Controller) restartJob(m *monitor) {
 		doneTasks += st.done
 	}
 	c.snapDelta(m, doneTasks, 0, -doneTasks)
-	for name, st := range m.stages {
-		tasks := m.job.Stage(name).Tasks
-		*st = stageState{
-			graphlet: st.graphlet,
-			status:   make([]taskStatus, tasks),
-			executor: make([]cluster.ExecutorID, tasks),
-			attempt:  st.attempt, // attempts keep increasing across restarts
-			retries:  make([]int, tasks),
-			started:  make([]bool, tasks),
-			reason:   make([]StartReason, tasks),
-			lost:     make([]bool, tasks),
-		}
-		for i := range st.executor {
-			st.executor[i] = -1
-		}
+	for _, st := range m.stages {
+		st.reset()
 	}
 	// Drop queued items of this job and rebuild graphlet runs.
 	var q []reqItem
 	for _, it := range c.queue {
-		if it.job != m.job.ID {
+		if it.m != m {
 			q = append(q, it)
 		} else {
 			m.tc.Queued--
@@ -530,12 +523,12 @@ func (c *Controller) restartJob(m *monitor) {
 // abortAll aborts every running task of a job and releases its executors.
 func (c *Controller) abortAll(m *monitor) {
 	for _, name := range m.job.StageNames() {
-		st := m.stages[name]
+		st := m.stage(name)
 		for i := range st.status {
 			if st.status[i] == tRunning {
 				ref := TaskRef{Job: m.job.ID, Stage: name, Index: i}
 				c.emit(ActAbortTask{Task: ref, Executor: st.executor[i], Attempt: st.attempt[i]})
-				c.releaseRunning(m, ref)
+				c.releaseRunning(m, st, i)
 			}
 		}
 	}
@@ -575,7 +568,7 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.dropDisordered(m)
 	var q []reqItem
 	for _, it := range c.queue {
-		if it.job != m.job.ID {
+		if it.m != m {
 			q = append(q, it)
 		} else {
 			m.tc.Queued--

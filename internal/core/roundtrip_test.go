@@ -1,0 +1,138 @@
+package core_test
+
+import (
+	"testing"
+
+	"swift/internal/cluster"
+	"swift/internal/core"
+	"swift/internal/raceflag"
+	"swift/internal/sched"
+	"swift/internal/trace"
+)
+
+// roundTrip drives a controller the way a saturated replay does, minus the
+// simulator: every job is admitted up front onto a cluster far too small
+// for them, then tasks finish in launch order and each completion's freed
+// executor goes to whatever the scheduler picks next.
+type roundTrip struct {
+	c       *core.Controller
+	running []core.ActStartTask // launch order; [head:] are still running
+	head    int
+}
+
+func newRoundTrip(tb testing.TB, opts core.Options, spec trace.Spec) *roundTrip {
+	tb.Helper()
+	cl := cluster.New(cluster.Config{Machines: 100, ExecutorsPerMachine: 30})
+	rt := &roundTrip{c: core.NewController(cl, opts)}
+	tr := trace.Generate(spec)
+	tasks := 0
+	for _, j := range tr.Jobs {
+		tasks += j.Job.NumTasks()
+	}
+	// Room for every launch (and, under preemption, relaunches), so the
+	// harness itself never allocates inside a measured step.
+	rt.running = make([]core.ActStartTask, 0, 2*tasks)
+	for _, j := range tr.Jobs {
+		if err := rt.c.SubmitJob(j.Job); err != nil {
+			tb.Fatal(err)
+		}
+		rt.collect()
+	}
+	if rt.c.Cluster().FreeExecutors() != 0 || rt.c.QueueLen() == 0 {
+		tb.Fatalf("not saturated: %d executors free, %d requests queued", rt.c.Cluster().FreeExecutors(), rt.c.QueueLen())
+	}
+	return rt
+}
+
+func (rt *roundTrip) collect() {
+	for _, a := range rt.c.Drain() {
+		if s, ok := a.(core.ActStartTask); ok {
+			rt.running = append(rt.running, s)
+		}
+	}
+}
+
+// step finishes the oldest running task and takes the controller's
+// answer. It reports false when nothing is left to finish.
+func (rt *roundTrip) step() bool {
+	if rt.head == len(rt.running) {
+		return false
+	}
+	a := rt.running[rt.head]
+	rt.head++
+	rt.c.TaskFinished(a.Task, a.Attempt) // a no-op for an attempt preemption aborted
+	rt.collect()
+	return true
+}
+
+var fifoSpec = trace.Spec{Jobs: 2000, Seed: 1, RuntimeCap: 120}
+
+func fairOptions() (core.Options, trace.Spec) {
+	o := core.DefaultOptions()
+	o.Policy = sched.NewFairShare(sched.FairShareConfig{Queues: []sched.QueueSpec{
+		{Name: "a", Weight: 2},
+		{Name: "b", Weight: 1},
+		{Name: "c", Weight: 1, Quota: 600},
+	}})
+	return o, trace.Spec{Seed: 1, RuntimeCap: 120, Tenants: []trace.TenantSpec{
+		{Name: "a", Jobs: 120, ArrivalWindow: 300},
+		{Name: "b", Jobs: 240, ArrivalWindow: 300},
+		{Name: "c", Jobs: 120, ArrivalWindow: 300},
+	}}
+}
+
+// maxRoundTripAllocs is the committed allocation budget of one saturated
+// TaskFinished+Drain round trip under FIFO: the executor slice Allocate
+// returns (8 bytes) and the ActStartTask boxed into the Action interface.
+// Job completions and queue growth add a fraction of an allocation on
+// average, below what AllocsPerRun's integer mean can see; a per-event map, view
+// or request-sized buffer would.
+const maxRoundTripAllocs = 2
+
+func TestSaturatedRoundTripAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	rt := newRoundTrip(t, core.DefaultOptions(), fifoSpec)
+	for i := 0; i < 5000; i++ { // past the first wave, into steady state
+		rt.step()
+	}
+	allocs := testing.AllocsPerRun(20000, func() {
+		if !rt.step() {
+			t.Fatal("ran out of work")
+		}
+	})
+	if allocs > maxRoundTripAllocs {
+		t.Errorf("saturated TaskFinished+Drain: %.0f allocs per round trip, budget %d", allocs, maxRoundTripAllocs)
+	}
+	if v := rt.c.CheckInvariants(); len(v) > 0 {
+		t.Errorf("invariants: %v", v)
+	}
+}
+
+func benchRoundTrip(b *testing.B, opts core.Options, spec trace.Spec) {
+	rt := newRoundTrip(b, opts, spec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !rt.step() {
+			b.StopTimer()
+			rt = newRoundTrip(b, opts, spec)
+			b.StartTimer()
+		}
+	}
+}
+
+// BenchmarkRoundTripFIFO is replay_batch's controller work per completion:
+// 2,000 jobs queued on 3,000 executors under the FIFO default.
+func BenchmarkRoundTripFIFO(b *testing.B) {
+	benchRoundTrip(b, core.DefaultOptions(), fifoSpec)
+}
+
+// BenchmarkRoundTripFairShare is the same round trip through servePolicy:
+// three tenants under weighted fair share with a quota, every completion
+// re-planned by the policy.
+func BenchmarkRoundTripFairShare(b *testing.B) {
+	opts, spec := fairOptions()
+	benchRoundTrip(b, opts, spec)
+}

@@ -39,35 +39,26 @@ func (c *Controller) tenantCounts(name string) *TenantCounts {
 	if tc == nil {
 		tc = &TenantCounts{Tenant: name}
 		c.tenants[name] = tc
+		// Keep the by-name order the snapshots promise, paid once per
+		// tenant instead of a collect-and-sort per scheduling round.
+		i := sort.Search(len(c.tenantList), func(i int) bool { return c.tenantList[i].Tenant > name })
+		c.tenantList = append(c.tenantList, nil)
+		copy(c.tenantList[i+1:], c.tenantList[i:])
+		c.tenantList[i] = tc
 	}
 	return tc
-}
-
-// queueDropped maintains the per-tenant queued-request counter when an
-// entry leaves the scheduler queue outside the bulk filters in
-// failJob/restartJob (which adjust the counter themselves).
-func (c *Controller) queueDropped(it reqItem) {
-	if m := c.jobs[it.job]; m != nil {
-		m.tc.Queued--
-	}
 }
 
 // TenantSnapshots returns every tenant's aggregate counters, sorted by
 // tenant name. Unlike Snapshot().Tenants it is populated under any
 // policy, including FIFO.
 func (c *Controller) TenantSnapshots() []TenantCounts {
-	if len(c.tenants) == 0 {
+	if len(c.tenantList) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(c.tenants))
-	//lint:allow hotpath collect-then-sort over the tenant registry is O(#tenants) once per scheduling round, not per task
-	for name := range c.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]TenantCounts, 0, len(names))
-	for _, n := range names {
-		out = append(out, *c.tenants[n])
+	out := make([]TenantCounts, len(c.tenantList))
+	for i, tc := range c.tenantList {
+		out[i] = *tc
 	}
 	return out
 }

@@ -75,6 +75,13 @@ func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
 	}
 }
 
+// drainLocked copies the controller's pending actions out of its reused
+// buffer: the sink runs after the lock is released, when another event may
+// already be refilling that buffer.
+func (s *Service) drainLocked() []core.Action {
+	return append([]core.Action(nil), s.ctrl.Drain()...)
+}
+
 // idleLocked reports whether a draining service has no work left.
 func (s *Service) idleLocked() bool {
 	return s.flow.Draining() && s.flow.QueueLen() == 0 && s.ctrl.Snapshot().LiveJobs == 0
@@ -116,7 +123,7 @@ func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, acts []
 	s.submitted[job.ID] = true
 	if out.Decision == Admitted {
 		if serr := s.ctrl.SubmitJob(job); serr != nil {
-			return out, s.ctrl.Drain(), serr
+			return out, s.drainLocked(), serr
 		}
 	}
 	acts = append(acts, s.ctrl.Drain()...)
@@ -147,7 +154,7 @@ func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
 	now := s.clock()
 	s.mu.Lock()
 	s.ctrl.TaskFinished(ref, attempt)
-	acts := s.ctrl.Drain()
+	acts := s.drainLocked()
 	acts = append(acts, s.pumpLocked(now)...)
 	idle := s.idleLocked()
 	s.mu.Unlock()
@@ -159,7 +166,7 @@ func (s *Service) TaskFailed(ref core.TaskRef, attempt int, kind core.FailureKin
 	now := s.clock()
 	s.mu.Lock()
 	s.ctrl.TaskFailed(ref, attempt, kind)
-	acts := s.ctrl.Drain()
+	acts := s.drainLocked()
 	acts = append(acts, s.pumpLocked(now)...)
 	idle := s.idleLocked()
 	s.mu.Unlock()

@@ -269,29 +269,56 @@ type SeriesPoint struct {
 }
 
 // Series accumulates a piecewise-constant time series by deltas, e.g. the
-// number of running executors over time (Fig. 10).
+// number of running executors over time (Fig. 10). Deltas are kept as an
+// append-only slice in arrival order; a delta at the timestamp of the one
+// before it folds into it, so a simulation (whose clock is monotone) pays
+// one slice append per distinct instant and Points never has to sort.
 type Series struct {
-	deltas map[float64]float64
+	deltas   []SeriesPoint // V is the summed delta recorded at T
+	unsorted bool          // some delta arrived with T below its predecessor's
 }
 
 // NewSeries returns an empty series.
-func NewSeries() *Series { return &Series{deltas: make(map[float64]float64)} }
+func NewSeries() *Series { return &Series{} }
 
-// Delta records a change of v at time t.
-func (s *Series) Delta(t, v float64) { s.deltas[t] += v }
+// Delta records a change of v at time t. Timestamps may arrive in any
+// order. A NaN timestamp has no place on the time axis — it would compare
+// unequal to itself and never integrate — so it panics, like Sample does
+// for a NaN step.
+func (s *Series) Delta(t, v float64) {
+	if math.IsNaN(t) {
+		panic("metrics: Series.Delta timestamp is NaN")
+	}
+	if n := len(s.deltas); n > 0 {
+		last := &s.deltas[n-1]
+		if last.T == t {
+			last.V += v
+			return
+		}
+		if t < last.T {
+			s.unsorted = true
+		}
+	}
+	s.deltas = append(s.deltas, SeriesPoint{T: t, V: v})
+}
 
 // Points integrates the deltas into the running value sampled at every
-// change point, in time order.
+// change point, in time order, one point per distinct timestamp.
 func (s *Series) Points() []SeriesPoint {
-	ts := make([]float64, 0, len(s.deltas))
-	for t := range s.deltas {
-		ts = append(ts, t)
+	ds := s.deltas
+	if s.unsorted {
+		// Stable, so deltas of one timestamp still sum in arrival order.
+		ds = append([]SeriesPoint(nil), ds...)
+		sort.SliceStable(ds, func(i, j int) bool { return ds[i].T < ds[j].T })
 	}
-	sort.Float64s(ts)
-	out := make([]SeriesPoint, 0, len(ts))
+	out := make([]SeriesPoint, 0, len(ds))
 	run := 0.0
-	for _, t := range ts {
-		run += s.deltas[t]
+	for i := 0; i < len(ds); {
+		t, d := ds[i].T, ds[i].V
+		for i++; i < len(ds) && ds[i].T == t; i++ {
+			d += ds[i].V
+		}
+		run += d
 		out = append(out, SeriesPoint{T: t, V: run})
 	}
 	return out

@@ -341,3 +341,93 @@ func TestQuantileNaNPolicy(t *testing.T) {
 		t.Errorf("FourQuartiles(all-NaN) = %+v, want NaN", allNaN)
 	}
 }
+
+// Regression: Delta with a NaN timestamp used to insert one unreachable
+// map key per call (NaN != NaN), which Points then read back as a zero
+// delta — silently dropping the change — in an order sort.Float64s leaves
+// undefined. NaN has no place on the time axis: it must panic, as Sample
+// does for a NaN step.
+func TestSeriesDeltaNaNTimestampPanics(t *testing.T) {
+	s := NewSeries()
+	s.Delta(1, +1)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Delta(NaN, 1) did not panic; Points() = %v", s.Points())
+		}
+	}()
+	s.Delta(math.NaN(), +1)
+}
+
+// mapSeries is the previous Series implementation, kept as the oracle: a
+// map of summed deltas, sorted at read time.
+type mapSeries map[float64]float64
+
+func (m mapSeries) points() []SeriesPoint {
+	ts := make([]float64, 0, len(m))
+	for t := range m {
+		ts = append(ts, t)
+	}
+	sort.Float64s(ts)
+	out := make([]SeriesPoint, 0, len(ts))
+	run := 0.0
+	for _, t := range ts {
+		run += m[t]
+		out = append(out, SeriesPoint{T: t, V: run})
+	}
+	return out
+}
+
+// TestSeriesMatchesMapOracle: monotone, equal and out-of-order timestamps
+// integrate to the same Points, Sample and Max as the map version. Deltas
+// are small integers, as every production consumer's are (Fig. 10 counts
+// executors), so sums are exact in any association.
+func TestSeriesMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s, oracle := NewSeries(), mapSeries{}
+		clock := 0.0
+		for i, n := 0, r.Intn(200); i < n; i++ {
+			var ts float64
+			switch r.Intn(4) {
+			case 0: // same instant again
+				ts = clock
+			case 1: // out of order: anywhere in the past, ties likely
+				ts = float64(r.Intn(int(clock) + 1))
+			default: // monotone, like a simulation clock
+				clock += float64(r.Intn(3))
+				ts = clock
+			}
+			v := float64(r.Intn(7) - 3)
+			s.Delta(ts, v)
+			oracle[ts] += v
+		}
+		want := oracle.points()
+		got := s.Points()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d points, map version has %d", seed, len(got), len(want))
+		}
+		max := 0.0
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: Points()[%d] = %+v, map version %+v", seed, i, got[i], want[i])
+			}
+			if want[i].V > max {
+				max = want[i].V
+			}
+		}
+		if s.Max() != max {
+			t.Errorf("seed %d: Max = %g, map version %g", seed, s.Max(), max)
+		}
+		samp := s.Sample(clock+2, 0.75)
+		j, cur := 0, 0.0
+		for _, p := range samp {
+			for j < len(want) && want[j].T <= p.T {
+				cur = want[j].V
+				j++
+			}
+			if p.V != cur {
+				t.Fatalf("seed %d: Sample at t=%g is %g, map version %g", seed, p.T, p.V, cur)
+			}
+		}
+	}
+}

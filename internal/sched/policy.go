@@ -92,6 +92,13 @@ type Victim struct {
 // Policy is the pluggable decision surface. Implementations must be
 // deterministic: equal inputs produce equal outputs, and any internal
 // map-keyed state is iterated collect-then-sort.
+//
+// The items, gangs and View.Tenants slices a method receives are views
+// into the controller's own scratch, rebuilt in place for the next
+// scheduling round. A policy reads them during the call and must neither
+// retain nor modify them; anything it wants to keep, it copies. Returned
+// slices are the policy's to allocate and the controller's to read until
+// its next call.
 type Policy interface {
 	// Name identifies the policy in status output and experiment reports.
 	Name() string

@@ -3,7 +3,6 @@ package simrun
 import (
 	"swift/internal/cluster"
 	"swift/internal/core"
-	"swift/internal/dag"
 	"swift/internal/sim"
 )
 
@@ -36,8 +35,9 @@ func (r *Runner) handleActions() {
 			jr.res.Restarts++
 			// All progress is discarded: stage completions and
 			// first-start marks reset.
-			jr.doneAt = make(map[string]sim.Time)
-			jr.firstStart = make(map[string]sim.Time)
+			for i := range jr.stages {
+				jr.stages[i].done, jr.stages[i].started = false, false
+			}
 		case core.ActMachineReadOnly:
 			// The health monitor drained this machine. With a configured
 			// observation window, re-admit it once the window passes and
@@ -70,12 +70,21 @@ func (r *Runner) handleActions() {
 // incomplete producer stages, and schedule completion once inputs are ready.
 func (r *Runner) startTask(a core.ActStartTask) {
 	jr := r.jobs[a.Task.Job]
+	si := jr.stageIdx[a.Task.Stage]
+	sr := &jr.stages[si]
 	now := r.eng.Now()
-	if _, seen := jr.firstStart[a.Task.Stage]; !seen {
-		jr.firstStart[a.Task.Stage] = now
+	if !sr.started {
+		sr.started, sr.firstStart = true, now
 	}
-	rt := &runningTask{act: a, started: now, launch: r.launchCost(jr, a), unmet: make(map[string]bool), slow: 1}
-	r.tasks[a.Task] = rt
+	if sr.tasks == nil {
+		sr.tasks = make([]*runningTask, sr.size)
+	}
+	rt := &runningTask{jr: jr, stage: si, index: a.Task.Index, executor: a.Executor,
+		attempt: a.Attempt, started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
+	if sr.tasks[rt.index] == nil {
+		jr.live++
+	}
+	sr.tasks[rt.index] = rt
 	r.series.Delta(now.Seconds(), +1)
 	if r.down[r.cl.MachineOf(a.Executor)] {
 		// The controller launched onto a machine that is already dead but
@@ -83,33 +92,30 @@ func (r *Runner) startTask(a core.ActStartTask) {
 		// the delayed MachineFailed aborts and re-runs it.
 		return
 	}
-	for _, e := range jr.inEdges[a.Task.Stage] {
-		if !r.ctrl.StageComplete(jr.job.ID, e.From) {
-			rt.unmet[e.From] = true
-			r.parked[parkKey(jr.job.ID, e.From)] = append(r.parked[parkKey(jr.job.ID, e.From)], a.Task)
+	for _, e := range sr.in {
+		from := &jr.stages[e.from]
+		if !r.ctrl.StageComplete(jr.job.ID, from.name) {
+			rt.unmet++
+			from.parked = append(from.parked, parkedTask{int32(si), int32(rt.index), rt.attempt})
 		}
 	}
-	if len(rt.unmet) == 0 {
-		r.scheduleFinish(jr, rt)
+	if rt.unmet == 0 {
+		r.scheduleFinish(rt)
 	}
 }
-
-func parkKey(job, stage string) string { return job + "\x00" + stage }
 
 // launchCost returns the task-launching phase duration: Swift delivers a
 // cached plan to a pre-launched executor; cold-launch systems (Spark)
 // download packages and start an executor once per (stage, executor).
-func (r *Runner) launchCost(jr *jobRun, a core.ActStartTask) float64 {
+func (r *Runner) launchCost(sr *stageRun, e cluster.ExecutorID) float64 {
 	m := r.cl.Model()
 	launch := m.SwiftPlanDelivery + m.TaskDispatch
 	if r.cfg.Options.ColdLaunch {
-		per := jr.launched[a.Task.Stage]
-		if per == nil {
-			per = make(map[cluster.ExecutorID]bool)
-			jr.launched[a.Task.Stage] = per
+		if sr.launched == nil {
+			sr.launched = make(map[cluster.ExecutorID]bool)
 		}
-		if !per[a.Executor] {
-			per[a.Executor] = true
+		if !sr.launched[e] {
+			sr.launched[e] = true
 			launch += m.ColdLaunch
 		}
 	}
@@ -119,20 +125,16 @@ func (r *Runner) launchCost(jr *jobRun, a core.ActStartTask) float64 {
 // abortTask cancels a simulated task attempt (stale completions are
 // filtered by attempt number).
 func (r *Runner) abortTask(a core.ActAbortTask) {
-	rt, ok := r.tasks[a.Task]
-	if !ok || rt.act.Attempt != a.Attempt {
-		return
+	if rt := r.task(a.Task); rt != nil && rt.attempt == a.Attempt {
+		r.kill(rt)
 	}
-	delete(r.tasks, a.Task)
-	r.series.Delta(r.eng.Now().Seconds(), -1)
-	// Parked references clean themselves up lazily at unpark time.
 }
 
 // scheduleFinish computes the task's completion time now that its inputs
 // are (or are about to be) available, then arms the finish event.
-func (r *Runner) scheduleFinish(jr *jobRun, rt *runningTask) {
+func (r *Runner) scheduleFinish(rt *runningTask) {
 	now := r.eng.Now()
-	c := jr.costs[rt.act.Task.Stage]
+	c := &rt.jr.stages[rt.stage].cost
 	jitter := 1 + r.cfg.ProcessJitter*(2*r.eng.Rand().Float64()-1)
 	rt.process = c.process * jitter * rt.slow
 	rt.read = c.scan + c.read
@@ -142,67 +144,72 @@ func (r *Runner) scheduleFinish(jr *jobRun, rt *runningTask) {
 	if now > effStart {
 		effStart = now
 	}
-	rt.dataArrive = r.dataArrive(jr, rt)
-	r.armFinish(jr, rt, effStart+sim.FromSeconds(rt.read+rt.process+rt.write))
+	rt.dataArrive = r.dataArrive(rt)
+	r.armFinish(rt, effStart+sim.FromSeconds(rt.read+rt.process+rt.write))
 }
 
 // armFinish schedules (or reschedules) a task's completion at finishAt.
 // Bumping the generation counter invalidates any previously armed finish,
 // so straggler injection can stretch a task that is already counting down.
-func (r *Runner) armFinish(jr *jobRun, rt *runningTask, finishAt sim.Time) {
+func (r *Runner) armFinish(rt *runningTask, finishAt sim.Time) {
 	rt.gen++
 	rt.armed = true
 	rt.finishAt = finishAt
 	gen := rt.gen
-	attempt := rt.act.Attempt
-	ref := rt.act.Task
+	r.eng.At(finishAt, func() { r.finishTask(rt, gen) })
+}
 
-	r.eng.At(finishAt, func() {
-		cur, ok := r.tasks[ref]
-		if !ok || cur.act.Attempt != attempt || cur.gen != gen {
-			return // aborted or superseded meanwhile
-		}
-		delete(r.tasks, ref)
-		r.series.Delta(r.eng.Now().Seconds(), -1)
-		jr.res.Samples = append(jr.res.Samples, TaskSample{
-			Ref:        ref,
-			Start:      cur.started,
-			DataArrive: cur.dataArrive,
-			Finish:     r.eng.Now(),
-			Attempt:    attempt,
-		})
-		r.recordPhases(jr, ref.Stage, cur.launch, cur.read, cur.process, cur.write)
-		// The driver owns the finish event — only it knows the phase
-		// breakdown — while the controller records everything else.
-		r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, attempt,
-			int(cur.act.Executor), cur.launch, cur.read, cur.process, cur.write)
-		r.ctrl.TaskFinished(ref, attempt)
-		r.handleActions()
-		r.onStageProgress(jr, ref.Stage)
+// finishTask is the armed completion of one attempt: record its sample,
+// tell the controller, interpret what the controller decides, and unpark
+// whoever waited for the stage.
+//
+//lint:hotpath
+func (r *Runner) finishTask(rt *runningTask, gen int) {
+	jr := rt.jr
+	sr := &jr.stages[rt.stage]
+	if sr.tasks[rt.index] != rt || rt.gen != gen {
+		return // aborted or superseded meanwhile
+	}
+	r.kill(rt)
+	ref := rt.ref()
+	if jr.res.Samples == nil {
+		jr.res.Samples = make([]TaskSample, 0, jr.numTasks)
+	}
+	jr.res.Samples = append(jr.res.Samples, TaskSample{
+		Ref:        ref,
+		Start:      rt.started,
+		DataArrive: rt.dataArrive,
+		Finish:     r.eng.Now(),
+		Attempt:    rt.attempt,
 	})
+	r.recordPhases(jr, sr, rt.launch, rt.read, rt.process, rt.write)
+	// The driver owns the finish event — only it knows the phase
+	// breakdown — while the controller records everything else.
+	r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, rt.attempt,
+		int(rt.executor), rt.launch, rt.read, rt.process, rt.write)
+	r.ctrl.TaskFinished(ref, rt.attempt)
+	r.handleActions()
+	r.onStageProgress(jr, rt.stage)
 }
 
 // dataArrive estimates when the task's input data became available: for
 // pipeline edges the producer starts streaming shortly after it launches;
 // for barrier edges the data is complete only when the producer stage
 // finishes.
-func (r *Runner) dataArrive(jr *jobRun, rt *runningTask) sim.Time {
+func (r *Runner) dataArrive(rt *runningTask) sim.Time {
 	arrive := rt.started
 	const streamDelay = 100 * sim.Millisecond
-	for _, e := range jr.inEdges[rt.act.Task.Stage] {
-		var t sim.Time
-		if e.Mode == dag.Pipeline {
-			fs, ok := jr.firstStart[e.From]
-			if !ok {
-				fs = r.eng.Now()
+	stages := rt.jr.stages
+	for _, e := range stages[rt.stage].in {
+		from := &stages[e.from]
+		t := r.eng.Now()
+		if e.pipeline {
+			if from.started {
+				t = from.firstStart
 			}
-			t = fs + streamDelay
-		} else {
-			d, ok := jr.doneAt[e.From]
-			if !ok {
-				d = r.eng.Now()
-			}
-			t = d
+			t += streamDelay
+		} else if from.done {
+			t = from.doneAt
 		}
 		if t > arrive {
 			arrive = t
@@ -211,11 +218,12 @@ func (r *Runner) dataArrive(jr *jobRun, rt *runningTask) sim.Time {
 	return arrive
 }
 
-func (r *Runner) recordPhases(jr *jobRun, stage string, launch, read, process, write float64) {
-	p := jr.res.Phases[stage]
+func (r *Runner) recordPhases(jr *jobRun, sr *stageRun, launch, read, process, write float64) {
+	p := sr.phases
 	if p == nil {
 		p = &StagePhases{}
-		jr.res.Phases[stage] = p
+		sr.phases = p
+		jr.res.Phases[sr.name] = p
 	}
 	if launch > p.Launch {
 		p.Launch = launch
@@ -233,22 +241,36 @@ func (r *Runner) recordPhases(jr *jobRun, stage string, launch, read, process, w
 
 // onStageProgress checks whether a stage just completed and unparks the
 // tasks waiting on it.
-func (r *Runner) onStageProgress(jr *jobRun, stage string) {
-	if !r.ctrl.StageComplete(jr.job.ID, stage) {
+func (r *Runner) onStageProgress(jr *jobRun, stage int) {
+	sr := &jr.stages[stage]
+	if !r.ctrl.StageComplete(jr.job.ID, sr.name) {
 		return
 	}
-	jr.doneAt[stage] = r.eng.Now()
-	key := parkKey(jr.job.ID, stage)
-	waiters := r.parked[key]
-	delete(r.parked, key)
-	for _, ref := range waiters {
-		rt, ok := r.tasks[ref]
-		if !ok || !rt.unmet[stage] {
-			continue // aborted or already rescheduled
+	sr.done, sr.doneAt = true, r.eng.Now()
+	waiters := sr.parked
+	sr.parked = nil
+	// A task slot can be listed more than once — an attempt parked, died,
+	// and its successor parked again — or be listed only by a dead attempt
+	// while its successor started after the stage completed and waits for
+	// other stages. So first mark the live attempts that have an entry of
+	// their own, then release each marked attempt at its slot's first
+	// entry: the order finishes are scheduled in decides the order the
+	// jitter source is drawn from.
+	r.sweeps++
+	for _, w := range waiters {
+		if rt := jr.stages[w.stage].tasks[w.index]; rt != nil && rt.attempt == w.attempt {
+			rt.sweep = r.sweeps
 		}
-		delete(rt.unmet, stage)
-		if len(rt.unmet) == 0 {
-			r.scheduleFinish(jr, rt)
+	}
+	for _, w := range waiters {
+		rt := jr.stages[w.stage].tasks[w.index]
+		if rt == nil || rt.sweep != r.sweeps {
+			continue
+		}
+		rt.sweep = 0
+		rt.unmet--
+		if rt.unmet == 0 {
+			r.scheduleFinish(rt)
 		}
 	}
 }
@@ -273,9 +295,8 @@ func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.F
 			if _, attempt, ok := r.ctrl.RunningTask(ref); ok {
 				delay := sim.FromSeconds(core.TaskErrorReportDelay.Seconds())
 				r.eng.After(delay, func() {
-					if rt, live := r.tasks[ref]; live && rt.act.Attempt == attempt {
-						delete(r.tasks, ref)
-						r.series.Delta(r.eng.Now().Seconds(), -1)
+					if rt := r.task(ref); rt != nil && rt.attempt == attempt {
+						r.kill(rt)
 					}
 					r.ctrl.TaskFailed(ref, attempt, kind)
 					r.handleActions()

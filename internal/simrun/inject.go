@@ -1,8 +1,6 @@
 package simrun
 
 import (
-	"sort"
-
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/sim"
@@ -29,25 +27,12 @@ func (r *Runner) SetEventHook(fn func(sim.Time)) { r.afterEvent = fn }
 // RunningTaskRefs returns the refs of all simulated running task attempts
 // in sorted order, for deterministic fault targeting.
 func (r *Runner) RunningTaskRefs() []core.TaskRef {
-	out := make([]core.TaskRef, 0, len(r.tasks))
-	for ref := range r.tasks {
-		out = append(out, ref)
+	live := r.liveTasks(func(*runningTask) bool { return true })
+	out := make([]core.TaskRef, len(live))
+	for i, rt := range live {
+		out[i] = rt.ref()
 	}
-	sortRefs(out)
 	return out
-}
-
-func sortRefs(refs []core.TaskRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.Job != b.Job {
-			return a.Job < b.Job
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Index < b.Index
-	})
 }
 
 // MachineDown reports whether a machine is crashed (whether or not the
@@ -64,16 +49,8 @@ func (r *Runner) CrashMachine(id cluster.MachineID) bool {
 		return false
 	}
 	r.down[id] = true
-	var victims []core.TaskRef
-	for ref, rt := range r.tasks {
-		if r.cl.MachineOf(rt.act.Executor) == id {
-			victims = append(victims, ref)
-		}
-	}
-	sortRefs(victims)
-	for _, ref := range victims {
-		delete(r.tasks, ref)
-		r.series.Delta(r.eng.Now().Seconds(), -1)
+	for _, rt := range r.liveTasks(func(rt *runningTask) bool { return r.cl.MachineOf(rt.executor) == id }) {
+		r.kill(rt)
 	}
 	delay := sim.FromSeconds(core.MachineFailureDetectionDelay(r.cl.NumMachines()).Seconds())
 	r.eng.After(delay, func() {
@@ -136,9 +113,8 @@ func (r *Runner) CrashTask(ref core.TaskRef, kind core.FailureKind) bool {
 	if !ok {
 		return false
 	}
-	if rt, live := r.tasks[ref]; live && rt.act.Attempt == attempt {
-		delete(r.tasks, ref)
-		r.series.Delta(r.eng.Now().Seconds(), -1)
+	if rt := r.task(ref); rt != nil && rt.attempt == attempt {
+		r.kill(rt)
 	}
 	r.eng.After(sim.FromSeconds(core.TaskErrorReportDelay.Seconds()), func() {
 		r.ctrl.TaskFailed(ref, attempt, kind)
@@ -155,9 +131,8 @@ func (r *Runner) TimeoutTask(ref core.TaskRef) bool {
 	if !ok {
 		return false
 	}
-	if rt, live := r.tasks[ref]; live && rt.act.Attempt == attempt {
-		delete(r.tasks, ref)
-		r.series.Delta(r.eng.Now().Seconds(), -1)
+	if rt := r.task(ref); rt != nil && rt.attempt == attempt {
+		r.kill(rt)
 	}
 	delay := sim.FromSeconds(core.HeartbeatInterval(r.cl.NumMachines()).Seconds())
 	r.eng.After(delay, func() {
@@ -172,16 +147,8 @@ func (r *Runner) TimeoutTask(ref core.TaskRef) bool {
 // fast detection channel. Returns true always; restarting an idle executor
 // is a valid (harmless) fault.
 func (r *Runner) RestartExecutor(e cluster.ExecutorID) bool {
-	var victims []core.TaskRef
-	for ref, rt := range r.tasks {
-		if rt.act.Executor == e {
-			victims = append(victims, ref)
-		}
-	}
-	sortRefs(victims)
-	for _, ref := range victims {
-		delete(r.tasks, ref)
-		r.series.Delta(r.eng.Now().Seconds(), -1)
+	for _, rt := range r.liveTasks(func(rt *runningTask) bool { return rt.executor == e }) {
+		r.kill(rt)
 	}
 	r.eng.After(sim.FromSeconds(core.SelfReportDelay.Seconds()), func() {
 		r.ctrl.ExecutorRestarted(e)
@@ -217,8 +184,8 @@ func (r *Runner) CrashCacheWorker(id cluster.MachineID) bool {
 // applies when its processing is finally scheduled. Returns false if the
 // task is not running.
 func (r *Runner) SlowTask(ref core.TaskRef, factor float64) bool {
-	rt, ok := r.tasks[ref]
-	if !ok || factor <= 1 {
+	rt := r.task(ref)
+	if rt == nil || factor <= 1 {
 		return false
 	}
 	rt.slow *= factor
@@ -228,7 +195,7 @@ func (r *Runner) SlowTask(ref core.TaskRef, factor float64) bool {
 		if remaining < 0 {
 			remaining = 0
 		}
-		r.armFinish(r.jobs[ref.Job], rt, now+sim.Time(float64(remaining)*factor))
+		r.armFinish(rt, now+sim.Time(float64(remaining)*factor))
 	}
 	return true
 }

@@ -8,6 +8,7 @@
 package simrun
 
 import (
+	"fmt"
 	"sort"
 
 	"swift/internal/cluster"
@@ -136,22 +137,63 @@ type stageCost struct {
 	process float64
 }
 
+// inEdge is one producer of a stage as the simulator needs it.
+type inEdge struct {
+	from     int  // producer's index in jobRun.stages
+	pipeline bool // data streams as produced; otherwise it arrives at completion
+}
+
+// parkedTask names a task attempt waiting for a producer stage.
+type parkedTask struct {
+	stage, index int32
+	attempt      int
+}
+
+// stageRun is the simulator's state of one stage of one job. A job's
+// stages sit in one slice in DAG insertion order, and everything the
+// driver keeps per stage or per task hangs off it by index — the event
+// handlers never hash a stage name or a TaskRef.
+type stageRun struct {
+	name  string
+	cost  stageCost
+	in    []inEdge
+	tasks []*runningTask // live attempt per task index; made on first start
+	size  int            // the stage's task count
+	// parked lists the attempts that started before this stage completed.
+	// Entries of attempts that have since died are skipped at unpark time.
+	parked     []parkedTask
+	phases     *StagePhases // this stage's record in the job result
+	firstStart sim.Time     // valid when started
+	doneAt     sim.Time     // valid when done
+	started    bool
+	done       bool
+	launched   map[cluster.ExecutorID]bool // cold-launch memo
+}
+
 type jobRun struct {
 	job        *dag.Job
 	res        *JobResult
-	costs      map[string]*stageCost
+	stages     []stageRun
+	stageIdx   map[string]int
+	numTasks   int // sizes the result's sample slice on the first finish
 	costsReady bool
-	doneAt     map[string]sim.Time // stage completion times
-	firstStart map[string]sim.Time
-	launched   map[string]map[cluster.ExecutorID]bool // cold-launch memo
-	inEdges    map[string][]*dag.Edge                 // cached per-stage in-edges
+	live       int // attempts currently in the stages' task tables
 }
 
+// runningTask is one simulated task attempt: running, parked on inputs, or
+// swallowed by a machine that is down.
 type runningTask struct {
-	act     core.ActStartTask
-	started sim.Time
-	launch  float64
-	unmet   map[string]bool // producer stages not yet complete
+	jr           *jobRun
+	stage, index int // position in jr.stages[·].tasks
+	executor     cluster.ExecutorID
+	attempt      int
+	started      sim.Time
+	launch       float64
+	// unmet counts the producer stages this attempt parked on and still
+	// waits for; sweep is the unpark pass that last found it waiting (see
+	// onStageProgress).
+	unmet int
+	sweep int64
 	// gen versions the armed finish event: fault injection (straggler
 	// slowdowns) supersedes a scheduled completion by bumping gen and
 	// re-arming, and the stale closure no-ops.
@@ -167,6 +209,10 @@ type runningTask struct {
 	dataArrive           sim.Time
 }
 
+func (rt *runningTask) ref() core.TaskRef {
+	return core.TaskRef{Job: rt.jr.job.ID, Stage: rt.jr.stages[rt.stage].name, Index: rt.index}
+}
+
 // Runner executes jobs on the simulated cluster.
 type Runner struct {
 	cfg     Config
@@ -174,8 +220,7 @@ type Runner struct {
 	cl      *cluster.Cluster
 	ctrl    *core.Controller
 	jobs    map[string]*jobRun
-	tasks   map[core.TaskRef]*runningTask
-	parked  map[string][]core.TaskRef // producer stage -> waiting tasks
+	sweeps  int64 // unpark passes so far
 	series  *metrics.Series
 	results *Results
 	// down marks machines that have crashed but whose failure the
@@ -201,8 +246,6 @@ func New(cfg Config) *Runner {
 		cl:      cl,
 		ctrl:    core.NewController(cl, cfg.Options),
 		jobs:    make(map[string]*jobRun),
-		tasks:   make(map[core.TaskRef]*runningTask),
-		parked:  make(map[string][]core.TaskRef),
 		down:    make(map[cluster.MachineID]bool),
 		series:  metrics.NewSeries(),
 		results: &Results{Jobs: make(map[string]*JobResult)},
@@ -222,6 +265,60 @@ func (r *Runner) Controller() *core.Controller { return r.ctrl }
 // Cluster exposes the simulated cluster.
 func (r *Runner) Cluster() *cluster.Cluster { return r.cl }
 
+// task returns the live attempt of a task, or nil.
+func (r *Runner) task(ref core.TaskRef) *runningTask {
+	jr := r.jobs[ref.Job]
+	if jr == nil {
+		return nil
+	}
+	si, ok := jr.stageIdx[ref.Stage]
+	if !ok {
+		return nil
+	}
+	tasks := jr.stages[si].tasks
+	if ref.Index < 0 || ref.Index >= len(tasks) {
+		return nil
+	}
+	return tasks[ref.Index]
+}
+
+// kill removes a live attempt from the tables: it finished, was aborted,
+// or a fault took it. Whatever it was parked on forgets it lazily.
+func (r *Runner) kill(rt *runningTask) {
+	rt.jr.stages[rt.stage].tasks[rt.index] = nil
+	rt.jr.live--
+	r.series.Delta(r.eng.Now().Seconds(), -1)
+}
+
+// liveTasks returns every live attempt matching keep, ordered by task
+// reference, for deterministic fault targeting.
+func (r *Runner) liveTasks(keep func(*runningTask) bool) []*runningTask {
+	var out []*runningTask
+	for _, jr := range r.jobs {
+		if jr.live == 0 {
+			continue
+		}
+		for si := range jr.stages {
+			for _, rt := range jr.stages[si].tasks {
+				if rt != nil && keep(rt) {
+					out = append(out, rt)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.jr != b.jr {
+			return a.jr.job.ID < b.jr.job.ID
+		}
+		if a.stage != b.stage {
+			return a.jr.stages[a.stage].name < a.jr.stages[b.stage].name
+		}
+		return a.index < b.index
+	})
+	return out
+}
+
 // SubmitAt schedules a job submission at the given virtual time.
 func (r *Runner) SubmitAt(at sim.Time, job *dag.Job) {
 	r.eng.At(at, func() { _ = r.Submit(job) })
@@ -232,6 +329,11 @@ func (r *Runner) SubmitAt(at sim.Time, job *dag.Job) {
 // to submit work at the moment the flow controller releases it, rather
 // than at a pre-scheduled instant.
 func (r *Runner) Submit(job *dag.Job) error {
+	if r.jobs[job.ID] != nil {
+		// The tables of the job already running under this ID must survive.
+		return fmt.Errorf("simrun: duplicate job id %q", job.ID)
+	}
+	stages := job.Stages()
 	jr := &jobRun{
 		job: job,
 		res: &JobResult{
@@ -240,14 +342,27 @@ func (r *Runner) Submit(job *dag.Job) error {
 			Submit: r.eng.Now(),
 			Phases: make(map[string]*StagePhases),
 		},
-		costs:      r.precompute(job),
-		doneAt:     make(map[string]sim.Time),
-		firstStart: make(map[string]sim.Time),
-		launched:   make(map[string]map[cluster.ExecutorID]bool),
-		inEdges:    make(map[string][]*dag.Edge, job.NumStages()),
+		stages:   make([]stageRun, len(stages)),
+		stageIdx: make(map[string]int, len(stages)),
 	}
-	for _, name := range job.StageNames() {
-		jr.inEdges[name] = job.In(name)
+	for i, s := range stages {
+		jr.stageIdx[s.Name] = i
+	}
+	// Scan and processing costs are known now; the shuffle read/write
+	// components depend on the edge modes the controller selects at
+	// admission, so edgeCosts fills them in right after SubmitJob succeeds.
+	model := r.cl.Model()
+	for i, s := range stages {
+		sr := &jr.stages[i]
+		sr.name, sr.size = s.Name, s.Tasks
+		sr.cost = stageCost{
+			scan:    model.ScanTime(s.Cost.ScanBytes, s.Tasks),
+			process: s.Cost.ProcessSecondsPerTask,
+		}
+		for _, e := range job.In(s.Name) {
+			sr.in = append(sr.in, inEdge{from: jr.stageIdx[e.From], pipeline: e.Mode == dag.Pipeline})
+		}
+		jr.numTasks += s.Tasks
 	}
 	r.jobs[job.ID] = jr
 	r.results.Jobs[job.ID] = jr.res
@@ -261,22 +376,6 @@ func (r *Runner) Submit(job *dag.Job) error {
 	return nil
 }
 
-// precompute derives the scan and processing cost components of every
-// stage. Shuffle read/write components depend on the edge modes the
-// controller selects at admission, so edgeCosts fills them in right after
-// SubmitJob succeeds.
-func (r *Runner) precompute(job *dag.Job) map[string]*stageCost {
-	model := r.cl.Model()
-	costs := make(map[string]*stageCost, job.NumStages())
-	for _, s := range job.Stages() {
-		costs[s.Name] = &stageCost{
-			scan:    model.ScanTime(s.Cost.ScanBytes, s.Tasks),
-			process: s.Cost.ProcessSecondsPerTask,
-		}
-	}
-	return costs
-}
-
 // edgeCosts fills the read/write components of a job's stage costs once the
 // controller knows the edge modes (i.e., after SubmitJob).
 func (r *Runner) edgeCosts(jr *jobRun) {
@@ -287,12 +386,13 @@ func (r *Runner) edgeCosts(jr *jobRun) {
 	model := r.cl.Model()
 	est := func(tasks int) int { return model.Spread(tasks, r.cl.NumMachines()) }
 	for _, e := range jr.job.Edges() {
+		from, to := &jr.stages[jr.stageIdx[e.From]], &jr.stages[jr.stageIdx[e.To]]
 		mode := r.ctrl.EdgeMode(jr.job.ID, e.From, e.To)
 		in := shuffle.CostInput{
-			M:                jr.job.Stage(e.From).Tasks,
-			N:                jr.job.Stage(e.To).Tasks,
-			ProducerMachines: est(jr.job.Stage(e.From).Tasks),
-			ConsumerMachines: est(jr.job.Stage(e.To).Tasks),
+			M:                from.size,
+			N:                to.size,
+			ProducerMachines: est(from.size),
+			ConsumerMachines: est(to.size),
 			Bytes:            e.Bytes,
 			ClusterMachines:  r.cl.NumMachines(),
 			ActiveConns:      0,
@@ -302,7 +402,7 @@ func (r *Runner) edgeCosts(jr *jobRun) {
 			PushMerge:        r.cfg.PushMerge,
 		}
 		b := shuffle.Cost(mode, in)
-		jr.costs[e.From].write += b.Write()
-		jr.costs[e.To].read += b.Read()
+		from.cost.write += b.Write()
+		to.cost.read += b.Read()
 	}
 }

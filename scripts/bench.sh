@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Data-plane health check: vet, race-test the engine, run the engine
-# microbenchmarks and record them as BENCH_engine.json at the repo root.
+# Layer benchmarks: vet, race-test the engine, then run the go-test
+# microbenchmarks and record them at the repo root, one file per ladder
+# rung: BENCH_engine.json (data plane: engine, tpch, exp) and
+# BENCH_core.json (control plane: sim event queue, cluster Allocate/Release,
+# core TaskFinished round trip). The end-to-end numbers are bench/'s job
+# (go run ./bench), not this script's.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 1s; e.g. "100x" for a quick run)
 set -euo pipefail
@@ -14,29 +18,36 @@ go vet ./...
 echo "== go test -race ./internal/engine/..."
 go test -race ./internal/engine/...
 
-echo "== go test -bench . ./internal/engine/ ./internal/tpch/ ./internal/exp/ (benchtime=$BENCHTIME)"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" ./internal/engine/ ./internal/tpch/ ./internal/exp/ | tee "$RAW"
 
-# Parse the standard bench output lines:
+# rung <out.json> <pkg>...: run the packages' benchmarks and parse the
+# standard output lines
 #   BenchmarkName-8   1234   5678 ns/op   90 B/op   12 allocs/op
-awk '
-BEGIN { print "[" }
-/^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")     ns = $i
-        if ($(i+1) == "B/op")      bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
+rung() {
+    local out="$1"
+    shift
+    echo "== go test -bench . $* (benchtime=$BENCHTIME)"
+    go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" "$@" | tee "$RAW"
+    awk '
+    BEGIN { print "[" }
+    /^Benchmark/ {
+        name = $1; sub(/-[0-9]+$/, "", name)
+        ns = ""; bytes = ""; allocs = ""
+        for (i = 2; i < NF; i++) {
+            if ($(i+1) == "ns/op")     ns = $i
+            if ($(i+1) == "B/op")      bytes = $i
+            if ($(i+1) == "allocs/op") allocs = $i
+        }
+        if (ns == "") next
+        if (n++) printf ",\n"
+        printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+            name, $2, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
     }
-    if (ns == "") next
-    if (n++) printf ",\n"
-    printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        name, $2, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
+    END { print "\n]" }
+    ' "$RAW" > "$out"
+    echo "== wrote $out ($(grep -c '"name"' "$out") entries)"
 }
-END { print "\n]" }
-' "$RAW" > BENCH_engine.json
 
-echo "== wrote BENCH_engine.json ($(grep -c '"name"' BENCH_engine.json) entries)"
+rung BENCH_engine.json ./internal/engine/ ./internal/tpch/ ./internal/exp/
+rung BENCH_core.json ./internal/sim/ ./internal/cluster/ ./internal/core/

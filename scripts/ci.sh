@@ -124,6 +124,7 @@ go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
 
 echo "== bench smoke (1 iteration)"
-go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ > /dev/null
+go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
+    ./internal/sim/ ./internal/cluster/ ./internal/core/ > /dev/null
 
 echo "ci: all green"
