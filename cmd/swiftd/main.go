@@ -2,10 +2,12 @@
 // accepts streaming job submissions over the rpc plane, pushes every one
 // through the global flow controller (admission control, backpressure,
 // load shedding — see internal/flow), schedules admitted jobs on a
-// simulated cluster, and executes tasks on wall-clock timers scaled by
-// -timescale. SIGINT/SIGTERM or the flow.drain endpoint start a graceful
-// drain: new submissions shed, queued work re-admits, and the process
-// exits 0 once nothing is in flight.
+// simulated cluster, and executes tasks for their trace cost scaled to wall
+// time by -timescale: one completion driver goroutine holds every running
+// task on a deadline heap and feeds the ones that fall due back in batches.
+// SIGINT/SIGTERM or the flow.drain endpoint start a graceful drain: new
+// submissions shed, queued work re-admits, and the process exits 0 once
+// nothing is in flight.
 //
 // Submit jobs with `swiftsim -submit <addr>` (see README).
 package main
@@ -28,6 +30,7 @@ import (
 	"swift/internal/dag"
 	"swift/internal/flow"
 	"swift/internal/obs"
+	"swift/internal/prof"
 	"swift/internal/rpc"
 	"swift/internal/sched"
 	"swift/internal/sim"
@@ -50,8 +53,12 @@ func main() {
 		drainWait = flag.Duration("drainwait", 120*time.Second, "max time to wait for a clean drain")
 		verbose   = flag.Bool("v", false, "log every admission decision")
 	)
+	startProfile := prof.Flags()
 	flag.Parse()
-	os.Exit(run(*addr, *addrFile, *machines, *execs, *timescale, *budget, *maxQueue, *rate, *burst, *tbudgets, *policy, *drainWait, *verbose))
+	stopProfile := startProfile()
+	code := run(*addr, *addrFile, *machines, *execs, *timescale, *budget, *maxQueue, *rate, *burst, *tbudgets, *policy, *drainWait, *verbose)
+	stopProfile() // run returns once the drain is over
+	os.Exit(code)
 }
 
 // parseTenantBudgets parses the -tenantbudget flag: comma-separated
@@ -75,40 +82,76 @@ func parseTenantBudgets(s string) (map[string]int, error) {
 	return out, nil
 }
 
+// maxBatch bounds how many due completions the driver feeds the service
+// under one hold of its lock, so a submit waits behind at most this many.
+const maxBatch = 64
+
+// tickEvery is how long the driver lets the service go without an event:
+// a tick refills the token bucket and pumps the wait queue even when no
+// task completes.
+const tickEvery = 10 * sim.Millisecond
+
 type daemon struct {
 	svc       *flow.Service
-	reg       *obs.Registry
 	start     time.Time
 	timescale float64
 	verbose   bool
 
+	// mu guards the cost table and the deadline heap. It is a leaf lock:
+	// the service runs the sink after releasing its own mutex, and the
+	// driver releases mu before it calls into the service, so the two are
+	// never held together.
 	mu   sync.Mutex
-	jobs map[string]*dag.Job // submitted payloads, for task cost lookup
+	jobs map[string]*dag.Job // submissions in admission, queued or live, for task cost lookup
+	due  flow.DeadlineHeap   // running tasks by the wall time they finish at
+	// wake tells the driver that the earliest deadline moved up while it
+	// may be asleep on a later one. One pending signal is enough.
+	wake chan struct{}
 
 	drainOnce sync.Once
 	drainReq  chan struct{}
 }
 
+func newDaemon(cl *cluster.Cluster, copts core.Options, fcfg flow.Config, timescale float64, verbose bool) *daemon {
+	d := &daemon{
+		start:     time.Now(),
+		timescale: timescale,
+		verbose:   verbose,
+		jobs:      make(map[string]*dag.Job),
+		wake:      make(chan struct{}, 1),
+		drainReq:  make(chan struct{}),
+	}
+	d.svc = flow.NewService(cl, copts, fcfg, d.now)
+	d.svc.SetActionSink(d.onActions)
+	return d
+}
+
 // now is the injected service clock: monotonic wall micros since start.
 func (d *daemon) now() sim.Time { return sim.Time(time.Since(d.start).Microseconds()) }
 
-// onActions is the service's action sink: every started task is armed as a
-// wall-clock timer that reports completion back into the service. Aborts
-// need no timer cancellation — the controller ignores stale attempts.
+// onActions is the service's action sink: every started task goes on the
+// deadline heap for the driver to complete, and a finished job leaves the
+// cost table. Aborts remove nothing from the heap — the controller ignores
+// the stale attempt's completion.
 func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
+	var report []string // job-level log lines, printed once mu is released
+	now := d.now()      // tasks start now, not when the event that started them was stamped
+	d.mu.Lock()
+	before, pending := d.due.Next()
 	for _, a := range acts {
 		switch act := a.(type) {
 		case core.ActStartTask:
-			d.armFinish(act)
+			d.due.Push(now+d.taskWall(act.Task), flow.Completion{Ref: act.Task, Attempt: act.Attempt})
 		case core.ActJobCompleted:
+			delete(d.jobs, act.Job)
 			if d.verbose {
-				fmt.Printf("swiftd: job %s completed\n", act.Job)
+				report = append(report, fmt.Sprintf("swiftd: job %s completed", act.Job))
 			}
 		case core.ActJobFailed:
-			fmt.Printf("swiftd: job %s failed: %s\n", act.Job, act.Reason)
+			delete(d.jobs, act.Job)
+			report = append(report, fmt.Sprintf("swiftd: job %s failed: %s", act.Job, act.Reason))
 		case core.ActAbortTask:
-			// No timer cancellation needed: the controller ignores the
-			// stale attempt's finish report.
+			// Nothing to cancel: the stale attempt's completion is ignored.
 		case core.ActResend, core.ActShuffleDegraded, core.ActReplicate:
 			// Data-plane directives; the wall-clock driver models task cost
 			// only, so transfers (and replica copies) are free.
@@ -116,24 +159,102 @@ func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
 			// No machine faults or whole-job restarts in service mode.
 		}
 	}
+	after, running := d.due.Next()
+	d.mu.Unlock()
+	if running && (!pending || after < before) {
+		select {
+		case d.wake <- struct{}{}:
+		default: // a signal is already pending
+		}
+	}
+	for _, line := range report {
+		fmt.Println(line)
+	}
 }
 
-func (d *daemon) armFinish(act core.ActStartTask) {
-	d.mu.Lock()
-	job := d.jobs[act.Task.Job]
-	d.mu.Unlock()
+// taskWall is the wall time a task runs for: its stage's trace cost scaled
+// by -timescale, at least 200µs. Called with mu held.
+func (d *daemon) taskWall(ref core.TaskRef) sim.Time {
 	secs := 0.05 // default virtual task cost when the trace carries none
-	if job != nil {
-		if st := job.Stage(act.Task.Stage); st != nil && st.Cost.ProcessSecondsPerTask > 0 {
+	if job := d.jobs[ref.Job]; job != nil {
+		if st := job.Stage(ref.Stage); st != nil && st.Cost.ProcessSecondsPerTask > 0 {
 			secs = st.Cost.ProcessSecondsPerTask
 		}
 	}
-	wall := time.Duration(secs / d.timescale * float64(time.Second))
-	if wall < 200*time.Microsecond {
-		wall = 200 * time.Microsecond
+	wall := sim.FromSeconds(secs / d.timescale)
+	if wall < 200*sim.Microsecond {
+		wall = 200 * sim.Microsecond
 	}
-	ref, attempt := act.Task, act.Attempt
-	time.AfterFunc(wall, func() { d.svc.TaskFinished(ref, attempt) })
+	return wall
+}
+
+// drive is the completion driver, the daemon's one clock: it sleeps on a
+// single timer until the earliest running task is due (or a tick is), pops
+// everything that is due — maxBatch at a time — and feeds each batch to
+// the service in one call. One goroutine instead of a timer callback per
+// task means a burst's completions reach the service mutex as one
+// contender, not thousands, and the submitting connection gets its turn
+// between batches. It returns when stop is closed.
+func (d *daemon) drive(stop <-chan struct{}) {
+	var batch [maxBatch]flow.Completion
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	nextTick := d.now() + tickEvery
+	for {
+		now := d.now()
+		d.mu.Lock()
+		n := d.due.PopDue(now, batch[:])
+		next, pending := d.due.Next()
+		d.mu.Unlock()
+		if n > 0 {
+			d.svc.TasksFinished(batch[:n]) // pumps the wait queue like a tick
+			nextTick = now + tickEvery
+			continue
+		}
+		if now >= nextTick {
+			d.svc.Tick()
+			nextTick = now + tickEvery
+			continue
+		}
+		wakeAt := nextTick
+		if pending && next < wakeAt {
+			wakeAt = next
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(time.Duration(wakeAt-now) * time.Microsecond)
+		select {
+		case <-timer.C:
+		case <-d.wake:
+		case <-stop:
+			return
+		}
+	}
+}
+
+// track records a submission's job for cost lookup before it is offered,
+// so the tasks the service starts from inside Submit already find it. It
+// refuses an id that is still in admission, queued or live: overwriting
+// would hand the running job's tasks the newcomer's costs.
+func (d *daemon) track(job *dag.Job) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, dup := d.jobs[job.ID]; dup {
+		return false
+	}
+	d.jobs[job.ID] = job
+	return true
+}
+
+// untrack forgets a job that was never accepted or is over.
+func (d *daemon) untrack(id string) {
+	d.mu.Lock()
+	delete(d.jobs, id)
+	d.mu.Unlock()
 }
 
 // FlowSubmit implements rpc.FlowHandler: decode the trace-encoded job and
@@ -147,10 +268,14 @@ func (d *daemon) FlowSubmit(id string, payload []byte) (rpc.FlowSubmitReply, err
 		return rpc.FlowSubmitReply{}, fmt.Errorf("swiftd: submission %q carries %d jobs, want exactly 1", id, len(tr.Jobs))
 	}
 	job := tr.Jobs[0].Job
-	d.mu.Lock()
-	d.jobs[job.ID] = job
-	d.mu.Unlock()
-	out, err := d.svc.Submit(job)
+	var out flow.Outcome
+	if d.track(job) {
+		if out, err = d.svc.Submit(job); err != nil {
+			d.untrack(job.ID) // shed, draining or invalid: it never ran
+		}
+	} else {
+		err = fmt.Errorf("swiftd: duplicate submission id %q: still queued or running", job.ID)
+	}
 	rep := rpc.FlowSubmitReply{
 		Decision:         out.Decision.String(),
 		Level:            out.Level.String(),
@@ -207,6 +332,9 @@ func (d *daemon) FlowStatus() (rpc.FlowStatusReply, error) {
 // FlowCancel implements rpc.FlowHandler.
 func (d *daemon) FlowCancel(id string) (rpc.FlowCancelReply, error) {
 	err := d.svc.Cancel(id)
+	if err == nil {
+		d.untrack(id) // a queued submission leaves no ActJobFailed behind
+	}
 	return rpc.FlowCancelReply{Cancelled: err == nil}, nil
 }
 
@@ -235,25 +363,14 @@ func run(addr, addrFile string, machines, execs int, timescale float64, budget, 
 		return 1
 	}
 	cl := cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execs})
-	reg := obs.NewRegistry()
-	d := &daemon{
-		reg:       reg,
-		start:     time.Now(),
-		timescale: timescale,
-		verbose:   verbose,
-		jobs:      make(map[string]*dag.Job),
-		drainReq:  make(chan struct{}),
-	}
-	fcfg := flow.Config{
+	d := newDaemon(cl, copts, flow.Config{
 		MaxInFlightTasks: budget,
 		MaxQueue:         maxQueue,
 		Rate:             rate,
 		Burst:            burst,
-		Metrics:          reg,
+		Metrics:          obs.NewRegistry(),
 		TenantBudgets:    tenantBudgets,
-	}
-	d.svc = flow.NewService(cl, copts, fcfg, d.now)
-	d.svc.SetActionSink(d.onActions)
+	}, timescale, verbose)
 
 	server := rpc.NewServer()
 	rpc.ServeFlow(server, d)
@@ -271,20 +388,11 @@ func run(addr, addrFile string, machines, execs int, timescale float64, budget, 
 	fmt.Printf("swiftd: listening on %s (%d machines x %d executors, budget=%d queue=%d rate=%.1f/s timescale=%.0fx)\n",
 		bound, machines, execs, budget, maxQueue, rate, timescale)
 
-	// Periodic tick: refills the token bucket and pumps the wait queue
-	// even when no completions arrive.
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	tickDone := make(chan struct{})
+	stopDriver := make(chan struct{})
+	driverDone := make(chan struct{})
 	go func() {
-		for {
-			select {
-			case <-tick.C:
-				d.svc.Tick()
-			case <-tickDone:
-				return
-			}
-		}
+		defer close(driverDone)
+		d.drive(stopDriver)
 	}()
 
 	sigc := make(chan os.Signal, 2)
@@ -306,7 +414,8 @@ func run(addr, addrFile string, machines, execs int, timescale float64, budget, 
 		fmt.Fprintf(os.Stderr, "swiftd: second %v, aborting drain\n", s)
 		code = 1
 	}
-	close(tickDone)
+	close(stopDriver)
+	<-driverDone
 	st := d.svc.Status()
 	fmt.Printf("swiftd: drained admitted=%d queued=%d shed=%d live=%d panics=%d\n",
 		st.Flow.Admitted, st.Flow.Queued, st.Flow.Shed, st.Snapshot.LiveJobs, st.Panics)

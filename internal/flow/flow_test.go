@@ -233,7 +233,10 @@ func TestDecisionsDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkFlowDecision(b *testing.B) {
+// BenchmarkOffer is one admission decision on the accept path: what every
+// submission of an unsaturated daemon pays under the service lock before
+// core.SubmitJob.
+func BenchmarkOffer(b *testing.B) {
 	f := NewController(Config{MaxInFlightTasks: 1 << 30, MaxQueue: 64}, 4096)
 	sn := snap(2048, 4096, 100, 3)
 	b.ReportAllocs()

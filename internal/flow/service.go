@@ -12,8 +12,8 @@ import (
 
 // Service is the always-on façade swiftd exposes: one mutex linearises
 // flow admission and every core.Controller event, so concurrent RPC
-// handlers, executor completion timers and the drain path all observe one
-// consistent state machine. The wrapped controllers stay single-threaded
+// handlers, the daemon's completion driver and the drain path all observe
+// one consistent state machine. The wrapped controllers stay single-threaded
 // and deterministic; the service owns no clock either — callers inject one
 // (swiftd injects monotonic wall micros, tests inject a fake).
 //
@@ -75,16 +75,14 @@ func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
 	}
 }
 
-// drainLocked copies the controller's pending actions out of its reused
-// buffer: the sink runs after the lock is released, when another event may
-// already be refilling that buffer.
-func (s *Service) drainLocked() []core.Action {
-	return append([]core.Action(nil), s.ctrl.Drain()...)
-}
-
-// idleLocked reports whether a draining service has no work left.
-func (s *Service) idleLocked() bool {
-	return s.flow.Draining() && s.flow.QueueLen() == 0 && s.ctrl.Snapshot().LiveJobs == 0
+// drainLocked closes one locked event: it copies the actions the controller
+// accumulated since the last call out of its reused buffer — the sink runs
+// after the lock is released, when another event may already be refilling
+// it — and reports whether a draining service has no work left.
+func (s *Service) drainLocked() (acts []core.Action, idle bool) {
+	acts = append(acts, s.ctrl.Drain()...)
+	idle = s.flow.Draining() && s.flow.QueueLen() == 0 && s.ctrl.Snapshot().LiveJobs == 0
+	return acts, idle
 }
 
 // Submit pushes one job through admission. A panic anywhere in validation
@@ -96,69 +94,77 @@ func (s *Service) Submit(job *dag.Job) (Outcome, error) {
 	}
 	now := s.clock()
 	s.mu.Lock()
-	out, acts, err := s.submitLocked(now, job)
-	idle := s.idleLocked()
+	out, err := s.submitLocked(now, job)
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
 	return out, err
 }
 
-func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, acts []core.Action, err error) {
+func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics++
-			acts = append(acts, s.ctrl.Drain()...)
 			err = fmt.Errorf("flow: submit %q panicked: %v", job.ID, r)
 		}
 	}()
 	if s.submitted[job.ID] {
-		return Outcome{}, nil, fmt.Errorf("flow: duplicate submission id %q", job.ID)
+		return Outcome{}, fmt.Errorf("flow: duplicate submission id %q", job.ID)
 	}
 	out, err = s.flow.Offer(now, s.ctrl.Snapshot(), Item{
 		ID: job.ID, Tenant: core.TenantName(job), Tasks: job.NumTasks(), Payload: job,
 	})
 	if err != nil {
-		return out, nil, err
+		return out, err
 	}
 	s.submitted[job.ID] = true
 	if out.Decision == Admitted {
-		if serr := s.ctrl.SubmitJob(job); serr != nil {
-			return out, s.drainLocked(), serr
-		}
+		err = s.ctrl.SubmitJob(job)
 	}
-	acts = append(acts, s.ctrl.Drain()...)
-	acts = append(acts, s.pumpLocked(now)...)
-	return out, acts, nil
+	return out, err
 }
 
 // pumpLocked admits queued submissions while capacity allows.
-func (s *Service) pumpLocked(now sim.Time) []core.Action {
-	var acts []core.Action
+func (s *Service) pumpLocked(now sim.Time) {
 	for {
 		it, ok := s.flow.PopAdmissible(now, s.ctrl.Snapshot())
 		if !ok {
-			return acts
+			return
 		}
 		if err := s.ctrl.SubmitJob(it.Payload.(*dag.Job)); err != nil {
 			// Invalid job discovered at deferred admission: drop it. The
 			// submitter saw a Queued outcome; Status exposes the drop.
 			s.flow.cfg.Metrics.Count("flow.pump_errors", 1)
 		}
-		acts = append(acts, s.ctrl.Drain()...)
 	}
 }
 
-// TaskFinished feeds one completion event (from the daemon's executor
-// timers) and pumps the wait queue with any freed capacity.
-func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
+// TasksFinished feeds a batch of completion events (swiftd's completion
+// driver pops them off its DeadlineHeap) under one lock hold: every
+// completion reaches the controller in order, the wait queue is pumped once
+// with the capacity they freed together, and the sink gets the batch's
+// actions in one call. Compared with one call per completion only the pump
+// moves — a queued job may admit later within the batch, never earlier than
+// its capacity exists — and the action stream is the same concatenation.
+//
+//lint:hotpath
+func (s *Service) TasksFinished(batch []Completion) {
 	now := s.clock()
 	s.mu.Lock()
-	s.ctrl.TaskFinished(ref, attempt)
-	acts := s.drainLocked()
-	acts = append(acts, s.pumpLocked(now)...)
-	idle := s.idleLocked()
+	for i := range batch {
+		s.ctrl.TaskFinished(batch[i].Ref, batch[i].Attempt)
+	}
+	//lint:allow hotpath releasing a queued job runs core.SubmitJob (validate, partition, build monitors): per-job work the completions that freed its capacity amortise; with an empty wait queue the pump is one PopAdmissible
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
+}
+
+// TaskFinished feeds one completion event: a batch of one.
+func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
+	s.TasksFinished([]Completion{{Ref: ref, Attempt: attempt}})
 }
 
 // TaskFailed feeds one failure event.
@@ -166,9 +172,8 @@ func (s *Service) TaskFailed(ref core.TaskRef, attempt int, kind core.FailureKin
 	now := s.clock()
 	s.mu.Lock()
 	s.ctrl.TaskFailed(ref, attempt, kind)
-	acts := s.drainLocked()
-	acts = append(acts, s.pumpLocked(now)...)
-	idle := s.idleLocked()
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
 }
@@ -178,8 +183,8 @@ func (s *Service) TaskFailed(ref core.TaskRef, attempt int, kind core.FailureKin
 func (s *Service) Tick() {
 	now := s.clock()
 	s.mu.Lock()
-	acts := s.pumpLocked(now)
-	idle := s.idleLocked()
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
 }
@@ -190,15 +195,13 @@ func (s *Service) Cancel(id string) error {
 	now := s.clock()
 	s.mu.Lock()
 	var err error
-	var acts []core.Action
 	if s.flow.CancelQueued(id) {
 		delete(s.submitted, id)
 	} else {
 		err = s.ctrl.CancelJob(id, "client request")
-		acts = append(acts, s.ctrl.Drain()...)
-		acts = append(acts, s.pumpLocked(now)...)
 	}
-	idle := s.idleLocked()
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
 	return err
@@ -210,8 +213,8 @@ func (s *Service) Drain() {
 	now := s.clock()
 	s.mu.Lock()
 	s.flow.Drain()
-	acts := s.pumpLocked(now)
-	idle := s.idleLocked()
+	s.pumpLocked(now)
+	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
 }

@@ -2,11 +2,12 @@ package rpc
 
 import "swift/internal/engine"
 
-// Column codec entry points for the wire: segment payloads travel as the
-// engine's length-prefixed typed-vector encoding (engine/batch_codec.go)
-// inside the gob envelope's opaque []byte body — no gob interface
-// registration, no per-cell reflection, and the same byte count the Store
-// accounts via EncodedBatchSize. FuzzBatchCodec hammers this boundary.
+// Column codec entry points for the wire: segment payloads travel in the
+// engine's length-prefixed typed-vector encoding (engine/batch_codec.go),
+// carried as the opaque Batch bytes of a PutRequest/GetResponse (wire.go) —
+// no interface registration, no per-cell reflection, and the same byte
+// count the Store accounts via EncodedBatchSize. FuzzBatchCodec hammers
+// this boundary.
 
 // EncodeBatch encodes a batch for transfer, dictionary-encoding
 // low-cardinality string columns first (a no-op for batches the Store

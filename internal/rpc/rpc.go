@@ -1,74 +1,24 @@
-// Package rpc implements the small framed-gob protocol Swift's processes
-// speak: length-prefixed request/response messages over TCP, a method
-// registry on the server side, and client-side call/heartbeat helpers. The
-// engine's multi-process mode serves Cache Worker segments through it
-// (service.go); the admin/executor heartbeats of Section IV-A use Ping.
+// Package rpc implements the small framed binary protocol Swift's
+// processes speak: length-prefixed request/response messages over TCP (the
+// byte layout is in wire.go), a method registry on the server side, and
+// client-side call/heartbeat helpers. The engine's multi-process mode
+// serves Cache Worker segments through it (service.go); the admin/executor
+// heartbeats of Section IV-A use Ping.
 package rpc
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 )
 
-// MaxFrameSize bounds a single message (64 MiB), protecting both sides
-// from corrupt length prefixes.
-const MaxFrameSize = 64 << 20
-
-// frame layout: 4-byte big-endian length, then a gob-encoded envelope.
-type envelope struct {
-	ID     uint64
-	Method string
-	Err    string
-	Body   []byte
-}
-
-func writeFrame(w io.Writer, env *envelope) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("rpc: encode: %w", err)
-	}
-	if buf.Len() > MaxFrameSize {
-		return fmt.Errorf("rpc: frame too large: %d bytes", buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-func readFrame(r io.Reader) (*envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("rpc: decode: %w", err)
-	}
-	return &env, nil
-}
-
-// Handler serves one method: it receives the gob-encoded request body and
-// returns the gob-encoded response body.
+// Handler serves one method: it receives the encoded request body (see
+// Decode) and returns the encoded response body (see Encode). The request
+// body is the handler's to keep, and it may return it as the response.
 type Handler func(body []byte) ([]byte, error)
 
 // Server accepts connections and dispatches registered methods.
@@ -107,24 +57,42 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.serve(ln)
 	return ln.Addr().String(), nil
 }
 
+// serve starts the accept loop on ln.
+func (s *Server) serve(ln net.Listener) {
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+}
+
+// Accept failures back off exponentially between these bounds: a
+// persistent one (EMFILE) must not spin a core, and a transient one still
+// retries within milliseconds.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			t := time.NewTimer(backoff)
 			select {
 			case <-s.closed:
+				t.Stop()
 				return
-			default:
+			case <-t.C:
 				continue
 			}
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -141,23 +109,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 	}()
+	br := bufio.NewReader(conn)
+	var wbuf []byte
 	for {
-		env, err := readFrame(conn)
+		req, err := readFrame(br)
 		if err != nil {
 			return
 		}
 		s.mu.RLock()
-		h := s.handlers[env.Method]
+		h := s.handlers[string(req.method)]
 		s.mu.RUnlock()
-		resp := &envelope{ID: env.ID, Method: env.Method}
+		var body []byte
+		var errMsg string
 		if h == nil {
-			resp.Err = fmt.Sprintf("rpc: unknown method %q", env.Method)
-		} else if body, herr := safeCall(h, env.Body); herr != nil {
-			resp.Err = herr.Error()
-		} else {
-			resp.Body = body
+			errMsg = fmt.Sprintf("rpc: unknown method %q", req.method)
+		} else if body, err = safeCall(h, req.body); err != nil {
+			body, errMsg = nil, err.Error()
 		}
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, &wbuf, req.id, "", errMsg, body); err != nil {
 			return
 		}
 	}
@@ -250,7 +219,9 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 // next attempt redials.
 type Client struct {
 	mu          sync.Mutex
-	conn        net.Conn // nil when broken
+	conn        net.Conn      // nil when broken
+	br          *bufio.Reader // over conn; nil until the first call on it
+	wbuf        []byte        // reused frame buffer for requests
 	next        uint64
 	addr        string
 	dialTimeout time.Duration
@@ -300,14 +271,15 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.mu.Unlock()
 }
 
-// Call invokes a method with a gob-encodable request, decoding the reply
-// into resp (a pointer) unless resp is nil. Server-side errors (including
-// unknown methods and handler panics) are returned as-is and never
-// retried; transport errors retry under the client's RetryPolicy.
+// Call invokes a method with an encodable request (see Encode), decoding
+// the reply into resp (a pointer) unless resp is nil. Server-side errors
+// (including unknown methods and handler panics) are returned as-is and
+// never retried; transport errors retry under the client's RetryPolicy.
 func (c *Client) Call(method string, req interface{}, resp interface{}) error {
-	var body bytes.Buffer
+	var body []byte
 	if req != nil {
-		if err := gob.NewEncoder(&body).Encode(req); err != nil {
+		var err error
+		if body, err = Encode(req); err != nil {
 			return fmt.Errorf("rpc: encode request: %w", err)
 		}
 	}
@@ -319,7 +291,7 @@ func (c *Client) Call(method string, req interface{}, resp interface{}) error {
 		if c.isClosed() {
 			return ErrClosed
 		}
-		err = c.callLocked(method, body.Bytes(), resp)
+		err = c.callLocked(method, body, resp)
 		var transport *transportError
 		if err == nil || !errors.As(err, &transport) {
 			return err
@@ -401,39 +373,48 @@ func (c *Client) callLocked(method string, body []byte, resp interface{}) error 
 			// the next call redial.
 			if c.conn != nil {
 				if err := c.conn.SetDeadline(time.Time{}); err != nil {
-					_ = c.conn.Close() // already discarding the conn
-					c.conn = nil
+					_ = c.drop() // already discarding the conn
 				}
 			}
 		}()
 	}
+	if c.br == nil {
+		c.br = bufio.NewReader(c.conn)
+	}
 	c.next++
-	env := &envelope{ID: c.next, Method: method, Body: body}
-	if err := writeFrame(c.conn, env); err != nil {
+	id := c.next
+	if err := writeFrame(c.conn, &c.wbuf, id, method, "", body); err != nil {
 		return c.broken(err)
 	}
-	reply, err := readFrame(c.conn)
+	reply, err := readFrame(c.br)
 	if err != nil {
 		return c.broken(err)
 	}
-	if reply.ID != env.ID {
-		return c.broken(fmt.Errorf("rpc: reply id %d for request %d", reply.ID, env.ID))
+	if reply.id != id {
+		return c.broken(fmt.Errorf("rpc: reply id %d for request %d", reply.id, id))
 	}
-	if reply.Err != "" {
-		return errors.New(reply.Err)
+	if len(reply.err) != 0 {
+		return errors.New(string(reply.err))
 	}
 	if resp != nil {
-		if err := gob.NewDecoder(bytes.NewReader(reply.Body)).Decode(resp); err != nil {
+		if err := Decode(reply.body, resp); err != nil {
 			return fmt.Errorf("rpc: decode response: %w", err)
 		}
 	}
 	return nil
 }
 
+// drop closes the connection and forgets it together with the reader that
+// may hold bytes of it, so the next call redials onto a clean stream.
+func (c *Client) drop() error {
+	err := c.conn.Close()
+	c.conn, c.br = nil, nil
+	return err
+}
+
 func (c *Client) broken(err error) error {
 	if c.conn != nil {
-		_ = c.conn.Close() // the call already fails with err; nothing to add
-		c.conn = nil
+		_ = c.drop() // the call already fails with err; nothing to add
 	}
 	return &transportError{err}
 }
@@ -460,19 +441,5 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// Encode gob-encodes v (handler helper).
-func Encode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-// Decode gob-decodes data into v (handler helper).
-func Decode(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	return c.drop()
 }

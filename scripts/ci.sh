@@ -9,6 +9,8 @@
 # here — CI stays deterministic; run it manually with
 #   go test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
+#   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
+#   go test ./internal/rpc -fuzz FuzzFlowWire -fuzztime 30s
 #
 # Usage: scripts/ci.sh [chaos-seeds]   (default 8)
 set -euo pipefail
@@ -125,6 +127,6 @@ go test -run '^$' -c -o /dev/null ./internal/rpc/
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
-    ./internal/sim/ ./internal/cluster/ ./internal/core/ > /dev/null
+    ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/rpc/ ./internal/flow/ > /dev/null
 
 echo "ci: all green"
