@@ -82,19 +82,19 @@ func live() {
 		MustBuild()
 	plans := engine.Plans{
 		"scan": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("words")
+			part, err := ctx.TablePartitionBatch("words")
 			if err != nil {
 				return err
 			}
-			return ctx.EmitByKey("count", part, []int{0})
+			return ctx.EmitBatchByKey("count", part, []int{0})
 		},
 		"count": func(ctx *engine.TaskContext) error {
 			time.Sleep(30 * time.Millisecond) // give the killer a window
-			in, err := ctx.Input("scan")
+			in, err := ctx.InputBatch("scan")
 			if err != nil {
 				return err
 			}
-			ctx.Sink(engine.HashAggregate(in, []int{0}, []engine.Agg{{Kind: engine.AggCount, Col: 0}}))
+			ctx.SinkBatch(engine.HashAggregateBatch(in, []int{0}, []engine.Agg{{Kind: engine.AggCount, Col: 0}}))
 			return nil
 		},
 	}

@@ -42,18 +42,18 @@ func main() {
 	// 4. Attach task bodies and run.
 	plans := engine.Plans{
 		"scan": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("words")
+			part, err := ctx.TablePartitionBatch("words")
 			if err != nil {
 				return err
 			}
-			return ctx.EmitByKey("count", part, []int{0})
+			return ctx.EmitBatchByKey("count", part, []int{0})
 		},
 		"count": func(ctx *engine.TaskContext) error {
-			rows, err := ctx.Input("scan")
+			in, err := ctx.InputBatch("scan")
 			if err != nil {
 				return err
 			}
-			ctx.Sink(engine.HashAggregate(rows, []int{0}, []engine.Agg{{Kind: engine.AggCount, Col: 0}}))
+			ctx.SinkBatch(engine.HashAggregateBatch(in, []int{0}, []engine.Agg{{Kind: engine.AggCount, Col: 0}}))
 			return nil
 		},
 	}
@@ -62,8 +62,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("word counts:")
+	var total int64
 	for _, r := range out {
 		fmt.Printf("  %-10s %d\n", r[0], r[1])
+		total += r[1].(int64)
+	}
+	if len(out) != len(words) || total != int64(len(rows)) {
+		log.Fatalf("counted %d words in %d groups, want %d in %d", total, len(out), len(rows), len(words))
 	}
 	st := e.Store().Stats()
 	fmt.Printf("shuffle segments written: %d, read: %d\n", st.Puts, st.Gets)

@@ -52,39 +52,35 @@ func realSort() {
 		MustBuild()
 	plans := engine.Plans{
 		"map": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("records")
+			part, err := ctx.TablePartitionBatch("records")
 			if err != nil {
 				return err
 			}
-			sorted := append([]engine.Row(nil), part...)
-			engine.SortRows(sorted, []int{0})
-			return ctx.EmitByRange("reduce", sorted, []int{0}, bounds)
+			return ctx.EmitBatchByRange("reduce", engine.SortBatch(part, []int{0}), []int{0}, bounds)
 		},
 		"reduce": func(ctx *engine.TaskContext) error {
-			runs, err := ctx.InputRuns("map")
+			// The input is the map tasks' sorted runs in producer order; a
+			// stable sort of that concatenation is their k-way merge.
+			in, err := ctx.InputBatch("map")
 			if err != nil {
 				return err
 			}
-			merged := engine.MergeSortedRuns(runs, []int{0})
-			out := make([]engine.Row, len(merged))
-			for i, r := range merged {
-				out[i] = engine.Row{int64(ctx.Index()), r[0]}
-			}
-			ctx.Sink(out)
+			ctx.SinkBatch(engine.SortBatch(in, []int{0}))
 			return nil
 		},
 	}
+	// Run returns sink rows by reducer index, each reducer's in its own
+	// order, so the result is globally sorted iff it is sorted as returned.
 	out, err := e.Run(job, plans)
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine.SortRows(out, []int{0, 1})
-	prev := int64(-1)
-	for _, r := range out {
-		if v := r[1].(int64); v < prev {
+	if len(out) != n {
+		log.Fatalf("sorted %d of %d keys", len(out), n)
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i][0].(int64) < out[i-1][0].(int64) {
 			log.Fatal("output not globally sorted")
-		} else {
-			prev = v
 		}
 	}
 	fmt.Printf("real engine: sorted %d keys across %d reducers — globally ordered ✓\n", len(out), reducers)

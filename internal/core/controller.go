@@ -534,9 +534,6 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 		// fits.
 		return true
 	}
-	if c.opts.MaxGraphletExecutors > 0 && want > c.opts.MaxGraphletExecutors {
-		want = c.opts.MaxGraphletExecutors
-	}
 	if limit > 0 && want > limit {
 		want = limit
 	}

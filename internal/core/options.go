@@ -135,10 +135,6 @@ type Options struct {
 	// UnhealthyThreshold is the recent-task-failure count at which the
 	// health monitor marks a machine read-only (Section IV-A).
 	UnhealthyThreshold int
-	// MaxGraphletExecutors caps executors granted to one graphlet in one
-	// allocation round (0 = no cap), keeping a single huge graphlet from
-	// starving the rest of the queue.
-	MaxGraphletExecutors int
 	// Policy is the pluggable scheduling policy: serve order and per-item
 	// executor caps (JobOrder), per-tenant deserved shares (Proportion)
 	// and gang-aware preemption (Preempt). Nil means sched.FIFO{}, the

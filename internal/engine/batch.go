@@ -3,11 +3,21 @@ package engine
 import "fmt"
 
 // Batch is the engine's columnar record set: a fixed-schema slice of typed
-// vectors plus per-column null bitmaps. Operators carry batches end-to-end
-// — scan, filter, join, aggregate, shuffle write, wire transfer — so the
-// per-cell interface boxing and interface-dispatch comparison of the row
-// model is paid only at the row↔batch adapter seam (Rows/BatchFromRows),
-// which exists for Plans written against the row API.
+// vectors plus per-column null bitmaps. It is the only representation
+// between the engine's two row edges — BatchFromRows behind NewTable on the
+// way in, AppendRows behind SinkBatch on the way out: scan, filter, join,
+// aggregate, shuffle write, store and wire transfer all carry batches, so
+// per-cell interface boxing is paid only at those edges.
+//
+// Zero-row batches. A batch with Len == 0 is valid with any number of
+// columns, none included: &Batch{} is "no rows, layout unknown", which is
+// what BatchFromRows(nil), PutBatch(nil) and a ConcatBatches of column-less
+// runs yield. Every exported kernel, and Project, Gather and WithCol, accept
+// one and return a zero-row result without dereferencing a key or column
+// index. Code that reads b.Cols[k] itself must either hold a batch whose
+// producer keeps the layout (Table.PartitionBatch, FilterBatch, the
+// partitioners, the join and aggregate kernels, ConcatBatches of runs that
+// have columns) or check Len first.
 type Batch struct {
 	Cols []Column
 	Len  int // row count; every column holds exactly Len values
@@ -26,7 +36,7 @@ type ColType uint8
 
 // Physical column types. TAny is the escape hatch for kind-mixed columns
 // (e.g. an int64/float64 union key): values stay boxed, exactly as the row
-// model held them, so the adapter is total over any row input.
+// edge held them, so BatchFromRows is total over any row input.
 const (
 	TInt64 ColType = iota
 	TFloat64
@@ -127,7 +137,7 @@ func (c *Column) hasNulls() bool {
 	return false
 }
 
-// Value boxes row i of the column (nil for NULL). This is the adapter-seam
+// Value boxes row i of the column (nil for NULL). This is the row-edge
 // read; batch kernels read the typed vectors directly.
 func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
@@ -207,7 +217,7 @@ func (b *Batch) physical(j int) int {
 // Materialize densifies a selection-vector view into a batch whose columns
 // hold exactly its logical rows (one typed gather). Dense batches return
 // unchanged — the call is free on the common path, so boundaries
-// (codec, store, row adapter) invoke it unconditionally.
+// (codec, store, row edge) invoke it unconditionally.
 func (b *Batch) Materialize() *Batch {
 	if b == nil || b.Sel == nil {
 		return b
@@ -225,8 +235,7 @@ func (b *Batch) IsNull(col, row int) bool { return b.Cols[col].IsNull(b.physical
 // BatchFromRows converts rows into a batch: each column becomes the
 // narrowest typed vector that holds every value (nil values are NULL bits),
 // falling back to TAny when kinds mix. Ragged rows are tolerated — missing
-// trailing cells read as NULL — so the adapter is total over anything a
-// Plan emits.
+// trailing cells read as NULL — so the conversion is total over any rows.
 func BatchFromRows(rows []Row) *Batch {
 	ncols := 0
 	for _, r := range rows {
@@ -315,22 +324,23 @@ func columnFromRows(rows []Row, c int) Column {
 	return col
 }
 
-// Rows materialises the batch as rows (the adapter-seam read). Row storage
-// is carved from an arena, one slab per ~4096 values.
+// Rows materialises the batch as rows (the row-edge read).
 func (b *Batch) Rows() []Row {
 	return b.AppendRows(nil)
 }
 
-// AppendRows appends the batch's rows to dst.
+// AppendRows appends the batch's rows to dst. Row storage is carved from
+// one slab; rows have len == cap, so appending to one copies out instead of
+// clobbering its neighbour.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	if b == nil || b.Len == 0 {
 		return dst
 	}
-	var arena rowArena
 	nc := len(b.Cols)
+	slab := make([]Value, b.Len*nc)
 	for i := 0; i < b.Len; i++ {
 		p := b.physical(i)
-		r := arena.alloc(nc)
+		r := slab[i*nc : (i+1)*nc : (i+1)*nc]
 		for c := range b.Cols {
 			r[c] = b.Cols[c].Value(p)
 		}
@@ -339,22 +349,15 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 	return dst
 }
 
-// RowAt materialises (logical) row i.
-func (b *Batch) RowAt(i int) Row {
-	p := b.physical(i)
-	r := make(Row, len(b.Cols))
-	for c := range b.Cols {
-		r[c] = b.Cols[c].Value(p)
-	}
-	return r
-}
-
 // Project returns a batch holding the selected columns. Column vectors are
 // shared, not copied — projection is free in the columnar model — and a
 // selection vector is shared along with them.
 func (b *Batch) Project(cols []int) *Batch {
 	out := &Batch{Cols: make([]Column, len(cols)), Len: b.Len, Sel: b.Sel}
 	for i, c := range cols {
+		if b.Len == 0 && c >= len(b.Cols) {
+			continue // zero rows, layout unknown: the column is empty anyway
+		}
 		out.Cols[i] = b.Cols[c]
 	}
 	return out
@@ -433,12 +436,14 @@ func gatherCol(src *Column, sel []int32) Column {
 	return out
 }
 
-// ConcatBatches concatenates runs into one batch (the batch counterpart of
-// flattening Input runs). Columns with matching types append typed;
-// dictionary runs widen back to plain strings (different runs carry
-// different dictionaries) and genuinely mismatched types degrade that
-// column to TAny, preserving each value's boxed kind. Runs must agree on
-// column count (empty runs are skipped; selection views materialise).
+// ConcatBatches concatenates runs into one batch. Columns with matching
+// types append typed; dictionary runs widen back to plain strings
+// (different runs carry different dictionaries) and genuinely mismatched
+// types degrade that column to TAny, preserving each value's boxed kind.
+// Runs with rows must agree on column count; selection views materialise.
+// Zero-row runs contribute nothing but their column count: when no run has
+// rows the result is a zero-row batch as wide as the widest run, so an
+// empty shuffle edge still reads with its producer's layout.
 func ConcatBatches(runs []*Batch) *Batch {
 	for _, r := range runs {
 		if r != nil && r.Sel != nil {
@@ -452,9 +457,12 @@ func ConcatBatches(runs []*Batch) *Batch {
 			break
 		}
 	}
-	total, ncols := 0, -1
+	total, ncols, emptyCols := 0, -1, 0
 	for _, r := range runs {
 		if r == nil || r.Len == 0 {
+			if r != nil && len(r.Cols) > emptyCols {
+				emptyCols = len(r.Cols)
+			}
 			continue
 		}
 		total += r.Len
@@ -465,7 +473,7 @@ func ConcatBatches(runs []*Batch) *Batch {
 		}
 	}
 	if ncols < 0 {
-		return &Batch{}
+		return &Batch{Cols: make([]Column, emptyCols)}
 	}
 	out := &Batch{Cols: make([]Column, ncols), Len: total}
 	for c := 0; c < ncols; c++ {

@@ -2,11 +2,10 @@ package engine
 
 import "testing"
 
-// Batch-kernel counterparts of the row microbenchmarks, on the same
-// workloads (same sizes, key domains and seeds), so `benchstat` and the
-// EXPERIMENTS.md table compare the two data planes apples-to-apples. The
-// row→batch conversion happens outside the timer: plans hold batches
-// end-to-end, so conversion is not part of the steady-state cost.
+// Kernel microbenchmarks, on the workloads (sizes, key domains, seeds) the
+// retired row rungs used, so the BENCH_engine.json trajectory stays
+// comparable across the retirement. The row→batch conversion happens
+// outside the timer: plans hold batches end-to-end.
 
 func BenchmarkBatchHashJoin(b *testing.B) {
 	build := BatchFromRows(benchRows(1000, 500, 1))
@@ -55,6 +54,17 @@ func BenchmarkBatchSort(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func BenchmarkBatchTopK(b *testing.B) {
+	batch := BatchFromRows(benchRows(8000, 8000, 5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := TopKBatch(batch, []int{0}, 50, true); out.Len != 50 {
+			b.Fatal("wrong k")
+		}
 	}
 }
 

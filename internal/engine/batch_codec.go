@@ -63,7 +63,7 @@ func dictBits(n int) int {
 }
 
 // EncodedBatchSize returns the exact byte length AppendBatch would produce
-// — the shared size helper behind Store.Put accounting.
+// — the shared size helper behind Store.PutBatch accounting.
 func EncodedBatchSize(b *Batch) int {
 	b = b.Materialize()
 	if b == nil {

@@ -2,7 +2,7 @@ package engine
 
 // Dictionary encoding: DictifyBatch rewrites low-cardinality plain string
 // columns as TDict (dictionary + packed codes) at storage and wire
-// boundaries — Store.put and the rpc codec — where the smaller encoding
+// boundaries — Store.PutBatch and the rpc codec — where the smaller encoding
 // pays for the scan. Kernels accept both representations, and row hashes
 // are computed over the dictionary strings, so a dictified batch hashes,
 // joins and partitions bit-identically to its plain form.

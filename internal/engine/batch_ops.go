@@ -1,17 +1,15 @@
 package engine
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
 
-// Batch-native operator kernels. Each kernel dispatches on column type once
-// per batch (building a typed closure or running a typed loop) instead of
-// unpacking an interface per cell, which is where the row kernels spend
-// their time. Every kernel is pinned to its row counterpart by equivalence
-// property tests in batch_test.go.
+// Batch operator kernels. Each kernel dispatches on column type once per
+// batch (building a typed closure or running a typed loop) instead of
+// unpacking an interface per cell. Every kernel is pinned to a row-at-a-time
+// reference (oracle_test.go) by the equivalence property tests in
+// batch_test.go, and accepts a zero-row batch of any width (see Batch).
 //
 // Kernels consume lazy (selection-vector) batches directly: logical row j
 // reads physical row Sel[j], so a filter's output flows into hashing,
@@ -24,11 +22,14 @@ import (
 // HashBatchInto computes Hash for every row of the batch into dst
 // (len(dst) == b.Len, the logical length), column-at-a-time. The result is
 // bit-identical to calling Hash on the materialised rows — dictionary
-// columns hash their dictionary strings — so row-emitted, batch-emitted and
-// dictified segments all co-partition.
+// columns hash their dictionary strings — so plain and dictified segments
+// co-partition.
 //
 //lint:hotpath
 func HashBatchInto(b *Batch, keys []int, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
 	for i := range dst {
 		dst[i] = fnvOffset64
 	}
@@ -38,16 +39,6 @@ func HashBatchInto(b *Batch, keys []int, dst []uint64) {
 			dst[i] ^= fnvPrime64 // column separator, as in Hash
 		}
 	}
-}
-
-// hashFloatValue mirrors Hash's numeric folding: integral floats hash as
-// their int64 value so 1.0 and int64(1) collide on purpose.
-func hashFloatValue(h uint64, v float64) uint64 {
-	h = hashByte(h, tagNumber)
-	if v == math.Trunc(v) && v >= -9223372036854775808 && v < 9223372036854775808 {
-		return hashUint64(h, uint64(int64(v)))
-	}
-	return hashUint64(h, math.Float64bits(v))
 }
 
 // hashColInto folds one key column into the row hashes. sel maps logical
@@ -165,36 +156,14 @@ func hashColInto(c *Column, sel []int32, dst []uint64) {
 		if sel == nil {
 			for i := range c.Anys {
 				//lint:allow hotpath the any-kind fallback lane formats unknown types; typed columns never reach it
-				dst[i] = hashAnyValue(dst[i], c.Value(i))
+				dst[i] = hashValue(dst[i], c.Value(i))
 			}
 		} else {
 			for j, s := range sel {
 				//lint:allow hotpath the any-kind fallback lane formats unknown types; typed columns never reach it
-				dst[j] = hashAnyValue(dst[j], c.Value(int(s)))
+				dst[j] = hashValue(dst[j], c.Value(int(s)))
 			}
 		}
-	}
-}
-
-// hashAnyValue mirrors one key column's contribution in Hash.
-func hashAnyValue(h uint64, v Value) uint64 {
-	switch x := v.(type) {
-	case int64:
-		return hashUint64(hashByte(h, tagNumber), uint64(x))
-	case float64:
-		return hashFloatValue(h, x)
-	case string:
-		return hashString(hashByte(h, tagString), x)
-	case bool:
-		h = hashByte(h, tagBool)
-		if x {
-			return hashByte(h, 1)
-		}
-		return hashByte(h, 0)
-	case nil:
-		return hashByte(h, tagNull)
-	default:
-		return hashString(hashByte(h, tagOther), fmt.Sprintf("%v", v))
 	}
 }
 
@@ -387,11 +356,28 @@ func colComparator(c *Column) func(i, j int) int {
 // (argsort over an index vector, then one typed gather; a lazy input's
 // selection vector seeds the argsort, so sorting a filtered batch never
 // materialises the pre-sort view). A single null-free typed key takes a
-// direct comparator — no closure chain — the same fast lane SortRows has
-// for kind-homogeneous columns. The result is dense.
+// direct comparator — no closure chain. The result is dense. Sorting the
+// producer-ordered concatenation of sorted runs is their stable k-way merge.
 //
 //lint:hotpath
 func SortBatch(b *Batch, keys []int) *Batch {
+	return b.Gather(argsort(b, keys, false))
+}
+
+// TopKBatch returns the first k rows of the key ordering — ascending, or
+// descending when desc is set — as a dense batch: ORDER BY + LIMIT in one
+// kernel (argsort, then a k-row gather). Ties keep input order in both
+// directions; k >= b.Len sorts the whole batch.
+//
+//lint:hotpath
+func TopKBatch(b *Batch, keys []int, k int, desc bool) *Batch {
+	idx := argsort(b, keys, desc)
+	return b.Gather(idx[:min(max(k, 0), len(idx))])
+}
+
+// argsort returns the batch's physical row indices stably ordered by the
+// key columns.
+func argsort(b *Batch, keys []int, desc bool) []int32 {
 	idx := make([]int32, b.Len)
 	if b.Sel == nil {
 		for i := range idx {
@@ -400,8 +386,11 @@ func SortBatch(b *Batch, keys []int) *Batch {
 	} else {
 		copy(idx, b.Sel)
 	}
-	if len(keys) == 1 && sortIdxSingleKey(idx, &b.Cols[keys[0]]) {
-		return b.Gather(idx)
+	if b.Len < 2 || len(keys) == 0 {
+		return idx
+	}
+	if !desc && len(keys) == 1 && sortIdxSingleKey(idx, &b.Cols[keys[0]]) {
+		return idx
 	}
 	cmps := make([]func(i, j int) int, len(keys))
 	for x, k := range keys {
@@ -410,12 +399,15 @@ func SortBatch(b *Batch, keys []int) *Batch {
 	slices.SortStableFunc(idx, func(x, y int32) int {
 		for _, cmp := range cmps {
 			if c := cmp(int(x), int(y)); c != 0 {
+				if desc {
+					return -c
+				}
 				return c
 			}
 		}
 		return 0
 	})
-	return b.Gather(idx)
+	return idx
 }
 
 // sortIdxSingleKey stably argsorts idx (physical indices) by a null-free
@@ -474,7 +466,7 @@ func sortIdxSingleKey(idx []int32, c *Column) bool {
 // ---- partitioning ----
 
 // PartitionBatchByKey hash-partitions the batch into n sub-batches by the
-// key columns — the batch shuffle-write kernel behind EmitBatchByKey.
+// key columns — the shuffle-write kernel behind EmitBatchByKey.
 // Hashing is columnar, placement a typed scatter into exact-size vectors;
 // lazy inputs scatter straight from the selection without materializing.
 //
@@ -655,11 +647,10 @@ func scatterBatch(b *Batch, pidx []uint32, counts []int) []*Batch {
 // ---- hash join ----
 
 // HashJoinBatch inner-joins probe rows against a materialised build side on
-// equal keys, emitting probe columns followed by build columns — the same
-// rows in the same order as the row HashJoin over the same inputs. The
-// build table maps hash → carved index bucket; matches accumulate as
-// physical index pairs and materialise with two typed gathers, so lazy
-// inputs join through their selections.
+// equal keys, emitting probe columns followed by build columns, in probe
+// order and, per probe row, build order. The build table maps hash → carved
+// index bucket; matches accumulate as physical index pairs and materialise
+// with two typed gathers, so lazy inputs join through their selections.
 //
 //lint:hotpath
 func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int) *Batch {
@@ -714,11 +705,12 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 
 // HashAggregateBatch groups the batch by the key columns and folds the
 // aggregates, emitting key columns followed by one column per aggregate,
-// sorted by key like HashAggregate. Group discovery hashes columnar and
-// chains collisions through index slices; each aggregate then folds in one
-// typed pass over the whole batch, so sums over an int64 or float64 column
-// never box a value. Output columns stay typed: Count and int sums are
-// TInt64 vectors, float sums TFloat64, Min/Max the input column's type.
+// sorted by key (no aggregates: the distinct keys). Group discovery hashes
+// columnar and chains collisions through index slices; each aggregate then
+// folds in one typed pass over the whole batch, so sums over an int64 or
+// float64 column never box a value. Output columns stay typed: Count and
+// int sums are TInt64 vectors, float sums TFloat64, Min/Max the input
+// column's type.
 //
 //lint:hotpath
 func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
@@ -868,7 +860,7 @@ func aggColumn(b *Batch, a Agg, gids []int32, groups int) Column {
 	}
 	// Boxed lane: TAny columns (mixed numeric sums promote per group, like
 	// accCell), bool min/max, and sums over non-numeric types (which panic
-	// inside fold, matching the row kernel).
+	// inside fold).
 	accs := make([]accCell, groups)
 	for j := range gids {
 		accs[gids[j]].fold(a.Kind, col.Value(b.physical(j)))
@@ -898,9 +890,8 @@ func withUnseenNulls(c Column, seen []bool) Column {
 
 // WindowBatch evaluates the window spec over the batch, returning the rows
 // ordered by (PartitionBy, OrderBy) with the window value appended as a new
-// typed column (int64 for ranks, float64 for running sums) — the batch
-// counterpart of Window. SortBatch densifies first, so the pass below runs
-// over physical rows.
+// typed column (int64 for ranks, float64 for running sums). SortBatch
+// densifies first, so the pass below runs over physical rows.
 //
 //lint:hotpath
 func WindowBatch(b *Batch, spec WindowSpec) *Batch {
@@ -916,7 +907,7 @@ func WindowBatch(b *Batch, spec WindowSpec) *Batch {
 		ints = make([]int64, sorted.Len)
 	}
 	var valAt func(i int) (float64, bool)
-	if spec.Func == WinRunningSum {
+	if spec.Func == WinRunningSum && sorted.Len > 0 {
 		vc := &sorted.Cols[spec.ValueCol]
 		switch vc.Type {
 		case TInt64:

@@ -42,6 +42,20 @@ func randRows(r *rand.Rand, n int) []Row {
 	return rows
 }
 
+// equivInput is one input of a batch-vs-row equivalence test, in both forms.
+type equivInput struct {
+	rows  []Row
+	batch *Batch
+}
+
+// equivInputs returns n random rows plus the two zero-row shapes — column-
+// less (layout unknown) and typed (layout kept) — whose row form is no rows.
+func equivInputs(r *rand.Rand, n int) []equivInput {
+	rows := randRows(r, n)
+	b := BatchFromRows(rows)
+	return []equivInput{{rows, b}, {nil, &Batch{}}, {nil, b.Gather(nil)}}
+}
+
 func rowsEqual(t *testing.T, what string, got, want []Row) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -128,18 +142,18 @@ func TestHashBatchMatchesRowHash(t *testing.T) {
 
 func TestFilterBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	rows := randRows(r, 200)
-	b := BatchFromRows(rows)
 	keep := func(i int) bool { return i%3 != 0 }
-	var want []Row
-	for i, row := range rows {
-		if keep(i) {
-			want = append(want, row)
+	for _, in := range equivInputs(r, 200) {
+		var want []Row
+		for i, row := range in.rows {
+			if keep(i) {
+				want = append(want, row)
+			}
 		}
-	}
-	rowsEqual(t, "filter", FilterBatch(b, keep).Rows(), want)
-	if got := FilterBatch(b, func(int) bool { return false }); got.Len != 0 {
-		t.Errorf("empty filter kept %d rows", got.Len)
+		rowsEqual(t, "filter", FilterBatch(in.batch, keep).Rows(), want)
+		if got := FilterBatch(in.batch, func(int) bool { return false }); got.Len != 0 {
+			t.Errorf("empty filter kept %d rows", got.Len)
+		}
 	}
 }
 
@@ -161,40 +175,76 @@ func TestProjectAndGatherEquivalence(t *testing.T) {
 		want = append(want, rows[i])
 	}
 	rowsEqual(t, "gather", g.Rows(), want)
+
+	// Zero rows project and gather to zero rows, whatever the layout.
+	for _, empty := range []*Batch{{}, b.Gather(nil)} {
+		if p := empty.Project([]int{4, 0}); p.Len != 0 || p.NumCols() != 2 {
+			t.Errorf("zero-row project = %dx%d", p.Len, p.NumCols())
+		}
+		if g := empty.Gather(nil); g.Len != 0 {
+			t.Errorf("zero-row gather has %d rows", g.Len)
+		}
+	}
 }
 
 func TestSortBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, keys := range [][]int{{0}, {1}, {2}, {3}, {4}, {2, 0}, {4, 1, 0}} {
-		rows := randRows(r, 150)
-		want := append([]Row(nil), rows...)
-		SortRows(want, keys)
-		got := SortBatch(BatchFromRows(rows), keys)
-		rowsEqual(t, "sort", got.Rows(), want)
+		for _, in := range equivInputs(r, 150) {
+			want := append([]Row(nil), in.rows...)
+			SortRows(want, keys)
+			rowsEqual(t, "sort", SortBatch(in.batch, keys).Rows(), want)
+		}
+	}
+}
+
+// TestTopKBatchEquivalence pins TopKBatch to the row TopK/TopKDesc heaps:
+// every k from none to more than all, over keys full of duplicates and
+// NULLs (randRows), through dense, dictionary and selection-vector inputs.
+func TestTopKBatchEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, in := range equivInputs(r, 150) {
+		dict := DictifyBatch(in.batch)
+		lazy := FilterBatch(in.batch, func(i int) bool { return i%2 == 0 })
+		var half []Row
+		for i := 0; i < len(in.rows); i += 2 {
+			half = append(half, in.rows[i])
+		}
+		for _, keys := range [][]int{{0}, {2}, {4, 1}, {2, 0}} {
+			for _, k := range []int{-1, 0, 1, 7, 150, 1000} {
+				rowsEqual(t, "top-k", TopKBatch(in.batch, keys, k, false).Rows(), TopK(in.rows, keys, k))
+				rowsEqual(t, "top-k desc", TopKBatch(in.batch, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
+				rowsEqual(t, "top-k dict", TopKBatch(dict, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
+				rowsEqual(t, "top-k lazy", TopKBatch(lazy, keys, k, false).Rows(), TopK(half, keys, k))
+			}
+		}
 	}
 }
 
 func TestHashJoinBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	build := randRows(r, 80)
-	probe := randRows(r, 120)
+	builds := equivInputs(r, 80)
+	probes := equivInputs(r, 120)
 	for _, tc := range []struct{ bk, pk []int }{
 		{[]int{0}, []int{0}},
 		{[]int{2, 3}, []int{2, 3}},
 		{[]int{4}, []int{4}},
 		{[]int{0}, []int{4}}, // cross-kind numeric keys
 	} {
-		want := Drain(NewHashJoin(build, tc.bk, NewSliceIter(probe), tc.pk))
-		got := HashJoinBatch(BatchFromRows(build), tc.bk, BatchFromRows(probe), tc.pk)
-		// Row join emits probe||build; batch join emits probe cols then
-		// build cols — same layout, same order.
-		rowsEqual(t, "join", got.Rows(), want)
+		for _, build := range builds {
+			for _, probe := range probes {
+				want := Drain(NewHashJoin(build.rows, tc.bk, NewSliceIter(probe.rows), tc.pk))
+				got := HashJoinBatch(build.batch, tc.bk, probe.batch, tc.pk)
+				// Row join emits probe||build; batch join emits probe cols
+				// then build cols — same layout, same order.
+				rowsEqual(t, "join", got.Rows(), want)
+			}
+		}
 	}
 }
 
 func TestHashAggregateBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	rows := randRows(r, 400)
 	for _, tc := range []struct {
 		keys []int
 		aggs []Agg
@@ -206,59 +256,55 @@ func TestHashAggregateBatchEquivalence(t *testing.T) {
 		{[]int{0, 1, 2, 3, 4}, []Agg{{AggCount, 0}}},
 		{[]int{3}, nil}, // distinct
 	} {
-		want := HashAggregate(rows, tc.keys, tc.aggs)
-		got := HashAggregateBatch(BatchFromRows(rows), tc.keys, tc.aggs)
-		if want == nil {
-			if got.Len != 0 {
-				t.Fatalf("empty aggregate returned %d rows", got.Len)
+		for _, in := range equivInputs(r, 400) {
+			want := HashAggregate(in.rows, tc.keys, tc.aggs)
+			got := HashAggregateBatch(in.batch, tc.keys, tc.aggs)
+			rowsEqual(t, "aggregate", got.Rows(), want)
+			if got.NumCols() != len(tc.keys)+len(tc.aggs) {
+				t.Errorf("aggregate of %d rows has %d columns", in.batch.Len, got.NumCols())
 			}
-			continue
 		}
-		rowsEqual(t, "aggregate", got.Rows(), want)
-	}
-	// Empty input.
-	if got := HashAggregateBatch(&Batch{}, []int{0}, []Agg{{AggSum, 0}}); got.Len != 0 {
-		t.Errorf("aggregate of empty batch = %d rows", got.Len)
 	}
 }
 
 func TestWindowBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	rows := randRows(r, 120)
-	for _, fn := range []WindowFunc{WinRowNumber, WinRank, WinDenseRank, WinRunningSum} {
-		spec := WindowSpec{PartitionBy: []int{2}, OrderBy: []int{0}, Func: fn, ValueCol: 1}
-		want := Window(rows, spec)
-		got := WindowBatch(BatchFromRows(rows), spec)
-		rowsEqual(t, "window", got.Rows(), want)
+	for _, in := range equivInputs(r, 120) {
+		for _, fn := range []WindowFunc{WinRowNumber, WinRank, WinDenseRank, WinRunningSum} {
+			spec := WindowSpec{PartitionBy: []int{2}, OrderBy: []int{0}, Func: fn, ValueCol: 1}
+			rowsEqual(t, "window", WindowBatch(in.batch, spec).Rows(), Window(in.rows, spec))
+		}
 	}
 }
 
 func TestPartitionBatchByKeyEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	rows := randRows(r, 300)
-	for _, n := range []int{1, 2, 7} {
-		wantParts := PartitionByKey(rows, []int{0, 2}, n)
-		gotParts := PartitionBatchByKey(BatchFromRows(rows), []int{0, 2}, n)
-		if len(gotParts) != len(wantParts) {
-			t.Fatalf("n=%d: %d parts, want %d", n, len(gotParts), len(wantParts))
-		}
-		for p := range wantParts {
-			rowsEqual(t, "partition", gotParts[p].Rows(), wantParts[p])
+	for _, in := range equivInputs(r, 300) {
+		for _, n := range []int{1, 2, 7} {
+			wantParts := PartitionByKey(in.rows, []int{0, 2}, n)
+			gotParts := PartitionBatchByKey(in.batch, []int{0, 2}, n)
+			if len(gotParts) != len(wantParts) {
+				t.Fatalf("n=%d: %d parts, want %d", n, len(gotParts), len(wantParts))
+			}
+			for p := range wantParts {
+				rowsEqual(t, "partition", gotParts[p].Rows(), wantParts[p])
+			}
 		}
 	}
 }
 
 func TestPartitionBatchByRangeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	rows := randRows(r, 200)
 	bounds := []Row{{int64(5)}, {int64(12)}}
-	wantParts := PartitionByRange(rows, []int{0}, bounds)
-	gotParts := PartitionBatchByRange(BatchFromRows(rows), []int{0}, bounds)
-	if len(gotParts) != len(wantParts) {
-		t.Fatalf("%d parts, want %d", len(gotParts), len(wantParts))
-	}
-	for p := range wantParts {
-		rowsEqual(t, "range partition", gotParts[p].Rows(), wantParts[p])
+	for _, in := range equivInputs(r, 200) {
+		wantParts := PartitionByRange(in.rows, []int{0}, bounds)
+		gotParts := PartitionBatchByRange(in.batch, []int{0}, bounds)
+		if len(gotParts) != len(wantParts) {
+			t.Fatalf("%d parts, want %d", len(gotParts), len(wantParts))
+		}
+		for p := range wantParts {
+			rowsEqual(t, "range partition", gotParts[p].Rows(), wantParts[p])
+		}
 	}
 }
 
@@ -284,4 +330,10 @@ func TestConcatBatches(t *testing.T) {
 		t.Errorf("int+null concat type = %v", n.Cols[0].Type)
 	}
 	rowsEqual(t, "int+null concat", n.Rows(), []Row{{int64(1)}, {nil}})
+
+	// Runs without rows concatenate to zero rows that keep the runs' width —
+	// an empty shuffle edge reads with its producer's layout.
+	if e := ConcatBatches([]*Batch{{}, BatchFromRows(a).Gather(nil), nil}); e.Len != 0 || e.NumCols() != 5 {
+		t.Errorf("all-empty concat = %dx%d, want 0x5", e.Len, e.NumCols())
+	}
 }

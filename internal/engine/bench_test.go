@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the engine's data-plane hot paths. Every benchmark
-// reports allocations (b.ReportAllocs) so the per-row allocation budget of
-// each operator is visible in the bench trajectory; scripts/bench.sh runs
-// the suite and snapshots the numbers, and `benchstat` compares runs (see
-// DESIGN.md, "Data-plane performance").
+// Microbenchmarks for the engine's data-plane hot paths (the kernels are in
+// batch_bench_test.go). Every benchmark reports allocations
+// (b.ReportAllocs) so each kernel's allocation budget is visible in the
+// bench trajectory; scripts/bench.sh runs the suite and snapshots the
+// numbers, and `benchstat` compares runs (see DESIGN.md, "Data-plane
+// performance"). The row kernels are a test oracle and are not timed.
 
 // benchRows builds n rows of (int64 key, string key, float64 payload) with
 // keys drawn from a small domain so joins and aggregates form real groups.
@@ -44,122 +45,5 @@ func BenchmarkHash(b *testing.B) {
 			}
 			_ = sink
 		})
-	}
-}
-
-func BenchmarkHashJoin(b *testing.B) {
-	build := benchRows(1000, 500, 1)
-	probe := benchRows(4000, 500, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := NewHashJoin(build, []int{0}, NewSliceIter(probe), []int{0})
-		n := 0
-		for {
-			_, ok := j.Next()
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n == 0 {
-			b.Fatal("empty join")
-		}
-	}
-}
-
-func BenchmarkHashAggregate(b *testing.B) {
-	rows := benchRows(8000, 200, 3)
-	aggs := []Agg{{AggSum, 2}, {AggCount, 0}, {AggMin, 2}, {AggMax, 2}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := HashAggregate(rows, []int{0}, aggs)
-		if len(out) == 0 {
-			b.Fatal("no groups")
-		}
-	}
-}
-
-func BenchmarkSortRows(b *testing.B) {
-	cases := []struct {
-		name string
-		keys []int
-	}{
-		{"int64Key", []int{0}},
-		{"stringKey", []int{1}},
-		{"multiKey", []int{0, 1, 2}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			src := benchRows(4000, 1000, 4)
-			scratch := make([]Row, len(src))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(scratch, src)
-				SortRows(scratch, c.keys)
-			}
-		})
-	}
-}
-
-func BenchmarkTopK(b *testing.B) {
-	rows := benchRows(8000, 8000, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := TopK(rows, []int{0}, 50)
-		if len(out) != 50 {
-			b.Fatal("wrong k")
-		}
-	}
-}
-
-func BenchmarkEmitByKey(b *testing.B) {
-	// PartitionByKey is EmitByKey's kernel; benchmarking it directly keeps
-	// the Store and controller out of the measurement.
-	rows := benchRows(8000, 4000, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := PartitionByKey(rows, []int{0}, 16)
-		if len(parts) != 16 {
-			b.Fatal("wrong fan-out")
-		}
-	}
-}
-
-func BenchmarkEmitByRange(b *testing.B) {
-	rows := benchRows(8000, 1<<30, 7)
-	SortRows(rows, []int{0})
-	bounds := make([]Row, 15)
-	for i := range bounds {
-		bounds[i] = rows[(i+1)*len(rows)/16]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := PartitionByRange(rows, []int{0}, bounds)
-		if len(parts) != 16 {
-			b.Fatal("wrong fan-out")
-		}
-	}
-}
-
-func BenchmarkMergeSortedRuns(b *testing.B) {
-	var runs [][]Row
-	for i := 0; i < 16; i++ {
-		run := benchRows(500, 1<<30, int64(8+i))
-		SortRows(run, []int{0})
-		runs = append(runs, run)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := MergeSortedRuns(runs, []int{0})
-		if len(out) != 16*500 {
-			b.Fatal("lost rows")
-		}
 	}
 }

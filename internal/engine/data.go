@@ -1,5 +1,6 @@
 // Package engine is Swift's real execution runtime: it runs DAG jobs on
-// actual rows, with executors as goroutines, in-memory Cache Workers
+// actual data — column batches between NewTable (rows in) and Engine.Run
+// (rows out) — with executors as goroutines, in-memory Cache Workers
 // backing the Local/Remote shuffle paths, per-task channels backing Direct
 // Shuffle, and the same controller (package core) that drives the
 // simulator making every scheduling and recovery decision. It is the
@@ -11,13 +12,11 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 )
 
-// Value is one field of a row. The engine operates on untyped values the
-// way a columnar runtime would on decoded cells; comparisons follow Compare.
+// Value is one boxed cell: what rows hold at the engine's two edges and
+// what a batch's TAny lane holds inside; comparisons follow Compare.
 type Value interface{}
 
 // Row is one record.
@@ -128,63 +127,6 @@ func CompareRows(a, b Row, keys []int) int {
 	return 0
 }
 
-// SortRows sorts rows in place by the key columns (stable). Single-key
-// sorts over a kind-homogeneous column take a typed fast path that skips
-// the per-comparison type switch of Compare.
-func SortRows(rows []Row, keys []int) {
-	if len(keys) == 1 && sortSingleKey(rows, keys[0]) {
-		return
-	}
-	slices.SortStableFunc(rows, func(a, b Row) int { return CompareRows(a, b, keys) })
-}
-
-// sortSingleKey dispatches to a typed comparator when every value in the
-// key column shares one concrete kind, reporting whether it sorted.
-func sortSingleKey(rows []Row, k int) bool {
-	if len(rows) < 2 {
-		return true
-	}
-	switch rows[0][k].(type) {
-	case int64:
-		for _, r := range rows {
-			if _, ok := r[k].(int64); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			av, bv := a[k].(int64), b[k].(int64)
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
-		})
-	case string:
-		for _, r := range rows {
-			if _, ok := r[k].(string); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			return strings.Compare(a[k].(string), b[k].(string))
-		})
-	case float64:
-		for _, r := range rows {
-			if _, ok := r[k].(float64); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			return cmpFloat(a[k].(float64), b[k].(float64))
-		})
-	default:
-		return false
-	}
-	return true
-}
-
 // FNV-1a parameters and per-kind tags. Tags keep values of different kinds
 // from trivially colliding; int64 and float64 share the number tag because
 // Compare treats them as one numeric domain.
@@ -220,75 +162,49 @@ func hashString(h uint64, s string) uint64 {
 // allocating for int64, float64, string or bool values. Numeric values are
 // normalized before hashing: a float64 that is exactly an integer hashes
 // identically to the equal int64, so mixed-kind keys that Compare as equal
-// land in the same EmitByKey partition and HashJoin/HashAggregate bucket.
+// land in the same shuffle partition and join/aggregate bucket. It is the
+// definition HashBatchInto reproduces column-at-a-time.
 func Hash(r Row, keys []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, k := range keys {
-		switch v := r[k].(type) {
-		case int64:
-			h = hashByte(h, tagNumber)
-			h = hashUint64(h, uint64(v))
-		case float64:
-			h = hashByte(h, tagNumber)
-			// Integral floats in int64 range hash as that integer; the
-			// bounds are exact float64 values (±2^63), and NaN/±Inf fail
-			// the Trunc test into the raw-bits path.
-			if v == math.Trunc(v) && v >= -9223372036854775808 && v < 9223372036854775808 {
-				h = hashUint64(h, uint64(int64(v)))
-			} else {
-				h = hashUint64(h, math.Float64bits(v))
-			}
-		case string:
-			h = hashByte(h, tagString)
-			h = hashString(h, v)
-		case bool:
-			h = hashByte(h, tagBool)
-			if v {
-				h = hashByte(h, 1)
-			} else {
-				h = hashByte(h, 0)
-			}
-		case nil:
-			// NULL hashes by its own tag so nil keys co-partition with the
-			// batch null bitmap's hashing.
-			h = hashByte(h, tagNull)
-		default:
-			h = hashByte(h, tagOther)
-			h = hashString(h, fmt.Sprintf("%v", v))
-		}
-		h ^= fnvPrime64 // column separator
+		h = hashValue(h, r[k]) ^ fnvPrime64 // xor: column separator
 	}
 	return h
 }
 
-// rowArena carves output rows from shared value blocks, replacing the
-// one-allocation-per-row cost of operators that materialise concatenated
-// or aggregated rows. Carved rows have len == cap, so appending to one
-// copies out instead of clobbering its arena neighbour. Arenas are
-// single-goroutine and never reuse carved space.
-type rowArena struct{ buf []Value }
-
-const arenaBlockValues = 4096
-
-func (a *rowArena) alloc(n int) Row {
-	if n > len(a.buf) {
-		size := arenaBlockValues
-		if n > size {
-			size = n
+// hashValue folds one key value into h. NULL hashes by its own tag, so nil
+// keys co-partition with the batch null bitmap's hashing.
+func hashValue(h uint64, v Value) uint64 {
+	switch x := v.(type) {
+	case int64:
+		return hashUint64(hashByte(h, tagNumber), uint64(x))
+	case float64:
+		return hashFloatValue(h, x)
+	case string:
+		return hashString(hashByte(h, tagString), x)
+	case bool:
+		h = hashByte(h, tagBool)
+		if x {
+			return hashByte(h, 1)
 		}
-		a.buf = make([]Value, size)
+		return hashByte(h, 0)
+	case nil:
+		return hashByte(h, tagNull)
+	default:
+		return hashString(hashByte(h, tagOther), fmt.Sprintf("%v", v))
 	}
-	r := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	return r
 }
 
-// concat carves a ++ b as one row.
-func (a *rowArena) concat(x, y Row) Row {
-	out := a.alloc(len(x) + len(y))
-	copy(out, x)
-	copy(out[len(x):], y)
-	return out
+// hashFloatValue is the numeric folding: integral floats in int64 range
+// hash as that integer, so 1.0 and int64(1) collide on purpose. The bounds
+// are exact float64 values (±2^63); NaN/±Inf fail the Trunc test into the
+// raw-bits path.
+func hashFloatValue(h uint64, v float64) uint64 {
+	h = hashByte(h, tagNumber)
+	if v == math.Trunc(v) && v >= -9223372036854775808 && v < 9223372036854775808 {
+		return hashUint64(h, uint64(int64(v)))
+	}
+	return hashUint64(h, math.Float64bits(v))
 }
 
 // Table is a named, partitioned dataset registered with the engine;
@@ -306,11 +222,13 @@ type Table struct {
 }
 
 // PartitionBatch returns the columnar view of partition i (cached; callers
-// must treat it as immutable). Out-of-range partitions return an empty
-// batch, mirroring TablePartition's nil-rows behaviour.
+// must treat it as immutable). A partition with no rows — past the end, for
+// a scan stage wider than the table, or simply empty — is a zero-row batch
+// with one column per schema entry, so a scan plan's typed reads
+// (b.Cols[k].Strs) see empty vectors.
 func (t *Table) PartitionBatch(i int) *Batch {
-	if i < 0 || i >= len(t.Partitions) {
-		return &Batch{}
+	if i < 0 || i >= len(t.Partitions) || len(t.Partitions[i]) == 0 {
+		return &Batch{Cols: make([]Column, len(t.Schema))}
 	}
 	t.batchMu.Lock()
 	defer t.batchMu.Unlock()

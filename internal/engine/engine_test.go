@@ -19,18 +19,18 @@ func wordcountJob(id string, scanTasks, aggTasks int) (*dag.Job, Plans) {
 		MustBuild()
 	plans := Plans{
 		"scan": func(ctx *TaskContext) error {
-			rows, err := ctx.TablePartition("words")
+			b, err := ctx.TablePartitionBatch("words")
 			if err != nil {
 				return err
 			}
-			return ctx.EmitByKey("count", rows, []int{0})
+			return ctx.EmitBatchByKey("count", b, []int{0})
 		},
 		"count": func(ctx *TaskContext) error {
-			rows, err := ctx.Input("scan")
+			b, err := ctx.InputBatch("scan")
 			if err != nil {
 				return err
 			}
-			ctx.Sink(HashAggregate(rows, []int{0}, []Agg{{AggCount, 0}}))
+			ctx.SinkBatch(HashAggregateBatch(b, []int{0}, []Agg{{AggCount, 0}}))
 			return nil
 		},
 	}
@@ -59,29 +59,33 @@ func counts(rows []Row) map[string]int64 {
 }
 
 func TestWordcountEndToEnd(t *testing.T) {
-	e := New(DefaultConfig())
-	defer e.Close()
-	table, want := wordsTable(5000, 6)
-	e.RegisterTable(table)
-	job, plans := wordcountJob("wc", 6, 3)
-	rows, err := e.Run(job, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := counts(rows); !reflect.DeepEqual(got, want) {
-		t.Errorf("counts = %v, want %v", got, want)
-	}
-	if e.Controller().Cluster().BusyExecutors() != 0 {
-		t.Error("executors leaked")
-	}
-	if st := e.Store().Stats(); st.Puts == 0 {
-		t.Error("no shuffle segments written")
+	// The second case scans wider than the table: tasks past the last
+	// partition read a zero-row batch with the table's layout.
+	for _, tc := range []struct{ parts, scanTasks int }{{6, 6}, {2, 5}} {
+		e := New(DefaultConfig())
+		t.Cleanup(e.Close)
+		table, want := wordsTable(5000, tc.parts)
+		e.RegisterTable(table)
+		job, plans := wordcountJob("wc", tc.scanTasks, 3)
+		rows, err := e.Run(job, plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counts(rows); !reflect.DeepEqual(got, want) {
+			t.Errorf("counts = %v, want %v", got, want)
+		}
+		if e.Controller().Cluster().BusyExecutors() != 0 {
+			t.Error("executors leaked")
+		}
+		if st := e.Store().Stats(); st.Puts == 0 {
+			t.Error("no shuffle segments written")
+		}
 	}
 }
 
 func TestSortJobProducesGloballySortedOutput(t *testing.T) {
-	// Terasort in miniature: scan+local sort, range partition, k-way
-	// merge per reducer.
+	// Terasort in miniature: scan+local sort, range partition, and per
+	// reducer a stable sort of the producer-ordered runs (their k-way merge).
 	e := New(DefaultConfig())
 	defer e.Close()
 	rng := rand.New(rand.NewSource(3))
@@ -103,26 +107,27 @@ func TestSortJobProducesGloballySortedOutput(t *testing.T) {
 		MustBuild()
 	plans := Plans{
 		"map": func(ctx *TaskContext) error {
-			rows, err := ctx.TablePartition("records")
+			b, err := ctx.TablePartitionBatch("records")
 			if err != nil {
 				return err
 			}
-			sorted := append([]Row(nil), rows...)
-			SortRows(sorted, []int{0})
-			return ctx.EmitByRange("reduce", sorted, []int{0}, bounds)
+			return ctx.EmitBatchByRange("reduce", SortBatch(b, []int{0}), []int{0}, bounds)
 		},
 		"reduce": func(ctx *TaskContext) error {
-			runs, err := ctx.InputRuns("map")
+			runs, err := ctx.InputBatchRuns("map")
 			if err != nil {
 				return err
 			}
-			merged := MergeSortedRuns(runs, []int{0})
-			// Tag with the reducer index so global order is checkable.
-			out := make([]Row, len(merged))
-			for i, r := range merged {
-				out[i] = Row{int64(ctx.Index()), r[0]}
+			if len(runs) != 5 {
+				return fmt.Errorf("reduce read %d runs, want one per map task", len(runs))
 			}
-			ctx.Sink(out)
+			merged := SortBatch(ConcatBatches(runs), []int{0})
+			// Tag with the reducer index so global order is checkable.
+			tag := make([]int64, merged.Len)
+			for i := range tag {
+				tag[i] = int64(ctx.Index())
+			}
+			ctx.SinkBatch(NewBatch(Int64Col(tag), merged.Cols[0]))
 			return nil
 		},
 	}
@@ -167,32 +172,9 @@ func TestJoinJobEndToEnd(t *testing.T) {
 		Pipeline("c", "j", 1<<20).
 		MustBuild()
 	plans := Plans{
-		"o": func(ctx *TaskContext) error {
-			rows, err := ctx.TablePartition("orders")
-			if err != nil {
-				return err
-			}
-			return ctx.EmitByKey("j", rows, []int{0})
-		},
-		"c": func(ctx *TaskContext) error {
-			rows, err := ctx.TablePartition("customers")
-			if err != nil {
-				return err
-			}
-			return ctx.EmitByKey("j", rows, []int{0})
-		},
-		"j": func(ctx *TaskContext) error {
-			left, err := ctx.Input("o")
-			if err != nil {
-				return err
-			}
-			right, err := ctx.Input("c")
-			if err != nil {
-				return err
-			}
-			ctx.Sink(Drain(NewHashJoin(right, []int{0}, NewSliceIter(left), []int{0})))
-			return nil
-		},
+		"o": scanByKey("orders", "j"),
+		"c": scanByKey("customers", "j"),
+		"j": joinSink("c", "o"),
 	}
 	rows, err := e.Run(job, plans)
 	if err != nil {
@@ -208,11 +190,40 @@ func TestJoinJobEndToEnd(t *testing.T) {
 	}
 }
 
+// scanByKey is a scan stage that hash-partitions its table partition on
+// column 0 to the consumer stage; joinSink hash-joins the two in-edges on
+// column 0 (probe columns first) and sinks the result.
+func scanByKey(table, to string) StageFn {
+	return func(ctx *TaskContext) error {
+		b, err := ctx.TablePartitionBatch(table)
+		if err != nil {
+			return err
+		}
+		return ctx.EmitBatchByKey(to, b, []int{0})
+	}
+}
+
+func joinSink(build, probe string) StageFn {
+	return func(ctx *TaskContext) error {
+		left, err := ctx.InputBatch(probe)
+		if err != nil {
+			return err
+		}
+		right, err := ctx.InputBatch(build)
+		if err != nil {
+			return err
+		}
+		ctx.SinkBatch(HashJoinBatch(right, []int{0}, left, []int{0}))
+		return nil
+	}
+}
+
 // TestEmitByKeyMixedNumericJoin is the regression test for numeric key
-// normalization in Hash: an int64 key column shuffled through EmitByKey
-// must co-locate with the equal float64 keys of the other side, or the
-// distributed join silently drops matches (the pre-rewrite Hash formatted
-// floats via fmt and partitioned int64(3) away from float64(3)).
+// normalization in the hash: an int64 key column shuffled through
+// EmitBatchByKey must co-locate with the equal float64 keys of the other
+// side, or the distributed join silently drops matches (the pre-rewrite
+// Hash formatted floats via fmt and partitioned int64(3) away from
+// float64(3)).
 func TestEmitByKeyMixedNumericJoin(t *testing.T) {
 	e := New(DefaultConfig())
 	defer e.Close()
@@ -232,30 +243,10 @@ func TestEmitByKeyMixedNumericJoin(t *testing.T) {
 		Pipeline("a", "j", 1<<20).
 		Pipeline("b", "j", 1<<20).
 		MustBuild()
-	scan := func(table, to string) StageFn {
-		return func(ctx *TaskContext) error {
-			rows, err := ctx.TablePartition(table)
-			if err != nil {
-				return err
-			}
-			return ctx.EmitByKey(to, rows, []int{0})
-		}
-	}
 	plans := Plans{
-		"a": scan("ints", "j"),
-		"b": scan("floats", "j"),
-		"j": func(ctx *TaskContext) error {
-			left, err := ctx.Input("a")
-			if err != nil {
-				return err
-			}
-			right, err := ctx.Input("b")
-			if err != nil {
-				return err
-			}
-			ctx.Sink(Drain(NewHashJoin(right, []int{0}, NewSliceIter(left), []int{0})))
-			return nil
-		},
+		"a": scanByKey("ints", "j"),
+		"b": scanByKey("floats", "j"),
+		"j": joinSink("b", "a"),
 	}
 	rows, err := e.Run(job, plans)
 	if err != nil {
@@ -314,7 +305,7 @@ func TestAppErrorFailsJobWithoutRetry(t *testing.T) {
 	e.RegisterTable(table)
 	job, plans := wordcountJob("wc-app", 2, 1)
 	plans["scan"] = func(ctx *TaskContext) error {
-		if _, err := ctx.TablePartition("missing_table"); err != nil {
+		if _, err := ctx.TablePartitionBatch("missing_table"); err != nil {
 			return err
 		}
 		return nil
@@ -403,40 +394,40 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestStoreBlockingAndDrop(t *testing.T) {
 	s := NewStore(2, 0)
-	done := make(chan []Row, 1)
+	done := make(chan *Batch, 1)
 	go func() {
-		rows, ok := s.Get("k", nil)
+		b, ok := s.GetBatch("k", nil)
 		if ok {
-			done <- rows
+			done <- b
 		}
 	}()
 	time.Sleep(5 * time.Millisecond)
-	if err := s.Put("j", 0, "k", []Row{{int64(1)}}); err != nil {
+	if err := s.PutBatch("j", 0, "k", NewBatch(Int64Col([]int64{1}))); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case rows := <-done:
-		if len(rows) != 1 {
-			t.Errorf("rows = %v", rows)
+	case b := <-done:
+		if b.Len != 1 {
+			t.Errorf("rows = %v", b.Rows())
 		}
 	case <-time.After(time.Second):
 		t.Fatal("blocked reader never woke")
 	}
 	// Aborted waits return !ok.
 	aborted := func() bool { return true }
-	if _, ok := s.Get("absent", aborted); ok {
+	if _, ok := s.GetBatch("absent", aborted); ok {
 		t.Error("aborted get succeeded")
 	}
 	// Re-put replaces (recovery path).
-	if err := s.Put("j", 1, "k", []Row{{int64(2)}, {int64(3)}}); err != nil {
+	if err := s.PutBatch("j", 1, "k", NewBatch(Int64Col([]int64{2, 3}))); err != nil {
 		t.Fatal(err)
 	}
-	rows, ok := s.Get("k", nil)
-	if !ok || len(rows) != 2 {
-		t.Errorf("after re-put: %v %v", rows, ok)
+	b, ok := s.GetBatch("k", nil)
+	if !ok || b.Len != 2 {
+		t.Errorf("after re-put: %v %v", b.Rows(), ok)
 	}
 	s.DropJob("j")
-	if _, ok := s.Get("k", aborted); ok {
+	if _, ok := s.GetBatch("k", aborted); ok {
 		t.Error("segment survived DropJob")
 	}
 }

@@ -1,233 +1,7 @@
 package engine
 
-import "slices"
-
-// Iter is the engine's row stream: Next returns the next row and whether
-// one was produced. Operators compose Iters the volcano way.
-type Iter interface {
-	Next() (Row, bool)
-}
-
-// SliceIter iterates a row slice.
-type SliceIter struct {
-	rows []Row
-	i    int
-}
-
-// NewSliceIter wraps rows.
-func NewSliceIter(rows []Row) *SliceIter { return &SliceIter{rows: rows} }
-
-// Next implements Iter.
-func (s *SliceIter) Next() (Row, bool) {
-	if s.i >= len(s.rows) {
-		return nil, false
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, true
-}
-
-// Drain collects an iterator into a slice.
-func Drain(it Iter) []Row {
-	var out []Row
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// Filter yields rows satisfying pred.
-type Filter struct {
-	In   Iter
-	Pred func(Row) bool
-}
-
-// Next implements Iter.
-func (f *Filter) Next() (Row, bool) {
-	for {
-		r, ok := f.In.Next()
-		if !ok {
-			return nil, false
-		}
-		if f.Pred(r) {
-			return r, true
-		}
-	}
-}
-
-// Project maps each row through Fn.
-type Project struct {
-	In Iter
-	Fn func(Row) Row
-}
-
-// Next implements Iter.
-func (p *Project) Next() (Row, bool) {
-	r, ok := p.In.Next()
-	if !ok {
-		return nil, false
-	}
-	return p.Fn(r), true
-}
-
-// Limit yields at most N rows.
-type Limit struct {
-	In Iter
-	N  int
-}
-
-// Next implements Iter.
-func (l *Limit) Next() (Row, bool) {
-	if l.N <= 0 {
-		return nil, false
-	}
-	r, ok := l.In.Next()
-	if !ok {
-		return nil, false
-	}
-	l.N--
-	return r, true
-}
-
-// HashJoin joins a build side (fully materialised) against a probe stream
-// on equal keys, emitting probe-row ++ build-row concatenations (inner
-// join). Buckets are probed in place with a cursor — no per-probe-row
-// bucket copy — and output rows are carved from an arena.
-type HashJoin struct {
-	probe     Iter
-	probeKeys []int
-	table     map[uint64][]Row
-	buildKeys []int
-	// bucket/cursor walk the current probe row's candidate bucket.
-	bucket  []Row
-	cursor  int
-	current Row
-	arena   rowArena
-}
-
-// NewHashJoin builds the hash table from build rows in two passes: count
-// per hash, then carve exact-size buckets out of one backing slice, so the
-// build side costs O(distinct keys) allocations instead of O(rows).
-func NewHashJoin(build []Row, buildKeys []int, probe Iter, probeKeys []int) *HashJoin {
-	hashes := make([]uint64, len(build))
-	counts := make(map[uint64]int32, len(build))
-	for i, r := range build {
-		h := Hash(r, buildKeys)
-		hashes[i] = h
-		counts[h]++
-	}
-	backing := make([]Row, len(build))
-	t := make(map[uint64][]Row, len(counts))
-	off := int32(0)
-	for h, c := range counts {
-		t[h] = backing[off : off : off+c]
-		off += c
-	}
-	for i, r := range build {
-		h := hashes[i]
-		t[h] = append(t[h], r)
-	}
-	return &HashJoin{probe: probe, probeKeys: probeKeys, table: t, buildKeys: buildKeys}
-}
-
-// Next implements Iter.
-func (j *HashJoin) Next() (Row, bool) {
-	for {
-		for j.cursor < len(j.bucket) {
-			b := j.bucket[j.cursor]
-			j.cursor++
-			if keysEqual(j.current, j.probeKeys, b, j.buildKeys) {
-				return j.arena.concat(j.current, b), true
-			}
-		}
-		r, ok := j.probe.Next()
-		if !ok {
-			return nil, false
-		}
-		j.current = r
-		j.bucket = j.table[Hash(r, j.probeKeys)]
-		j.cursor = 0
-	}
-}
-
-func keysEqual(a Row, ak []int, b Row, bk []int) bool {
-	for i := range ak {
-		if Compare(a[ak[i]], b[bk[i]]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeJoin joins two key-sorted inputs on equal keys (inner join),
-// emitting left ++ right. Both inputs must be sorted ascending by their
-// key columns.
-type MergeJoin struct {
-	left, right         []Row
-	leftKeys, rightKeys []int
-	li, ri              int
-	pendLeft, pendRight []Row
-	pi, pj              int
-	arena               rowArena
-}
-
-// NewMergeJoin creates a merge join over sorted inputs.
-func NewMergeJoin(left []Row, leftKeys []int, right []Row, rightKeys []int) *MergeJoin {
-	return &MergeJoin{left: left, right: right, leftKeys: leftKeys, rightKeys: rightKeys}
-}
-
-// Next implements Iter.
-func (m *MergeJoin) Next() (Row, bool) {
-	for {
-		if m.pi < len(m.pendLeft) {
-			l := m.pendLeft[m.pi]
-			r := m.pendRight[m.pj]
-			m.pj++
-			if m.pj >= len(m.pendRight) {
-				m.pj = 0
-				m.pi++
-			}
-			return m.arena.concat(l, r), true
-		}
-		if m.li >= len(m.left) || m.ri >= len(m.right) {
-			return nil, false
-		}
-		c := compareKeys(m.left[m.li], m.leftKeys, m.right[m.ri], m.rightKeys)
-		switch {
-		case c < 0:
-			m.li++
-		case c > 0:
-			m.ri++
-		default:
-			// Gather the equal-key groups on both sides.
-			ls, rs := m.li, m.ri
-			for m.li < len(m.left) && compareKeys(m.left[m.li], m.leftKeys, m.right[rs], m.rightKeys) == 0 {
-				m.li++
-			}
-			for m.ri < len(m.right) && compareKeys(m.left[ls], m.leftKeys, m.right[m.ri], m.rightKeys) == 0 {
-				m.ri++
-			}
-			m.pendLeft = m.left[ls:m.li]
-			m.pendRight = m.right[rs:m.ri]
-			m.pi, m.pj = 0, 0
-		}
-	}
-}
-
-func compareKeys(a Row, ak []int, b Row, bk []int) int {
-	for i := range ak {
-		if c := Compare(a[ak[i]], b[bk[i]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// Agg is one aggregate specification for HashAggregate: it folds input
-// rows' Col into an accumulator.
+// Agg is one aggregate specification for HashAggregateBatch: it folds the
+// input's column Col into one accumulator per group.
 type Agg struct {
 	Kind AggKind
 	Col  int
@@ -244,20 +18,11 @@ const (
 	AggMax
 )
 
-// groupKeyEqual reports whether a stored group key tuple equals r's key
-// columns (key[i] corresponds to r[keys[i]]).
-func groupKeyEqual(key, r Row, keys []int) bool {
-	for i, k := range keys {
-		if Compare(key[i], r[k]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// accCell is one (group, aggregate) accumulator. Sum/Count state is held
-// unboxed so folding a numeric stream does not re-box a Value per row;
-// boxing happens once per group at emit time.
+// accCell is one (group, aggregate) accumulator over boxed values: the
+// aggregate kernel's lane for TAny and bool columns, and the whole of the
+// row reference aggregates (oracle_test.go), which is what keeps the two in
+// step on mixed-kind sums. Sum/Count state is held unboxed; boxing happens
+// once per group at emit time.
 type accCell struct {
 	i    int64   // integer sum / count
 	f    float64 // float sum once the stream turns float
@@ -324,282 +89,10 @@ func (c *accCell) value(kind AggKind) Value {
 	return c.v
 }
 
-// HashAggregate groups rows by key columns and computes the aggregates,
-// emitting key values followed by aggregate values. Output order is
-// deterministic (sorted by key). Groups live in a flat table — key tuples
-// carved from an arena, accumulators in one contiguous slice, hash
-// collisions chained through an index slice — so the cost is O(groups)
-// allocations, not O(rows).
-func HashAggregate(rows []Row, keys []int, aggs []Agg) []Row {
-	nk, na := len(keys), len(aggs)
-	var arena rowArena
-	head := make(map[uint64]int32, 64) // hash -> first group id
-	var (
-		groupKeys []Row
-		accs      []accCell // group g's accumulators at accs[g*na : (g+1)*na]
-		next      []int32   // collision chain: next group id with same hash, -1 ends
-	)
-	for _, r := range rows {
-		h := Hash(r, keys)
-		first, seen := head[h]
-		gid := int32(-1)
-		if seen {
-			for g := first; g >= 0; g = next[g] {
-				if groupKeyEqual(groupKeys[g], r, keys) {
-					gid = g
-					break
-				}
-			}
-		}
-		if gid < 0 {
-			key := arena.alloc(nk)
-			for i, k := range keys {
-				key[i] = r[k]
-			}
-			gid = int32(len(groupKeys))
-			groupKeys = append(groupKeys, key)
-			for i := 0; i < na; i++ {
-				accs = append(accs, accCell{})
-			}
-			if seen {
-				next = append(next, first)
-			} else {
-				next = append(next, -1)
-			}
-			head[h] = gid
-		}
-		base := int(gid) * na
-		for i, a := range aggs {
-			accs[base+i].fold(a.Kind, r[a.Col])
-		}
-	}
-	if len(groupKeys) == 0 {
-		return nil
-	}
-	out := make([]Row, len(groupKeys))
-	for g, key := range groupKeys {
-		row := arena.alloc(nk + na)
-		copy(row, key)
-		base := g * na
-		for i, a := range aggs {
-			row[nk+i] = accs[base+i].value(a.Kind)
-		}
-		out[g] = row
-	}
-	SortRows(out, identity(nk))
-	return out
-}
-
 func identity(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-// StreamedAggregate aggregates key-sorted input in one pass (the paper's
-// sort-aggregate operator): rows must arrive sorted by the key columns.
-// The current group's key columns are compared in place and accumulators
-// are unboxed cells, so steady-state rows cost zero allocations.
-func StreamedAggregate(in Iter, keys []int, aggs []Agg) []Row {
-	var out []Row
-	var arena rowArena
-	var curKey Row
-	started := false
-	accs := make([]accCell, len(aggs))
-	flush := func() {
-		if !started {
-			return
-		}
-		row := arena.alloc(len(curKey) + len(accs))
-		copy(row, curKey)
-		for i, a := range aggs {
-			row[len(curKey)+i] = accs[i].value(a.Kind)
-		}
-		out = append(out, row)
-	}
-	for {
-		r, ok := in.Next()
-		if !ok {
-			break
-		}
-		if !started || !groupKeyEqual(curKey, r, keys) {
-			flush()
-			started = true
-			curKey = arena.alloc(len(keys))
-			for i, k := range keys {
-				curKey[i] = r[k]
-			}
-			for i := range accs {
-				accs[i] = accCell{}
-			}
-		}
-		for i, a := range aggs {
-			accs[i].fold(a.Kind, r[a.Col])
-		}
-	}
-	flush()
-	return out
-}
-
-// MergeSortedRuns k-way merges pre-sorted runs into one sorted slice (the
-// MergeSort operator of a reduce task over sorted map outputs). Small fan-
-// ins use a linear scan; larger ones a cursor heap, keeping the merge
-// O(total·log runs). Ties pop from the earliest run, matching the stable
-// order a single sort of the concatenation would produce.
-func MergeSortedRuns(runs [][]Row, keys []int) []Row {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]Row, 0, total)
-	if len(runs) <= 4 {
-		idx := make([]int, len(runs))
-		for len(out) < total {
-			best := -1
-			for i, r := range runs {
-				if idx[i] >= len(r) {
-					continue
-				}
-				if best < 0 || CompareRows(r[idx[i]], runs[best][idx[best]], keys) < 0 {
-					best = i
-				}
-			}
-			out = append(out, runs[best][idx[best]])
-			idx[best]++
-		}
-		return out
-	}
-
-	type cursor struct{ run, pos int }
-	before := func(a, b cursor) bool {
-		if c := CompareRows(runs[a.run][a.pos], runs[b.run][b.pos], keys); c != 0 {
-			return c < 0
-		}
-		return a.run < b.run
-	}
-	h := make([]cursor, 0, len(runs))
-	var siftDown func(i int)
-	siftDown = func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			m := l
-			if r := l + 1; r < len(h) && before(h[r], h[l]) {
-				m = r
-			}
-			if !before(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i, r := range runs {
-		if len(r) > 0 {
-			h = append(h, cursor{run: i})
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		c := h[0]
-		out = append(out, runs[c.run][c.pos])
-		c.pos++
-		if c.pos < len(runs[c.run]) {
-			h[0] = c
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-	}
-	return out
-}
-
-// TopK keeps the k smallest rows under the key ordering (order by +
-// limit), stable: ties resolve to the earlier input row.
-func TopK(rows []Row, keys []int, k int) []Row {
-	return topKBy(rows, k, func(a, b Row) int { return CompareRows(a, b, keys) })
-}
-
-// TopKDesc keeps the k largest rows under the key ordering (order by ...
-// desc + limit), stable like TopK.
-func TopKDesc(rows []Row, keys []int, k int) []Row {
-	return topKBy(rows, k, func(a, b Row) int { return -CompareRows(a, b, keys) })
-}
-
-// topKBy selects the k first rows of the cmp ordering with a bounded
-// max-heap — O(n log k) instead of copy + full sort — whose root is the
-// worst row currently kept.
-func topKBy(rows []Row, k int, cmp func(a, b Row) int) []Row {
-	if k <= 0 {
-		return nil
-	}
-	if k >= len(rows) {
-		out := append([]Row(nil), rows...)
-		slices.SortStableFunc(out, cmp)
-		return out
-	}
-	type item struct {
-		row Row
-		idx int // input position: the tie-break that keeps the result stable
-	}
-	after := func(a, b item) bool {
-		if c := cmp(a.row, b.row); c != 0 {
-			return c > 0
-		}
-		return a.idx > b.idx
-	}
-	h := make([]item, 0, k)
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			m := l
-			if r := l + 1; r < len(h) && after(h[r], h[l]) {
-				m = r
-			}
-			if !after(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i, r := range rows {
-		it := item{row: r, idx: i}
-		if len(h) < k {
-			h = append(h, it)
-			// Sift up.
-			for j := len(h) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !after(h[j], h[p]) {
-					break
-				}
-				h[j], h[p] = h[p], h[j]
-				j = p
-			}
-		} else if after(h[0], it) {
-			h[0] = it
-			siftDown(0)
-		}
-	}
-	slices.SortFunc(h, func(a, b item) int {
-		if c := cmp(a.row, b.row); c != 0 {
-			return c
-		}
-		return a.idx - b.idx
-	})
-	out := make([]Row, len(h))
-	for i, it := range h {
-		out[i] = it.row
 	}
 	return out
 }

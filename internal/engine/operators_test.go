@@ -62,21 +62,6 @@ func TestSchemaCol(t *testing.T) {
 	s.MustCol("z")
 }
 
-func TestFilterProjectLimit(t *testing.T) {
-	rows := []Row{intRow(1), intRow(2), intRow(3), intRow(4)}
-	it := &Limit{N: 2, In: &Project{
-		Fn: func(r Row) Row { return Row{r[0].(int64) * 10} },
-		In: &Filter{Pred: func(r Row) bool { return r[0].(int64)%2 == 0 }, In: NewSliceIter(rows)},
-	}}
-	got := Drain(it)
-	if len(got) != 2 || got[0][0] != int64(20) || got[1][0] != int64(40) {
-		t.Errorf("got %v", got)
-	}
-	if r, ok := it.Next(); ok {
-		t.Errorf("limit exceeded: %v", r)
-	}
-}
-
 func TestHashJoin(t *testing.T) {
 	build := []Row{{int64(1), "a"}, {int64(2), "b"}, {int64(2), "c"}}
 	probe := []Row{{int64(2), "x"}, {int64(3), "y"}, {int64(1), "z"}}
@@ -453,6 +438,14 @@ func TestNewTablePartitioning(t *testing.T) {
 	tab2 := NewTable("t2", Schema{"x"}, rows, 0)
 	if len(tab2.Partitions) != 1 {
 		t.Error("zero parts should clamp to 1")
+	}
+	// Partitions without rows — past the end, or empty — keep the schema's
+	// column layout.
+	sparse := NewTable("t3", Schema{"x", "y"}, rows[:1], 2)
+	for _, i := range []int{1, 2, -1} {
+		if b := sparse.PartitionBatch(i); b.Len != 0 || b.NumCols() != 2 {
+			t.Errorf("partition %d = %dx%d, want 0x2", i, b.Len, b.NumCols())
+		}
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 // Section III-B ("after the destination Cache Worker receives the desired
 // shuffle data, the reader tasks are notified").
 //
-// Segments are columnar: every payload is a Batch, whatever API wrote it.
-// Rows arriving through the row adapter (Put) are converted once at write
-// time and the original rows kept as the cached row view, so row-plan
-// readers see the very slices their producer emitted. Byte accounting uses
-// the column codec's exact encoded size (EncodedBatchSize) — the same
-// number the wire transfer pays — not a per-row estimate.
+// Every segment payload is one Batch — the only representation the store
+// holds. Byte accounting uses the column codec's exact encoded size
+// (EncodedBatchSize) — the same number the wire transfer pays — not a
+// per-row estimate.
 //
 // Segments are retained until the whole job completes rather than being
 // freed at first consumption, so fine-grained recovery can re-read them;
@@ -31,15 +29,8 @@ type Store struct {
 	cond    *sync.Cond
 	workers []*shuffle.CacheWorker // per machine
 	home    map[string]int         // segment key -> machine
-	segs    map[string]*storedSeg  // segment payloads
+	segs    map[string]*Batch      // segment payloads
 	jobKeys map[string][]string
-}
-
-// storedSeg is one resident segment: the authoritative batch plus a lazily
-// materialised (or producer-provided) row view.
-type storedSeg struct {
-	batch *Batch
-	rows  []Row
 }
 
 // NewStore creates a store with one Cache Worker per machine; capacity is
@@ -47,7 +38,7 @@ type storedSeg struct {
 func NewStore(machines int, capacity int64) *Store {
 	s := &Store{
 		home:    make(map[string]int),
-		segs:    make(map[string]*storedSeg),
+		segs:    make(map[string]*Batch),
 		jobKeys: make(map[string][]string),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -68,7 +59,7 @@ func (s *Store) SetStatsSink(prefix string, sink shuffle.StatsSink) {
 	}
 }
 
-// SegmentKey names one shuffle partition: the rows produced by task
+// SegmentKey names one shuffle partition: the batch produced by task
 // `producer` of edge from->to destined for consumer task `part`. Built by
 // appending rather than fmt — every shuffle read and write forms one.
 func SegmentKey(job, from, to string, producer, part int) string {
@@ -85,29 +76,18 @@ func SegmentKey(job, from, to string, producer, part int) string {
 	return string(b)
 }
 
-// Put stores a row segment (the row-adapter write path): rows convert to a
-// batch once here, and the batch's exact encoded size is what the Cache
-// Worker accounts. Replaces any previous attempt's segment (failure
-// recovery re-writes).
-func (s *Store) Put(job string, machine int, key string, rows []Row) error {
-	return s.put(job, machine, key, &storedSeg{batch: BatchFromRows(rows), rows: rows})
-}
-
-// PutBatch stores a batch segment — the native write path of batch plans;
-// no row materialisation happens unless a row-API consumer reads it.
+// PutBatch stores a segment (nil is an empty one), replacing any previous
+// attempt's (failure recovery re-writes). The Cache Worker accounts the
+// batch's exact encoded size.
 func (s *Store) PutBatch(job string, machine int, key string, b *Batch) error {
 	if b == nil {
 		b = &Batch{}
 	}
-	return s.put(job, machine, key, &storedSeg{batch: b})
-}
-
-func (s *Store) put(job string, machine int, key string, seg *storedSeg) error {
 	// Storage boundary: lazy views materialise and low-cardinality string
 	// columns dictionary-encode here, so resident segments are dense and
 	// the accounted size matches the (dictified) wire encoding.
-	seg.batch = DictifyBatch(seg.batch)
-	size := int64(EncodedBatchSize(seg.batch)) // exact wire bytes, computed outside the lock
+	b = DictifyBatch(b)
+	size := int64(EncodedBatchSize(b)) // exact wire bytes, computed outside the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.home[key]; ok {
@@ -122,46 +102,23 @@ func (s *Store) put(job string, machine int, key string, seg *storedSeg) error {
 		return err
 	}
 	s.home[key] = machine % len(s.workers)
-	s.segs[key] = seg
+	s.segs[key] = b
 	s.cond.Broadcast()
 	return nil
 }
 
-// Get blocks until the segment exists (or abort closes), then returns its
-// row view (materialised from the batch on first row read, cached after).
-// ok is false if the wait was aborted.
-func (s *Store) Get(key string, aborted func() bool) (rows []Row, ok bool) {
-	seg, ok := s.wait(key, aborted, true)
-	if !ok {
-		return nil, false
-	}
-	return seg.rows, true
-}
-
-// GetBatch is Get for batch consumers: no row materialisation.
+// GetBatch blocks until the segment exists, then returns it (shared;
+// callers must not mutate it). It returns false if aborted reported true
+// while waiting.
 func (s *Store) GetBatch(key string, aborted func() bool) (*Batch, bool) {
-	seg, ok := s.wait(key, aborted, false)
-	if !ok {
-		return nil, false
-	}
-	return seg.batch, true
-}
-
-// wait blocks until the key exists or the wait aborts. When materialiseRows
-// is set, the segment's row view is built (once, under the lock) before the
-// segment is returned, so concurrent readers never race on the cache.
-func (s *Store) wait(key string, aborted func() bool, materialiseRows bool) (*storedSeg, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if seg, exists := s.segs[key]; exists {
+		if b, exists := s.segs[key]; exists {
 			if m, ok2 := s.home[key]; ok2 {
 				s.workers[m].Get(key) // touch LRU / reload accounting
 			}
-			if materialiseRows && seg.rows == nil && seg.batch.Len > 0 {
-				seg.rows = seg.batch.Rows()
-			}
-			return seg, true
+			return b, true
 		}
 		if aborted != nil && aborted() {
 			return nil, false

@@ -6,9 +6,10 @@ import (
 )
 
 // TestStoreUsedBytesZeroAfterDropJob pins the byte-accounting invariant:
-// whatever mix of write paths a job takes — row puts, batch puts, re-puts
-// from recovery, LRU spill under pressure — CacheStats.UsedBytes returns
-// to zero once DropJob releases the job's segments.
+// whatever a job writes — batches converted from rows at the edge, native
+// batches, nil, re-puts from recovery, LRU spill under pressure —
+// CacheStats.UsedBytes returns to zero once DropJob releases the job's
+// segments.
 func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	rows := randRows(r, 100)
@@ -16,7 +17,7 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 
 	t.Run("row and batch puts", func(t *testing.T) {
 		s := NewStore(3, 0)
-		if err := s.Put("job", 0, "k-rows", rows); err != nil {
+		if err := s.PutBatch("job", 0, "k-rows", BatchFromRows(rows)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.PutBatch("job", 1, "k-batch", batch); err != nil {
@@ -45,7 +46,7 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 		s := NewStore(2, 0)
 		for attempt := 0; attempt < 5; attempt++ {
 			// Recovery re-writes the same key, alternating machines.
-			if err := s.Put("job", attempt, "k", rows); err != nil {
+			if err := s.PutBatch("job", attempt, "k", BatchFromRows(rows)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,7 +65,7 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 		s := NewStore(1, 64)
 		for i := 0; i < 8; i++ {
 			key := SegmentKey("job", "a", "b", i, 0)
-			if err := s.Put("job", 0, key, rows[:10+i]); err != nil {
+			if err := s.PutBatch("job", 0, key, BatchFromRows(rows[:10+i])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -72,7 +73,7 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 			t.Fatal("expected spills under a 64-byte budget")
 		}
 		// Reads load spilled segments back in (and may evict others).
-		if _, ok := s.Get(SegmentKey("job", "a", "b", 0, 0), nil); !ok {
+		if _, ok := s.GetBatch(SegmentKey("job", "a", "b", 0, 0), nil); !ok {
 			t.Fatal("segment lost")
 		}
 		s.DropJob("job")
@@ -98,38 +99,4 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 			t.Fatalf("UsedBytes = %d after DropJob", used)
 		}
 	})
-}
-
-// TestStoreRowAndBatchViewsAgree pins the adapter seam: a segment written
-// as rows reads back identically through both APIs, and vice versa.
-func TestStoreRowAndBatchViewsAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	rows := randRows(r, 64)
-	s := NewStore(1, 0)
-	if err := s.Put("job", 0, "k1", rows); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Get("k1", nil); !ok {
-		t.Fatal("k1 lost")
-	} else {
-		rowsEqual(t, "row view", got, rows)
-	}
-	b, ok := s.GetBatch("k1", nil)
-	if !ok {
-		t.Fatal("k1 batch lost")
-	}
-	rowsEqual(t, "batch view", b.Rows(), rows)
-
-	if err := s.PutBatch("job", 0, "k2", b); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Get("k2", nil); !ok {
-		t.Fatal("k2 lost")
-	} else {
-		rowsEqual(t, "batch write, row read", got, rows)
-	}
-	s.DropJob("job")
-	if used := s.Stats().UsedBytes; used != 0 {
-		t.Fatalf("UsedBytes = %d after DropJob", used)
-	}
 }

@@ -2,13 +2,13 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"swift/internal/core"
 )
 
 // TaskContext is the API a StageFn uses to read its inputs, emit shuffle
-// output and deliver sink results. All methods are safe for the single
+// output and deliver sink results — all as column batches; rows exist only
+// before NewTable and after Engine.Run. All methods are safe for the single
 // task goroutine that owns the context.
 type TaskContext struct {
 	engine  *Engine
@@ -46,169 +46,8 @@ func (c *TaskContext) Aborted() bool {
 	}
 }
 
-// TablePartition returns this task's partition of a registered table
-// (scan stages).
-func (c *TaskContext) TablePartition(name string) ([]Row, error) {
-	c.engine.mu.Lock()
-	t := c.engine.tables[name]
-	c.engine.mu.Unlock()
-	if t == nil {
-		return nil, &AppError{Msg: fmt.Sprintf("table %q does not exist", name)}
-	}
-	if c.ref.Index >= len(t.Partitions) {
-		return nil, nil
-	}
-	return t.Partitions[c.ref.Index], nil
-}
-
-// Input blocks until every producer task of the in-edge from `from` has
-// written this task's partition, then returns the concatenated rows in
-// producer-task order. It returns ErrInjected if the attempt is aborted
-// while waiting.
-func (c *TaskContext) Input(from string) ([]Row, error) {
-	runs, err := c.InputRuns(from)
-	if err != nil {
-		return nil, err
-	}
-	var out []Row
-	for _, r := range runs {
-		out = append(out, r...)
-	}
-	return out, nil
-}
-
-// InputRuns is Input preserving per-producer runs (a MergeSort consumer
-// k-way merges pre-sorted runs).
-func (c *TaskContext) InputRuns(from string) ([][]Row, error) {
-	producers := c.js.job.Stage(from).Tasks
-	runs := make([][]Row, producers)
-	for p := 0; p < producers; p++ {
-		key := SegmentKey(c.js.job.ID, from, c.ref.Stage, p, c.ref.Index)
-		rows, ok := c.engine.store.Get(key, c.Aborted)
-		if !ok {
-			return nil, ErrInjected
-		}
-		runs[p] = rows
-	}
-	return runs, nil
-}
-
-// EmitPartitioned writes this task's output for the edge to `to`, one row
-// slice per consumer task, into the local machine's Cache Worker.
-func (c *TaskContext) EmitPartitioned(to string, parts [][]Row) error {
-	n := c.ConsumerTasks(to)
-	if len(parts) != n {
-		return fmt.Errorf("engine: %s->%s: %d partitions for %d consumers", c.ref.Stage, to, len(parts), n)
-	}
-	for i, rows := range parts {
-		key := SegmentKey(c.js.job.ID, c.ref.Stage, to, c.ref.Index, i)
-		if err := c.engine.store.Put(c.js.job.ID, c.machine, key, rows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EmitByKey hash-partitions rows by the key columns across the consumer
-// stage's tasks and writes them out.
-func (c *TaskContext) EmitByKey(to string, rows []Row, keys []int) error {
-	return c.EmitPartitioned(to, PartitionByKey(rows, keys, c.ConsumerTasks(to)))
-}
-
-// PartitionByKey hash-partitions rows into n buckets by the key columns —
-// the shuffle-write kernel behind EmitByKey. It runs two passes (count,
-// then place into exact-size buckets carved from one backing slice), so a
-// whole shuffle write costs a constant number of allocations instead of
-// O(n·log rows) append growth. Partitions may alias the input slice;
-// callers must not mutate rows afterwards.
-func PartitionByKey(rows []Row, keys []int, n int) [][]Row {
-	if n <= 1 {
-		return [][]Row{rows}
-	}
-	pidx := make([]uint32, len(rows))
-	counts := make([]int, n)
-	for i, r := range rows {
-		p := uint32(Hash(r, keys) % uint64(n))
-		pidx[i] = p
-		counts[p]++
-	}
-	return scatter(rows, pidx, counts)
-}
-
-// scatter places rows into exact-size partitions (partition of row i is
-// pidx[i], sized by counts) carved from one backing slice.
-func scatter(rows []Row, pidx []uint32, counts []int) [][]Row {
-	backing := make([]Row, len(rows))
-	parts := make([][]Row, len(counts))
-	off := 0
-	for p, c := range counts {
-		parts[p] = backing[off : off : off+c]
-		off += c
-	}
-	for i, r := range rows {
-		p := pidx[i]
-		parts[p] = append(parts[p], r)
-	}
-	return parts
-}
-
-// EmitByRange range-partitions key-sorted rows into contiguous consumer
-// partitions by sampling bounds — the Terasort layout where reduce i
-// receives keys below reduce i+1's.
-func (c *TaskContext) EmitByRange(to string, rows []Row, keys []int, bounds []Row) error {
-	n := c.ConsumerTasks(to)
-	if len(bounds) != n-1 {
-		return fmt.Errorf("engine: need %d bounds, got %d", n-1, len(bounds))
-	}
-	return c.EmitPartitioned(to, PartitionByRange(rows, keys, bounds))
-}
-
-// PartitionByRange splits rows into len(bounds)+1 contiguous partitions:
-// partition i holds rows below bounds[i] (and the last holds the rest).
-// Two-pass like PartitionByKey; partitions may alias the input slice.
-func PartitionByRange(rows []Row, keys []int, bounds []Row) [][]Row {
-	if len(bounds) == 0 {
-		return [][]Row{rows}
-	}
-	pidx := make([]uint32, len(rows))
-	counts := make([]int, len(bounds)+1)
-	for i, r := range rows {
-		p := uint32(sort.Search(len(bounds), func(i int) bool {
-			return CompareRows(r, bounds[i], keys) < 0
-		}))
-		pidx[i] = p
-		counts[p]++
-	}
-	return scatter(rows, pidx, counts)
-}
-
-// Broadcast replicates rows to every consumer task (small build sides).
-func (c *TaskContext) Broadcast(to string, rows []Row) error {
-	n := c.ConsumerTasks(to)
-	parts := make([][]Row, n)
-	for i := range parts {
-		parts[i] = rows
-	}
-	return c.EmitPartitioned(to, parts)
-}
-
-// Sink buffers rows for the job's final result set (terminal stages). The
-// buffer is committed atomically when the attempt completes, giving
-// exactly-once sink semantics under failure recovery.
-func (c *TaskContext) Sink(rows []Row) {
-	c.sink = append(c.sink, rows...)
-}
-
-// ---- batch-native task API ----
-//
-// These are the columnar counterparts of the row methods above. A batch
-// plan reads TablePartitionBatch/InputBatch and writes EmitBatch*, so its
-// data never passes through []Row; the row methods remain as the adapter
-// for Plans written against rows (both views of a segment are the same
-// stored batch).
-
 // TablePartitionBatch returns this task's partition of a registered table
-// as a (cached) column batch.
+// (scan stages) as a cached column batch the caller must not mutate.
 func (c *TaskContext) TablePartitionBatch(name string) (*Batch, error) {
 	c.engine.mu.Lock()
 	t := c.engine.tables[name]
@@ -219,8 +58,10 @@ func (c *TaskContext) TablePartitionBatch(name string) (*Batch, error) {
 	return t.PartitionBatch(c.ref.Index), nil
 }
 
-// InputBatch blocks like Input and returns every producer's partition
-// concatenated into one batch.
+// InputBatch blocks until every producer task of the in-edge from `from`
+// has written this task's partition, then returns the partitions
+// concatenated in producer-task order. It returns ErrInjected if the
+// attempt is aborted while waiting.
 func (c *TaskContext) InputBatch(from string) (*Batch, error) {
 	runs, err := c.InputBatchRuns(from)
 	if err != nil {
@@ -229,7 +70,7 @@ func (c *TaskContext) InputBatch(from string) (*Batch, error) {
 	return ConcatBatches(runs), nil
 }
 
-// InputBatchRuns is InputBatch preserving per-producer runs.
+// InputBatchRuns is InputBatch preserving the per-producer runs.
 func (c *TaskContext) InputBatchRuns(from string) ([]*Batch, error) {
 	producers := c.js.job.Stage(from).Tasks
 	runs := make([]*Batch, producers)
@@ -244,8 +85,8 @@ func (c *TaskContext) InputBatchRuns(from string) ([]*Batch, error) {
 	return runs, nil
 }
 
-// EmitBatchPartitioned writes this task's batch output for the edge to
-// `to`, one batch per consumer task.
+// EmitBatchPartitioned writes this task's output for the edge to `to`, one
+// batch per consumer task, into the local machine's Cache Worker.
 func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 	n := c.ConsumerTasks(to)
 	if len(parts) != n {
@@ -261,14 +102,14 @@ func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 }
 
 // EmitBatchByKey hash-partitions the batch by the key columns across the
-// consumer stage's tasks and writes it out (columnar hash + typed scatter;
-// co-partitions exactly with row EmitByKey).
+// consumer stage's tasks and writes it out (columnar hash + typed scatter).
 func (c *TaskContext) EmitBatchByKey(to string, b *Batch, keys []int) error {
 	return c.EmitBatchPartitioned(to, PartitionBatchByKey(b, keys, c.ConsumerTasks(to)))
 }
 
-// EmitBatchByRange range-partitions a key-sorted batch by sampled bounds —
-// the batch counterpart of EmitByRange.
+// EmitBatchByRange range-partitions the batch into contiguous consumer
+// partitions by sampled bounds — the Terasort layout where reduce i receives
+// keys below reduce i+1's.
 func (c *TaskContext) EmitBatchByRange(to string, b *Batch, keys []int, bounds []Row) error {
 	n := c.ConsumerTasks(to)
 	if len(bounds) != n-1 {
@@ -277,7 +118,8 @@ func (c *TaskContext) EmitBatchByRange(to string, b *Batch, keys []int, bounds [
 	return c.EmitBatchPartitioned(to, PartitionBatchByRange(b, keys, bounds))
 }
 
-// BroadcastBatch replicates the batch to every consumer task.
+// BroadcastBatch replicates the batch to every consumer task (small build
+// sides).
 func (c *TaskContext) BroadcastBatch(to string, b *Batch) error {
 	n := c.ConsumerTasks(to)
 	parts := make([]*Batch, n)
@@ -287,9 +129,10 @@ func (c *TaskContext) BroadcastBatch(to string, b *Batch) error {
 	return c.EmitBatchPartitioned(to, parts)
 }
 
-// SinkBatch buffers a batch for the job's final result set (the sink
-// result API stays row-shaped; the adapter materialises here, after the
-// heavy operators have already run columnar).
+// SinkBatch buffers a batch for the job's final result set (terminal
+// stages), materialising it as the rows Engine.Run returns. The buffer is
+// committed atomically when the attempt completes, giving exactly-once sink
+// semantics under failure recovery.
 func (c *TaskContext) SinkBatch(b *Batch) {
 	c.sink = b.AppendRows(c.sink)
 }

@@ -1,9 +1,9 @@
 package engine
 
 // Window functions (the paper lists Window among the global-sort-class
-// operators): evaluate per-partition ranked computations over key-sorted
-// input. A WindowSpec partitions rows by PartitionBy, orders each
-// partition by OrderBy, and appends the computed window value to each row.
+// operators): per-partition ranked computations. A WindowSpec partitions
+// rows by PartitionBy, orders each partition by OrderBy, and WindowBatch
+// appends the computed window value to each row.
 
 // WindowFunc identifies a supported window computation.
 type WindowFunc int
@@ -28,65 +28,6 @@ type WindowSpec struct {
 	Func        WindowFunc
 	// ValueCol is the summed column for WinRunningSum.
 	ValueCol int
-}
-
-// Window evaluates the spec over the rows and returns new rows with the
-// window value appended as the last column. Input order is not assumed;
-// output is ordered by (PartitionBy, OrderBy), which is also the order a
-// global-sort shuffle would deliver.
-func Window(rows []Row, spec WindowSpec) []Row {
-	sorted := append([]Row(nil), rows...)
-	keys := append(append([]int(nil), spec.PartitionBy...), spec.OrderBy...)
-	SortRows(sorted, keys)
-
-	var arena rowArena
-	out := make([]Row, 0, len(sorted))
-	var (
-		partStart int
-		rowNum    int64
-		rank      int64
-		denseRank int64
-		running   float64
-	)
-	samePartition := func(a, b Row) bool {
-		return CompareRows(a, b, spec.PartitionBy) == 0
-	}
-	sameOrder := func(a, b Row) bool {
-		return CompareRows(a, b, spec.OrderBy) == 0
-	}
-	for i, r := range sorted {
-		newPart := i == 0 || !samePartition(r, sorted[i-1])
-		if newPart {
-			partStart = i
-			rowNum, rank, denseRank, running = 0, 0, 0, 0
-		}
-		rowNum++
-		if newPart || !sameOrder(r, sorted[i-1]) {
-			rank = rowNum
-			denseRank++
-		}
-		var v Value
-		switch spec.Func {
-		case WinRowNumber:
-			v = rowNum
-		case WinRank:
-			v = rank
-		case WinDenseRank:
-			v = denseRank
-		case WinRunningSum:
-			// NULL adds nothing, matching the batch kernel's null skip.
-			if x := r[spec.ValueCol]; x != nil {
-				running += asFloat(x)
-			}
-			v = running
-		}
-		_ = partStart
-		nr := arena.alloc(len(r) + 1)
-		copy(nr, r)
-		nr[len(r)] = v
-		out = append(out, nr)
-	}
-	return out
 }
 
 func asFloat(v Value) float64 {

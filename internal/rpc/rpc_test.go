@@ -135,22 +135,22 @@ func TestCacheWorkerService(t *testing.T) {
 	defer cc.Close()
 
 	// Miss before put.
-	if _, found, err := cc.Get("seg1"); err != nil || found {
+	if _, found, err := cc.GetBatch("seg1"); err != nil || found {
 		t.Fatalf("premature hit: %v %v", found, err)
 	}
-	rows := []engine.Row{{int64(1), "a"}, {int64(2), "b"}}
-	if err := cc.Put("j", 0, "seg1", rows); err != nil {
+	seg := engine.NewBatch(engine.Int64Col([]int64{1, 2}), engine.StringCol([]string{"a", "b"}))
+	if err := cc.PutBatch("j", 0, "seg1", seg); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := cc.Get("seg1")
+	got, found, err := cc.GetBatch("seg1")
 	if err != nil || !found {
 		t.Fatalf("get: %v %v", found, err)
 	}
-	if len(got) != 2 || got[0][0] != int64(1) || got[1][1] != "b" {
-		t.Errorf("rows = %v", got)
+	if got.Len != 2 || got.Value(0, 0) != int64(1) || got.Value(1, 1) != "b" {
+		t.Errorf("rows = %v", got.Rows())
 	}
 	// The segment landed in the local store too.
-	if local, ok := store.Get("seg1", nil); !ok || len(local) != 2 {
+	if local, ok := store.GetBatch("seg1", nil); !ok || local.Len != 2 {
 		t.Error("segment not visible locally")
 	}
 }

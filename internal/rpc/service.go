@@ -78,21 +78,15 @@ func DialCache(addr string) (*CacheClient, error) {
 	return &CacheClient{c: c}, nil
 }
 
-// PutBatch stores a batch segment remotely.
+// PutBatch stores a segment remotely.
 func (cc *CacheClient) PutBatch(job string, machine int, key string, b *engine.Batch) error {
 	var ok bool
 	req := PutRequest{Job: job, Machine: machine, Key: key, Batch: EncodeBatch(b)}
 	return cc.c.Call("cache.put", req, &ok)
 }
 
-// Put stores a row segment remotely (row-adapter path: rows convert to a
-// batch on the sending side, so the wire never carries boxed cells).
-func (cc *CacheClient) Put(job string, machine int, key string, rows []engine.Row) error {
-	return cc.PutBatch(job, machine, key, engine.BatchFromRows(rows))
-}
-
-// GetBatch fetches a segment as a batch; found is false when the producer
-// has not written it yet.
+// GetBatch fetches a segment; found is false when the producer has not
+// written it yet.
 func (cc *CacheClient) GetBatch(key string) (b *engine.Batch, found bool, err error) {
 	var resp GetResponse
 	if err := cc.c.Call("cache.get", GetRequest{Key: key}, &resp); err != nil {
@@ -106,15 +100,6 @@ func (cc *CacheClient) GetBatch(key string) (b *engine.Batch, found bool, err er
 		return nil, false, err
 	}
 	return b, true, nil
-}
-
-// Get fetches a segment as rows (row-adapter read).
-func (cc *CacheClient) Get(key string) (rows []engine.Row, found bool, err error) {
-	b, found, err := cc.GetBatch(key)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	return b.Rows(), true, nil
 }
 
 // Close shuts the underlying connection.

@@ -28,8 +28,9 @@ type Compiled struct {
 // CompileOptions sizes the compiled job's stages.
 type CompileOptions struct {
 	// ScanTasks is the scan-stage parallelism (default 4). Scan task i
-	// reads table partition i, so this should equal the registered
-	// table's partition count to cover the whole table.
+	// reads table partition i, so it must be at least the registered
+	// table's partition count to cover the whole table; tasks beyond it
+	// scan nothing.
 	ScanTasks int
 	AggTasks  int // aggregate-stage parallelism (default scan/2; global aggregates force 1)
 }
@@ -140,7 +141,7 @@ func Compile(id string, stmt *SelectStmt, schema engine.Schema, opts CompileOpti
 	}
 
 	// ORDER BY resolves against the output schema; directions must agree
-	// (the batch sort is one ordering pass, reversed as a whole for DESC).
+	// (TopKBatch orders by all keys in one direction).
 	var sortKeys []int
 	sortDesc := false
 	for i, o := range stmt.OrderBy {
@@ -211,24 +212,11 @@ func Compile(id string, stmt *SelectStmt, schema engine.Schema, opts CompileOpti
 				return err
 			}
 			res := in.Project(outSrc)
-			if len(sortKeys) > 0 {
-				res = engine.SortBatch(res, sortKeys)
-				if sortDesc {
-					sel := make([]int32, res.Len)
-					for i := range sel {
-						sel[i] = int32(res.Len - 1 - i)
-					}
-					res = res.Gather(sel)
-				}
+			k := res.Len
+			if limit >= 0 {
+				k = limit
 			}
-			if limit >= 0 && limit < res.Len {
-				sel := make([]int32, limit)
-				for i := range sel {
-					sel[i] = int32(i)
-				}
-				res = res.Gather(sel)
-			}
-			ctx.SinkBatch(res)
+			ctx.SinkBatch(engine.TopKBatch(res, sortKeys, k, sortDesc))
 			return nil
 		},
 	}

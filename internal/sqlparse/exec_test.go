@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -133,6 +134,26 @@ func TestCompileProjectionOrderLimit(t *testing.T) {
 		if i > 0 && rows[i-1][1].(float64) < r[1].(float64) {
 			t.Errorf("not descending at %d", i)
 		}
+	}
+}
+
+// TestCompileScanWiderThanTable: the default four scan tasks over a
+// two-partition table leave two tasks with nothing to read; they must emit
+// empty partitions, not fail the job.
+func TestCompileScanWiderThanTable(t *testing.T) {
+	e := engine.New(engine.DefaultConfig())
+	defer e.Close()
+	schema := engine.Schema{"k", "v"}
+	e.RegisterTable(engine.NewTable("t", schema, []engine.Row{
+		{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)}, {"b", int64(4)}, {"a", int64(5)},
+	}, 2))
+	rows, _, err := CompileAndRun(e, "q", "select k, sum(v) from t group by k order by k", schema, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []engine.Row{{"a", int64(9)}, {"b", int64(6)}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows = %v, want %v", rows, want)
 	}
 }
 

@@ -196,9 +196,9 @@ func (p *planner) planSelect(stmt *SelectStmt) (string, int, error) {
 		}
 		if stmt.Limit >= 0 {
 			// Limit pushdown: with ORDER BY + LIMIT each sort task only
-			// needs its local top-N (engine.TopK's bounded heap), so the
-			// sink reads N×tasks rows instead of the full sort output. The
-			// sink keeps its own LIMIT for the global cut.
+			// needs its local top-N, so the sink reads N×tasks rows instead
+			// of the full sort output. The sink keeps its own LIMIT for the
+			// global cut.
 			sortOps = append(sortOps, dag.Operator{Kind: dag.OpLimit, Expr: fmt.Sprintf("limit %d", stmt.Limit)})
 		}
 		sortOps = append(sortOps, dag.Op(dag.OpShuffleWrite))

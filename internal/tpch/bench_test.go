@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"swift/internal/dag"
 	"swift/internal/engine"
 )
 
@@ -29,37 +30,25 @@ func BenchmarkTPCHLiteEngine(b *testing.B) {
 		return fmt.Sprintf("bench-%s-%d", q, jobSeq)
 	}
 
-	b.Run("Q1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			job, plans := LiteQ1(4, 3, "1998-09-02")
-			job.ID = nextID("q1")
-			if _, err := e.Run(job, plans); err != nil {
-				b.Fatal(err)
+	for _, q := range []struct {
+		name  string
+		build func() (*dag.Job, engine.Plans)
+	}{
+		{"Q1", func() (*dag.Job, engine.Plans) { return LiteQ1(4, 3, "1998-09-02") }},
+		{"Q6", func() (*dag.Job, engine.Plans) { return LiteQ6(4, "1994-01-01", "1995-01-01") }},
+		{"Q3", func() (*dag.Job, engine.Plans) { return LiteQ3(4, 3, 10, "BUILDING", "1995-03-15") }},
+		{"Q12", func() (*dag.Job, engine.Plans) { return LiteQ12(4, 3, "1994-01-01", "1995-01-01", 21750) }},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				job, plans := q.build()
+				job.ID = nextID(q.name)
+				if _, err := e.Run(job, plans); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
-	})
-	b.Run("Q6", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			job, plans := LiteQ6(4, "1994-01-01", "1995-01-01")
-			job.ID = nextID("q6")
-			if _, err := e.Run(job, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
-	})
-	b.Run("Q3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			job, plans := LiteQ3(4, 3, 10, "BUILDING", "1995-03-15")
-			job.ID = nextID("q3")
-			if _, err := e.Run(job, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
-	})
+			b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
+		})
+	}
 }

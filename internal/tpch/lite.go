@@ -150,7 +150,7 @@ func LiteQ6(scanTasks int, lo, hi string) (*dag.Job, engine.Plans) {
 			for _, v := range b.Cols[0].Floats {
 				total += v
 			}
-			ctx.Sink([]engine.Row{{total}})
+			ctx.SinkBatch(engine.NewBatch(engine.Float64Col([]float64{total})))
 			return nil
 		},
 	}
@@ -271,13 +271,12 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 			return ctx.EmitBatchPartitioned("top", []*engine.Batch{out})
 		},
 		"top": func(ctx *engine.TaskContext) error {
-			rows, err := ctx.Input("join")
+			b, err := ctx.InputBatch("join")
 			if err != nil {
 				return err
 			}
-			// Order by revenue desc via the bounded heap — no negate-and-
-			// copy round-trip through an ascending sort.
-			ctx.Sink(engine.TopKDesc(rows, []int{1}, topK))
+			// Order by revenue desc; ties keep orderkey order.
+			ctx.SinkBatch(engine.TopKBatch(b, []int{1}, topK, true))
 			return nil
 		},
 	}

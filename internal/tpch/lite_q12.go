@@ -28,67 +28,63 @@ func LiteQ12(scanTasks, joinTasks int, lo, hi string, priceCut float64) (*dag.Jo
 	lKey := liCols.MustCol("l_orderkey")
 	lShip := liCols.MustCol("l_shipdate")
 
+	// statusSums folds (status, high, low) rows into per-status totals.
+	statusSums := []engine.Agg{{Kind: engine.AggSum, Col: 1}, {Kind: engine.AggSum, Col: 2}}
+
 	plans := engine.Plans{
 		"ord": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("orders")
+			b, err := ctx.TablePartitionBatch("orders")
 			if err != nil {
 				return err
 			}
-			out := make([]engine.Row, 0, len(part))
-			for _, r := range part {
-				out = append(out, engine.Row{r[oKey], r[oStatus], r[oTotal]})
-			}
-			return ctx.EmitByKey("join", out, []int{0})
+			return ctx.EmitBatchByKey("join", b.Project([]int{oKey, oStatus, oTotal}), []int{0})
 		},
 		"line": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("lineitem")
+			b, err := ctx.TablePartitionBatch("lineitem")
 			if err != nil {
 				return err
 			}
-			var out []engine.Row
-			for _, r := range part {
-				if s := r[lShip].(string); s >= lo && s < hi {
-					out = append(out, engine.Row{r[lKey]})
-				}
-			}
-			return ctx.EmitByKey("join", out, []int{0})
+			ships := b.Cols[lShip].Strs
+			out := engine.FilterBatch(b, func(i int) bool { return ships[i] >= lo && ships[i] < hi }).
+				Project([]int{lKey})
+			return ctx.EmitBatchByKey("join", out, []int{0})
 		},
 		"join": func(ctx *engine.TaskContext) error {
-			orders, err := ctx.Input("ord")
+			orders, err := ctx.InputBatch("ord") // (orderkey, status, totalprice)
 			if err != nil {
 				return err
 			}
-			lines, err := ctx.Input("line")
+			lines, err := ctx.InputBatch("line") // (orderkey)
 			if err != nil {
 				return err
 			}
-			// Distinct qualifying order keys in this partition.
-			qual := map[int64]bool{}
-			for _, l := range lines {
-				qual[l[0].(int64)] = true
-			}
-			var out []engine.Row
-			for _, o := range orders {
-				if !qual[o[0].(int64)] {
-					continue
+			// Semi-join: the distinct qualifying order keys of this partition
+			// (an aggregate with no aggregates) as the build side, so an order
+			// with several qualifying lineitems still counts once.
+			qual := engine.HashAggregateBatch(lines, []int{0}, nil)
+			j := engine.HashJoinBatch(qual, []int{0}, orders, []int{0})
+			high := make([]int64, j.Len)
+			low := make([]int64, j.Len)
+			for i, total := range j.Cols[2].Floats {
+				if total > priceCut {
+					high[i] = 1
+				} else {
+					low[i] = 1
 				}
-				high, low := int64(0), int64(1)
-				if o[2].(float64) > priceCut {
-					high, low = 1, 0
-				}
-				out = append(out, engine.Row{o[1], high, low})
 			}
-			return ctx.EmitPartitioned("agg", [][]engine.Row{out})
+			// Pre-aggregate per status: the edge to `agg` carries one row per
+			// status and join task, not one per qualifying order.
+			out := engine.HashAggregateBatch(
+				j.Project([]int{1}).WithCol(engine.Int64Col(high)).WithCol(engine.Int64Col(low)),
+				[]int{0}, statusSums)
+			return ctx.EmitBatchPartitioned("agg", []*engine.Batch{out})
 		},
 		"agg": func(ctx *engine.TaskContext) error {
-			rows, err := ctx.Input("join")
+			b, err := ctx.InputBatch("join")
 			if err != nil {
 				return err
 			}
-			ctx.Sink(engine.HashAggregate(rows, []int{0}, []engine.Agg{
-				{Kind: engine.AggSum, Col: 1},
-				{Kind: engine.AggSum, Col: 2},
-			}))
+			ctx.SinkBatch(engine.HashAggregateBatch(b, []int{0}, statusSums))
 			return nil
 		},
 	}

@@ -141,6 +141,21 @@ func TestLiteQ3MatchesReference(t *testing.T) {
 	}
 }
 
+// TestLiteEmptyIntermediates: a predicate nothing satisfies leaves every
+// downstream shuffle edge empty, and the job must still complete — with no
+// rows — instead of crashing a kernel on a zero-row batch.
+func TestLiteEmptyIntermediates(t *testing.T) {
+	e, _ := liteEngine(t, 0.3, 13, 4)
+	job, plans := LiteQ3(4, 3, 10, "NO-SUCH-SEGMENT", "1995-03-15")
+	if rows, err := e.Run(job, plans); err != nil || len(rows) != 0 {
+		t.Errorf("Q3 with an unmatched segment = %d rows, err %v; want 0, nil", len(rows), err)
+	}
+	job, plans = LiteQ12(4, 3, "1994-01-01", "1994-01-01", 1)
+	if rows, err := e.Run(job, plans); err != nil || len(rows) != 0 {
+		t.Errorf("Q12 with an empty window = %d rows, err %v; want 0, nil", len(rows), err)
+	}
+}
+
 func TestLiteQ1SurvivesInjectedFailure(t *testing.T) {
 	e, l := liteEngine(t, 0.5, 17, 6)
 	const cutoff = "1998-09-02"

@@ -3,7 +3,8 @@
 # analyzers — see DESIGN.md "Static analysis"), race-test everything,
 # run the fixed-seed chaos
 # soak (deterministic fault schedules + scheduler invariant auditor),
-# build the fuzz targets so they cannot rot, and smoke the benchmark
+# run the examples (they self-verify), build the fuzz targets so they
+# cannot rot, and smoke the benchmark
 # suites (one iteration each) so a bench-only compile break or panic is
 # caught here, not at measurement time. Fuzz *exploration* is not run
 # here — CI stays deterministic; run it manually with
@@ -120,6 +121,11 @@ done
 grep -Eq 'queued=[1-9]' "$TRACE_TMP/submit.out"
 grep -Eq 'shed=[1-9]' "$TRACE_TMP/submit.out"
 wait "$SWIFTD_PID"   # drain must exit 0
+
+echo "== examples smoke (the batch API's reference users; a wrong answer is a log.Fatal)"
+for EXAMPLE in quickstart terasort faulttolerance tpch; do
+    go run "./examples/$EXAMPLE" > "$TRACE_TMP/example-$EXAMPLE.out"
+done
 
 echo "== fuzz targets build"
 go test -run '^$' -c -o /dev/null ./internal/sqlparse/
