@@ -5,9 +5,9 @@
 //
 //	swiftbench [-reduced] [-seed N] [-run fig9a,table1,...] [-workers K]
 //
-// With no -run flag every experiment runs in paper order. The -reduced
-// flag shrinks workloads to the CI-sized configurations used by the
-// repository's benchmarks. -workers fans experiments across a worker
+// With no -run flag every paper figure and table runs in paper order (the
+// other experiments — see -list — run by name). The -reduced flag shrinks
+// workloads to the CI-sized configurations the repository's tests use. -workers fans experiments across a worker
 // pool; reports still print in input order. -hashes prints one
 // "name hash" line per experiment instead of the reports — the obs
 // stream hashes that witness a parallel sweep matching a serial one.

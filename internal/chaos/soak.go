@@ -135,7 +135,7 @@ type Result struct {
 	Tenants []TenantResult
 	// Reclaims counts whole graphlets preempted by the scheduling policy.
 	Reclaims int
-	// ReplicaHits and Recomputes report shuffle-service recovery outcomes
+	// ReplicaHits and Recomputes report output-loss recovery outcomes
 	// when Options.ShuffleReplicas > 1: lost serving copies recovered from
 	// a surviving replica versus lost outputs that re-ran their producer.
 	ReplicaHits int

@@ -162,9 +162,6 @@ type Cluster struct {
 	nFree    int
 	byLoad   loadHeap
 	inHeap   []bool // machine -> has a (possibly stale) heap entry
-	// activeConns approximates the cluster-wide live TCP connection
-	// count feeding the congestion model.
-	activeConns int
 }
 
 // New builds a cluster from the configuration.
@@ -382,25 +379,6 @@ func (c *Cluster) ResetTaskFailures(id MachineID) {
 	c.machines[id].recentTaskFailures = 0
 }
 
-// AddConns and RemoveConns adjust the live connection estimate.
-func (c *Cluster) AddConns(n int) { c.activeConns += n }
-
-// RemoveConns lowers the estimate, clamping at zero.
-func (c *Cluster) RemoveConns(n int) {
-	c.activeConns -= n
-	if c.activeConns < 0 {
-		c.activeConns = 0
-	}
-}
-
-// ActiveConns returns the live connection estimate.
-func (c *Cluster) ActiveConns() int { return c.activeConns }
-
-// Congestion returns the current congestion level from the model.
-func (c *Cluster) Congestion() float64 {
-	return c.cfg.Model.Congestion(c.activeConns, len(c.machines))
-}
-
 // SpreadMachines returns how many distinct machines host the given
 // executors.
 func (c *Cluster) SpreadMachines(execs []ExecutorID) int {
@@ -430,6 +408,6 @@ func (c *Cluster) MachinesByLoad() []MachineID {
 
 // String summarises the cluster.
 func (c *Cluster) String() string {
-	return fmt.Sprintf("cluster{%d machines, %d executors, %d free, %d conns}",
-		len(c.machines), len(c.owner), c.nFree, c.activeConns)
+	return fmt.Sprintf("cluster{%d machines, %d executors, %d free}",
+		len(c.machines), len(c.owner), c.nFree)
 }

@@ -147,21 +147,6 @@ func TestTaskFailureCounter(t *testing.T) {
 	}
 }
 
-func TestConnTracking(t *testing.T) {
-	c := small()
-	c.AddConns(100)
-	if c.ActiveConns() != 100 {
-		t.Errorf("conns = %d", c.ActiveConns())
-	}
-	c.RemoveConns(300)
-	if c.ActiveConns() != 0 {
-		t.Errorf("conns clamped = %d", c.ActiveConns())
-	}
-	if c.Congestion() < DefaultModel().BaseCongestion {
-		t.Error("congestion below base")
-	}
-}
-
 func TestSpreadMachines(t *testing.T) {
 	c := small()
 	e := c.Allocate(6, nil)

@@ -60,12 +60,7 @@ type stageState struct {
 	// re-enters the pending state, the producer must re-run first —
 	// markPending revives lost inputs transitively.
 	lost []bool
-	// homes tracks, per done task, the machines holding copies of its
-	// buffered output in serving order (head = serving copy). Allocated
-	// lazily, only when Options.ShuffleReplicas > 1 and the stage has
-	// consumers; nil rows mean "unreplicated" and recover the v1 way.
-	homes [][]cluster.MachineID
-	done  int
+	done int
 }
 
 func (s *stageState) complete() bool { return s.done == len(s.status) }
@@ -93,12 +88,20 @@ type monitor struct {
 	stages    []*stageState // in topological order
 	modes     map[edgeKey]shuffle.Mode
 	stageIdx  map[string]int // stage -> topological index
+	insertion []int          // see sweepOrder
 	done      bool
 	failed    bool
 	restarts  int
 	tenant    string        // normalized tenant label (TenantName)
 	tc        *TenantCounts // the tenant's live aggregate counters
 	seq       int           // admission sequence number (policy FIFO tiebreak)
+	// homes is where done tasks' buffered outputs live: for each output
+	// TaskFinished replicated, the machines holding a copy in serving order
+	// (head = serving copy). A done task with no entry — all of them at
+	// ShuffleReplicas ≤ 1 — has one implicit home, the machine of its
+	// executor. Recovery knows only this model; it never asks whether
+	// replication is on.
+	homes map[taskID][]cluster.MachineID
 }
 
 // stage returns the named stage's state, or nil for a name the job does
@@ -110,6 +113,21 @@ func (m *monitor) stage(name string) *stageState {
 		return nil
 	}
 	return m.stages[i]
+}
+
+// sweepOrder returns the stages' topological indexes in the job's stage
+// insertion order — the order recovery sweeps visit them, which is not the
+// order of m.stages when a job declares a consumer before its producer.
+// Built on first use: only fault handling sweeps.
+func (m *monitor) sweepOrder() []int {
+	if m.insertion == nil {
+		names := m.job.StageNames()
+		m.insertion = make([]int, len(names))
+		for k, name := range names {
+			m.insertion[k] = m.stageIdx[name]
+		}
+	}
+	return m.insertion
 }
 
 // ref renders a task's public name.
@@ -154,7 +172,7 @@ type Controller struct {
 	tenantList []*TenantCounts // the same records, sorted by tenant name
 	nextSeq    int
 	reclaims   int // gangs reclaimed by policy preemption, for reports
-	// Shuffle-service recovery counters, for reports: replicaHits counts
+	// Output-loss recovery counters, for reports: replicaHits counts
 	// lost serving copies recovered by promoting a surviving replica (no
 	// recompute), recomputes counts lost outputs that re-ran the producer
 	// ("rerun" dispositions, replicated or not).
@@ -258,13 +276,6 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		}
 	}
 	c.opts.Obs.JobSubmitted(job.ID, len(topo), job.NumTasks(), len(gs))
-	// The adaptive selector samples the load once per admission, so every
-	// edge of one job sees the same observation (and the probe count stays
-	// a pure function of the job arrival sequence).
-	var load shuffle.Load
-	if al := c.opts.AdaptiveLoad; al != nil && al.Probe != nil {
-		load = al.Probe()
-	}
 	for i, name := range topo {
 		spec := job.Stage(name)
 		m.stages[i] = &stageState{spec: spec, graphlet: m.owner[name], attempt: make([]int, spec.Tasks)}
@@ -274,12 +285,6 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		crossing := m.owner[e.From] != m.owner[e.To]
 		mode := c.opts.Shuffle(job.ShuffleEdgeSize(e), e.Bytes, crossing)
 		c.opts.Obs.ShuffleModeSelected(job.ID, e.From, e.To, mode.String(), job.ShuffleEdgeSize(e), e.Bytes)
-		if al := c.opts.AdaptiveLoad; al != nil {
-			if adapted, reason, ok := al.Selector.Adapt(mode, load); ok {
-				c.opts.Obs.ShuffleAdapted(job.ID, e.From, e.To, mode.String(), adapted.String(), reason)
-				mode = adapted
-			}
-		}
 		m.modes[edgeKey{e.From, e.To}] = mode
 		from, to := m.stageIdx[e.From], m.stageIdx[e.To]
 		m.stages[from].out = append(m.stages[from].out, to)
@@ -305,7 +310,6 @@ func (s *stageState) reset() {
 	s.started = make([]bool, tasks)
 	s.reason = make([]StartReason, tasks)
 	s.lost = make([]bool, tasks)
-	s.homes = nil
 	s.done = 0
 	for i := range s.executor {
 		s.executor[i] = -1
@@ -746,7 +750,7 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	if c.opts.ShuffleReplicas > 1 && len(st.out) > 0 {
 		// Replicate the buffered output before the executor is reused: the
 		// copy reads from the producer's Cache Worker, not the executor.
-		c.replicateOutput(st, ref, e)
+		c.replicateOutput(m, taskID{int32(si), int32(ref.Index)}, ref, e)
 	}
 
 	// Reuse the freed executor for the next pending task of the same
@@ -857,7 +861,7 @@ func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
 // executor's machine (where the Cache Worker already buffered the data),
 // the R−1 extras the next healthy machines on the machine-ID ring — a
 // deterministic placement every component can recompute.
-func (c *Controller) replicateOutput(st *stageState, ref TaskRef, e cluster.ExecutorID) {
+func (c *Controller) replicateOutput(m *monitor, id taskID, ref TaskRef, e cluster.ExecutorID) {
 	n := c.cl.NumMachines()
 	primary := c.cl.MachineOf(e)
 	homes := make([]cluster.MachineID, 1, c.opts.ShuffleReplicas)
@@ -868,11 +872,11 @@ func (c *Controller) replicateOutput(st *stageState, ref TaskRef, e cluster.Exec
 			homes = append(homes, id)
 		}
 	}
-	if st.homes == nil {
-		st.homes = make([][]cluster.MachineID, len(st.status))
+	if m.homes == nil {
+		m.homes = make(map[taskID][]cluster.MachineID)
 	}
-	st.homes[ref.Index] = homes
-	c.emit(ActReplicate{Task: ref, Attempt: st.attempt[ref.Index], Machines: homes})
+	m.homes[id] = homes
+	c.emit(ActReplicate{Task: ref, Attempt: m.stages[id.stage].attempt[id.index], Machines: homes})
 }
 
 // ReplicaRecoveries returns how many lost serving copies recovery resolved

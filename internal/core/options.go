@@ -88,16 +88,6 @@ func BubbleShuffle() ShufflePolicy {
 	}
 }
 
-// AdaptiveLoad couples the shuffle package's load-observed selector with a
-// deterministic probe. The probe is sampled once per job admission; drivers
-// wire it to deterministic sources (the cluster's connection census, the
-// obs registry's cache-worker gauges) so the same seed always samples the
-// same load and the event stream stays reproducible.
-type AdaptiveLoad struct {
-	Selector shuffle.LoadSelector
-	Probe    func() shuffle.Load
-}
-
 // RecoveryPolicy selects the failure-handling strategy.
 type RecoveryPolicy int
 
@@ -152,11 +142,6 @@ type Options struct {
 	// (ActReplicate), and a Cache Worker or machine loss promotes a
 	// surviving replica instead of recomputing the producer.
 	ShuffleReplicas int
-	// AdaptiveLoad enables FuxiShuffle-style adaptive mode switching: the
-	// load sampled at admission may override the static threshold choice
-	// per edge (recorded as an EvShuffleAdapted event). Nil (the default)
-	// disables overrides entirely.
-	AdaptiveLoad *AdaptiveLoad
 }
 
 // DefaultOptions returns Swift's production configuration.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"swift/internal/cluster"
 	"swift/internal/shuffle"
@@ -128,11 +128,10 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	st.status[i] = tPending
 	st.reason[i] = reason
 	st.lost[i] = false // a re-run regenerates the output
-	if st.homes != nil {
-		st.homes[i] = nil // stale copies; re-replicated at finish
-	}
+	id := taskID{int32(stage), int32(i)}
+	delete(m.homes, id) // stale copies; re-replicated at finish
 	run := m.gruns[st.graphlet]
-	run.pending = append(run.pending, taskID{int32(stage), int32(i)})
+	run.pending = append(run.pending, id)
 	if !run.disordered {
 		// Launch selection must restore topological order, and the
 		// scheduler's deadlock check watches for disordered runs.
@@ -169,128 +168,100 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 	}
 }
 
+// eachTask visits every task of the job: stages in insertion order, tasks
+// by index.
+func (m *monitor) eachTask(visit func(stage, i int)) {
+	for _, stage := range m.sweepOrder() {
+		for i := range m.stages[stage].status {
+			visit(stage, i)
+		}
+	}
+}
+
+// eachLiveTask is the one sweep recovery uses to find tasks by where they
+// ran: live jobs in submission order, each in eachTask's order, so the
+// recoveries of one instant never reorder.
+func (c *Controller) eachLiveTask(visit func(m *monitor, stage, i int)) {
+	for _, jobID := range c.order {
+		if m := c.jobs[jobID]; !m.failed && !m.done {
+			m.eachTask(func(stage, i int) { visit(m, stage, i) })
+		}
+	}
+}
+
 // MachineFailed handles a detected machine crash: every executor on the
 // machine is revoked, running tasks there fail, and completed tasks whose
-// Cache Worker output lived on the machine and is still needed are re-run
+// last buffered copy lived on the machine and is still needed are re-run
 // (their consumers will fetch the regenerated data; Section IV-B2).
 func (c *Controller) MachineFailed(id cluster.MachineID) {
-	// Fail running tasks hosted there, then mark completed-but-needed
-	// outputs lost. Collect first: recovery mutates state.
-	type victim struct {
-		ref     TaskRef
-		attempt int
-		running bool
-	}
-	var victims []victim
-	for _, jobID := range c.order {
-		m := c.jobs[jobID]
-		if m == nil || m.failed || m.done {
-			continue
+	// Collect first: recovery mutates state.
+	var running []TaskRef
+	c.eachLiveTask(func(m *monitor, stage, i int) {
+		if st := m.stages[stage]; st.status[i] == tRunning && c.cl.MachineOf(st.executor[i]) == id {
+			running = append(running, m.ref(stage, i))
 		}
-		for _, name := range m.job.StageNames() {
-			st := m.stage(name)
-			for i := range st.status {
-				if st.executor[i] < 0 || c.cl.MachineOf(st.executor[i]) != id {
-					continue
-				}
-				ref := TaskRef{Job: jobID, Stage: name, Index: i}
-				switch st.status[i] {
-				case tRunning:
-					victims = append(victims, victim{ref, st.attempt[i], true})
-				case tDone:
-					if st.homes != nil && len(st.homes[i]) > 0 {
-						// Replicated output: the replica pass below decides
-						// whether any copy survived the machine.
-						continue
-					}
-					victims = append(victims, victim{ref, st.attempt[i], false})
-				case tPending:
-					// not placed anywhere: the machine's death cannot
-					// have touched it
-				}
-			}
-		}
-	}
-	// Running tasks recover first: a consumer re-marked pending by that
-	// pass re-needs its producers' buffered outputs, which the
-	// lost-output pass below then regenerates.
-	sort.SliceStable(victims, func(a, b int) bool {
-		return victims[a].running && !victims[b].running
 	})
 	c.cl.SetHealth(id, cluster.Failed)
 	c.opts.Obs.MachineFailed(int(id))
 	c.deferSchedule = true
-	for _, v := range victims {
-		m := c.jobs[v.ref.Job]
-		if m == nil || m.failed || m.done {
+	// Running tasks recover first: a consumer re-marked pending by that
+	// pass re-needs its producers' buffered outputs, which the lost-output
+	// pass below then regenerates.
+	for _, ref := range running {
+		m := c.jobs[ref.Job]
+		if m.failed || m.done {
 			continue
 		}
-		if v.running {
-			c.emit(ActAbortTask{Task: v.ref, Executor: m.stage(v.ref.Stage).executor[v.ref.Index], Attempt: v.attempt})
-			c.TaskFailed(v.ref, v.attempt, FailCrash)
-		} else {
-			// Lost output of a finished task: TaskOutputLost applies
-			// the "no step taken" rule (or restarts the job under the
-			// baseline policy).
-			c.TaskOutputLost(v.ref)
-		}
+		// An earlier victim's cascade may have aborted this one already: the
+		// abort repeats, and TaskFailed ignores a task no longer running.
+		st := m.stage(ref.Stage)
+		c.emit(ActAbortTask{Task: ref, Executor: st.executor[ref.Index], Attempt: st.attempt[ref.Index]})
+		c.TaskFailed(ref, st.attempt[ref.Index], FailCrash)
 	}
-	if c.opts.ShuffleReplicas > 1 {
-		// Replicated outputs with a copy on the dead machine: surviving
-		// replicas promote silently, only fully-orphaned outputs recover.
-		for _, ref := range c.strikeReplica(id) {
-			c.TaskOutputLost(ref)
-		}
+	// TaskOutputLost applies the "no step taken" rule (or restarts the job
+	// under the baseline policy).
+	for _, ref := range c.strike(id) {
+		c.TaskOutputLost(ref)
 	}
 	c.deferSchedule = false
 	c.schedule()
 }
 
-// strikeReplica removes a dead machine from every finished task's replica
-// set. A task whose serving (head) copy died but has survivors promotes the
-// next replica in place — counted as a replica recovery, no scheduling step.
-// Only tasks whose LAST copy died are returned; they need the full
-// output-lost treatment.
-func (c *Controller) strikeReplica(id cluster.MachineID) []TaskRef {
+// strike removes a machine from the location set of every finished task's
+// buffered output and returns the outputs left with no copy; they need the
+// full output-lost treatment. A task without a replica row has one implicit
+// home, the machine it ran on. When the serving (head) copy dies and a
+// replica survives, the survivor is promoted in place — counted as a replica
+// recovery, no scheduling step.
+func (c *Controller) strike(id cluster.MachineID) []TaskRef {
 	var orphans []TaskRef
-	for _, jobID := range c.order {
-		m := c.jobs[jobID]
-		if m == nil || m.failed || m.done {
-			continue
+	c.eachLiveTask(func(m *monitor, stage, i int) {
+		st := m.stages[stage]
+		if st.status[i] != tDone {
+			return
 		}
-		for _, name := range m.job.StageNames() {
-			st := m.stage(name)
-			if st.homes == nil {
-				continue
+		key := taskID{int32(stage), int32(i)}
+		homes := m.homes[key]
+		if len(homes) == 0 {
+			if c.cl.MachineOf(st.executor[i]) == id {
+				orphans = append(orphans, m.ref(stage, i))
 			}
-			for i := range st.status {
-				homes := st.homes[i]
-				if st.status[i] != tDone || len(homes) == 0 {
-					continue
-				}
-				pos := -1
-				for j, h := range homes {
-					if h == id {
-						pos = j
-						break
-					}
-				}
-				if pos < 0 {
-					continue
-				}
-				homes = append(homes[:pos], homes[pos+1:]...)
-				st.homes[i] = homes
-				if len(homes) == 0 {
-					orphans = append(orphans, TaskRef{Job: jobID, Stage: name, Index: i})
-					continue
-				}
-				if pos == 0 {
-					c.replicaHits++
-					c.opts.Obs.ReplicaServed(jobID, name, i, int(homes[0]))
-				}
-			}
+			return
 		}
-	}
+		pos := slices.Index(homes, id)
+		if pos < 0 {
+			return
+		}
+		homes = slices.Delete(homes, pos, pos+1)
+		m.homes[key] = homes
+		switch {
+		case len(homes) == 0:
+			orphans = append(orphans, m.ref(stage, i))
+		case pos == 0:
+			c.replicaHits++
+			c.opts.Obs.ReplicaServed(m.job.ID, st.spec.Name, i, int(homes[0]))
+		}
+	})
 	return orphans
 }
 
@@ -337,12 +308,10 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 		c.restartJob(m)
 		return
 	}
-	if st.homes != nil {
-		// Reaching here means every copy is gone (a direct loss report
-		// bypasses replicas by design — e.g. the buffer was evicted fleet-
-		// wide); clear the stale replica set.
-		st.homes[ref.Index] = nil
-	}
+	// Reaching here means every copy is gone: strike found none left, or a
+	// direct loss report bypassed the replicas by design (the buffer was
+	// evicted fleet-wide).
+	delete(m.homes, taskID{int32(si), int32(ref.Index)})
 	if !c.outputStillNeeded(m, st) {
 		// "No step will be taken" — but remember the loss so a consumer
 		// that later re-enters the pending state revives this producer.
@@ -395,54 +364,20 @@ func (c *Controller) MachineRecovered(id cluster.MachineID) {
 }
 
 // CacheWorkerLost handles the crash of one machine's Cache Worker process
-// (the machine itself survives): every buffered output hosted there is
-// gone. Each lost key is reported to the recovery logic individually —
+// (the machine itself survives): every buffered copy hosted there is gone.
+// Outputs with a surviving replica fail over in place; each output left
+// with no copy is reported to the recovery logic individually —
 // TaskOutputLost applies the "no step taken" rule per task — and shuffle
-// edges out of the affected stages that depended on Cache Workers degrade
-// to Direct for the regenerated data, so the re-run cannot be taken down
-// by the same worker again. Scheduling is deferred until the whole storm
-// is processed so recovery decisions see the full damage.
+// edges out of its stage that depended on Cache Workers degrade to Direct
+// for the regenerated data, so the re-run cannot be taken down by the same
+// worker again. Scheduling is deferred until the whole storm is processed
+// so recovery decisions see the full damage.
 func (c *Controller) CacheWorkerLost(id cluster.MachineID) {
-	if c.opts.ShuffleReplicas > 1 {
-		// Replica-aware path: consult surviving copies before falling back
-		// to producer recompute. Only fully-orphaned outputs recover, and
-		// only their edges degrade — replicated data that failed over keeps
-		// its Cache-Worker-backed mode.
-		c.opts.Obs.CacheWorkerLost(int(id))
-		orphans := c.strikeReplica(id)
-		c.deferSchedule = true
-		for _, ref := range orphans {
-			m := c.jobs[ref.Job]
-			if m == nil || m.failed || m.done {
-				continue
-			}
-			c.degradeEdges(m, ref.Stage)
-			c.TaskOutputLost(ref)
-		}
-		c.deferSchedule = false
-		c.schedule()
-		return
-	}
-	var lost []TaskRef
-	for _, jobID := range c.order {
-		m := c.jobs[jobID]
-		if m == nil || m.failed || m.done {
-			continue
-		}
-		for _, name := range m.job.StageNames() {
-			st := m.stage(name)
-			for i := range st.status {
-				if st.status[i] == tDone && st.executor[i] >= 0 && c.cl.MachineOf(st.executor[i]) == id {
-					lost = append(lost, TaskRef{Job: jobID, Stage: name, Index: i})
-				}
-			}
-		}
-	}
 	c.opts.Obs.CacheWorkerLost(int(id))
 	c.deferSchedule = true
-	for _, ref := range lost {
+	for _, ref := range c.strike(id) {
 		m := c.jobs[ref.Job]
-		if m == nil || m.failed || m.done {
+		if m.failed || m.done {
 			continue
 		}
 		c.degradeEdges(m, ref.Stage)
@@ -471,20 +406,16 @@ func (c *Controller) degradeEdges(m *monitor, stage string) {
 // (the lazy self-reporting channel of Section IV-A): whatever task the
 // controller believed was running there has died.
 func (c *Controller) ExecutorRestarted(e cluster.ExecutorID) {
-	for _, jobID := range c.order {
-		m := c.jobs[jobID]
-		if m == nil || m.failed || m.done {
-			continue
+	// Find, then fail: the retry may relaunch on e inside the sweep.
+	var dead TaskRef
+	attempt := -1
+	c.eachLiveTask(func(m *monitor, stage, i int) {
+		if st := m.stages[stage]; st.status[i] == tRunning && st.executor[i] == e {
+			dead, attempt = m.ref(stage, i), st.attempt[i]
 		}
-		for _, name := range m.job.StageNames() {
-			st := m.stage(name)
-			for i := range st.status {
-				if st.status[i] == tRunning && st.executor[i] == e {
-					c.TaskFailed(TaskRef{Job: jobID, Stage: name, Index: i}, st.attempt[i], FailCrash)
-					return
-				}
-			}
-		}
+	})
+	if attempt >= 0 {
+		c.TaskFailed(dead, attempt, FailCrash)
 	}
 }
 
@@ -503,6 +434,7 @@ func (c *Controller) restartJob(m *monitor) {
 	for _, st := range m.stages {
 		st.reset()
 	}
+	m.homes = nil
 	// Drop queued items of this job and rebuild graphlet runs.
 	var q []reqItem
 	for _, it := range c.queue {
@@ -522,16 +454,12 @@ func (c *Controller) restartJob(m *monitor) {
 
 // abortAll aborts every running task of a job and releases its executors.
 func (c *Controller) abortAll(m *monitor) {
-	for _, name := range m.job.StageNames() {
-		st := m.stage(name)
-		for i := range st.status {
-			if st.status[i] == tRunning {
-				ref := TaskRef{Job: m.job.ID, Stage: name, Index: i}
-				c.emit(ActAbortTask{Task: ref, Executor: st.executor[i], Attempt: st.attempt[i]})
-				c.releaseRunning(m, st, i)
-			}
+	m.eachTask(func(stage, i int) {
+		if st := m.stages[stage]; st.status[i] == tRunning {
+			c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+			c.releaseRunning(m, st, i)
 		}
-	}
+	})
 }
 
 // dropDisordered removes a job's graphlet runs from the disordered count

@@ -77,159 +77,170 @@ func TestTaskFinishEmitsReplicate(t *testing.T) {
 	}
 }
 
-// TestCacheWorkerLostServedFromReplica is the headline recovery win: the
-// serving copy's Cache Worker dies, a replica survives, and the controller
-// takes no recovery step — no re-run, no degrade, job completes.
-func TestCacheWorkerLostServedFromReplica(t *testing.T) {
+// lossHarness finishes both producers of a 2×8 barrier job on six one-
+// executor machines: six consumers launch, two stay pending, so stage A's
+// buffered outputs are still needed when a copy is lost. The edge is Remote
+// so a degrade is observable. It returns the machine that ran A[0] — the
+// head of that output's replica ring (p, p+1, …, p+R−1 mod 6).
+func lossHarness(t *testing.T, replicas int) (*harness, cluster.MachineID) {
+	t.Helper()
 	opts := DefaultOptions()
-	opts.ShuffleReplicas = 2
-	h := newHarness(t, 4, 2, opts)
-	h.submit(barrierJob("j", 2, 2))
+	opts.ShuffleReplicas = replicas
+	opts.Shuffle = FixedShuffle(shuffle.Remote)
+	h := newHarness(t, 6, 1, opts)
+	h.submit(barrierJob("j", 2, 8))
+	home := h.c.Cluster().MachineOf(h.running[ref("j", "A", 0)].Executor)
 	h.finish(ref("j", "A", 0))
 	h.finish(ref("j", "A", 1))
-	reps := h.replicates()
-	if len(reps) != 2 {
-		t.Fatalf("got %d replicates, want 2", len(reps))
+	want := 0
+	if replicas > 1 {
+		want = 2
 	}
-	startsBefore := len(h.starts)
+	if got := len(h.replicates()); got != want {
+		t.Fatalf("R=%d: %d ActReplicate, want %d", replicas, got, want)
+	}
+	return h, home
+}
 
-	// Kill the Cache Worker holding A[0]'s serving copy.
-	h.c.CacheWorkerLost(reps[0].Machines[0])
-	h.drain()
-
-	if got := h.c.ReplicaRecoveries(); got < 1 {
-		t.Fatalf("ReplicaRecoveries = %d, want >= 1", got)
-	}
-	if got := h.c.OutputRecomputes(); got != 0 {
-		t.Fatalf("OutputRecomputes = %d, want 0 (replica survived)", got)
-	}
-	if got := h.degrades(); len(got) != 0 {
-		t.Fatalf("edges degraded despite surviving replica: %v", got)
-	}
-	for _, s := range h.starts[startsBefore:] {
-		if s.Task.Stage == "A" {
-			t.Fatalf("producer %s re-ran despite surviving replica", s.Task)
+// reran reports whether A[0] was relaunched as a retry after starts[from:].
+func (h *harness) reran(from int) bool {
+	for _, s := range h.starts[from:] {
+		if s.Task == ref("j", "A", 0) && s.Reason == StartRetry {
+			return true
 		}
 	}
-	h.finishAll()
-	if !h.completed("j") {
-		t.Fatal("job did not complete after replica failover")
+	return false
+}
+
+// TestCacheWorkerLostServedFromReplica is the headline recovery win: the
+// serving copy's Cache Worker dies, a replica survives, and the controller
+// takes no recovery step — no re-run, no degrade, job completes. R=1 is the
+// control: the same crash through the same path costs a recompute.
+func TestCacheWorkerLostServedFromReplica(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		h, home := lossHarness(t, replicas)
+		before := len(h.starts)
+		h.c.CacheWorkerLost(home)
+		h.drain()
+
+		wantHits, wantRecomputes, wantDegrades := 1, 0, 0
+		if replicas == 1 {
+			wantHits, wantRecomputes, wantDegrades = 0, 1, 1
+		}
+		if got := h.c.ReplicaRecoveries(); got != wantHits {
+			t.Errorf("R=%d: ReplicaRecoveries = %d, want %d", replicas, got, wantHits)
+		}
+		if got := h.c.OutputRecomputes(); got != wantRecomputes {
+			t.Errorf("R=%d: OutputRecomputes = %d, want %d", replicas, got, wantRecomputes)
+		}
+		if got := h.degrades(); len(got) != wantDegrades {
+			t.Errorf("R=%d: degraded edges %v, want %d", replicas, got, wantDegrades)
+		}
+		h.finishAll()
+		if got := h.reran(before); got != (replicas == 1) {
+			t.Errorf("R=%d: producer re-ran = %v", replicas, got)
+		}
+		if !h.completed("j") {
+			t.Errorf("R=%d: job did not complete", replicas)
+		}
 	}
 }
 
-// TestAllReplicasLostFallsBackToRecompute: once every copy is gone the
-// replica-aware path must behave like v1 — degrade the edges and re-run the
-// producer whose output a pending consumer still needs.
+// TestAllReplicasLostFallsBackToRecompute: copies are never re-created after
+// a crash, so R Cache-Worker losses across one output's ring orphan it, and
+// the orphan takes the same degrade-and-recompute path at every R.
 func TestAllReplicasLostFallsBackToRecompute(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ShuffleReplicas = 2
-	// 2 machines × 1 executor: B's 4 tasks cannot all launch, so some stay
-	// pending and the lost output is still needed (the "rerun" branch).
-	h := newHarness(t, 2, 1, opts)
-	h.submit(barrierJob("j", 2, 4))
-	h.finish(ref("j", "A", 0))
-	h.finish(ref("j", "A", 1))
-	reps := h.replicates()
-	if len(reps) != 2 || len(reps[0].Machines) != 2 {
-		t.Fatalf("unexpected replication: %+v", reps)
-	}
-
-	// Both machines' Cache Workers die: every copy of every output is gone.
-	h.c.CacheWorkerLost(0)
-	h.drain()
-	h.c.CacheWorkerLost(1)
-	h.drain()
-
-	if got := h.c.OutputRecomputes(); got == 0 {
-		t.Fatal("no recompute recorded after losing every copy")
-	}
-	rerun := false
-	for _, s := range h.starts {
-		if s.Task.Stage == "A" && s.Reason == StartRetry {
-			rerun = true
+	for _, replicas := range []int{1, 3} {
+		h, home := lossHarness(t, replicas)
+		before := len(h.starts)
+		for k := 0; k < replicas; k++ {
+			if got := h.c.OutputRecomputes(); got != 0 {
+				t.Fatalf("R=%d: %d recomputes with a copy still alive after %d crashes", replicas, got, k)
+			}
+			h.c.CacheWorkerLost((home + cluster.MachineID(k)) % 6)
+			h.drain()
 		}
-	}
-	if !rerun {
-		t.Fatal("producer never re-ran after losing every copy")
-	}
-	h.finishAll()
-	if !h.completed("j") {
-		t.Fatal("job did not complete after recompute recovery")
+		if got := h.c.OutputRecomputes(); got == 0 {
+			t.Fatalf("R=%d: no recompute recorded after losing every copy", replicas)
+		}
+		if len(h.degrades()) == 0 {
+			t.Errorf("R=%d: orphaned output's edge did not degrade", replicas)
+		}
+		h.finishAll()
+		if !h.reran(before) {
+			t.Errorf("R=%d: producer never re-ran after losing every copy", replicas)
+		}
+		if !h.completed("j") {
+			t.Errorf("R=%d: job did not complete after recompute recovery", replicas)
+		}
 	}
 }
 
 // TestMachineFailedConsultsReplicas: a machine crash destroys its Cache
-// Worker too, but replicated outputs with surviving copies must not re-run.
+// Worker too. With surviving copies the output must not re-run; at R=1 the
+// same crash orphans it.
 func TestMachineFailedConsultsReplicas(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ShuffleReplicas = 3
-	h := newHarness(t, 4, 2, opts)
-	h.submit(barrierJob("j", 2, 2))
-	h.finish(ref("j", "A", 0))
-	h.finish(ref("j", "A", 1))
-	reps := h.replicates()
-	startsBefore := len(h.starts)
+	for _, replicas := range []int{1, 3} {
+		h, home := lossHarness(t, replicas)
+		before := len(h.starts)
+		h.c.MachineFailed(home)
+		h.drain()
 
-	h.c.MachineFailed(reps[0].Machines[0])
-	h.drain()
-
-	if got := h.c.OutputRecomputes(); got != 0 {
-		t.Fatalf("OutputRecomputes = %d after machine crash with replicas", got)
-	}
-	for _, s := range h.starts[startsBefore:] {
-		if s.Task.Stage == "A" && s.Reason == StartRetry {
-			t.Fatalf("producer %s re-ran despite surviving replicas", s.Task)
+		wantRecomputes := 0
+		if replicas == 1 {
+			wantRecomputes = 1
 		}
-	}
-	h.finishAll()
-	if !h.completed("j") {
-		t.Fatal("job did not complete")
+		if got := h.c.OutputRecomputes(); got != wantRecomputes {
+			t.Errorf("R=%d: OutputRecomputes = %d after machine crash, want %d", replicas, got, wantRecomputes)
+		}
+		h.finishAll()
+		if got := h.reran(before); got != (replicas == 1) {
+			t.Errorf("R=%d: producer re-ran = %v", replicas, got)
+		}
+		if !h.completed("j") {
+			t.Errorf("R=%d: job did not complete", replicas)
+		}
 	}
 }
 
-func TestAdaptiveLoadOverridesStaticMode(t *testing.T) {
-	rec := obs.New()
-	opts := DefaultOptions()
-	opts.Obs = rec
-	probes := 0
-	opts.AdaptiveLoad = &AdaptiveLoad{
-		Selector: shuffle.LoadSelector{MaxIncastStreams: 10},
-		Probe: func() shuffle.Load {
-			probes++
-			return shuffle.Load{IncastStreams: 500, MemHeadroom: 0.9}
-		},
+// TestSinkOutputLossReportedAtEveryR pins the one-location-model rule for
+// outputs that never get a replica row: a finished sink task's output has
+// its single implicit home at every R, so losing that machine — its Cache
+// Worker or all of it — is reported (and, nobody needing it, takes no step).
+// The forked path skipped such stages in CacheWorkerLost when R > 1.
+func TestSinkOutputLossReportedAtEveryR(t *testing.T) {
+	losses := map[string]func(*Controller, cluster.MachineID){
+		"CacheWorkerLost": (*Controller).CacheWorkerLost,
+		"MachineFailed":   (*Controller).MachineFailed,
 	}
-	h := newHarness(t, 4, 4, opts)
-	// Edge size 3×2=6: statically Direct, escalated to Remote under incast.
-	h.submit(pipelineJob("j", 3, 2))
-	if got := h.c.EdgeMode("j", "A", "B"); got != shuffle.Remote {
-		t.Fatalf("EdgeMode = %v, want Remote under incast pressure", got)
-	}
-	if probes != 1 {
-		t.Errorf("probe sampled %d times, want once per admission", probes)
-	}
-	adapted := 0
-	for _, e := range rec.Events() {
-		if e.Kind == obs.EvShuffleAdapted {
-			adapted++
-			if e.Label != "Direct->Remote|incast" {
-				t.Errorf("adapt label = %q", e.Label)
+	for name, lose := range losses {
+		for _, replicas := range []int{1, 3} {
+			rec := obs.New()
+			opts := DefaultOptions()
+			opts.ShuffleReplicas = replicas
+			opts.Obs = rec
+			h := newHarness(t, 4, 2, opts)
+			h.submit(barrierJob("j", 2, 2))
+			h.finish(ref("j", "A", 0))
+			h.finish(ref("j", "A", 1))
+			sink := h.c.Cluster().MachineOf(h.running[ref("j", "B", 0)].Executor)
+			h.finish(ref("j", "B", 0))
+			lose(h.c, sink)
+			h.drain()
+
+			reported := false
+			for _, e := range rec.Events() {
+				if e.Kind == obs.EvOutputLost && e.Stage == "B" && e.Index == 0 && e.Label == "no-step" {
+					reported = true
+				}
+			}
+			if !reported {
+				t.Errorf("%s R=%d: lost sink output B[0] not reported", name, replicas)
+			}
+			h.finishAll()
+			if !h.completed("j") {
+				t.Errorf("%s R=%d: job did not complete", name, replicas)
 			}
 		}
-	}
-	if adapted != 1 {
-		t.Errorf("recorded %d EvShuffleAdapted events, want 1", adapted)
-	}
-	h.finishAll()
-	if !h.completed("j") {
-		t.Fatal("job did not complete")
-	}
-}
-
-func TestAdaptiveLoadNilNeverOverrides(t *testing.T) {
-	h := newHarness(t, 4, 4, DefaultOptions())
-	h.submit(pipelineJob("j", 3, 2))
-	if got := h.c.EdgeMode("j", "A", "B"); got != shuffle.Direct {
-		t.Fatalf("EdgeMode = %v, want Direct with no adaptive selector", got)
 	}
 }

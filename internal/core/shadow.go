@@ -23,7 +23,7 @@ import (
 // EventKind tags a logged controller input.
 type EventKind int
 
-// Logged event kinds.
+// Logged event kinds: one per mutating Controller method.
 const (
 	EvSubmitJob EventKind = iota
 	EvTaskFinished
@@ -31,11 +31,16 @@ const (
 	EvTaskOutputLost
 	EvMachineFailed
 	EvMachineUnhealthy
+	EvMachineRecovered
+	EvCacheWorkerLost
 	EvExecutorRestarted
+	EvCancelJob
+	numEventKinds
 )
 
 // Event is one logged controller input. Job carries the submitted DAG for
-// EvSubmitJob (the log owns it; callers must not mutate it afterwards).
+// EvSubmitJob (the log owns it; callers must not mutate it afterwards);
+// EvCancelJob names its job in Task.Job.
 type Event struct {
 	Kind     EventKind
 	Job      *dag.Job
@@ -44,6 +49,7 @@ type Event struct {
 	Failure  FailureKind
 	Machine  cluster.MachineID
 	Executor cluster.ExecutorID
+	Reason   string
 }
 
 // ReplicatedController is a Controller whose inputs are logged for shadow
@@ -61,49 +67,88 @@ func NewReplicatedController(cl *cluster.Cluster, opts Options) *ReplicatedContr
 // Log returns the event log (read-only view).
 func (r *ReplicatedController) Log() []Event { return r.log }
 
-// SubmitJob logs and applies.
-func (r *ReplicatedController) SubmitJob(job *dag.Job) error {
-	if err := r.Controller.SubmitJob(job); err != nil {
+// apply feeds one input to the wrapped controller and, unless the
+// controller rejected it, appends it to the log. The live wrappers below and
+// Failover's replay all go through it, so a kind cannot be applied without
+// being logged, or logged without being replayable.
+func (r *ReplicatedController) apply(ev Event) error {
+	if ev.Kind < 0 || ev.Kind >= numEventKinds {
+		return fmt.Errorf("core: unknown event kind %d", ev.Kind)
+	}
+	var err error
+	switch ev.Kind {
+	case EvSubmitJob:
+		if err = r.Controller.SubmitJob(ev.Job); err == nil {
+			ev.Job = ev.Job.Clone()
+		}
+	case EvTaskFinished:
+		r.Controller.TaskFinished(ev.Task, ev.Attempt)
+	case EvTaskFailed:
+		r.Controller.TaskFailed(ev.Task, ev.Attempt, ev.Failure)
+	case EvTaskOutputLost:
+		r.Controller.TaskOutputLost(ev.Task)
+	case EvMachineFailed:
+		r.Controller.MachineFailed(ev.Machine)
+	case EvMachineUnhealthy:
+		r.Controller.MachineUnhealthy(ev.Machine)
+	case EvMachineRecovered:
+		r.Controller.MachineRecovered(ev.Machine)
+	case EvCacheWorkerLost:
+		r.Controller.CacheWorkerLost(ev.Machine)
+	case EvExecutorRestarted:
+		r.Controller.ExecutorRestarted(ev.Executor)
+	case EvCancelJob:
+		err = r.Controller.CancelJob(ev.Task.Job, ev.Reason)
+	}
+	if err != nil {
 		return err
 	}
-	r.log = append(r.log, Event{Kind: EvSubmitJob, Job: job.Clone()})
+	r.log = append(r.log, ev)
 	return nil
 }
 
-// TaskFinished logs and applies.
+// One wrapper per mutating Controller method: any left out would be promoted
+// through the embedding straight past the log. Only SubmitJob and CancelJob
+// can be rejected; for the rest apply's error is always nil.
+
+func (r *ReplicatedController) SubmitJob(job *dag.Job) error {
+	return r.apply(Event{Kind: EvSubmitJob, Job: job})
+}
+
 func (r *ReplicatedController) TaskFinished(ref TaskRef, attempt int) {
-	r.log = append(r.log, Event{Kind: EvTaskFinished, Task: ref, Attempt: attempt})
-	r.Controller.TaskFinished(ref, attempt)
+	_ = r.apply(Event{Kind: EvTaskFinished, Task: ref, Attempt: attempt})
 }
 
-// TaskFailed logs and applies.
 func (r *ReplicatedController) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
-	r.log = append(r.log, Event{Kind: EvTaskFailed, Task: ref, Attempt: attempt, Failure: kind})
-	r.Controller.TaskFailed(ref, attempt, kind)
+	_ = r.apply(Event{Kind: EvTaskFailed, Task: ref, Attempt: attempt, Failure: kind})
 }
 
-// TaskOutputLost logs and applies.
 func (r *ReplicatedController) TaskOutputLost(ref TaskRef) {
-	r.log = append(r.log, Event{Kind: EvTaskOutputLost, Task: ref})
-	r.Controller.TaskOutputLost(ref)
+	_ = r.apply(Event{Kind: EvTaskOutputLost, Task: ref})
 }
 
-// MachineFailed logs and applies.
 func (r *ReplicatedController) MachineFailed(id cluster.MachineID) {
-	r.log = append(r.log, Event{Kind: EvMachineFailed, Machine: id})
-	r.Controller.MachineFailed(id)
+	_ = r.apply(Event{Kind: EvMachineFailed, Machine: id})
 }
 
-// MachineUnhealthy logs and applies.
 func (r *ReplicatedController) MachineUnhealthy(id cluster.MachineID) {
-	r.log = append(r.log, Event{Kind: EvMachineUnhealthy, Machine: id})
-	r.Controller.MachineUnhealthy(id)
+	_ = r.apply(Event{Kind: EvMachineUnhealthy, Machine: id})
 }
 
-// ExecutorRestarted logs and applies.
+func (r *ReplicatedController) MachineRecovered(id cluster.MachineID) {
+	_ = r.apply(Event{Kind: EvMachineRecovered, Machine: id})
+}
+
+func (r *ReplicatedController) CacheWorkerLost(id cluster.MachineID) {
+	_ = r.apply(Event{Kind: EvCacheWorkerLost, Machine: id})
+}
+
 func (r *ReplicatedController) ExecutorRestarted(e cluster.ExecutorID) {
-	r.log = append(r.log, Event{Kind: EvExecutorRestarted, Executor: e})
-	r.Controller.ExecutorRestarted(e)
+	_ = r.apply(Event{Kind: EvExecutorRestarted, Executor: e})
+}
+
+func (r *ReplicatedController) CancelJob(job, reason string) error {
+	return r.apply(Event{Kind: EvCancelJob, Task: TaskRef{Job: job}, Reason: reason})
 }
 
 // Compact drops log entries belonging to jobs that have since completed or
@@ -117,11 +162,11 @@ func (r *ReplicatedController) Compact() {
 			if r.JobDone(ev.Job.ID) || r.JobFailed(ev.Job.ID) {
 				continue
 			}
-		case EvTaskFinished, EvTaskFailed, EvTaskOutputLost:
+		case EvTaskFinished, EvTaskFailed, EvTaskOutputLost, EvCancelJob:
 			if r.JobDone(ev.Task.Job) || r.JobFailed(ev.Task.Job) {
 				continue
 			}
-		case EvMachineFailed, EvMachineUnhealthy, EvExecutorRestarted:
+		case EvMachineFailed, EvMachineUnhealthy, EvMachineRecovered, EvCacheWorkerLost, EvExecutorRestarted:
 			// cluster-level: always retained
 		}
 		keep = append(keep, ev)
@@ -138,34 +183,8 @@ func (r *ReplicatedController) Compact() {
 func Failover(log []Event, ccfg cluster.Config, opts Options) (*ReplicatedController, error) {
 	shadow := NewReplicatedController(cluster.New(ccfg), opts)
 	for i, ev := range log {
-		switch ev.Kind {
-		case EvSubmitJob:
-			if ev.Job == nil {
-				return nil, fmt.Errorf("core: shadow replay: event %d has no job", i)
-			}
-			if err := shadow.SubmitJob(ev.Job.Clone()); err != nil {
-				return nil, fmt.Errorf("core: shadow replay diverged at event %d: %w", i, err)
-			}
-		case EvTaskFinished:
-			shadow.Controller.TaskFinished(ev.Task, ev.Attempt)
-			shadow.log = append(shadow.log, ev)
-		case EvTaskFailed:
-			shadow.Controller.TaskFailed(ev.Task, ev.Attempt, ev.Failure)
-			shadow.log = append(shadow.log, ev)
-		case EvTaskOutputLost:
-			shadow.Controller.TaskOutputLost(ev.Task)
-			shadow.log = append(shadow.log, ev)
-		case EvMachineFailed:
-			shadow.Controller.MachineFailed(ev.Machine)
-			shadow.log = append(shadow.log, ev)
-		case EvMachineUnhealthy:
-			shadow.Controller.MachineUnhealthy(ev.Machine)
-			shadow.log = append(shadow.log, ev)
-		case EvExecutorRestarted:
-			shadow.Controller.ExecutorRestarted(ev.Executor)
-			shadow.log = append(shadow.log, ev)
-		default:
-			return nil, fmt.Errorf("core: shadow replay: unknown event kind %d", ev.Kind)
+		if err := shadow.apply(ev); err != nil {
+			return nil, fmt.Errorf("core: shadow replay diverged at event %d: %w", i, err)
 		}
 		shadow.Controller.Drain() // actions already executed by the primary
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"swift/internal/cluster"
+	"swift/internal/dag"
 )
 
 // shadowHarness drives a ReplicatedController the way the controller
@@ -216,5 +218,153 @@ func TestFailoverRejectsCorruptLog(t *testing.T) {
 	bad2 := []Event{{Kind: EventKind(99)}}
 	if _, err := Failover(bad2, cluster.Config{Machines: 1, ExecutorsPerMachine: 1}, DefaultOptions()); err == nil {
 		t.Error("unknown event kind accepted")
+	}
+}
+
+// shadowStep is one mutating Controller method exercised by
+// TestShadowLogsEveryMutatingInput. run applies it to a controller — the
+// primary, and a shadow failed over just before the step — reading whatever
+// attempt or executor it needs from that controller's own state.
+type shadowStep struct {
+	method string
+	run    func(t *testing.T, r *ReplicatedController)
+}
+
+func runningOn(t *testing.T, r *ReplicatedController, tr TaskRef) (cluster.ExecutorID, int) {
+	t.Helper()
+	e, attempt, ok := r.RunningTask(tr)
+	if !ok {
+		t.Fatalf("%s is not running", tr)
+	}
+	return e, attempt
+}
+
+// TestShadowLogsEveryMutatingInput is the regression test for inputs that
+// reached the primary through the embedded *Controller and never the log
+// (CacheWorkerLost, MachineRecovered and CancelJob once did). Every exported
+// Controller method must be either a step here or a declared query: a
+// mutating method added later lands in neither list and fails the test
+// until it has a step — and the step fails until the method is logged.
+// Before each step a shadow is failed over from the log so far; the step
+// then runs on both, and the drained actions and all observable state must
+// agree.
+func TestShadowLogsEveryMutatingInput(t *testing.T) {
+	ccfg := cluster.Config{Machines: 3, ExecutorsPerMachine: 2}
+	finish := func(tr TaskRef) func(*testing.T, *ReplicatedController) {
+		return func(t *testing.T, r *ReplicatedController) {
+			_, attempt := runningOn(t, r, tr)
+			r.TaskFinished(tr, attempt)
+		}
+	}
+	submit := func(j func() *dag.Job) func(*testing.T, *ReplicatedController) {
+		return func(t *testing.T, r *ReplicatedController) {
+			if err := r.SubmitJob(j()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := []shadowStep{
+		{"SubmitJob", submit(func() *dag.Job { return barrierJob("j", 3, 2) })},
+		{"SubmitJob", submit(func() *dag.Job { return pipelineJob("k", 2, 1) })},
+		{"TaskFinished", finish(ref("j", "A", 0))},
+		{"TaskFailed", func(t *testing.T, r *ReplicatedController) {
+			_, attempt := runningOn(t, r, ref("k", "A", 0))
+			r.TaskFailed(ref("k", "A", 0), attempt, FailCrash)
+		}},
+		{"MachineUnhealthy", func(_ *testing.T, r *ReplicatedController) { r.MachineUnhealthy(1) }},
+		{"MachineRecovered", func(_ *testing.T, r *ReplicatedController) { r.MachineRecovered(1) }},
+		// j/A[0] ran on machine 0 and B is still pending: losing the worker
+		// re-runs it.
+		{"CacheWorkerLost", func(_ *testing.T, r *ReplicatedController) { r.CacheWorkerLost(0) }},
+		{"TaskFinished", finish(ref("j", "A", 0))},
+		{"TaskOutputLost", func(_ *testing.T, r *ReplicatedController) { r.TaskOutputLost(ref("j", "A", 0)) }},
+		{"ExecutorRestarted", func(t *testing.T, r *ReplicatedController) {
+			e, _ := runningOn(t, r, ref("k", "B", 0))
+			r.ExecutorRestarted(e)
+		}},
+		{"MachineFailed", func(_ *testing.T, r *ReplicatedController) { r.MachineFailed(2) }},
+		{"CancelJob", func(t *testing.T, r *ReplicatedController) {
+			if err := r.CancelJob("k", "test"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+
+	// Queries, and Drain: it hands over the action buffer the inputs above
+	// filled and changes nothing a replay has to reproduce.
+	queries := map[string]bool{
+		"CheckInvariants": true, "Cluster": true, "Drain": true, "EdgeMode": true,
+		"GraphletOf": true, "Graphlets": true, "JobDone": true, "JobFailed": true,
+		"LiveJobs": true, "Obs": true, "OutputRecomputes": true, "PolicyName": true,
+		"QueueLen": true, "ReclaimedGangs": true, "ReplicaRecoveries": true,
+		"Restarts": true, "RunningTask": true, "Snapshot": true, "StageComplete": true,
+		"Tasks": true, "TenantInFlight": true, "TenantSnapshots": true,
+	}
+	stepped := map[string]bool{}
+	for _, s := range steps {
+		stepped[s.method] = true
+	}
+	typ := reflect.TypeOf((*Controller)(nil))
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; !stepped[name] && !queries[name] {
+			t.Errorf("Controller.%s is neither a step of this test nor a declared query: if it mutates, log it and add a step", name)
+		}
+	}
+
+	drained := func(r *ReplicatedController) string { return fmt.Sprintf("%+v", r.Drain()) }
+	agree := func(when string, primary, shadow *ReplicatedController) {
+		t.Helper()
+		for _, job := range []string{"j", "k"} {
+			if primary.JobDone(job) != shadow.JobDone(job) || primary.JobFailed(job) != shadow.JobFailed(job) {
+				t.Errorf("%s: job %s: primary done=%v failed=%v, shadow done=%v failed=%v", when, job,
+					primary.JobDone(job), primary.JobFailed(job), shadow.JobDone(job), shadow.JobFailed(job))
+			}
+			if p, s := primary.Tasks(job), shadow.Tasks(job); !reflect.DeepEqual(p, s) {
+				t.Errorf("%s: job %s tasks diverged:\nprimary %+v\nshadow  %+v", when, job, p, s)
+			}
+		}
+		for id := cluster.MachineID(0); int(id) < ccfg.Machines; id++ {
+			if p, s := primary.Cluster().Machine(id).Health, shadow.Cluster().Machine(id).Health; p != s {
+				t.Errorf("%s: machine %d health: primary %v, shadow %v", when, id, p, s)
+			}
+		}
+		if p, s := primary.Cluster().BusyExecutors(), shadow.Cluster().BusyExecutors(); p != s {
+			t.Errorf("%s: busy executors: primary %d, shadow %d", when, p, s)
+		}
+		if p, s := primary.Snapshot(), shadow.Snapshot(); !reflect.DeepEqual(p, s) {
+			t.Errorf("%s: snapshot: primary %+v, shadow %+v", when, p, s)
+		}
+	}
+
+	primary := NewReplicatedController(cluster.New(ccfg), DefaultOptions())
+	for k, s := range steps {
+		when := fmt.Sprintf("step %d (%s)", k, s.method)
+		shadow, err := Failover(primary.Log(), ccfg, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		agree("before "+when, primary, shadow)
+		logged := len(primary.Log())
+		s.run(t, primary)
+		s.run(t, shadow)
+		if got := len(primary.Log()) - logged; got != 1 {
+			t.Errorf("%s: log grew by %d entries, want 1", when, got)
+		}
+		if p, s := drained(primary), drained(shadow); p != s {
+			t.Errorf("%s: drained actions diverged:\nprimary %s\nshadow  %s", when, p, s)
+		}
+		agree("after "+when, primary, shadow)
+	}
+
+	shadow, err := Failover(primary.Log(), ccfg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree("after the last step", primary, shadow)
+	if p, s := fmtActions(driveToCompletion(t, primary)), fmtActions(driveToCompletion(t, shadow)); !reflect.DeepEqual(p, s) {
+		t.Errorf("futures diverged:\nprimary %v\nshadow  %v", p, s)
+	}
+	if !primary.JobDone("j") || !primary.JobFailed("k") {
+		t.Errorf("scenario did not end with j done and k cancelled")
 	}
 }

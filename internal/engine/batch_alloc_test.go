@@ -75,29 +75,6 @@ func TestAppendBatchAllocs(t *testing.T) {
 	}
 }
 
-func TestBatchPoolDecodeAllocs(t *testing.T) {
-	skipUnderRace(t)
-	pool := NewBatchPool()
-	enc := EncodeBatch(typedBatch(4096))
-	warm, err := pool.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(warm)
-	allocs := testing.AllocsPerRun(20, func() {
-		b, err := pool.Decode(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(b)
-	})
-	// Steady state pays one string slab per string column — never a per-row
-	// or per-value allocation. The loose bound absorbs sync.Pool internals.
-	if allocs > 4 {
-		t.Errorf("pooled decode allocs = %.0f, want ≤ 4", allocs)
-	}
-}
-
 func TestDecodeBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
 	enc := EncodeBatch(typedBatch(4096))
@@ -106,8 +83,8 @@ func TestDecodeBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Unpooled: batch header, column headers, one vector per column and one
-	// string slab — O(columns), never O(rows).
+	// Batch header, column headers, one vector per column and one string
+	// slab — O(columns), never O(rows).
 	if allocs > 16 {
 		t.Errorf("DecodeBatch allocs = %.0f, want ≤ 16", allocs)
 	}

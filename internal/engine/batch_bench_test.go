@@ -117,34 +117,17 @@ func BenchmarkBatchCodecDecode(b *testing.B) {
 	b.SetBytes(int64(len(enc)))
 }
 
-func BenchmarkBatchCodecDecodePooled(b *testing.B) {
-	enc := EncodeBatch(BatchFromRows(benchRows(8000, 4000, 10)))
-	pool := NewBatchPool()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := pool.Decode(enc)
-		if err != nil || out.Len != 8000 {
-			b.Fatal("bad decode")
-		}
-		pool.Put(out)
-	}
-	b.SetBytes(int64(len(enc)))
-}
-
 func BenchmarkBatchCodecDecodeDict(b *testing.B) {
 	// Low key domain so the string column dictifies (the shuffle-boundary
 	// shape DictifyBatch targets).
 	enc := EncodeBatch(DictifyBatch(BatchFromRows(benchRows(8000, 50, 10))))
-	pool := NewBatchPool()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := pool.Decode(enc)
+		out, err := DecodeBatch(enc)
 		if err != nil || out.Len != 8000 {
 			b.Fatal("bad decode")
 		}
-		pool.Put(out)
 	}
 	b.SetBytes(int64(len(enc)))
 }

@@ -330,28 +330,14 @@ func (d *decoder) remaining() int { return len(d.data) - d.off }
 //
 //lint:hotpath
 func DecodeBatch(data []byte) (*Batch, error) {
-	b := &Batch{}
-	if err := decodeBatchInto(b, data); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// decodeBatchInto decodes into b, reusing b's column vectors when their
-// capacity suffices — the BatchPool fast path. Every reused field is fully
-// overwritten or cleared, so a recycled batch cannot leak stale rows, null
-// bitmaps or selection vectors.
-//
-//lint:hotpath
-func decodeBatchInto(b *Batch, data []byte) error {
 	d := &decoder{data: data}
 	rows64, err := d.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cols64, err := d.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A column costs ≥2 bytes, which bounds the column count by the payload
 	// length before any allocation happens. Most column types cost ≥1 bit
@@ -361,51 +347,21 @@ func decodeBatchInto(b *Batch, data []byte) error {
 	// admitted regardless of payload length. Column-less (count-only)
 	// batches carry no per-row bytes either and get the same cap.
 	if cols64 > uint64(len(data)) {
-		return fmt.Errorf("engine: batch codec: %d columns in %d bytes", cols64, len(data))
+		return nil, fmt.Errorf("engine: batch codec: %d columns in %d bytes", cols64, len(data))
 	}
 	if rows64 > 8*uint64(len(data)) && rows64 > maxCountOnlyRows {
-		return fmt.Errorf("engine: batch codec: %d rows in %d bytes", rows64, len(data))
+		return nil, fmt.Errorf("engine: batch codec: %d rows in %d bytes", rows64, len(data))
 	}
-	rows, cols := int(rows64), int(cols64)
-	if cap(b.Cols) >= cols {
-		b.Cols = b.Cols[:cols]
-	} else {
-		b.Cols = make([]Column, cols)
-	}
-	b.Len = rows
-	b.Sel = nil
-	for c := 0; c < cols; c++ {
-		if err := d.decodeCol(&b.Cols[c], rows); err != nil {
-			return err
+	b := &Batch{Len: int(rows64), Cols: make([]Column, int(cols64))}
+	for c := range b.Cols {
+		if err := d.decodeCol(&b.Cols[c], b.Len); err != nil {
+			return nil, err
 		}
 	}
 	if d.off != len(data) {
-		return fmt.Errorf("engine: batch codec: %d trailing bytes", len(data)-d.off)
+		return nil, fmt.Errorf("engine: batch codec: %d trailing bytes", len(data)-d.off)
 	}
-	return nil
-}
-
-// resizeStrs and friends reuse a recycled vector when its capacity covers n
-// rows; each caller overwrites all n slots.
-func resizeStrs(s []string, n int) []string {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]string, n)
-}
-
-func resizeUint32(s []uint32, n int) []uint32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint32, n)
-}
-
-func resizeUint64(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint64, n)
+	return b, nil
 }
 
 // stringRegion validates n uvarint-length-prefixed values in place (pass
@@ -413,7 +369,7 @@ func resizeUint64(s []uint64, n int) []uint64 {
 // single slab and slices each value from it (pass two). One allocation per
 // region instead of one per string; the handful of prefix bytes kept alive
 // inside the slab is the price of not building an offsets array.
-func (d *decoder) stringRegion(out []string, n int) ([]string, error) {
+func (d *decoder) stringRegion(n int) ([]string, error) {
 	start := d.off
 	for i := 0; i < n; i++ {
 		ln, err := d.uvarint()
@@ -426,7 +382,7 @@ func (d *decoder) stringRegion(out []string, n int) ([]string, error) {
 	}
 	region := d.data[start:d.off]
 	blob := string(region)
-	out = resizeStrs(out, n)
+	out := make([]string, n)
 	pos := 0
 	for i := 0; i < n; i++ {
 		ln, sz := binary.Uvarint(region[pos:])
@@ -459,13 +415,10 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if err != nil {
 			return err
 		}
-		c.Nulls = resizeUint64(c.Nulls, words)
+		c.Nulls = make([]uint64, words)
 		for w := 0; w < words; w++ {
 			c.Nulls[w] = binary.LittleEndian.Uint64(raw[w*8:])
 		}
-	} else {
-		// A recycled column may carry the previous batch's bitmap.
-		c.Nulls = nil
 	}
 	switch c.Type {
 	case TInt64:
@@ -473,11 +426,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if err != nil {
 			return err
 		}
-		if cap(c.Ints) >= rows {
-			c.Ints = c.Ints[:rows]
-		} else {
-			c.Ints = make([]int64, rows)
-		}
+		c.Ints = make([]int64, rows)
 		for i := range c.Ints {
 			c.Ints[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
@@ -486,16 +435,12 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if err != nil {
 			return err
 		}
-		if cap(c.Floats) >= rows {
-			c.Floats = c.Floats[:rows]
-		} else {
-			c.Floats = make([]float64, rows)
-		}
+		c.Floats = make([]float64, rows)
 		for i := range c.Floats {
 			c.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 	case TString:
-		c.Strs, err = d.stringRegion(c.Strs, rows)
+		c.Strs, err = d.stringRegion(rows)
 		if err != nil {
 			return err
 		}
@@ -504,11 +449,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if err != nil {
 			return err
 		}
-		if cap(c.Bools) >= rows {
-			c.Bools = c.Bools[:rows]
-		} else {
-			c.Bools = make([]bool, rows)
-		}
+		c.Bools = make([]bool, rows)
 		for i := range c.Bools {
 			c.Bools[i] = raw[i/8]&(1<<(uint(i)%8)) != 0
 		}
@@ -518,11 +459,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if rows > d.remaining() {
 			return fmt.Errorf("engine: batch codec: %d any values in %d bytes", rows, d.remaining())
 		}
-		if cap(c.Anys) >= rows {
-			c.Anys = c.Anys[:rows]
-		} else {
-			c.Anys = make([]Value, rows)
-		}
+		c.Anys = make([]Value, rows)
 		for i := range c.Anys {
 			v, err := d.decodeAnyValue()
 			if err != nil {
@@ -543,7 +480,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 			return fmt.Errorf("engine: batch codec: %d dictionary rows with empty dictionary", rows)
 		}
 		size := int(size64)
-		c.Dict, err = d.stringRegion(c.Dict, size)
+		c.Dict, err = d.stringRegion(size)
 		if err != nil {
 			return err
 		}
@@ -552,7 +489,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		if err != nil {
 			return err
 		}
-		c.Codes = resizeUint32(c.Codes, rows)
+		c.Codes = make([]uint32, rows)
 		unpackCodes(c.Codes, raw, w)
 		for _, code := range c.Codes {
 			if code >= uint32(size) {

@@ -1,8 +1,7 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (Section V) on the simulated platform: one exported function per
 // experiment, each returning the same rows/series the paper reports. The
-// package is the single source of truth used by cmd/swiftbench, the
-// examples and the top-level benchmarks.
+// package is the single source of truth behind cmd/swiftbench.
 //
 // Absolute seconds differ from the paper (the substrate is a calibrated
 // simulator, not Alibaba's clusters); the shapes — who wins, by what
@@ -21,7 +20,7 @@ import (
 )
 
 // Config scales the experiments. Reduced runs shrink workloads so the full
-// suite finishes in seconds (used by `go test -bench` and CI); the default
+// suite finishes in seconds (used by the tests and CI); the default
 // is the paper-scale configuration.
 type Config struct {
 	Reduced bool

@@ -313,7 +313,7 @@ func TestFairShareAcceptance(t *testing.T) {
 
 func TestRunRegistryCoversAllExperiments(t *testing.T) {
 	names := Names()
-	want := []string{"fig3", "fig8", "fig9a", "fig9b", "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "flowburst", "fairshare", "shufflerecovery"}
+	want := []string{"fig3", "fig8", "fig9a", "fig9b", "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "flowburst", "fairshare", "shufflerecovery", "ablation-shuffle", "ablation-partition"}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries: %v", len(names), names)
 	}

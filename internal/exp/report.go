@@ -80,21 +80,23 @@ func Names() []string {
 
 // registry maps experiment ids to report functions.
 var registry = map[string]func(Config, io.Writer) error{
-	"fig3":            reportFig3,
-	"fig8":            reportFig8,
-	"fig9a":           reportFig9a,
-	"fig9b":           reportFig9b,
-	"table1":          reportTable1,
-	"fig10":           reportFig10,
-	"fig11":           reportFig11,
-	"fig12":           reportFig12,
-	"fig13":           reportFig13,
-	"fig14":           reportFig14,
-	"fig15":           reportFig15,
-	"fig16":           reportFig16,
-	"flowburst":       reportFlowBurst,
-	"fairshare":       reportFairShare,
-	"shufflerecovery": reportShuffleRecovery,
+	"ablation-partition": reportAblationPartition,
+	"ablation-shuffle":   reportAblationShuffle,
+	"fig3":               reportFig3,
+	"fig8":               reportFig8,
+	"fig9a":              reportFig9a,
+	"fig9b":              reportFig9b,
+	"table1":             reportTable1,
+	"fig10":              reportFig10,
+	"fig11":              reportFig11,
+	"fig12":              reportFig12,
+	"fig13":              reportFig13,
+	"fig14":              reportFig14,
+	"fig15":              reportFig15,
+	"fig16":              reportFig16,
+	"flowburst":          reportFlowBurst,
+	"fairshare":          reportFairShare,
+	"shufflerecovery":    reportShuffleRecovery,
 }
 
 // Run executes one named experiment and writes its paper-style report. It
@@ -260,6 +262,26 @@ func reportFairShare(cfg Config, w io.Writer) error {
 		t.Add(r.Burst, r.Policy, r.ContendedSec,
 			r.Shares[0], r.Shares[1], r.Shares[2], r.Jain, r.MaxDevPct,
 			r.P99[0], r.P99[1], r.P99[2], r.Reclaims, r.Completed)
+	}
+	_, err := t.WriteTo(w)
+	return err
+}
+
+func reportAblationShuffle(cfg Config, w io.Writer) error {
+	t := &Table{Title: "Ablation — adaptive shuffle vs each fixed mode on a mixed small/medium/large workload",
+		Headers: []string{"policy", "mean_s"}}
+	for _, r := range AblationAdaptiveShuffle(cfg) {
+		t.Add(r.Policy, r.MeanSec)
+	}
+	_, err := t.WriteTo(w)
+	return err
+}
+
+func reportAblationPartition(cfg Config, w io.Writer) error {
+	t := &Table{Title: "Ablation — graphlet vs per-stage vs whole-job partitioning on the Fig. 10 trace",
+		Headers: []string{"policy", "makespan_s", "mean_idle_ratio"}}
+	for _, r := range AblationPartition(cfg) {
+		t.Add(r.Policy, r.MakespanSec, fmt.Sprintf("%.3f", r.MeanIdle))
 	}
 	_, err := t.WriteTo(w)
 	return err

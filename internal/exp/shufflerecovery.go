@@ -12,7 +12,7 @@ import (
 // comparison: a trace workload soaked under the same machine-loss and
 // Cache-Worker-crash schedule, once with single-copy outputs (every loss
 // whose data is still needed re-runs its producer) and once with the
-// shuffle service's R-way replication (losses fail over to a surviving
+// controller's R-way output replication (losses fail over to a surviving
 // copy and only fully-orphaned outputs recompute).
 type ShuffleRecoveryRow struct {
 	Policy      string // "recompute" (R=1) or "replica" (R=3)
@@ -47,8 +47,8 @@ func shuffleRecoveryProfile() chaos.Profile {
 	return p
 }
 
-// ShuffleRecovery runs the recovery-cost comparison behind the shuffle
-// service's replication: identical seed, workload and fault schedule, with
+// ShuffleRecovery runs the recovery-cost comparison behind output
+// replication: identical seed, workload and fault schedule, with
 // only the replication factor differing between arms. With R=1 every lost
 // still-needed output is a producer re-run (and its consumers may cascade);
 // with R=3 the controller consults surviving replicas first, so recomputes

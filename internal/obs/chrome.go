@@ -214,9 +214,6 @@ func (r *Recorder) buildChrome() []traceEvent {
 		case EvReplicaServed:
 			instant(e, jobOf(e.Job), 0, "recovery",
 				fmt.Sprintf("replica-served %s[%d] m%d", e.Stage, e.Index, e.Machine), nil)
-		case EvShuffleAdapted:
-			instant(e, jobOf(e.Job), 0, "shuffle",
-				fmt.Sprintf("adapt %s>%s %s", e.Stage, e.To, e.Label), nil)
 		}
 	}
 

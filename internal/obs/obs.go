@@ -104,10 +104,6 @@ const (
 	// the serving copy's worker died — no recompute needed; Machine holds
 	// the new serving machine.
 	EvReplicaServed
-	// EvShuffleAdapted marks the load-observed selector overriding the
-	// static threshold choice for an edge; Label holds
-	// "static->adapted|reason".
-	EvShuffleAdapted
 )
 
 // String names the kind for counters and hashes.
@@ -159,8 +155,6 @@ func (k Kind) String() string {
 		return "replicate"
 	case EvReplicaServed:
 		return "replica_served"
-	case EvShuffleAdapted:
-		return "shuffle_adapted"
 	}
 	return "invalid"
 }
@@ -383,13 +377,6 @@ func (r *Recorder) Replicated(job, stage string, index, attempt, copies, machine
 func (r *Recorder) ReplicaServed(job, stage string, index, machine int) {
 	r.rec(Event{Kind: EvReplicaServed, Job: job, Stage: stage, Index: index,
 		Machine: machine, Executor: -1})
-}
-
-// ShuffleAdapted records the load-observed selector overriding the static
-// threshold mode for an edge, with the reason tag.
-func (r *Recorder) ShuffleAdapted(job, from, to, staticMode, adaptedMode, reason string) {
-	r.rec(Event{Kind: EvShuffleAdapted, Job: job, Stage: from, To: to,
-		Label: staticMode + "->" + adaptedMode + "|" + reason, Executor: -1, Machine: -1})
 }
 
 // FNV-1a, the same construction the chaos auditor uses for its trace hash.

@@ -2,32 +2,18 @@ package shuffle
 
 import "swift/internal/cluster"
 
-// CostInput describes one shuffle edge for the cost model. The shuffle-
-// service fields (SpilledFrac, Replicas, PushMerge) default to zero values
-// that reproduce the v1 cost exactly.
+// CostInput describes one shuffle edge for the cost model.
 type CostInput struct {
 	M, N             int   // producer / consumer task counts
 	ProducerMachines int   // machines hosting producers (Y on the write side)
 	ConsumerMachines int   // machines hosting consumers
 	Bytes            int64 // total shuffle volume
 	ClusterMachines  int   // machines in the whole cluster
-	ActiveConns      int   // background connections already live
 	Model            *cluster.Model
-	// SpilledFrac is the fraction of the edge's bytes expected to be read
-	// back from the cache workers' disk tier rather than memory, in [0, 1].
-	// Spilled segments are a first-class tier: consumers still find them,
-	// but pay a disk pass (Breakdown.TierRead) on the read side.
-	SpilledFrac float64
 	// Replicas is the replication factor R for cache-backed modes; values
 	// ≤ 1 add no cost. Each extra copy pays a network transfer plus one
 	// memory copy on the write side (Breakdown.Replicate).
 	Replicas int
-	// PushMerge models push-based partition merging for Remote shuffle:
-	// producers push fragments to reducer-side cache workers that merge
-	// them into per-reducer blocks, so consumer fetch fan-in collapses
-	// from N pullers per worker to the consumer machine count, at the
-	// price of one extra merge copy.
-	PushMerge bool
 }
 
 // Breakdown itemises the cost of performing one shuffle in one mode.
@@ -42,16 +28,13 @@ type Breakdown struct {
 	Copy        float64 // additional memory copies vs Direct
 	DiskWrite   float64 // file-based shuffle only
 	DiskRead    float64 // file-based shuffle only
-	// TierRead is the disk-tier read-back cost for cache-backed modes:
-	// the SpilledFrac portion of the bytes pays a disk pass at fetch time.
-	TierRead float64
 	// Replicate is the extra write-side cost of the R−1 replica copies.
 	Replicate float64
 }
 
 // Total returns the full end-to-end shuffle time.
 func (b Breakdown) Total() float64 {
-	return b.Setup + b.Transfer + b.Copy + b.DiskWrite + b.DiskRead + b.TierRead + b.Replicate
+	return b.Setup + b.Transfer + b.Copy + b.DiskWrite + b.DiskRead + b.Replicate
 }
 
 // Write returns the producer-side portion (shuffle-write phase in Fig. 9b):
@@ -62,9 +45,9 @@ func (b Breakdown) Write() float64 {
 
 // Read returns the consumer-side portion (shuffle-read phase): setup,
 // the other transfer half, remaining copies, and disk reads (file-based
-// shuffle or the cache workers' disk tier).
+// shuffle).
 func (b Breakdown) Read() float64 {
-	return b.Setup + b.Copy/2 + b.DiskRead + b.Transfer/2 + b.TierRead
+	return b.Setup + b.Copy/2 + b.DiskRead + b.Transfer/2
 }
 
 // Cost models one shuffle in the given mode. The model follows Section
@@ -104,7 +87,7 @@ func Cost(mode Mode, in CostInput) Breakdown {
 	b := Breakdown{Mode: mode}
 	b.Conns = Connections(mode, in.M, in.N, y)
 
-	congestion := m.Congestion(in.ActiveConns+b.Conns, in.ClusterMachines)
+	congestion := m.Congestion(b.Conns, in.ClusterMachines)
 	prodConns, consConns := PerTaskConns(mode, in.M, in.N, y)
 
 	// Machine-local connections (task to its own Cache Worker) skip the
@@ -146,14 +129,6 @@ func Cost(mode Mode, in CostInput) Breakdown {
 	case Direct:
 		// many short flows: costed through the retransmission term above
 	}
-	if in.PushMerge && mode == Remote {
-		// Push-based merging: fragments land reducer-side and consumers
-		// fetch merged blocks from their local worker, so the fan-in at
-		// any worker collapses from N pullers to the consumer machine
-		// count. The merge append costs one extra memory copy.
-		streams = float64(cy)
-		b.Copy += m.MemCopyTime(in.Bytes, y, 1)
-	}
 	incast := 1 + streams/m.IncastStreamCapacity
 	if incast > m.MaxIncastFactor {
 		incast = m.MaxIncastFactor
@@ -167,7 +142,7 @@ func Cost(mode Mode, in CostInput) Breakdown {
 		transferMachines = cy // the narrower side bottlenecks
 	}
 	b.Transfer = m.NetTransferTime(in.Bytes, transferMachines) * incast * m.RetransSlowdown(b.RetransRate)
-	b.Copy += m.MemCopyTime(in.Bytes, y, ExtraCopies(mode))
+	b.Copy = m.MemCopyTime(in.Bytes, y, ExtraCopies(mode))
 	if mode == Disk {
 		// File-based shuffle writes M×N block files; seek overhead
 		// grows with the block count (Riffle's small-file problem).
@@ -175,27 +150,11 @@ func Cost(mode Mode, in CostInput) Breakdown {
 		b.DiskWrite = m.DiskTime(in.Bytes, py) * seek
 		b.DiskRead = m.DiskTime(in.Bytes, py) * seek
 	}
-	if mode == Local || mode == Remote {
-		// Shuffle-service extensions, all zero by default. The disk tier:
-		// the spilled fraction of the bytes pays a read-back pass from the
-		// producer-side workers' disks. Replication: each of the R−1 extra
-		// copies pays a transfer plus one memory copy on the write side.
-		if f := in.SpilledFrac; f > 0 {
-			if f > 1 {
-				f = 1
-			}
-			b.TierRead = m.DiskTime(int64(float64(in.Bytes)*f), py)
-		}
-		if in.Replicas > 1 {
-			b.Replicate = float64(in.Replicas-1) *
-				(m.NetTransferTime(in.Bytes, py) + m.MemCopyTime(in.Bytes, y, 1))
-		}
+	if (mode == Local || mode == Remote) && in.Replicas > 1 {
+		// Each of the R−1 extra copies pays a transfer plus one memory
+		// copy on the write side.
+		b.Replicate = float64(in.Replicas-1) *
+			(m.NetTransferTime(in.Bytes, py) + m.MemCopyTime(in.Bytes, y, 1))
 	}
 	return b
-}
-
-// Adaptive selects a mode from the edge size with the given thresholds and
-// returns its cost; it is the runtime policy Swift applies per edge.
-func Adaptive(t Thresholds, in CostInput) Breakdown {
-	return Cost(t.Select(in.M*in.N), in)
 }

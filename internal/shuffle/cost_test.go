@@ -39,21 +39,6 @@ func TestFig12Orderings(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMatchesBestMode(t *testing.T) {
-	th := DefaultThresholds()
-	for _, in := range []CostInput{
-		input(50, 50, 5, 2<<30),        // small -> Direct
-		input(200, 200, 10, 20<<30),    // medium -> Remote
-		input(1000, 1000, 50, 100<<30), // large -> Local
-	} {
-		got := Adaptive(th, in)
-		want := th.Select(in.M * in.N)
-		if got.Mode != want {
-			t.Errorf("Adaptive picked %v for edge size %d, want %v", got.Mode, in.M*in.N, want)
-		}
-	}
-}
-
 func TestDirectRetransGrowsWithFanout(t *testing.T) {
 	small := Cost(Direct, input(50, 50, 5, 1<<30))
 	large := Cost(Direct, input(1500, 1500, 75, 1<<30))
@@ -117,9 +102,9 @@ func TestCostMonotoneInBytes(t *testing.T) {
 	}
 }
 
-// TestCostServiceFieldsDefaultToV1 pins the zero-value contract: leaving
-// SpilledFrac, Replicas and PushMerge at their zero values reproduces the
-// v1 breakdown exactly, so existing same-seed runs stay byte-identical.
+// TestCostServiceFieldsDefaultToV1 pins the zero-value contract: Replicas
+// of 0 or 1 charge nothing, so unreplicated same-seed runs stay
+// byte-identical.
 func TestCostServiceFieldsDefaultToV1(t *testing.T) {
 	for _, m := range []Mode{Direct, Local, Remote, Disk} {
 		in := input(200, 200, 10, 20<<30)
@@ -129,36 +114,9 @@ func TestCostServiceFieldsDefaultToV1(t *testing.T) {
 		if base != again {
 			t.Errorf("%v: Replicas=1 changed the breakdown: %+v vs %+v", m, base, again)
 		}
-		if base.TierRead != 0 || base.Replicate != 0 {
-			t.Errorf("%v: zero inputs charged service components: %+v", m, base)
+		if base.Replicate != 0 {
+			t.Errorf("%v: unreplicated edge charged a replica copy: %+v", m, base)
 		}
-	}
-}
-
-func TestCostDiskTierReadBack(t *testing.T) {
-	in := input(200, 200, 10, 20<<30)
-	in.SpilledFrac = 0.5
-	half := Cost(Remote, in)
-	if half.TierRead <= 0 {
-		t.Fatal("SpilledFrac=0.5 charged no tier read")
-	}
-	in.SpilledFrac = 1.0
-	full := Cost(Remote, in)
-	if full.TierRead <= half.TierRead {
-		t.Errorf("tier read not monotone in spilled fraction: %.3f vs %.3f", half.TierRead, full.TierRead)
-	}
-	in.SpilledFrac = 5 // clamped to 1
-	if got := Cost(Remote, in).TierRead; got != full.TierRead {
-		t.Errorf("SpilledFrac not clamped: %.3f vs %.3f", got, full.TierRead)
-	}
-	// The tier belongs to cache-backed modes only.
-	in.SpilledFrac = 0.5
-	if got := Cost(Direct, in).TierRead; got != 0 {
-		t.Errorf("Direct charged tier read %.3f", got)
-	}
-	// Read-side charge: consumers pay it.
-	if half.Read() <= Cost(Remote, input(200, 200, 10, 20<<30)).Read() {
-		t.Error("tier read not charged to the read phase")
 	}
 }
 
@@ -179,27 +137,5 @@ func TestCostReplicationChargesWriteSide(t *testing.T) {
 	in.Replicas = 2
 	if two := Cost(Remote, in).Replicate; two >= rep.Replicate {
 		t.Errorf("replicate cost not monotone in R: R=2 %.3f vs R=3 %.3f", two, rep.Replicate)
-	}
-}
-
-// TestCostPushMergeCutsRemoteIncast verifies push-based merging pays off
-// where it should: a wide Remote edge whose fan-in incast dominates gets
-// cheaper when fragments are merged reducer-side, despite the merge copy.
-func TestCostPushMergeCutsRemoteIncast(t *testing.T) {
-	in := input(1000, 1000, 20, 40<<30)
-	pull := Cost(Remote, in)
-	in.PushMerge = true
-	push := Cost(Remote, in)
-	if push.Total() >= pull.Total() {
-		t.Errorf("push-merge did not help wide remote edge: push=%.3f pull=%.3f", push.Total(), pull.Total())
-	}
-	if push.Copy <= pull.Copy {
-		t.Error("push-merge should pay an extra merge copy")
-	}
-	// PushMerge is a Remote-mode concept; other modes ignore it.
-	in2 := input(1000, 1000, 20, 40<<30)
-	in2.PushMerge = true
-	if got, want := Cost(Local, in2), Cost(Local, input(1000, 1000, 20, 40<<30)); got != want {
-		t.Errorf("PushMerge changed Local cost: %+v vs %+v", got, want)
 	}
 }

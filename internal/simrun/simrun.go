@@ -33,13 +33,6 @@ type Config struct {
 	// drained machines out of the pool forever (the pre-hardening
 	// behaviour, which starves the cluster under sustained fault storms).
 	ReadmitDelay sim.Duration
-	// SpillFrac is the expected fraction of each cache-backed edge's bytes
-	// served from the Cache Workers' disk tier (shuffle.CostInput.
-	// SpilledFrac); zero models an all-memory fleet, the v1 behaviour.
-	SpillFrac float64
-	// PushMerge enables push-based partition merging for Remote edges in
-	// the cost model (shuffle.CostInput.PushMerge).
-	PushMerge bool
 }
 
 // TaskSample is the per-task timing record behind IdleRatio.
@@ -395,11 +388,8 @@ func (r *Runner) edgeCosts(jr *jobRun) {
 			ConsumerMachines: est(to.size),
 			Bytes:            e.Bytes,
 			ClusterMachines:  r.cl.NumMachines(),
-			ActiveConns:      0,
 			Model:            model,
-			SpilledFrac:      r.cfg.SpillFrac,
 			Replicas:         r.cfg.Options.ShuffleReplicas,
-			PushMerge:        r.cfg.PushMerge,
 		}
 		b := shuffle.Cost(mode, in)
 		from.cost.write += b.Write()
