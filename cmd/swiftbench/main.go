@@ -51,7 +51,7 @@ func main() {
 
 	t0 := time.Now()
 	stopProfiles := startProfiles()
-	results := exp.RunAll(order, cfg, *workers)
+	results := exp.RunAll(order, cfg, *workers, *hashes)
 	stopProfiles()
 	printed := 0
 	for _, r := range results {

@@ -14,7 +14,7 @@
 //
 // -fair switches the workload to the multi-tenant fairness soak: three
 // tenants with 2:1:1 weights (one bursty, one hard-quota-capped) under
-// the hierarchical fair-share policy, with the auditor's no-starvation
+// the weighted fair-share policy, with the auditor's no-starvation
 // and quota invariants armed. Per-tenant terminal tallies and the reclaim
 // count print on each seed's summary line (-jobs is ignored).
 //
@@ -35,9 +35,7 @@ import (
 	"swift/internal/exp"
 	"swift/internal/obs"
 	"swift/internal/prof"
-	"swift/internal/sched"
 	"swift/internal/sim"
-	"swift/internal/trace"
 )
 
 // seedOutcome carries one soak's results out of the worker pool; printing
@@ -128,54 +126,23 @@ func main() {
 	fmt.Printf("all %d seeds clean\n", *seeds)
 }
 
-// configure rebuilds cfg.Options (and, with fair, the tenant workload)
-// for one soak run: a non-nil recorder attaches observability, fair
-// swaps in the 3-tenant fair-share mix — weights 2:1:1, tenant b bursting
-// 10x for 30 s, tenant c hard-capped at 30 executors with the auditor's
-// quota invariant armed — and shuffleRep turns on 3-way output
-// replication under a Cache-Worker-crash-only fault profile, where a lost
-// serving copy promotes a survivor unless the output's whole ring is gone.
-// Leaves Options nil (library defaults) when none applies.
+// configure rebuilds cfg.Options for one soak run: a non-nil recorder
+// attaches observability, fair layers on the 3-tenant fair-share mix and
+// shuffleRep the replicated-shuffle soak (chaos.UseFairShare and
+// chaos.UseReplicatedShuffle say what each is). Leaves Options nil (library
+// defaults) when none applies.
 func configure(cfg *chaos.Config, rec *obs.Recorder, fair, shuffleRep bool) {
 	cfg.Options = nil
-	if rec != nil || fair || shuffleRep {
+	if rec != nil {
 		o := core.DefaultOptions()
 		o.Obs = rec
-		if shuffleRep {
-			o.ShuffleReplicas = 3
-		}
-		if fair {
-			o.Policy = sched.NewFairShare(sched.FairShareConfig{Queues: []sched.QueueSpec{
-				{Name: "a", Weight: 2},
-				{Name: "b", Weight: 1},
-				{Name: "c", Weight: 1, Quota: 30},
-			}})
-		}
 		cfg.Options = &o
 	}
 	if fair {
-		cfg.Tenants = []trace.TenantSpec{
-			{Name: "a", Jobs: 12, Rate: 0.4},
-			{Name: "b", Jobs: 12, Rate: 0.4, BurstAt: 20, BurstDur: 30, BurstFactor: 10},
-			{Name: "c", Jobs: 8, ArrivalWindow: 60},
-		}
-		cfg.TenantQuotas = map[string]int{"c": 30}
+		cfg.UseFairShare()
 	}
 	if shuffleRep {
-		// Cache-Worker crashes only: each one wipes a single machine's
-		// buffered copies, and with R=3 most losses find a survivor. Not
-		// all: copies are never re-created, so the third crash on one
-		// output's ring orphans it and it recomputes (seeds 0–7 report
-		// 1,294 replica hits and 177 recomputes). Machine crashes and
-		// direct output-lost faults are excluded — the former can take
-		// several homes down in one window, the latter models fleet-wide
-		// eviction that bypasses replicas by design.
-		p := chaos.DefaultProfile()
-		p.MachineCrashPerMin = 0
-		p.MachineUnhealthyPerMin = 0
-		p.OutputLostPerMin = 0
-		p.CacheWorkerCrashPerMin = 8
-		cfg.Profile = &p
+		cfg.UseReplicatedShuffle()
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
+	"swift/internal/graphlet"
 	"swift/internal/obs"
 	"swift/internal/prof"
 	"swift/internal/sim"
@@ -75,16 +76,16 @@ func main() {
 
 	// Clean run (also the baseline for failure injection timing).
 	stopProfiles := startProfiles()
-	clean := runOnce(job.Clone(), ccfg, opts, *seed, "", 0, cleanRec)
+	clean, graphlets := runOnce(job.Clone(), ccfg, opts, *seed, "", 0, cleanRec)
 	fmt.Printf("system=%s job=%s machines=%d executors=%d\n", *system, job.ID, *machines, *machines**execs)
 	fmt.Printf("stages=%d tasks=%d\n", job.NumStages(), job.NumTasks())
-	printGraphlets(job, opts)
+	printGraphlets(graphlets)
 	fmt.Printf("\nclean run: %.2fs\n", clean.Duration())
 	printPhases(clean)
 
 	if *failStage != "" {
 		at := clean.Duration() * *failAt
-		faulty := runOnce(job.Clone(), ccfg, opts, *seed, *failStage, at, rec)
+		faulty, _ := runOnce(job.Clone(), ccfg, opts, *seed, *failStage, at, rec)
 		fmt.Printf("\nwith failure in %s at %.1fs: %.2fs (%+.1f%%), restarts=%d resends=%d\n",
 			*failStage, at, faulty.Duration(), (faulty.Duration()/clean.Duration()-1)*100,
 			faulty.Restarts, faulty.Resends)
@@ -154,7 +155,9 @@ func systemOptions(name string) (core.Options, error) {
 	return core.Options{}, fmt.Errorf("unknown system %q", name)
 }
 
-func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, failStage string, failAt float64, rec *obs.Recorder) *simrun.JobResult {
+// runOnce simulates the job and returns its result with the partition the
+// controller scheduled it by.
+func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, failStage string, failAt float64, rec *obs.Recorder) (*simrun.JobResult, []*graphlet.Graphlet) {
 	opts.Obs = rec
 	r := simrun.New(simrun.Config{Cluster: ccfg, Options: opts, Seed: seed})
 	r.SubmitAt(0, job)
@@ -167,15 +170,10 @@ func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, f
 		fmt.Fprintln(os.Stderr, "swiftsim: job did not complete")
 		os.Exit(1)
 	}
-	return jr
+	return jr, r.Controller().Graphlets(job.ID)
 }
 
-func printGraphlets(job *dag.Job, opts core.Options) {
-	gs, err := opts.Partition(job)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swiftsim: partition:", err)
-		return
-	}
+func printGraphlets(gs []*graphlet.Graphlet) {
 	fmt.Printf("graphlets=%d\n", len(gs))
 	for _, g := range gs {
 		fmt.Printf("  %s deps=%v\n", g, g.DependsOn)

@@ -35,13 +35,13 @@ func Spark() core.Options {
 
 // JetScope models JetScope/Impala-style interactive engines: the whole job
 // is gang scheduled as one unit (nothing starts until every executor is
-// available), with memory-based streaming between vertices and
-// fine-grained recovery.
+// available, and a waiting job blocks the queue behind it), with
+// memory-based streaming between vertices and fine-grained recovery. The
+// partition is the whole difference from Swift: the unit it emits carries
+// the gang property.
 func JetScope() core.Options {
 	o := core.DefaultOptions()
 	o.Partition = core.WholeJobPartition
-	o.StrictGang = true
-	o.StrictFIFO = true
 	return o
 }
 

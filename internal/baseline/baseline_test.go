@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/graphlet"
@@ -21,14 +22,30 @@ func diamond() *dag.Job {
 }
 
 func TestPresetShapes(t *testing.T) {
-	if o := Spark(); !o.ColdLaunch || o.StrictGang {
-		t.Error("spark preset wrong")
+	// gangUnits reports how many units a preset schedules the diamond as,
+	// and whether all (or none) of them are all-or-nothing gangs.
+	gangUnits := func(o core.Options) (units int, gang bool) {
+		cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
+		c := core.NewController(cl, o)
+		if err := c.SubmitJob(diamond()); err != nil {
+			t.Fatal(err)
+		}
+		gs := c.Graphlets("d")
+		for _, g := range gs {
+			if g.Gang != gs[0].Gang {
+				t.Errorf("mixed gang and wave units: %v", gs)
+			}
+		}
+		return len(gs), gs[0].Gang
 	}
-	if o := JetScope(); !o.StrictGang || o.ColdLaunch {
-		t.Error("jetscope preset wrong")
+	if n, gang := gangUnits(Spark()); !Spark().ColdLaunch || n != 4 || gang {
+		t.Errorf("spark preset wrong: %d units, gang=%v", n, gang)
 	}
-	if o := Swift(); o.StrictGang || o.ColdLaunch || o.Recovery != core.FineGrained {
-		t.Error("swift preset wrong")
+	if n, gang := gangUnits(JetScope()); JetScope().ColdLaunch || n != 1 || !gang {
+		t.Errorf("jetscope preset wrong: %d units, gang=%v", n, gang)
+	}
+	if n, gang := gangUnits(Swift()); Swift().ColdLaunch || Swift().Recovery != core.FineGrained || n != 1 || gang {
+		t.Errorf("swift preset wrong: %d units, gang=%v", n, gang)
 	}
 	if o := JobRestart(Swift()); o.Recovery != core.JobRestart {
 		t.Error("job-restart wrapper wrong")

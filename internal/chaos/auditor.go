@@ -30,8 +30,6 @@ type Auditor struct {
 	violations  []string
 	actions     *metrics.Counter
 	hash        uint64
-	checkEvery  int // run CheckInvariants every Nth event boundary (≥1)
-	eventCount  int64
 	quotas      map[string]int
 }
 
@@ -40,13 +38,8 @@ type Auditor struct {
 // quota-configured scheduling policy is supposed to enforce).
 func (a *Auditor) SetTenantQuotas(quotas map[string]int) { a.quotas = quotas }
 
-// NewAuditor attaches an auditor to a controller/cluster pair. checkEvery
-// thins the (O(cluster) cost) full-state invariant sweep to every Nth event
-// boundary; 1 checks every event.
-func NewAuditor(ctrl *core.Controller, cl *cluster.Cluster, checkEvery int) *Auditor {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
+// NewAuditor attaches an auditor to a controller/cluster pair.
+func NewAuditor(ctrl *core.Controller, cl *cluster.Cluster) *Auditor {
 	return &Auditor{
 		ctrl:        ctrl,
 		cl:          cl,
@@ -55,7 +48,6 @@ func NewAuditor(ctrl *core.Controller, cl *cluster.Cluster, checkEvery int) *Aud
 		flowDec:     make(map[string]flow.Decision),
 		actions:     metrics.NewCounter(),
 		hash:        fnv1aOffset,
-		checkEvery:  checkEvery,
 	}
 }
 
@@ -183,18 +175,9 @@ func (a *Auditor) FlowOutcome(id string) (flow.Decision, bool) {
 	return d, ok
 }
 
-// AfterEvent is the event-boundary hook: the controller has processed one
-// event and drained its actions, so every state invariant must hold.
-func (a *Auditor) AfterEvent(now sim.Time) {
-	a.eventCount++
-	if a.eventCount%int64(a.checkEvery) != 0 {
-		return
-	}
-	a.CheckNow(now)
-}
-
-// CheckNow runs the full state-invariant sweep immediately (the soak calls
-// it once more at the horizon regardless of thinning).
+// CheckNow is the event-boundary hook: the controller has processed one
+// event and drained its actions, so every state invariant must hold. It
+// runs the full state sweep on every event, and once more at the horizon.
 func (a *Auditor) CheckNow(now sim.Time) {
 	for _, msg := range a.ctrl.CheckInvariants() {
 		a.violate(now, "%s", msg)

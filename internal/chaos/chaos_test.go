@@ -8,9 +8,7 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/flow"
-	"swift/internal/sched"
 	"swift/internal/sim"
-	"swift/internal/trace"
 )
 
 // -chaos.seeds raises the soak breadth: CI runs 8, the acceptance sweep
@@ -195,7 +193,7 @@ func TestThunderingHerdDeterminism(t *testing.T) {
 func TestAuditorActionArms(t *testing.T) {
 	newAuditor := func() *Auditor {
 		cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
-		return NewAuditor(core.NewController(cl, core.DefaultOptions()), cl, 1)
+		return NewAuditor(core.NewController(cl, core.DefaultOptions()), cl)
 	}
 	ref := core.TaskRef{Job: "j", Stage: "s", Index: 0}
 
@@ -238,27 +236,12 @@ func TestAuditorActionArms(t *testing.T) {
 	}
 }
 
-// fairConfig is the multi-tenant fairness soak: three tenants with 2:1:1
-// weights (one bursty, one quota-capped) under the fair-share policy and
-// the regular fault storm, with the auditor's starvation and hard-quota
-// invariants armed.
+// fairConfig is `swiftchaos -fair`: the multi-tenant fairness soak under the
+// regular fault storm.
 func fairConfig(seed int64) Config {
-	o := core.DefaultOptions()
-	o.Policy = sched.NewFairShare(sched.FairShareConfig{Queues: []sched.QueueSpec{
-		{Name: "a", Weight: 2},
-		{Name: "b", Weight: 1},
-		{Name: "c", Weight: 1, Quota: 30},
-	}})
-	return Config{
-		Seed:    seed,
-		Options: &o,
-		Tenants: []trace.TenantSpec{
-			{Name: "a", Jobs: 12, Rate: 0.4},
-			{Name: "b", Jobs: 12, Rate: 0.4, BurstAt: 20, BurstDur: 30, BurstFactor: 10},
-			{Name: "c", Jobs: 8, ArrivalWindow: 60},
-		},
-		TenantQuotas: map[string]int{"c": 30},
-	}
+	c := Config{Seed: seed}
+	c.UseFairShare()
+	return c
 }
 
 // TestFairShareSoak: the fair-share policy under the fault storm must

@@ -5,16 +5,15 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"swift/internal/core"
 )
 
 // The pinned soak outcomes. TestSoakDeterminism and its siblings compare a
 // run against a re-run of the same binary; this table pins the summary
 // line itself — auditor trace hash, terminal tallies, fault counts,
 // replica hits and recomputes — for seeds 0–7 of the three configurations
-// `swiftchaos`, `swiftchaos -fair` and `swiftchaos -shuffle` run, so "same
-// behaviour as the parent" is a test instead of a by-hand diff.
+// `swiftchaos`, `swiftchaos -fair` and `swiftchaos -shuffle` run and of their
+// combination behind an admission plane (all-on), so "same behaviour as the
+// parent" is a test instead of a by-hand diff.
 //
 // go test ./internal/chaos -run Pinned -update rewrites the table — only
 // legitimate when a change is *meant* to move simulated behaviour, and then
@@ -23,17 +22,21 @@ var update = flag.Bool("update", false, "rewrite testdata/soak_summaries.txt ins
 
 const pinnedSoaks = "testdata/soak_summaries.txt"
 
-// shuffleConfig mirrors `swiftchaos -shuffle`: 3-way output replication
-// under a Cache-Worker-crash-only fault mix.
+// shuffleConfig is `swiftchaos -shuffle`.
 func shuffleConfig(seed int64) Config {
-	o := core.DefaultOptions()
-	o.ShuffleReplicas = 3
-	p := DefaultProfile()
-	p.MachineCrashPerMin = 0
-	p.MachineUnhealthyPerMin = 0
-	p.OutputLostPerMin = 0
-	p.CacheWorkerCrashPerMin = 8
-	return Config{Seed: seed, Options: &o, Profile: &p}
+	c := Config{Seed: seed}
+	c.UseReplicatedShuffle()
+	return c
+}
+
+// allOnConfig combines the three features that had only soaked alone: the
+// fair-share policy and R = 3 replication over the thundering-herd soak's
+// admission plane and overload bursts.
+func allOnConfig(seed int64) Config {
+	c := herdConfig(seed)
+	c.UseFairShare()
+	c.UseReplicatedShuffle()
+	return c
 }
 
 func TestPinnedSoakSummaries(t *testing.T) {
@@ -44,6 +47,7 @@ func TestPinnedSoakSummaries(t *testing.T) {
 		{"default", func(seed int64) Config { return Config{Seed: seed} }},
 		{"fair", fairConfig},
 		{"shuffle", shuffleConfig},
+		{"all-on", allOnConfig},
 	}
 	var got []string
 	for _, c := range configs {

@@ -24,8 +24,6 @@ type Config struct {
 	// Machines and ExecutorsPerMachine size the cluster (default 20×4).
 	Machines            int
 	ExecutorsPerMachine int
-	// ArrivalWindow spreads job submissions (default 60 s).
-	ArrivalWindow sim.Duration
 	// FaultWindow bounds fault injection times (default 90 s).
 	FaultWindow sim.Duration
 	// Horizon is the bounded-termination deadline: every job must be done
@@ -33,12 +31,6 @@ type Config struct {
 	// legitimately need over half an hour of virtual time when a fault
 	// storm hits them early).
 	Horizon sim.Time
-	// MaxSteps bounds total simulation events, turning livelock into a
-	// reported violation (default 5,000,000).
-	MaxSteps int64
-	// CheckEvery thins the full-state invariant sweep to every Nth event
-	// (default 1 = every event).
-	CheckEvery int
 	// Profile overrides the fault mix (default DefaultProfile).
 	Profile *Profile
 	// Options overrides the controller configuration (default
@@ -51,16 +43,25 @@ type Config struct {
 	// admitted job lost). Nil runs the legacy direct-submission soak.
 	Flow *flow.Config
 	// Tenants switches the workload to the multi-tenant arrival process
-	// (see trace.TenantSpec); Jobs and ArrivalWindow are then ignored. The
-	// soak additionally audits fairness: every tenant's terminal tallies
-	// fold into the trace hash, and a tenant whose every job dies — while
-	// others complete — is reported as starved.
+	// (see trace.TenantSpec); Jobs is then ignored. The soak additionally
+	// audits fairness: every tenant's terminal tallies fold into the trace
+	// hash, and a tenant whose every job dies — while others complete — is
+	// reported as starved.
 	Tenants []trace.TenantSpec
 	// TenantQuotas arms the auditor's hard-quota invariant: no listed
 	// tenant may ever hold more running tasks than its quota. Pair with a
 	// quota-configured scheduling policy in Options.
 	TenantQuotas map[string]int
 }
+
+const (
+	// arrivalWindow spreads the single-stream workload's submissions, in
+	// seconds.
+	arrivalWindow = 60
+	// maxSteps bounds total simulation events, turning livelock into a
+	// reported violation.
+	maxSteps = 5_000_000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Jobs <= 0 {
@@ -72,29 +73,14 @@ func (c Config) withDefaults() Config {
 	if c.ExecutorsPerMachine <= 0 {
 		c.ExecutorsPerMachine = 4
 	}
-	if c.ArrivalWindow <= 0 {
-		c.ArrivalWindow = 60 * sim.Second
-	}
 	if c.FaultWindow <= 0 {
 		c.FaultWindow = 90 * sim.Second
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 3600 * sim.Second
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 5_000_000
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 1
-	}
-	if c.Profile == nil {
-		p := DefaultProfile()
-		c.Profile = &p
-	}
-	if c.Options == nil {
-		o := core.DefaultOptions()
-		c.Options = &o
-	}
+	c.profile()
+	c.options()
 	return c
 }
 
@@ -191,7 +177,7 @@ func Run(cfg Config) *Result {
 		Seed:         cfg.Seed,
 		ReadmitDelay: cfg.Profile.RecoverDelay,
 	})
-	aud := NewAuditor(runner.Controller(), runner.Cluster(), cfg.CheckEvery)
+	aud := NewAuditor(runner.Controller(), runner.Cluster())
 	aud.SetTenantQuotas(cfg.TenantQuotas)
 	runner.SetActionHook(aud.OnAction)
 
@@ -251,10 +237,10 @@ func Run(cfg Config) *Result {
 		armTick()
 	}
 	if fc == nil {
-		runner.SetEventHook(aud.AfterEvent)
+		runner.SetEventHook(aud.CheckNow)
 	} else {
 		runner.SetEventHook(func(now sim.Time) {
-			aud.AfterEvent(now)
+			aud.CheckNow(now)
 			pump(now)
 		})
 	}
@@ -262,7 +248,7 @@ func Run(cfg Config) *Result {
 	spec := trace.Spec{
 		Jobs:          cfg.Jobs,
 		Seed:          cfg.Seed,
-		ArrivalWindow: cfg.ArrivalWindow.Seconds(),
+		ArrivalWindow: arrivalWindow,
 	}
 	if len(cfg.Tenants) > 0 {
 		spec = trace.Spec{Seed: cfg.Seed, Tenants: cfg.Tenants}
@@ -323,11 +309,11 @@ func Run(cfg Config) *Result {
 		})
 	}
 
-	end, quiesced := runner.RunBounded(cfg.Horizon, cfg.MaxSteps)
+	end, quiesced := runner.RunBounded(cfg.Horizon, maxSteps)
 	res.Quiesced = quiesced
 	res.Makespan = end
 	if !quiesced {
-		aud.violate(end, "event budget of %d steps exhausted before the horizon: livelocked recovery loop", cfg.MaxSteps)
+		aud.violate(end, "event budget of %d steps exhausted before the horizon: livelocked recovery loop", maxSteps)
 	}
 	aud.CheckNow(end)
 

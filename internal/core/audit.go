@@ -55,11 +55,9 @@ type TaskSnapshot struct {
 // LiveJobs returns the IDs of admitted jobs that are neither done nor
 // failed, in submission order.
 func (c *Controller) LiveJobs() []string {
-	var out []string
-	for _, id := range c.order {
-		if m := c.jobs[id]; m != nil && !m.done && !m.failed {
-			out = append(out, id)
-		}
+	out := make([]string, len(c.order))
+	for i, m := range c.order {
+		out[i] = m.job.ID
 	}
 	return out
 }
@@ -138,9 +136,10 @@ func (c *Controller) CheckInvariants() []string {
 		return tc
 	}
 
-	for _, jobID := range c.order {
-		m := c.jobs[jobID]
-		if m == nil || m.done || m.failed {
+	for _, m := range c.order {
+		jobID := m.job.ID
+		if m.done || m.failed {
+			v = append(v, fmt.Sprintf("%s: terminal job still in the live-job order", jobID))
 			continue
 		}
 		liveJobs++

@@ -71,6 +71,7 @@ type graphletRun struct {
 	pending []taskID // tasks awaiting an executor, topologically ordered
 	running int
 	gating  []int // external producer stages (topological indexes) that must finish first
+	gang    bool  // the graphlet's Gang property: all-or-nothing launch, blocks the FIFO walk while it waits
 	// disordered is set when recovery re-inserts a task, so the pending
 	// queue may no longer be in topological order and launch selection
 	// must scan for the most-upstream entry instead of popping the front.
@@ -140,8 +141,8 @@ type Controller struct {
 	opts    Options
 	cl      *cluster.Cluster
 	jobs    map[string]*monitor
-	order   []string  // submission order of live jobs
-	queue   []reqItem // graphlet resource requests (ReqItems), FIFO
+	order   []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
+	queue   []reqItem  // graphlet resource requests (ReqItems), FIFO
 	actions []Action
 	// deferSchedule suppresses the resource loop while a batch of
 	// related failures is being processed (machine failure), so that
@@ -155,7 +156,6 @@ type Controller struct {
 	// Incrementally maintained aggregates behind Snapshot(); every task
 	// state transition adjusts them in O(1) (see snapshot.go). Invariance
 	// against a full recount is asserted by CheckInvariants.
-	snapVersion uint64
 	snapLive    int
 	snapPending int
 	snapRunning int
@@ -202,12 +202,6 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 	}
 	if opts.Shuffle == nil {
 		opts.Shuffle = AdaptiveShuffle(shuffle.DefaultThresholds())
-	}
-	if opts.MaxTaskRetries <= 0 {
-		opts.MaxTaskRetries = 3
-	}
-	if opts.UnhealthyThreshold <= 0 {
-		opts.UnhealthyThreshold = 8
 	}
 	if opts.Policy == nil {
 		opts.Policy = sched.FIFO{}
@@ -292,7 +286,7 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	}
 	m.gruns = c.buildGraphletRuns(m)
 	c.jobs[job.ID] = m
-	c.order = append(c.order, job.ID)
+	c.order = append(c.order, m)
 	c.snapAdmit(m)
 	c.enqueueReady(m)
 	c.schedule()
@@ -329,7 +323,7 @@ func (c *Controller) buildGraphletRuns(m *monitor) []*graphletRun {
 				tasks += len(st.status)
 			}
 		}
-		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks)}
+		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks), gang: g.Gang}
 		for si, st := range m.stages {
 			if st.graphlet != g.Index {
 				continue
@@ -470,7 +464,8 @@ func (c *Controller) serveQueue() {
 // (locality + load policy in cluster.Allocate), and launches pending
 // tasks. Items that cannot make progress stay queued; later items may
 // still be served (backfill), which is what lets small jobs flow around a
-// large one.
+// large one — except behind a gang unit, which blocks the walk while it
+// waits (graphlet.Graphlet.Gang).
 func (c *Controller) serveFIFO() {
 	// In-place queue compaction: entries that were fully served (or whose
 	// job died) are dropped; entries still waiting stay in FIFO order. In
@@ -482,9 +477,7 @@ func (c *Controller) serveFIFO() {
 	n := len(c.queue)
 	w, i := 0, 0
 	for ; i < n; i++ {
-		// Once the pool is dry nothing further can be served this
-		// round. (StrictGang items may skip while leaving executors
-		// free for backfill, so only stop when the pool is empty.)
+		// Once the pool is dry nothing further can be served this round.
 		if c.cl.FreeExecutors() == 0 {
 			break
 		}
@@ -494,7 +487,7 @@ func (c *Controller) serveFIFO() {
 				c.queue[w] = item
 			}
 			w++
-			if c.opts.StrictFIFO {
+			if item.m.gruns[item.g].gang {
 				i++
 				break // head-of-line blocking: nothing behind is served
 			}
@@ -518,8 +511,8 @@ func (c *Controller) serveFIFO() {
 // serveItem tries to allocate executors for one queued graphlet request
 // and reports whether the item should remain queued. limit > 0 caps how
 // many tasks may launch this round (a policy grant's tenant budget); it
-// applies after the StrictGang full-fit check, which keeps gang semantics
-// a property of the graphlet, not of the policy.
+// applies after a gang unit's full-fit check, which keeps gang semantics a
+// property of the graphlet, not of the policy.
 func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 	m := item.m
 	if m.failed || m.done {
@@ -533,9 +526,8 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 		return false
 	}
 	want := len(run.pending)
-	if c.opts.StrictGang && c.cl.FreeExecutors() < want {
-		// JetScope semantics: nothing launches until the whole gang
-		// fits.
+	if run.gang && c.cl.FreeExecutors() < want {
+		// Nothing launches until the whole gang fits.
 		return true
 	}
 	if limit > 0 && want > limit {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"swift/internal/cluster"
@@ -177,23 +178,81 @@ func TestWavesUnderPartialAllocation(t *testing.T) {
 	}
 }
 
-func TestStrictGangWaitsForFullAllocation(t *testing.T) {
+func TestGangUnitWaitsForFullAllocation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Partition = WholeJobPartition
-	opts.StrictGang = true
-	h := newHarness(t, 1, 4, opts)
-	h.submit(pipelineJob("big", 4, 2)) // needs 6 > 4 executors
-	if len(h.running) != 0 {
-		t.Fatalf("strict gang launched %d tasks with insufficient executors", len(h.running))
-	}
-	// A small job behind it can still be served (backfill).
+	h := newHarness(t, 1, 6, opts)
 	h.submit(pipelineJob("small", 2, 1))
 	if len(h.running) != 3 {
-		t.Fatalf("backfill failed: running = %d, want 3", len(h.running))
+		t.Fatalf("gang unit that fits launched %d tasks, want 3", len(h.running))
+	}
+	h.submit(pipelineJob("big", 2, 2)) // needs 4 > 3 free executors
+	if len(h.running) != 3 {
+		t.Fatalf("gang unit launched in part: running = %d, want 3", len(h.running))
+	}
+	// tiny would fit beside small, but a waiting gang unit blocks the queue
+	// behind it.
+	h.submit(pipelineJob("tiny", 1, 1))
+	if len(h.running) != 3 {
+		t.Fatalf("request served past a waiting gang unit: running = %d, want 3", len(h.running))
+	}
+	// One completion makes room for all of big; it launches whole and
+	// leaves nothing for tiny.
+	h.finish(ref("small", "A", 0))
+	if len(h.running) != 6 {
+		t.Fatalf("gang unit did not launch once it fit: running = %d, want 6", len(h.running))
+	}
+	if _, ok := h.running[ref("tiny", "A", 0)]; ok {
+		t.Fatal("tiny launched ahead of big")
 	}
 	h.finishAll()
-	if !h.completed("small") || h.completed("big") {
-		t.Fatal("wrong completion states")
+	for _, j := range []string{"small", "big", "tiny"} {
+		if !h.completed(j) {
+			t.Fatalf("%s not completed", j)
+		}
+	}
+}
+
+// The live-job order is what every sweep walks — recovery's eachLiveTask on
+// each machine, Cache Worker or executor loss, policyGangs on each preempt
+// round, LiveJobs, CheckInvariants — so it must shrink as jobs retire, or an
+// always-on controller pays for every job it ever ran.
+func TestOrderHoldsLiveJobsOnly(t *testing.T) {
+	h := newHarness(t, 4, 4, DefaultOptions())
+	for _, id := range []string{"j0", "j1", "j2", "j3", "j4"} {
+		h.submit(pipelineJob(id, 1, 1))
+	}
+	h.finish(ref("j1", "A", 0))
+	h.finish(ref("j1", "B", 0))
+	if err := h.c.CancelJob("j3", "test"); err != nil {
+		t.Fatal(err)
+	}
+	h.drain()
+	if !h.completed("j1") || !h.jobFailed("j3") {
+		t.Fatal("j1 not completed or j3 not failed")
+	}
+	want := []string{"j0", "j2", "j4"}
+	if got := h.c.LiveJobs(); !slices.Equal(got, want) {
+		t.Errorf("LiveJobs = %v, want %v", got, want)
+	}
+	var walked []string
+	h.c.eachLiveTask(func(m *monitor, _, _ int) {
+		if !slices.Contains(walked, m.job.ID) {
+			walked = append(walked, m.job.ID)
+		}
+	})
+	if !slices.Equal(walked, want) {
+		t.Errorf("eachLiveTask walked %v, want %v", walked, want)
+	}
+	if gangs := h.c.policyGangs(); cap(gangs) != len(want) || len(gangs) != len(want) {
+		t.Errorf("policyGangs: len %d cap %d, want both %d (sized by live jobs)", len(gangs), cap(gangs), len(want))
+	}
+	if v := h.c.CheckInvariants(); len(v) > 0 {
+		t.Errorf("invariants: %v", v)
+	}
+	h.finishAll()
+	if n := len(h.c.order); n != 0 {
+		t.Errorf("%d jobs still in the live order after all retired", n)
 	}
 }
 
@@ -296,14 +355,12 @@ func TestAppErrorFailsJobWithoutRecovery(t *testing.T) {
 }
 
 func TestRetryExhaustionFailsJob(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxTaskRetries = 2
-	h := newHarness(t, 2, 2, opts)
+	h := newHarness(t, 2, 2, DefaultOptions())
 	h.submit(pipelineJob("j", 1, 1))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxTaskRetries; i++ {
 		h.fail(ref("j", "A", 0), FailCrash)
 		if h.jobFailed("j") {
-			t.Fatalf("job failed after %d retries, limit is 2", i+1)
+			t.Fatalf("job failed after %d retries, limit is %d", i+1, maxTaskRetries)
 		}
 	}
 	h.fail(ref("j", "A", 0), FailCrash)
@@ -400,26 +457,25 @@ func TestMachineFailureNoStepWhenConsumersDone(t *testing.T) {
 }
 
 func TestUnhealthyMachineGoesReadOnly(t *testing.T) {
-	opts := DefaultOptions()
-	opts.UnhealthyThreshold = 2
-	h := newHarness(t, 2, 8, opts)
-	h.submit(pipelineJob("j", 4, 4))
-	// Fail tasks on machine 0 repeatedly.
-	fails := 0
-	for fails < 2 {
-		var target TaskRef
-		found := false
-		for r, a := range h.running {
-			if h.c.Cluster().MachineOf(a.Executor) == 0 {
-				target, found = r, true
-				break
+	// The job fills both machines, so each failed task relaunches on the
+	// executor it just freed: machine 0's eight tasks fail once each, well
+	// inside their own retry budgets.
+	h := newHarness(t, 2, 8, DefaultOptions())
+	h.submit(pipelineJob("j", 8, 8))
+	for fails := 0; fails < unhealthyThreshold; fails++ {
+		if h.c.Cluster().Machine(0).Health != cluster.Healthy {
+			t.Fatalf("machine 0 drained after %d failures, threshold is %d", fails, unhealthyThreshold)
+		}
+		var target ActStartTask
+		for _, a := range h.running {
+			if h.c.Cluster().MachineOf(a.Executor) == 0 && (target.Attempt == 0 || a.Attempt < target.Attempt) {
+				target = a
 			}
 		}
-		if !found {
+		if target.Attempt == 0 {
 			t.Fatal("no running task on machine 0")
 		}
-		h.fail(target, FailCrash)
-		fails++
+		h.fail(target.Task, FailCrash)
 	}
 	if h.c.Cluster().Machine(0).Health != cluster.ReadOnly {
 		t.Errorf("machine 0 health = %v, want read-only", h.c.Cluster().Machine(0).Health)

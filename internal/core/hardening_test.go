@@ -46,16 +46,14 @@ func TestNoNewTasksOnReadOnlyMachineAfterReuse(t *testing.T) {
 // being lost (flapping Cache Worker) re-ran its producer forever instead
 // of failing the job once the retry budget was spent.
 func TestRepeatedOutputLossIsBounded(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxTaskRetries = 3
-	h := newHarness(t, 2, 4, opts)
+	h := newHarness(t, 2, 4, DefaultOptions())
 	// A[1] never finishes, so B's graphlet stays gated and B[0] stays
 	// pending — meaning A[0]'s buffered output is always "still needed"
 	// when it vanishes.
 	h.submit(barrierJob("j", 2, 1))
 	h.finish(ref("j", "A", 0))
 
-	for i := 0; i < opts.MaxTaskRetries+2; i++ {
+	for i := 0; i < maxTaskRetries+2; i++ {
 		h.c.TaskOutputLost(ref("j", "A", 0))
 		h.drain()
 		if h.jobFailed("j") {
@@ -67,7 +65,7 @@ func TestRepeatedOutputLossIsBounded(t *testing.T) {
 		h.finish(ref("j", "A", 0))
 	}
 	if !h.jobFailed("j") {
-		t.Fatalf("job survived %d output losses; output-loss recovery is unbounded", opts.MaxTaskRetries+2)
+		t.Fatalf("job survived %d output losses; output-loss recovery is unbounded", maxTaskRetries+2)
 	}
 	found := false
 	for _, a := range h.events {

@@ -18,13 +18,14 @@ type PartitionPolicy func(*dag.Job) ([]*graphlet.Graphlet, error)
 func GraphletPartition(j *dag.Job) ([]*graphlet.Graphlet, error) { return graphlet.Partition(j) }
 
 // WholeJobPartition treats the entire job as a single gang-scheduled unit,
-// as JetScope and Impala do.
+// as JetScope and Impala do: nothing starts until every executor the job
+// needs is free (see graphlet.Graphlet.Gang).
 func WholeJobPartition(j *dag.Job) ([]*graphlet.Graphlet, error) {
 	topo, err := j.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	g := &graphlet.Graphlet{Index: 0, Stages: topo, Tasks: j.NumTasks()}
+	g := &graphlet.Graphlet{Index: 0, Stages: topo, Tasks: j.NumTasks(), Gang: true}
 	return []*graphlet.Graphlet{g}, nil
 }
 
@@ -99,32 +100,18 @@ const (
 	JobRestart
 )
 
-// Options configures a Controller. The zero value is not usable; call
-// DefaultOptions and adjust.
+// Options configures a Controller. The zero value is Swift's production
+// configuration: NewController resolves a nil Partition to
+// GraphletPartition, a nil Shuffle to AdaptiveShuffle over
+// shuffle.DefaultThresholds and a nil Policy to sched.FIFO{}.
 type Options struct {
 	Partition PartitionPolicy
 	Shuffle   ShufflePolicy
 	Recovery  RecoveryPolicy
-	// StrictGang makes a graphlet wait until its full executor demand is
-	// free before any task starts (JetScope semantics). Swift instead
-	// accepts partial allocations and runs waves.
-	StrictGang bool
-	// StrictFIFO stops serving the request queue at the first entry that
-	// cannot be fully served, so a large waiting job blocks everything
-	// behind it — the head-of-line behaviour that makes JetScope's
-	// running-executor curve in Fig. 10 "full of waiting and waste".
-	// Swift and Bubble Execution backfill past stuck entries.
-	StrictFIFO bool
 	// ColdLaunch charges the per-stage package-download/executor-launch
 	// cost to every first task wave (Spark semantics); Swift's executors
 	// are pre-launched.
 	ColdLaunch bool
-	// MaxTaskRetries bounds recovery attempts per task before the job is
-	// declared failed.
-	MaxTaskRetries int
-	// UnhealthyThreshold is the recent-task-failure count at which the
-	// health monitor marks a machine read-only (Section IV-A).
-	UnhealthyThreshold int
 	// Policy is the pluggable scheduling policy: serve order and per-item
 	// executor caps (JobOrder), per-tenant deserved shares (Proportion)
 	// and gang-aware preemption (Preempt). Nil means sched.FIFO{}, the
@@ -144,13 +131,8 @@ type Options struct {
 	ShuffleReplicas int
 }
 
-// DefaultOptions returns Swift's production configuration.
-func DefaultOptions() Options {
-	return Options{
-		Partition:          GraphletPartition,
-		Shuffle:            AdaptiveShuffle(shuffle.DefaultThresholds()),
-		Recovery:           FineGrained,
-		MaxTaskRetries:     3,
-		UnhealthyThreshold: 8,
-	}
-}
+// DefaultOptions returns Swift's production configuration: graphlet
+// partitioning, adaptive shuffle, fine-grained recovery, FIFO. It is the
+// zero Options — NewController is where the nil policies resolve — spelled
+// as a call so a preset reads "the default, then what differs".
+func DefaultOptions() Options { return Options{} }

@@ -49,14 +49,10 @@ func resized[T any](s []T, n int) []T {
 // submission order — the preemption candidate set.
 func (c *Controller) policyGangs() []sched.Gang {
 	gangs := make([]sched.Gang, 0, len(c.order))
-	for _, id := range c.order {
-		m := c.jobs[id]
-		if m == nil || m.failed || m.done {
-			continue
-		}
+	for _, m := range c.order {
 		for g, run := range m.gruns {
 			if run.running > 0 {
-				gangs = append(gangs, sched.Gang{Job: id, Tenant: m.tenant,
+				gangs = append(gangs, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
 					Graphlet: g, Running: run.running, Seq: m.seq})
 			}
 		}

@@ -8,6 +8,15 @@ import (
 	"swift/internal/shuffle"
 )
 
+const (
+	// maxTaskRetries bounds recovery attempts per task before the job is
+	// declared failed.
+	maxTaskRetries = 3
+	// unhealthyThreshold is the recent-task-failure count at which the
+	// health monitor marks a machine read-only (Section IV-A).
+	unhealthyThreshold = 8
+)
+
 // TaskFailed handles a detected task failure (Section IV-B). Stale attempt
 // numbers are ignored. Application-logic errors skip recovery entirely
 // (Section IV-C, "Avoiding Useless Failure Recovery").
@@ -37,7 +46,7 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 	// Track machine failure bursts for the health monitor.
 	if e := st.executor[ref.Index]; e >= 0 {
 		mid := c.cl.MachineOf(e)
-		if c.cl.RecordTaskFailure(mid) >= c.opts.UnhealthyThreshold && c.cl.Machine(mid).Health == cluster.Healthy {
+		if c.cl.RecordTaskFailure(mid) >= unhealthyThreshold && c.cl.Machine(mid).Health == cluster.Healthy {
 			c.MachineUnhealthy(mid)
 		}
 	}
@@ -48,8 +57,8 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 	}
 
 	st.retries[ref.Index]++
-	if st.retries[ref.Index] > c.opts.MaxTaskRetries {
-		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, c.opts.MaxTaskRetries))
+	if st.retries[ref.Index] > maxTaskRetries {
+		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, maxTaskRetries))
 		return
 	}
 	c.releaseRunning(m, st, ref.Index)
@@ -182,10 +191,8 @@ func (m *monitor) eachTask(visit func(stage, i int)) {
 // ran: live jobs in submission order, each in eachTask's order, so the
 // recoveries of one instant never reorder.
 func (c *Controller) eachLiveTask(visit func(m *monitor, stage, i int)) {
-	for _, jobID := range c.order {
-		if m := c.jobs[jobID]; !m.failed && !m.done {
-			m.eachTask(func(stage, i int) { visit(m, stage, i) })
-		}
+	for _, m := range c.order {
+		m.eachTask(func(stage, i int) { visit(m, stage, i) })
 	}
 }
 
@@ -325,8 +332,8 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 	// bound, an output that keeps getting lost (flapping Cache Worker,
 	// repeatedly crashing machine) re-runs the task forever.
 	st.retries[ref.Index]++
-	if st.retries[ref.Index] > c.opts.MaxTaskRetries {
-		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries regenerating lost output", ref, c.opts.MaxTaskRetries))
+	if st.retries[ref.Index] > maxTaskRetries {
+		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries regenerating lost output", ref, maxTaskRetries))
 		return
 	}
 	st.done--

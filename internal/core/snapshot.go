@@ -1,13 +1,13 @@
 package core
 
+import "slices"
+
 // StateSnapshot is the O(1) aggregate view of the controller that admission
 // control reads on every flow decision. The counters are maintained
 // incrementally at each task state transition (O(delta) per event, never a
 // full sweep), so a long-running service can consult them on every arriving
-// submission without walking the job table. Version increments on every
-// mutation, letting callers detect staleness across their own decisions.
+// submission without walking the job table.
 type StateSnapshot struct {
-	Version        uint64
 	LiveJobs       int // admitted, not yet completed or failed
 	PendingTasks   int // tasks of live jobs awaiting an executor
 	RunningTasks   int // tasks of live jobs currently placed
@@ -15,22 +15,16 @@ type StateSnapshot struct {
 	SchedQueueLen  int // graphlet resource requests waiting in the scheduler
 	FreeExecutors  int
 	TotalExecutors int
-	// Tenants is the per-tenant breakdown, sorted by tenant name. It is
-	// populated only under a non-FIFO policy: the FIFO fast path keeps
-	// Snapshot() allocation-free for the flow controller's hot admission
-	// path. TenantSnapshots() returns the breakdown unconditionally.
-	Tenants []TenantCounts
 }
 
 // InFlightTasks is the admission-control budget consumer: work the cluster
 // has accepted but not finished.
 func (s StateSnapshot) InFlightTasks() int { return s.PendingTasks + s.RunningTasks }
 
-// Snapshot returns the current aggregate state in O(1) (O(tenants) under a
-// non-FIFO policy, for the per-tenant breakdown).
+// Snapshot returns the current aggregate state in O(1), allocation-free;
+// TenantSnapshots has the per-tenant breakdown.
 func (c *Controller) Snapshot() StateSnapshot {
-	s := StateSnapshot{
-		Version:        c.snapVersion,
+	return StateSnapshot{
 		LiveJobs:       c.snapLive,
 		PendingTasks:   c.snapPending,
 		RunningTasks:   c.snapRunning,
@@ -39,16 +33,11 @@ func (c *Controller) Snapshot() StateSnapshot {
 		FreeExecutors:  c.cl.FreeExecutors(),
 		TotalExecutors: c.cl.NumExecutors(),
 	}
-	if !c.fifo {
-		s.Tenants = c.TenantSnapshots()
-	}
-	return s
 }
 
 // snapDelta applies one incremental task-count adjustment for a task of
 // m's job, to both the global and the per-tenant counters.
 func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
-	c.snapVersion++
 	c.snapPending += dPending
 	c.snapRunning += dRunning
 	c.snapDone += dDone
@@ -60,7 +49,6 @@ func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
 // snapAdmit accounts a freshly admitted job: all tasks start pending.
 func (c *Controller) snapAdmit(m *monitor) {
 	tasks := m.job.NumTasks()
-	c.snapVersion++
 	c.snapLive++
 	c.snapPending += tasks
 	m.tc.Jobs++
@@ -68,8 +56,12 @@ func (c *Controller) snapAdmit(m *monitor) {
 }
 
 // snapClose removes a job leaving the live set (completed or failed) from
-// the aggregates. O(tasks of the job), paid once per job lifetime.
+// the aggregates and from the live-job order. O(tasks of the job + live
+// jobs), paid once per job lifetime.
 func (c *Controller) snapClose(m *monitor) {
+	if i := slices.Index(c.order, m); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 	p, r, d := 0, 0, 0
 	for _, st := range m.stages {
 		for i := range st.status {
@@ -83,7 +75,6 @@ func (c *Controller) snapClose(m *monitor) {
 			}
 		}
 	}
-	c.snapVersion++
 	c.snapLive--
 	c.snapPending -= p
 	c.snapRunning -= r
@@ -106,6 +97,6 @@ func (c *Controller) snapMarkPending(m *monitor, prev taskStatus) {
 		// this arm is defensive only.
 		c.snapDelta(m, 1, -1, 0)
 	case tPending:
-		c.snapVersion++
+		// already counted pending
 	}
 }

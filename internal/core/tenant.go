@@ -50,8 +50,7 @@ func (c *Controller) tenantCounts(name string) *TenantCounts {
 }
 
 // TenantSnapshots returns every tenant's aggregate counters, sorted by
-// tenant name. Unlike Snapshot().Tenants it is populated under any
-// policy, including FIFO.
+// tenant name.
 func (c *Controller) TenantSnapshots() []TenantCounts {
 	if len(c.tenantList) == 0 {
 		return nil

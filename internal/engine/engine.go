@@ -84,9 +84,6 @@ func New(cfg Config) *Engine {
 	if cfg.ExecutorsPerMachine <= 0 {
 		cfg.ExecutorsPerMachine = 4
 	}
-	if cfg.Options.Partition == nil {
-		cfg.Options = core.DefaultOptions()
-	}
 	cl := cluster.New(cluster.Config{Machines: cfg.Machines, ExecutorsPerMachine: cfg.ExecutorsPerMachine})
 	e := &Engine{
 		cfg:     cfg,

@@ -28,9 +28,10 @@ type Config struct {
 
 	// Obs, when non-nil, is installed as the observability recorder of
 	// every simulated deployment an experiment spins up (unless the
-	// experiment supplies its own via core.Options). RunAll gives each
-	// experiment a fresh recorder and reports its StreamHash — the witness
-	// that a parallel sweep replayed exactly the serial execution.
+	// experiment supplies its own via core.Options). RunAll, asked for
+	// hashes, gives each experiment a fresh recorder and reports its
+	// StreamHash — the witness that a parallel sweep replayed exactly the
+	// serial execution.
 	Obs *obs.Recorder
 }
 

@@ -50,7 +50,7 @@ var fairShareBursts = [3]int{1, 3, 10}
 // tenants a/b/c (weights 2:1:1) submit Poisson arrivals against a
 // 10-machine cluster, with tenant b's rate and job count scaled by the
 // burst multiplier. Each intensity runs once under the default FIFO policy
-// and once under the hierarchical fair-share policy; executor-time shares
+// and once under the weighted fair-share policy; executor-time shares
 // are integrated over the instants when all three tenants have queued
 // backlog, where a weighted-fair scheduler keeps weight-normalized shares
 // equal. Under FIFO the 10x burst lets tenant b monopolize the pool;

@@ -82,20 +82,26 @@ type RunResult struct {
 }
 
 // RunAll executes the named experiments on a worker pool and returns their
-// reports in input order. Each experiment gets a fresh obs recorder (any
-// recorder already present in cfg is replaced), so its Hash witnesses that
-// experiment's simulated event stream in isolation: RunAll(names, cfg, 1)
-// and RunAll(names, cfg, k) must agree on every Output and every Hash.
-func RunAll(names []string, cfg Config, workers int) []RunResult {
+// reports in input order. With hashes, each experiment gets a fresh obs
+// recorder, so its Hash witnesses that experiment's simulated event stream
+// in isolation: RunAll(names, cfg, 1, true) and RunAll(names, cfg, k, true)
+// must agree on every Output and every Hash. A caller that only wants the
+// reports passes false and pays for no recording (Hash is then the
+// empty-stream hash): the recorder keeps every event, which at full size is
+// what used to OOM-kill the Fig. 16 sweep. Either way a recorder already
+// present in cfg is dropped — the experiments must not share one.
+func RunAll(names []string, cfg Config, workers int, hashes bool) []RunResult {
 	return Sweep(len(names), workers, func(i int) RunResult {
-		rec := obs.New()
 		c := cfg
-		c.Obs = rec
+		c.Obs = nil
+		if hashes {
+			c.Obs = obs.New()
+		}
 		var buf bytes.Buffer
 		ok, err := Run(names[i], c, &buf)
 		if !ok {
 			err = fmt.Errorf("%w %q", ErrUnknown, names[i])
 		}
-		return RunResult{Name: names[i], Output: buf.String(), Hash: rec.StreamHash(), Err: err}
+		return RunResult{Name: names[i], Output: buf.String(), Hash: c.Obs.StreamHash(), Err: err}
 	})
 }

@@ -36,12 +36,12 @@ func TestSweepOrderAndCoverage(t *testing.T) {
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Reduced: true, Seed: 3}
 	names := []string{"fig3", "fig9a", "fig12", "fig14", "table1"}
-	serial := RunAll(names, cfg, 1)
-	parallel := RunAll(names, cfg, 4)
+	serial := RunAll(names, cfg, 1, true)
+	parallel := RunAll(names, cfg, 4, true)
 	if len(serial) != len(names) || len(parallel) != len(names) {
 		t.Fatalf("result counts %d/%d, want %d", len(serial), len(parallel), len(names))
 	}
-	emptyHash := RunAll([]string{"nope"}, cfg, 1)[0].Hash
+	emptyHash := RunAll([]string{"nope"}, cfg, 1, true)[0].Hash
 	for i, name := range names {
 		s, p := serial[i], parallel[i]
 		if s.Name != name || p.Name != name {
@@ -63,7 +63,7 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunAllUnknownName(t *testing.T) {
-	res := RunAll([]string{"fig12", "nope"}, Config{Reduced: true, Seed: 1}, 2)
+	res := RunAll([]string{"fig12", "nope"}, Config{Reduced: true, Seed: 1}, 2, false)
 	if res[0].Err != nil {
 		t.Fatalf("fig12: %v", res[0].Err)
 	}
@@ -80,7 +80,7 @@ func BenchmarkRunAllReduced(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, r := range RunAll(names, cfg, workers) {
+				for _, r := range RunAll(names, cfg, workers, false) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}

@@ -32,7 +32,7 @@ func TestPinnedReducedHashes(t *testing.T) {
 		names = slices.DeleteFunc(names, func(n string) bool { return n == "fig16" })
 	}
 	var got []string
-	for _, r := range RunAll(names, cfg(), 0) {
+	for _, r := range RunAll(names, cfg(), 0, true) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Name, r.Err)
 		}

@@ -118,8 +118,6 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket capacity. Default max(1, round(Rate)).
 	Burst int
-	// RetryAfterCap bounds the retry-after hint. Default 30s.
-	RetryAfterCap sim.Duration
 	// Metrics, when non-nil, receives admitted/queued/shed counters,
 	// queue-depth and in-flight gauges, and the admission-wait histogram.
 	Metrics *obs.Registry
@@ -148,9 +146,6 @@ func (c Config) withDefaults(totalExecutors int) Config {
 		if c.Burst < 1 {
 			c.Burst = 1
 		}
-	}
-	if c.RetryAfterCap <= 0 {
-		c.RetryAfterCap = 30 * sim.Second
 	}
 	return c
 }
@@ -523,20 +518,14 @@ func (f *Controller) LevelFor(snap core.StateSnapshot, tasks int) Level {
 
 // retryAfter estimates when a shed client should try again: the time for
 // the current queue (plus the rejected arrival) to drain at the governed
-// rate, floored at 100ms and capped by config.
+// rate, floored at 100ms and capped at 30s.
 func (f *Controller) retryAfter() sim.Duration {
 	rate := f.cfg.Rate
 	if rate <= 0 {
 		rate = 10
 	}
 	d := sim.FromSeconds(float64(f.QueueLen()+1) / rate)
-	if d < 100*sim.Millisecond {
-		d = 100 * sim.Millisecond
-	}
-	if d > f.cfg.RetryAfterCap {
-		d = f.cfg.RetryAfterCap
-	}
-	return d
+	return min(max(d, 100*sim.Millisecond), 30*sim.Second)
 }
 
 // observeWait records one admission wait (seconds) in the latency

@@ -33,6 +33,14 @@ type Graphlet struct {
 	// DependsOn lists indices of graphlets that must complete (their
 	// barrier-producing stages finish) before this one may be submitted.
 	DependsOn []int
+	// Gang marks a unit that starts all at once or not at all: none of its
+	// tasks launches until the pool can hold every pending one, and while it
+	// waits at the head of the FIFO request queue nothing behind it is
+	// served — the head-of-line blocking that makes whole-job gang
+	// scheduling's running-executor curve in Fig. 10 "full of waiting and
+	// waste". Swift's own graphlets leave it unset: they accept partial
+	// allocations, run in waves, and let later requests backfill.
+	Gang bool
 }
 
 // String renders the graphlet like the paper's Fig. 4 annotations.

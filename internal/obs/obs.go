@@ -106,57 +106,40 @@ const (
 	EvReplicaServed
 )
 
+// kindCounters holds each kind's registry counter name, "event." + the
+// kind's name, so recording an event concatenates nothing.
+var kindCounters = [...]string{
+	EvJobSubmit:       "event.job_submit",
+	EvJobDone:         "event.job_done",
+	EvJobFail:         "event.job_fail",
+	EvJobRestart:      "event.job_restart",
+	EvGraphletQueued:  "event.graphlet_queued",
+	EvGraphletDone:    "event.graphlet_done",
+	EvTaskStart:       "event.task_start",
+	EvTaskFinish:      "event.task_finish",
+	EvTaskAbort:       "event.task_abort",
+	EvTaskFail:        "event.task_fail",
+	EvOutputLost:      "event.output_lost",
+	EvResend:          "event.resend",
+	EvShuffleMode:     "event.shuffle_mode",
+	EvShuffleDegraded: "event.shuffle_degraded",
+	EvMachineFailed:   "event.machine_failed",
+	EvMachineReadOnly: "event.machine_readonly",
+	EvMachineHealthy:  "event.machine_healthy",
+	EvCacheWorkerLost: "event.cacheworker_lost",
+	EvFault:           "event.fault",
+	EvReclaim:         "event.reclaim",
+	EvTenantShare:     "event.tenant_share",
+	EvReplicate:       "event.replicate",
+	EvReplicaServed:   "event.replica_served",
+}
+
 // String names the kind for counters and hashes.
 func (k Kind) String() string {
-	switch k {
-	case EvJobSubmit:
-		return "job_submit"
-	case EvJobDone:
-		return "job_done"
-	case EvJobFail:
-		return "job_fail"
-	case EvJobRestart:
-		return "job_restart"
-	case EvGraphletQueued:
-		return "graphlet_queued"
-	case EvGraphletDone:
-		return "graphlet_done"
-	case EvTaskStart:
-		return "task_start"
-	case EvTaskFinish:
-		return "task_finish"
-	case EvTaskAbort:
-		return "task_abort"
-	case EvTaskFail:
-		return "task_fail"
-	case EvOutputLost:
-		return "output_lost"
-	case EvResend:
-		return "resend"
-	case EvShuffleMode:
-		return "shuffle_mode"
-	case EvShuffleDegraded:
-		return "shuffle_degraded"
-	case EvMachineFailed:
-		return "machine_failed"
-	case EvMachineReadOnly:
-		return "machine_readonly"
-	case EvMachineHealthy:
-		return "machine_healthy"
-	case EvCacheWorkerLost:
-		return "cacheworker_lost"
-	case EvFault:
-		return "fault"
-	case EvReclaim:
-		return "reclaim"
-	case EvTenantShare:
-		return "tenant_share"
-	case EvReplicate:
-		return "replicate"
-	case EvReplicaServed:
-		return "replica_served"
+	if int(k) >= len(kindCounters) {
+		return "invalid"
 	}
-	return "invalid"
+	return kindCounters[k][len("event."):]
 }
 
 // Event is one recorded observation. Fields not meaningful for a kind are
@@ -237,7 +220,7 @@ func (r *Recorder) rec(e Event) {
 	}
 	e.T = r.now()
 	r.events = append(r.events, e)
-	r.reg.Count("event."+e.Kind.String(), 1)
+	r.reg.Count(kindCounters[e.Kind], 1)
 }
 
 // JobSubmitted records job admission.

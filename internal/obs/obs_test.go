@@ -363,3 +363,30 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Fatalf("snapshot mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// Every kind has its own name, and an event is counted under "event." plus
+// that name — the pairing the per-kind name table has to keep.
+func TestKindNamesAndCounters(t *testing.T) {
+	seen := map[string]obs.Kind{}
+	for k := obs.EvJobSubmit; k <= obs.EvReplicaServed; k++ {
+		name := k.String()
+		if name == "" || name == "invalid" {
+			t.Errorf("kind %d has no name", k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if got := (obs.EvReplicaServed + 1).String(); got != "invalid" {
+		t.Errorf("out-of-range kind named %q, want invalid", got)
+	}
+	rec := obs.New()
+	rec.JobCompleted("j")
+	rec.ReplicaServed("j", "s", 0, 1)
+	for _, k := range []obs.Kind{obs.EvJobDone, obs.EvReplicaServed} {
+		if n := rec.Registry().Counter("event." + k.String()); n != 1 {
+			t.Errorf("counter event.%s = %d, want 1", k, n)
+		}
+	}
+}

@@ -2,59 +2,41 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// QueueSpec declares one node of the hierarchical fair-share tree. Nodes
-// named by a tenant are leaves carrying that tenant's demand; nodes named
-// as another spec's Parent are interior queues. Weight is the node's share
-// among its siblings (<= 0 means FairShareConfig.DefaultWeight); Quota is
-// a hard executor cap on the whole subtree (0 = unlimited).
+// QueueSpec declares one tenant's queue: Weight is its share relative to
+// the other queues (<= 0 means 1), Quota a hard executor cap (0 =
+// unlimited).
 type QueueSpec struct {
 	Name   string
-	Parent string // "" attaches to the root
 	Weight float64
 	Quota  int
 }
 
 // FairShareConfig configures a FairShare policy. Tenants that show up at
-// runtime without a QueueSpec are attached to the root with DefaultWeight,
-// so the config only needs to name the tenants it wants to differentiate.
+// runtime without a QueueSpec get a queue of weight 1 and no quota, so the
+// config only needs to name the tenants it wants to differentiate.
 type FairShareConfig struct {
-	Queues        []QueueSpec
-	DefaultWeight float64 // weight for undeclared tenants; <= 0 means 1
-	// NoBorrow disables redistribution of idle share: each queue gets
-	// min(demand, weighted slice) and unclaimed capacity stays idle. The
-	// default (borrowing) water-fills unclaimed share across queues that
-	// still have demand, never past any node's hard quota.
-	NoBorrow bool
+	Queues []QueueSpec
 }
 
-// FairShare is a hierarchical weighted fair-share policy in the
-// proportion-plugin mold: Proportion water-fills cluster capacity down
-// the queue tree, JobOrder serves the most-under-served tenant first
-// under floor(deserved) budgets, and Preempt reclaims one whole graphlet
-// per round from the most-over-share tenant when queued work is starving.
+// FairShare is a weighted fair-share policy in the proportion-plugin
+// mold: Proportion water-fills cluster capacity across the tenant queues,
+// JobOrder serves the most-under-served tenant first under
+// floor(deserved) budgets, and Preempt reclaims one whole graphlet per
+// round from the most-over-share tenant when queued work is starving.
 type FairShare struct {
 	cfg FairShareConfig
 }
 
-// NewFairShare builds the policy; the zero config is a flat equal-weight
-// share over whatever tenants appear.
-func NewFairShare(cfg FairShareConfig) *FairShare {
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
-	}
-	return &FairShare{cfg: cfg}
-}
+// NewFairShare builds the policy; the zero config is an equal-weight share
+// over whatever tenants appear.
+func NewFairShare(cfg FairShareConfig) *FairShare { return &FairShare{cfg: cfg} }
 
 // Name implements Policy.
-func (f *FairShare) Name() string {
-	if f.cfg.NoBorrow {
-		return "fairshare-noborrow"
-	}
-	return "fairshare"
-}
+func (f *FairShare) Name() string { return "fairshare" }
 
 // rounding epsilon: deserved shares come out of float division, so a
 // tenant deserving "exactly 4" may read 3.9999…; floor/ceil snap first.
@@ -63,190 +45,89 @@ const shareEps = 1e-9
 func floorShare(x float64) int { return int(math.Floor(x + shareEps)) }
 func ceilShare(x float64) int  { return int(math.Ceil(x - shareEps)) }
 
-// fsNode is one queue-tree node during a single Proportion evaluation.
-// Trees are rebuilt per call from the static config plus the live view;
-// nothing is cached, so the policy stays a pure function of its inputs.
-type fsNode struct {
-	name     string
+// fsQueue is one queue during a single Proportion evaluation. The slice is
+// rebuilt per call from the static config plus the live view; nothing is
+// cached, so the policy stays a pure function of its inputs.
+type fsQueue struct {
 	weight   float64
 	quota    int
-	children []*fsNode
-	demand   int     // tenant demand attached directly to this node
-	cap      float64 // quota-clamped subtree demand
-	assigned float64 // capacity granted to the subtree
-	own      float64 // share kept by this node's own tenant (leaf: == assigned)
-}
-
-// tree builds the queue tree for one evaluation: declared queues first (in
-// declaration order, cycles broken toward the root), then any tenants the
-// view carries that the config never named, attached to the root. The
-// returned map resolves tenant name -> node.
-func (f *FairShare) tree(view View) (*fsNode, map[string]*fsNode) {
-	root := &fsNode{name: ""}
-	nodes := map[string]*fsNode{"": root}
-	parentOf := map[string]string{}
-	var order []string
-	declare := func(name, parent string) {
-		if name == "" {
-			return
-		}
-		if _, ok := nodes[name]; !ok {
-			nodes[name] = &fsNode{name: name, weight: f.cfg.DefaultWeight}
-			parentOf[name] = parent
-			order = append(order, name)
-		}
-	}
-	for _, q := range f.cfg.Queues {
-		declare(q.Name, q.Parent)
-		if n := nodes[q.Name]; q.Name != "" {
-			if q.Weight > 0 {
-				n.weight = q.Weight
-			}
-			if q.Quota > 0 {
-				n.quota = q.Quota
-			}
-		}
-	}
-	// Parents referenced but never declared become root-attached interior
-	// queues. order grows while we walk it, which is the point.
-	for i := 0; i < len(order); i++ {
-		declare(parentOf[order[i]], "")
-	}
-	// A parent chain that loops (a->b->a) would detach from the root and
-	// silently zero every share under it; reparent such nodes to the root.
-	for _, name := range order {
-		hops := 0
-		for p := parentOf[name]; p != ""; p = parentOf[p] {
-			if p == name || hops > len(order) {
-				parentOf[name] = ""
-				break
-			}
-			hops++
-		}
-	}
-	for _, name := range order {
-		nodes[parentOf[name]].children = append(nodes[parentOf[name]].children, nodes[name])
-	}
-	// view.Tenants is sorted by name (controller contract), so runtime
-	// tenants attach in deterministic order too.
-	for _, t := range view.Tenants {
-		if _, ok := nodes[t.Tenant]; !ok {
-			nodes[t.Tenant] = &fsNode{name: t.Tenant, weight: f.cfg.DefaultWeight}
-			root.children = append(root.children, nodes[t.Tenant])
-		}
-		n := nodes[t.Tenant]
-		n.demand += t.Running + t.Pending
-	}
-	return root, nodes
-}
-
-// subtreeCap computes the quota-clamped demand of every subtree
-// (post-order). Clamping at every level is what makes quotas hard: no
-// water-fill below can hand a subtree more than its cap.
-func subtreeCap(n *fsNode) float64 {
-	c := float64(n.demand)
-	for _, ch := range n.children {
-		c += subtreeCap(ch)
-	}
-	if n.quota > 0 && c > float64(n.quota) {
-		c = float64(n.quota)
-	}
-	n.cap = c
-	return c
-}
-
-// distribute hands amount executors to the subtree rooted at n and splits
-// it among the children. Borrow mode water-fills: capacity a capped child
-// cannot absorb is re-offered to its siblings by weight. NoBorrow gives
-// each child min(cap, weighted slice) and lets the rest idle. Demand
-// attached to an interior node is served from whatever its children leave
-// behind.
-func (f *FairShare) distribute(n *fsNode, amount float64) {
-	if amount > n.cap {
-		amount = n.cap
-	}
-	if amount < 0 {
-		amount = 0
-	}
-	n.assigned = amount
-	if len(n.children) == 0 {
-		n.own = amount
-		return
-	}
-	given := 0.0
-	if f.cfg.NoBorrow {
-		totalW := 0.0
-		for _, ch := range n.children {
-			totalW += ch.weight
-		}
-		for _, ch := range n.children {
-			slice := 0.0
-			if totalW > 0 {
-				slice = amount * ch.weight / totalW
-			}
-			f.distribute(ch, slice)
-			given += ch.assigned
-		}
-	} else {
-		active := append([]*fsNode(nil), n.children...)
-		remaining := amount
-		for len(active) > 0 && remaining > shareEps {
-			totalW := 0.0
-			for _, ch := range active {
-				totalW += ch.weight
-			}
-			if totalW <= 0 {
-				break
-			}
-			unit := remaining / totalW
-			next := make([]*fsNode, 0, len(active))
-			saturated := false
-			for _, ch := range active {
-				if unit*ch.weight >= ch.cap-shareEps {
-					f.distribute(ch, ch.cap)
-					remaining -= ch.assigned
-					given += ch.assigned
-					saturated = true
-				} else {
-					next = append(next, ch)
-				}
-			}
-			if !saturated {
-				for _, ch := range next {
-					f.distribute(ch, unit*ch.weight)
-					remaining -= ch.assigned
-					given += ch.assigned
-				}
-				break
-			}
-			active = next
-		}
-	}
-	n.own = n.assigned - given
-	if n.own < 0 {
-		n.own = 0
-	}
+	tenant   int     // index into view.Tenants, -1 for a declared queue with no live tenant
+	cap      float64 // quota-clamped demand
+	deserved float64
+	filled   bool // took its whole cap; out of the water-fill
 }
 
 // Proportion implements Policy: deserved shares per tenant, sorted by
-// tenant name.
+// tenant name. The queues are the declared ones in declaration order, then
+// the view's undeclared tenants in view order (sorted by name — the
+// controller's contract — so the float sums below are deterministic).
+// Capacity water-fills across them: each round offers every open queue its
+// weighted slice of what remains; a queue whose slice covers its cap
+// (demand, clamped to its quota — which is what makes quotas hard) takes
+// the cap and leaves, and the capacity it could not absorb is re-offered
+// to the rest. A round that fills nobody hands out the slices and ends.
 func (f *FairShare) Proportion(view View) []Share {
 	if len(view.Tenants) == 0 {
 		return nil
 	}
-	root, nodes := f.tree(view)
-	subtreeCap(root)
-	f.distribute(root, float64(view.TotalExecutors))
-	shares := make([]Share, 0, len(view.Tenants))
-	for _, t := range view.Tenants {
-		n := nodes[t.Tenant]
-		shares = append(shares, Share{
-			Tenant:   t.Tenant,
-			Weight:   n.weight,
-			Deserved: n.own,
-			Running:  t.Running,
-			Quota:    n.quota,
-		})
+	qs := make([]fsQueue, len(f.cfg.Queues), len(f.cfg.Queues)+len(view.Tenants))
+	for i, spec := range f.cfg.Queues {
+		qs[i] = fsQueue{weight: 1, quota: max(spec.Quota, 0), tenant: -1}
+		if spec.Weight > 0 {
+			qs[i].weight = spec.Weight
+		}
+	}
+	for ti, t := range view.Tenants {
+		qi := slices.IndexFunc(f.cfg.Queues, func(spec QueueSpec) bool { return spec.Name == t.Tenant })
+		if qi < 0 {
+			qi = len(qs)
+			qs = append(qs, fsQueue{weight: 1})
+		}
+		q := &qs[qi]
+		q.tenant = ti
+		q.cap = float64(t.Running + t.Pending)
+		if q.quota > 0 && q.cap > float64(q.quota) {
+			q.cap = float64(q.quota)
+		}
+	}
+	demand := 0.0
+	for i := range qs {
+		demand += qs[i].cap
+	}
+	remaining := min(float64(view.TotalExecutors), demand)
+	for open := len(qs); open > 0 && remaining > shareEps; {
+		totalW := 0.0
+		for i := range qs {
+			if !qs[i].filled {
+				totalW += qs[i].weight
+			}
+		}
+		unit := remaining / totalW
+		filledAny := false
+		for i := range qs {
+			if q := &qs[i]; !q.filled && unit*q.weight >= q.cap-shareEps {
+				q.deserved, q.filled = q.cap, true
+				remaining -= q.cap
+				open--
+				filledAny = true
+			}
+		}
+		if !filledAny {
+			for i := range qs {
+				if q := &qs[i]; !q.filled {
+					q.deserved = unit * q.weight
+				}
+			}
+			break
+		}
+	}
+	shares := make([]Share, len(view.Tenants))
+	for _, q := range qs {
+		if q.tenant >= 0 {
+			t := view.Tenants[q.tenant]
+			shares[q.tenant] = Share{Tenant: t.Tenant, Weight: q.weight,
+				Deserved: q.deserved, Running: t.Running, Quota: q.quota}
+		}
 	}
 	return shares
 }

@@ -81,20 +81,6 @@ func TestProportionBorrowsIdleShare(t *testing.T) {
 	}
 }
 
-func TestProportionNoBorrowStrandsIdleShare(t *testing.T) {
-	p := NewFairShare(FairShareConfig{NoBorrow: true})
-	view := View{TotalExecutors: 10, Tenants: []TenantUsage{
-		usage("a", 1, 1, 0), usage("b", 2, 40, 3)}}
-	shares := p.Proportion(view)
-	if got := deservedOf(t, shares, "a"); math.Abs(got-2) > 1e-6 {
-		t.Fatalf("a deserved = %v, want 2", got)
-	}
-	// b keeps only its weighted half; a's unused 3 slots idle.
-	if got := deservedOf(t, shares, "b"); math.Abs(got-5) > 1e-6 {
-		t.Fatalf("b deserved = %v, want 5", got)
-	}
-}
-
 func TestProportionHardQuota(t *testing.T) {
 	p := NewFairShare(FairShareConfig{Queues: []QueueSpec{
 		{Name: "b", Quota: 4}}})
@@ -110,37 +96,82 @@ func TestProportionHardQuota(t *testing.T) {
 	}
 }
 
-func TestProportionHierarchy(t *testing.T) {
-	// prod (weight 3) vs batch (weight 1); two equal children inside prod.
-	p := NewFairShare(FairShareConfig{Queues: []QueueSpec{
-		{Name: "prod", Weight: 3},
-		{Name: "batch", Weight: 1},
-		{Name: "web", Parent: "prod"},
-		{Name: "etl", Parent: "prod"},
-	}})
-	view := View{TotalExecutors: 8, Tenants: []TenantUsage{
-		usage("batch", 0, 100, 1), usage("etl", 0, 100, 1), usage("web", 0, 100, 1)}}
-	shares := p.Proportion(view)
-	if got := deservedOf(t, shares, "batch"); math.Abs(got-2) > 1e-6 {
-		t.Fatalf("batch deserved = %v, want 2", got)
+// TestProportionPinnedShares pins the water-fill's shares on the three
+// configurations that run: bench's 2:1:1 with a 600-executor quota, the
+// chaos soak's 2:1:1 with a 30-executor quota, and the zero config over
+// undeclared tenants. The expected values are literals printed by the
+// queue-tree implementation this one replaced (shortest round-trip
+// formatting) and are compared exactly: the replacement performs the same
+// float operations in the same order.
+func TestProportionPinnedShares(t *testing.T) {
+	weights := func(quota int) FairShareConfig {
+		return FairShareConfig{Queues: []QueueSpec{
+			{Name: "a", Weight: 2}, {Name: "b", Weight: 1}, {Name: "c", Weight: 1, Quota: quota}}}
 	}
-	if got := deservedOf(t, shares, "web"); math.Abs(got-3) > 1e-6 {
-		t.Fatalf("web deserved = %v, want 3", got)
+	bench, chaos := weights(600), weights(30)
+	cases := []struct {
+		name string
+		cfg  FairShareConfig
+		view View
+		want []Share
+	}{
+		{"bench saturated", bench,
+			View{TotalExecutors: 3000, Tenants: []TenantUsage{
+				usage("a", 1400, 5000, 9), usage("b", 1000, 9000, 9), usage("c", 600, 4000, 9)}},
+			[]Share{
+				{Tenant: "a", Weight: 2, Deserved: 1600, Running: 1400},
+				{Tenant: "b", Weight: 1, Deserved: 800, Running: 1000},
+				{Tenant: "c", Weight: 1, Deserved: 600, Running: 600, Quota: 600}}},
+		{"bench with undeclared tenants", bench,
+			View{TotalExecutors: 3001, Tenants: []TenantUsage{
+				usage("a", 0, 5000, 9), usage("b", 0, 9000, 9), usage("c", 0, 4000, 9),
+				usage("d", 3, 4000, 1), usage("default", 0, 77, 1)}},
+			[]Share{
+				{Tenant: "a", Weight: 2, Deserved: 1169.6},
+				{Tenant: "b", Weight: 1, Deserved: 584.8},
+				{Tenant: "c", Weight: 1, Deserved: 584.8, Quota: 600},
+				{Tenant: "d", Weight: 1, Deserved: 584.8, Running: 3},
+				{Tenant: "default", Weight: 1, Deserved: 77}}},
+		{"bench with a declared queue idle", bench,
+			View{TotalExecutors: 3000, Tenants: []TenantUsage{
+				usage("a", 0, 5000, 9), usage("c", 0, 4000, 9)}},
+			[]Share{
+				{Tenant: "a", Weight: 2, Deserved: 2400},
+				{Tenant: "c", Weight: 1, Deserved: 600, Quota: 600}}},
+		{"chaos two rounds", chaos,
+			View{TotalExecutors: 80, Tenants: []TenantUsage{
+				usage("a", 10, 50, 2), usage("b", 7, 3, 1), usage("c", 20, 100, 3)}},
+			[]Share{
+				{Tenant: "a", Weight: 2, Deserved: 46.666666666666664, Running: 10},
+				{Tenant: "b", Weight: 1, Deserved: 10, Running: 7},
+				{Tenant: "c", Weight: 1, Deserved: 23.333333333333332, Running: 20, Quota: 30}}},
+		{"chaos quota-bound", chaos,
+			View{TotalExecutors: 80, Tenants: []TenantUsage{
+				usage("a", 10, 12, 2), usage("b", 7, 300, 1), usage("c", 30, 100, 3)}},
+			[]Share{
+				{Tenant: "a", Weight: 2, Deserved: 22, Running: 10},
+				{Tenant: "b", Weight: 1, Deserved: 29, Running: 7},
+				{Tenant: "c", Weight: 1, Deserved: 29, Running: 30, Quota: 30}}},
+		{"zero config", FairShareConfig{},
+			View{TotalExecutors: 11, Tenants: []TenantUsage{
+				usage("p", 0, 100, 1), usage("q", 4, 100, 1), usage("r", 0, 100, 1)}},
+			[]Share{
+				{Tenant: "p", Weight: 1, Deserved: 3.6666666666666665},
+				{Tenant: "q", Weight: 1, Deserved: 3.6666666666666665, Running: 4},
+				{Tenant: "r", Weight: 1, Deserved: 3.6666666666666665}}},
+		{"zero config saturating", FairShareConfig{},
+			View{TotalExecutors: 10, Tenants: []TenantUsage{
+				usage("x", 1, 1, 0), usage("y", 2, 40, 3), usage("z", 0, 3, 1), usage("zz", 0, 0, 0)}},
+			[]Share{
+				{Tenant: "x", Weight: 1, Deserved: 2, Running: 1},
+				{Tenant: "y", Weight: 1, Deserved: 5, Running: 2},
+				{Tenant: "z", Weight: 1, Deserved: 3},
+				{Tenant: "zz", Weight: 1}}},
 	}
-	if got := deservedOf(t, shares, "etl"); math.Abs(got-3) > 1e-6 {
-		t.Fatalf("etl deserved = %v, want 3", got)
-	}
-}
-
-func TestProportionParentCycleFallsBackToRoot(t *testing.T) {
-	p := NewFairShare(FairShareConfig{Queues: []QueueSpec{
-		{Name: "a", Parent: "b"}, {Name: "b", Parent: "a"}}})
-	view := View{TotalExecutors: 4, Tenants: []TenantUsage{
-		usage("a", 0, 10, 1), usage("b", 0, 10, 1)}}
-	shares := p.Proportion(view)
-	total := deservedOf(t, shares, "a") + deservedOf(t, shares, "b")
-	if total < 4-1e-6 {
-		t.Fatalf("cycle stranded capacity: a+b deserved = %v, want 4", total)
+	for _, c := range cases {
+		if got := NewFairShare(c.cfg).Proportion(c.view); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s:\n got  %+v\n want %+v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 //   - JobOrder: in which order, and with what per-item executor caps, the
 //     queued graphlet requests are served this round;
 //   - Proportion: how much of the cluster each tenant deserves right now
-//     (hierarchical weighted share with hard quotas);
+//     (weighted share with hard quotas);
 //   - Preempt: which running graphlet, if any, to reclaim when the pool is
 //     dry and an under-served tenant is starving.
 //

@@ -139,3 +139,26 @@ func TestCostReplicationChargesWriteSide(t *testing.T) {
 		t.Errorf("replicate cost not monotone in R: R=2 %.3f vs R=3 %.3f", two, rep.Replicate)
 	}
 }
+
+var costSink float64
+
+// BenchmarkCost is the shuffle rung of the ladder: the simulator prices every
+// edge of every job through Cost, once per task wave. One sub-benchmark per
+// mode Swift selects, each on an edge of the size that mode is selected for.
+func BenchmarkCost(b *testing.B) {
+	for _, c := range []struct {
+		mode Mode
+		in   CostInput
+	}{
+		{Direct, input(50, 50, 5, 2<<30)},
+		{Remote, input(200, 200, 10, 20<<30)},
+		{Local, input(1000, 1000, 50, 100<<30)},
+	} {
+		b.Run(c.mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				costSink += Cost(c.mode, c.in).Total()
+			}
+		})
+	}
+}

@@ -130,12 +130,15 @@ func (r *Runner) abortTask(a core.ActAbortTask) {
 	}
 }
 
+// processJitter is the ± fraction applied to per-task processing time.
+const processJitter = 0.05
+
 // scheduleFinish computes the task's completion time now that its inputs
 // are (or are about to be) available, then arms the finish event.
 func (r *Runner) scheduleFinish(rt *runningTask) {
 	now := r.eng.Now()
 	c := &rt.jr.stages[rt.stage].cost
-	jitter := 1 + r.cfg.ProcessJitter*(2*r.eng.Rand().Float64()-1)
+	jitter := 1 + processJitter*(2*r.eng.Rand().Float64()-1)
 	rt.process = c.process * jitter * rt.slow
 	rt.read = c.scan + c.read
 	rt.write = c.write

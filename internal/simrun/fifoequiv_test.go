@@ -55,7 +55,7 @@ func tracedRun(seed int64, policy sched.Policy) (uint64, string) {
 }
 
 // TestFairShareReducesToFIFOSingleTenant is the policy layer's equivalence
-// property: with a single tenant the hierarchical fair-share policy must
+// property: with a single tenant the fair-share policy must
 // reproduce the default FIFO schedule exactly — same obs event stream
 // (hash) and byte-identical results — across seeds. One tenant's deserved
 // share is the whole pool, so budgets never bind, preemption never finds a

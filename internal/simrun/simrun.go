@@ -24,9 +24,6 @@ type Config struct {
 	Cluster cluster.Config
 	Options core.Options
 	Seed    int64
-	// ProcessJitter is the ± fraction applied to per-task processing
-	// time (default 0.05).
-	ProcessJitter float64
 	// ReadmitDelay, when positive, re-admits a read-only (drained) machine
 	// after that healthy observation window — the paper's health monitor
 	// restoring a machine whose failure burst has passed. Zero leaves
@@ -229,9 +226,6 @@ type Runner struct {
 
 // New builds a runner. The zero Config is invalid; fill Cluster at least.
 func New(cfg Config) *Runner {
-	if cfg.ProcessJitter <= 0 {
-		cfg.ProcessJitter = 0.05
-	}
 	cl := cluster.New(cfg.Cluster)
 	r := &Runner{
 		cfg:     cfg,

@@ -127,7 +127,6 @@ func TestGraphletIdleBeatsWholeJobGang(t *testing.T) {
 
 	gangOpts := core.DefaultOptions()
 	gangOpts.Partition = core.WholeJobPartition
-	gangOpts.StrictGang = true
 	gang := New(Config{Cluster: testCluster(), Options: gangOpts, Seed: 3})
 	gang.SubmitAt(0, job())
 	gangRes := gang.Run()

@@ -56,9 +56,6 @@ type TenantSpec struct {
 	BurstAt     float64
 	BurstDur    float64
 	BurstFactor float64
-	// Scale/RuntimeCap override the Spec-level values when > 0.
-	Scale      float64
-	RuntimeCap float64
 }
 
 // Job is one trace entry.
@@ -108,14 +105,14 @@ func stageCount(r *rand.Rand) int {
 
 // Generate builds a trace from the spec.
 func Generate(spec Spec) *Trace {
+	if spec.Scale <= 0 {
+		spec.Scale = 1
+	}
 	if len(spec.Tenants) > 0 {
 		return generateTenants(spec)
 	}
 	if spec.Jobs <= 0 {
 		panic("trace: job count must be positive")
-	}
-	if spec.Scale <= 0 {
-		spec.Scale = 1
 	}
 	r := rand.New(rand.NewSource(spec.Seed))
 	t := &Trace{Spec: spec}
@@ -150,20 +147,10 @@ func generateTenants(spec Spec) *Trace {
 		if ts.Rate <= 0 && ts.ArrivalWindow <= 0 {
 			panic(fmt.Sprintf("trace: tenant %q needs Rate or ArrivalWindow", ts.Name))
 		}
-		scale, rcap := ts.Scale, ts.RuntimeCap
-		if scale <= 0 {
-			scale = spec.Scale
-		}
-		if scale <= 0 {
-			scale = 1
-		}
-		if rcap <= 0 {
-			rcap = spec.RuntimeCap
-		}
 		r := rand.New(rand.NewSource(tenantSeed(spec.Seed, ti)))
 		at := 0.0
 		for i := 0; i < ts.Jobs; i++ {
-			job := synthJob(r, fmt.Sprintf("%s-%04d", ts.Name, i), scale, rcap)
+			job := synthJob(r, fmt.Sprintf("%s-%04d", ts.Name, i), spec.Scale, spec.RuntimeCap)
 			job.Tenant = ts.Name
 			if ts.Rate > 0 {
 				// Inhomogeneous Poisson: exponential gap at the rate in

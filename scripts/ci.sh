@@ -146,6 +146,7 @@ go test -run '^$' -c -o /dev/null ./internal/rpc/
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
-    ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/rpc/ ./internal/flow/ > /dev/null
+    ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/shuffle/ \
+    ./internal/rpc/ ./internal/flow/ > /dev/null
 
 echo "ci: all green"
