@@ -185,63 +185,33 @@ func Run(cfg Config) *Result {
 	eng := runner.Engine()
 
 	// With admission control enabled, every submission is offered to the
-	// flow controller instead of reaching the scheduler directly; queued
-	// work is pumped back in at event boundaries and on a 1 s tick while
-	// the wait queue is nonempty (the tick keeps the queue draining when
-	// the cluster goes quiet with the governor dry).
-	var fc *flow.Controller
+	// flow controller instead of reaching the scheduler directly, through
+	// the same flow.Pump swiftd serves with; every decision is audited, an
+	// admission just before the scheduler sees the job.
+	var pump *flow.SimPump
 	var offered []*dag.Job
 	if cfg.Flow != nil {
-		fc = flow.NewController(*cfg.Flow, cfg.Machines*cfg.ExecutorsPerMachine)
-	}
-	pumping := false
-	tickArmed := false
-	var pumpTick func()
-	armTick := func() {
-		if fc != nil && !tickArmed && fc.QueueLen() > 0 {
-			tickArmed = true
-			eng.After(sim.Second, pumpTick)
-		}
-	}
-	pump := func(now sim.Time) {
-		if pumping {
-			return
-		}
-		pumping = true
-		for {
-			it, ok := fc.PopAdmissible(now, ctrl.Snapshot())
-			if !ok {
-				break
-			}
-			aud.FlowDecision(now, it.ID, flow.Admitted, true)
-			_ = runner.Submit(it.Payload.(*dag.Job))
-		}
-		pumping = false
-		armTick()
-	}
-	pumpTick = func() {
-		tickArmed = false
-		if !pumping {
-			pump(eng.Now())
-		}
-		armTick()
+		pump = &flow.SimPump{Engine: eng, Pump: flow.Pump{
+			Flow:     flow.NewController(*cfg.Flow, cfg.Machines*cfg.ExecutorsPerMachine),
+			Snapshot: ctrl.Snapshot,
+			Admit: func(now sim.Time, job *dag.Job, _ sim.Duration, released bool) error {
+				aud.FlowDecision(now, job.ID, flow.Admitted, released)
+				return runner.Submit(job)
+			},
+		}}
 	}
 	offer := func(job *dag.Job) {
-		now := eng.Now()
 		offered = append(offered, job)
-		out, _ := fc.Offer(now, ctrl.Snapshot(), flow.Item{ID: job.ID, Tasks: job.NumTasks(), Payload: job, Enqueued: now})
-		aud.FlowDecision(now, job.ID, out.Decision, false)
-		if out.Decision == flow.Admitted {
-			_ = runner.Submit(job)
+		if out, _ := pump.Offer(job); out.Decision != flow.Admitted {
+			aud.FlowDecision(eng.Now(), job.ID, out.Decision, false)
 		}
-		armTick()
 	}
-	if fc == nil {
+	if pump == nil {
 		runner.SetEventHook(aud.CheckNow)
 	} else {
 		runner.SetEventHook(func(now sim.Time) {
 			aud.CheckNow(now)
-			pump(now)
+			pump.OnEvent(now)
 		})
 	}
 
@@ -256,7 +226,7 @@ func Run(cfg Config) *Result {
 	tr := trace.Generate(spec)
 	res.Jobs = len(tr.Jobs)
 	for _, j := range tr.Jobs {
-		if fc != nil {
+		if pump != nil {
 			j := j
 			eng.At(sim.FromSeconds(j.SubmitAt), func() { offer(j.Job) })
 		} else {
@@ -277,7 +247,7 @@ func Run(cfg Config) *Result {
 			// Overload bursts are submission storms, not injected faults:
 			// they never reach apply(). Without a flow controller there is
 			// no admission plane to storm, so they are recorded as skipped.
-			if fc == nil {
+			if pump == nil {
 				res.Skipped.Add(f.Kind.String(), 1)
 				continue
 			}
@@ -322,7 +292,7 @@ func Run(cfg Config) *Result {
 	// to the admission ledger: every offer got exactly one decision,
 	// admitted jobs are terminal, queued/shed jobs never touched the
 	// scheduler, and the wait queue never exceeded its bound.
-	if fc == nil {
+	if pump == nil {
 		for _, j := range tr.Jobs {
 			switch {
 			case ctrl.JobDone(j.Job.ID):
@@ -365,9 +335,9 @@ func Run(cfg Config) *Result {
 				}
 			}
 		}
-		st := fc.Stats()
-		if st.MaxQueue > fc.MaxQueue() {
-			aud.violate(end, "flow wait queue peaked at %d, above its bound %d", st.MaxQueue, fc.MaxQueue())
+		st := pump.Flow.Stats()
+		if st.MaxQueue > pump.Flow.MaxQueue() {
+			aud.violate(end, "flow wait queue peaked at %d, above its bound %d", st.MaxQueue, pump.Flow.MaxQueue())
 		}
 		if st.QueueLen != res.FlowQueuedEnd {
 			aud.violate(end, "flow queue length %d disagrees with %d queued-at-horizon decisions", st.QueueLen, res.FlowQueuedEnd)

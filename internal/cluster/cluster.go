@@ -223,10 +223,6 @@ func (c *Cluster) BusyExecutors() int {
 // Machine returns the machine with the given ID.
 func (c *Cluster) Machine(id MachineID) *Machine { return c.machines[id] }
 
-// ExecutorBusy reports whether an executor currently holds a task lease
-// (audit/diagnostic accessor).
-func (c *Cluster) ExecutorBusy(e ExecutorID) bool { return c.busyExec[e] }
-
 // MachineOf returns the machine hosting an executor.
 func (c *Cluster) MachineOf(e ExecutorID) MachineID { return c.owner[e] }
 

@@ -26,9 +26,6 @@ type Config struct {
 	Machines            int
 	ExecutorsPerMachine int
 	Options             core.Options
-	// CacheWorkerCapacity bounds each machine's Cache Worker memory in
-	// bytes (0 = unbounded).
-	CacheWorkerCapacity int64
 }
 
 // DefaultConfig returns a small local deployment (4 machines × 4
@@ -89,7 +86,7 @@ func New(cfg Config) *Engine {
 		cfg:     cfg,
 		cl:      cl,
 		ctrl:    core.NewController(cl, cfg.Options),
-		store:   NewStore(cfg.Machines, cfg.CacheWorkerCapacity),
+		store:   NewStore(cfg.Machines, 0),
 		events:  make(chan event, 256),
 		quit:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),

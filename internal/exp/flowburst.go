@@ -66,52 +66,26 @@ func (c Config) flowBurstOne(mult int) FlowBurstRow {
 	ccfg := cluster.Config{Machines: 20, ExecutorsPerMachine: 4}
 	r := c.sim(ccfg, core.DefaultOptions(), c.Seed)
 	eng, ctrl := r.Engine(), r.Controller()
-	fc := flow.NewController(flow.Config{MaxQueue: 8, Rate: 1, Burst: 4},
-		ccfg.Machines*ccfg.ExecutorsPerMachine)
 
 	var waits []float64
 	maxInFlight, maxJob := 0, 0
 
-	// Queued work is pumped back in at every event boundary and on a 1 s
-	// tick while the queue is nonempty (the tick keeps the queue draining
-	// when the cluster goes quiet with the governor dry) — the same pump the
-	// chaos herd soak and swiftd's service loop use.
-	pumping, tickArmed := false, false
-	var pumpTick func()
-	armTick := func() {
-		if !tickArmed && fc.QueueLen() > 0 {
-			tickArmed = true
-			eng.After(sim.Second, pumpTick)
-		}
-	}
-	pump := func(now sim.Time) {
-		if pumping {
-			return
-		}
-		pumping = true
-		for {
-			it, ok := fc.PopAdmissible(now, ctrl.Snapshot())
-			if !ok {
-				break
-			}
-			waits = append(waits, (now - it.Enqueued).Seconds())
-			_ = r.Submit(it.Payload.(*dag.Job))
-		}
-		pumping = false
-		armTick()
-	}
-	pumpTick = func() {
-		tickArmed = false
-		if !pumping {
-			pump(eng.Now())
-		}
-		armTick()
-	}
+	// The same flow.Pump swiftd serves with and the chaos herd soak storms.
+	pump := &flow.SimPump{Engine: eng, Pump: flow.Pump{
+		Flow: flow.NewController(flow.Config{MaxQueue: 8, Rate: 1, Burst: 4},
+			ccfg.Machines*ccfg.ExecutorsPerMachine),
+		Snapshot: ctrl.Snapshot,
+		Admit: func(_ sim.Time, job *dag.Job, waited sim.Duration, _ bool) error {
+			waits = append(waits, waited.Seconds())
+			return r.Submit(job)
+		},
+	}}
+	fc := pump.Flow
 	r.SetEventHook(func(now sim.Time) {
 		if n := ctrl.Snapshot().InFlightTasks(); n > maxInFlight {
 			maxInFlight = n
 		}
-		pump(now)
+		pump.OnEvent(now)
 	})
 
 	// Scale and RuntimeCap tame the trace's heavy tail: the sweep measures
@@ -125,16 +99,8 @@ func (c Config) flowBurstOne(mult int) FlowBurstRow {
 		if t := j.Job.NumTasks(); t > maxJob {
 			maxJob = t
 		}
-		eng.At(sim.FromSeconds(j.SubmitAt), func() {
-			now := eng.Now()
-			out, _ := fc.Offer(now, ctrl.Snapshot(),
-				flow.Item{ID: j.Job.ID, Tasks: j.Job.NumTasks(), Payload: j.Job, Enqueued: now})
-			if out.Decision == flow.Admitted {
-				waits = append(waits, 0)
-				_ = r.Submit(j.Job)
-			}
-			armTick()
-		})
+		// A shed job's error is its outcome; fc.Stats counts it.
+		eng.At(sim.FromSeconds(j.SubmitAt), func() { _, _ = pump.Offer(j.Job) })
 	}
 	r.RunBounded(4*3600*sim.Second, 5_000_000)
 

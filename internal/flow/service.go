@@ -28,6 +28,7 @@ type Service struct {
 	mu        sync.Mutex
 	flow      *Controller
 	ctrl      *core.Controller
+	adm       Pump            // flow in front of ctrl
 	submitted map[string]bool // IDs ever accepted (admitted or queued)
 	panics    int64
 
@@ -56,6 +57,7 @@ func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func
 		drained:   make(chan struct{}),
 	}
 	s.flow.SetTenantLookup(s.ctrl.TenantInFlight)
+	s.adm = Pump{Flow: s.flow, Snapshot: s.ctrl.Snapshot, Admit: s.admitLocked}
 	return s
 }
 
@@ -85,20 +87,28 @@ func (s *Service) drainLocked() (acts []core.Action, idle bool) {
 	return acts, idle
 }
 
-// Submit pushes one job through admission. A panic anywhere in validation
-// or scheduling is isolated to this request: the service stays up and the
-// submitter gets an error.
-func (s *Service) Submit(job *dag.Job) (Outcome, error) {
-	if job == nil {
-		return Outcome{}, fmt.Errorf("flow: nil job")
-	}
+// event runs one locked event: fn (nil for a bare tick), then the pump
+// with whatever capacity fn freed, then — outside the lock — the sink.
+func (s *Service) event(fn func(now sim.Time)) {
 	now := s.clock()
 	s.mu.Lock()
-	out, err := s.submitLocked(now, job)
-	s.pumpLocked(now)
+	if fn != nil {
+		fn(now)
+	}
+	s.adm.Run(now)
 	acts, idle := s.drainLocked()
 	s.mu.Unlock()
 	s.finish(now, acts, idle)
+}
+
+// Submit pushes one job through admission. A panic anywhere in validation
+// or scheduling is isolated to this request: the service stays up and the
+// submitter gets an error.
+func (s *Service) Submit(job *dag.Job) (out Outcome, err error) {
+	if job == nil {
+		return Outcome{}, fmt.Errorf("flow: nil job")
+	}
+	s.event(func(now sim.Time) { out, err = s.submitLocked(now, job) })
 	return out, err
 }
 
@@ -112,32 +122,19 @@ func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, err err
 	if s.submitted[job.ID] {
 		return Outcome{}, fmt.Errorf("flow: duplicate submission id %q", job.ID)
 	}
-	out, err = s.flow.Offer(now, s.ctrl.Snapshot(), Item{
-		ID: job.ID, Tenant: core.TenantName(job), Tasks: job.NumTasks(), Payload: job,
-	})
-	if err != nil {
-		return out, err
-	}
-	s.submitted[job.ID] = true
-	if out.Decision == Admitted {
-		err = s.ctrl.SubmitJob(job)
+	out, err = s.adm.Offer(now, job)
+	if out.Decision == Queued {
+		s.submitted[job.ID] = true
 	}
 	return out, err
 }
 
-// pumpLocked admits queued submissions while capacity allows.
-func (s *Service) pumpLocked(now sim.Time) {
-	for {
-		it, ok := s.flow.PopAdmissible(now, s.ctrl.Snapshot())
-		if !ok {
-			return
-		}
-		if err := s.ctrl.SubmitJob(it.Payload.(*dag.Job)); err != nil {
-			// Invalid job discovered at deferred admission: drop it. The
-			// submitter saw a Queued outcome; Status exposes the drop.
-			s.flow.cfg.Metrics.Count("flow.pump_errors", 1)
-		}
-	}
+// admitLocked is the pump's admit callback. A directly admitted id is
+// recorded before the scheduler sees the job, so it stays taken even if
+// SubmitJob rejects it or panics.
+func (s *Service) admitLocked(_ sim.Time, job *dag.Job, _ sim.Duration, _ bool) error {
+	s.submitted[job.ID] = true
+	return s.ctrl.SubmitJob(job)
 }
 
 // TasksFinished feeds a batch of completion events (swiftd's completion
@@ -150,16 +147,16 @@ func (s *Service) pumpLocked(now sim.Time) {
 //
 //lint:hotpath
 func (s *Service) TasksFinished(batch []Completion) {
-	now := s.clock()
-	s.mu.Lock()
-	for i := range batch {
-		s.ctrl.TaskFinished(batch[i].Ref, batch[i].Attempt)
-	}
-	//lint:allow hotpath releasing a queued job runs core.SubmitJob (validate, partition, build monitors): per-job work the completions that freed its capacity amortise; with an empty wait queue the pump is one PopAdmissible
-	s.pumpLocked(now)
-	acts, idle := s.drainLocked()
-	s.mu.Unlock()
-	s.finish(now, acts, idle)
+	// Not allocation-free when the pump releases a queued job: that runs
+	// core.SubmitJob (validate, partition, build monitors) through the
+	// pump's Admit callback — per-job work the completions that freed its
+	// capacity amortise. With an empty wait queue the pump is one
+	// PopAdmissible.
+	s.event(func(sim.Time) {
+		for i := range batch {
+			s.ctrl.TaskFinished(batch[i].Ref, batch[i].Attempt)
+		}
+	})
 }
 
 // TaskFinished feeds one completion event: a batch of one.
@@ -169,55 +166,29 @@ func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
 
 // TaskFailed feeds one failure event.
 func (s *Service) TaskFailed(ref core.TaskRef, attempt int, kind core.FailureKind) {
-	now := s.clock()
-	s.mu.Lock()
-	s.ctrl.TaskFailed(ref, attempt, kind)
-	s.pumpLocked(now)
-	acts, idle := s.drainLocked()
-	s.mu.Unlock()
-	s.finish(now, acts, idle)
+	s.event(func(sim.Time) { s.ctrl.TaskFailed(ref, attempt, kind) })
 }
 
 // Tick advances the token bucket and pumps the wait queue; the daemon
 // calls it periodically so queued work admits even between completions.
-func (s *Service) Tick() {
-	now := s.clock()
-	s.mu.Lock()
-	s.pumpLocked(now)
-	acts, idle := s.drainLocked()
-	s.mu.Unlock()
-	s.finish(now, acts, idle)
-}
+func (s *Service) Tick() { s.event(nil) }
 
 // Cancel removes a submission: queued submissions leave the wait queue,
 // admitted live jobs are aborted in the scheduler.
-func (s *Service) Cancel(id string) error {
-	now := s.clock()
-	s.mu.Lock()
-	var err error
-	if s.flow.CancelQueued(id) {
-		delete(s.submitted, id)
-	} else {
-		err = s.ctrl.CancelJob(id, "client request")
-	}
-	s.pumpLocked(now)
-	acts, idle := s.drainLocked()
-	s.mu.Unlock()
-	s.finish(now, acts, idle)
+func (s *Service) Cancel(id string) (err error) {
+	s.event(func(sim.Time) {
+		if s.flow.CancelQueued(id) {
+			delete(s.submitted, id)
+		} else {
+			err = s.ctrl.CancelJob(id, "client request")
+		}
+	})
 	return err
 }
 
 // Drain initiates shutdown: new offers shed, queued work re-admits
 // (governor bypassed), and Drained closes once nothing is left in flight.
-func (s *Service) Drain() {
-	now := s.clock()
-	s.mu.Lock()
-	s.flow.Drain()
-	s.pumpLocked(now)
-	acts, idle := s.drainLocked()
-	s.mu.Unlock()
-	s.finish(now, acts, idle)
-}
+func (s *Service) Drain() { s.event(func(sim.Time) { s.flow.Drain() }) }
 
 // Drained is closed once a draining service has no queued or live work.
 func (s *Service) Drained() <-chan struct{} { return s.drained }

@@ -1,39 +1,27 @@
 package rpc
 
-// Flow service: the control-plane endpoints swiftd serves. Submissions
-// stream as chunked frames so a large trace-encoded job payload never
-// approaches the frame bound; the server reassembles chunks by submission
-// ID and hands the complete payload to the registered FlowHandler. The
-// types here are plain wire data — this file knows nothing about package
-// flow, keeping the rpc layer dependency-free.
+// Flow service: the control-plane endpoints swiftd serves. A submission is
+// one frame carrying the whole trace-encoded job payload; the server hands
+// it to the registered FlowHandler. The types here are plain wire data —
+// this file knows nothing about package flow, keeping the rpc layer
+// dependency-free.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// FlowChunkSize is the payload fragment size clients stream.
-const FlowChunkSize = 256 << 10
-
-// maxPendingSubmissions bounds concurrent partial reassemblies; beyond it
-// new submissions are rejected (an admission bound of its own, protecting
-// the daemon's memory from half-sent uploads).
-const maxPendingSubmissions = 64
-
-// maxSubmissionBytes bounds one reassembled submission payload.
+// maxSubmissionBytes bounds one submission payload. The client refuses a
+// larger one before writing; the server refuses it if one arrives anyway.
 const maxSubmissionBytes = 16 << 20
 
-// FlowSubmitChunk is one streamed fragment of a job submission.
+// FlowSubmitChunk is one job submission: the whole payload in one frame.
 type FlowSubmitChunk struct {
 	ID   string // submission (job) id
-	Seq  int    // 0-based chunk index
-	More bool   // further chunks follow
 	Data []byte
 }
 
-// FlowSubmitReply reports the admission outcome of a completed submission.
-// Intermediate chunks are acked with a zero reply.
+// FlowSubmitReply reports the admission outcome of a submission.
 type FlowSubmitReply struct {
 	Decision         string // "admitted" | "queued" | "shed"
 	Level            string // "accept" | "queue" | "slow" | "shed"
@@ -69,7 +57,7 @@ type FlowTenantStatus struct {
 type FlowCancelReply struct{ Cancelled bool }
 
 // FlowHandler is implemented by the daemon. The submit payload is the
-// reassembled trace-encoded job.
+// trace-encoded job.
 type FlowHandler interface {
 	FlowSubmit(id string, payload []byte) (FlowSubmitReply, error)
 	FlowStatus() (FlowStatusReply, error)
@@ -77,58 +65,24 @@ type FlowHandler interface {
 	FlowDrain() error
 }
 
-// flowAssembler reassembles chunked submissions by ID.
-type flowAssembler struct {
-	mu      sync.Mutex
-	pending map[string][]byte
-}
-
-func (a *flowAssembler) add(ch *FlowSubmitChunk) ([]byte, bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur, started := a.pending[ch.ID]
-	if !started {
-		if ch.Seq != 0 {
-			return nil, false, fmt.Errorf("rpc: flow submit %q: chunk %d without a start", ch.ID, ch.Seq)
-		}
-		if !ch.More {
-			return ch.Data, true, nil // single-chunk fast path
-		}
-		if len(a.pending) >= maxPendingSubmissions {
-			return nil, false, fmt.Errorf("rpc: flow submit %q: too many partial submissions", ch.ID)
-		}
-		a.pending[ch.ID] = append([]byte(nil), ch.Data...)
-		return nil, false, nil
+func checkSubmissionSize(id string, n int) error {
+	if n > maxSubmissionBytes {
+		return fmt.Errorf("rpc: flow submit %q: payload of %d bytes exceeds %d", id, n, maxSubmissionBytes)
 	}
-	if len(cur)+len(ch.Data) > maxSubmissionBytes {
-		delete(a.pending, ch.ID)
-		return nil, false, fmt.Errorf("rpc: flow submit %q: payload exceeds %d bytes", ch.ID, maxSubmissionBytes)
-	}
-	cur = append(cur, ch.Data...)
-	if ch.More {
-		a.pending[ch.ID] = cur
-		return nil, false, nil
-	}
-	delete(a.pending, ch.ID)
-	return cur, true, nil
+	return nil
 }
 
 // ServeFlow registers the flow endpoints on a server.
 func ServeFlow(s *Server, h FlowHandler) {
-	asm := &flowAssembler{pending: make(map[string][]byte)}
 	s.Register("flow.submit", func(body []byte) ([]byte, error) {
 		var ch FlowSubmitChunk
 		if err := Decode(body, &ch); err != nil {
 			return nil, err
 		}
-		payload, done, err := asm.add(&ch)
-		if err != nil {
+		if err := checkSubmissionSize(ch.ID, len(ch.Data)); err != nil {
 			return nil, err
 		}
-		if !done {
-			return Encode(FlowSubmitReply{}) // intermediate-chunk ack
-		}
-		rep, err := h.FlowSubmit(ch.ID, payload)
+		rep, err := h.FlowSubmit(ch.ID, ch.Data)
 		if err != nil {
 			return nil, err
 		}
@@ -163,9 +117,6 @@ func ServeFlow(s *Server, h FlowHandler) {
 // FlowClient speaks the flow endpoints over a Client.
 type FlowClient struct{ c *Client }
 
-// NewFlowClient wraps an existing connection.
-func NewFlowClient(c *Client) *FlowClient { return &FlowClient{c} }
-
 // DialFlow connects to a swiftd instance.
 func DialFlow(addr string, timeout time.Duration) (*FlowClient, error) {
 	c, err := Dial(addr, timeout)
@@ -178,25 +129,16 @@ func DialFlow(addr string, timeout time.Duration) (*FlowClient, error) {
 // Close closes the underlying connection.
 func (f *FlowClient) Close() error { return f.c.Close() }
 
-// Submit streams one trace-encoded job payload and returns the admission
+// Submit sends one trace-encoded job payload and returns the admission
 // outcome. Note submissions are not idempotent: do not combine with a
 // retry policy on the underlying client.
 func (f *FlowClient) Submit(id string, payload []byte) (FlowSubmitReply, error) {
 	var rep FlowSubmitReply
-	for off, seq := 0, 0; ; seq++ {
-		n := len(payload) - off
-		if n > FlowChunkSize {
-			n = FlowChunkSize
-		}
-		ch := FlowSubmitChunk{ID: id, Seq: seq, Data: payload[off : off+n], More: off+n < len(payload)}
-		if err := f.c.Call("flow.submit", &ch, &rep); err != nil {
-			return rep, err
-		}
-		off += n
-		if !ch.More {
-			return rep, nil
-		}
+	if err := checkSubmissionSize(id, len(payload)); err != nil {
+		return rep, err
 	}
+	err := f.c.Call("flow.submit", &FlowSubmitChunk{ID: id, Data: payload}, &rep)
+	return rep, err
 }
 
 // Status fetches the service state.

@@ -2,7 +2,8 @@ package rpc
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -50,38 +51,14 @@ func (h *fakeFlowHandler) FlowDrain() error {
 func startFlowServer(t *testing.T) (*fakeFlowHandler, *FlowClient) {
 	t.Helper()
 	h := &fakeFlowHandler{}
-	s := NewServer()
+	s, addr := startServer(t)
 	ServeFlow(s, h)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
 	fc, err := DialFlow(addr, time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { _ = fc.Close() })
 	return h, fc
-}
-
-// A payload larger than one chunk reassembles byte-identically.
-func TestFlowSubmitChunked(t *testing.T) {
-	h, fc := startFlowServer(t)
-	payload := bytes.Repeat([]byte("swift-flow-"), (3*FlowChunkSize)/11)
-	rep, err := fc.Submit("job-a", payload)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if rep.Decision != "admitted" {
-		t.Fatalf("decision = %q, want admitted", rep.Decision)
-	}
-	h.mu.Lock()
-	got := h.payloads["job-a"]
-	h.mu.Unlock()
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload mangled: %d bytes arrived, sent %d", len(got), len(payload))
-	}
 }
 
 // Status, cancel and drain round-trip.
@@ -115,26 +92,77 @@ func TestFlowEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
-// A chunk arriving without its start (or a mid-stream submission flood) is
-// rejected without wedging the assembler.
-func TestFlowSubmitAssemblerGuards(t *testing.T) {
-	_, fc := startFlowServer(t)
-	var rep FlowSubmitReply
-	err := fc.c.Call("flow.submit", &FlowSubmitChunk{ID: "x", Seq: 3, Data: []byte("late")}, &rep)
-	if err == nil || !strings.Contains(err.Error(), "without a start") {
-		t.Fatalf("out-of-order chunk error = %v", err)
+// Clients that begin a submission and hang up mid-frame leave nothing on
+// the server: after 65 of them, the next client's 1 MiB submission arrives
+// whole and is admitted.
+func TestAbandonedSubmissionsLeaveNothingBehind(t *testing.T) {
+	h := &fakeFlowHandler{}
+	s, addr := startServer(t)
+	ServeFlow(s, h)
+	body := FlowSubmitChunk{ID: "abandoned", Data: bytes.Repeat([]byte("x"), 4096)}.appendWire(nil)
+	full, err := appendFrame(nil, 1, "flow.submit", "", body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The assembler bounds concurrent partial uploads.
-	for i := 0; ; i++ {
-		if i > maxPendingSubmissions {
-			t.Fatal("partial-submission bound never enforced")
-		}
-		err := fc.c.Call("flow.submit", &FlowSubmitChunk{ID: fmt.Sprintf("p%d", i), Seq: 0, More: true, Data: []byte("x")}, &rep)
+	for i := 0; i < 65; i++ {
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			if !strings.Contains(err.Error(), "too many partial submissions") {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			break
+			t.Fatal(err)
 		}
+		if _, err := conn.Write(full[:len(full)/2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitServing(t, s, 0) // every serving goroutine saw its hang-up and left
+	fc, err := DialFlow(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	payload := bytes.Repeat([]byte("swift-flow-"), (1<<20)/11)
+	rep, err := fc.Submit("job-66", payload)
+	if err != nil || rep.Decision != "admitted" {
+		t.Fatalf("submission after 65 abandoned ones: %+v, %v", rep, err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.payloads) != 1 || !bytes.Equal(h.payloads["job-66"], payload) {
+		t.Fatalf("handler holds %d submissions, want job-66 alone and intact", len(h.payloads))
+	}
+}
+
+// A payload over maxSubmissionBytes is refused by the client before a byte
+// is written: the client here has no connection, and dialling one fails the
+// test.
+func TestSubmitOverBoundRefusedByClient(t *testing.T) {
+	fc := &FlowClient{c: &Client{dial: func(string, time.Duration) (net.Conn, error) {
+		t.Error("an oversized submission reached the transport")
+		return nil, errors.New("no transport")
+	}}}
+	_, err := fc.Submit("big", make([]byte, maxSubmissionBytes+1))
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized submit error = %v", err)
+	}
+}
+
+// The server refuses the same payload when a raw client sends it anyway,
+// keeps nothing of it, and keeps serving the connection.
+func TestSubmitOverBoundRefusedByServer(t *testing.T) {
+	h, fc := startFlowServer(t)
+	var rep FlowSubmitReply
+	err := fc.c.Call("flow.submit", &FlowSubmitChunk{ID: "big", Data: make([]byte, maxSubmissionBytes+1)}, &rep)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized raw submit error = %v", err)
+	}
+	if _, err := fc.Submit("at-bound", make([]byte, maxSubmissionBytes)); err != nil {
+		t.Fatalf("a submission at the bound: %v", err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, kept := h.payloads["big"]; kept || len(h.payloads) != 1 {
+		t.Fatalf("handler holds %d submissions, want at-bound alone", len(h.payloads))
 	}
 }

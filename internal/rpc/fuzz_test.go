@@ -1,4 +1,6 @@
-package rpc
+// An external test package: internal/rpc itself imports nothing from the
+// tree, and this target fuzzes the engine's codec.
+package rpc_test
 
 import (
 	"math"
@@ -15,6 +17,10 @@ import (
 // padding bits in a packed bool column — so first-decode byte identity
 // is not required, but encode∘decode must converge immediately).
 func FuzzBatchCodec(f *testing.F) {
+	// What a transfer encodes: low-cardinality string columns are
+	// dictionary-encoded first (a no-op for batches the Store already
+	// dictified).
+	encode := func(b *engine.Batch) []byte { return engine.EncodeBatch(engine.DictifyBatch(b)) }
 	seedBatches := []*engine.Batch{
 		{}, // empty: zero rows, zero columns
 		engine.NewBatch(engine.Int64Col([]int64{1, -2, 3})),
@@ -29,22 +35,22 @@ func FuzzBatchCodec(f *testing.F) {
 		{Len: 9}, // rows without columns (count-only segment)
 	}
 	for _, b := range seedBatches {
-		f.Add(EncodeBatch(b))
+		f.Add(encode(b))
 	}
 	// Dictionary-encoded and selection-vector shapes: a dictified
 	// low-cardinality column (packed sub-byte codes), a single-entry
 	// zero-width dictionary, and a lazy filtered batch (which must encode
 	// as its dense form).
-	f.Add(EncodeBatch(engine.DictifyBatch(engine.NewBatch(
-		engine.StringCol([]string{"x", "y", "x", "x", "y", "x", "z", "x", "x", "x"})))))
-	f.Add(EncodeBatch(engine.DictifyBatch(engine.NewBatch(
+	f.Add(encode(engine.NewBatch(
+		engine.StringCol([]string{"x", "y", "x", "x", "y", "x", "z", "x", "x", "x"}))))
+	f.Add(encode(engine.NewBatch(
 		engine.StringCol([]string{"c", "c", "c", "c", "c", "c", "c", "c"}),
-		engine.Int64Col([]int64{1, 2, 3, 4, 5, 6, 7, 8})))))
-	f.Add(EncodeBatch(engine.FilterBatch(seedBatches[2], func(i int) bool { return i%2 == 0 })))
+		engine.Int64Col([]int64{1, 2, 3, 4, 5, 6, 7, 8}))))
+	f.Add(encode(engine.FilterBatch(seedBatches[2], func(i int) bool { return i%2 == 0 })))
 	// Truncated and corrupt variants seed the error paths, including a
 	// dictionary code outside its dictionary and rows claimed against an
 	// empty dictionary.
-	full := EncodeBatch(seedBatches[2])
+	full := encode(seedBatches[2])
 	f.Add(full[:1])
 	f.Add(full[:len(full)/2])
 	f.Add(append(append([]byte(nil), full...), 0x00))
@@ -53,12 +59,12 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(data)
+		b, err := engine.DecodeBatch(data)
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
-		enc := EncodeBatch(b)
-		b2, err := DecodeBatch(enc)
+		enc := encode(b)
+		b2, err := engine.DecodeBatch(enc)
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
 		}
@@ -79,7 +85,7 @@ func FuzzBatchCodec(f *testing.F) {
 			}
 		}
 		// Canonical from the first re-encoding onward.
-		if enc2 := EncodeBatch(b2); string(enc2) != string(enc) {
+		if enc2 := encode(b2); string(enc2) != string(enc) {
 			t.Fatalf("encoding not a fixpoint: %d vs %d bytes", len(enc), len(enc2))
 		}
 		// The decoded batch must be internally consistent enough for the

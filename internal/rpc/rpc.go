@@ -1,9 +1,9 @@
 // Package rpc implements the small framed binary protocol Swift's
 // processes speak: length-prefixed request/response messages over TCP (the
 // byte layout is in wire.go), a method registry on the server side, and
-// client-side call/heartbeat helpers. The engine's multi-process mode
-// serves Cache Worker segments through it (service.go); the admin/executor
-// heartbeats of Section IV-A use Ping.
+// client-side call/heartbeat helpers. swiftd's control plane is served
+// through it (flowservice.go); the admin/executor heartbeats of Section
+// IV-A use Ping. The package imports only the standard library.
 package rpc
 
 import (
@@ -177,12 +177,6 @@ type RetryPolicy struct {
 	// Rand, when set, is the jitter source; seeding it makes backoff
 	// sequences reproducible. Nil uses the process-global source.
 	Rand *rand.Rand
-}
-
-// DefaultRetryPolicy matches the control-plane traffic this package
-// carries (heartbeats, segment fetches — all idempotent).
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Max: 3, Base: 50 * time.Millisecond, Cap: 2 * time.Second, Jitter: 0.2}
 }
 
 // backoff returns the sleep before retry attempt i (0-based):

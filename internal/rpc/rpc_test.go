@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"swift/internal/engine"
 )
 
 func startServer(t *testing.T) (*Server, string) {
@@ -121,37 +119,6 @@ func TestFrameSizeLimit(t *testing.T) {
 	big := make([]byte, MaxFrameSize+1)
 	if err := c.Call("ping", big, nil); err == nil {
 		t.Error("oversized frame accepted")
-	}
-}
-
-func TestCacheWorkerService(t *testing.T) {
-	s, addr := startServer(t)
-	store := engine.NewStore(2, 0)
-	ServeCacheWorker(s, store)
-	cc, err := DialCache(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-
-	// Miss before put.
-	if _, found, err := cc.GetBatch("seg1"); err != nil || found {
-		t.Fatalf("premature hit: %v %v", found, err)
-	}
-	seg := engine.NewBatch(engine.Int64Col([]int64{1, 2}), engine.StringCol([]string{"a", "b"}))
-	if err := cc.PutBatch("j", 0, "seg1", seg); err != nil {
-		t.Fatal(err)
-	}
-	got, found, err := cc.GetBatch("seg1")
-	if err != nil || !found {
-		t.Fatalf("get: %v %v", found, err)
-	}
-	if got.Len != 2 || got.Value(0, 0) != int64(1) || got.Value(1, 1) != "b" {
-		t.Errorf("rows = %v", got.Rows())
-	}
-	// The segment landed in the local store too.
-	if local, ok := store.GetBatch("seg1", nil); !ok || local.Len != 2 {
-		t.Error("segment not visible locally")
 	}
 }
 

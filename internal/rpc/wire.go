@@ -2,9 +2,7 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,8 +28,9 @@ import (
 // primitives — int: zigzag varint; bool: one byte, 0 or 1; string and
 // []byte: str as above — and a slice of structs as a uvarint count followed
 // by the elements. A decoded []byte aliases the body it was decoded from.
-// Anything else (the ints and strings of ad-hoc Call payloads) falls back
-// to a self-describing gob stream.
+// A body that is a single scalar (flow.cancel's id, flow.drain's ack, a
+// ping's pong) is one of those primitives on its own. Nothing else encodes:
+// Encode and Decode return an error for any other type.
 
 // MaxFrameSize bounds a single message (64 MiB), protecting both sides
 // from corrupt length prefixes.
@@ -69,7 +68,7 @@ func appendFrame(dst []byte, id uint64, method, errMsg string, body []byte) ([]b
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // writeBufKeep is the largest write buffer a connection keeps between
-// frames; a bigger one (a shuffle segment went through) is dropped so an
+// frames; a bigger one (a large submission went through) is dropped so an
 // idle connection does not pin it.
 const writeBufKeep = 64 << 10
 
@@ -95,11 +94,11 @@ func writeFrame(w io.Writer, buf *[]byte, id uint64, method, errMsg string, body
 const firstRead = 64 << 10
 
 // readFrame reads one frame. The frame gets a buffer of its own, never
-// reused: a handler may keep what it decoded (a Data or Batch aliases the
-// body) and return the body itself as its reply. The buffer grows as bytes
-// arrive — a bounded first chunk, then doubling — so a lying length prefix
-// followed by a hang-up costs memory in proportion to what was sent, not
-// to what was claimed.
+// reused: a handler may keep what it decoded (a Data aliases the body) and
+// return the body itself as its reply. The buffer grows as bytes arrive —
+// a bounded first chunk, then doubling — so a lying length prefix followed
+// by a hang-up costs memory in proportion to what was sent, not to what
+// was claimed.
 //
 //lint:hotpath
 func readFrame(r *bufio.Reader) (frame, error) {
@@ -146,6 +145,8 @@ func parseFrame(buf []byte) (frame, error) {
 // wireEncoder and wireDecoder are implemented by every message type this
 // package declares: appendWire with a value receiver, so a message encodes
 // from a value or a pointer, decodeWire with a pointer receiver.
+// (FlowTenantStatus, never a body of its own, only encodes and is read in
+// place by FlowStatusReply.)
 type wireEncoder interface {
 	appendWire(dst []byte) []byte
 }
@@ -154,24 +155,43 @@ type wireDecoder interface {
 	decodeWire(src []byte) error
 }
 
-// Encode encodes v as a message body: the package's own message types in
-// the hand-rolled wire format, anything else as gob.
+// Encode encodes v as a message body: one of the package's message types,
+// or a bare int, bool, string or []byte. Any other type is an error.
 func Encode(v interface{}) ([]byte, error) {
-	if m, ok := v.(wireEncoder); ok {
+	switch m := v.(type) {
+	case wireEncoder:
 		return m.appendWire(nil), nil
+	case int:
+		return appendInt(nil, int64(m)), nil
+	case bool:
+		return appendBool(nil, m), nil
+	case string:
+		return appendString(nil, m), nil
+	case []byte:
+		return appendBytes(nil, m), nil
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
+	return nil, fmt.Errorf("rpc: encode: %T is not a wire type", v)
 }
 
 // Decode decodes a message body into v, a pointer to the type that was
-// encoded. A decoded []byte field aliases data.
+// encoded. A decoded []byte aliases data.
 func Decode(data []byte, v interface{}) error {
-	if m, ok := v.(wireDecoder); ok {
+	r := wireReader{b: data}
+	switch m := v.(type) {
+	case wireDecoder:
 		return m.decodeWire(data)
+	case *int:
+		*m = int(r.int())
+	case *bool:
+		*m = r.bool()
+	case *string:
+		*m = r.string()
+	case *[]byte:
+		*m = r.bytes()
+	default:
+		return fmt.Errorf("rpc: decode: %T is not a pointer to a wire type", v)
 	}
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	return r.done("scalar")
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -280,21 +300,19 @@ func (r *wireReader) done(what string) error {
 	return nil
 }
 
-// FlowSubmitChunk: ID str | Seq int | More bool | Data str.
+// FlowSubmitChunk: ID str | Data str.
 
 //lint:hotpath
 func (m FlowSubmitChunk) appendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, len(m.ID)+len(m.Data)+3*binary.MaxVarintLen64+1) // one allocation per submit
+	dst = slices.Grow(dst, len(m.ID)+len(m.Data)+2*binary.MaxVarintLen64) // one allocation per submit
 	dst = appendString(dst, m.ID)
-	dst = appendInt(dst, int64(m.Seq))
-	dst = appendBool(dst, m.More)
 	return appendBytes(dst, m.Data)
 }
 
 //lint:hotpath
 func (m *FlowSubmitChunk) decodeWire(src []byte) error {
 	r := wireReader{b: src}
-	*m = FlowSubmitChunk{ID: r.string(), Seq: int(r.int()), More: r.bool(), Data: r.bytes()}
+	*m = FlowSubmitChunk{ID: r.string(), Data: r.bytes()}
 	return r.done("FlowSubmitChunk")
 }
 
@@ -391,13 +409,6 @@ func (m *FlowTenantStatus) read(r *wireReader) {
 	}
 }
 
-//lint:hotpath
-func (m *FlowTenantStatus) decodeWire(src []byte) error {
-	r := wireReader{b: src}
-	m.read(&r)
-	return r.done("FlowTenantStatus")
-}
-
 // FlowCancelReply: Cancelled bool.
 
 //lint:hotpath
@@ -408,48 +419,4 @@ func (m *FlowCancelReply) decodeWire(src []byte) error {
 	r := wireReader{b: src}
 	*m = FlowCancelReply{Cancelled: r.bool()}
 	return r.done("FlowCancelReply")
-}
-
-// PutRequest: Job str | Machine int | Key str | Batch str.
-
-//lint:hotpath
-func (m PutRequest) appendWire(dst []byte) []byte {
-	dst = appendString(dst, m.Job)
-	dst = appendInt(dst, int64(m.Machine))
-	dst = appendString(dst, m.Key)
-	return appendBytes(dst, m.Batch)
-}
-
-//lint:hotpath
-func (m *PutRequest) decodeWire(src []byte) error {
-	r := wireReader{b: src}
-	*m = PutRequest{Job: r.string(), Machine: int(r.int()), Key: r.string(), Batch: r.bytes()}
-	return r.done("PutRequest")
-}
-
-// GetRequest: Key str.
-
-//lint:hotpath
-func (m GetRequest) appendWire(dst []byte) []byte { return appendString(dst, m.Key) }
-
-//lint:hotpath
-func (m *GetRequest) decodeWire(src []byte) error {
-	r := wireReader{b: src}
-	*m = GetRequest{Key: r.string()}
-	return r.done("GetRequest")
-}
-
-// GetResponse: Found bool | Batch str.
-
-//lint:hotpath
-func (m GetResponse) appendWire(dst []byte) []byte {
-	dst = appendBool(dst, m.Found)
-	return appendBytes(dst, m.Batch)
-}
-
-//lint:hotpath
-func (m *GetResponse) decodeWire(src []byte) error {
-	r := wireReader{b: src}
-	*m = GetResponse{Found: r.bool(), Batch: r.bytes()}
-	return r.done("GetResponse")
 }

@@ -12,11 +12,13 @@ import (
 	"swift/internal/raceflag"
 )
 
-// wireTypes is one zero value per message type the package declares; the
-// tests below walk it so a new message cannot skip them.
+// wireTypes is one zero value per body that crosses the wire: every message
+// type the package declares, then the scalar bodies (flow.cancel's id,
+// flow.drain's ack, a ping's pong, and the int that completes the
+// primitives). The tests below walk it so a new body cannot skip them.
 var wireTypes = []interface{}{
-	FlowSubmitChunk{}, FlowSubmitReply{}, FlowStatusReply{}, FlowTenantStatus{},
-	FlowCancelReply{}, PutRequest{}, GetRequest{}, GetResponse{},
+	FlowSubmitChunk{}, FlowSubmitReply{}, FlowStatusReply{}, FlowCancelReply{},
+	"", false, []byte(nil), 0,
 }
 
 // randomize fills every field of the struct v points to, recursively, with
@@ -78,8 +80,8 @@ func gobRoundTrip(t *testing.T, in, out interface{}) {
 	}
 }
 
-// Every message type round-trips through Encode/Decode to exactly what a
-// gob round trip gives, from a value and from a pointer; and every strict
+// Every body round-trips through Encode/Decode to exactly what a gob round
+// trip gives — a message from a value and from a pointer — and every strict
 // prefix of an encoding is rejected.
 func TestWireRoundTripMatchesGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -90,12 +92,14 @@ func TestWireRoundTripMatchesGob(t *testing.T) {
 			if trial > 0 { // trial 0 is the zero value
 				randomize(rng, msg.Elem())
 			}
-			enc, err := Encode(msg.Interface())
+			enc, err := Encode(msg.Elem().Interface())
 			if err != nil {
 				t.Fatalf("%v: encode: %v", typ, err)
 			}
-			if byValue, err := Encode(msg.Elem().Interface()); err != nil || !bytes.Equal(byValue, enc) {
-				t.Fatalf("%v: encoding a value and a pointer differ (%v)", typ, err)
+			if typ.Kind() == reflect.Struct {
+				if byPtr, err := Encode(msg.Interface()); err != nil || !bytes.Equal(byPtr, enc) {
+					t.Fatalf("%v: encoding a value and a pointer differ (%v)", typ, err)
+				}
 			}
 			got, want := reflect.New(typ), reflect.New(typ)
 			if err := Decode(enc, got.Interface()); err != nil {
@@ -117,16 +121,22 @@ func TestWireRoundTripMatchesGob(t *testing.T) {
 	}
 }
 
-// The wire methods are really what Encode and Decode use for these types:
-// none of them may fall through to gob.
-func TestWireTypesBypassGob(t *testing.T) {
-	for _, zero := range wireTypes {
-		ptr := reflect.New(reflect.TypeOf(zero)).Interface()
-		if _, ok := zero.(wireEncoder); !ok {
-			t.Errorf("%T has no appendWire", zero)
+// There is one format: a type outside it is an error from Encode and from
+// Decode, never a second encoding.
+func TestEncodeRejectsOtherTypes(t *testing.T) {
+	id := "job"
+	for _, v := range []interface{}{
+		nil, int64(1), uint8(1), 1.5, []string{"a"}, map[string]int{"a": 1}, struct{ A int }{1}, &id,
+	} {
+		if enc, err := Encode(v); err == nil {
+			t.Errorf("Encode(%T) = %x, want an error", v, enc)
 		}
-		if _, ok := ptr.(wireDecoder); !ok {
-			t.Errorf("%T has no decodeWire", ptr)
+	}
+	var f float64
+	var n int64
+	for _, v := range []interface{}{nil, &f, &n, id, FlowCancelReply{}, &struct{ A int }{}} {
+		if err := Decode([]byte{0}, v); err == nil {
+			t.Errorf("Decode into %T succeeded, want an error", v)
 		}
 	}
 }
@@ -277,17 +287,17 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzFlowWire: arbitrary bytes decode as each flow message or fail
+// FuzzFlowWire: arbitrary bytes decode as each wire body or fail
 // cleanly; whatever decodes re-encodes canonically (a fixpoint after one
 // round, since overlong varints are tolerated on input).
 func FuzzFlowWire(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, zero := range wireTypes {
 		msg := reflect.New(reflect.TypeOf(zero))
-		enc, _ := Encode(msg.Interface())
+		enc, _ := Encode(msg.Elem().Interface())
 		f.Add(enc)
 		randomize(rng, msg.Elem())
-		enc, _ = Encode(msg.Interface())
+		enc, _ = Encode(msg.Elem().Interface())
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 	}
@@ -300,7 +310,7 @@ func FuzzFlowWire(f *testing.F) {
 			if err := Decode(data, msg.Interface()); err != nil {
 				continue
 			}
-			enc, err := Encode(msg.Interface())
+			enc, err := Encode(msg.Elem().Interface())
 			if err != nil {
 				t.Fatalf("%v: re-encode: %v", typ, err)
 			}
@@ -311,7 +321,7 @@ func FuzzFlowWire(f *testing.F) {
 			if !reflect.DeepEqual(msg.Interface(), back.Interface()) {
 				t.Fatalf("%v: changed across re-encoding: %+v -> %+v", typ, msg.Elem(), back.Elem())
 			}
-			if enc2, _ := Encode(back.Interface()); !bytes.Equal(enc, enc2) {
+			if enc2, _ := Encode(back.Elem().Interface()); !bytes.Equal(enc, enc2) {
 				t.Fatalf("%v: encoding is not a fixpoint", typ)
 			}
 		}

@@ -99,9 +99,6 @@ func (w *CacheWorker) count(name string, delta int64) {
 	}
 }
 
-// Capacity returns the configured memory capacity (0 = unbounded).
-func (w *CacheWorker) Capacity() int64 { return w.capacity }
-
 // Used returns the bytes currently held in memory.
 func (w *CacheWorker) Used() int64 { return w.used }
 
@@ -217,13 +214,6 @@ func (w *CacheWorker) Get(key string) (payload [][]byte, wasSpilled, ok bool) {
 	// Loading one segment back may push others out.
 	w.evictTo(w.capacity)
 	return s.data, wasSpilled, true
-}
-
-// Has reports whether the worker holds a segment (in memory or spilled)
-// without touching recency or stats.
-func (w *CacheWorker) Has(key string) bool {
-	_, ok := w.segs[key]
-	return ok
 }
 
 // Spilled reports whether the key's segment currently lives on the disk

@@ -35,10 +35,6 @@ func (r *Runner) RunningTaskRefs() []core.TaskRef {
 	return out
 }
 
-// MachineDown reports whether a machine is crashed (whether or not the
-// controller has detected it yet).
-func (r *Runner) MachineDown(id cluster.MachineID) bool { return r.down[id] }
-
 // CrashMachine kills a machine now: every task running there dies
 // immediately, but the controller only learns of the crash after the
 // heartbeat-based detection delay, during which it may even launch new

@@ -140,9 +140,13 @@ for EXAMPLE in quickstart terasort faulttolerance tpch; do
     go run "./examples/$EXAMPLE" > "$TRACE_TMP/example-$EXAMPLE.out"
 done
 
-echo "== fuzz targets build"
+echo "== fuzz targets build, service-edge import gates"
 go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
+# The service edge stays one codec on the standard library: internal/rpc
+# imports nothing from the tree, and gob is a test oracle only.
+[ "$(go list -deps ./internal/rpc | grep '^swift/')" = "swift/internal/rpc" ] || { echo "internal/rpc imports from the tree" >&2; exit 1; }
+if grep -rln --include='*.go' --exclude='*_test.go' '"encoding/gob"' .; then echo "encoding/gob imported outside tests" >&2; exit 1; fi
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
