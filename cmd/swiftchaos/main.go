@@ -101,7 +101,7 @@ func main() {
 			}
 		}
 		if o.rec != nil {
-			if err := dumpObs(o.rec, *tracePath, *stats); err != nil {
+			if err := o.rec.WriteReport(os.Stdout, *stats, *tracePath, "  "); err != nil {
 				fmt.Fprintln(os.Stderr, "swiftchaos:", err)
 				os.Exit(1)
 			}
@@ -144,32 +144,4 @@ func configure(cfg *chaos.Config, rec *obs.Recorder, fair, shuffleRep bool) {
 	if shuffleRep {
 		cfg.UseReplicatedShuffle()
 	}
-}
-
-// dumpObs writes the recorder's snapshot (stats to stdout, trace to path).
-func dumpObs(rec *obs.Recorder, tracePath string, stats bool) error {
-	if stats {
-		if err := rec.WriteBreakdown(os.Stdout); err != nil {
-			return err
-		}
-		if _, err := rec.Registry().WriteTo(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if tracePath == "" {
-		return nil
-	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("  trace written to %s (%d events)\n", tracePath, len(rec.Events()))
-	return nil
 }

@@ -269,12 +269,17 @@ func (d *daemon) FlowSubmit(id string, payload []byte) (rpc.FlowSubmitReply, err
 	}
 	job := tr.Jobs[0].Job
 	var out flow.Outcome
-	if d.track(job) {
+	switch {
+	case job.ID != id:
+		// The job is tracked, admitted, logged and cancelled under its own
+		// id: a frame naming another could never be cancelled by its sender.
+		err = fmt.Errorf("swiftd: submission %q carries job %q: the frame id must be the job's id", id, job.ID)
+	case !d.track(job):
+		err = fmt.Errorf("swiftd: duplicate submission id %q: still queued or running", job.ID)
+	default:
 		if out, err = d.svc.Submit(job); err != nil {
 			d.untrack(job.ID) // shed, draining or invalid: it never ran
 		}
-	} else {
-		err = fmt.Errorf("swiftd: duplicate submission id %q: still queued or running", job.ID)
 	}
 	rep := rpc.FlowSubmitReply{
 		Decision:         out.Decision.String(),
@@ -285,9 +290,9 @@ func (d *daemon) FlowSubmit(id string, payload []byte) (rpc.FlowSubmitReply, err
 	if err != nil {
 		rep.Reason = err.Error()
 		// Shed/drain rejections carry their flow decision; any other error
-		// (duplicate id, scheduler rejection, isolated panic) happened
-		// outside the admission state machine, and the zero Outcome must
-		// not read as "admitted" on the wire.
+		// (mismatched or duplicate id, scheduler rejection, isolated panic)
+		// happened outside the admission state machine, and the zero
+		// Outcome must not read as "admitted" on the wire.
 		if !errors.Is(err, flow.ErrOverloaded) && !errors.Is(err, flow.ErrDraining) {
 			rep.Decision = ""
 		}

@@ -69,6 +69,27 @@ func TestDuplicateSubmitKeepsRunningJobsCosts(t *testing.T) {
 	}
 }
 
+// A frame whose id is not its payload's job id is refused before anything
+// is tracked: the job would run under an id its sender never used, out of
+// reach of that sender's flow.cancel.
+func TestSubmitFrameIDMustBeTheJobID(t *testing.T) {
+	d := testDaemon(flow.Config{}, 1) // no driver: an admitted job stays live
+	payload := oneStage(t, "real", 2, 1)
+	rep, err := d.FlowSubmit("alias", payload)
+	if err != nil || rep.Decision != "" || !strings.Contains(rep.Reason, `"alias"`) || !strings.Contains(rep.Reason, `"real"`) {
+		t.Fatalf("mismatched submit = %+v, %v; want a rejection naming both ids", rep, err)
+	}
+	if n := d.tracked(); n != 0 {
+		t.Fatalf("%d jobs tracked after a rejected submission, want none", n)
+	}
+	if rep, err := d.FlowSubmit("real", payload); err != nil || rep.Decision != "admitted" {
+		t.Fatalf("the same payload under its own id = %+v, %v", rep, err)
+	}
+	if rep, err := d.FlowCancel("real"); err != nil || !rep.Cancelled {
+		t.Fatalf("cancel by the submitted id = %+v, %v", rep, err)
+	}
+}
+
 // The cost table holds what is queued or live and nothing else: shed,
 // invalid, cancelled and finished submissions all leave it, so an
 // always-on daemon's table does not grow with its history.

@@ -94,35 +94,11 @@ func main() {
 
 	if *stats {
 		fmt.Println()
-		if err := rec.WriteBreakdown(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "swiftsim:", err)
-			os.Exit(1)
-		}
-		if _, err := rec.Registry().WriteTo(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "swiftsim:", err)
-			os.Exit(1)
-		}
 	}
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "swiftsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace written to %s (%d events)\n", *tracePath, len(rec.Events()))
+	if err := rec.WriteReport(os.Stdout, *stats, *tracePath, "\n"); err != nil {
+		fmt.Fprintln(os.Stderr, "swiftsim:", err)
+		os.Exit(1)
 	}
-}
-
-// writeTrace dumps the recorder's Chrome trace-event JSON to path.
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func buildJob(name string) (*dag.Job, error) {

@@ -105,26 +105,9 @@ func main() {
 
 	if *stats {
 		fmt.Println()
-		if err := rec.WriteBreakdown(os.Stdout); err != nil {
-			fatal(err)
-		}
-		if _, err := rec.Registry().WriteTo(os.Stdout); err != nil {
-			fatal(err)
-		}
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (%d events)\n", *tracePath, len(rec.Events()))
+	if err := rec.WriteReport(os.Stdout, *stats, *tracePath, ""); err != nil {
+		fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/flow"
-	"swift/internal/metrics"
 	"swift/internal/sim"
 )
 
@@ -28,7 +27,6 @@ type Auditor struct {
 	terminal    map[string]string // job -> "completed" | "failed"
 	flowDec     map[string]flow.Decision
 	violations  []string
-	actions     *metrics.Counter
 	hash        uint64
 	quotas      map[string]int
 }
@@ -46,7 +44,6 @@ func NewAuditor(ctrl *core.Controller, cl *cluster.Cluster) *Auditor {
 		lastAttempt: make(map[core.TaskRef]int),
 		terminal:    make(map[string]string),
 		flowDec:     make(map[string]flow.Decision),
-		actions:     metrics.NewCounter(),
 		hash:        fnv1aOffset,
 	}
 }
@@ -72,9 +69,6 @@ func (a *Auditor) Fold(s string) { a.fold(s) }
 // TraceHash returns the accumulated event-trace hash.
 func (a *Auditor) TraceHash() uint64 { return a.hash }
 
-// Actions returns per-action-type counts.
-func (a *Auditor) Actions() *metrics.Counter { return a.actions }
-
 // Violations returns everything the audit caught, in detection order.
 func (a *Auditor) Violations() []string { return a.violations }
 
@@ -89,7 +83,6 @@ func (a *Auditor) violate(now sim.Time, format string, args ...interface{}) {
 // action as the driver interprets it.
 func (a *Auditor) OnAction(now sim.Time, act core.Action) {
 	a.fold(fmt.Sprintf("%d|%T|%+v\n", now, act, act))
-	a.actions.Add(fmt.Sprintf("%T", act), 1)
 	switch act := act.(type) {
 	case core.ActStartTask:
 		if last, seen := a.lastAttempt[act.Task]; seen && act.Attempt <= last {

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // ExecutorID identifies one executor slot cluster-wide.
@@ -55,17 +54,6 @@ type Machine struct {
 	// recentTaskFailures counts task failures since the last health
 	// sweep; a burst marks the machine unhealthy.
 	recentTaskFailures int
-}
-
-// Busy returns the number of executors running tasks.
-func (m *Machine) Busy() int { return m.busy }
-
-// Load returns the busy fraction of the machine's executors.
-func (m *Machine) Load() float64 {
-	if len(m.Executors) == 0 {
-		return 1
-	}
-	return float64(m.busy) / float64(len(m.Executors))
 }
 
 // Config sizes a simulated cluster.
@@ -350,17 +338,6 @@ func (c *Cluster) SetHealth(id MachineID, h Health) {
 	}
 }
 
-// ExecutorsOn returns the busy executors currently hosted by a machine.
-func (c *Cluster) ExecutorsOn(id MachineID) []ExecutorID {
-	var out []ExecutorID
-	for _, e := range c.machines[id].Executors {
-		if c.busyExec[e] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // RecordTaskFailure bumps a machine's recent failure counter and returns
 // the new count, letting the health monitor apply its "large quantity of
 // tasks failed in a short time" rule.
@@ -373,33 +350,6 @@ func (c *Cluster) RecordTaskFailure(id MachineID) int {
 // ResetTaskFailures clears a machine's failure counter (periodic sweep).
 func (c *Cluster) ResetTaskFailures(id MachineID) {
 	c.machines[id].recentTaskFailures = 0
-}
-
-// SpreadMachines returns how many distinct machines host the given
-// executors.
-func (c *Cluster) SpreadMachines(execs []ExecutorID) int {
-	seen := make(map[MachineID]bool)
-	for _, e := range execs {
-		seen[c.owner[e]] = true
-	}
-	return len(seen)
-}
-
-// MachinesByLoad returns machine IDs sorted by ascending load, a helper
-// for deterministic tests and diagnostics.
-func (c *Cluster) MachinesByLoad() []MachineID {
-	ids := make([]MachineID, len(c.machines))
-	for i := range c.machines {
-		ids[i] = MachineID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		la, lb := c.machines[ids[a]].Load(), c.machines[ids[b]].Load()
-		if la != lb {
-			return la < lb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // String summarises the cluster.

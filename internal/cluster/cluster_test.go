@@ -110,8 +110,8 @@ func TestHealthTransitions(t *testing.T) {
 		t.Errorf("free after read-only = %d, want 9", c.FreeExecutors())
 	}
 	// Busy executors on a read-only machine keep running...
-	if got := c.ExecutorsOn(0); len(got) != 2 {
-		t.Errorf("busy on machine 0 = %d", len(got))
+	if got := c.BusyExecutors(); got != 2 {
+		t.Errorf("busy on machine 0 = %d", got)
 	}
 	// ...and are not re-pooled on release.
 	c.Release(busy)
@@ -144,26 +144,6 @@ func TestTaskFailureCounter(t *testing.T) {
 	c.ResetTaskFailures(1)
 	if got := c.RecordTaskFailure(1); got != 1 {
 		t.Errorf("after reset = %d", got)
-	}
-}
-
-func TestSpreadMachines(t *testing.T) {
-	c := small()
-	e := c.Allocate(6, nil)
-	if got := c.SpreadMachines(e); got != 4 {
-		t.Errorf("spread = %d, want 4", got)
-	}
-	if got := c.SpreadMachines(nil); got != 0 {
-		t.Errorf("spread(nil) = %d", got)
-	}
-}
-
-func TestMachinesByLoad(t *testing.T) {
-	c := small()
-	c.Allocate(2, []MachineID{3})
-	ids := c.MachinesByLoad()
-	if ids[len(ids)-1] != 3 {
-		t.Errorf("most loaded = %v", ids)
 	}
 }
 

@@ -26,19 +26,6 @@ const (
 	TaskDone
 )
 
-// String renders the state.
-func (s TaskState) String() string {
-	switch s {
-	case TaskPending:
-		return "pending"
-	case TaskRunning:
-		return "running"
-	case TaskDone:
-		return "done"
-	}
-	return "invalid"
-}
-
 // TaskSnapshot is one task's controller-side state at audit time.
 type TaskSnapshot struct {
 	Ref      TaskRef

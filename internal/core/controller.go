@@ -92,7 +92,6 @@ type monitor struct {
 	insertion []int          // see sweepOrder
 	done      bool
 	failed    bool
-	restarts  int
 	tenant    string        // normalized tenant label (TenantName)
 	tc        *TenantCounts // the tenant's live aggregate counters
 	seq       int           // admission sequence number (policy FIFO tiebreak)
@@ -821,19 +820,6 @@ func (c *Controller) Graphlets(job string) []*graphlet.Graphlet {
 	return m.graphlets
 }
 
-// GraphletOf returns the graphlet index owning a stage (-1 if unknown).
-func (c *Controller) GraphletOf(job, stage string) int {
-	m := c.jobs[job]
-	if m == nil {
-		return -1
-	}
-	g, ok := m.owner[stage]
-	if !ok {
-		return -1
-	}
-	return g
-}
-
 // RunningTask returns the executor and attempt of a task if it is
 // currently running.
 func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
@@ -879,12 +865,3 @@ func (c *Controller) ReplicaRecoveries() int { return c.replicaHits }
 // re-running the producer task (the "rerun" disposition), whether or not
 // replication was enabled.
 func (c *Controller) OutputRecomputes() int { return c.recomputes }
-
-// Restarts returns how many times the JobRestart policy reset the job.
-func (c *Controller) Restarts(job string) int {
-	m := c.jobs[job]
-	if m == nil {
-		return 0
-	}
-	return m.restarts
-}

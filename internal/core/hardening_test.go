@@ -262,7 +262,7 @@ func TestReadOnlyDrainPath(t *testing.T) {
 			t.Fatalf("new task %s launched on read-only machine 0", s.Task)
 		}
 	}
-	if h.c.Cluster().Machine(0).Busy() != 0 {
+	if h.c.Cluster().BusyExecutors() != 0 {
 		t.Error("machine 0 not fully drained")
 	}
 }

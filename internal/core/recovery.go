@@ -430,7 +430,6 @@ func (c *Controller) ExecutorRestarted(e cluster.ExecutorID) {
 // and start over from the first graphlet.
 func (c *Controller) restartJob(m *monitor) {
 	c.abortAll(m)
-	m.restarts++
 	// abortAll released every running task to pending, so only completed
 	// tasks change aggregate state in the wholesale reset below.
 	doneTasks := 0

@@ -294,10 +294,10 @@ func TestShadowLogsEveryMutatingInput(t *testing.T) {
 	// filled and changes nothing a replay has to reproduce.
 	queries := map[string]bool{
 		"CheckInvariants": true, "Cluster": true, "Drain": true, "EdgeMode": true,
-		"GraphletOf": true, "Graphlets": true, "JobDone": true, "JobFailed": true,
-		"LiveJobs": true, "Obs": true, "OutputRecomputes": true, "PolicyName": true,
+		"Graphlets": true, "JobDone": true, "JobFailed": true,
+		"LiveJobs": true, "Obs": true, "OutputRecomputes": true,
 		"QueueLen": true, "ReclaimedGangs": true, "ReplicaRecoveries": true,
-		"Restarts": true, "RunningTask": true, "Snapshot": true, "StageComplete": true,
+		"RunningTask": true, "Snapshot": true, "StageComplete": true,
 		"Tasks": true, "TenantInFlight": true, "TenantSnapshots": true,
 	}
 	stepped := map[string]bool{}

@@ -76,6 +76,3 @@ func (c *Controller) TenantInFlight(name string) int {
 // ReclaimedGangs returns how many whole graphlets policy preemption has
 // reclaimed since the controller started.
 func (c *Controller) ReclaimedGangs() int { return c.reclaims }
-
-// PolicyName identifies the active scheduling policy.
-func (c *Controller) PolicyName() string { return c.policy.Name() }

@@ -199,24 +199,6 @@ func (j *Job) In(name string) []*Edge { return append([]*Edge(nil), j.in[name]..
 // Out returns the edges leaving the named stage.
 func (j *Job) Out(name string) []*Edge { return append([]*Edge(nil), j.out[name]...) }
 
-// Parents returns the producer stage names feeding the named stage.
-func (j *Job) Parents(name string) []string {
-	var out []string
-	for _, e := range j.in[name] {
-		out = append(out, e.From)
-	}
-	return out
-}
-
-// Children returns the consumer stage names fed by the named stage.
-func (j *Job) Children(name string) []string {
-	var out []string
-	for _, e := range j.out[name] {
-		out = append(out, e.To)
-	}
-	return out
-}
-
 // Classify re-derives every edge's Mode from the paper's heuristic: an edge
 // is a barrier if its consuming operator is in the global-sort class, or if
 // its producer stage contains a global-sort operator (the Fig. 4 rule — a
@@ -279,17 +261,6 @@ func (j *Job) TopoOrder() ([]string, error) {
 	return out, nil
 }
 
-// Roots returns the stages with no incoming edges, in insertion order.
-func (j *Job) Roots() []string {
-	var out []string
-	for _, n := range j.order {
-		if len(j.in[n]) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Sinks returns the stages with no outgoing edges, in insertion order.
 func (j *Job) Sinks() []string {
 	var out []string
@@ -306,15 +277,6 @@ func (j *Job) Sinks() []string {
 // adaptive shuffle-mode selection (Section III-B).
 func (j *Job) ShuffleEdgeSize(e *Edge) int {
 	return j.stages[e.From].Tasks * j.stages[e.To].Tasks
-}
-
-// TotalShuffleBytes sums Bytes over all edges.
-func (j *Job) TotalShuffleBytes() int64 {
-	var n int64
-	for _, e := range j.edges {
-		n += e.Bytes
-	}
-	return n
 }
 
 // Clone returns a deep copy of the job. Schedulers that consume the DAG

@@ -19,9 +19,10 @@ import (
 
 // ---- hashing ----
 
-// HashBatchInto computes Hash for every row of the batch into dst
-// (len(dst) == b.Len, the logical length), column-at-a-time. The result is
-// bit-identical to calling Hash on the materialised rows — dictionary
+// HashBatchInto computes the partition-stable key hash of every row of the
+// batch into dst (len(dst) == b.Len, the logical length), column-at-a-time.
+// The result is bit-identical to the row-at-a-time definition the tests
+// keep (Hash in oracle_test.go) on the materialised rows — dictionary
 // columns hash their dictionary strings — so plain and dictified segments
 // co-partition.
 //
@@ -36,7 +37,7 @@ func HashBatchInto(b *Batch, keys []int, dst []uint64) {
 	for _, k := range keys {
 		hashColInto(&b.Cols[k], b.Sel, dst)
 		for i := range dst {
-			dst[i] ^= fnvPrime64 // column separator, as in Hash
+			dst[i] ^= fnvPrime64 // column separator
 		}
 	}
 }
@@ -884,74 +885,4 @@ func withUnseenNulls(c Column, seen []bool) Column {
 		}
 	}
 	return c
-}
-
-// ---- window ----
-
-// WindowBatch evaluates the window spec over the batch, returning the rows
-// ordered by (PartitionBy, OrderBy) with the window value appended as a new
-// typed column (int64 for ranks, float64 for running sums). SortBatch
-// densifies first, so the pass below runs over physical rows.
-//
-//lint:hotpath
-func WindowBatch(b *Batch, spec WindowSpec) *Batch {
-	keys := append(append([]int(nil), spec.PartitionBy...), spec.OrderBy...)
-	sorted := SortBatch(b, keys)
-	var (
-		ints   []int64
-		floats []float64
-	)
-	if spec.Func == WinRunningSum {
-		floats = make([]float64, sorted.Len)
-	} else {
-		ints = make([]int64, sorted.Len)
-	}
-	var valAt func(i int) (float64, bool)
-	if spec.Func == WinRunningSum && sorted.Len > 0 {
-		vc := &sorted.Cols[spec.ValueCol]
-		switch vc.Type {
-		case TInt64:
-			valAt = func(i int) (float64, bool) { return float64(vc.Ints[i]), !vc.IsNull(i) }
-		case TFloat64:
-			valAt = func(i int) (float64, bool) { return vc.Floats[i], !vc.IsNull(i) }
-		default:
-			valAt = func(i int) (float64, bool) {
-				v := vc.Value(i)
-				if v == nil {
-					return 0, false
-				}
-				return asFloat(v), true
-			}
-		}
-	}
-	var rowNum, rank, denseRank int64
-	var running float64
-	for i := 0; i < sorted.Len; i++ {
-		newPart := i == 0 || !batchKeysEqual(sorted, i, i-1, spec.PartitionBy)
-		if newPart {
-			rowNum, rank, denseRank, running = 0, 0, 0, 0
-		}
-		rowNum++
-		if newPart || !batchKeysEqual(sorted, i, i-1, spec.OrderBy) {
-			rank = rowNum
-			denseRank++
-		}
-		switch spec.Func {
-		case WinRowNumber:
-			ints[i] = rowNum
-		case WinRank:
-			ints[i] = rank
-		case WinDenseRank:
-			ints[i] = denseRank
-		case WinRunningSum:
-			if v, ok := valAt(i); ok {
-				running += v
-			}
-			floats[i] = running
-		}
-	}
-	if spec.Func == WinRunningSum {
-		return sorted.WithCol(Float64Col(floats))
-	}
-	return sorted.WithCol(Int64Col(ints))
 }

@@ -108,10 +108,6 @@ func TestSelKernelEquivalence(t *testing.T) {
 			t.Fatalf("logical row %d differs between lazy and dense", j)
 		}
 	}
-
-	batchesEqual(t, "window",
-		WindowBatch(lazy, WindowSpec{Func: WinRank, PartitionBy: []int{2}, OrderBy: []int{0}}),
-		WindowBatch(dense, WindowSpec{Func: WinRank, PartitionBy: []int{2}, OrderBy: []int{0}}))
 }
 
 // TestSelCodecBoundary pins the materialization boundary: encoding a lazy

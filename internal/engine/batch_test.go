@@ -267,16 +267,6 @@ func TestHashAggregateBatchEquivalence(t *testing.T) {
 	}
 }
 
-func TestWindowBatchEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for _, in := range equivInputs(r, 120) {
-		for _, fn := range []WindowFunc{WinRowNumber, WinRank, WinDenseRank, WinRunningSum} {
-			spec := WindowSpec{PartitionBy: []int{2}, OrderBy: []int{0}, Func: fn, ValueCol: 1}
-			rowsEqual(t, "window", WindowBatch(in.batch, spec).Rows(), Window(in.rows, spec))
-		}
-	}
-}
-
 func TestPartitionBatchByKeyEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, in := range equivInputs(r, 300) {

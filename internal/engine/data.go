@@ -22,9 +22,6 @@ type Value interface{}
 // Row is one record.
 type Row []Value
 
-// Clone copies the row.
-func (r Row) Clone() Row { return append(Row(nil), r...) }
-
 // Schema names the columns of a row stream.
 type Schema []string
 
@@ -117,16 +114,6 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-// CompareRows orders rows by the given key columns.
-func CompareRows(a, b Row, keys []int) int {
-	for _, k := range keys {
-		if c := Compare(a[k], b[k]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // FNV-1a parameters and per-kind tags. Tags keep values of different kinds
 // from trivially colliding; int64 and float64 share the number tag because
 // Compare treats them as one numeric domain.
@@ -154,20 +141,6 @@ func hashUint64(h, u uint64) uint64 {
 func hashString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// Hash computes a partition-stable hash of the key columns without
-// allocating for int64, float64, string or bool values. Numeric values are
-// normalized before hashing: a float64 that is exactly an integer hashes
-// identically to the equal int64, so mixed-kind keys that Compare as equal
-// land in the same shuffle partition and join/aggregate bucket. It is the
-// definition HashBatchInto reproduces column-at-a-time.
-func Hash(r Row, keys []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, k := range keys {
-		h = hashValue(h, r[k]) ^ fnvPrime64 // xor: column separator
 	}
 	return h
 }

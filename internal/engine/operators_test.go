@@ -448,12 +448,3 @@ func TestNewTablePartitioning(t *testing.T) {
 		}
 	}
 }
-
-func TestRowClone(t *testing.T) {
-	r := Row{int64(1), "a"}
-	c := r.Clone()
-	c[0] = int64(9)
-	if r[0] != int64(1) {
-		t.Error("clone shares storage")
-	}
-}

@@ -13,6 +13,30 @@ import (
 // batchparity enforces that), so they live here, in package engine's test
 // files, written the obvious row-at-a-time way on purpose.
 
+// CompareRows orders rows by the given key columns.
+func CompareRows(a, b Row, keys []int) int {
+	for _, k := range keys {
+		if c := Compare(a[k], b[k]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// Hash computes a partition-stable hash of the key columns without
+// allocating for int64, float64, string or bool values. Numeric values are
+// normalized before hashing: a float64 that is exactly an integer hashes
+// identically to the equal int64, so mixed-kind keys that Compare as equal
+// land in the same shuffle partition and join/aggregate bucket. It is the
+// definition HashBatchInto reproduces column-at-a-time.
+func Hash(r Row, keys []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, k := range keys {
+		h = hashValue(h, r[k]) ^ fnvPrime64 // xor: column separator
+	}
+	return h
+}
+
 // Iter is the engine's row stream: Next returns the next row and whether
 // one was produced. Operators compose Iters the volcano way.
 type Iter interface {
@@ -608,63 +632,4 @@ func PartitionByRange(rows []Row, keys []int, bounds []Row) [][]Row {
 		counts[p]++
 	}
 	return scatter(rows, pidx, counts)
-}
-
-// Window evaluates the spec over the rows and returns new rows with the
-// window value appended as the last column. Input order is not assumed;
-// output is ordered by (PartitionBy, OrderBy), which is also the order a
-// global-sort shuffle would deliver.
-func Window(rows []Row, spec WindowSpec) []Row {
-	sorted := append([]Row(nil), rows...)
-	keys := append(append([]int(nil), spec.PartitionBy...), spec.OrderBy...)
-	SortRows(sorted, keys)
-
-	var arena rowArena
-	out := make([]Row, 0, len(sorted))
-	var (
-		partStart int
-		rowNum    int64
-		rank      int64
-		denseRank int64
-		running   float64
-	)
-	samePartition := func(a, b Row) bool {
-		return CompareRows(a, b, spec.PartitionBy) == 0
-	}
-	sameOrder := func(a, b Row) bool {
-		return CompareRows(a, b, spec.OrderBy) == 0
-	}
-	for i, r := range sorted {
-		newPart := i == 0 || !samePartition(r, sorted[i-1])
-		if newPart {
-			partStart = i
-			rowNum, rank, denseRank, running = 0, 0, 0, 0
-		}
-		rowNum++
-		if newPart || !sameOrder(r, sorted[i-1]) {
-			rank = rowNum
-			denseRank++
-		}
-		var v Value
-		switch spec.Func {
-		case WinRowNumber:
-			v = rowNum
-		case WinRank:
-			v = rank
-		case WinDenseRank:
-			v = denseRank
-		case WinRunningSum:
-			// NULL adds nothing, matching the batch kernel's null skip.
-			if x := r[spec.ValueCol]; x != nil {
-				running += asFloat(x)
-			}
-			v = running
-		}
-		_ = partStart
-		nr := arena.alloc(len(r) + 1)
-		copy(nr, r)
-		nr[len(r)] = v
-		out = append(out, nr)
-	}
-	return out
 }

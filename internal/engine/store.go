@@ -48,17 +48,6 @@ func NewStore(machines int, capacity int64) *Store {
 	return s
 }
 
-// SetStatsSink mirrors every worker's counters into sink under one shared
-// prefix (per-worker attribution stays available via Stats; the sink is
-// for cluster-wide aggregates like an obs.Registry). Nil disables.
-func (s *Store) SetStatsSink(prefix string, sink shuffle.StatsSink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range s.workers {
-		w.SetStatsSink(prefix, sink)
-	}
-}
-
 // SegmentKey names one shuffle partition: the batch produced by task
 // `producer` of edge from->to destined for consumer task `part`. Built by
 // appending rather than fmt — every shuffle read and write forms one.
@@ -132,22 +121,6 @@ func (s *Store) Wake() {
 	s.mu.Lock()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// DropTaskOutput discards every segment a producer task wrote for an edge
-// (machine-failure recovery invalidates lost outputs).
-func (s *Store) DropTaskOutput(job, from, to string, producer, consumers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for part := 0; part < consumers; part++ {
-		key := SegmentKey(job, from, to, producer, part)
-		if m, ok := s.home[key]; ok {
-			s.workers[m].Drop(key)
-			delete(s.home, key)
-			delete(s.segs, key)
-		}
-	}
-	s.cond.Broadcast()
 }
 
 // DropJob releases every segment of a job.

@@ -81,22 +81,4 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 			t.Fatalf("UsedBytes = %d after DropJob with spills", used)
 		}
 	})
-
-	t.Run("drop task output path", func(t *testing.T) {
-		s := NewStore(2, 0)
-		for part := 0; part < 3; part++ {
-			if err := s.PutBatch("job", 0, SegmentKey("job", "m", "r", 7, part), batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.DropTaskOutput("job", "m", "r", 7, 3)
-		if used := s.Stats().UsedBytes; used != 0 {
-			t.Fatalf("UsedBytes = %d after DropTaskOutput", used)
-		}
-		// DropJob after DropTaskOutput must not double-free or resurrect.
-		s.DropJob("job")
-		if used := s.Stats().UsedBytes; used != 0 {
-			t.Fatalf("UsedBytes = %d after DropJob", used)
-		}
-	})
 }

@@ -20,14 +20,8 @@ type TaskContext struct {
 	sink    []Row // buffered sink output, committed on completion
 }
 
-// Stage returns the stage name; Index the task index within the stage.
-func (c *TaskContext) Stage() string { return c.ref.Stage }
-
 // Index returns the task's index within its stage.
 func (c *TaskContext) Index() int { return c.ref.Index }
-
-// Tasks returns the stage's task count.
-func (c *TaskContext) Tasks() int { return c.js.job.Stage(c.ref.Stage).Tasks }
 
 // ConsumerTasks returns the task count of the consumer stage of an
 // out-edge, i.e. the partition fan-out.

@@ -35,9 +35,6 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// DefaultConfig returns the paper-scale configuration.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // cluster100 is the paper's 100-node evaluation cluster. The reduced
 // variant stays above 2,000 executors — the largest job in the trace —
 // so whole-job gang scheduling (JetScope) can always eventually place

@@ -83,8 +83,6 @@ type Fig11Result struct {
 	MeanBubbleRatio float64
 }
 
-// Fig11LatencyCDF replays the trace under the three systems and normalises
-// each job's latency to Swift's.
 // fig10Trace is the batch-replayed production trace: runtimes capped at
 // the Fig. 8 "90% under 120 s" knee so a single straggler's critical path
 // does not mask the schedulers' differences.
@@ -92,6 +90,8 @@ func fig10Trace(cfg Config) *trace.Trace {
 	return trace.Generate(trace.Spec{Jobs: cfg.traceJobs(2000), Seed: cfg.Seed, RuntimeCap: 120})
 }
 
+// Fig11LatencyCDF replays the trace under the three systems and normalises
+// each job's latency to Swift's.
 func Fig11LatencyCDF(cfg Config) Fig11Result {
 	tr := fig10Trace(cfg)
 	durations := make(map[string]map[string]float64) // system -> job -> sec

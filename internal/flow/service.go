@@ -164,11 +164,6 @@ func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
 	s.TasksFinished([]Completion{{Ref: ref, Attempt: attempt}})
 }
 
-// TaskFailed feeds one failure event.
-func (s *Service) TaskFailed(ref core.TaskRef, attempt int, kind core.FailureKind) {
-	s.event(func(sim.Time) { s.ctrl.TaskFailed(ref, attempt, kind) })
-}
-
 // Tick advances the token bucket and pumps the wait queue; the daemon
 // calls it periodically so queued work admits even between completions.
 func (s *Service) Tick() { s.event(nil) }

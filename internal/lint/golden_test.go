@@ -110,7 +110,7 @@ func collectWants(t *testing.T) []expectation {
 // be found.
 func TestGoldenFindings(t *testing.T) {
 	pkgs, fset := loadGolden(t)
-	findings := Run(fset, pkgs, goldenConfig(), All())
+	findings := RunPackages(fset, pkgs, goldenConfig(), All(), nil)
 	wants := collectWants(t)
 
 	matched := make([]bool, len(wants))
@@ -150,11 +150,11 @@ func TestPerPackageConfig(t *testing.T) {
 		t.Fatalf("fixture package lintest/internal/skipme not loaded (got %d)", len(skipme))
 	}
 
-	unskipped := Run(fset, skipme, &Config{Module: "lintest"}, All())
+	unskipped := RunPackages(fset, skipme, &Config{Module: "lintest"}, All(), nil)
 	if len(unskipped) != 1 || unskipped[0].Analyzer != "determinism" {
 		t.Fatalf("without Skip want exactly one determinism finding, got %v", unskipped)
 	}
-	if got := Run(fset, skipme, goldenConfig(), All()); len(got) != 0 {
+	if got := RunPackages(fset, skipme, goldenConfig(), All(), nil); len(got) != 0 {
 		t.Fatalf("Skip config left findings behind: %v", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestAnalyzerSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(fset, pkgs, goldenConfig(), sub)
+	findings := RunPackages(fset, pkgs, goldenConfig(), sub, nil)
 	if len(findings) == 0 {
 		t.Fatal("exhaustive found nothing in the fixture module")
 	}

@@ -187,7 +187,7 @@ func TestSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load repository: %v", err)
 	}
-	findings := Run(fset, pkgs, DefaultConfig(), All())
+	findings := RunPackages(fset, pkgs, DefaultConfig(), All(), nil)
 	for _, f := range findings {
 		t.Errorf("repository is not self-clean: %s", f)
 	}

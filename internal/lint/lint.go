@@ -275,17 +275,13 @@ func suppressedBy(f Finding, sups []suppression, ranges map[string][]lineRange) 
 	return false
 }
 
-// Run executes the analyzers over the packages, applies per-package config
-// and //lint:allow suppressions, and returns the surviving findings in
-// byte-stable (file, line, col, analyzer, message) order.
-func Run(fset *token.FileSet, pkgs []*Package, cfg *Config, analyzers []*Analyzer) []Finding {
-	return RunPackages(fset, pkgs, cfg, analyzers, nil)
-}
-
-// RunPackages is Run with a reporting filter: the whole-program view is
-// always built over every loaded package (summaries need the full graph),
-// but when only is non-nil, findings are reported just for the packages
-// whose import path it maps to true — the -changed incremental mode.
+// RunPackages executes the analyzers over the packages, applies per-package
+// config and //lint:allow suppressions, and returns the surviving findings
+// in byte-stable (file, line, col, analyzer, message) order. The
+// whole-program view is always built over every loaded package (summaries
+// need the full graph), but when only is non-nil, findings are reported just
+// for the packages whose import path it maps to true — the -changed
+// incremental mode.
 func RunPackages(fset *token.FileSet, pkgs []*Package, cfg *Config, analyzers []*Analyzer, only map[string]bool) []Finding {
 	prog := buildProgram(fset, pkgs, cfg)
 	var findings []Finding

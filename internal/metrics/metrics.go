@@ -1,7 +1,7 @@
 // Package metrics provides the small statistical toolkit the evaluation
 // needs: sample quantiles computed with the Hyndman–Fan method the paper
 // cites as the "widely-used four quartile method" [26], summary statistics,
-// CDFs (Fig. 11), histograms (Fig. 8) and step time series (Fig. 10).
+// CDF fractions (Fig. 11), histograms (Fig. 8) and step time series (Fig. 10).
 package metrics
 
 import (
@@ -108,15 +108,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the total of the sample.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // GeoMean returns the geometric mean of a positive sample, or NaN if the
 // sample is empty or contains non-positive values. Speedup aggregation
 // across TPC-H queries uses it.
@@ -132,29 +123,6 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // cumulative fraction of the sample ≤ X
-}
-
-// CDF returns the empirical CDF of the sample as sorted points.
-// (Repeated-sort audit: CDF copies and sorts exactly once, and
-// FractionBelow is a single linear scan — neither shares FourQuartiles'
-// old sort-per-quantile shape.)
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pts := make([]CDFPoint, len(s))
-	for i, x := range s {
-		pts[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return pts
 }
 
 // FractionBelow returns the fraction of the sample strictly less than or

@@ -61,9 +61,6 @@ func TestMeanSumGeoMean(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
 	}
-	if got := Sum([]float64{1.5, 2.5}); got != 4 {
-		t.Errorf("Sum = %g", got)
-	}
 	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
 		t.Errorf("GeoMean = %g", got)
 	}
@@ -72,22 +69,6 @@ func TestMeanSumGeoMean(t *testing.T) {
 	}
 	if !math.IsNaN(GeoMean(nil)) {
 		t.Error("GeoMean(nil) should be NaN")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].X != 1 || math.Abs(pts[0].P-1.0/3) > 1e-12 {
-		t.Errorf("first point = %+v", pts[0])
-	}
-	if pts[2].X != 3 || pts[2].P != 1 {
-		t.Errorf("last point = %+v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
 	}
 }
 
@@ -183,28 +164,6 @@ func TestQuantileProperty(t *testing.T) {
 			prev = q
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCDFProperty: the CDF is monotone in both coordinates and ends at 1.
-func TestCDFProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64() * 1000
-		}
-		pts := CDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X < pts[i-1].X || pts[i].P <= pts[i-1].P {
-				return false
-			}
-		}
-		return math.Abs(pts[len(pts)-1].P-1) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

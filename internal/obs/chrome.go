@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -291,4 +292,36 @@ func (r *Recorder) buildChrome() []traceEvent {
 		}
 	}
 	return append(meta, body...)
+}
+
+// WriteReport is the -stats/-trace epilogue the simulator binaries share:
+// with stats, the per-job breakdown and the registry snapshot go to w; with
+// a tracePath, the Chrome trace goes to that file and w gets a "trace
+// written" line behind lead (each binary's own indentation). Like the
+// writers it calls, it takes a nil recorder as a disabled one.
+func (r *Recorder) WriteReport(w io.Writer, stats bool, tracePath, lead string) error {
+	if stats {
+		if err := r.WriteBreakdown(w); err != nil {
+			return err
+		}
+		if _, err := r.Registry().WriteTo(w); err != nil {
+			return err
+		}
+	}
+	if tracePath == "" {
+		return nil
+	}
+	f, err := os.Create(tracePath)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteChromeTrace(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%strace written to %s (%d events)\n", lead, tracePath, len(r.Events()))
+	return err
 }

@@ -14,9 +14,6 @@ import (
 // plane, built on internal/metrics. It is snapshotted at end of run into
 // deterministic text (names sorted, fixed formatting). A nil *Registry is
 // a valid, disabled registry.
-//
-// Registry satisfies shuffle.StatsSink structurally, so Cache Workers can
-// feed it without the shuffle package importing obs.
 type Registry struct {
 	counts *metrics.Counter
 	gauges map[string]float64

@@ -24,19 +24,6 @@ type CacheWorker struct {
 	segs     map[string]*segment
 
 	stats CacheStats
-
-	// sink, when set, receives live counter increments mirroring the
-	// CacheStats fields (prefix + "puts", "spill_bytes", ...). It exists so
-	// an observability registry can aggregate across workers without this
-	// package knowing about it (the obs.Registry satisfies StatsSink
-	// structurally).
-	sink       StatsSink
-	sinkPrefix string
-}
-
-// StatsSink receives named counter increments from a Cache Worker.
-type StatsSink interface {
-	Count(name string, delta int64)
 }
 
 type segment struct {
@@ -87,18 +74,6 @@ func NewCacheWorker(capacity int64) *CacheWorker {
 	}
 }
 
-// SetStatsSink installs a counter sink; nil disables mirroring. The prefix
-// is prepended to every counter name (e.g. "shuffle.cache.").
-func (w *CacheWorker) SetStatsSink(prefix string, sink StatsSink) {
-	w.sinkPrefix, w.sink = prefix, sink
-}
-
-func (w *CacheWorker) count(name string, delta int64) {
-	if w.sink != nil {
-		w.sink.Count(w.sinkPrefix+name, delta)
-	}
-}
-
 // Used returns the bytes currently held in memory.
 func (w *CacheWorker) Used() int64 { return w.used }
 
@@ -135,8 +110,6 @@ func (w *CacheWorker) Put(key string, size int64, payload [][]byte, refs int) (s
 	w.segs[key] = s
 	w.used += size
 	w.stats.Puts++
-	w.count("puts", 1)
-	w.count("put_bytes", size)
 	if w.used > w.stats.PeakUsed {
 		w.stats.PeakUsed = w.used
 	}
@@ -163,8 +136,6 @@ func (w *CacheWorker) evictTo(limit int64) int64 {
 			spilled += s.size
 			w.stats.SpillEvents++
 			w.stats.SpillBytes += s.size
-			w.count("spill_events", 1)
-			w.count("spill_bytes", s.size)
 		}
 	}
 	return spilled
@@ -182,26 +153,21 @@ func (w *CacheWorker) Get(key string) (payload [][]byte, wasSpilled, ok bool) {
 	s, ok := w.segs[key]
 	if !ok {
 		w.stats.Misses++
-		w.count("misses", 1)
 		return nil, false, false
 	}
 	w.stats.Gets++
-	w.count("gets", 1)
 	wasSpilled = s.spilled
 	if s.spilled && w.capacity > 0 && s.size > w.capacity {
 		// Over-capacity segment: it can never be memory-resident, so serve
 		// it from the disk tier without flapping residency.
 		w.stats.DiskReads++
 		w.stats.DiskReadBytes += s.size
-		w.count("disk_reads", 1)
-		w.count("disk_read_bytes", s.size)
 		return s.data, true, true
 	}
 	if s.spilled {
 		s.spilled = false
 		w.used += s.size
 		w.stats.LoadBytes += s.size
-		w.count("load_bytes", s.size)
 		if w.used > w.stats.PeakUsed {
 			w.stats.PeakUsed = w.used
 		}
@@ -249,7 +215,6 @@ func (w *CacheWorker) Consume(key string) bool {
 	}
 	w.remove(s)
 	w.stats.Freed++
-	w.count("freed", 1)
 	return true
 }
 
@@ -262,7 +227,6 @@ func (w *CacheWorker) Drop(key string) bool {
 	}
 	w.remove(s)
 	w.stats.Drops++
-	w.count("drops", 1)
 	return true
 }
 
@@ -287,7 +251,5 @@ func (w *CacheWorker) FailAll() []string {
 	w.lru.Init()
 	w.used = 0
 	w.stats.LostSpilledBytes += lostSpilled
-	w.count("lost_segments", int64(len(keys)))
-	w.count("lost_spilled_bytes", lostSpilled)
 	return keys
 }

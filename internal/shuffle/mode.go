@@ -94,19 +94,6 @@ func (c SizeClass) String() string {
 	return "invalid"
 }
 
-// Class returns the size class of an edge size under the thresholds, with
-// the same half-open boundary semantics as Select.
-func (t Thresholds) Class(edgeSize int) SizeClass {
-	switch {
-	case edgeSize < t.SmallMax:
-		return SmallShuffle
-	case edgeSize >= t.LargeMin:
-		return LargeShuffle
-	default:
-		return MediumShuffle
-	}
-}
-
 // Connections returns the worst-case TCP connection count each mode needs
 // for a shuffle of m producers and n consumers spread over y machines
 // (Section III-B's formulas: M×N, M+N+C(Y,2), M+N×Y).

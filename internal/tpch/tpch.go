@@ -188,15 +188,6 @@ func Q13Details() []Q13Detail {
 	}
 }
 
-// Queries returns all 22 TPC-H query DAGs at 1 TB, keyed "Q1".."Q22".
-func Queries() map[string]*dag.Job {
-	out := make(map[string]*dag.Job, 22)
-	for i := 1; i <= 22; i++ {
-		out[fmt.Sprintf("Q%d", i)] = Query(i)
-	}
-	return out
-}
-
 // Query returns the DAG for TPC-H query n (1..22); it panics on other n.
 // Q9 and Q13 use the published structure; the remaining plans are shaped
 // from the query text (tables joined, aggregation depth) with scan

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Repository gate: gofmt, vet, swiftvet (the project's own static
 # analyzers — see DESIGN.md "Static analysis"), race-test everything,
-# run the fixed-seed chaos
-# soak (deterministic fault schedules + scheduler invariant auditor),
-# run the examples (they self-verify), build the fuzz targets so they
-# cannot rot, and smoke the benchmark
-# suites (one iteration each) so a bench-only compile break or panic is
-# caught here, not at measurement time. Fuzz *exploration* is not run
-# here — CI stays deterministic; run it manually with
+# run the fixed-seed chaos soak (deterministic fault schedules + scheduler
+# invariant auditor), the seeded smokes (trace determinism, fair share,
+# replicated shuffle, shuffle recovery, serial-vs-parallel sweep hashes
+# against the pinned table, swiftd overload end to end), run the examples
+# (they self-verify), build the fuzz targets so they cannot rot, hold the
+# import gates (internal/rpc on the standard library alone, no gob outside
+# tests, internal/sqlparse a front end that does not import the engine),
+# and smoke the benchmark suites (one iteration each) so a bench-only
+# compile break or panic is caught here, not at measurement time. Fuzz
+# *exploration* is not run here — CI stays deterministic; run it manually
+# with
 #   go test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
@@ -140,13 +144,15 @@ for EXAMPLE in quickstart terasort faulttolerance tpch; do
     go run "./examples/$EXAMPLE" > "$TRACE_TMP/example-$EXAMPLE.out"
 done
 
-echo "== fuzz targets build, service-edge import gates"
+echo "== fuzz targets build, import gates"
 go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
 # The service edge stays one codec on the standard library: internal/rpc
 # imports nothing from the tree, and gob is a test oracle only.
 [ "$(go list -deps ./internal/rpc | grep '^swift/')" = "swift/internal/rpc" ] || { echo "internal/rpc imports from the tree" >&2; exit 1; }
 if grep -rln --include='*.go' --exclude='*_test.go' '"encoding/gob"' .; then echo "encoding/gob imported outside tests" >&2; exit 1; fi
+# sqlparse is a front end: it plans to a dag.Job and never runs one.
+[ -z "$(go list -f '{{join .Imports "\n"}}' ./internal/sqlparse | grep -x 'swift/internal/engine')" ] || { echo "internal/sqlparse imports internal/engine" >&2; exit 1; }
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
