@@ -106,7 +106,11 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //     actually flagged disordered;
 //   - tenant accounting: the O(delta) per-tenant counters behind
 //     TenantSnapshots match a full per-tenant recount of live jobs,
-//     task states and queue entries.
+//     task states and queue entries;
+//   - policy view: when the controller holds its kept view of the request
+//     queue to be valid (see Controller.itemsValid), a view built from
+//     scratch agrees with it entry for entry — a writer that changed what
+//     a policy would see without clearing the bit shows up here.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -310,6 +314,22 @@ func (c *Controller) CheckInvariants() []string {
 		}
 		if have != want {
 			v = append(v, fmt.Sprintf("tenant %q counters %+v != recount %+v", name, have, want))
+		}
+	}
+	if c.itemsValid {
+		want, stale := c.buildItems(nil)
+		if len(c.items) != len(want) {
+			v = append(v, fmt.Sprintf("kept policy view holds %d entries for a queue of %d", len(c.items), len(want)))
+		} else {
+			for i := range want {
+				if c.items[i] != want[i] {
+					v = append(v, fmt.Sprintf("kept policy view entry %d is %+v, a rebuild says %+v", i, c.items[i], want[i]))
+					break
+				}
+			}
+		}
+		if stale != c.staleItems {
+			v = append(v, fmt.Sprintf("kept policy view counts %d stale entries, a rebuild %d", c.staleItems, stale))
 		}
 	}
 	return v

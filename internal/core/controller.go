@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"swift/internal/cluster"
 	"swift/internal/dag"
@@ -177,10 +178,21 @@ type Controller struct {
 	// ("rerun" dispositions, replicated or not).
 	replicaHits int
 	recomputes  int
+	// The policy's view of the request queue, kept across rounds instead of
+	// rebuilt per round (see policyItems): items[i] describes queue[i],
+	// staleItems counts its entries with nothing launchable, and itemsValid
+	// says it still matches the queue. servePolicy patches the view for what
+	// it serves; every other writer of the queue, of a queued run's pending
+	// tasks or status, or of a job's failed/done flag clears itemsValid, and
+	// CheckInvariants compares a valid view against a fresh build.
+	items      []sched.Item
+	staleItems int
+	itemsValid bool
 	// Scratch the scheduling round reuses instead of allocating on every
-	// event: the views handed to the policy (which may not retain them),
-	// the grant bookkeeping, and the deadlock breaker's per-stage marks.
-	items  []sched.Item
+	// event: the other views handed to the policy (which may not retain
+	// them), the grant bookkeeping, and the deadlock breaker's per-stage
+	// marks.
+	gangs  []sched.Gang
 	served []bool
 	usage  []sched.TenantUsage
 	below  []bool
@@ -359,10 +371,7 @@ func (c *Controller) enqueueReady(m *monitor) {
 			}
 		}
 		if ready {
-			run.status = gQueued
-			c.queue = append(c.queue, reqItem{m: m, g: i})
-			m.tc.Queued++
-			c.opts.Obs.GraphletQueued(m.job.ID, i, len(run.pending))
+			c.enqueue(m, i)
 		}
 	}
 }
@@ -378,8 +387,15 @@ func (c *Controller) requeue(m *monitor, g int) {
 			}
 		}
 	}
+	c.enqueue(m, g)
+}
+
+// enqueue appends a resource request for graphlet g of m's job.
+func (c *Controller) enqueue(m *monitor, g int) {
+	run := m.gruns[g]
 	run.status = gQueued
 	c.queue = append(c.queue, reqItem{m: m, g: g})
+	c.itemsValid = false
 	m.tc.Queued++
 	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
 }
@@ -628,6 +644,7 @@ func (c *Controller) breakDeadlock() bool {
 		// of preemptions one scheduling round can perform.
 		copy(c.queue[1:qi+1], c.queue[:qi])
 		c.queue[0] = item
+		c.itemsValid = false
 		return true
 	}
 	return false
@@ -639,6 +656,12 @@ func (c *Controller) breakDeadlock() bool {
 // actually repool (healthy machine). It returns (-1, -1) when nothing
 // below is running.
 func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index int) {
+	// A victim is a running task. A job reclaimed down to nothing running
+	// stays queued and disordered round after round; it is turned away here,
+	// before the closure below is built for it again.
+	if !slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
+		return -1, -1
+	}
 	// Stages strictly downstream of a pending stage. Topological order
 	// makes one forward sweep a transitive closure: a stage is below if
 	// any producer is pending in this run or itself below.
@@ -751,6 +774,9 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	// monitor's contract (Section IV-A), so those slots are released
 	// instead and the graphlet asks the scheduler for replacements.
 	if len(run.pending) > 0 && c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Healthy {
+		if run.status == gQueued {
+			c.itemsValid = false // its queue entry's Pending moves behind servePolicy's back
+		}
 		c.launch(m, run, c.takePending(run), e)
 	} else {
 		c.cl.ReleaseOne(e)
@@ -776,6 +802,7 @@ func (c *Controller) checkJobDone(m *monitor) {
 		}
 	}
 	m.done = true
+	c.itemsValid = false
 	c.snapClose(m)
 	c.emit(ActJobCompleted{Job: m.job.ID})
 }

@@ -11,16 +11,28 @@ import (
 // machinery as the deadlock breaker (abort → release → re-pend → cascade
 // → requeue). The FIFO fast path in serveFIFO never enters this file.
 
-// policyItems flattens the request queue for the policy. Entries whose
-// job left the live set or whose graphlet is no longer actually queued
-// carry Pending 0; policies skip them and servePolicy's sweep retires
-// them exactly as the FIFO walk would. The result is controller-owned
-// scratch, rebuilt by the next call.
+// policyItems returns the policy's view of the request queue. The view is
+// state the controller keeps: a round that finds it valid reuses it as is,
+// and only a round after some other writer touched the queue (see
+// Controller.itemsValid) pays the O(queue) rebuild. Like every view handed
+// to a policy it is controller-owned scratch the policy may not retain.
 func (c *Controller) policyItems() []sched.Item {
-	c.items = resized(c.items, len(c.queue))
+	if !c.itemsValid {
+		c.items, c.staleItems = c.buildItems(c.items)
+		c.itemsValid = true
+	}
+	return c.items
+}
+
+// buildItems flattens the request queue into dst and counts the entries
+// with nothing launchable. Entries whose job left the live set or whose
+// graphlet is no longer actually queued carry Pending 0; policies skip them
+// and servePolicy's sweep retires them exactly as the FIFO walk would.
+func (c *Controller) buildItems(dst []sched.Item) (items []sched.Item, stale int) {
+	dst = resized(dst, len(c.queue))
 	for i, it := range c.queue {
 		m := it.m
-		pi := &c.items[i]
+		pi := &dst[i]
 		pi.Index, pi.Job, pi.Graphlet = i, m.job.ID, it.g
 		if !m.failed && !m.done {
 			pi.Tenant = m.tenant
@@ -29,8 +41,11 @@ func (c *Controller) policyItems() []sched.Item {
 				pi.Pending = len(run.pending)
 			}
 		}
+		if pi.Pending == 0 {
+			stale++
+		}
 	}
-	return c.items
+	return dst, stale
 }
 
 // resized returns s with length n and every element zeroed, reusing its
@@ -46,18 +61,19 @@ func resized[T any](s []T, n int) []T {
 }
 
 // policyGangs flattens every graphlet currently holding executors, in
-// submission order — the preemption candidate set.
+// submission order — the preemption candidate set — into scratch the next
+// call overwrites.
 func (c *Controller) policyGangs() []sched.Gang {
-	gangs := make([]sched.Gang, 0, len(c.order))
+	c.gangs = c.gangs[:0]
 	for _, m := range c.order {
 		for g, run := range m.gruns {
 			if run.running > 0 {
-				gangs = append(gangs, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
+				c.gangs = append(c.gangs, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
 					Graphlet: g, Running: run.running, Seq: m.seq})
 			}
 		}
 	}
-	return gangs
+	return c.gangs
 }
 
 // policyView assembles the cluster/tenant state policies decide against.
@@ -88,14 +104,23 @@ func (c *Controller) usageSnapshots() []sched.TenantUsage {
 // JobOrder for a grant plan, execute it against the pool, then compact
 // the queue. A nil plan falls back to the FIFO walk, so a policy can
 // defer rounds it has no opinion on.
+//
+// The round keeps the policy view current as it goes — it patches Pending
+// for the entries it serves and compacts c.items in step with c.queue — so
+// its cost is what it grants or retires, not the queue's depth: a round
+// that drops nothing leaves the queue untouched, and the sweep for stale
+// entries runs only when the view says there is one.
 func (c *Controller) servePolicy() {
-	grants := c.policy.JobOrder(c.policyItems(), c.policyView())
+	items := c.policyItems()
+	grants := c.policy.JobOrder(items, c.policyView())
 	if grants == nil {
 		c.serveFIFO()
+		c.itemsValid = false
 		return
 	}
 	c.served = resized(c.served, len(c.queue))
 	served := c.served
+	first := len(c.queue) // lowest queue index this round drops
 	for _, g := range grants {
 		if c.cl.FreeExecutors() == 0 {
 			break
@@ -103,37 +128,48 @@ func (c *Controller) servePolicy() {
 		if g.Index < 0 || g.Index >= len(served) || served[g.Index] {
 			continue
 		}
-		if !c.serveItem(c.queue[g.Index], g.Cap) {
+		it := c.queue[g.Index]
+		if c.serveItem(it, g.Cap) {
+			// Still queued: serveItem keeps only a live, queued run with
+			// tasks left over.
+			items[g.Index].Pending = len(it.m.gruns[it.g].pending)
+		} else {
 			served[g.Index] = true
+			first = min(first, g.Index)
 		}
 	}
 	// Compact: drop entries the grants consumed. When executors remain —
 	// the round visited everything it wanted — also retire dead and stale
 	// entries the policy skipped, mirroring the FIFO walk (which visits
-	// every entry whenever the pool stays wet).
-	sweep := c.cl.FreeExecutors() > 0
-	w := 0
-	for i, it := range c.queue {
-		drop := served[i]
-		if !drop && sweep {
-			m := it.m
-			if m.failed || m.done {
-				drop = true // defensive: failJob/restartJob filter the queue
-			} else if run := m.gruns[it.g]; run.status != gQueued || len(run.pending) == 0 {
-				if run.status == gQueued {
-					run.status = gRunning
-				}
-				drop = true
+	// every entry whenever the pool stays wet). Stale is exactly Pending 0
+	// in the view, so the sweep reads the view, not the monitors.
+	sweep := c.staleItems > 0 && c.cl.FreeExecutors() > 0
+	if sweep {
+		first = 0
+	}
+	w := first
+	for i := first; i < len(c.queue); i++ {
+		it, stale := c.queue[i], items[i].Pending == 0
+		switch {
+		case served[i]:
+		case sweep && stale:
+			// Retired unvisited; a live run still marked queued has simply
+			// run out of pending tasks.
+			if m := it.m; !m.failed && !m.done && m.gruns[it.g].status == gQueued {
+				m.gruns[it.g].status = gRunning
 			}
-		}
-		if drop {
-			it.m.tc.Queued--
+		default:
+			c.queue[w], items[w] = it, items[i]
+			items[w].Index = w
+			w++
 			continue
 		}
-		c.queue[w] = it
-		w++
+		if stale {
+			c.staleItems--
+		}
+		it.m.tc.Queued--
 	}
-	c.queue = c.queue[:w]
+	c.queue, c.items = c.queue[:w], items[:w]
 }
 
 // preemptRound asks the policy for graphlet victims when the pool is dry

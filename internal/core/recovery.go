@@ -141,6 +141,7 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	delete(m.homes, id) // stale copies; re-replicated at finish
 	run := m.gruns[st.graphlet]
 	run.pending = append(run.pending, id)
+	c.itemsValid = false
 	if !run.disordered {
 		// Launch selection must restore topological order, and the
 		// scheduler's deadlock check watches for disordered runs.
@@ -442,15 +443,7 @@ func (c *Controller) restartJob(m *monitor) {
 	}
 	m.homes = nil
 	// Drop queued items of this job and rebuild graphlet runs.
-	var q []reqItem
-	for _, it := range c.queue {
-		if it.m != m {
-			q = append(q, it)
-		} else {
-			m.tc.Queued--
-		}
-	}
-	c.queue = q
+	c.dequeueJob(m)
 	c.dropDisordered(m)
 	m.gruns = c.buildGraphletRuns(m)
 	c.emit(ActJobRestarted{Job: m.job.ID})
@@ -466,6 +459,21 @@ func (c *Controller) abortAll(m *monitor) {
 			c.releaseRunning(m, st, i)
 		}
 	})
+}
+
+// dequeueJob drops every queued resource request of m's job (it is being
+// restarted or abandoned).
+func (c *Controller) dequeueJob(m *monitor) {
+	var q []reqItem
+	for _, it := range c.queue {
+		if it.m != m {
+			q = append(q, it)
+		} else {
+			m.tc.Queued--
+		}
+	}
+	c.queue = q
+	c.itemsValid = false
 }
 
 // dropDisordered removes a job's graphlet runs from the disordered count
@@ -500,15 +508,7 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	m.failed = true
 	c.snapClose(m)
 	c.dropDisordered(m)
-	var q []reqItem
-	for _, it := range c.queue {
-		if it.m != m {
-			q = append(q, it)
-		} else {
-			m.tc.Queued--
-		}
-	}
-	c.queue = q
+	c.dequeueJob(m)
 	c.emit(ActJobFailed{Job: m.job.ID, Reason: reason})
 	c.schedule()
 }

@@ -90,10 +90,29 @@ func fairOptions() (core.Options, trace.Spec) {
 const maxRoundTripAllocs = 2
 
 func TestSaturatedRoundTripAllocs(t *testing.T) {
+	checkRoundTripAllocs(t, core.DefaultOptions(), fifoSpec, maxRoundTripAllocs)
+}
+
+// maxFairRoundTripAllocs is the same budget through servePolicy and
+// preemptRound (every completion on the dry pool asks Preempt too): the two
+// of the FIFO round trip, the grant plan JobOrder returns, and one to
+// spare. The policy's views of the queue, the gangs and the tenants are
+// controller scratch and the policy's own bookkeeping lives on its stack; a
+// per-round map, budget record or rebuilt gang list would blow the budget.
+const maxFairRoundTripAllocs = 4
+
+func TestFairRoundTripAllocs(t *testing.T) {
+	opts, spec := fairOptions()
+	checkRoundTripAllocs(t, opts, spec, maxFairRoundTripAllocs)
+}
+
+// checkRoundTripAllocs holds a saturated TaskFinished+Drain round trip in
+// steady state to an allocation budget.
+func checkRoundTripAllocs(t *testing.T, opts core.Options, spec trace.Spec, budget float64) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
-	rt := newRoundTrip(t, core.DefaultOptions(), fifoSpec)
+	rt := newRoundTrip(t, opts, spec)
 	for i := 0; i < 5000; i++ { // past the first wave, into steady state
 		rt.step()
 	}
@@ -102,8 +121,8 @@ func TestSaturatedRoundTripAllocs(t *testing.T) {
 			t.Fatal("ran out of work")
 		}
 	})
-	if allocs > maxRoundTripAllocs {
-		t.Errorf("saturated TaskFinished+Drain: %.0f allocs per round trip, budget %d", allocs, maxRoundTripAllocs)
+	if allocs > budget {
+		t.Errorf("saturated TaskFinished+Drain: %.0f allocs per round trip, budget %.0f", allocs, budget)
 	}
 	if v := rt.c.CheckInvariants(); len(v) > 0 {
 		t.Errorf("invariants: %v", v)

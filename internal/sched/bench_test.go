@@ -3,13 +3,15 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"swift/internal/raceflag"
 )
 
-// BenchmarkFairShareRound is one policy round of a saturated replay_fair:
-// JobOrder then Preempt over three tenants at 2:1:1 with one quota, 300
-// queued requests and 300 running gangs on a dry 3,000-executor pool, b
-// bursting past its share.
-func BenchmarkFairShareRound(b *testing.B) {
+// fairRound returns one policy round of a saturated replay_fair — JobOrder
+// then Preempt over three tenants at 2:1:1 with one quota, 300 queued
+// requests and 300 running gangs on a dry 3,000-executor pool, b bursting
+// past its share — as a function that runs it and fails on an empty answer.
+func fairRound() func(tb testing.TB) {
 	p := NewFairShare(FairShareConfig{Queues: []QueueSpec{
 		{Name: "a", Weight: 2}, {Name: "b", Weight: 1}, {Name: "c", Weight: 1, Quota: 600}}})
 	tenants := []string{"a", "b", "b", "c"} // b submits twice as often
@@ -26,14 +28,65 @@ func BenchmarkFairShareRound(b *testing.B) {
 		u.Running += gangs[i].Running
 	}
 	view := View{TotalExecutors: 3000, Tenants: []TenantUsage{*usage["a"], *usage["b"], *usage["c"]}}
+	return func(tb testing.TB) {
+		if g := p.JobOrder(items, view); len(g) == 0 {
+			tb.Fatal("no grants")
+		}
+		if v := p.Preempt(items, gangs, view); len(v) == 0 {
+			tb.Fatal("no victim")
+		}
+	}
+}
+
+func BenchmarkFairShareRound(b *testing.B) {
+	round := fairRound()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g := p.JobOrder(items, view); len(g) == 0 {
-			b.Fatal("no grants")
-		}
-		if v := p.Preempt(items, gangs, view); len(v) == 0 {
-			b.Fatal("no victim")
+		round(b)
+	}
+}
+
+// maxFairRoundAllocs is the committed allocation budget of one JobOrder +
+// Preempt round at three tenants: the grant slice and the victim slice,
+// with one to spare for a shares slice. A per-round map, budget record or
+// queue-sized buffer would blow it.
+const maxFairRoundAllocs = 3
+
+func TestFairShareRoundAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	round := fairRound()
+	if allocs := testing.AllocsPerRun(1000, func() { round(t) }); allocs > maxFairRoundAllocs {
+		t.Errorf("JobOrder+Preempt: %.0f allocs per round, budget %d", allocs, maxFairRoundAllocs)
+	}
+}
+
+// BenchmarkFairShareRoundIdlePool is JobOrder against a replay_scale-sized
+// pool (140,040 executors) that reports itself idle while one un-quota'd
+// tenant, already at its share, still has 100,000 tasks pending: all the
+// free capacity is stranded and the top-up hands it out. A controller's
+// view never reads like this (its free count and its tenants' running
+// counts move together), which is why one-slot-per-lap top-up went
+// unnoticed; dealt in whole laps the round costs microseconds at any pool
+// size.
+func BenchmarkFairShareRoundIdlePool(b *testing.B) {
+	p := NewFairShare(FairShareConfig{})
+	items := []Item{
+		{Index: 0, Job: "big", Tenant: "a", Pending: 100000},
+		{Index: 1, Job: "small", Tenant: "b", Pending: 50, Seq: 1},
+	}
+	view := View{TotalExecutors: 140040, FreeExecutors: 140040, Tenants: []TenantUsage{
+		{Tenant: "a", Running: 100000, Pending: 100000, Queued: 1},
+		{Tenant: "b", Running: 40040, Pending: 50, Queued: 1}}}
+	want := []Grant{{Index: 1, Cap: 50}, {Index: 0, Cap: 100000}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := p.JobOrder(items, view)
+		if len(g) != 2 || g[0] != want[0] || g[1] != want[1] {
+			b.Fatalf("grants = %+v, want %+v", g, want)
 		}
 	}
 }

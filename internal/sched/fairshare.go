@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math"
-	"slices"
-	"sort"
-)
+import "math"
 
 // QueueSpec declares one tenant's queue: Weight is its share relative to
 // the other queues (<= 0 means 1), Quota a hard executor cap (0 =
@@ -45,9 +41,25 @@ const shareEps = 1e-9
 func floorShare(x float64) int { return int(math.Floor(x + shareEps)) }
 func ceilShare(x float64) int  { return int(math.Ceil(x - shareEps)) }
 
-// fsQueue is one queue during a single Proportion evaluation. The slice is
-// rebuilt per call from the static config plus the live view; nothing is
-// cached, so the policy stays a pure function of its inputs.
+// smallRound is how many queues (declared + live tenants) or tenants a
+// round handles on stack arrays; past it the scratch comes from the heap.
+// FairShare itself carries no scratch: a primary controller and its shadow
+// share one policy value (core.Failover builds the shadow from the caller's
+// options), and a policy is a pure function of its inputs.
+const smallRound = 8
+
+// sized returns buf[:n] when the caller's stack array covers n and a heap
+// slice otherwise.
+func sized[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// fsQueue is one queue during a single water-fill. The slice is rebuilt
+// per call from the static config plus the live view; nothing is cached,
+// so the policy stays a pure function of its inputs.
 type fsQueue struct {
 	weight   float64
 	quota    int
@@ -58,28 +70,40 @@ type fsQueue struct {
 }
 
 // Proportion implements Policy: deserved shares per tenant, sorted by
-// tenant name. The queues are the declared ones in declaration order, then
-// the view's undeclared tenants in view order (sorted by name — the
-// controller's contract — so the float sums below are deterministic).
-// Capacity water-fills across them: each round offers every open queue its
-// weighted slice of what remains; a queue whose slice covers its cap
-// (demand, clamped to its quota — which is what makes quotas hard) takes
-// the cap and leaves, and the capacity it could not absorb is re-offered
-// to the rest. A round that fills nobody hands out the slices and ends.
+// tenant name — shares[i] is view.Tenants[i]'s. The queues are the declared
+// ones in declaration order, then the view's undeclared tenants in view
+// order (sorted by name — the controller's contract — so the float sums
+// below are deterministic). Capacity water-fills across them: each round
+// offers every open queue its weighted slice of what remains; a queue whose
+// slice covers its cap (demand, clamped to its quota — which is what makes
+// quotas hard) takes the cap and leaves, and the capacity it could not
+// absorb is re-offered to the rest. A round that fills nobody hands out the
+// slices and ends.
 func (f *FairShare) Proportion(view View) []Share {
 	if len(view.Tenants) == 0 {
 		return nil
 	}
-	qs := make([]fsQueue, len(f.cfg.Queues), len(f.cfg.Queues)+len(view.Tenants))
+	return f.proportion(view, make([]Share, len(view.Tenants)))
+}
+
+// proportion is Proportion into the caller's shares, one slot per view
+// tenant: JobOrder and Preempt hand it a stack array.
+func (f *FairShare) proportion(view View, shares []Share) []Share {
+	var buf [smallRound]fsQueue
+	qs := sized(buf[:], len(f.cfg.Queues)+len(view.Tenants))[:len(f.cfg.Queues)]
 	for i, spec := range f.cfg.Queues {
 		qs[i] = fsQueue{weight: 1, quota: max(spec.Quota, 0), tenant: -1}
 		if spec.Weight > 0 {
 			qs[i].weight = spec.Weight
 		}
 	}
-	for ti, t := range view.Tenants {
-		qi := slices.IndexFunc(f.cfg.Queues, func(spec QueueSpec) bool { return spec.Name == t.Tenant })
-		if qi < 0 {
+	for ti := range view.Tenants {
+		t := &view.Tenants[ti]
+		qi := 0
+		for qi < len(f.cfg.Queues) && f.cfg.Queues[qi].Name != t.Tenant {
+			qi++
+		}
+		if qi == len(f.cfg.Queues) {
 			qi = len(qs)
 			qs = append(qs, fsQueue{weight: 1})
 		}
@@ -121,10 +145,9 @@ func (f *FairShare) Proportion(view View) []Share {
 			break
 		}
 	}
-	shares := make([]Share, len(view.Tenants))
-	for _, q := range qs {
-		if q.tenant >= 0 {
-			t := view.Tenants[q.tenant]
+	for i := range qs {
+		if q := &qs[i]; q.tenant >= 0 {
+			t := &view.Tenants[q.tenant]
 			shares[q.tenant] = Share{Tenant: t.Tenant, Weight: q.weight,
 				Deserved: q.deserved, Running: t.Running, Quota: q.quota}
 		}
@@ -145,14 +168,30 @@ func shareRatio(s Share) float64 {
 	return float64(s.Running) / s.Deserved
 }
 
-// tenantBudget is one tenant's serve plan for a round.
+// hasLaunchable reports whether the tenant has a queued item with pending
+// tasks. It leans on TenantUsage.Queued's contract to answer most calls
+// without looking at the queue, and stops at the first match otherwise.
+func hasLaunchable(items []Item, t *TenantUsage) bool {
+	if t.Queued == 0 {
+		return false
+	}
+	for i := range items {
+		if items[i].Pending > 0 && items[i].Tenant == t.Tenant {
+			return true
+		}
+	}
+	return false
+}
+
+// tenantBudget is one tenant's serve plan for a round. room is how many
+// more slots the stranded-capacity top-up may still give it: up to its
+// demand, never past its quota.
 type tenantBudget struct {
-	name    string
-	budget  int
-	pending int
-	running int
-	quota   int
-	ratio   float64
+	name   string
+	budget int
+	room   int
+	queued int
+	ratio  float64
 }
 
 // JobOrder implements Policy. Each tenant gets a budget of
@@ -161,98 +200,125 @@ type tenantBudget struct {
 // queue order. Fractional floors can strand free executors, so leftover
 // free capacity tops budgets back up round-robin across tenants that
 // still have demand — hard quotas excepted, the plan is work-conserving.
+//
+// A round costs O(tenants) plus the queue prefix it walks to place each
+// budgeted tenant's grants: no map, no allocation but the returned plan.
 func (f *FairShare) JobOrder(items []Item, view View) []Grant {
-	shares := f.Proportion(view)
-	if len(shares) == 0 {
+	n := len(view.Tenants)
+	if n == 0 {
 		return nil
 	}
-	hasItem := make(map[string]bool, len(shares))
-	for _, it := range items {
-		if it.Pending > 0 {
-			hasItem[it.Tenant] = true
-		}
-	}
-	order := make([]*tenantBudget, 0, len(shares))
+	var sbuf [smallRound]Share
+	var obuf [smallRound]tenantBudget
+	shares := f.proportion(view, sized(sbuf[:], n))
+	order := sized(obuf[:], n)
 	sum := 0
 	for i := range shares {
-		s := shares[i]
-		b := floorShare(s.Deserved) - s.Running
-		if b < 0 {
-			b = 0
-		}
+		s, t := &shares[i], &view.Tenants[i]
+		b := max(floorShare(s.Deserved)-s.Running, 0)
 		if s.Quota > 0 && b > s.Quota-s.Running {
-			b = s.Quota - s.Running
-			if b < 0 {
-				b = 0
-			}
+			b = max(s.Quota-s.Running, 0)
 		}
 		// Liveness floor: a tenant with queued work and nothing running
 		// always rates one slot, so rounding can never starve it outright.
-		if b == 0 && s.Running == 0 && hasItem[s.Tenant] && (s.Quota == 0 || s.Quota >= 1) {
+		if b == 0 && s.Running == 0 && hasLaunchable(items, t) {
 			b = 1
 		}
-		tb := &tenantBudget{name: s.Tenant, budget: b, running: s.Running,
-			quota: s.Quota, ratio: shareRatio(s)}
-		order = append(order, tb)
+		room := t.Pending - b
+		if s.Quota > 0 {
+			room = min(room, s.Quota-s.Running-b)
+		}
+		order[i] = tenantBudget{name: s.Tenant, budget: b, room: room,
+			queued: t.Queued, ratio: shareRatio(*s)}
 		sum += b
 	}
-	for _, t := range view.Tenants {
-		for _, tb := range order {
-			if tb.name == t.Tenant {
-				tb.pending = t.Pending
+	topUp(order, view.FreeExecutors-sum)
+	// Stable insertion sort, most under-served first: a handful of tenants,
+	// usually already in order.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && underServed(&order[j], &order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	count := placeGrants(order, items, nil)
+	if count == 0 {
+		return []Grant{} // a plan that serves nothing, not the nil "no opinion"
+	}
+	grants := make([]Grant, count)
+	placeGrants(order, items, grants)
+	return grants
+}
+
+// topUp hands extra slots (capacity floor rounding stranded) round-robin in
+// tenant order, demand- and quota-guarded: one slot per eligible tenant per
+// lap until the slots or the room run out. Whole laps are dealt at once — k
+// laps while every eligible tenant has room for k and k full laps remain —
+// so the cost is O(tenants²) however large the idle pool is; the last,
+// partial lap goes slot by slot.
+func topUp(order []tenantBudget, extra int) {
+	for extra > 0 {
+		eligible, laps := 0, extra
+		for i := range order {
+			if r := order[i].room; r > 0 {
+				eligible++
+				laps = min(laps, r)
+			}
+		}
+		if eligible == 0 {
+			return
+		}
+		// At least one: when extra < eligible this is the partial lap, which
+		// runs extra out and ends the loop.
+		laps = max(min(laps, extra/eligible), 1)
+		for i := range order {
+			if tb := &order[i]; tb.room > 0 {
+				give := min(laps, extra)
+				tb.budget += give
+				tb.room -= give
+				extra -= give
 			}
 		}
 	}
-	// Top up stranded capacity (floor rounding) one slot at a time, most
-	// under-served tenant first, demand- and quota-guarded.
-	for extra := view.FreeExecutors - sum; extra > 0; {
-		progress := false
-		for _, tb := range order {
-			if extra == 0 {
-				break
-			}
-			if tb.budget >= tb.pending {
-				continue
-			}
-			if tb.quota > 0 && tb.running+tb.budget >= tb.quota {
-				continue
-			}
-			tb.budget++
-			extra--
-			progress = true
-		}
-		if !progress {
-			break
-		}
+}
+
+// underServed is the serve order: lower running/deserved ratio first,
+// tenant name breaking ties.
+func underServed(a, b *tenantBudget) bool {
+	if a.ratio != b.ratio {
+		return a.ratio < b.ratio
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].ratio != order[j].ratio {
-			return order[i].ratio < order[j].ratio
-		}
-		return order[i].name < order[j].name
-	})
-	grants := make([]Grant, 0, len(items))
-	for _, tb := range order {
+	return a.name < b.name
+}
+
+// placeGrants walks the serve plan — tenants in order, each tenant's
+// launchable items in queue order until its budget is spent — and returns
+// how many grants it makes, writing them to out when out is non-nil. A
+// tenant with no budget or nothing queued is skipped before the queue is
+// touched.
+func placeGrants(order []tenantBudget, items []Item, out []Grant) int {
+	n := 0
+	for i := range order {
+		tb := &order[i]
 		rem := tb.budget
-		if rem <= 0 {
+		if rem <= 0 || tb.queued == 0 {
 			continue
 		}
-		for _, it := range items {
-			if it.Tenant != tb.name || it.Pending <= 0 {
+		for j := range items {
+			it := &items[j]
+			if it.Pending <= 0 || it.Tenant != tb.name {
 				continue
 			}
-			grants = append(grants, Grant{Index: it.Index, Cap: rem})
-			take := it.Pending
-			if take > rem {
-				take = rem
+			if out != nil {
+				out[n] = Grant{Index: it.Index, Cap: rem}
 			}
-			rem -= take
+			n++
+			rem -= min(it.Pending, rem)
 			if rem <= 0 {
 				break
 			}
 		}
 	}
-	return grants
+	return n
 }
 
 // Preempt implements Policy: when some tenant with queued work sits below
@@ -265,25 +331,19 @@ func (f *FairShare) JobOrder(items []Item, view View) []Grant {
 // Among eligible gangs the smallest goes first (cheapest reclaim), newest
 // job breaking ties, so long-running work is disturbed last.
 func (f *FairShare) Preempt(items []Item, gangs []Gang, view View) []Victim {
-	shares := f.Proportion(view)
-	if len(shares) == 0 {
+	n := len(view.Tenants)
+	if n == 0 {
 		return nil
 	}
-	hasItem := make(map[string]bool, len(shares))
-	for _, it := range items {
-		if it.Pending > 0 {
-			hasItem[it.Tenant] = true
-		}
-	}
+	var sbuf [smallRound]Share
+	shares := f.proportion(view, sized(sbuf[:], n))
 	starved := false
-	for _, s := range shares {
-		if !hasItem[s.Tenant] {
-			continue
-		}
+	for i := range shares {
+		s := &shares[i]
 		if s.Quota > 0 && s.Running >= s.Quota {
 			continue
 		}
-		if s.Running == 0 || floorShare(s.Deserved)-s.Running > 0 {
+		if (s.Running == 0 || floorShare(s.Deserved)-s.Running > 0) && hasLaunchable(items, &view.Tenants[i]) {
 			starved = true
 			break
 		}

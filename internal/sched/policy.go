@@ -46,6 +46,12 @@ type Gang struct {
 // TenantUsage is one tenant's point-in-time resource footprint: running
 // and pending task counts over its live jobs, plus how many of its
 // graphlet requests wait in the scheduler queue.
+//
+// Queued is never less than the number of the tenant's items with
+// Pending > 0 in the same round (it may be more: stale entries count until
+// the controller retires them). FairShare leans on exactly that — a tenant
+// with Queued == 0 has nothing launchable, so the queue is not scanned for
+// it — and core.CheckInvariants recounts it.
 type TenantUsage struct {
 	Tenant  string
 	Running int
@@ -94,8 +100,8 @@ type Victim struct {
 // map-keyed state is iterated collect-then-sort.
 //
 // The items, gangs and View.Tenants slices a method receives are views
-// into the controller's own scratch, rebuilt in place for the next
-// scheduling round. A policy reads them during the call and must neither
+// into the controller's own scratch, rebuilt or patched in place for the
+// next scheduling round. A policy reads them during the call and must neither
 // retain nor modify them; anything it wants to keep, it copies. Returned
 // slices are the policy's to allocate and the controller's to read until
 // its next call.

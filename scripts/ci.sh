@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Repository gate: gofmt, vet, swiftvet (the project's own static
 # analyzers — see DESIGN.md "Static analysis"), race-test everything,
-# run the fixed-seed chaos soak (deterministic fault schedules + scheduler
-# invariant auditor), the seeded smokes (trace determinism, fair share,
-# replicated shuffle, shuffle recovery, serial-vs-parallel sweep hashes
+# run the allocation guards without the race detector (every
+# testing.AllocsPerRun budget skips itself under -race, so the race run
+# alone enforces none of them), run the fixed-seed chaos soak
+# (deterministic fault schedules + scheduler invariant auditor), the
+# seeded smokes (trace determinism, fair share, replicated shuffle,
+# shuffle recovery, serial-vs-parallel sweep hashes
 # against the pinned table, swiftd overload end to end), run the examples
 # (they self-verify), build the fuzz targets so they cannot rot, hold the
 # import gates (internal/rpc on the standard library alone, no gob outside
@@ -62,6 +65,12 @@ grep -q 'analyzing the full tree' "$TRACE_TMP/stale.err"
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== allocation guards (non-race: the AllocsPerRun budgets skip themselves under -race)"
+# TestSaturatedRoundTripAllocs, TestFairRoundTripAllocs, TestFairShareRoundAllocs,
+# TestQueueAllocs, TestAllocateSizedToSupply, TestDeadlineHeapDoesNotAllocate,
+# TestWireAllocationBudgets — and whatever else is named for what it allocates.
+go test -count=1 -run 'Alloc|SizedToSupply' ./internal/...
 
 echo "== chaos soak ($SEEDS seeds, incl. thundering-herd admission storm + fair-share policy)"
 go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd|TestFairShareSoak' \
