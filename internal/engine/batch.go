@@ -23,11 +23,12 @@ type Batch struct {
 	Len  int // row count; every column holds exactly Len values
 	// Sel is the batch's selection vector: when non-nil, the batch is a
 	// lazy view over its columns' physical vectors and logical row j lives
-	// at physical row Sel[j] (Len == len(Sel)). FilterBatch produces these
-	// views so a filter costs one index vector instead of a full gather;
-	// the batch kernels consume them in place and Materialize (or any
-	// emit/codec boundary) densifies. A nil Sel is the dense case: logical
-	// and physical rows coincide.
+	// at physical row Sel[j] (Len == len(Sel)). FilterBatch and the
+	// partitioners produce these views, so a filter or a shuffle write costs
+	// one index vector instead of a copy of every column; the kernels, the
+	// store and ConcatBatches consume them in place, and Materialize or the
+	// codec densifies. A nil Sel is the dense case: logical and physical
+	// rows coincide.
 	Sel []int32
 }
 
@@ -43,13 +44,6 @@ const (
 	TString
 	TBool
 	TAny
-	// TDict is a dictionary-encoded string column: Codes[i] indexes Dict.
-	// Value-wise it is indistinguishable from a TString column (hashes,
-	// comparisons and boxed reads all see the dictionary strings), but a
-	// low-cardinality column encodes as the dictionary plus bit-packed
-	// codes instead of one length-prefixed string per row. DictifyBatch
-	// builds these at encode-side boundaries when the coding pays.
-	TDict
 )
 
 func (t ColType) String() string {
@@ -64,8 +58,6 @@ func (t ColType) String() string {
 		return "bool"
 	case TAny:
 		return "any"
-	case TDict:
-		return "dict"
 	}
 	return fmt.Sprintf("ColType(%d)", uint8(t))
 }
@@ -81,11 +73,6 @@ type Column struct {
 	Strs   []string
 	Bools  []bool
 	Anys   []Value
-	// TDict payload: row i holds the string Dict[Codes[i]]. NULL slots
-	// carry a valid (zeroth-entry) code, exactly as NULL TString slots
-	// carry ""; the bitmap stays authoritative.
-	Dict  []string
-	Codes []uint32
 }
 
 // Typed column constructors (null-free).
@@ -101,13 +88,6 @@ func StringCol(vals []string) Column { return Column{Type: TString, Strs: vals} 
 
 // BoolCol wraps vals as a TBool column.
 func BoolCol(vals []bool) Column { return Column{Type: TBool, Bools: vals} }
-
-// DictCol wraps a dictionary and code vector as a TDict column. Every code
-// must index dict; DictifyBatch is the checked builder for arbitrary
-// string columns.
-func DictCol(dict []string, codes []uint32) Column {
-	return Column{Type: TDict, Dict: dict, Codes: codes}
-}
 
 func bitGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -154,18 +134,8 @@ func (c *Column) Value(i int) Value {
 		return c.Bools[i]
 	case TAny:
 		return c.Anys[i]
-	case TDict:
-		return c.Dict[c.Codes[i]]
 	}
 	return c.Anys[i]
-}
-
-// strAt reads the string at row i of a TString or TDict column.
-func (c *Column) strAt(i int) string {
-	if c.Type == TDict {
-		return c.Dict[c.Codes[i]]
-	}
-	return c.Strs[i]
 }
 
 // length returns the column's value count.
@@ -181,8 +151,6 @@ func (c *Column) length() int {
 		return len(c.Bools)
 	case TAny:
 		return len(c.Anys)
-	case TDict:
-		return len(c.Codes)
 	}
 	return len(c.Anys)
 }
@@ -286,21 +254,7 @@ func columnFromRows(rows []Row, c int) Column {
 		t = TInt64 // all-NULL column: values are irrelevant, pick the cheapest
 	}
 	n := len(rows)
-	col := Column{Type: t}
-	switch t {
-	case TInt64:
-		col.Ints = make([]int64, n)
-	case TFloat64:
-		col.Floats = make([]float64, n)
-	case TString:
-		col.Strs = make([]string, n)
-	case TBool:
-		col.Bools = make([]bool, n)
-	case TAny:
-		col.Anys = make([]Value, n)
-	case TDict:
-		panic("engine: rows never infer dictionary columns")
-	}
+	col := newCol(t, n)
 	for i, r := range rows {
 		if c >= len(r) || r[c] == nil {
 			col.setNull(i, n)
@@ -317,8 +271,6 @@ func columnFromRows(rows []Row, c int) Column {
 			col.Bools[i] = r[c].(bool)
 		case TAny:
 			col.Anys[i] = r[c]
-		case TDict:
-			panic("engine: rows never infer dictionary columns")
 		}
 	}
 	return col
@@ -379,8 +331,8 @@ func (b *Batch) WithCol(col Column) *Batch {
 
 // Gather returns a new dense batch holding the physical rows sel (in that
 // order). Each column dispatches on its type once and copies with a typed
-// loop — the shared kernel behind batch filter, sort and join
-// materialisation. Indices address the column vectors directly; callers
+// loop — the shared kernel behind sort, top-k, join and aggregate output
+// and Materialize. Indices address the column vectors directly; callers
 // composing over a selection view map logical indices through Sel first.
 func (b *Batch) Gather(sel []int32) *Batch {
 	out := &Batch{Cols: make([]Column, len(b.Cols)), Len: len(sel)}
@@ -391,72 +343,81 @@ func (b *Batch) Gather(sel []int32) *Batch {
 }
 
 func gatherCol(src *Column, sel []int32) Column {
-	n := len(sel)
-	out := Column{Type: src.Type}
-	switch src.Type {
-	case TInt64:
-		out.Ints = make([]int64, n)
-		for i, s := range sel {
-			out.Ints[i] = src.Ints[s]
-		}
-	case TFloat64:
-		out.Floats = make([]float64, n)
-		for i, s := range sel {
-			out.Floats[i] = src.Floats[s]
-		}
-	case TString:
-		out.Strs = make([]string, n)
-		for i, s := range sel {
-			out.Strs[i] = src.Strs[s]
-		}
-	case TBool:
-		out.Bools = make([]bool, n)
-		for i, s := range sel {
-			out.Bools[i] = src.Bools[s]
-		}
-	case TAny:
-		out.Anys = make([]Value, n)
-		for i, s := range sel {
-			out.Anys[i] = src.Anys[s]
-		}
-	case TDict:
-		out.Dict = src.Dict
-		out.Codes = make([]uint32, n)
-		for i, s := range sel {
-			out.Codes[i] = src.Codes[s]
-		}
-	}
-	if src.Nulls != nil {
-		for i, s := range sel {
-			if bitGet(src.Nulls, int(s)) {
-				out.setNull(i, n)
-			}
-		}
-	}
+	out := newCol(src.Type, len(sel))
+	putRows(&out, 0, src, sel, len(sel))
 	return out
 }
 
-// ConcatBatches concatenates runs into one batch. Columns with matching
-// types append typed; dictionary runs widen back to plain strings
-// (different runs carry different dictionaries) and genuinely mismatched
-// types degrade that column to TAny, preserving each value's boxed kind.
-// Runs with rows must agree on column count; selection views materialise.
-// Zero-row runs contribute nothing but their column count: when no run has
-// rows the result is a zero-row batch as wide as the widest run, so an
-// empty shuffle edge still reads with its producer's layout.
-func ConcatBatches(runs []*Batch) *Batch {
-	for _, r := range runs {
-		if r != nil && r.Sel != nil {
-			// Densify lazily-filtered runs on a copy of the slice, so the
-			// caller's runs are left untouched.
-			dense := make([]*Batch, len(runs))
-			for i, rr := range runs {
-				dense[i] = rr.Materialize()
-			}
-			runs = dense
-			break
+// newCol returns an n-row column of type t holding zero values.
+func newCol(t ColType, n int) Column {
+	c := Column{Type: t}
+	switch t {
+	case TInt64:
+		c.Ints = make([]int64, n)
+	case TFloat64:
+		c.Floats = make([]float64, n)
+	case TString:
+		c.Strs = make([]string, n)
+	case TBool:
+		c.Bools = make([]bool, n)
+	case TAny:
+		c.Anys = make([]Value, n)
+	}
+	return c
+}
+
+// putRows copies n rows of src — the physical rows sel, or the first n when
+// sel is nil — into dst from row off on, NULL bits included. dst has src's
+// type and is fully allocated.
+func putRows(dst *Column, off int, src *Column, sel []int32, n int) {
+	switch src.Type {
+	case TInt64:
+		put(dst.Ints[off:], src.Ints, sel)
+	case TFloat64:
+		put(dst.Floats[off:], src.Floats, sel)
+	case TString:
+		put(dst.Strs[off:], src.Strs, sel)
+	case TBool:
+		put(dst.Bools[off:], src.Bools, sel)
+	case TAny:
+		put(dst.Anys[off:], src.Anys, sel)
+	}
+	if src.Nulls == nil {
+		return
+	}
+	rows := dst.length()
+	for j := 0; j < n; j++ {
+		p := j
+		if sel != nil {
+			p = int(sel[j])
+		}
+		if bitGet(src.Nulls, p) {
+			dst.setNull(off+j, rows)
 		}
 	}
+}
+
+// put writes src[sel[0]], src[sel[1]], … to dst, or copies src when sel is
+// nil.
+func put[T any](dst, src []T, sel []int32) {
+	if sel == nil {
+		copy(dst, src)
+		return
+	}
+	for j, s := range sel {
+		dst[j] = src[s]
+	}
+}
+
+// ConcatBatches concatenates runs into one dense batch — the consumer's one
+// copy of shuffled rows: each run, dense or a selection view, is gathered
+// straight into the output. Columns with matching types copy typed;
+// genuinely mismatched types degrade that column to TAny, preserving each
+// value's boxed kind. Runs with rows must agree on column count. Zero-row
+// runs contribute nothing but their column count: when no run has rows the
+// result is a zero-row batch as wide as the widest run, so an empty shuffle
+// edge still reads with its producer's layout.
+func ConcatBatches(runs []*Batch) *Batch {
 	total, ncols, emptyCols := 0, -1, 0
 	for _, r := range runs {
 		if r == nil || r.Len == 0 {
@@ -490,18 +451,12 @@ func concatCol(runs []*Batch, c, total int) Column {
 			continue
 		}
 		rt := r.Cols[c].Type
-		if rt == TDict {
-			// Dictionary runs widen to plain strings: each run carries its
-			// own dictionary, and re-dictionarisation happens (when it
-			// pays) at the next encode boundary.
-			rt = TString
-		}
 		if !typed {
 			t, typed = rt, true
 		} else if rt != t {
 			// Mixed types across runs: an all-NULL run infers TInt64 and can
 			// merge into anything; genuine kind mixes degrade to TAny.
-			if allNull(&r.Cols[c], r.Len) {
+			if allNull(r, c) {
 				continue
 			}
 			if allNullSoFar(runs, c, r) {
@@ -512,80 +467,30 @@ func concatCol(runs []*Batch, c, total int) Column {
 			break
 		}
 	}
-	out := Column{Type: t}
-	switch t {
-	case TInt64:
-		out.Ints = make([]int64, 0, total)
-	case TFloat64:
-		out.Floats = make([]float64, 0, total)
-	case TString:
-		out.Strs = make([]string, 0, total)
-	case TBool:
-		out.Bools = make([]bool, 0, total)
-	case TAny:
-		out.Anys = make([]Value, 0, total)
-	case TDict:
-		// never the merged type: dictionary runs widen to TString above
-	}
+	out := newCol(t, total)
 	off := 0
 	for _, r := range runs {
 		if r == nil || r.Len == 0 {
 			continue
 		}
 		src := &r.Cols[c]
-		if (src.Type == t || (src.Type == TDict && t == TString)) && t != TAny {
-			switch t {
-			case TInt64:
-				out.Ints = append(out.Ints, src.Ints...)
-			case TFloat64:
-				out.Floats = append(out.Floats, src.Floats...)
-			case TString:
-				if src.Type == TDict {
-					for _, code := range src.Codes {
-						out.Strs = append(out.Strs, src.Dict[code])
-					}
-				} else {
-					out.Strs = append(out.Strs, src.Strs...)
-				}
-			case TBool:
-				out.Bools = append(out.Bools, src.Bools...)
-			case TAny, TDict:
-				// TAny is excluded by the t != TAny guard on this branch;
-				// TDict never survives the type merge above.
-			}
-			if src.Nulls != nil {
-				for i := 0; i < r.Len; i++ {
-					if bitGet(src.Nulls, i) {
-						out.setNull(off+i, total)
-					}
-				}
-			}
-		} else {
-			// Slow lane: type differs from the merged type (all-NULL run, or
-			// the merged type is TAny) — box through Value.
-			for i := 0; i < r.Len; i++ {
-				v := src.Value(i)
-				switch t {
-				case TInt64:
-					out.Ints = append(out.Ints, 0)
-				case TFloat64:
-					out.Floats = append(out.Floats, 0)
-				case TString:
-					out.Strs = append(out.Strs, "")
-				case TBool:
-					out.Bools = append(out.Bools, false)
-				case TAny:
-					out.Anys = append(out.Anys, v)
-				case TDict:
-					// never the merged type: dictionary runs widen to TString
-				}
-				if v == nil {
-					out.setNull(off+i, total)
-				} else if t != TAny {
-					// Non-nil value of a different kind forced into a typed
-					// column can only happen for TAny targets, handled above.
-					panic("engine: concat type drift")
-				}
+		if src.Type == t {
+			putRows(&out, off, src, r.Sel, r.Len)
+			off += r.Len
+			continue
+		}
+		// Slow lane: the run's type differs from the merged type (an
+		// all-NULL run, or the merged type is TAny) — box through Value.
+		for j := 0; j < r.Len; j++ {
+			switch v := src.Value(r.physical(j)); {
+			case v == nil:
+				out.setNull(off+j, total)
+			case t == TAny:
+				out.Anys[off+j] = v
+			default:
+				// A non-NULL value of another kind only ever lands in a TAny
+				// column.
+				panic("engine: concat type drift")
 			}
 		}
 		off += r.Len
@@ -593,12 +498,14 @@ func concatCol(runs []*Batch, c, total int) Column {
 	return out
 }
 
-func allNull(c *Column, n int) bool {
-	if c.Nulls == nil {
-		return n == 0
+// allNull reports whether every logical row of run r's column c is NULL.
+func allNull(r *Batch, c int) bool {
+	nulls := r.Cols[c].Nulls
+	if nulls == nil {
+		return r.Len == 0
 	}
-	for i := 0; i < n; i++ {
-		if !bitGet(c.Nulls, i) {
+	for j := 0; j < r.Len; j++ {
+		if !bitGet(nulls, r.physical(j)) {
 			return false
 		}
 	}
@@ -615,7 +522,7 @@ func allNullSoFar(runs []*Batch, c int, until *Batch) bool {
 		if r == nil || r.Len == 0 {
 			continue
 		}
-		if !allNull(&r.Cols[c], r.Len) {
+		if !allNull(r, c) {
 			return false
 		}
 	}

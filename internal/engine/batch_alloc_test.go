@@ -6,10 +6,11 @@ import (
 )
 
 // Allocation regression guards: the batch kernels' costs must stay
-// O(columns), never O(rows). Bounds are deliberately a little loose so a
-// runtime version bump doesn't trip them, but an accidental per-row
-// allocation (boxing a cell, growing a slice per element) blows straight
-// through.
+// O(columns), never O(rows) — and for the partitioner, the join and the
+// aggregate, never O(partitions) or O(distinct keys) either. Bounds are
+// deliberately a little loose so a runtime version bump doesn't trip them,
+// but an accidental per-row allocation (boxing a cell, growing a slice per
+// element) blows straight through.
 
 // skipUnderRace skips allocation-count assertions when the race detector
 // is on: its instrumentation allocates, making AllocsPerRun overcount.
@@ -51,15 +52,84 @@ func TestFilterBatchAllocs(t *testing.T) {
 func TestPartitionBatchByKeyAllocs(t *testing.T) {
 	skipUnderRace(t)
 	b := typedBatch(4096)
-	const parts = 8
-	allocs := testing.AllocsPerRun(20, func() {
-		PartitionBatchByKey(b, []int{0, 2}, parts)
-	})
-	// hash/pidx/count scratch plus, per partition, a batch header and one
-	// exact-size vector per column — independent of row count.
-	limit := float64(8 + parts*(3+b.NumCols()))
-	if allocs > limit {
-		t.Errorf("PartitionBatchByKey allocs = %.0f, want ≤ %.0f", allocs, limit)
+	inputs := []struct {
+		name string
+		b    *Batch
+	}{
+		{"1 column", b.Project([]int{0})},
+		{"4 columns", b},
+		{"12 columns", b.Project([]int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3})},
+		{"view", FilterBatch(b, func(i int) bool { return i%3 != 0 })},
+	}
+	for _, in := range inputs {
+		for _, parts := range []int{2, 8, 64} {
+			allocs := testing.AllocsPerRun(20, func() {
+				PartitionBatchByKey(in.b, []int{0}, parts)
+			})
+			// Partition indexes, partition bounds, one selection carved into
+			// every partition, the view headers and the slice of them: the
+			// partitions are views, so neither the column count nor the
+			// partition count (nor the row count) shows.
+			if allocs > 5 {
+				t.Errorf("%s, %d parts: PartitionBatchByKey allocs = %.0f, want ≤ 5", in.name, parts, allocs)
+			}
+		}
+	}
+}
+
+// keyedBatch is an n-row null-free batch of (int64 key in [0, domain),
+// float64, string).
+func keyedBatch(n, domain int, seed int64) *Batch {
+	r := rand.New(rand.NewSource(seed))
+	keys := make([]int64, n)
+	floats := make([]float64, n)
+	strs := make([]string, n)
+	for i := range keys {
+		keys[i] = int64(r.Intn(domain))
+		floats[i] = float64(r.Intn(1000)) / 8
+		strs[i] = string(rune('a' + r.Intn(26)))
+	}
+	return NewBatch(Int64Col(keys), Float64Col(floats), StringCol(strs))
+}
+
+// shapes are the row counts and key domains the join and aggregate guards
+// sweep: their budgets must hold across all of them.
+var shapes = []struct{ rows, domain int }{{256, 4}, {256, 256}, {8192, 4}, {8192, 8192}}
+
+func TestHashJoinBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for _, sh := range shapes {
+		// About one build row per key, so the join emits about one row per
+		// probe row whatever the domain.
+		build := keyedBatch(sh.domain, sh.domain, 1)
+		probe := keyedBatch(sh.rows, sh.domain, 2)
+		allocs := testing.AllocsPerRun(10, func() {
+			HashJoinBatch(build, []int{0}, probe, []int{0})
+		})
+		// Two hash vectors, the chain heads and links, the compiled key
+		// test (two), two match index arrays, the output batch and its
+		// columns, and one gathered vector per output column: 16 today.
+		if allocs > 18 {
+			t.Errorf("%d probe rows, %d keys: HashJoinBatch allocs = %.0f, want ≤ 18", sh.rows, sh.domain, allocs)
+		}
+	}
+}
+
+func TestHashAggregateBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
+	aggs := []Agg{{AggSum, 1}, {AggCount, 0}, {AggMin, 2}}
+	for _, sh := range shapes {
+		b := keyedBatch(sh.rows, sh.domain, 3)
+		allocs := testing.AllocsPerRun(10, func() {
+			HashAggregateBatch(b, []int{0}, aggs)
+		})
+		// Hashes, the compiled key test, the group table, group
+		// representatives and ids, the unsorted output (batch, columns, one
+		// key vector, two vectors per sum/min and one per count), then the
+		// sort's key list, index vector and gathered output: 21 today.
+		if allocs > 23 {
+			t.Errorf("%d rows, %d keys: HashAggregateBatch allocs = %.0f, want ≤ 23", sh.rows, sh.domain, allocs)
+		}
 	}
 }
 

@@ -117,32 +117,6 @@ func BenchmarkBatchCodecDecode(b *testing.B) {
 	b.SetBytes(int64(len(enc)))
 }
 
-func BenchmarkBatchCodecDecodeDict(b *testing.B) {
-	// Low key domain so the string column dictifies (the shuffle-boundary
-	// shape DictifyBatch targets).
-	enc := EncodeBatch(DictifyBatch(BatchFromRows(benchRows(8000, 50, 10))))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := DecodeBatch(enc)
-		if err != nil || out.Len != 8000 {
-			b.Fatal("bad decode")
-		}
-	}
-	b.SetBytes(int64(len(enc)))
-}
-
-func BenchmarkDictifyBatch(b *testing.B) {
-	batch := BatchFromRows(benchRows(8000, 50, 12))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := DictifyBatch(batch); out == batch {
-			b.Fatal("did not dictify")
-		}
-	}
-}
-
 // BenchmarkBatchFilterChain measures a filter flowing into downstream
 // kernels — the case selection vectors exist for: the lazy view feeds
 // hashing/aggregation directly instead of gathering half the batch first.

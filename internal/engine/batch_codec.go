@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Column codec: the wire format shuffle segments travel in (internal/rpc
@@ -20,9 +19,6 @@ import (
 //	    TString:           per value uvarint length + bytes
 //	    TBool:             ceil(rows/8) packed bytes
 //	    TAny:              per value 1 kind byte + payload (see anyKind*)
-//	    TDict:             uvarint dict size, per entry uvarint length +
-//	                       bytes, then rows × dictBits(size) code bits
-//	                       packed LSB-first
 //
 // Typed vectors are length-prefixed by the header's row count — no gob, no
 // interface registration, no per-cell reflection. NULL slots encode their
@@ -31,7 +27,8 @@ import (
 // Decoding copies each column's string region out of the input as a single
 // slab and slices the individual values from it, so the input buffer may be
 // reused while decoded strings stay alive together. Selection vectors never
-// travel: encoding materializes a lazy batch first.
+// travel: encoding materializes a lazy batch first, and EncodedBatchSize
+// counts a view's logical rows without materializing it.
 
 // TAny per-value kind bytes.
 const (
@@ -46,62 +43,61 @@ const (
 	anyKindOther = 5
 )
 
-// maxCountOnlyRows caps the decoded row count whenever the payload length
-// cannot bound it: column-less (count-only) batches, which carry no per-row
-// bytes at all, and batches whose columns may cost under a bit per row
-// (single-entry dictionaries pack rows at zero code bits).
+// maxCountOnlyRows caps the decoded row count of a column-less
+// (count-only) batch, whose payload carries no per-row bytes to bound it.
 const maxCountOnlyRows = 1 << 20
 
-// dictBits returns the packed code width for a dictionary of n entries:
-// enough bits to address every entry, zero when one entry (or none) makes
-// every code trivially 0.
-func dictBits(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// EncodedBatchSize returns the exact byte length AppendBatch would produce
-// — the shared size helper behind Store.PutBatch accounting.
+// EncodedBatchSize returns the exact byte length EncodeBatch would produce
+// — the shared size helper behind Store.PutBatch accounting. A selection
+// view is sized as its dense encoding without being materialized: strings,
+// TAny values and the has-nulls byte are counted over the selected rows.
 func EncodedBatchSize(b *Batch) int {
-	b = b.Materialize()
 	if b == nil {
 		return uvarintLen(0) + uvarintLen(0)
 	}
 	n := uvarintLen(uint64(b.Len)) + uvarintLen(uint64(len(b.Cols)))
 	for c := range b.Cols {
-		n += encodedColSize(&b.Cols[c], b.Len)
+		n += b.encodedColSize(&b.Cols[c])
 	}
 	return n
 }
 
-func encodedColSize(c *Column, rows int) int {
+func (b *Batch) encodedColSize(c *Column) int {
 	n := 2 // type + hasNulls
-	if c.hasNulls() {
-		n += bitmapWords(rows) * 8
+	if b.colHasNulls(c) {
+		n += bitmapWords(b.Len) * 8
 	}
 	switch c.Type {
 	case TInt64, TFloat64:
-		n += rows * 8
+		n += b.Len * 8
 	case TString:
-		for _, s := range c.Strs {
+		for j := 0; j < b.Len; j++ {
+			s := c.Strs[b.physical(j)]
 			n += uvarintLen(uint64(len(s))) + len(s)
 		}
 	case TBool:
-		n += (rows + 7) / 8
+		n += (b.Len + 7) / 8
 	case TAny:
-		for i := range c.Anys {
-			n += 1 + anyValueSize(c.Anys[i])
+		for j := 0; j < b.Len; j++ {
+			n += 1 + anyValueSize(c.Anys[b.physical(j)])
 		}
-	case TDict:
-		n += uvarintLen(uint64(len(c.Dict)))
-		for _, s := range c.Dict {
-			n += uvarintLen(uint64(len(s))) + len(s)
-		}
-		n += (len(c.Codes)*dictBits(len(c.Dict)) + 7) / 8
 	}
 	return n
+}
+
+// colHasNulls reports what the encoding's has-nulls byte records for
+// column c of b: whether any selected row is NULL (any bitmap word is set,
+// for a dense batch).
+func (b *Batch) colHasNulls(c *Column) bool {
+	if b.Sel == nil || c.Nulls == nil {
+		return c.hasNulls()
+	}
+	for _, s := range b.Sel {
+		if bitGet(c.Nulls, int(s)) {
+			return true
+		}
+	}
+	return false
 }
 
 func anyValueSize(v Value) int {
@@ -131,7 +127,6 @@ func uvarintLen(v uint64) int {
 
 // EncodeBatch encodes the batch into a fresh exact-size buffer.
 func EncodeBatch(b *Batch) []byte {
-	b = b.Materialize()
 	return AppendBatch(make([]byte, 0, EncodedBatchSize(b)), b)
 }
 
@@ -193,13 +188,6 @@ func appendCol(dst []byte, c *Column, rows int) []byte {
 		for _, v := range c.Anys {
 			dst = appendAnyValue(dst, v)
 		}
-	case TDict:
-		dst = binary.AppendUvarint(dst, uint64(len(c.Dict)))
-		for _, s := range c.Dict {
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-		dst = appendPackedCodes(dst, c.Codes, dictBits(len(c.Dict)))
 	}
 	return dst
 }
@@ -229,62 +217,6 @@ func appendAnyValue(dst []byte, v Value) []byte {
 		dst = append(dst, anyKindOther)
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...)
-	}
-}
-
-// appendPackedCodes packs each code into w bits, LSB-first across bytes.
-// Codes are masked to w bits, so padding bits in the final byte are always
-// zero — the canonical form the fuzz fixpoint relies on.
-func appendPackedCodes(dst []byte, codes []uint32, w int) []byte {
-	if w == 0 {
-		return dst
-	}
-	nb := (len(codes)*w + 7) / 8
-	start := len(dst)
-	dst = append(dst, make([]byte, nb)...)
-	mask := uint32(1)<<uint(w) - 1
-	bit := 0
-	for _, code := range codes {
-		v := code & mask
-		rem := w
-		for rem > 0 {
-			sh := uint(bit % 8)
-			took := 8 - int(sh)
-			if took > rem {
-				took = rem
-			}
-			dst[start+bit/8] |= byte(v << sh)
-			v >>= uint(took)
-			bit += took
-			rem -= took
-		}
-	}
-	return dst
-}
-
-// unpackCodes reads len(codes) w-bit values from raw, LSB-first.
-func unpackCodes(codes []uint32, raw []byte, w int) {
-	if w == 0 {
-		for i := range codes {
-			codes[i] = 0
-		}
-		return
-	}
-	bit := 0
-	for i := range codes {
-		var v uint32
-		got := 0
-		for got < w {
-			sh := uint(bit % 8)
-			took := 8 - int(sh)
-			if took > w-got {
-				took = w - got
-			}
-			v |= uint32((raw[bit/8]>>sh)&byte(uint(1)<<uint(took)-1)) << uint(got)
-			bit += took
-			got += took
-		}
-		codes[i] = v
 	}
 }
 
@@ -340,16 +272,14 @@ func DecodeBatch(data []byte) (*Batch, error) {
 		return nil, err
 	}
 	// A column costs ≥2 bytes, which bounds the column count by the payload
-	// length before any allocation happens. Most column types cost ≥1 bit
-	// per row, bounding rows by 8× the payload — but dictionary columns
-	// pack rows at dictBits(size) bits, which is zero for a single-entry
-	// dictionary, so row counts up to the fixed maxCountOnlyRows cap are
-	// admitted regardless of payload length. Column-less (count-only)
-	// batches carry no per-row bytes either and get the same cap.
+	// length before any allocation happens, and every column type costs ≥1
+	// bit per row, bounding rows by 8× the payload. Column-less (count-only)
+	// batches carry no per-row bytes, so row counts up to the fixed
+	// maxCountOnlyRows cap are admitted regardless of payload length.
 	if cols64 > uint64(len(data)) {
 		return nil, fmt.Errorf("engine: batch codec: %d columns in %d bytes", cols64, len(data))
 	}
-	if rows64 > 8*uint64(len(data)) && rows64 > maxCountOnlyRows {
+	if rows64 > 8*uint64(len(data)) && (cols64 > 0 || rows64 > maxCountOnlyRows) {
 		return nil, fmt.Errorf("engine: batch codec: %d rows in %d bytes", rows64, len(data))
 	}
 	b := &Batch{Len: int(rows64), Cols: make([]Column, int(cols64))}
@@ -398,7 +328,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 	if err != nil {
 		return err
 	}
-	if tb > byte(TDict) {
+	if tb > byte(TAny) {
 		return fmt.Errorf("engine: batch codec: unknown column type %d", tb)
 	}
 	c.Type = ColType(tb)
@@ -466,35 +396,6 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 				return err
 			}
 			c.Anys[i] = v
-		}
-	case TDict:
-		size64, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		// Each dictionary entry costs at least its length prefix.
-		if size64 > uint64(d.remaining()) {
-			return fmt.Errorf("engine: batch codec: dictionary of %d entries in %d bytes", size64, d.remaining())
-		}
-		if size64 == 0 && rows > 0 {
-			return fmt.Errorf("engine: batch codec: %d dictionary rows with empty dictionary", rows)
-		}
-		size := int(size64)
-		c.Dict, err = d.stringRegion(size)
-		if err != nil {
-			return err
-		}
-		w := dictBits(size)
-		raw, err := d.bytes((rows*w + 7) / 8)
-		if err != nil {
-			return err
-		}
-		c.Codes = make([]uint32, rows)
-		unpackCodes(c.Codes, raw, w)
-		for _, code := range c.Codes {
-			if code >= uint32(size) {
-				return fmt.Errorf("engine: batch codec: dictionary code %d out of range %d", code, size)
-			}
 		}
 	}
 	return nil

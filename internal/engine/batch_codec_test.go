@@ -6,17 +6,15 @@ import (
 )
 
 // batchesEqual compares semantically: same shape, types, and per-cell
-// value/nullness (bitmap storage may differ, e.g. nil vs all-zero words).
-// TString and TDict are the same logical type — two representations of a
-// string column — so they compare equal cell-by-cell.
+// value/nullness (bitmap storage may differ, e.g. nil vs all-zero words,
+// and either side may be a selection view).
 func batchesEqual(t *testing.T, what string, got, want *Batch) {
 	t.Helper()
 	if got.Len != want.Len || got.NumCols() != want.NumCols() {
 		t.Fatalf("%s: %dx%d, want %dx%d", what, got.Len, got.NumCols(), want.Len, want.NumCols())
 	}
-	isStr := func(ct ColType) bool { return ct == TString || ct == TDict }
 	for c := range want.Cols {
-		if gt, wt := got.Cols[c].Type, want.Cols[c].Type; gt != wt && !(isStr(gt) && isStr(wt)) {
+		if gt, wt := got.Cols[c].Type, want.Cols[c].Type; gt != wt {
 			t.Fatalf("%s: col %d type %v, want %v", what, c, gt, wt)
 		}
 		for i := 0; i < want.Len; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -12,19 +13,17 @@ import (
 // batch_test.go, and accepts a zero-row batch of any width (see Batch).
 //
 // Kernels consume lazy (selection-vector) batches directly: logical row j
-// reads physical row Sel[j], so a filter's output flows into hashing,
-// sorting, joining, aggregation and partitioning without materializing.
-// Dictionary columns (TDict) take the same typed lanes as plain strings and
-// hash bit-identically to them.
+// reads physical row Sel[j], so a filter's or a partitioner's output flows
+// into hashing, sorting, joining, aggregation and partitioning without
+// materializing.
 
 // ---- hashing ----
 
 // HashBatchInto computes the partition-stable key hash of every row of the
 // batch into dst (len(dst) == b.Len, the logical length), column-at-a-time.
 // The result is bit-identical to the row-at-a-time definition the tests
-// keep (Hash in oracle_test.go) on the materialised rows — dictionary
-// columns hash their dictionary strings — so plain and dictified segments
-// co-partition.
+// keep (Hash in oracle_test.go) on the materialised rows, so dense, view
+// and kind-mixed segments co-partition.
 //
 //lint:hotpath
 func HashBatchInto(b *Batch, keys []int, dst []uint64) {
@@ -135,24 +134,6 @@ func hashColInto(c *Column, sel []int32, dst []uint64) {
 				dst[j] = h
 			}
 		}
-	case TDict:
-		if sel == nil {
-			for i, code := range c.Codes {
-				if nulls != nil && bitGet(nulls, i) {
-					dst[i] = hashByte(dst[i], tagNull)
-					continue
-				}
-				dst[i] = hashString(hashByte(dst[i], tagString), c.Dict[code])
-			}
-		} else {
-			for j, s := range sel {
-				if nulls != nil && bitGet(nulls, int(s)) {
-					dst[j] = hashByte(dst[j], tagNull)
-					continue
-				}
-				dst[j] = hashString(hashByte(dst[j], tagString), c.Dict[c.Codes[s]])
-			}
-		}
 	case TAny:
 		if sel == nil {
 			for i := range c.Anys {
@@ -172,9 +153,8 @@ func hashColInto(c *Column, sel []int32, dst []uint64) {
 
 // colCompare orders cell i of column a against cell j of column b with
 // Compare's semantics (NULL first, cross-kind numerics as float64); i and j
-// are physical indices. Typed same-kind and int/float pairs avoid boxing —
-// dictionary cells compare through their dictionary strings — anything else
-// goes through Compare on boxed values.
+// are physical indices. Typed same-kind and int/float pairs avoid boxing;
+// anything else goes through Compare on boxed values.
 func colCompare(a *Column, i int, b *Column, j int) int {
 	an, bn := a.IsNull(i), b.IsNull(j)
 	if an || bn {
@@ -212,9 +192,9 @@ func colCompare(a *Column, i int, b *Column, j int) int {
 		default:
 			// other pairings: boxed compare below
 		}
-	case TString, TDict:
-		if b.Type == TString || b.Type == TDict {
-			av, bv := a.strAt(i), b.strAt(j)
+	case TString:
+		if b.Type == TString {
+			av, bv := a.Strs[i], b.Strs[j]
 			switch {
 			case av < bv:
 				return -1
@@ -240,15 +220,49 @@ func colCompare(a *Column, i int, b *Column, j int) int {
 	return Compare(a.Value(i), b.Value(j))
 }
 
-// batchKeysEqual reports whether physical rows i and j of one batch agree
-// on the key columns.
-func batchKeysEqual(b *Batch, i, j int, keys []int) bool {
-	for _, k := range keys {
-		if colCompare(&b.Cols[k], i, &b.Cols[k], j) != 0 {
-			return false
+// keyMatcher compiles "physical row i of a agrees with physical row j of b
+// on the paired key columns" once per call, one typed test per column.
+func keyMatcher(a *Batch, akeys []int, b *Batch, bkeys []int) func(i, j int) bool {
+	eqs := make([]func(i, j int) bool, len(akeys))
+	for x := range akeys {
+		eqs[x] = colEqual(&a.Cols[akeys[x]], &b.Cols[bkeys[x]])
+	}
+	if len(eqs) == 1 {
+		return eqs[0]
+	}
+	return func(i, j int) bool {
+		for _, eq := range eqs {
+			if !eq(i, j) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// colEqual is colCompare(a, i, b, j) == 0 with the type dispatch hoisted:
+// null-free columns of one type get a typed closure; anything else
+// compares through colCompare.
+func colEqual(a, b *Column) func(i, j int) bool {
+	if a.Nulls == nil && b.Nulls == nil && a.Type == b.Type {
+		switch a.Type {
+		case TInt64:
+			x, y := a.Ints, b.Ints
+			return func(i, j int) bool { return x[i] == y[j] }
+		case TFloat64:
+			x, y := a.Floats, b.Floats
+			return func(i, j int) bool { return cmpFloat(x[i], y[j]) == 0 }
+		case TString:
+			x, y := a.Strs, b.Strs
+			return func(i, j int) bool { return x[i] == y[j] }
+		case TBool:
+			x, y := a.Bools, b.Bools
+			return func(i, j int) bool { return x[i] == y[j] }
+		case TAny:
+			// boxed compare below
 		}
 	}
-	return true
+	return func(i, j int) bool { return colCompare(a, i, b, j) == 0 }
 }
 
 // CompareBatchRows orders logical row i of batch a against logical row j of
@@ -329,18 +343,6 @@ func colComparator(c *Column) func(i, j int) int {
 				case !v[i] && v[j]:
 					return -1
 				case v[i] && !v[j]:
-					return 1
-				}
-				return 0
-			}
-		case TDict:
-			dict, codes := c.Dict, c.Codes
-			return func(i, j int) int {
-				a, b := dict[codes[i]], dict[codes[j]]
-				switch {
-				case a < b:
-					return -1
-				case a > b:
 					return 1
 				}
 				return 0
@@ -446,18 +448,6 @@ func sortIdxSingleKey(idx []int32, c *Column) bool {
 			}
 			return 0
 		})
-	case TDict:
-		dict, codes := c.Dict, c.Codes
-		slices.SortStableFunc(idx, func(x, y int32) int {
-			a, b := dict[codes[x]], dict[codes[y]]
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			}
-			return 0
-		})
 	default:
 		return false
 	}
@@ -467,30 +457,27 @@ func sortIdxSingleKey(idx []int32, c *Column) bool {
 // ---- partitioning ----
 
 // PartitionBatchByKey hash-partitions the batch into n sub-batches by the
-// key columns — the shuffle-write kernel behind EmitBatchByKey.
-// Hashing is columnar, placement a typed scatter into exact-size vectors;
-// lazy inputs scatter straight from the selection without materializing.
+// key columns — the shuffle-write kernel behind EmitBatchByKey. Hashing is
+// columnar; each partition is a selection view over the input's columns
+// (see partitionViews), so no column is copied.
 //
 //lint:hotpath
 func PartitionBatchByKey(b *Batch, keys []int, n int) []*Batch {
 	if n <= 1 {
 		return []*Batch{b}
 	}
-	hashes := make([]uint64, b.Len)
-	HashBatchInto(b, keys, hashes)
-	pidx := make([]uint32, b.Len)
-	counts := make([]int, n)
-	for i, h := range hashes {
-		p := uint32(h % uint64(n))
-		pidx[i] = p
-		counts[p]++
+	pidx := make([]uint64, b.Len)
+	HashBatchInto(b, keys, pidx)
+	for i, h := range pidx {
+		pidx[i] = h % uint64(n)
 	}
-	return scatterBatch(b, pidx, counts)
+	return partitionViews(b, pidx, n)
 }
 
 // PartitionBatchByRange splits the batch into len(bounds)+1 contiguous
 // partitions: partition i holds rows below bounds[i] under the key columns
-// (bounds are rows, as sampled by a Terasort-style plan).
+// (bounds are rows, as sampled by a Terasort-style plan). Partitions are
+// selection views, like PartitionBatchByKey's.
 //
 //lint:hotpath
 func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
@@ -498,197 +485,106 @@ func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
 		return []*Batch{b}
 	}
 	bb := BatchFromRows(bounds)
-	pidx := make([]uint32, b.Len)
-	counts := make([]int, len(bounds)+1)
-	for i := 0; i < b.Len; i++ {
-		p := uint32(sort.Search(len(bounds), func(bi int) bool {
+	pidx := make([]uint64, b.Len)
+	for i := range pidx {
+		pidx[i] = uint64(sort.Search(len(bounds), func(bi int) bool {
 			return CompareBatchRows(b, i, keys, bb, bi, keys) < 0
 		}))
-		pidx[i] = p
-		counts[p]++
 	}
-	return scatterBatch(b, pidx, counts)
+	return partitionViews(b, pidx, len(bounds)+1)
 }
 
-// scatterBatch places rows into exact-size dense partitions (logical row j
-// goes to pidx[j], partition sizes given by counts), one typed pass per
-// column. Dictionary partitions share the source dictionary; lazy sources
-// scatter through the selection vector.
+// partitionViews splits b into n views, logical row j going to partition
+// pidx[j] in row order. The views share b's columns; their selections are
+// carved from one []int32 and name b's physical rows, so a view input
+// composes its own Sel. Four allocations, whatever the row, column and
+// partition counts.
 //
 //lint:hotpath
-func scatterBatch(b *Batch, pidx []uint32, counts []int) []*Batch {
-	sel := b.Sel
-	parts := make([]*Batch, len(counts))
-	for p, n := range counts {
-		parts[p] = &Batch{Cols: make([]Column, len(b.Cols)), Len: n}
+func partitionViews(b *Batch, pidx []uint64, n int) []*Batch {
+	ends := make([]int, n+1) // ends[p+1]: rows in partitions ≤ p
+	for _, p := range pidx {
+		ends[p+1]++
 	}
-	offs := make([]int, len(counts))
-	for c := range b.Cols {
-		src := &b.Cols[c]
-		for p, n := range counts {
-			dst := &parts[p].Cols[c]
-			dst.Type = src.Type
-			switch src.Type {
-			case TInt64:
-				dst.Ints = make([]int64, n)
-			case TFloat64:
-				dst.Floats = make([]float64, n)
-			case TString:
-				dst.Strs = make([]string, n)
-			case TBool:
-				dst.Bools = make([]bool, n)
-			case TAny:
-				dst.Anys = make([]Value, n)
-			case TDict:
-				dst.Dict = src.Dict
-				dst.Codes = make([]uint32, n)
-			}
-		}
-		clear(offs)
-		switch src.Type {
-		case TInt64:
-			if sel == nil {
-				for i, v := range src.Ints {
-					p := pidx[i]
-					parts[p].Cols[c].Ints[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Ints[offs[p]] = src.Ints[s]
-					offs[p]++
-				}
-			}
-		case TFloat64:
-			if sel == nil {
-				for i, v := range src.Floats {
-					p := pidx[i]
-					parts[p].Cols[c].Floats[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Floats[offs[p]] = src.Floats[s]
-					offs[p]++
-				}
-			}
-		case TString:
-			if sel == nil {
-				for i, v := range src.Strs {
-					p := pidx[i]
-					parts[p].Cols[c].Strs[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Strs[offs[p]] = src.Strs[s]
-					offs[p]++
-				}
-			}
-		case TBool:
-			if sel == nil {
-				for i, v := range src.Bools {
-					p := pidx[i]
-					parts[p].Cols[c].Bools[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Bools[offs[p]] = src.Bools[s]
-					offs[p]++
-				}
-			}
-		case TAny:
-			if sel == nil {
-				for i, v := range src.Anys {
-					p := pidx[i]
-					parts[p].Cols[c].Anys[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Anys[offs[p]] = src.Anys[s]
-					offs[p]++
-				}
-			}
-		case TDict:
-			if sel == nil {
-				for i, v := range src.Codes {
-					p := pidx[i]
-					parts[p].Cols[c].Codes[offs[p]] = v
-					offs[p]++
-				}
-			} else {
-				for j, s := range sel {
-					p := pidx[j]
-					parts[p].Cols[c].Codes[offs[p]] = src.Codes[s]
-					offs[p]++
-				}
-			}
-		}
-		if src.Nulls != nil {
-			clear(offs)
-			for j := 0; j < b.Len; j++ {
-				p := pidx[j]
-				if bitGet(src.Nulls, b.physical(j)) {
-					parts[p].Cols[c].setNull(offs[p], counts[p])
-				}
-				offs[p]++
-			}
-		}
+	for p := 1; p <= n; p++ {
+		ends[p] += ends[p-1]
+	}
+	sel := make([]int32, b.Len)
+	views := make([]Batch, n)
+	parts := make([]*Batch, n)
+	for p := range views {
+		views[p] = Batch{Cols: b.Cols, Len: ends[p+1] - ends[p], Sel: sel[ends[p]:ends[p+1]:ends[p+1]]}
+		parts[p] = &views[p]
+	}
+	for j, p := range pidx {
+		sel[ends[p]] = int32(b.physical(j))
+		ends[p]++
 	}
 	return parts
 }
 
+// tableShift sizes a power-of-two hash table for n entries: the table has
+// 1<<(64-shift) slots, the smallest power of two above n, and slot(h,
+// shift) indexes it.
+func tableShift(n int) uint { return uint(64 - bits.Len(uint(n))) }
+
+// slot takes a hash's table slot from the high bits of a Fibonacci
+// multiply. FNV-1a's own high bits barely see the last bytes it folds — the
+// ones string keys like "key-0041" differ in — so indexing by them directly
+// piles such keys into a few slots.
+func slot(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shift }
+
 // ---- hash join ----
 
-// HashJoinBatch inner-joins probe rows against a materialised build side on
-// equal keys, emitting probe columns followed by build columns, in probe
-// order and, per probe row, build order. The build table maps hash → carved
-// index bucket; matches accumulate as physical index pairs and materialise
-// with two typed gathers, so lazy inputs join through their selections.
+// HashJoinBatch inner-joins probe rows against a build side on equal keys,
+// emitting probe columns followed by build columns, in probe order and, per
+// probe row, build order. The build table is one flat chain: heads holds
+// each slot's first build row and next links the rest, both int32 and
+// inserted in reverse so every chain walks its build rows in order. A
+// candidate must match the full 64-bit hash before its keys are compared
+// (typed, compiled once per call). Matches accumulate as physical index
+// pairs and materialise with one typed gather per side, so lazy inputs join
+// through their selections.
 //
 //lint:hotpath
 func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int) *Batch {
 	bh := make([]uint64, build.Len)
 	HashBatchInto(build, buildKeys, bh)
-	counts := make(map[uint64]int32, build.Len)
-	for _, h := range bh {
-		counts[h]++
-	}
-	backing := make([]int32, build.Len)
-	table := make(map[uint64][]int32, len(counts))
-	off := int32(0)
-	//lint:allow hotpath one table-sizing pass per build batch, amortized over all probe rows; order only carves sub-slices
-	for h, c := range counts {
-		table[h] = backing[off : off : off+c]
-		off += c
-	}
-	for i, h := range bh {
-		table[h] = append(table[h], int32(i))
+	shift := tableShift(build.Len)
+	heads := make([]int32, 1<<(64-shift)) // build row + 1; 0 ends a chain
+	next := make([]int32, build.Len)
+	for i := build.Len - 1; i >= 0; i-- {
+		s := slot(bh[i], shift)
+		next[i] = heads[s]
+		heads[s] = int32(i + 1)
 	}
 
 	ph := make([]uint64, probe.Len)
 	HashBatchInto(probe, probeKeys, ph)
-	// Candidate count bounds the match count (over only by 64-bit hash
-	// collisions between distinct keys), so the match index arrays are
-	// allocated once at exact-ish size instead of append-doubling.
+	// Hash matches bound the match count (over only by 64-bit collisions
+	// between distinct keys), so the match index arrays are allocated once.
 	cand := 0
 	for _, h := range ph {
-		cand += len(table[h])
+		for e := heads[slot(h, shift)]; e != 0; e = next[e-1] {
+			if bh[e-1] == h {
+				cand++
+			}
+		}
 	}
 	pIdx := make([]int32, 0, cand)
 	bIdx := make([]int32, 0, cand)
-	for i := 0; i < probe.Len; i++ {
-		for _, bi := range table[ph[i]] {
-			if CompareBatchRows(probe, i, probeKeys, build, int(bi), buildKeys) == 0 {
-				pIdx = append(pIdx, int32(probe.physical(i)))
-				bIdx = append(bIdx, int32(build.physical(int(bi))))
+	if cand > 0 {
+		eq := keyMatcher(probe, probeKeys, build, buildKeys)
+		for i, h := range ph {
+			pi := probe.physical(i)
+			for e := heads[slot(h, shift)]; e != 0; e = next[e-1] {
+				if bh[e-1] != h {
+					continue
+				}
+				if bi := build.physical(int(e - 1)); eq(pi, bi) {
+					pIdx = append(pIdx, int32(pi))
+					bIdx = append(bIdx, int32(bi))
+				}
 			}
 		}
 	}
@@ -706,12 +602,14 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 
 // HashAggregateBatch groups the batch by the key columns and folds the
 // aggregates, emitting key columns followed by one column per aggregate,
-// sorted by key (no aggregates: the distinct keys). Group discovery hashes
-// columnar and chains collisions through index slices; each aggregate then
-// folds in one typed pass over the whole batch, so sums over an int64 or
-// float64 column never box a value. Output columns stay typed: Count and
-// int sums are TInt64 vectors, float sums TFloat64, Min/Max the input
-// column's type.
+// sorted by key (no aggregates: the distinct keys). Groups are found in one
+// open-addressed table of group ids, sized at twice the row count and
+// probed linearly; a slot's group matches only if the hash of its first row
+// does before the keys are compared (typed, compiled once per call). Each
+// aggregate then folds in one typed pass over the whole batch, so sums over
+// an int64 or float64 column never box a value. Output columns stay typed:
+// Count and int sums are TInt64 vectors, float sums TFloat64, Min/Max the
+// input column's type.
 //
 //lint:hotpath
 func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
@@ -721,36 +619,34 @@ func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 	}
 	hashes := make([]uint64, b.Len)
 	HashBatchInto(b, keys, hashes)
-	head := make(map[uint64]int32, 64)
-	// Worst case every row is its own group; sizing both chains up front
-	// keeps the grouping loop growth-free.
-	rep := make([]int32, 0, b.Len)  // group id -> representative (first) row, physical
-	next := make([]int32, 0, b.Len) // collision chain
-	gids := make([]int32, b.Len)    // logical row -> group id
-	for i := 0; i < b.Len; i++ {
-		h := hashes[i]
+	eq := keyMatcher(b, keys, b, keys)
+	shift := tableShift(2 * b.Len)
+	mask := uint64(1)<<(64-shift) - 1
+	slots := make([]int32, mask+1) // group id + 1; 0 is empty
+	// Worst case every row is its own group; sizing rep up front keeps the
+	// grouping loop growth-free.
+	rep := make([]int32, 0, b.Len) // group id -> first row, logical
+	gids := make([]int32, b.Len)   // logical row -> group id
+	for i, h := range hashes {
 		pi := b.physical(i)
-		first, seen := head[h]
-		gid := int32(-1)
-		if seen {
-			for g := first; g >= 0; g = next[g] {
-				if batchKeysEqual(b, int(rep[g]), pi, keys) {
-					gid = g
-					break
-				}
+		for s := slot(h, shift); ; s = (s + 1) & mask {
+			e := slots[s]
+			if e == 0 {
+				gids[i] = int32(len(rep))
+				slots[s] = int32(len(rep)) + 1
+				rep = append(rep, int32(i))
+				break
+			}
+			if g := e - 1; hashes[rep[g]] == h && eq(b.physical(int(rep[g])), pi) {
+				gids[i] = g
+				break
 			}
 		}
-		if gid < 0 {
-			gid = int32(len(rep))
-			rep = append(rep, int32(pi))
-			if seen {
-				next = append(next, first)
-			} else {
-				next = append(next, -1)
-			}
-			head[h] = gid
+	}
+	if b.Sel != nil {
+		for g, i := range rep {
+			rep[g] = b.Sel[i] // logical -> physical, for the key gather
 		}
-		gids[i] = gid
 	}
 	groups := len(rep)
 	out := &Batch{Cols: make([]Column, nk+na), Len: groups}
@@ -833,7 +729,7 @@ func aggColumn(b *Batch, a Agg, gids []int32, groups int) Column {
 			}
 			return withUnseenNulls(Float64Col(acc), seen)
 		}
-	case TString, TDict:
+	case TString:
 		if a.Kind == AggMin || a.Kind == AggMax {
 			acc := make([]string, groups)
 			seen := make([]bool, groups)
@@ -842,7 +738,7 @@ func aggColumn(b *Batch, a Agg, gids []int32, groups int) Column {
 				if col.Nulls != nil && bitGet(col.Nulls, i) {
 					continue
 				}
-				v := col.strAt(i)
+				v := col.Strs[i]
 				g := gids[j]
 				switch {
 				case !seen[g]:

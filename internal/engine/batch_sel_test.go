@@ -111,8 +111,10 @@ func TestSelKernelEquivalence(t *testing.T) {
 }
 
 // TestSelCodecBoundary pins the materialization boundary: encoding a lazy
-// batch yields exactly the dense encoding (selections never travel), and
-// the store densifies on put.
+// batch yields exactly the dense encoding (selections never travel) and is
+// sized as such without materializing, the store keeps the view it is given
+// and accounts its dense encoding, and ConcatBatches gathers views into a
+// dense batch.
 func TestSelCodecBoundary(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	b := BatchFromRows(randRows(r, 90))
@@ -133,16 +135,103 @@ func TestSelCodecBoundary(t *testing.T) {
 	if !ok {
 		t.Fatal("segment missing")
 	}
-	if got.Sel != nil {
-		t.Fatal("store kept a lazy segment")
+	if got != lazy {
+		t.Fatal("store copied the segment instead of keeping the view")
+	}
+	if used := s.Stats().UsedBytes; used != int64(len(EncodeBatch(dense))) {
+		t.Fatalf("UsedBytes = %d, want the dense encoding's %d", used, len(EncodeBatch(dense)))
 	}
 	batchesEqual(t, "stored lazy segment", got, dense)
 
 	// ConcatBatches over a mix of lazy and dense runs sees logical rows.
 	cat := ConcatBatches([]*Batch{lazy, dense, lazyHalf(t, b)})
+	if cat.Sel != nil {
+		t.Fatal("concat returned a view")
+	}
 	if cat.Len != 3*dense.Len {
 		t.Fatalf("concat Len = %d, want %d", cat.Len, 3*dense.Len)
 	}
 	catDense := ConcatBatches([]*Batch{dense, dense, dense})
 	batchesEqual(t, "concat lazy runs", cat, catDense)
+}
+
+// TestShuffleViewEquivalence drives the copy-once shuffle end to end on
+// random inputs: producers partition dense or lazy batches (~14 % NULLs, a
+// kind-mixed TAny column) by key or by range into selection views, the store
+// keeps each view and accounts its dense encoding, and every consumer
+// concatenates its runs in producer order — which must equal the row
+// oracle's partitions of the same rows, concatenated the same way, as a
+// dense batch.
+func TestShuffleViewEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(74))
+	keys := []int{0, 2}
+	bounds := []Row{{int64(5), nil, "b"}, {int64(12), nil, "e"}}
+	for iter := 0; iter < 40; iter++ {
+		byRange := iter%2 == 1
+		producers := 1 + r.Intn(4)
+		consumers := 2 + r.Intn(6)
+		if byRange {
+			consumers = len(bounds) + 1
+		}
+		s := NewStore(3, 0)
+		want := make([][]Row, consumers)
+		var wantBytes int64
+		for p := 0; p < producers; p++ {
+			rows := randRows(r, r.Intn(150))
+			b := BatchFromRows(rows)
+			if r.Intn(2) == 0 {
+				b = FilterBatch(b, func(i int) bool { return i%3 != 1 })
+				var kept []Row
+				for i, row := range rows {
+					if i%3 != 1 {
+						kept = append(kept, row)
+					}
+				}
+				rows = kept
+			}
+			var views []*Batch
+			var wantParts [][]Row
+			if byRange {
+				views = PartitionBatchByRange(b, keys, bounds)
+				wantParts = PartitionByRange(rows, keys, bounds)
+			} else {
+				views = PartitionBatchByKey(b, keys, consumers)
+				wantParts = PartitionByKey(rows, keys, consumers)
+			}
+			for c, v := range views {
+				enc := EncodeBatch(v)
+				if size := EncodedBatchSize(v); size != len(enc) {
+					t.Fatalf("iter %d producer %d part %d: EncodedBatchSize %d, encoding %d bytes", iter, p, c, size, len(enc))
+				}
+				wantBytes += int64(len(enc))
+				if err := s.PutBatch("job", p, SegmentKey("job", "a", "b", p, c), v); err != nil {
+					t.Fatal(err)
+				}
+				want[c] = append(want[c], wantParts[c]...)
+			}
+		}
+		if used := s.Stats().UsedBytes; used != wantBytes {
+			t.Fatalf("iter %d: UsedBytes = %d, want the dense encodings' %d", iter, used, wantBytes)
+		}
+		for c := 0; c < consumers; c++ {
+			runs := make([]*Batch, producers)
+			for p := range runs {
+				runs[p], _ = s.GetBatch(SegmentKey("job", "a", "b", p, c), nil)
+			}
+			got := ConcatBatches(runs)
+			if got.Sel != nil {
+				t.Fatalf("iter %d consumer %d: concatenation is a view", iter, c)
+			}
+			rowsEqual(t, "shuffled partition", got.Rows(), want[c])
+		}
+	}
+
+	// A single view run — a one-producer edge — still comes back dense.
+	b := BatchFromRows(randRows(r, 100))
+	view := PartitionBatchByKey(FilterBatch(b, func(i int) bool { return i%2 == 0 }), keys, 3)[0]
+	got := ConcatBatches([]*Batch{view})
+	if got.Sel != nil || got.Len != view.Len {
+		t.Fatalf("single view run: Sel %v, Len %d, want dense %d rows", got.Sel != nil, got.Len, view.Len)
+	}
+	batchesEqual(t, "single view run", got, view)
 }

@@ -200,11 +200,10 @@ func TestSortBatchEquivalence(t *testing.T) {
 
 // TestTopKBatchEquivalence pins TopKBatch to the row TopK/TopKDesc heaps:
 // every k from none to more than all, over keys full of duplicates and
-// NULLs (randRows), through dense, dictionary and selection-vector inputs.
+// NULLs (randRows), through dense and selection-vector inputs.
 func TestTopKBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for _, in := range equivInputs(r, 150) {
-		dict := DictifyBatch(in.batch)
 		lazy := FilterBatch(in.batch, func(i int) bool { return i%2 == 0 })
 		var half []Row
 		for i := 0; i < len(in.rows); i += 2 {
@@ -214,7 +213,6 @@ func TestTopKBatchEquivalence(t *testing.T) {
 			for _, k := range []int{-1, 0, 1, 7, 150, 1000} {
 				rowsEqual(t, "top-k", TopKBatch(in.batch, keys, k, false).Rows(), TopK(in.rows, keys, k))
 				rowsEqual(t, "top-k desc", TopKBatch(in.batch, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
-				rowsEqual(t, "top-k dict", TopKBatch(dict, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
 				rowsEqual(t, "top-k lazy", TopKBatch(lazy, keys, k, false).Rows(), TopK(half, keys, k))
 			}
 		}

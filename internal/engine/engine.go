@@ -21,6 +21,10 @@ type Plans map[string]StageFn
 // ErrInjected is returned by tasks killed through FailTask.
 var ErrInjected = errors.New("engine: injected task failure")
 
+// errClosed is what Submit, and the wait of a job still running, return
+// once Close has stopped the controller loop.
+var errClosed = errors.New("engine: closed")
+
 // Config sizes the engine's executor pool.
 type Config struct {
 	Machines            int
@@ -125,7 +129,9 @@ func (e *Engine) loop() {
 	}
 }
 
-// post runs fn on the controller loop.
+// post queues fn for the controller loop. After Close it may drop fn, or
+// queue it where nothing runs it, so a caller that waits on fn must also
+// wait on e.quit.
 func (e *Engine) post(fn func()) {
 	select {
 	case e.events <- event{fn}:
@@ -160,14 +166,27 @@ func (e *Engine) Submit(job *dag.Job, plans Plans) (wait func() ([]Row, error), 
 		errc <- nil
 		e.applyActions()
 	})
-	if err := <-errc; err != nil {
+	select {
+	case err = <-errc:
+	case <-e.quit:
+		err = errClosed
+	}
+	if err != nil {
 		e.mu.Lock()
 		delete(e.jobs, job.ID)
 		e.mu.Unlock()
 		return nil, err
 	}
 	return func() ([]Row, error) {
-		<-js.done
+		select {
+		case <-js.done:
+		case <-e.quit:
+			select {
+			case <-js.done: // finished as the engine closed
+			default:
+				return nil, errClosed
+			}
+		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		if js.err != nil {

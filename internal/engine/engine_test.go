@@ -431,3 +431,31 @@ func TestStoreBlockingAndDrop(t *testing.T) {
 		t.Error("segment survived DropJob")
 	}
 }
+
+// TestSubmitAfterCloseReturnsError: a closed engine refuses a job with an
+// error instead of blocking the caller forever on a loop that is gone.
+func TestSubmitAfterCloseReturnsError(t *testing.T) {
+	e := New(DefaultConfig())
+	table, _ := wordsTable(10, 1)
+	e.RegisterTable(table)
+	e.Close()
+	errs := make(chan error, 2)
+	go func() {
+		job, plans := wordcountJob("closed-submit", 1, 1)
+		_, err := e.Submit(job, plans)
+		errs <- err
+		job, plans = wordcountJob("closed-run", 1, 1)
+		_, err = e.Run(job, plans)
+		errs <- err
+	}()
+	for _, call := range []string{"Submit", "Run"} {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Errorf("%s after Close succeeded", call)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s after Close still blocked after 2s", call)
+		}
+	}
+}

@@ -14,10 +14,15 @@ import (
 // Section III-B ("after the destination Cache Worker receives the desired
 // shuffle data, the reader tasks are notified").
 //
-// Every segment payload is one Batch — the only representation the store
-// holds. Byte accounting uses the column codec's exact encoded size
-// (EncodedBatchSize) — the same number the wire transfer pays — not a
+// Every segment payload is one Batch, kept exactly as the producer emitted
+// it — a partition is usually a selection view over the producer's columns
+// — so a shuffle write copies nothing. Byte accounting uses the column
+// codec's exact encoded size (EncodedBatchSize, which sizes a view as its
+// dense encoding) — the same number a wire transfer would pay — not a
 // per-row estimate.
+//
+// Ownership: a stored view pins the batch it selects from until DropJob,
+// and a plan must not mutate a batch after emitting it.
 //
 // Segments are retained until the whole job completes rather than being
 // freed at first consumption, so fine-grained recovery can re-read them;
@@ -65,17 +70,13 @@ func SegmentKey(job, from, to string, producer, part int) string {
 	return string(b)
 }
 
-// PutBatch stores a segment (nil is an empty one), replacing any previous
-// attempt's (failure recovery re-writes). The Cache Worker accounts the
-// batch's exact encoded size.
+// PutBatch stores a segment (nil is an empty one) as given, replacing any
+// previous attempt's (failure recovery re-writes). The Cache Worker
+// accounts the batch's exact encoded size.
 func (s *Store) PutBatch(job string, machine int, key string, b *Batch) error {
 	if b == nil {
 		b = &Batch{}
 	}
-	// Storage boundary: lazy views materialise and low-cardinality string
-	// columns dictionary-encode here, so resident segments are dense and
-	// the accounted size matches the (dictified) wire encoding.
-	b = DictifyBatch(b)
 	size := int64(EncodedBatchSize(b)) // exact wire bytes, computed outside the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,9 +97,9 @@ func (s *Store) PutBatch(job string, machine int, key string, b *Batch) error {
 	return nil
 }
 
-// GetBatch blocks until the segment exists, then returns it (shared;
-// callers must not mutate it). It returns false if aborted reported true
-// while waiting.
+// GetBatch blocks until the segment exists, then returns it as it was put,
+// possibly a selection view (shared; callers must not mutate it). It
+// returns false if aborted reported true while waiting.
 func (s *Store) GetBatch(key string, aborted func() bool) (*Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,9 +7,9 @@ import (
 
 // TestStoreUsedBytesZeroAfterDropJob pins the byte-accounting invariant:
 // whatever a job writes — batches converted from rows at the edge, native
-// batches, nil, re-puts from recovery, LRU spill under pressure —
-// CacheStats.UsedBytes returns to zero once DropJob releases the job's
-// segments.
+// batches, selection views, nil, re-puts from recovery, LRU spill under
+// pressure — CacheStats.UsedBytes returns to zero once DropJob releases the
+// job's segments.
 func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	rows := randRows(r, 100)
@@ -26,13 +26,18 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 		if err := s.PutBatch("job", 2, "k-nil", nil); err != nil {
 			t.Fatal(err)
 		}
+		view := PartitionBatchByKey(batch, []int{0}, 3)[1]
+		if err := s.PutBatch("job", 0, "k-view", view); err != nil {
+			t.Fatal(err)
+		}
 		if used := s.Stats().UsedBytes; used <= 0 {
 			t.Fatalf("UsedBytes = %d before drop", used)
 		}
 		// Exact accounting: the worker holds precisely the encoded sizes of
-		// what it stores — the dictified form, the same bytes the wire pays.
-		want := int64(EncodedBatchSize(DictifyBatch(BatchFromRows(rows))) +
-			EncodedBatchSize(DictifyBatch(batch)) + EncodedBatchSize(&Batch{}))
+		// what it stores — the same bytes the wire pays, a view's dense
+		// encoding included.
+		want := int64(len(EncodeBatch(BatchFromRows(rows))) +
+			len(EncodeBatch(batch)) + len(EncodeBatch(&Batch{})) + len(EncodeBatch(view)))
 		if used := s.Stats().UsedBytes; used != want {
 			t.Fatalf("UsedBytes = %d, want exact encoded %d", used, want)
 		}
@@ -50,7 +55,7 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := int64(EncodedBatchSize(DictifyBatch(BatchFromRows(rows))))
+		want := int64(len(EncodeBatch(BatchFromRows(rows))))
 		if used := s.Stats().UsedBytes; used != want {
 			t.Fatalf("UsedBytes = %d after re-puts, want %d", used, want)
 		}

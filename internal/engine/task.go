@@ -54,8 +54,9 @@ func (c *TaskContext) TablePartitionBatch(name string) (*Batch, error) {
 
 // InputBatch blocks until every producer task of the in-edge from `from`
 // has written this task's partition, then returns the partitions
-// concatenated in producer-task order. It returns ErrInjected if the
-// attempt is aborted while waiting.
+// concatenated in producer-task order as one dense batch — the one copy a
+// shuffled row costs — so plans may read its typed vectors directly. It
+// returns ErrInjected if the attempt is aborted while waiting.
 func (c *TaskContext) InputBatch(from string) (*Batch, error) {
 	runs, err := c.InputBatchRuns(from)
 	if err != nil {
@@ -64,7 +65,8 @@ func (c *TaskContext) InputBatch(from string) (*Batch, error) {
 	return ConcatBatches(runs), nil
 }
 
-// InputBatchRuns is InputBatch preserving the per-producer runs.
+// InputBatchRuns is InputBatch preserving the per-producer runs, as the
+// producers emitted them (often selection views).
 func (c *TaskContext) InputBatchRuns(from string) ([]*Batch, error) {
 	producers := c.js.job.Stage(from).Tasks
 	runs := make([]*Batch, producers)
@@ -80,7 +82,9 @@ func (c *TaskContext) InputBatchRuns(from string) ([]*Batch, error) {
 }
 
 // EmitBatchPartitioned writes this task's output for the edge to `to`, one
-// batch per consumer task, into the local machine's Cache Worker.
+// batch per consumer task, into the local machine's Cache Worker. The store
+// keeps each batch as given, so the plan must not mutate it (or what a view
+// selects from) afterwards.
 func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 	n := c.ConsumerTasks(to)
 	if len(parts) != n {
@@ -96,7 +100,8 @@ func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 }
 
 // EmitBatchByKey hash-partitions the batch by the key columns across the
-// consumer stage's tasks and writes it out (columnar hash + typed scatter).
+// consumer stage's tasks and writes it out (columnar hash, one selection
+// view per partition; no column is copied).
 func (c *TaskContext) EmitBatchByKey(to string, b *Batch, keys []int) error {
 	return c.EmitBatchPartitioned(to, PartitionBatchByKey(b, keys, c.ConsumerTasks(to)))
 }

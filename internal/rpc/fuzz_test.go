@@ -17,10 +17,7 @@ import (
 // padding bits in a packed bool column — so first-decode byte identity
 // is not required, but encode∘decode must converge immediately).
 func FuzzBatchCodec(f *testing.F) {
-	// What a transfer encodes: low-cardinality string columns are
-	// dictionary-encoded first (a no-op for batches the Store already
-	// dictified).
-	encode := func(b *engine.Batch) []byte { return engine.EncodeBatch(engine.DictifyBatch(b)) }
+	encode := engine.EncodeBatch
 	seedBatches := []*engine.Batch{
 		{}, // empty: zero rows, zero columns
 		engine.NewBatch(engine.Int64Col([]int64{1, -2, 3})),
@@ -37,19 +34,17 @@ func FuzzBatchCodec(f *testing.F) {
 	for _, b := range seedBatches {
 		f.Add(encode(b))
 	}
-	// Dictionary-encoded and selection-vector shapes: a dictified
-	// low-cardinality column (packed sub-byte codes), a single-entry
-	// zero-width dictionary, and a lazy filtered batch (which must encode
-	// as its dense form).
+	// Low-cardinality string columns and a lazy filtered batch (which
+	// must encode as its dense form).
 	f.Add(encode(engine.NewBatch(
 		engine.StringCol([]string{"x", "y", "x", "x", "y", "x", "z", "x", "x", "x"}))))
 	f.Add(encode(engine.NewBatch(
 		engine.StringCol([]string{"c", "c", "c", "c", "c", "c", "c", "c"}),
 		engine.Int64Col([]int64{1, 2, 3, 4, 5, 6, 7, 8}))))
 	f.Add(encode(engine.FilterBatch(seedBatches[2], func(i int) bool { return i%2 == 0 })))
-	// Truncated and corrupt variants seed the error paths, including a
-	// dictionary code outside its dictionary and rows claimed against an
-	// empty dictionary.
+	// Truncated and corrupt variants seed the error paths. The last two
+	// carry column type 5, which is no column type, and must be rejected,
+	// as must the seed_dict_* corpus files that carry it too.
 	full := encode(seedBatches[2])
 	f.Add(full[:1])
 	f.Add(full[:len(full)/2])
@@ -71,11 +66,8 @@ func FuzzBatchCodec(f *testing.F) {
 		if b2.Len != b.Len || b2.NumCols() != b.NumCols() {
 			t.Fatalf("shape changed: %dx%d -> %dx%d", b.Len, b.NumCols(), b2.Len, b2.NumCols())
 		}
-		isStr := func(ct engine.ColType) bool { return ct == engine.TString || ct == engine.TDict }
 		for c := 0; c < b.NumCols(); c++ {
-			// EncodeBatch may dictionary-encode a plain string column (and
-			// never the reverse): TString→TDict is the one legal rewrite.
-			if gt, wt := b2.Cols[c].Type, b.Cols[c].Type; gt != wt && !(isStr(gt) && isStr(wt)) {
+			if gt, wt := b2.Cols[c].Type, b.Cols[c].Type; gt != wt {
 				t.Fatalf("col %d type changed: %v -> %v", c, wt, gt)
 			}
 			for i := 0; i < b.Len; i++ {

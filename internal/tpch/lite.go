@@ -44,33 +44,30 @@ func LiteQ1(scanTasks, aggTasks int, cutoff string) (*dag.Job, engine.Plans) {
 				return err
 			}
 			// Columnar scan: one typed pass over the shipdate vector builds
-			// the selection, projection is free, and the discounted-price
-			// column is computed vector-at-a-time.
-			sel := make([]int32, 0, b.Len)
-			for i, s := range b.Cols[ship].Strs {
-				if s <= cutoff {
-					sel = append(sel, int32(i))
-				}
-			}
-			f := b.Project([]int{flag, status, qty, price, disc}).Gather(sel)
-			discounted := make([]float64, f.Len)
-			prices := f.Cols[3].Floats
-			discs := f.Cols[4].Floats
-			for i := range discounted {
-				discounted[i] = prices[i] * (1 - discs[i])
-			}
-			out := f.Project([]int{0, 1, 2, 3}).WithCol(engine.Float64Col(discounted))
+			// the selection and projection is free, so what is emitted is a
+			// view over the table's columns; the partitions the shuffle
+			// stores are views over it in turn.
+			ships := b.Cols[ship].Strs
+			out := engine.FilterBatch(b, func(i int) bool { return ships[i] <= cutoff }).
+				Project([]int{flag, status, qty, price, disc})
 			return ctx.EmitBatchByKey("agg", out, []int{0, 1})
 		},
 		"agg": func(ctx *engine.TaskContext) error {
-			b, err := ctx.InputBatch("scan")
+			b, err := ctx.InputBatch("scan") // (flag, status, qty, price, disc)
 			if err != nil {
 				return err
 			}
-			ctx.SinkBatch(engine.HashAggregateBatch(b, []int{0, 1}, []engine.Agg{
+			// The discounted price is computed vector-at-a-time over the
+			// dense input, in the order the sum folds it.
+			discounted := make([]float64, b.Len)
+			prices, discs := b.Cols[3].Floats, b.Cols[4].Floats
+			for i := range discounted {
+				discounted[i] = prices[i] * (1 - discs[i])
+			}
+			ctx.SinkBatch(engine.HashAggregateBatch(b.WithCol(engine.Float64Col(discounted)), []int{0, 1}, []engine.Agg{
 				{Kind: engine.AggSum, Col: 2},
 				{Kind: engine.AggSum, Col: 3},
-				{Kind: engine.AggSum, Col: 4},
+				{Kind: engine.AggSum, Col: 5},
 				{Kind: engine.AggCount, Col: 0},
 			}))
 			return nil

@@ -3,7 +3,9 @@
 # analyzers — see DESIGN.md "Static analysis"), race-test everything,
 # run the allocation guards without the race detector (every
 # testing.AllocsPerRun budget skips itself under -race, so the race run
-# alone enforces none of them), run the fixed-seed chaos soak
+# alone enforces none of them; the engine's shuffle kernels are held by
+# TestPartitionBatchByKeyAllocs, TestHashJoinBatchAllocs and
+# TestHashAggregateBatchAllocs), run the fixed-seed chaos soak
 # (deterministic fault schedules + scheduler invariant auditor), the
 # seeded smokes (trace determinism, fair share, replicated shuffle,
 # shuffle recovery, serial-vs-parallel sweep hashes
@@ -69,7 +71,8 @@ go test -race ./...
 echo "== allocation guards (non-race: the AllocsPerRun budgets skip themselves under -race)"
 # TestSaturatedRoundTripAllocs, TestFairRoundTripAllocs, TestFairShareRoundAllocs,
 # TestQueueAllocs, TestAllocateSizedToSupply, TestDeadlineHeapDoesNotAllocate,
-# TestWireAllocationBudgets — and whatever else is named for what it allocates.
+# TestWireAllocationBudgets, TestPartitionBatchByKeyAllocs, TestHashJoinBatchAllocs,
+# TestHashAggregateBatchAllocs — and whatever else is named for what it allocates.
 go test -count=1 -run 'Alloc|SizedToSupply' ./internal/...
 
 echo "== chaos soak ($SEEDS seeds, incl. thundering-herd admission storm + fair-share policy)"
