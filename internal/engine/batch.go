@@ -35,15 +35,13 @@ type Batch struct {
 // ColType identifies a column's physical vector type.
 type ColType uint8
 
-// Physical column types. TAny is the escape hatch for kind-mixed columns
-// (e.g. an int64/float64 union key): values stay boxed, exactly as the row
-// edge held them, so BatchFromRows is total over any row input.
+// Physical column types: the engine's whole value domain. A column holds
+// values of one kind; BatchFromRows rejects a row set that mixes two.
 const (
 	TInt64 ColType = iota
 	TFloat64
 	TString
 	TBool
-	TAny
 )
 
 func (t ColType) String() string {
@@ -56,8 +54,6 @@ func (t ColType) String() string {
 		return "string"
 	case TBool:
 		return "bool"
-	case TAny:
-		return "any"
 	}
 	return fmt.Sprintf("ColType(%d)", uint8(t))
 }
@@ -72,7 +68,6 @@ type Column struct {
 	Floats []float64
 	Strs   []string
 	Bools  []bool
-	Anys   []Value
 }
 
 // Typed column constructors (null-free).
@@ -130,12 +125,9 @@ func (c *Column) Value(i int) Value {
 		return c.Floats[i]
 	case TString:
 		return c.Strs[i]
-	case TBool:
+	default: // TBool
 		return c.Bools[i]
-	case TAny:
-		return c.Anys[i]
 	}
-	return c.Anys[i]
 }
 
 // length returns the column's value count.
@@ -147,12 +139,9 @@ func (c *Column) length() int {
 		return len(c.Floats)
 	case TString:
 		return len(c.Strs)
-	case TBool:
+	default: // TBool
 		return len(c.Bools)
-	case TAny:
-		return len(c.Anys)
 	}
-	return len(c.Anys)
 }
 
 // NewBatch wraps pre-built columns, inferring the row count from the first
@@ -200,10 +189,11 @@ func (b *Batch) Value(col, row int) Value { return b.Cols[col].Value(b.physical(
 // IsNull reports whether cell (col, row) is NULL.
 func (b *Batch) IsNull(col, row int) bool { return b.Cols[col].IsNull(b.physical(row)) }
 
-// BatchFromRows converts rows into a batch: each column becomes the
-// narrowest typed vector that holds every value (nil values are NULL bits),
-// falling back to TAny when kinds mix. Ragged rows are tolerated — missing
-// trailing cells read as NULL — so the conversion is total over any rows.
+// BatchFromRows converts rows into a batch: each column becomes the typed
+// vector of its values' one kind (nil values are NULL bits). Ragged rows are
+// tolerated — missing trailing cells read as NULL. A column that mixes two
+// kinds, or holds a value outside int64/float64/string/bool, panics: like an
+// incomparable key, it is a plan bug, not runtime data.
 func BatchFromRows(rows []Row) *Batch {
 	ncols := 0
 	for _, r := range rows {
@@ -218,12 +208,10 @@ func BatchFromRows(rows []Row) *Batch {
 	return b
 }
 
-// columnFromRows builds column c of the rows. Two passes: infer the
-// narrowest type, then fill the typed vector.
+// columnFromRows builds column c of the rows. Two passes: infer the type,
+// then fill the typed vector.
 func columnFromRows(rows []Row, c int) Column {
-	t := ColType(0)
-	typed := false
-	mixed := false
+	t, typed := TInt64, false // an all-NULL column's type is irrelevant: pick the cheapest
 	for _, r := range rows {
 		if c >= len(r) || r[c] == nil {
 			continue
@@ -239,19 +227,12 @@ func columnFromRows(rows []Row, c int) Column {
 		case bool:
 			vt = TBool
 		default:
-			vt = TAny
+			panic(fmt.Sprintf("engine: column %d holds %T, not int64, float64, string or bool", c, r[c]))
 		}
-		if !typed {
-			t, typed = vt, true
-		} else if vt != t {
-			mixed = true
-			break
+		if typed && vt != t {
+			panic(fmt.Sprintf("engine: column %d mixes %v and %v values", c, t, vt))
 		}
-	}
-	if mixed || (typed && t == TAny) {
-		t = TAny
-	} else if !typed {
-		t = TInt64 // all-NULL column: values are irrelevant, pick the cheapest
+		t, typed = vt, true
 	}
 	n := len(rows)
 	col := newCol(t, n)
@@ -269,8 +250,6 @@ func columnFromRows(rows []Row, c int) Column {
 			col.Strs[i] = r[c].(string)
 		case TBool:
 			col.Bools[i] = r[c].(bool)
-		case TAny:
-			col.Anys[i] = r[c]
 		}
 	}
 	return col
@@ -360,8 +339,6 @@ func newCol(t ColType, n int) Column {
 		c.Strs = make([]string, n)
 	case TBool:
 		c.Bools = make([]bool, n)
-	case TAny:
-		c.Anys = make([]Value, n)
 	}
 	return c
 }
@@ -379,8 +356,6 @@ func putRows(dst *Column, off int, src *Column, sel []int32, n int) {
 		put(dst.Strs[off:], src.Strs, sel)
 	case TBool:
 		put(dst.Bools[off:], src.Bools, sel)
-	case TAny:
-		put(dst.Anys[off:], src.Anys, sel)
 	}
 	if src.Nulls == nil {
 		return
@@ -411,12 +386,12 @@ func put[T any](dst, src []T, sel []int32) {
 
 // ConcatBatches concatenates runs into one dense batch — the consumer's one
 // copy of shuffled rows: each run, dense or a selection view, is gathered
-// straight into the output. Columns with matching types copy typed;
-// genuinely mismatched types degrade that column to TAny, preserving each
-// value's boxed kind. Runs with rows must agree on column count. Zero-row
-// runs contribute nothing but their column count: when no run has rows the
-// result is a zero-row batch as wide as the widest run, so an empty shuffle
-// edge still reads with its producer's layout.
+// straight into the output, typed. Runs with rows must agree on column count
+// and on each column's type, except that an all-NULL run (typed TInt64 by
+// BatchFromRows whatever its producer meant) merges into any type; a real
+// mismatch panics. Zero-row runs contribute nothing but their column count:
+// when no run has rows the result is a zero-row batch as wide as the widest
+// run, so an empty shuffle edge still reads with its producer's layout.
 func ConcatBatches(runs []*Batch) *Batch {
 	total, ncols, emptyCols := 0, -1, 0
 	for _, r := range runs {
@@ -444,27 +419,20 @@ func ConcatBatches(runs []*Batch) *Batch {
 }
 
 func concatCol(runs []*Batch, c, total int) Column {
-	t := ColType(0)
-	typed := false
+	t, typed := TInt64, false
 	for _, r := range runs {
 		if r == nil || r.Len == 0 {
 			continue
 		}
-		rt := r.Cols[c].Type
-		if !typed {
+		switch rt := r.Cols[c].Type; {
+		case !typed:
 			t, typed = rt, true
-		} else if rt != t {
-			// Mixed types across runs: an all-NULL run infers TInt64 and can
-			// merge into anything; genuine kind mixes degrade to TAny.
-			if allNull(r, c) {
-				continue
-			}
-			if allNullSoFar(runs, c, r) {
-				t = rt
-				continue
-			}
-			t = TAny
-			break
+		case rt == t || allNull(r, c):
+			// same type, or an all-NULL run, which merges into any type
+		case allNullSoFar(runs, c, r):
+			t = rt
+		default:
+			panic(fmt.Sprintf("engine: concat of %v and %v runs in column %d", t, rt, c))
 		}
 	}
 	out := newCol(t, total)
@@ -473,24 +441,11 @@ func concatCol(runs []*Batch, c, total int) Column {
 		if r == nil || r.Len == 0 {
 			continue
 		}
-		src := &r.Cols[c]
-		if src.Type == t {
+		if src := &r.Cols[c]; src.Type == t {
 			putRows(&out, off, src, r.Sel, r.Len)
-			off += r.Len
-			continue
-		}
-		// Slow lane: the run's type differs from the merged type (an
-		// all-NULL run, or the merged type is TAny) — box through Value.
-		for j := 0; j < r.Len; j++ {
-			switch v := src.Value(r.physical(j)); {
-			case v == nil:
-				out.setNull(off+j, total)
-			case t == TAny:
-				out.Anys[off+j] = v
-			default:
-				// A non-NULL value of another kind only ever lands in a TAny
-				// column.
-				panic("engine: concat type drift")
+		} else {
+			for j := off; j < off+r.Len; j++ { // an all-NULL run of another type
+				out.setNull(j, total)
 			}
 		}
 		off += r.Len

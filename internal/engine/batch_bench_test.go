@@ -1,11 +1,32 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
-// Kernel microbenchmarks, on the workloads (sizes, key domains, seeds) the
-// retired row rungs used, so the BENCH_engine.json trajectory stays
-// comparable across the retirement. The row→batch conversion happens
-// outside the timer: plans hold batches end-to-end.
+// Microbenchmarks for the engine's data-plane kernels, on the workloads
+// (sizes, key domains, seeds) the retired row rungs used, so the
+// BENCH_engine.json trajectory stays comparable across the retirement.
+// Every benchmark reports allocations (b.ReportAllocs) so each kernel's
+// allocation budget is visible in the bench trajectory; scripts/bench.sh
+// runs the suite and snapshots the numbers, and `benchstat` compares runs
+// (see DESIGN.md, "Data-plane performance"). The row→batch conversion
+// happens outside the timer: plans hold batches end-to-end. The row kernels
+// are a test oracle and are not timed.
+
+// benchRows builds n rows of (int64 key, string key, float64 payload) with
+// keys drawn from a small domain so joins and aggregates form real groups.
+func benchRows(n, keyDomain int, seed int64) []Row {
+	r := rand.New(rand.NewSource(seed))
+	rows := make([]Row, n)
+	for i := range rows {
+		k := int64(r.Intn(keyDomain))
+		rows[i] = Row{k, fmt.Sprintf("key-%04d", k), r.Float64() * 1000}
+	}
+	return rows
+}
 
 func BenchmarkBatchHashJoin(b *testing.B) {
 	build := BatchFromRows(benchRows(1000, 500, 1))

@@ -6,9 +6,9 @@ import (
 	"math"
 )
 
-// Column codec: the wire format shuffle segments travel in (internal/rpc
-// wraps it for the multi-process path) and the byte-accounting ground truth
-// for the Store and Cache Workers. Layout, all integers little-endian:
+// Column codec: the wire format of a shuffle segment and the
+// byte-accounting ground truth for the Store and Cache Workers. Layout, all
+// integers little-endian:
 //
 //	uvarint rows, uvarint cols
 //	per column:
@@ -18,7 +18,6 @@ import (
 //	    TInt64 / TFloat64: rows × 8 bytes (two's-complement / IEEE bits)
 //	    TString:           per value uvarint length + bytes
 //	    TBool:             ceil(rows/8) packed bytes
-//	    TAny:              per value 1 kind byte + payload (see anyKind*)
 //
 // Typed vectors are length-prefixed by the header's row count — no gob, no
 // interface registration, no per-cell reflection. NULL slots encode their
@@ -30,27 +29,14 @@ import (
 // travel: encoding materializes a lazy batch first, and EncodedBatchSize
 // counts a view's logical rows without materializing it.
 
-// TAny per-value kind bytes.
-const (
-	anyKindNull   = 0
-	anyKindInt64  = 1
-	anyKindFloat  = 2
-	anyKindString = 3
-	anyKindBool   = 4
-	// anyKindOther carries fmt.Sprintf("%v") of a kind outside the engine's
-	// value domain; it decodes as a string. Compare would panic on such a
-	// value anyway — this keeps the codec total without gob.
-	anyKindOther = 5
-)
-
 // maxCountOnlyRows caps the decoded row count of a column-less
 // (count-only) batch, whose payload carries no per-row bytes to bound it.
 const maxCountOnlyRows = 1 << 20
 
 // EncodedBatchSize returns the exact byte length EncodeBatch would produce
 // — the shared size helper behind Store.PutBatch accounting. A selection
-// view is sized as its dense encoding without being materialized: strings,
-// TAny values and the has-nulls byte are counted over the selected rows.
+// view is sized as its dense encoding without being materialized: strings
+// and the has-nulls byte are counted over the selected rows.
 func EncodedBatchSize(b *Batch) int {
 	if b == nil {
 		return uvarintLen(0) + uvarintLen(0)
@@ -77,10 +63,6 @@ func (b *Batch) encodedColSize(c *Column) int {
 		}
 	case TBool:
 		n += (b.Len + 7) / 8
-	case TAny:
-		for j := 0; j < b.Len; j++ {
-			n += 1 + anyValueSize(c.Anys[b.physical(j)])
-		}
 	}
 	return n
 }
@@ -98,22 +80,6 @@ func (b *Batch) colHasNulls(c *Column) bool {
 		}
 	}
 	return false
-}
-
-func anyValueSize(v Value) int {
-	switch x := v.(type) {
-	case nil:
-		return 0
-	case int64, float64:
-		return 8
-	case string:
-		return uvarintLen(uint64(len(x))) + len(x)
-	case bool:
-		return 1
-	default:
-		s := fmt.Sprintf("%v", v)
-		return uvarintLen(uint64(len(s))) + len(s)
-	}
 }
 
 func uvarintLen(v uint64) int {
@@ -184,40 +150,8 @@ func appendCol(dst []byte, c *Column, rows int) []byte {
 				dst[start+i/8] |= 1 << (uint(i) % 8)
 			}
 		}
-	case TAny:
-		for _, v := range c.Anys {
-			dst = appendAnyValue(dst, v)
-		}
 	}
 	return dst
-}
-
-func appendAnyValue(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(dst, anyKindNull)
-	case int64:
-		dst = append(dst, anyKindInt64)
-		return binary.LittleEndian.AppendUint64(dst, uint64(x))
-	case float64:
-		dst = append(dst, anyKindFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	case string:
-		dst = append(dst, anyKindString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
-	case bool:
-		dst = append(dst, anyKindBool)
-		if x {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	default:
-		s := fmt.Sprintf("%v", v)
-		dst = append(dst, anyKindOther)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
-	}
 }
 
 // decoder walks an encoded batch with bounds checks on every read, so a
@@ -253,8 +187,6 @@ func (d *decoder) byte() (byte, error) {
 	}
 	return b[0], nil
 }
-
-func (d *decoder) remaining() int { return len(d.data) - d.off }
 
 // DecodeBatch decodes one batch into fresh storage, requiring the input to
 // be fully consumed. Strings are copied out of data (one slab per column),
@@ -328,7 +260,7 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 	if err != nil {
 		return err
 	}
-	if tb > byte(TAny) {
+	if tb > byte(TBool) {
 		return fmt.Errorf("engine: batch codec: unknown column type %d", tb)
 	}
 	c.Type = ColType(tb)
@@ -383,64 +315,6 @@ func (d *decoder) decodeCol(c *Column, rows int) error {
 		for i := range c.Bools {
 			c.Bools[i] = raw[i/8]&(1<<(uint(i)%8)) != 0
 		}
-	case TAny:
-		// Each TAny value costs at least its kind byte, so the remaining
-		// payload bounds the vector before it is allocated.
-		if rows > d.remaining() {
-			return fmt.Errorf("engine: batch codec: %d any values in %d bytes", rows, d.remaining())
-		}
-		c.Anys = make([]Value, rows)
-		for i := range c.Anys {
-			v, err := d.decodeAnyValue()
-			if err != nil {
-				return err
-			}
-			c.Anys[i] = v
-		}
 	}
 	return nil
-}
-
-func (d *decoder) decodeAnyValue() (Value, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case anyKindNull:
-		return nil, nil
-	case anyKindInt64:
-		raw, err := d.bytes(8)
-		if err != nil {
-			return nil, err
-		}
-		return int64(binary.LittleEndian.Uint64(raw)), nil
-	case anyKindFloat:
-		raw, err := d.bytes(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw)), nil
-	case anyKindString, anyKindOther:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := d.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		return string(raw), nil
-	case anyKindBool:
-		bb, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if bb > 1 {
-			return nil, fmt.Errorf("engine: batch codec: bad bool byte %d", bb)
-		}
-		return bb == 1, nil
-	default:
-		return nil, fmt.Errorf("engine: batch codec: unknown any-kind %d", kind)
-	}
 }

@@ -28,20 +28,7 @@ func batchesEqual(t *testing.T, what string, got, want *Batch) {
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	rows := randRows(r, 129)
-	// Add a string-bearing mixed column via a ragged append so the TAny
-	// string lane encodes too.
-	for i := range rows {
-		v := Value(nil)
-		switch i % 3 {
-		case 0:
-			v = "mixed"
-		case 1:
-			v = int64(i)
-		}
-		rows[i] = append(rows[i], v)
-	}
-	b := BatchFromRows(rows)
+	b := BatchFromRows(randRows(r, 129))
 	enc := EncodeBatch(b)
 	if len(enc) != EncodedBatchSize(b) {
 		t.Fatalf("encoded %d bytes, size helper says %d", len(enc), EncodedBatchSize(b))
@@ -88,6 +75,13 @@ func TestBatchCodecTruncationErrors(t *testing.T) {
 	// A header promising absurd dimensions must error, not allocate.
 	if _, err := DecodeBatch([]byte{0xff, 0xff, 0xff, 0xff, 0x7f, 0x01}); err == nil {
 		t.Error("absurd row count accepted")
+	}
+	// Column types end at TBool (3): 4 was the boxed lane, whose kind byte 0
+	// was a NULL, and 5 the dictionary lane. One row, one column, no nulls.
+	for _, tb := range []byte{4, 5} {
+		if _, err := DecodeBatch([]byte{1, 1, tb, 0, 0}); err == nil {
+			t.Errorf("column type %d accepted", tb)
+		}
 	}
 }
 

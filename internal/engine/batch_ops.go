@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -22,8 +23,8 @@ import (
 // HashBatchInto computes the partition-stable key hash of every row of the
 // batch into dst (len(dst) == b.Len, the logical length), column-at-a-time.
 // The result is bit-identical to the row-at-a-time definition the tests
-// keep (Hash in oracle_test.go) on the materialised rows, so dense, view
-// and kind-mixed segments co-partition.
+// keep (Hash in oracle_test.go) on the materialised rows, so dense and view
+// segments co-partition, and so do an int64 key and the equal float64 one.
 //
 //lint:hotpath
 func HashBatchInto(b *Batch, keys []int, dst []uint64) {
@@ -134,27 +135,16 @@ func hashColInto(c *Column, sel []int32, dst []uint64) {
 				dst[j] = h
 			}
 		}
-	case TAny:
-		if sel == nil {
-			for i := range c.Anys {
-				//lint:allow hotpath the any-kind fallback lane formats unknown types; typed columns never reach it
-				dst[i] = hashValue(dst[i], c.Value(i))
-			}
-		} else {
-			for j, s := range sel {
-				//lint:allow hotpath the any-kind fallback lane formats unknown types; typed columns never reach it
-				dst[j] = hashValue(dst[j], c.Value(int(s)))
-			}
-		}
 	}
 }
 
 // ---- comparison ----
 
-// colCompare orders cell i of column a against cell j of column b with
-// Compare's semantics (NULL first, cross-kind numerics as float64); i and j
-// are physical indices. Typed same-kind and int/float pairs avoid boxing;
-// anything else goes through Compare on boxed values.
+// colCompare orders cell i of column a against cell j of column b: NULL
+// first (NULL == NULL), same-kind values by their natural order (false <
+// true) and an int64 against a float64 as two float64s; i and j are physical
+// indices. Any other pairing is incomparable and panics — a plan bug, not
+// runtime data.
 func colCompare(a *Column, i int, b *Column, j int) int {
 	an, bn := a.IsNull(i), b.IsNull(j)
 	if an || bn {
@@ -181,7 +171,7 @@ func colCompare(a *Column, i int, b *Column, j int) int {
 		case TFloat64:
 			return cmpFloat(float64(a.Ints[i]), b.Floats[j])
 		default:
-			// other pairings: boxed compare below
+			// other pairings: incomparable, below
 		}
 	case TFloat64:
 		switch b.Type {
@@ -190,7 +180,7 @@ func colCompare(a *Column, i int, b *Column, j int) int {
 		case TInt64:
 			return cmpFloat(a.Floats[i], float64(b.Ints[j]))
 		default:
-			// other pairings: boxed compare below
+			// other pairings: incomparable, below
 		}
 	case TString:
 		if b.Type == TString {
@@ -214,10 +204,8 @@ func colCompare(a *Column, i int, b *Column, j int) int {
 			}
 			return 0
 		}
-	default:
-		// TAny and kind-mixed columns: boxed compare below
 	}
-	return Compare(a.Value(i), b.Value(j))
+	panic(fmt.Sprintf("engine: incomparable %v and %v columns", a.Type, b.Type))
 }
 
 // keyMatcher compiles "physical row i of a agrees with physical row j of b
@@ -258,16 +246,14 @@ func colEqual(a, b *Column) func(i, j int) bool {
 		case TBool:
 			x, y := a.Bools, b.Bools
 			return func(i, j int) bool { return x[i] == y[j] }
-		case TAny:
-			// boxed compare below
 		}
 	}
 	return func(i, j int) bool { return colCompare(a, i, b, j) == 0 }
 }
 
-// CompareBatchRows orders logical row i of batch a against logical row j of
+// compareBatchRows orders logical row i of batch a against logical row j of
 // batch b by the paired key columns (akeys[x] against bkeys[x]).
-func CompareBatchRows(a *Batch, i int, akeys []int, b *Batch, j int, bkeys []int) int {
+func compareBatchRows(a *Batch, i int, akeys []int, b *Batch, j int, bkeys []int) int {
 	pi, pj := a.physical(i), b.physical(j)
 	for x := range akeys {
 		if c := colCompare(&a.Cols[akeys[x]], pi, &b.Cols[bkeys[x]], pj); c != 0 {
@@ -347,8 +333,6 @@ func colComparator(c *Column) func(i, j int) int {
 				}
 				return 0
 			}
-		case TAny:
-			// boxed comparator below
 		}
 	}
 	cc := c
@@ -358,8 +342,7 @@ func colComparator(c *Column) func(i, j int) int {
 // SortBatch returns the batch's rows stably sorted by the key columns
 // (argsort over an index vector, then one typed gather; a lazy input's
 // selection vector seeds the argsort, so sorting a filtered batch never
-// materialises the pre-sort view). A single null-free typed key takes a
-// direct comparator — no closure chain. The result is dense. Sorting the
+// materialises the pre-sort view). The result is dense. Sorting the
 // producer-ordered concatenation of sorted runs is their stable k-way merge.
 //
 //lint:hotpath
@@ -379,7 +362,7 @@ func TopKBatch(b *Batch, keys []int, k int, desc bool) *Batch {
 }
 
 // argsort returns the batch's physical row indices stably ordered by the
-// key columns.
+// key columns, one colComparator per key.
 func argsort(b *Batch, keys []int, desc bool) []int32 {
 	idx := make([]int32, b.Len)
 	if b.Sel == nil {
@@ -390,9 +373,6 @@ func argsort(b *Batch, keys []int, desc bool) []int32 {
 		copy(idx, b.Sel)
 	}
 	if b.Len < 2 || len(keys) == 0 {
-		return idx
-	}
-	if !desc && len(keys) == 1 && sortIdxSingleKey(idx, &b.Cols[keys[0]]) {
 		return idx
 	}
 	cmps := make([]func(i, j int) int, len(keys))
@@ -411,47 +391,6 @@ func argsort(b *Batch, keys []int, desc bool) []int32 {
 		return 0
 	})
 	return idx
-}
-
-// sortIdxSingleKey stably argsorts idx (physical indices) by a null-free
-// typed column with an inlined comparator, reporting whether it handled the
-// column.
-func sortIdxSingleKey(idx []int32, c *Column) bool {
-	if c.Nulls != nil {
-		return false
-	}
-	switch c.Type {
-	case TInt64:
-		v := c.Ints
-		slices.SortStableFunc(idx, func(x, y int32) int {
-			a, b := v[x], v[y]
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			}
-			return 0
-		})
-	case TFloat64:
-		v := c.Floats
-		slices.SortStableFunc(idx, func(x, y int32) int { return cmpFloat(v[x], v[y]) })
-	case TString:
-		v := c.Strs
-		slices.SortStableFunc(idx, func(x, y int32) int {
-			a, b := v[x], v[y]
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			}
-			return 0
-		})
-	default:
-		return false
-	}
-	return true
 }
 
 // ---- partitioning ----
@@ -488,7 +427,7 @@ func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
 	pidx := make([]uint64, b.Len)
 	for i := range pidx {
 		pidx[i] = uint64(sort.Search(len(bounds), func(bi int) bool {
-			return CompareBatchRows(b, i, keys, bb, bi, keys) < 0
+			return compareBatchRows(b, i, keys, bb, bi, keys) < 0
 		}))
 	}
 	return partitionViews(b, pidx, len(bounds)+1)
@@ -659,118 +598,60 @@ func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 	return SortBatch(out, identity(nk))
 }
 
-// aggColumn folds one aggregate over the whole batch in a typed loop,
+// aggColumn folds one aggregate over the whole batch in one typed pass,
 // producing one value per group; gids is logical-indexed, so lazy inputs
 // fold through the selection. NULL inputs are skipped by Sum/Min/Max (a
-// group with no non-NULL input yields NULL); Count counts rows.
+// group with no non-NULL input yields NULL); Count counts rows. Sum takes an
+// int64 or float64 column and Min/Max any column but a bool one; no plan
+// asks for the others, and they panic.
 func aggColumn(b *Batch, a Agg, gids []int32, groups int) Column {
 	col := &b.Cols[a.Col]
-	if a.Kind == AggCount {
+	switch {
+	case a.Kind == AggCount:
 		out := make([]int64, groups)
 		for _, g := range gids {
 			out[g]++
 		}
 		return Int64Col(out)
+	case col.Type == TInt64:
+		acc, seen := fold(b, col.Nulls, col.Ints, a.Kind, gids, groups)
+		return withUnseenNulls(Int64Col(acc), seen)
+	case col.Type == TFloat64:
+		acc, seen := fold(b, col.Nulls, col.Floats, a.Kind, gids, groups)
+		return withUnseenNulls(Float64Col(acc), seen)
+	case col.Type == TString && a.Kind != AggSum:
+		acc, seen := fold(b, col.Nulls, col.Strs, a.Kind, gids, groups)
+		return withUnseenNulls(StringCol(acc), seen)
 	}
-	switch col.Type {
-	case TInt64:
-		switch a.Kind {
-		case AggCount:
-			// handled before the switch
-		case AggSum, AggMin, AggMax:
-			acc := make([]int64, groups)
-			seen := make([]bool, groups)
-			for j := range gids {
-				i := b.physical(j)
-				if col.Nulls != nil && bitGet(col.Nulls, i) {
-					continue
-				}
-				v := col.Ints[i]
-				g := gids[j]
-				switch {
-				case !seen[g]:
-					acc[g] = v
-				case a.Kind == AggSum:
-					acc[g] += v
-				case a.Kind == AggMin && v < acc[g]:
-					acc[g] = v
-				case a.Kind == AggMax && v > acc[g]:
-					acc[g] = v
-				}
-				seen[g] = true
-			}
-			return withUnseenNulls(Int64Col(acc), seen)
+	panic(fmt.Sprintf("engine: aggregate kind %d over a %v column", a.Kind, col.Type))
+}
+
+// fold is aggColumn's Sum/Min/Max loop over one typed vector: acc[g] is
+// group g's result and seen[g] whether a non-NULL input reached it. For
+// floats v < acc is exactly cmpFloat(v, acc) < 0, so one loop serves every
+// type.
+func fold[T int64 | float64 | string](b *Batch, nulls []uint64, vals []T, kind AggKind, gids []int32, groups int) (acc []T, seen []bool) {
+	acc = make([]T, groups)
+	seen = make([]bool, groups)
+	for j, g := range gids {
+		i := b.physical(j)
+		if nulls != nil && bitGet(nulls, i) {
+			continue
 		}
-	case TFloat64:
-		switch a.Kind {
-		case AggCount:
-			// handled before the switch
-		case AggSum, AggMin, AggMax:
-			acc := make([]float64, groups)
-			seen := make([]bool, groups)
-			for j := range gids {
-				i := b.physical(j)
-				if col.Nulls != nil && bitGet(col.Nulls, i) {
-					continue
-				}
-				v := col.Floats[i]
-				g := gids[j]
-				switch {
-				case !seen[g]:
-					acc[g] = v
-				case a.Kind == AggSum:
-					acc[g] += v
-				case a.Kind == AggMin && cmpFloat(v, acc[g]) < 0:
-					acc[g] = v
-				case a.Kind == AggMax && cmpFloat(v, acc[g]) > 0:
-					acc[g] = v
-				}
-				seen[g] = true
-			}
-			return withUnseenNulls(Float64Col(acc), seen)
+		v := vals[i]
+		switch {
+		case !seen[g]:
+			acc[g] = v
+		case kind == AggSum:
+			acc[g] += v
+		case kind == AggMin && v < acc[g]:
+			acc[g] = v
+		case kind == AggMax && v > acc[g]:
+			acc[g] = v
 		}
-	case TString:
-		if a.Kind == AggMin || a.Kind == AggMax {
-			acc := make([]string, groups)
-			seen := make([]bool, groups)
-			for j := range gids {
-				i := b.physical(j)
-				if col.Nulls != nil && bitGet(col.Nulls, i) {
-					continue
-				}
-				v := col.Strs[i]
-				g := gids[j]
-				switch {
-				case !seen[g]:
-					acc[g] = v
-				case a.Kind == AggMin && v < acc[g]:
-					acc[g] = v
-				case a.Kind == AggMax && v > acc[g]:
-					acc[g] = v
-				}
-				seen[g] = true
-			}
-			return withUnseenNulls(StringCol(acc), seen)
-		}
-	default:
-		// TBool and TAny: boxed lane below
+		seen[g] = true
 	}
-	// Boxed lane: TAny columns (mixed numeric sums promote per group, like
-	// accCell), bool min/max, and sums over non-numeric types (which panic
-	// inside fold).
-	accs := make([]accCell, groups)
-	for j := range gids {
-		accs[gids[j]].fold(a.Kind, col.Value(b.physical(j)))
-	}
-	out := Column{Type: TAny, Anys: make([]Value, groups)}
-	for g := range accs {
-		v := accs[g].value(a.Kind)
-		out.Anys[g] = v
-		if v == nil {
-			out.setNull(g, groups)
-		}
-	}
-	return out
+	return acc, seen
 }
 
 // withUnseenNulls marks groups that never saw a non-NULL input as NULL.

@@ -84,14 +84,14 @@ func TestSelKernelEquivalence(t *testing.T) {
 		batchesEqual(t, "partition by key", pl[p], pd[p])
 	}
 
-	bounds := []Row{{int64(5), 12.0, "b", false, nil}, {int64(12), 3.0, "e", true, nil}}
+	bounds := []Row{{int64(5), 12.0, "b", false}, {int64(12), 3.0, "e", true}}
 	rl := PartitionBatchByRange(lazy, keys, bounds)
 	rd := PartitionBatchByRange(dense, keys, bounds)
 	for p := range rd {
 		batchesEqual(t, "partition by range", rl[p].Materialize(), rd[p].Materialize())
 	}
 
-	aggs := []Agg{{AggCount, 0}, {AggSum, 1}, {AggMin, 2}, {AggMax, 4}}
+	aggs := []Agg{{AggCount, 0}, {AggSum, 1}, {AggMin, 2}, {AggMax, 0}}
 	batchesEqual(t, "aggregate",
 		HashAggregateBatch(lazy, []int{2}, aggs),
 		HashAggregateBatch(dense, []int{2}, aggs))
@@ -102,9 +102,9 @@ func TestSelKernelEquivalence(t *testing.T) {
 		HashJoinBatch(lazy, []int{2}, lazyProbe, []int{2}),
 		HashJoinBatch(dense, []int{2}, lazyProbe.Materialize(), []int{2}))
 
-	// CompareBatchRows takes logical rows on both sides.
+	// compareBatchRows takes logical rows on both sides.
 	for j := 0; j < lazy.Len; j++ {
-		if CompareBatchRows(lazy, j, keys, dense, j, keys) != 0 {
+		if compareBatchRows(lazy, j, keys, dense, j, keys) != 0 {
 			t.Fatalf("logical row %d differs between lazy and dense", j)
 		}
 	}
@@ -156,8 +156,8 @@ func TestSelCodecBoundary(t *testing.T) {
 }
 
 // TestShuffleViewEquivalence drives the copy-once shuffle end to end on
-// random inputs: producers partition dense or lazy batches (~14 % NULLs, a
-// kind-mixed TAny column) by key or by range into selection views, the store
+// random inputs: producers partition dense or lazy batches (~14 % NULLs) by
+// key or by range into selection views, the store
 // keeps each view and accounts its dense encoding, and every consumer
 // concatenates its runs in producer order — which must equal the row
 // oracle's partitions of the same rows, concatenated the same way, as a

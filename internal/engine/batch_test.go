@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// randRows builds kind-homogeneous columns (int64, float64, string, bool)
-// plus one mixed column, each with ~15% NULLs, so every typed vector lane
-// and the TAny escape hatch get exercised.
+// randRows builds one column of each kind (int64, float64, string, bool),
+// each with ~14% NULLs, so every typed vector lane gets exercised. A quarter
+// of the float64 column is integral and in the int64 column's range, so a
+// cross-kind numeric key (column 0 against column 1) finds matches.
 func randRows(r *rand.Rand, n int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
@@ -17,25 +18,11 @@ func randRows(r *rand.Rand, n int) []Row {
 			float64(r.Intn(100)) / 4,
 			string(rune('a' + r.Intn(6))),
 			r.Intn(2) == 0,
-			nil, // mixed
 		}
-		// Mixed numeric kinds (comparable cross-kind, unlike string vs
-		// number, which Compare rejects in both row and batch paths).
-		switch r.Intn(3) {
-		case 0:
-			row[4] = int64(r.Intn(10))
-		case 1:
-			row[4] = float64(r.Intn(10))
-		case 2:
-			row[4] = float64(r.Intn(10)) + 0.5
-		}
-		for c := 0; c < 4; c++ {
+		for c := range row {
 			if r.Intn(7) == 0 {
 				row[c] = nil
 			}
-		}
-		if r.Intn(7) == 0 {
-			row[4] = nil
 		}
 		rows[i] = row
 	}
@@ -92,10 +79,10 @@ func TestBatchFromRowsRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	rows := randRows(r, 257) // not a multiple of 64: partial bitmap word
 	b := BatchFromRows(rows)
-	if b.Len != len(rows) || b.NumCols() != 5 {
+	if b.Len != len(rows) || b.NumCols() != 4 {
 		t.Fatalf("batch %dx%d", b.Len, b.NumCols())
 	}
-	wantTypes := []ColType{TInt64, TFloat64, TString, TBool, TAny}
+	wantTypes := []ColType{TInt64, TFloat64, TString, TBool}
 	for c, w := range wantTypes {
 		if b.Cols[c].Type != w {
 			t.Errorf("col %d type = %v, want %v", c, b.Cols[c].Type, w)
@@ -112,13 +99,33 @@ func TestBatchFromRowsRoundTrip(t *testing.T) {
 	if !rb.IsNull(1, 1) || !rb.IsNull(0, 2) || !rb.IsNull(1, 2) || rb.Value(1, 0) != "x" {
 		t.Errorf("ragged cells: %v", rb.Rows())
 	}
+
+	// A column of two kinds, or of a kind outside the domain, is a plan
+	// bug: the panic names the column and what it found there.
+	for _, tc := range []struct {
+		rows []Row
+		want string
+	}{
+		{[]Row{{"x", int64(1)}, {"y", nil}, {"z", 2.5}}, "engine: column 1 mixes int64 and float64 values"},
+		{[]Row{{nil}, {"s"}, {true}}, "engine: column 0 mixes string and bool values"},
+		{[]Row{{1}}, "engine: column 0 holds int, not int64, float64, string or bool"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("BatchFromRows(%v) panicked with %v, want %q", tc.rows, got, tc.want)
+				}
+			}()
+			BatchFromRows(tc.rows)
+		}()
+	}
 }
 
 func TestHashBatchMatchesRowHash(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	rows := randRows(r, 300)
 	b := BatchFromRows(rows)
-	for _, keys := range [][]int{{0}, {2}, {4}, {0, 1, 2, 3, 4}, {3, 2}} {
+	for _, keys := range [][]int{{0}, {1}, {2}, {0, 1, 2, 3}, {3, 2}} {
 		dst := make([]uint64, b.Len)
 		HashBatchInto(b, keys, dst)
 		for i, row := range rows {
@@ -161,10 +168,10 @@ func TestProjectAndGatherEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	rows := randRows(r, 100)
 	b := BatchFromRows(rows)
-	p := b.Project([]int{4, 0, 0, 2})
+	p := b.Project([]int{3, 0, 0, 2})
 	var want []Row
 	for _, row := range rows {
-		want = append(want, Row{row[4], row[0], row[0], row[2]})
+		want = append(want, Row{row[3], row[0], row[0], row[2]})
 	}
 	rowsEqual(t, "project", p.Rows(), want)
 
@@ -178,7 +185,7 @@ func TestProjectAndGatherEquivalence(t *testing.T) {
 
 	// Zero rows project and gather to zero rows, whatever the layout.
 	for _, empty := range []*Batch{{}, b.Gather(nil)} {
-		if p := empty.Project([]int{4, 0}); p.Len != 0 || p.NumCols() != 2 {
+		if p := empty.Project([]int{3, 0}); p.Len != 0 || p.NumCols() != 2 {
 			t.Errorf("zero-row project = %dx%d", p.Len, p.NumCols())
 		}
 		if g := empty.Gather(nil); g.Len != 0 {
@@ -189,7 +196,7 @@ func TestProjectAndGatherEquivalence(t *testing.T) {
 
 func TestSortBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for _, keys := range [][]int{{0}, {1}, {2}, {3}, {4}, {2, 0}, {4, 1, 0}} {
+	for _, keys := range [][]int{{0}, {1}, {2}, {3}, {2, 0}, {3, 1, 0}} {
 		for _, in := range equivInputs(r, 150) {
 			want := append([]Row(nil), in.rows...)
 			SortRows(want, keys)
@@ -209,7 +216,7 @@ func TestTopKBatchEquivalence(t *testing.T) {
 		for i := 0; i < len(in.rows); i += 2 {
 			half = append(half, in.rows[i])
 		}
-		for _, keys := range [][]int{{0}, {2}, {4, 1}, {2, 0}} {
+		for _, keys := range [][]int{{0}, {2}, {3, 1}, {2, 0}} {
 			for _, k := range []int{-1, 0, 1, 7, 150, 1000} {
 				rowsEqual(t, "top-k", TopKBatch(in.batch, keys, k, false).Rows(), TopK(in.rows, keys, k))
 				rowsEqual(t, "top-k desc", TopKBatch(in.batch, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
@@ -226,8 +233,8 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 	for _, tc := range []struct{ bk, pk []int }{
 		{[]int{0}, []int{0}},
 		{[]int{2, 3}, []int{2, 3}},
-		{[]int{4}, []int{4}},
-		{[]int{0}, []int{4}}, // cross-kind numeric keys
+		{[]int{1}, []int{1}},
+		{[]int{0}, []int{1}}, // cross-kind numeric keys: int64 build, float64 probe
 	} {
 		for _, build := range builds {
 			for _, probe := range probes {
@@ -249,9 +256,9 @@ func TestHashAggregateBatchEquivalence(t *testing.T) {
 	}{
 		{[]int{0}, []Agg{{AggSum, 1}, {AggCount, 0}}},
 		{[]int{2}, []Agg{{AggSum, 0}, {AggMin, 1}, {AggMax, 1}}},
-		{[]int{2, 3}, []Agg{{AggCount, 0}, {AggMin, 2}, {AggMax, 4}}},
-		{[]int{4}, []Agg{{AggSum, 4}, {AggCount, 4}}}, // mixed-kind keys and inputs
-		{[]int{0, 1, 2, 3, 4}, []Agg{{AggCount, 0}}},
+		{[]int{2, 3}, []Agg{{AggCount, 0}, {AggMin, 2}, {AggMax, 0}}},
+		{[]int{1}, []Agg{{AggSum, 1}, {AggCount, 1}, {AggMin, 0}}},
+		{[]int{0, 1, 2, 3}, []Agg{{AggCount, 0}}},
 		{[]int{3}, nil}, // distinct
 	} {
 		for _, in := range equivInputs(r, 400) {
@@ -303,25 +310,33 @@ func TestConcatBatches(t *testing.T) {
 	got := ConcatBatches([]*Batch{BatchFromRows(a), {}, BatchFromRows(b)})
 	rowsEqual(t, "concat", got.Rows(), append(append([]Row(nil), a...), b...))
 
-	// Kind mismatch across runs degrades the column to TAny without losing
-	// values; an all-NULL run merges into any type.
+	// An all-NULL run merges into any type; a real kind mismatch across
+	// runs panics.
 	ints := BatchFromRows([]Row{{int64(1)}})
 	strs := BatchFromRows([]Row{{"s"}})
 	nulls := BatchFromRows([]Row{{nil}})
-	m := ConcatBatches([]*Batch{ints, nulls, strs})
-	if m.Cols[0].Type != TAny {
-		t.Errorf("mixed concat type = %v", m.Cols[0].Type)
-	}
-	rowsEqual(t, "mixed concat", m.Rows(), []Row{{int64(1)}, {nil}, {"s"}})
 	n := ConcatBatches([]*Batch{ints, nulls})
 	if n.Cols[0].Type != TInt64 {
 		t.Errorf("int+null concat type = %v", n.Cols[0].Type)
 	}
 	rowsEqual(t, "int+null concat", n.Rows(), []Row{{int64(1)}, {nil}})
+	s := ConcatBatches([]*Batch{nulls, strs})
+	if s.Cols[0].Type != TString {
+		t.Errorf("null+string concat type = %v", s.Cols[0].Type)
+	}
+	rowsEqual(t, "null+string concat", s.Rows(), []Row{{nil}, {"s"}})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("concat of an int64 run and a string run did not panic")
+			}
+		}()
+		ConcatBatches([]*Batch{ints, nulls, strs})
+	}()
 
 	// Runs without rows concatenate to zero rows that keep the runs' width —
 	// an empty shuffle edge reads with its producer's layout.
-	if e := ConcatBatches([]*Batch{{}, BatchFromRows(a).Gather(nil), nil}); e.Len != 0 || e.NumCols() != 5 {
-		t.Errorf("all-empty concat = %dx%d, want 0x5", e.Len, e.NumCols())
+	if e := ConcatBatches([]*Batch{{}, BatchFromRows(a).Gather(nil), nil}); e.Len != 0 || e.NumCols() != 4 {
+		t.Errorf("all-empty concat = %dx%d, want 0x4", e.Len, e.NumCols())
 	}
 }

@@ -3,10 +3,10 @@
 // (rows out) — with executors as goroutines, in-memory Cache Workers
 // backing the Local/Remote shuffle paths, per-task channels backing Direct
 // Shuffle, and the same controller (package core) that drives the
-// simulator making every scheduling and recovery decision. It is the
-// engine behind the runnable examples and the swiftsim tool's --engine
-// mode; the discrete-event simulator (package simrun) remains the
-// substrate for paper-scale experiments.
+// simulator making every scheduling and recovery decision. It runs the
+// examples/ programs, the TPC-H-lite queries of package tpch and the
+// engine_tpch benchmark workload; the discrete-event simulator (package
+// simrun) remains the substrate for paper-scale experiments.
 package engine
 
 import (
@@ -15,8 +15,8 @@ import (
 	"sync"
 )
 
-// Value is one boxed cell: what rows hold at the engine's two edges and
-// what a batch's TAny lane holds inside; comparisons follow Compare.
+// Value is one boxed cell, what rows hold at the engine's two edges: an
+// int64, float64, string or bool, or nil for NULL.
 type Value interface{}
 
 // Row is one record.
@@ -44,66 +44,6 @@ func (s Schema) MustCol(name string) int {
 	return i
 }
 
-// Compare orders two values: numerics numerically (int64/float64), strings
-// lexicographically, booleans false<true. Mixed numeric kinds compare as
-// float64. NULL (nil) is total: it sorts before every non-NULL value and
-// NULL == NULL, matching the batch null-bitmap semantics. It panics on
-// incomparable non-nil kinds — a plan bug, not runtime data.
-func Compare(a, b Value) int {
-	if a == nil || b == nil {
-		switch {
-		case a == nil && b == nil:
-			return 0
-		case a == nil:
-			return -1
-		}
-		return 1
-	}
-	switch av := a.(type) {
-	case int64:
-		switch bv := b.(type) {
-		case int64:
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
-		case float64:
-			return cmpFloat(float64(av), bv)
-		}
-	case float64:
-		switch bv := b.(type) {
-		case float64:
-			return cmpFloat(av, bv)
-		case int64:
-			return cmpFloat(av, float64(bv))
-		}
-	case string:
-		if bv, ok := b.(string); ok {
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
-		}
-	case bool:
-		if bv, ok := b.(bool); ok {
-			switch {
-			case !av && bv:
-				return -1
-			case av && !bv:
-				return 1
-			}
-			return 0
-		}
-	}
-	panic(fmt.Sprintf("engine: incomparable values %T and %T", a, b))
-}
-
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -116,7 +56,7 @@ func cmpFloat(a, b float64) int {
 
 // FNV-1a parameters and per-kind tags. Tags keep values of different kinds
 // from trivially colliding; int64 and float64 share the number tag because
-// Compare treats them as one numeric domain.
+// the kernels compare them as one numeric domain (colCompare).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -125,7 +65,6 @@ const (
 	tagString = 0x53
 	tagBool   = 0x42
 	tagNull   = 0x30
-	tagOther  = 0x3f
 )
 
 func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
@@ -143,29 +82,6 @@ func hashString(h uint64, s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// hashValue folds one key value into h. NULL hashes by its own tag, so nil
-// keys co-partition with the batch null bitmap's hashing.
-func hashValue(h uint64, v Value) uint64 {
-	switch x := v.(type) {
-	case int64:
-		return hashUint64(hashByte(h, tagNumber), uint64(x))
-	case float64:
-		return hashFloatValue(h, x)
-	case string:
-		return hashString(hashByte(h, tagString), x)
-	case bool:
-		h = hashByte(h, tagBool)
-		if x {
-			return hashByte(h, 1)
-		}
-		return hashByte(h, 0)
-	case nil:
-		return hashByte(h, tagNull)
-	default:
-		return hashString(hashByte(h, tagOther), fmt.Sprintf("%v", v))
-	}
 }
 
 // hashFloatValue is the numeric folding: integral floats in int64 range

@@ -316,6 +316,74 @@ func TestAppErrorFailsJobWithoutRetry(t *testing.T) {
 	}
 }
 
+// TestFailedJobDropsLateSegments: when a job fails, its tasks still running
+// are aborted but keep running. A shuffle write one of them makes after Run
+// returned must be refused: it would land after the job's DropJob, and its
+// bytes would stay in the store for the engine's lifetime.
+func TestFailedJobDropsLateSegments(t *testing.T) {
+	e := New(DefaultConfig())
+	defer e.Close()
+	job := dag.NewBuilder("late").
+		Stage("a", 2, dag.Op(dag.OpTableScan), dag.Op(dag.OpShuffleWrite)).
+		Stage("b", 1, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpAdhocSink)).
+		Pipeline("a", "b", 1<<20).
+		MustBuild()
+	release, emitted := make(chan struct{}), make(chan error, 1)
+	plans := Plans{
+		"a": func(ctx *TaskContext) error {
+			if ctx.Index() == 0 {
+				return &AppError{Msg: "fails the job"}
+			}
+			<-release
+			err := ctx.EmitBatchByKey("b", NewBatch(Int64Col([]int64{1})), []int{0})
+			emitted <- err
+			return err
+		},
+		"b": func(ctx *TaskContext) error {
+			_, err := ctx.InputBatch("a")
+			return err
+		},
+	}
+	if _, err := e.Run(job, plans); err == nil {
+		t.Fatal("job should fail")
+	}
+	close(release)
+	select {
+	case err := <-emitted:
+		if err == nil {
+			t.Error("an aborted attempt's shuffle write was accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("task a[1] never emitted")
+	}
+	if used := e.Store().Stats().UsedBytes; used != 0 {
+		t.Fatalf("UsedBytes = %d after the failed job, want 0", used)
+	}
+}
+
+// TestKindMixedTableFailsJob: a table column that holds two kinds is outside
+// the engine's value domain. Converting the partition panics, the scan task
+// fails, and Run returns an error once its retries run out.
+func TestKindMixedTableFailsJob(t *testing.T) {
+	e := New(DefaultConfig())
+	defer e.Close()
+	e.RegisterTable(NewTable("words", Schema{"word"}, []Row{{"swift"}, {int64(7)}}, 1))
+	job, plans := wordcountJob("wc-mixed", 1, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run(job, plans)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a job over a kind-mixed column succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked after 10s on a kind-mixed column")
+	}
+}
+
 func TestPanicBecomesTaskFailureThenRecovers(t *testing.T) {
 	e := New(DefaultConfig())
 	defer e.Close()

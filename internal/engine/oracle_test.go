@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -11,7 +12,168 @@ import (
 // client carry batches only — but every exported batch kernel is pinned to
 // one of these by a Test*Equivalence/Matches/Parity test (swiftvet's
 // batchparity enforces that), so they live here, in package engine's test
-// files, written the obvious row-at-a-time way on purpose.
+// files, written the obvious row-at-a-time way on purpose. So do the value
+// helpers they are built on — Compare, hashValue and the accCell
+// accumulators — since the batch kernels compare, hash and fold typed
+// vectors instead.
+
+// Compare orders two values: numerics numerically (int64/float64), strings
+// lexicographically, booleans false<true. Mixed numeric kinds compare as
+// float64. NULL (nil) is total: it sorts before every non-NULL value and
+// NULL == NULL, matching the batch null-bitmap semantics. It panics on
+// incomparable non-nil kinds — a plan bug, not runtime data — as colCompare
+// does.
+func Compare(a, b Value) int {
+	if a == nil || b == nil {
+		switch {
+		case a == nil && b == nil:
+			return 0
+		case a == nil:
+			return -1
+		}
+		return 1
+	}
+	switch av := a.(type) {
+	case int64:
+		switch bv := b.(type) {
+		case int64:
+			switch {
+			case av < bv:
+				return -1
+			case av > bv:
+				return 1
+			}
+			return 0
+		case float64:
+			return cmpFloat(float64(av), bv)
+		}
+	case float64:
+		switch bv := b.(type) {
+		case float64:
+			return cmpFloat(av, bv)
+		case int64:
+			return cmpFloat(av, float64(bv))
+		}
+	case string:
+		if bv, ok := b.(string); ok {
+			switch {
+			case av < bv:
+				return -1
+			case av > bv:
+				return 1
+			}
+			return 0
+		}
+	case bool:
+		if bv, ok := b.(bool); ok {
+			switch {
+			case !av && bv:
+				return -1
+			case av && !bv:
+				return 1
+			}
+			return 0
+		}
+	}
+	panic(fmt.Sprintf("engine: incomparable values %T and %T", a, b))
+}
+
+// tagOther marks a value outside the engine's domain; the oracle hashes its
+// fmt form so Hash stays total over any row.
+const tagOther = 0x3f
+
+// hashValue folds one key value into h. NULL hashes by its own tag, so nil
+// keys co-partition with the batch null bitmap's hashing.
+func hashValue(h uint64, v Value) uint64 {
+	switch x := v.(type) {
+	case int64:
+		return hashUint64(hashByte(h, tagNumber), uint64(x))
+	case float64:
+		return hashFloatValue(h, x)
+	case string:
+		return hashString(hashByte(h, tagString), x)
+	case bool:
+		h = hashByte(h, tagBool)
+		if x {
+			return hashByte(h, 1)
+		}
+		return hashByte(h, 0)
+	case nil:
+		return hashByte(h, tagNull)
+	default:
+		return hashString(hashByte(h, tagOther), fmt.Sprintf("%v", v))
+	}
+}
+
+// accCell is one (group, aggregate) accumulator over boxed values, the
+// state of the row aggregates. Sum/Count state is held unboxed; boxing
+// happens once per group at emit time. A sum whose inputs mix int64 and
+// float64 turns float at its first float64, as SQL's numeric promotion does.
+type accCell struct {
+	i    int64   // integer sum / count
+	f    float64 // float sum once the stream turns float
+	v    Value   // current Min/Max winner (already boxed by the input row)
+	isF  bool
+	seen bool
+}
+
+func (c *accCell) fold(kind AggKind, v Value) {
+	// NULL semantics shared with the batch kernels: Count counts rows;
+	// Sum/Min/Max skip NULL inputs (a NULL-only group yields NULL).
+	if v == nil && kind != AggCount {
+		return
+	}
+	switch kind {
+	case AggCount:
+		c.i++
+	case AggSum:
+		switch x := v.(type) {
+		case int64:
+			if c.isF {
+				c.f += float64(x)
+			} else {
+				c.i += x
+			}
+		case float64:
+			if !c.isF {
+				c.isF = true
+				c.f = float64(c.i)
+			}
+			c.f += x
+		default:
+			panic("engine: sum over non-numeric values")
+		}
+	case AggMin:
+		if !c.seen || Compare(v, c.v) < 0 {
+			c.v = v
+		}
+	case AggMax:
+		if !c.seen || Compare(v, c.v) > 0 {
+			c.v = v
+		}
+	}
+	c.seen = true
+}
+
+// value boxes the accumulator result. Count of an empty stream is 0, like
+// the previous implementation's nil-accumulator substitution.
+func (c *accCell) value(kind AggKind) Value {
+	switch kind {
+	case AggCount:
+		return c.i
+	case AggSum:
+		if !c.seen {
+			return nil
+		}
+		if c.isF {
+			return c.f
+		}
+		return c.i
+	case AggMin, AggMax:
+		return c.v
+	}
+	return c.v
+}
 
 // CompareRows orders rows by the given key columns.
 func CompareRows(a, b Row, keys []int) int {

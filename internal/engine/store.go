@@ -74,12 +74,25 @@ func SegmentKey(job, from, to string, producer, part int) string {
 // previous attempt's (failure recovery re-writes). The Cache Worker
 // accounts the batch's exact encoded size.
 func (s *Store) PutBatch(job string, machine int, key string, b *Batch) error {
+	return s.put(job, machine, key, b, nil)
+}
+
+// put is PutBatch for a task attempt: it refuses the write with ErrInjected
+// once aborted reports true, checked under the store's lock. The engine loop
+// closes an attempt's abort channel before it drops the attempt's job, so a
+// write either lands before DropJob and goes with the job, or is refused —
+// an aborted attempt's late write neither outlives its job nor replaces its
+// retry's segment.
+func (s *Store) put(job string, machine int, key string, b *Batch, aborted func() bool) error {
 	if b == nil {
 		b = &Batch{}
 	}
 	size := int64(EncodedBatchSize(b)) // exact wire bytes, computed outside the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if aborted != nil && aborted() {
+		return ErrInjected
+	}
 	if old, ok := s.home[key]; ok {
 		s.workers[old].Drop(key)
 	} else {

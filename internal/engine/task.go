@@ -84,7 +84,8 @@ func (c *TaskContext) InputBatchRuns(from string) ([]*Batch, error) {
 // EmitBatchPartitioned writes this task's output for the edge to `to`, one
 // batch per consumer task, into the local machine's Cache Worker. The store
 // keeps each batch as given, so the plan must not mutate it (or what a view
-// selects from) afterwards.
+// selects from) afterwards. It returns ErrInjected, writing nothing more,
+// once the attempt is aborted.
 func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 	n := c.ConsumerTasks(to)
 	if len(parts) != n {
@@ -92,7 +93,7 @@ func (c *TaskContext) EmitBatchPartitioned(to string, parts []*Batch) error {
 	}
 	for i, b := range parts {
 		key := SegmentKey(c.js.job.ID, c.ref.Stage, to, c.ref.Index, i)
-		if err := c.engine.store.PutBatch(c.js.job.ID, c.machine, key, b); err != nil {
+		if err := c.engine.store.put(c.js.job.ID, c.machine, key, b, c.Aborted); err != nil {
 			return err
 		}
 	}

@@ -27,8 +27,8 @@ func FuzzBatchCodec(f *testing.F) {
 			engine.StringCol([]string{"a", ""}),
 			engine.BoolCol([]bool{true, false}),
 		),
-		// All-NULL columns and a mixed (TAny) column.
-		engine.BatchFromRows([]engine.Row{{nil, int64(1)}, {nil, "s"}, {nil, nil}}),
+		// An all-NULL column and a string column with a NULL.
+		engine.BatchFromRows([]engine.Row{{nil, "s"}, {nil, nil}, {nil, "t"}}),
 		{Len: 9}, // rows without columns (count-only segment)
 	}
 	for _, b := range seedBatches {
@@ -42,9 +42,10 @@ func FuzzBatchCodec(f *testing.F) {
 		engine.StringCol([]string{"c", "c", "c", "c", "c", "c", "c", "c"}),
 		engine.Int64Col([]int64{1, 2, 3, 4, 5, 6, 7, 8}))))
 	f.Add(encode(engine.FilterBatch(seedBatches[2], func(i int) bool { return i%2 == 0 })))
-	// Truncated and corrupt variants seed the error paths. The last two
-	// carry column type 5, which is no column type, and must be rejected,
-	// as must the seed_dict_* corpus files that carry it too.
+	// Truncated and corrupt variants seed the error paths. The last three
+	// carry a column type the codec no longer has — 5, the dictionary lane,
+	// as the seed_dict_* corpus files do too, and 4, the boxed lane — and
+	// must be rejected.
 	full := encode(seedBatches[2])
 	f.Add(full[:1])
 	f.Add(full[:len(full)/2])
@@ -52,6 +53,7 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f, 0x02})
 	f.Add([]byte{1, 1, 5, 0, 3, 1, 'a', 1, 'b', 1, 'c', 0b11})
 	f.Add([]byte{3, 1, 5, 0, 0})
+	f.Add([]byte{1, 1, 4, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := engine.DecodeBatch(data)

@@ -6,11 +6,12 @@ import (
 )
 
 // Runnable TPC-H-lite queries: physical plans that execute for real on the
-// engine against a GenerateLite database. Three queries cover the suite's
+// engine against a GenerateLite database. Four queries cover the suite's
 // operator classes — Q1 (scan + streamed aggregation), Q6 (filter + global
-// sum) and Q3 (3-way join + group-by + top-k ordering). Each returns the
-// job DAG and the stage bodies; reference implementations for verification
-// live beside them (LiteQ*Reference).
+// sum), Q3 (3-way join + group-by + top-k ordering) and, in lite_q12.go,
+// Q12 (co-partitioned join + conditional aggregation). Each returns the job
+// DAG and the stage bodies; reference implementations for verification live
+// beside them (LiteQ*Reference).
 
 // liteCols caches frequently used column indexes.
 var (

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: gofmt, vet, swiftvet (the project's own static
-# analyzers — see DESIGN.md "Static analysis"), race-test everything,
+# analyzers — see DESIGN.md "Static analysis", with no //lint:allow left in
+# non-test code to silence one), race-test everything,
 # run the allocation guards without the race detector (every
 # testing.AllocsPerRun budget skips itself under -race, so the race run
 # alone enforces none of them; the engine's shuffle kernels are held by
@@ -56,6 +57,16 @@ SWIFTVET_ELAPSED="$(( $(date +%s) - SWIFTVET_START ))"
 echo "swiftvet: clean in ${SWIFTVET_ELAPSED}s (artifact: $ARTIFACTS_DIR/swiftvet.json)"
 if [ "$SWIFTVET_ELAPSED" -gt 60 ]; then
     echo "swiftvet: full-tree run took ${SWIFTVET_ELAPSED}s (>60s budget) — profile the call-graph build" >&2
+    exit 1
+fi
+
+echo "== no //lint:allow in non-test code (fix the finding instead of silencing it)"
+# A directive is a comment that starts with lint:allow; the syntax examples
+# quoted inside other comments (lint.go, cmd/swiftvet) do not start one.
+# Only the analyzers' own fixtures under internal/lint/testdata carry them.
+if grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*//[[:space:]]*lint:allow' . |
+    grep -v '^\./internal/lint/testdata/'; then
+    echo "//lint:allow directives in non-test code" >&2
     exit 1
 fi
 
