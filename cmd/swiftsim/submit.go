@@ -5,7 +5,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -95,10 +94,6 @@ func runSubmit(addr string, jobs int, seed int64, tenant string, drain bool) int
 			time.Sleep(100 * time.Millisecond)
 			st, err := fc.Status()
 			if err != nil {
-				if errors.Is(err, rpc.ErrClosed) {
-					fmt.Fprintln(os.Stderr, "swiftsim: client closed while draining")
-					return 1
-				}
 				fmt.Println("drain: server exited")
 				return 0
 			}

@@ -115,7 +115,6 @@ func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
 	totalRunning := 0
-	totalPending, totalDone, liveJobs := 0, 0, 0
 	disordered := 0
 	tenantRecount := make(map[string]*TenantCounts)
 	recountFor := func(name string) *TenantCounts {
@@ -133,7 +132,6 @@ func (c *Controller) CheckInvariants() []string {
 			v = append(v, fmt.Sprintf("%s: terminal job still in the live-job order", jobID))
 			continue
 		}
-		liveJobs++
 		ttc := recountFor(m.tenant)
 		ttc.Jobs++
 		queued := make(map[int]int) // graphlet -> queue entries
@@ -169,7 +167,6 @@ func (c *Controller) CheckInvariants() []string {
 				key := offset[si] + i
 				switch st.status[i] {
 				case tPending:
-					totalPending++
 					ttc.Pending++
 					if n := pendingInQueue[st.graphlet][key]; n != 1 {
 						v = append(v, fmt.Sprintf("%s: pending task %s appears %d times in graphlet %d's pending queue (want 1)", jobID, ref, n, st.graphlet))
@@ -195,7 +192,6 @@ func (c *Controller) CheckInvariants() []string {
 					}
 				case tDone:
 					doneCount++
-					totalDone++
 					ttc.Done++
 					if n := pendingInQueue[st.graphlet][key]; n != 0 {
 						v = append(v, fmt.Sprintf("%s: done task %s also in pending queue", jobID, ref))
@@ -279,12 +275,6 @@ func (c *Controller) CheckInvariants() []string {
 	}
 	if disordered != c.disorderedRuns {
 		v = append(v, fmt.Sprintf("disordered-run counter %d != %d flagged graphlet runs", c.disorderedRuns, disordered))
-	}
-	// Snapshot aggregates: the incremental counters behind the O(1)
-	// Snapshot() accessor must match a full recount of live-job state.
-	if liveJobs != c.snapLive || totalPending != c.snapPending || totalRunning != c.snapRunning || totalDone != c.snapDone {
-		v = append(v, fmt.Sprintf("snapshot counters (live=%d pending=%d running=%d done=%d) != recount (live=%d pending=%d running=%d done=%d)",
-			c.snapLive, c.snapPending, c.snapRunning, c.snapDone, liveJobs, totalPending, totalRunning, totalDone))
 	}
 	// Per-tenant counters: every queue entry charges its job's tenant
 	// (entries of dead jobs are filtered by failJob/restartJob, so the

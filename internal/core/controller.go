@@ -153,21 +153,14 @@ type Controller struct {
 	// anywhere, so the scheduler's deadlock check — an O(queue) scan — is
 	// skipped entirely on the hot fault-free path.
 	disorderedRuns int
-	// Incrementally maintained aggregates behind Snapshot(); every task
-	// state transition adjusts them in O(1) (see snapshot.go). Invariance
-	// against a full recount is asserted by CheckInvariants.
-	snapLive    int
-	snapPending int
-	snapRunning int
-	snapDone    int
 	// policy is the resolved scheduling policy (never nil); fifo caches
 	// whether it is the default sched.FIFO, which serveQueue and schedule
 	// use to skip policy-view construction entirely on the legacy path.
 	policy sched.Policy
 	fifo   bool
-	// tenants holds per-tenant aggregate counters, maintained O(delta)
-	// alongside the snapshot counters (see tenant.go); nextSeq numbers
-	// admissions for the policy's FIFO tiebreak.
+	// tenants holds per-tenant aggregate counters, maintained O(delta) at
+	// every task state transition and summed by Snapshot (see tenant.go);
+	// nextSeq numbers admissions for the policy's FIFO tiebreak.
 	tenants    map[string]*TenantCounts
 	tenantList []*TenantCounts // the same records, sorted by tenant name
 	nextSeq    int

@@ -2,11 +2,11 @@ package core
 
 import "slices"
 
-// StateSnapshot is the O(1) aggregate view of the controller that admission
-// control reads on every flow decision. The counters are maintained
-// incrementally at each task state transition (O(delta) per event, never a
-// full sweep), so a long-running service can consult them on every arriving
-// submission without walking the job table.
+// StateSnapshot is the aggregate view of the controller that admission
+// control reads on every flow decision. The per-tenant counters behind it
+// are maintained incrementally at each task state transition (O(delta) per
+// event, never a full sweep), so a long-running service can consult it on
+// every arriving submission without walking the job table.
 type StateSnapshot struct {
 	LiveJobs       int // admitted, not yet completed or failed
 	PendingTasks   int // tasks of live jobs awaiting an executor
@@ -21,26 +21,27 @@ type StateSnapshot struct {
 // has accepted but not finished.
 func (s StateSnapshot) InFlightTasks() int { return s.PendingTasks + s.RunningTasks }
 
-// Snapshot returns the current aggregate state in O(1), allocation-free;
-// TenantSnapshots has the per-tenant breakdown.
+// Snapshot returns the current aggregate state in O(tenants),
+// allocation-free: the sums of the per-tenant counters TenantSnapshots
+// lists one by one.
 func (c *Controller) Snapshot() StateSnapshot {
-	return StateSnapshot{
-		LiveJobs:       c.snapLive,
-		PendingTasks:   c.snapPending,
-		RunningTasks:   c.snapRunning,
-		DoneTasks:      c.snapDone,
+	s := StateSnapshot{
 		SchedQueueLen:  len(c.queue),
 		FreeExecutors:  c.cl.FreeExecutors(),
 		TotalExecutors: c.cl.NumExecutors(),
 	}
+	for _, tc := range c.tenantList {
+		s.LiveJobs += tc.Jobs
+		s.PendingTasks += tc.Pending
+		s.RunningTasks += tc.Running
+		s.DoneTasks += tc.Done
+	}
+	return s
 }
 
 // snapDelta applies one incremental task-count adjustment for a task of
-// m's job, to both the global and the per-tenant counters.
+// m's job to its tenant's counters.
 func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
-	c.snapPending += dPending
-	c.snapRunning += dRunning
-	c.snapDone += dDone
 	m.tc.Pending += dPending
 	m.tc.Running += dRunning
 	m.tc.Done += dDone
@@ -49,8 +50,6 @@ func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
 // snapAdmit accounts a freshly admitted job: all tasks start pending.
 func (c *Controller) snapAdmit(m *monitor) {
 	tasks := m.job.NumTasks()
-	c.snapLive++
-	c.snapPending += tasks
 	m.tc.Jobs++
 	m.tc.Pending += tasks
 }
@@ -75,10 +74,6 @@ func (c *Controller) snapClose(m *monitor) {
 			}
 		}
 	}
-	c.snapLive--
-	c.snapPending -= p
-	c.snapRunning -= r
-	c.snapDone -= d
 	m.tc.Jobs--
 	m.tc.Pending -= p
 	m.tc.Running -= r

@@ -19,9 +19,9 @@ func TenantName(job *dag.Job) string {
 	return job.Tenant
 }
 
-// TenantCounts is one tenant's live aggregate state, maintained O(delta)
-// alongside the global snapshot counters and cross-checked against a full
-// recount by CheckInvariants.
+// TenantCounts is one tenant's live aggregate state, maintained O(delta),
+// summed by Snapshot and cross-checked against a full recount by
+// CheckInvariants.
 type TenantCounts struct {
 	Tenant  string
 	Jobs    int // live jobs (admitted, not yet completed or failed)

@@ -44,18 +44,6 @@ func loadGolden(t *testing.T) ([]*Package, *token.FileSet) {
 	return goldenPkgs, goldenFset
 }
 
-// goldenConfig is the fixture-module policy: the rpc mirror keeps its
-// wall-clock exemption and skipme proves the per-package escape hatch.
-func goldenConfig() *Config {
-	return &Config{
-		Module: "lintest",
-		Skip: map[string][]string{
-			"lintest/internal/rpc":    {"determinism"},
-			"lintest/internal/skipme": {"determinism"},
-		},
-	}
-}
-
 type expectation struct {
 	file     string // base name
 	line     int
@@ -110,7 +98,7 @@ func collectWants(t *testing.T) []expectation {
 // be found.
 func TestGoldenFindings(t *testing.T) {
 	pkgs, fset := loadGolden(t)
-	findings := RunPackages(fset, pkgs, goldenConfig(), All(), nil)
+	findings := RunPackages(fset, pkgs, ConfigForModule("lintest"), All(), nil)
 	wants := collectWants(t)
 
 	matched := make([]bool, len(wants))
@@ -136,29 +124,6 @@ func TestGoldenFindings(t *testing.T) {
 	}
 }
 
-// TestPerPackageConfig proves Config.Skip filters a package's findings and
-// nothing else.
-func TestPerPackageConfig(t *testing.T) {
-	pkgs, fset := loadGolden(t)
-	var skipme []*Package
-	for _, p := range pkgs {
-		if p.Path == "lintest/internal/skipme" {
-			skipme = append(skipme, p)
-		}
-	}
-	if len(skipme) != 1 {
-		t.Fatalf("fixture package lintest/internal/skipme not loaded (got %d)", len(skipme))
-	}
-
-	unskipped := RunPackages(fset, skipme, &Config{Module: "lintest"}, All(), nil)
-	if len(unskipped) != 1 || unskipped[0].Analyzer != "determinism" {
-		t.Fatalf("without Skip want exactly one determinism finding, got %v", unskipped)
-	}
-	if got := RunPackages(fset, skipme, goldenConfig(), All(), nil); len(got) != 0 {
-		t.Fatalf("Skip config left findings behind: %v", got)
-	}
-}
-
 // TestAnalyzerSubset covers swiftvet's -analyzers path: a single analyzer
 // reports only its own findings.
 func TestAnalyzerSubset(t *testing.T) {
@@ -167,7 +132,7 @@ func TestAnalyzerSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := RunPackages(fset, pkgs, goldenConfig(), sub, nil)
+	findings := RunPackages(fset, pkgs, ConfigForModule("lintest"), sub, nil)
 	if len(findings) == 0 {
 		t.Fatal("exhaustive found nothing in the fixture module")
 	}
@@ -230,13 +195,10 @@ func TestFindingString(t *testing.T) {
 
 func TestConfigForModule(t *testing.T) {
 	cfg := ConfigForModule("lintest")
-	if !cfg.skipped("lintest/internal/rpc", "determinism") {
-		t.Error("rpc determinism exemption missing")
+	if cfg.Module != "lintest" {
+		t.Errorf("Module = %q", cfg.Module)
 	}
-	if cfg.skipped("lintest/internal/rpc", "errdiscipline") {
-		t.Error("rpc must stay in scope for errdiscipline")
-	}
-	if !cfg.internalPath("lintest/internal/core") {
+	if !cfg.internalPath("lintest/internal/core") || !cfg.internalPath("lintest/internal/rpc") {
 		t.Error("internal package not recognised")
 	}
 	if cfg.internalPath("lintest/cmd/tool") || cfg.internalPath("other/internal/x") {

@@ -11,12 +11,6 @@ import (
 // half of lockdiscipline's held-region rule, and the two whole-program
 // analyzers lockorder and hotpath.
 
-// detScoped reports whether path is held to the determinism contract:
-// module-internal and not configured out of it (the rpc layer).
-func (c *Config) detScoped(path string) bool {
-	return c.internalPath(path) && !c.skipped(path, "determinism")
-}
-
 // runDeterminismTransitive flags calls from determinism-scoped code into
 // out-of-scope module functions that transitively read the wall clock or
 // the global rand source — the laundering the per-package check cannot
@@ -31,7 +25,7 @@ func runDeterminismTransitive(p *Pass) {
 		n := p.Prog.nodes[id]
 		for _, e := range n.edges {
 			callee := p.Prog.nodes[e.callee]
-			if callee == nil || p.Cfg.detScoped(callee.pkg.Path) {
+			if callee == nil || p.Cfg.internalPath(callee.pkg.Path) {
 				continue
 			}
 			w := p.Prog.clockTaint[e.callee]

@@ -93,17 +93,11 @@ func (p *Pass) reportWhy(pos token.Pos, why []string, format string, args ...int
 type Config struct {
 	// Module is the main module path analyzers scope themselves by.
 	Module string
-	// Skip disables the named analyzers for an import path — the
-	// per-package escape hatch for layers whose job is the thing an
-	// analyzer forbids (the rpc layer really does live on the wall
-	// clock).
-	Skip map[string][]string
 }
 
-// DefaultConfig is the repository policy: every internal package is held
-// to the determinism contract except the real-network rpc layer, which
-// legitimately reads the wall clock (deadlines, backoff) and jitters
-// retries from the global rand.
+// DefaultConfig is the repository policy: every analyzer runs on every
+// package, and every internal package — the real-network rpc layer
+// included — is held to the determinism contract.
 func DefaultConfig() *Config {
 	return ConfigForModule("swift")
 }
@@ -112,24 +106,7 @@ func DefaultConfig() *Config {
 // path, so swiftvet works unchanged on any module laid out like this one
 // (the lint golden tests run it over a fixture module).
 func ConfigForModule(module string) *Config {
-	return &Config{
-		Module: module,
-		Skip: map[string][]string{
-			module + "/internal/rpc": {"determinism"},
-		},
-	}
-}
-
-func (c *Config) skipped(pkgPath, analyzer string) bool {
-	if c == nil {
-		return false
-	}
-	for _, a := range c.Skip[pkgPath] {
-		if a == analyzer {
-			return true
-		}
-	}
-	return false
+	return &Config{Module: module}
 }
 
 // inModule reports whether path is inside the configured main module.
@@ -293,9 +270,6 @@ func RunPackages(fset *token.FileSet, pkgs []*Package, cfg *Config, analyzers []
 		findings = append(findings, bad...)
 		var raw []Finding
 		for _, a := range analyzers {
-			if cfg.skipped(pkg.Path, a.Name) {
-				continue
-			}
 			pass := &Pass{Analyzer: a, Cfg: cfg, Fset: fset, Pkg: pkg, Prog: prog, findings: &raw}
 			a.Run(pass)
 		}

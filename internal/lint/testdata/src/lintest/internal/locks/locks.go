@@ -30,7 +30,7 @@ func (b *box) sendHeld(ch chan int) {
 func (b *box) rpcHeld(c *rpc.Client) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	_ = c.Call("ping") // want lockdiscipline "rpc client call while b.mu is held"
+	_ = c.Call("status") // want lockdiscipline "rpc client call while b.mu is held"
 }
 
 // released before the send: clean.
@@ -46,7 +46,7 @@ func (b *box) rpcAfter(c *rpc.Client) error {
 	b.mu.Lock()
 	b.n++
 	b.mu.Unlock()
-	return c.Call("ping")
+	return c.Call("status")
 }
 
 // read lock pairing with RUnlock: clean.
@@ -79,7 +79,7 @@ func (b *box) recvHeldTransitively(ch chan int) {
 
 // rpcLaundered hides the client call one frame down.
 func rpcLaundered(c *rpc.Client) error {
-	return c.Call("ping")
+	return c.Call("status")
 }
 
 // laundering the rpc call through a helper must not evade rule 2.

@@ -130,8 +130,8 @@ func DialFlow(addr string, timeout time.Duration) (*FlowClient, error) {
 func (f *FlowClient) Close() error { return f.c.Close() }
 
 // Submit sends one trace-encoded job payload and returns the admission
-// outcome. Note submissions are not idempotent: do not combine with a
-// retry policy on the underlying client.
+// outcome. Submissions are not idempotent, so a transport failure is
+// returned, never retried.
 func (f *FlowClient) Submit(id string, payload []byte) (FlowSubmitReply, error) {
 	var rep FlowSubmitReply
 	if err := checkSubmissionSize(id, len(payload)); err != nil {

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -135,17 +134,16 @@ func TestAbandonedSubmissionsLeaveNothingBehind(t *testing.T) {
 }
 
 // A payload over maxSubmissionBytes is refused by the client before a byte
-// is written: the client here has no connection, and dialling one fails the
-// test.
+// is written: the client here has no connection, so any call would dial
+// the server.
 func TestSubmitOverBoundRefusedByClient(t *testing.T) {
-	fc := &FlowClient{c: &Client{dial: func(string, time.Duration) (net.Conn, error) {
-		t.Error("an oversized submission reached the transport")
-		return nil, errors.New("no transport")
-	}}}
+	s, addr := startServer(t)
+	fc := &FlowClient{c: &Client{addr: addr, dialTimeout: time.Second}}
 	_, err := fc.Submit("big", make([]byte, maxSubmissionBytes+1))
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized submit error = %v", err)
 	}
+	assertNotServing(t, s)
 }
 
 // The server refuses the same payload when a raw client sends it anyway,

@@ -10,75 +10,54 @@ import (
 	"time"
 )
 
-// A per-call deadline bounds the wait for a stuck handler, and the broken
-// stream is discarded so later calls do not read the stale reply.
-func TestCallDeadline(t *testing.T) {
-	s, addr := startServer(t)
-	release := make(chan struct{})
-	s.Register("slow", func([]byte) ([]byte, error) {
-		<-release
-		return Encode("late")
-	})
-	defer close(release)
-
-	c, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetCallTimeout(50 * time.Millisecond)
-
-	start := time.Now()
-	if err := c.Call("slow", nil, nil); err == nil {
-		t.Fatal("call to stuck handler returned nil error")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("deadline not enforced: waited %v", waited)
-	}
-	// The connection was poisoned by the abandoned reply; the client must
-	// redial transparently and serve fresh calls.
-	c.SetCallTimeout(time.Second)
-	if _, err := c.Ping(); err != nil {
-		t.Fatalf("ping after timeout: %v", err)
-	}
-}
-
-// A dropped connection is redialed under the retry policy, so one broken
-// TCP stream does not fail an idempotent control-plane call.
-func TestRetryReconnects(t *testing.T) {
-	_, addr := startServer(t)
-	c, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{Max: 2, Base: 10 * time.Millisecond, Cap: 50 * time.Millisecond, Jitter: 0.2})
-	if _, err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	c.conn.Close() // sever the transport under the client
-	if _, err := c.Ping(); err != nil {
-		t.Fatalf("ping after severed connection: %v", err)
-	}
-}
-
-// Without a retry policy a transport failure surfaces immediately — and
-// must not be confused with a server-side error.
+// A transport failure surfaces on the call that hit it — the client never
+// retries, since the method may already have run — and the next call
+// redials (a fresh attempt, not a retry).
 func TestNoRetryByDefault(t *testing.T) {
-	_, addr := startServer(t)
+	s, addr := startServer(t)
+	s.Register("echo", func(b []byte) ([]byte, error) { return b, nil })
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.conn.Close()
-	if _, err := c.Ping(); err == nil {
-		t.Fatal("ping over severed connection succeeded without retry policy")
+	c.conn.Close() // sever the transport under the client
+	if err := c.Call("echo", "severed", nil); err == nil {
+		t.Fatal("call over a severed connection succeeded")
 	}
-	// The connection is marked broken; an explicit later call redials even
-	// without a retry policy (fresh attempt, not a retry).
-	if _, err := c.Ping(); err != nil {
-		t.Fatalf("redial on next call: %v", err)
+	if err := echo(c, "redialed"); err != nil {
+		t.Fatalf("next call did not redial: %v", err)
+	}
+}
+
+// A call after Close returns ErrClosed without dialing: the server is left
+// serving no connection.
+func TestCallAfterCloseDoesNotDial(t *testing.T) {
+	s, addr := startServer(t)
+	s.Register("echo", func(b []byte) ([]byte, error) { return b, nil })
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitServing(t, s, 0)
+	if err := c.Call("echo", "closed", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close returned %v, want ErrClosed", err)
+	}
+	assertNotServing(t, s)
+}
+
+// assertNotServing fails the test if s serves a connection. A server
+// registers a connection before it reads the first request on it, so once
+// a call is over, a dial it made is visible here.
+func assertNotServing(t *testing.T, s *Server) {
+	t.Helper()
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if n := len(s.conns); n != 0 {
+		t.Fatalf("the client dialed: the server serves %d connections", n)
 	}
 }
 
@@ -87,6 +66,7 @@ func TestNoRetryByDefault(t *testing.T) {
 func TestHandlerPanicRecovered(t *testing.T) {
 	s, addr := startServer(t)
 	s.Register("boom", func([]byte) ([]byte, error) { panic("kaboom") })
+	s.Register("echo", func(b []byte) ([]byte, error) { return b, nil })
 	c, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -100,28 +80,8 @@ func TestHandlerPanicRecovered(t *testing.T) {
 		t.Fatalf("panic not reported to caller: %v", err)
 	}
 	// Same connection still serves.
-	if _, err := c.Ping(); err != nil {
-		t.Fatalf("ping after handler panic: %v", err)
-	}
-}
-
-// Exponential backoff grows per attempt, honours the cap, and jitter stays
-// within its band.
-func TestRetryBackoffBounds(t *testing.T) {
-	p := RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Cap: 40 * time.Millisecond, Jitter: 0.5}
-	for i := 0; i < 8; i++ {
-		want := p.Base << uint(i)
-		if want > p.Cap {
-			want = p.Cap
-		}
-		for trial := 0; trial < 20; trial++ {
-			d := p.backoff(i)
-			lo := time.Duration(float64(want) * 0.5)
-			hi := time.Duration(float64(want) * 1.5)
-			if d < lo || d > hi {
-				t.Fatalf("backoff(%d) = %v outside [%v, %v]", i, d, lo, hi)
-			}
-		}
+	if err := echo(c, "after panic"); err != nil {
+		t.Fatal(err)
 	}
 }
 

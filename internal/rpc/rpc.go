@@ -1,16 +1,16 @@
 // Package rpc implements the small framed binary protocol Swift's
 // processes speak: length-prefixed request/response messages over TCP (the
-// byte layout is in wire.go), a method registry on the server side, and
-// client-side call/heartbeat helpers. swiftd's control plane is served
-// through it (flowservice.go); the admin/executor heartbeats of Section
-// IV-A use Ping. The package imports only the standard library.
+// byte layout is in wire.go), a method registry on the server side, and a
+// serialised client. swiftd's control plane is served through it
+// (flowservice.go). The admin/executor heartbeats of Section IV-A are not
+// rpc traffic: core simulates them (heartbeat.go). The package imports
+// only the standard library.
 package rpc
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -34,13 +34,11 @@ type Server struct {
 
 // NewServer returns an empty server; register methods before Serve.
 func NewServer() *Server {
-	s := &Server{
+	return &Server{
 		handlers: make(map[string]Handler),
 		closed:   make(chan struct{}),
 		conns:    make(map[net.Conn]bool),
 	}
-	s.Register("ping", func([]byte) ([]byte, error) { return Encode([]byte("pong")) })
-	return s
 }
 
 // Register installs a method handler. Re-registering replaces.
@@ -161,56 +159,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// RetryPolicy bounds how a client re-attempts a call after a transport
-// failure: up to Max redials with exponential backoff starting at Base,
-// capped at Cap, with ±Jitter (a fraction) of randomisation so a fleet of
-// executors retrying a recovered Admin does not thunder in lockstep.
-type RetryPolicy struct {
-	Max    int
-	Base   time.Duration
-	Cap    time.Duration
-	Jitter float64
-	// MaxElapsed bounds the total time a call may spend across attempts
-	// and backoff sleeps, so a redial loop cannot exceed a caller's
-	// deadline regardless of Max. Zero means count-bounded only.
-	MaxElapsed time.Duration
-	// Rand, when set, is the jitter source; seeding it makes backoff
-	// sequences reproducible. Nil uses the process-global source.
-	Rand *rand.Rand
-}
-
-// backoff returns the sleep before retry attempt i (0-based):
-// exponential from Base, capped at Cap, with ±Jitter randomisation,
-// floored at Base — callers can rely on Base ≤ sleep ≤ Cap·(1+Jitter).
-func (p RetryPolicy) backoff(i int) time.Duration {
-	shift := uint(i)
-	if shift > 31 {
-		shift = 31 // Base<<32 would overflow any realistic Base
-	}
-	d := p.Base << shift
-	if d < 0 || (p.Cap > 0 && d > p.Cap) {
-		d = p.Cap
-	}
-	if p.Jitter > 0 {
-		r := rand.Float64
-		if p.Rand != nil {
-			r = p.Rand.Float64
-		}
-		d += time.Duration((2*r() - 1) * p.Jitter * float64(d))
-	}
-	if d < p.Base {
-		d = p.Base
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // Client is a single-connection RPC client. Calls are serialised; Swift's
 // executors keep one connection per peer (the connection-count arithmetic
-// of Section III-B). Transport failures mark the connection broken; the
-// next attempt redials.
+// of Section III-B). A transport failure fails its call and drops the
+// connection; the next call redials — a fresh attempt, never a retry of the
+// failed one, whose method may already have run on the server.
 type Client struct {
 	mu          sync.Mutex
 	conn        net.Conn      // nil when broken
@@ -219,24 +172,11 @@ type Client struct {
 	next        uint64
 	addr        string
 	dialTimeout time.Duration
-	callTimeout time.Duration
-	retry       RetryPolicy
-	// dial is the redial function (net.DialTimeout in production;
-	// in-package tests substitute fakes).
-	dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// quit is closed by Close before it takes mu, so a Call sleeping in
-	// backoff (which holds mu) wakes up instead of stalling the Close.
-	quit     chan struct{}
-	quitOnce sync.Once
+	closed      bool
 }
 
-// ErrClosed is returned by calls interrupted by Close.
+// ErrClosed is returned by calls made after Close.
 var ErrClosed = errors.New("rpc: client closed")
-
-// tcpDial is the production dial function.
-func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
-}
 
 // Dial connects to a server. The timeout also bounds later redials.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
@@ -244,31 +184,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, addr: addr, dialTimeout: timeout, dial: tcpDial, quit: make(chan struct{})}, nil
-}
-
-// SetCallTimeout sets a per-call deadline covering the write and the wait
-// for the reply. Zero (the default) means no deadline.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.callTimeout = d
-	c.mu.Unlock()
-}
-
-// SetRetryPolicy enables transport-failure retries (redial + backoff).
-// The zero policy (the default) fails calls on the first transport error.
-// Only enable it for idempotent methods: a timed-out call may have
-// executed on the server.
-func (c *Client) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	c.retry = p
-	c.mu.Unlock()
+	return &Client{conn: conn, addr: addr, dialTimeout: timeout}, nil
 }
 
 // Call invokes a method with an encodable request (see Encode), decoding
 // the reply into resp (a pointer) unless resp is nil. Server-side errors
 // (including unknown methods and handler panics) are returned as-is and
-// never retried; transport errors retry under the client's RetryPolicy.
+// leave the connection usable; transport errors drop it.
 func (c *Client) Call(method string, req interface{}, resp interface{}) error {
 	var body []byte
 	if req != nil {
@@ -279,98 +201,15 @@ func (c *Client) Call(method string, req interface{}, resp interface{}) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := time.Now()
-	var err error
-	for attempt := 0; ; attempt++ {
-		if c.isClosed() {
-			return ErrClosed
-		}
-		err = c.callLocked(method, body, resp)
-		var transport *transportError
-		if err == nil || !errors.As(err, &transport) {
+	if c.closed {
+		return ErrClosed
+	}
+	if c.conn == nil {
+		conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+		if err != nil {
 			return err
 		}
-		if attempt >= c.retry.Max {
-			return transport.err
-		}
-		sleep := c.retry.backoff(attempt)
-		// The elapsed-time budget covers the sleep about to happen: if
-		// finishing it would overrun MaxElapsed, give up now rather than
-		// wake past the caller's deadline.
-		if c.retry.MaxElapsed > 0 && time.Since(start)+sleep > c.retry.MaxElapsed {
-			return transport.err
-		}
-		if !c.sleep(sleep) {
-			return ErrClosed
-		}
-	}
-}
-
-// sleep waits d while remaining interruptible by Close; it reports false
-// when the client was closed.
-func (c *Client) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return !c.isClosed()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-c.quit:
-		return false
-	}
-}
-
-func (c *Client) isClosed() bool {
-	if c.quit == nil {
-		return false
-	}
-	select {
-	case <-c.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// transportError wraps connection-level failures (as opposed to errors the
-// server returned), marking the call retryable.
-type transportError struct{ err error }
-
-func (e *transportError) Error() string { return e.err.Error() }
-func (e *transportError) Unwrap() error { return e.err }
-
-// callLocked performs one attempt, redialing if the connection is broken.
-// On any transport failure the connection is closed and cleared: a timed-
-// out or torn stream may hold a stale reply that would desynchronise every
-// later call.
-func (c *Client) callLocked(method string, body []byte, resp interface{}) error {
-	if c.conn == nil {
-		dial := c.dial
-		if dial == nil {
-			dial = tcpDial
-		}
-		conn, err := dial(c.addr, c.dialTimeout)
-		if err != nil {
-			return &transportError{err}
-		}
 		c.conn = conn
-	}
-	if c.callTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
-			return c.broken(fmt.Errorf("rpc: set call deadline: %w", err))
-		}
-		defer func() {
-			// A connection whose deadline cannot be cleared would time out
-			// some future call at an arbitrary moment; drop it now and let
-			// the next call redial.
-			if c.conn != nil {
-				if err := c.conn.SetDeadline(time.Time{}); err != nil {
-					_ = c.drop() // already discarding the conn
-				}
-			}
-		}()
 	}
 	if c.br == nil {
 		c.br = bufio.NewReader(c.conn)
@@ -398,42 +237,25 @@ func (c *Client) callLocked(method string, body []byte, resp interface{}) error 
 	return nil
 }
 
-// drop closes the connection and forgets it together with the reader that
-// may hold bytes of it, so the next call redials onto a clean stream.
-func (c *Client) drop() error {
-	err := c.conn.Close()
+// broken closes the connection and forgets it together with the reader
+// that may hold bytes of it, so the next call redials onto a clean stream
+// instead of reading a stale reply. It returns err, which the call fails
+// with.
+func (c *Client) broken(err error) error {
+	_ = c.conn.Close() // the call already fails with err; nothing to add
 	c.conn, c.br = nil, nil
 	return err
 }
 
-func (c *Client) broken(err error) error {
-	if c.conn != nil {
-		_ = c.drop() // the call already fails with err; nothing to add
-	}
-	return &transportError{err}
-}
-
-// Ping round-trips a heartbeat and returns the latency.
-func (c *Client) Ping() (time.Duration, error) {
-	t0 := time.Now()
-	var out []byte
-	if err := c.Call("ping", []byte{}, &out); err != nil {
-		return 0, err
-	}
-	return time.Since(t0), nil
-}
-
-// Close shuts the connection. A Call sleeping in retry backoff (it holds
-// the client mutex) is woken first via the quit channel, so Close never
-// blocks for a backoff's duration.
+// Close shuts the connection; later calls return ErrClosed.
 func (c *Client) Close() error {
-	if c.quit != nil {
-		c.quitOnce.Do(func() { close(c.quit) })
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	if c.conn == nil {
 		return nil
 	}
-	return c.drop()
+	err := c.conn.Close()
+	c.conn, c.br = nil, nil
+	return err
 }

@@ -28,8 +28,8 @@ import (
 // primitives — int: zigzag varint; bool: one byte, 0 or 1; string and
 // []byte: str as above — and a slice of structs as a uvarint count followed
 // by the elements. A decoded []byte aliases the body it was decoded from.
-// A body that is a single scalar (flow.cancel's id, flow.drain's ack, a
-// ping's pong) is one of those primitives on its own. Nothing else encodes:
+// A body that is a single scalar (flow.cancel's id, flow.drain's ack, an
+// echoed []byte) is one of those primitives on its own. Nothing else encodes:
 // Encode and Decode return an error for any other type.
 
 // MaxFrameSize bounds a single message (64 MiB), protecting both sides

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: gofmt, vet, swiftvet (the project's own static
 # analyzers — see DESIGN.md "Static analysis", with no //lint:allow left in
-# non-test code to silence one), race-test everything,
+# non-test code to silence one), the reachability census against its
+# expected output (scripts/census.sh), race-test everything,
 # run the allocation guards without the race detector (every
 # testing.AllocsPerRun budget skips itself under -race, so the race run
 # alone enforces none of them; the engine's shuffle kernels are held by
@@ -75,6 +76,13 @@ echo "== swiftvet -changed smoke (incremental subset + stale fallback)"
 grep -q 'analyzing .* of .* packages' "$TRACE_TMP/changed.err"
 "$TRACE_TMP/swiftvet" -changed go.mod 2> "$TRACE_TMP/stale.err"
 grep -q 'analyzing the full tree' "$TRACE_TMP/stale.err"
+
+echo "== reachability census (every unreached declaration is one DESIGN.md accounts for)"
+scripts/census.sh > "$TRACE_TMP/census.txt"
+if ! diff -u scripts/census.expected "$TRACE_TMP/census.txt"; then
+    echo "census: the declarations no binary reaches changed; delete the new one or list it in DESIGN.md \"Unreached on purpose\" and scripts/census.expected" >&2
+    exit 1
+fi
 
 echo "== go test -race ./..."
 go test -race ./...
