@@ -231,8 +231,6 @@ func (c *Cluster) takeFrom(m *Machine) ExecutorID {
 // demand is served from the least-loaded healthy machines ("for tasks
 // without locality preference, the most free machine is chosen"). It
 // returns fewer than n when the cluster cannot supply them.
-//
-//lint:hotpath
 func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 	if n <= 0 || c.nFree == 0 {
 		return nil
@@ -282,8 +280,6 @@ func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 // Release returns executors to the free pool. Executors on non-healthy
 // machines are not re-pooled (read-only machines drain; failed machines
 // have lost them).
-//
-//lint:hotpath
 func (c *Cluster) Release(execs []ExecutorID) {
 	for _, e := range execs {
 		c.ReleaseOne(e)
@@ -291,8 +287,6 @@ func (c *Cluster) Release(execs []ExecutorID) {
 }
 
 // ReleaseOne is Release for the executor of a single finished task.
-//
-//lint:hotpath
 func (c *Cluster) ReleaseOne(e ExecutorID) {
 	if !c.busyExec[e] {
 		return

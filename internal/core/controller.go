@@ -229,7 +229,6 @@ func (c *Controller) Drain() []Action {
 	return a
 }
 
-//lint:hotpath
 func (c *Controller) emit(a Action) {
 	c.actions = append(c.actions, a)
 	c.observe(a)
@@ -406,8 +405,6 @@ const maxPreemptRounds = 4
 // Under a non-FIFO policy a dry pool with starved queued work may also
 // warrant preemption: the policy nominates whole-graphlet victims to
 // reclaim, reusing the deadlock breaker's per-task machinery.
-//
-//lint:hotpath
 func (c *Controller) schedule() {
 	if c.deferSchedule {
 		return
@@ -572,8 +569,6 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 // empties, and every take from it scans, so the order of what remains
 // does not matter: the head moves into the hole and the slice advances,
 // which for an ordered run is the plain head pop.
-//
-//lint:hotpath
 func (c *Controller) takePending(run *graphletRun) taskID {
 	p := run.pending
 	best := 0
@@ -696,8 +691,6 @@ func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index 
 // launch starts one task attempt on an executor and emits the action. The
 // start reason was recorded in the stage state by whoever marked the task
 // pending (fresh submission, retry or cascade).
-//
-//lint:hotpath
 func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.ExecutorID) {
 	st := m.stages[id.stage]
 	i := int(id.index)
@@ -730,8 +723,6 @@ func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.E
 
 // TaskFinished records a successful task completion. Stale attempts (from
 // an aborted execution racing its abort) are ignored.
-//
-//lint:hotpath
 func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	m := c.jobs[ref.Job]
 	if m == nil || m.failed || m.done {

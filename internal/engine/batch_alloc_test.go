@@ -134,6 +134,41 @@ func TestHashAggregateBatchAllocs(t *testing.T) {
 	}
 }
 
+// checkRowInvariantAllocs measures kernel over typed batches of 512 and
+// 4,096 rows: both counts must be equal — a per-row allocation makes the
+// larger one grow — and within budget.
+func checkRowInvariantAllocs(t *testing.T, name string, budget float64, kernel func(b *Batch)) {
+	t.Helper()
+	skipUnderRace(t)
+	var allocs [2]float64
+	for i, n := range []int{512, 8 * 512} {
+		b := typedBatch(n)
+		allocs[i] = testing.AllocsPerRun(20, func() { kernel(b) })
+	}
+	if allocs[0] != allocs[1] || allocs[1] > budget {
+		t.Errorf("%s allocs = %.0f at 512 rows, %.0f at 4096, want the same count ≤ %.0f", name, allocs[0], allocs[1], budget)
+	}
+}
+
+func TestSortBatchAllocs(t *testing.T) {
+	// The index vector, the comparator list, one comparator per key (two),
+	// then the gathered batch, its column list and one vector per column
+	// (four): 10 today.
+	checkRowInvariantAllocs(t, "SortBatch", 10, func(b *Batch) { SortBatch(b, []int{0, 2}) })
+}
+
+func TestTopKBatchAllocs(t *testing.T) {
+	// SortBatch's count: the k-row gather allocates as the full one does.
+	checkRowInvariantAllocs(t, "TopKBatch", 10, func(b *Batch) { TopKBatch(b, []int{0, 2}, 10, true) })
+}
+
+func TestPartitionBatchByRangeAllocs(t *testing.T) {
+	bounds := []Row{{int64(25)}, {int64(50)}, {int64(75)}}
+	// The bounds batch (batch, column list, one vector), the partition indexes,
+	// then partitionViews' four: 8 today.
+	checkRowInvariantAllocs(t, "PartitionBatchByRange", 8, func(b *Batch) { PartitionBatchByRange(b, []int{0}, bounds) })
+}
+
 func TestAppendBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
 	b := typedBatch(4096)

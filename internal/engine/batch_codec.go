@@ -191,8 +191,6 @@ func (d *decoder) byte() (byte, error) {
 // DecodeBatch decodes one batch into fresh storage, requiring the input to
 // be fully consumed. Strings are copied out of data (one slab per column),
 // so the input buffer may be reused.
-//
-//lint:hotpath
 func DecodeBatch(data []byte) (*Batch, error) {
 	d := &decoder{data: data}
 	rows64, err := d.uvarint()

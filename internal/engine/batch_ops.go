@@ -25,8 +25,6 @@ import (
 // The result is bit-identical to the row-at-a-time definition the tests
 // keep (Hash in oracle_test.go) on the materialised rows, so dense and view
 // segments co-partition, and so do an int64 key and the equal float64 one.
-//
-//lint:hotpath
 func HashBatchInto(b *Batch, keys []int, dst []uint64) {
 	if len(dst) == 0 {
 		return
@@ -46,8 +44,6 @@ func HashBatchInto(b *Batch, keys []int, dst []uint64) {
 // slot j to physical row sel[j]; nil means dense. The dense lanes stay
 // branch-free over the vectors, which is what keeps HashBatchInto
 // allocation- and indirection-free on the hot path.
-//
-//lint:hotpath
 func hashColInto(c *Column, sel []int32, dst []uint64) {
 	nulls := c.Nulls
 	switch c.Type {
@@ -271,8 +267,6 @@ func compareBatchRows(a *Batch, i int, akeys []int, b *Batch, j int, bkeys []int
 // typed plan code reads the column vectors directly; filters compose (a
 // second FilterBatch narrows the same selection). Materialization happens
 // at emit/codec boundaries or via (*Batch).Materialize.
-//
-//lint:hotpath
 func FilterBatch(b *Batch, keep func(i int) bool) *Batch {
 	sel := make([]int32, 0, b.Len)
 	if b.Sel == nil {
@@ -344,8 +338,6 @@ func colComparator(c *Column) func(i, j int) int {
 // selection vector seeds the argsort, so sorting a filtered batch never
 // materialises the pre-sort view). The result is dense. Sorting the
 // producer-ordered concatenation of sorted runs is their stable k-way merge.
-//
-//lint:hotpath
 func SortBatch(b *Batch, keys []int) *Batch {
 	return b.Gather(argsort(b, keys, false))
 }
@@ -354,8 +346,6 @@ func SortBatch(b *Batch, keys []int) *Batch {
 // descending when desc is set — as a dense batch: ORDER BY + LIMIT in one
 // kernel (argsort, then a k-row gather). Ties keep input order in both
 // directions; k >= b.Len sorts the whole batch.
-//
-//lint:hotpath
 func TopKBatch(b *Batch, keys []int, k int, desc bool) *Batch {
 	idx := argsort(b, keys, desc)
 	return b.Gather(idx[:min(max(k, 0), len(idx))])
@@ -399,8 +389,6 @@ func argsort(b *Batch, keys []int, desc bool) []int32 {
 // key columns — the shuffle-write kernel behind EmitBatchByKey. Hashing is
 // columnar; each partition is a selection view over the input's columns
 // (see partitionViews), so no column is copied.
-//
-//lint:hotpath
 func PartitionBatchByKey(b *Batch, keys []int, n int) []*Batch {
 	if n <= 1 {
 		return []*Batch{b}
@@ -417,8 +405,6 @@ func PartitionBatchByKey(b *Batch, keys []int, n int) []*Batch {
 // partitions: partition i holds rows below bounds[i] under the key columns
 // (bounds are rows, as sampled by a Terasort-style plan). Partitions are
 // selection views, like PartitionBatchByKey's.
-//
-//lint:hotpath
 func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
 	if len(bounds) == 0 {
 		return []*Batch{b}
@@ -438,8 +424,6 @@ func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
 // carved from one []int32 and name b's physical rows, so a view input
 // composes its own Sel. Four allocations, whatever the row, column and
 // partition counts.
-//
-//lint:hotpath
 func partitionViews(b *Batch, pidx []uint64, n int) []*Batch {
 	ends := make([]int, n+1) // ends[p+1]: rows in partitions ≤ p
 	for _, p := range pidx {
@@ -484,8 +468,6 @@ func slot(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shif
 // (typed, compiled once per call). Matches accumulate as physical index
 // pairs and materialise with one typed gather per side, so lazy inputs join
 // through their selections.
-//
-//lint:hotpath
 func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int) *Batch {
 	bh := make([]uint64, build.Len)
 	HashBatchInto(build, buildKeys, bh)
@@ -549,8 +531,6 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 // an int64 or float64 column never box a value. Output columns stay typed:
 // Count and int sums are TInt64 vectors, float sums TFloat64, Min/Max the
 // input column's type.
-//
-//lint:hotpath
 func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 	nk, na := len(keys), len(aggs)
 	if b == nil || b.Len == 0 {

@@ -45,8 +45,6 @@ func (h *DeadlineHeap) Next() (at sim.Time, ok bool) {
 }
 
 // Push schedules c to fall due at the absolute time at.
-//
-//lint:hotpath
 func (h *DeadlineHeap) Push(at sim.Time, c Completion) {
 	h.seq++
 	it := dueItem{at: at, seq: h.seq, c: c}
@@ -70,8 +68,6 @@ func (h *DeadlineHeap) Push(at sim.Time, c Completion) {
 // is the per-call bound: a caller that feeds each batch to the service
 // under its lock thereby bounds how long that lock is held, and whatever
 // else is due stays for the next call.
-//
-//lint:hotpath
 func (h *DeadlineHeap) PopDue(now sim.Time, buf []Completion) int {
 	n := 0
 	for n < len(buf) && len(h.items) > 0 && h.items[0].at <= now {
@@ -82,8 +78,6 @@ func (h *DeadlineHeap) PopDue(now sim.Time, buf []Completion) int {
 }
 
 // pop removes the earliest completion.
-//
-//lint:hotpath
 func (h *DeadlineHeap) pop() Completion {
 	s := h.items
 	top := s[0].c

@@ -331,8 +331,6 @@ func (f *Controller) Budget() int { return f.cfg.MaxInFlightTasks }
 // Queued parks it until PopAdmissible releases it; Shed rejects it with a
 // typed *OverloadError (errors.Is ErrOverloaded) carrying a retry-after
 // hint. Offers after Drain are rejected with ErrDraining.
-//
-//lint:hotpath
 func (f *Controller) Offer(now sim.Time, snap core.StateSnapshot, item Item) (Outcome, error) {
 	f.refill(now, snap)
 	f.stats.Decisions++
@@ -381,8 +379,6 @@ func (f *Controller) Offer(now sim.Time, snap core.StateSnapshot, item Item) (Ou
 // promptly before shutdown. With tenant budgets active the scan releases
 // the first admissible entry instead of strictly the head, so a tenant
 // parked at its budget cannot head-of-line-block the rest of the queue.
-//
-//lint:hotpath
 func (f *Controller) PopAdmissible(now sim.Time, snap core.StateSnapshot) (Item, bool) {
 	f.refill(now, snap)
 	if f.QueueLen() == 0 {
@@ -502,8 +498,6 @@ func (f *Controller) Stats() Stats {
 
 // LevelFor reports the admission level a hypothetical arrival of the given
 // size would see right now (diagnostic only; Offer is authoritative).
-//
-//lint:hotpath
 func (f *Controller) LevelFor(snap core.StateSnapshot, tasks int) Level {
 	switch {
 	case f.draining || f.QueueLen() >= f.cfg.MaxQueue:

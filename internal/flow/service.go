@@ -144,8 +144,6 @@ func (s *Service) admitLocked(_ sim.Time, job *dag.Job, _ sim.Duration, _ bool) 
 // actions in one call. Compared with one call per completion only the pump
 // moves — a queued job may admit later within the batch, never earlier than
 // its capacity exists — and the action stream is the same concatenation.
-//
-//lint:hotpath
 func (s *Service) TasksFinished(batch []Completion) {
 	// Not allocation-free when the pump releases a queued job: that runs
 	// core.SubmitJob (validate, partition, build monitors) through the

@@ -19,7 +19,6 @@ import (
 // engine is validated against.
 var BatchParity = &Analyzer{
 	Name: "batchparity",
-	Doc:  "every exported *Batch kernel in internal/engine needs a row-equivalence test",
 	Run:  runBatchParity,
 }
 

@@ -12,7 +12,7 @@ import (
 // This file is swiftvet's whole-program layer: a module-wide call graph
 // over every loaded package plus per-function summaries computed bottom-up
 // over the graph, so the interprocedural analyzers (transitive
-// determinism, held-lock blocking, lockorder, hotpath) see through helper
+// determinism, held-lock blocking, lockorder) see through helper
 // functions instead of stopping at the first call boundary.
 //
 // The graph is conservative but explicit about its boundaries:
@@ -34,11 +34,9 @@ import (
 //   - function literals are their own nodes, charged to the enclosing
 //     function by the same sync/async edge rules.
 //
-// Summaries are three boolean taints with deterministic witness chains
-// (clock/rand, may-block, hot-path shapes) plus the transitive set of
-// mutex classes a function may acquire. Taint sources covered by a
-// //lint:allow for the owning analyzer do not taint — an accepted direct
-// cost does not re-surface as a finding in every caller.
+// Summaries are two boolean taints with deterministic witness chains
+// (clock/rand, may-block) plus the transitive set of mutex classes a
+// function may acquire.
 
 // FuncID names one function across the whole program: (*types.Func).
 // FullName() for declared functions and methods, "<parent>$litN" for the
@@ -50,7 +48,6 @@ type edge struct {
 	callee FuncID
 	pos    token.Pos
 	async  bool // `go` spawn: counts for determinism, not for may-block
-	cold   bool // inside a panic(...) argument: hot-path taint stops here
 }
 
 // siteFact is one direct summary-relevant operation inside a function.
@@ -92,14 +89,11 @@ type funcNode struct {
 
 	edges []edge
 
-	clockFacts []siteFact // unsuppressed wall-clock / global-rand reads
-	blockFacts []siteFact // unsuppressed may-block operations
-	hotFacts   []siteFact // unsuppressed hot-path alloc shapes
+	clockFacts []siteFact // wall-clock / global-rand reads
+	blockFacts []siteFact // may-block operations
 
 	acquires []acquire
 	regions  []region
-
-	hot bool // carries a //lint:hotpath tag
 }
 
 // witness is one function's entry in a taint table: dist counts call hops
@@ -124,7 +118,7 @@ type lockEdge struct {
 }
 
 // Program is the whole-program view shared by the interprocedural
-// analyzers: every function node, the three taint tables, the transitive
+// analyzers: every function node, the two taint tables, the transitive
 // acquire sets, and the global lock graph.
 type Program struct {
 	fset  *token.FileSet
@@ -135,14 +129,10 @@ type Program struct {
 
 	clockTaint map[FuncID]*witness
 	blockTaint map[FuncID]*witness
-	hotTaint   map[FuncID]*witness
 	acqSets    map[FuncID]map[lockKey]bool
 
 	lockEdges []lockEdge
 	cycles    []lockCycle
-
-	sups   map[string][]suppression // pkg path -> parsed allows
-	ranges map[string][]lineRange   // file -> multi-line statement spans
 }
 
 // lockCycle is one strongly-connected component of the lock graph with
@@ -158,17 +148,10 @@ type lockCycle struct {
 // first edge in source order.
 func buildProgram(fset *token.FileSet, pkgs []*Package, cfg *Config) *Program {
 	prog := &Program{
-		fset:   fset,
-		cfg:    cfg,
-		nodes:  make(map[FuncID]*funcNode),
-		lits:   make(map[*ast.FuncLit]FuncID),
-		sups:   make(map[string][]suppression),
-		ranges: make(map[string][]lineRange),
-	}
-	for _, pkg := range pkgs {
-		sups, _ := collectSuppressions(fset, pkg)
-		prog.sups[pkg.Path] = sups
-		collectStmtRanges(fset, pkg, prog.ranges)
+		fset:  fset,
+		cfg:   cfg,
+		nodes: make(map[FuncID]*funcNode),
+		lits:  make(map[*ast.FuncLit]FuncID),
 	}
 	for _, pkg := range pkgs {
 		prog.addPackage(pkg)
@@ -184,9 +167,8 @@ func buildProgram(fset *token.FileSet, pkgs []*Package, cfg *Config) *Program {
 	}
 	sort.Slice(prog.ids, func(i, j int) bool { return prog.ids[i] < prog.ids[j] })
 
-	prog.clockTaint = prog.propagate(func(n *funcNode) []siteFact { return n.clockFacts }, true, false)
-	prog.blockTaint = prog.propagate(func(n *funcNode) []siteFact { return n.blockFacts }, false, false)
-	prog.hotTaint = prog.propagate(func(n *funcNode) []siteFact { return n.hotFacts }, true, true)
+	prog.clockTaint = prog.propagate(func(n *funcNode) []siteFact { return n.clockFacts }, true)
+	prog.blockTaint = prog.propagate(func(n *funcNode) []siteFact { return n.blockFacts }, false)
 	prog.computeAcquireSets()
 	prog.buildLockGraph()
 	prog.findLockCycles()
@@ -220,28 +202,12 @@ func (p *Program) addPackage(pkg *Package) {
 				disp: p.shorten(obj.FullName()),
 				pos:  fd.Pos(),
 				body: fd.Body,
-				hot:  hasHotpathTag(fd),
 			}
 			p.nodes[id] = node
 			p.ids = append(p.ids, id)
 		}
 	}
 	sort.Slice(p.ids, func(i, j int) bool { return p.ids[i] < p.ids[j] })
-}
-
-// hasHotpathTag reports whether the declaration carries a //lint:hotpath
-// directive in its doc comment block.
-func hasHotpathTag(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == "//lint:hotpath" || strings.HasPrefix(text, "//lint:hotpath ") {
-			return true
-		}
-	}
-	return false
 }
 
 // shorten compacts a FullName for witness display by trimming the module
@@ -259,8 +225,7 @@ func (p *Program) shorten(full string) string {
 // never descends into them from the parent.
 func (p *Program) scanNode(n *funcNode) {
 	s := &nodeScan{prog: p, node: n, info: n.pkg.Info}
-	s.collectCapMade(n.body)
-	s.walkStmtList(n.body.List, 0)
+	s.walk(n.body)
 	n.acquires, n.regions = p.collectLockRegions(n)
 }
 
@@ -270,71 +235,12 @@ type nodeScan struct {
 	node    *funcNode
 	info    *types.Info
 	litSeq  int
-	cold    int               // >0 while inside a panic(...) argument
 	nonComm map[ast.Node]bool // comm ops of a defaulted select: non-blocking
-	capMade map[types.Object]bool
 }
 
-// collectCapMade records every local slice created with an explicit
-// capacity (`make(T, len, cap)`) in this function: appending to one is
-// amortized by the author's own sizing, so the growing-append hot shape
-// does not apply.
-func (s *nodeScan) collectCapMade(body *ast.BlockStmt) {
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-		if !ok || len(call.Args) != 3 {
-			return
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "make" {
-			return
-		}
-		if b, isB := s.info.Uses[fn].(*types.Builtin); !isB || b.Name() != "make" {
-			return
-		}
-		obj := s.info.Defs[id]
-		if obj == nil {
-			obj = s.info.Uses[id]
-		}
-		if obj != nil {
-			if s.capMade == nil {
-				s.capMade = make(map[types.Object]bool)
-			}
-			s.capMade[obj] = true
-		}
-	}
-	walkShallow(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i := range n.Rhs {
-				if i < len(n.Lhs) {
-					record(n.Lhs[i], n.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			for i := range n.Values {
-				if i < len(n.Names) {
-					record(n.Names[i], n.Values[i])
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (s *nodeScan) walkStmtList(stmts []ast.Stmt, loopDepth int) {
-	for _, st := range stmts {
-		s.walk(st, loopDepth)
-	}
-}
-
-// walk visits one node with explicit loop-depth tracking (the hot-path
-// "growing" shapes only count inside a loop).
-func (s *nodeScan) walk(n ast.Node, loopDepth int) {
+// walk visits one node, recording facts and edges, and descends into its
+// children unless a handler below already did.
+func (s *nodeScan) walk(n ast.Node) {
 	switch n := n.(type) {
 	case nil:
 		return
@@ -342,32 +248,27 @@ func (s *nodeScan) walk(n ast.Node, loopDepth int) {
 		s.child(n, false)
 		return
 	case *ast.GoStmt:
-		s.spawn(n.Call, loopDepth)
+		s.spawn(n.Call)
 		return
 	case *ast.SelectStmt:
-		s.selectStmt(n, loopDepth)
-		return
-	case *ast.ForStmt:
-		s.walk(n.Init, loopDepth)
-		s.walk(n.Cond, loopDepth)
-		s.walk(n.Post, loopDepth)
-		s.walkStmtList(n.Body.List, loopDepth+1)
+		s.selectStmt(n)
 		return
 	case *ast.RangeStmt:
-		s.rangeStmt(n, loopDepth)
-		return
+		if tv, ok := s.info.Types[n.X]; ok && tv.Type != nil {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				s.blockFact(n.Pos(), "range over channel")
+			}
+		}
 	case *ast.SendStmt:
 		if !s.nonComm[n] {
-			s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", n.Pos(), "channel send")
+			s.blockFact(n.Pos(), "channel send")
 		}
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW && !s.nonComm[n] {
-			s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", n.Pos(), "channel receive")
+			s.blockFact(n.Pos(), "channel receive")
 		}
-	case *ast.AssignStmt:
-		s.assign(n, loopDepth)
 	case *ast.CallExpr:
-		s.call(n, loopDepth)
+		s.call(n)
 		return
 	case *ast.SelectorExpr:
 		s.funcRef(n, n.Pos())
@@ -377,23 +278,12 @@ func (s *nodeScan) walk(n ast.Node, loopDepth int) {
 		return
 	}
 	// Generic descent for everything not fully handled above.
-	children(n, func(c ast.Node) { s.walk(c, loopDepth) })
+	children(n, s.walk)
 }
 
-// fact appends a siteFact unless a //lint:allow for the given analyzer
-// covers the site — accepted direct costs must not taint callers.
-// Hot-path facts inside a panic(...) argument are dropped: the crash
-// path is cold by definition.
-func (s *nodeScan) fact(facts []siteFact, analyzer string, pos token.Pos, what string) []siteFact {
-	if analyzer == "hotpath" && s.cold > 0 {
-		return facts
-	}
-	position := s.prog.fset.Position(pos)
-	probe := Finding{Analyzer: analyzer, File: position.Filename, Line: position.Line}
-	if suppressedBy(probe, s.prog.sups[s.node.pkg.Path], s.prog.ranges) {
-		return facts
-	}
-	return append(facts, siteFact{pos: pos, what: what})
+// blockFact records a may-block operation in the function being scanned.
+func (s *nodeScan) blockFact(pos token.Pos, what string) {
+	s.node.blockFacts = append(s.node.blockFacts, siteFact{pos: pos, what: what})
 }
 
 // child registers a function literal as its own node and charges it to
@@ -416,25 +306,23 @@ func (s *nodeScan) child(lit *ast.FuncLit, async bool) {
 
 // spawn handles `go f(...)`: async edge to the callee, normal walk of the
 // arguments (they evaluate synchronously in the spawner).
-func (s *nodeScan) spawn(call *ast.CallExpr, loopDepth int) {
-	// A `go` statement allocates its goroutine: a hot-path shape.
-	s.node.hotFacts = s.fact(s.node.hotFacts, "hotpath", call.Pos(), "spawns a goroutine")
+func (s *nodeScan) spawn(call *ast.CallExpr) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		s.child(lit, true)
 	} else {
 		for _, callee := range s.resolve(call.Fun) {
 			s.addEdge(callee, call.Pos(), true)
 		}
-		s.walkCalleeOperand(call.Fun, loopDepth)
+		s.walkCalleeOperand(call.Fun)
 	}
 	for _, a := range call.Args {
-		s.walk(a, loopDepth)
+		s.walk(a)
 	}
 }
 
 // selectStmt records blocking unless the select carries a default clause,
 // in which case its comm operations are non-blocking by construction.
-func (s *nodeScan) selectStmt(sel *ast.SelectStmt, loopDepth int) {
+func (s *nodeScan) selectStmt(sel *ast.SelectStmt) {
 	hasDefault := false
 	for _, cl := range sel.Body.List {
 		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
@@ -442,7 +330,7 @@ func (s *nodeScan) selectStmt(sel *ast.SelectStmt, loopDepth int) {
 		}
 	}
 	if !hasDefault {
-		s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", sel.Pos(), "select without default")
+		s.blockFact(sel.Pos(), "select without default")
 	} else {
 		if s.nonComm == nil {
 			s.nonComm = make(map[ast.Node]bool)
@@ -459,87 +347,12 @@ func (s *nodeScan) selectStmt(sel *ast.SelectStmt, loopDepth int) {
 			}
 		}
 	}
-	children(sel, func(c ast.Node) { s.walk(c, loopDepth) })
+	children(sel, s.walk)
 }
 
-// rangeStmt records hot/blocking shapes of the range itself, then walks
-// the body one loop level deeper.
-func (s *nodeScan) rangeStmt(rng *ast.RangeStmt, loopDepth int) {
-	if tv, ok := s.info.Types[rng.X]; ok && tv.Type != nil {
-		switch tv.Type.Underlying().(type) {
-		case *types.Map:
-			s.node.hotFacts = s.fact(s.node.hotFacts, "hotpath", rng.Pos(), "map iteration")
-		case *types.Chan:
-			s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", rng.Pos(), "range over channel")
-		}
-	}
-	s.walk(rng.Key, loopDepth)
-	s.walk(rng.Value, loopDepth)
-	s.walk(rng.X, loopDepth)
-	s.walkStmtList(rng.Body.List, loopDepth+1)
-}
-
-// assign records the growing-append hot shape: `x = append(x, ...)` inside
-// a loop where x outlives the loop body (lexically: any loop at all — per-
-// iteration slices are declared inside and filtered by position below).
-func (s *nodeScan) assign(as *ast.AssignStmt, loopDepth int) {
-	if loopDepth == 0 {
-		return
-	}
-	for i, rhs := range as.Rhs {
-		call, ok := rhs.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 || i >= len(as.Lhs) {
-			continue
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if !ok || fn.Name != "append" {
-			continue
-		}
-		if b, isBuiltin := s.info.Uses[fn].(*types.Builtin); !isBuiltin || b.Name() != "append" {
-			continue
-		}
-		lhs, ok := as.Lhs[i].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if target, ok := call.Args[0].(*ast.Ident); !ok || target.Name != lhs.Name {
-			continue
-		}
-		if obj := s.info.Uses[lhs]; obj != nil && s.capMade[obj] {
-			continue // appends into author-sized capacity: amortized
-		}
-		s.node.hotFacts = s.fact(s.node.hotFacts, "hotpath", as.Pos(), "append grows "+lhs.Name+" inside a loop")
-	}
-}
-
-// call handles one call expression: conversions (hot boxing shape), edge
-// resolution, per-callee facts, then the operands.
-func (s *nodeScan) call(call *ast.CallExpr, loopDepth int) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := s.info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
-			// panic arguments execute only on the crash path: walk them
-			// (clock/blocking facts still count) but keep hot-path
-			// shapes from tainting.
-			s.cold++
-			for _, a := range call.Args {
-				s.walk(a, loopDepth)
-			}
-			s.cold--
-			return
-		}
-	}
-	if tv, ok := s.info.Types[call.Fun]; ok && tv.IsType() {
-		// A conversion, not a call. Converting to an interface boxes.
-		if loopDepth > 0 {
-			if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-				s.node.hotFacts = s.fact(s.node.hotFacts, "hotpath", call.Pos(), "interface conversion (boxes its operand)")
-			}
-		}
-		for _, a := range call.Args {
-			s.walk(a, loopDepth)
-		}
-		return
-	}
+// call handles one call expression (a conversion included, which resolves
+// to no callee): edge resolution, per-callee facts, then the operands.
+func (s *nodeScan) call(call *ast.CallExpr) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		s.child(lit, false)
 	} else {
@@ -547,29 +360,23 @@ func (s *nodeScan) call(call *ast.CallExpr, loopDepth int) {
 		for _, callee := range s.resolve(call.Fun) {
 			s.addEdge(callee, call.Pos(), false)
 		}
-		s.walkCalleeOperand(call.Fun, loopDepth)
+		s.walkCalleeOperand(call.Fun)
 	}
 	for _, a := range call.Args {
-		s.walk(a, loopDepth)
+		s.walk(a)
 	}
 }
 
 // directCallFacts classifies stdlib and rpc-client calls the graph cannot
-// see into: forbidden clock/rand reads, blocking sync waits, hot fmt.
+// see into: forbidden clock/rand reads and blocking waits.
 func (s *nodeScan) directCallFacts(call *ast.CallExpr) {
 	if path, name, ok := pkgFuncCallee(s.info, call); ok {
 		full := path + "." + name
 		if why, bad := forbiddenCalls[full]; bad {
-			s.node.clockFacts = s.fact(s.node.clockFacts, "determinism", call.Pos(), fmt.Sprintf("%s.%s (%s)", pkgBase(path), name, why))
+			s.node.clockFacts = append(s.node.clockFacts, siteFact{pos: call.Pos(), what: fmt.Sprintf("%s.%s (%s)", pkgBase(path), name, why)})
 		}
 		if full == "time.Sleep" {
-			s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", call.Pos(), "time.Sleep")
-		}
-		if path == "fmt" && name != "Errorf" {
-			// fmt boxes every operand and allocates its output;
-			// fmt.Errorf is exempt as error-path construction, which
-			// this codebase keeps off hot paths by convention.
-			s.node.hotFacts = s.fact(s.node.hotFacts, "hotpath", call.Pos(), "fmt."+name)
+			s.blockFact(call.Pos(), "time.Sleep")
 		}
 		return
 	}
@@ -582,28 +389,24 @@ func (s *nodeScan) directCallFacts(call *ast.CallExpr) {
 		return
 	}
 	recv := selection.Recv()
-	switch sel.Sel.Name {
-	case "Wait":
-		// sync.WaitGroup.Wait blocks until the group drains.
-		// sync.Cond.Wait is deliberately NOT a blocking fact: it
-		// releases the very mutex the caller holds, which is the one
-		// sanctioned way to sleep with a lock "held".
-		if isSyncType(recv, "WaitGroup") {
-			s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", call.Pos(), "sync.WaitGroup.Wait")
-		}
-	default:
+	// sync.WaitGroup.Wait blocks until the group drains. sync.Cond.Wait is
+	// deliberately NOT a blocking fact: it releases the very mutex the
+	// caller holds, which is the one sanctioned way to sleep with a lock
+	// "held".
+	if sel.Sel.Name == "Wait" && isSyncType(recv, "WaitGroup") {
+		s.blockFact(call.Pos(), "sync.WaitGroup.Wait")
 	}
 	if isRPCClient(recv, s.prog.cfg.rpcClientPath()) {
-		s.node.blockFacts = s.fact(s.node.blockFacts, "lockdiscipline", call.Pos(), "rpc client call")
+		s.blockFact(call.Pos(), "rpc client call")
 	}
 }
 
 // walkCalleeOperand walks the receiver part of a call's Fun (which may
 // itself contain calls) without re-registering the resolved callee as a
 // bare function reference.
-func (s *nodeScan) walkCalleeOperand(fun ast.Expr, loopDepth int) {
+func (s *nodeScan) walkCalleeOperand(fun ast.Expr) {
 	if sel, ok := ast.Unparen(fun).(*ast.SelectorExpr); ok {
-		s.walk(sel.X, loopDepth)
+		s.walk(sel.X)
 	}
 }
 
@@ -622,12 +425,12 @@ func (s *nodeScan) funcRef(sel *ast.SelectorExpr, pos token.Pos) {
 	for _, callee := range s.resolve(sel) {
 		s.addEdge(callee, pos, false)
 	}
-	s.walk(sel.X, 0)
+	s.walk(sel.X)
 }
 
-// addEdge appends one call edge, stamping the current cold depth.
+// addEdge appends one call edge.
 func (s *nodeScan) addEdge(callee FuncID, pos token.Pos, async bool) {
-	s.node.edges = append(s.node.edges, edge{callee: callee, pos: pos, async: async, cold: s.cold > 0})
+	s.node.edges = append(s.node.edges, edge{callee: callee, pos: pos, async: async})
 }
 
 // resolve maps a callee expression to zero or more FuncIDs. Sealed
@@ -732,9 +535,8 @@ func isSyncType(t types.Type, name string) bool {
 
 // propagate computes one taint table: dist-0 entries for every node with
 // a direct fact, then Bellman-Ford sweeps over sorted IDs until stable.
-// withAsync controls whether `go`-spawn edges conduct the taint;
-// skipCold stops it at panic-argument edges (the hot-path table only).
-func (p *Program) propagate(facts func(*funcNode) []siteFact, withAsync, skipCold bool) map[FuncID]*witness {
+// withAsync controls whether `go`-spawn edges conduct the taint.
+func (p *Program) propagate(facts func(*funcNode) []siteFact, withAsync bool) map[FuncID]*witness {
 	taint := make(map[FuncID]*witness)
 	for _, id := range p.ids {
 		n := p.nodes[id]
@@ -757,7 +559,7 @@ func (p *Program) propagate(facts func(*funcNode) []siteFact, withAsync, skipCol
 				continue
 			}
 			for _, e := range n.edges {
-				if (e.async && !withAsync) || (e.cold && skipCold) {
+				if e.async && !withAsync {
 					continue
 				}
 				ct := taint[e.callee]

@@ -7,10 +7,10 @@ import (
 )
 
 // Determinism enforces the replay contract of the simulator/controller
-// stack: inside module-internal packages (minus configured exemptions such
-// as the rpc layer) production code must not read the wall clock or the
-// global math/rand source, and must not let Go's randomised map iteration
-// order leak into observable output. Three map-range shapes are flagged:
+// stack: inside module-internal packages production code must not read the
+// wall clock or the global math/rand source, and must not let Go's
+// randomised map iteration order leak into observable output. Three
+// map-range shapes are flagged:
 //
 //   - a channel send inside a map range (emission order is random),
 //   - an append from a map range into a slice declared outside the loop
@@ -36,7 +36,6 @@ import (
 // site, with the full chain available via swiftvet -why.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global math/rand, and map/channel-order leaks in deterministic packages",
 	Run:  runDeterminism,
 }
 

@@ -18,7 +18,6 @@ import (
 // satisfy io interfaces, and fmt printing into those writers or stdout.
 var ErrDiscipline = &Analyzer{
 	Name: "errdiscipline",
-	Doc:  "no silently discarded error returns in non-test internal packages",
 	Run:  runErrDiscipline,
 }
 

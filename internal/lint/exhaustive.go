@@ -28,7 +28,6 @@ import (
 // does not.
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",
-	Doc:  "switches over module const-enums and sealed interfaces must cover every member or carry default",
 	Run:  runExhaustive,
 }
 

@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,10 +18,6 @@ import (
 // sources:
 //
 //	code() // want <analyzer> "<message substring>"
-//
-// A `want+N`/`want-N` form anchors the expectation N lines away from the
-// directive, for findings that land on comment lines (e.g. a bare
-// //lint:allow, which cannot share its line with another comment).
 
 var testdataDir = filepath.Join("testdata", "src", "lintest")
 
@@ -51,7 +46,7 @@ type expectation struct {
 	substr   string
 }
 
-var wantRe = regexp.MustCompile(`want([+-]\d+)?\s+(\w+)\s+"([^"]*)"`)
+var wantRe = regexp.MustCompile(`want\s+(\w+)\s+"([^"]*)"`)
 
 func collectWants(t *testing.T) []expectation {
 	t.Helper()
@@ -70,15 +65,11 @@ func collectWants(t *testing.T) []expectation {
 			}
 			comment := line[strings.Index(line, "//"):]
 			for _, m := range wantRe.FindAllStringSubmatch(comment, -1) {
-				offset := 0
-				if m[1] != "" {
-					offset, _ = strconv.Atoi(m[1])
-				}
 				wants = append(wants, expectation{
 					file:     filepath.Base(path),
-					line:     i + 1 + offset,
-					analyzer: m[2],
-					substr:   m[3],
+					line:     i + 1,
+					analyzer: m[1],
+					substr:   m[2],
 				})
 			}
 		}
@@ -93,12 +84,11 @@ func collectWants(t *testing.T) []expectation {
 	return wants
 }
 
-// TestGoldenFindings is the end-to-end check for all five analyzers plus
-// the suppression machinery: every finding must be wanted, every want must
-// be found.
+// TestGoldenFindings is the end-to-end check for all six analyzers: every
+// finding must be wanted, every want must be found.
 func TestGoldenFindings(t *testing.T) {
 	pkgs, fset := loadGolden(t)
-	findings := RunPackages(fset, pkgs, ConfigForModule("lintest"), All(), nil)
+	findings := RunPackages(fset, pkgs, ConfigForModule("lintest"))
 	wants := collectWants(t)
 
 	matched := make([]bool, len(wants))
@@ -124,45 +114,13 @@ func TestGoldenFindings(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSubset covers swiftvet's -analyzers path: a single analyzer
-// reports only its own findings.
-func TestAnalyzerSubset(t *testing.T) {
-	pkgs, fset := loadGolden(t)
-	sub, err := ByName("exhaustive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := RunPackages(fset, pkgs, ConfigForModule("lintest"), sub, nil)
-	if len(findings) == 0 {
-		t.Fatal("exhaustive found nothing in the fixture module")
-	}
-	for _, f := range findings {
-		if f.Analyzer != "exhaustive" && f.Analyzer != "lint" {
-			t.Errorf("analyzer subset leaked a %s finding: %s", f.Analyzer, f)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown analyzer name accepted")
-	}
-}
-
 // TestSwiftvetCommand runs the real driver over the fixture module: seeded
 // violations must produce exit status 1 and a parseable -json stream.
 func TestSwiftvetCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the swiftvet binary")
 	}
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "swiftvet")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/swiftvet")
-	build.Dir = repoRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build swiftvet: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, "-json", "./...")
+	cmd := exec.Command(buildSwiftvet(t), "-json", "./...")
 	cmd.Dir = testdataDir
 	out, runErr := cmd.Output()
 	exit, ok := runErr.(*exec.ExitError)

@@ -8,8 +8,8 @@ import (
 
 // This file holds the interprocedural rules built on the Program view
 // from callgraph.go: the transitive half of determinism, the transitive
-// half of lockdiscipline's held-region rule, and the two whole-program
-// analyzers lockorder and hotpath.
+// half of lockdiscipline's held-region rule, and the whole-program
+// analyzer lockorder.
 
 // runDeterminismTransitive flags calls from determinism-scoped code into
 // out-of-scope module functions that transitively read the wall clock or
@@ -59,7 +59,6 @@ func taintVerb(what string) string {
 // decide.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "report cycles in the global mutex acquisition-order graph as potential deadlocks",
 	Run:  runLockOrder,
 }
 
@@ -97,57 +96,6 @@ func joinKeys(prog *Program, keys []lockKey) string {
 		parts[i] = prog.shortKey(k)
 	}
 	return strings.Join(parts, ", ")
-}
-
-// Hotpath machine-enforces the allocation budgets of functions tagged
-//
-//	//lint:hotpath
-//
-// in their doc comment: neither the tagged function nor anything it
-// transitively calls (through the module call graph, goroutine spawns
-// included) may use fmt (except fmt.Errorf — error construction is cold
-// by convention), iterate a map, grow a slice with `x = append(x, ...)`
-// inside a loop, box a value through an in-loop interface conversion, or
-// spawn a goroutine. A true-but-accepted cost is silenced at its site
-// with //lint:allow hotpath <reason>, which also stops it from tainting
-// callers.
-var Hotpath = &Analyzer{
-	Name: "hotpath",
-	Doc:  "//lint:hotpath functions must not transitively allocate: no fmt, map iteration, growing append, boxing, or goroutine spawn",
-	Run:  runHotpath,
-}
-
-func runHotpath(p *Pass) {
-	if p.Prog == nil || !p.Cfg.inModule(p.Pkg.Path) {
-		return
-	}
-	for _, id := range p.Prog.nodesOf(p.Pkg) {
-		n := p.Prog.nodes[id]
-		if !n.hot {
-			continue
-		}
-		for _, f := range n.hotFacts {
-			p.Reportf(f.pos, "hot path: %s in //lint:hotpath function %s", f.what, n.disp)
-		}
-		for _, e := range n.edges {
-			if e.cold {
-				continue // panic-argument calls run only on the crash path
-			}
-			callee := p.Prog.nodes[e.callee]
-			if callee == nil || callee.hot {
-				// A tagged callee reports (or has allowed) its own costs.
-				continue
-			}
-			w := p.Prog.hotTaint[e.callee]
-			if w == nil {
-				continue
-			}
-			why := p.Prog.chainFrom(p.Prog.hotTaint, n, e)
-			p.reportWhy(e.pos, why,
-				"hot path: call from //lint:hotpath function %s transitively reaches %s (run swiftvet -why for the call chain)",
-				n.disp, w.what)
-		}
-	}
 }
 
 // checkHeldRegionTransitive extends lockdiscipline's held-region rule

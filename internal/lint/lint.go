@@ -1,32 +1,27 @@
 // Package lint is swiftvet's analysis framework: a small go/analysis-style
 // harness built on go/parser + go/ast + go/types only (no x/tools), a
-// whole-program call-graph/summary engine (callgraph.go), and the seven
+// whole-program call-graph/summary engine (callgraph.go), and the six
 // project-specific analyzers that machine-enforce this repo's invariants —
 // simulator/controller determinism (direct and transitive), lock
 // discipline (including transitive may-block reach under a held mutex),
-// global lock-acquisition ordering, hot-path allocation budgets, error
-// discipline, enum-switch exhaustiveness, and batch/row kernel parity.
+// global lock-acquisition ordering, error discipline, enum-switch
+// exhaustiveness, and batch/row kernel parity.
 //
 // Every reproduction experiment (Figs 3–16, the chaos soak, the invariant
 // auditor) is only trustworthy because the deterministic packages replay
 // bit-for-bit from a seed; these analyzers keep that property from rotting
 // one innocuous PR at a time.
 //
-// A finding is silenced only by an inline comment
-//
-//	//lint:allow <analyzer> <reason>
-//
-// on the offending line, the line above, or the first line of the
-// offending multi-line statement. The reason is mandatory; a bare allow
-// is itself reported. An allowed direct fact also stops tainting callers
-// in the interprocedural analyzers.
+// There is no way to silence a finding: it is fixed or the code is
+// restructured. Allocation budgets are not a static check; they are
+// measured by the testing.AllocsPerRun guards (DESIGN.md "Allocation
+// budgets").
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -52,7 +47,6 @@ func (f Finding) String() string {
 // Analyzer is one named check over a single package.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 
@@ -124,159 +118,35 @@ func (c *Config) internalPath(path string) bool {
 	return c.inModule(path) && strings.Contains(path, "/internal/")
 }
 
-// All returns the seven analyzers in catalogue order.
+// All returns the six analyzers in catalogue order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		LockDiscipline,
 		LockOrder,
-		Hotpath,
 		ErrDiscipline,
 		Exhaustive,
 		BatchParity,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("" = all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		a := byName[strings.TrimSpace(n)]
-		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// suppression is one parsed //lint:allow comment.
-type suppression struct {
-	file     string
-	line     int
-	analyzer string
-}
-
-var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+(\S+)\s*(.*)$`)
-
-// collectSuppressions scans every comment of the package (test files
-// included) for //lint:allow directives. A directive with no reason is
-// itself a finding: suppressions must say why or they are just deletions
-// of the check.
-func collectSuppressions(fset *token.FileSet, pkg *Package) ([]suppression, []Finding) {
-	var sups []suppression
-	var bad []Finding
-	files := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if strings.TrimSpace(m[2]) == "" {
-					bad = append(bad, Finding{
-						Analyzer: "lint",
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  fmt.Sprintf("lint:allow %s is missing its mandatory reason", m[1]),
-					})
-					continue
-				}
-				sups = append(sups, suppression{file: pos.Filename, line: pos.Line, analyzer: m[1]})
-			}
-		}
-	}
-	return sups, bad
-}
-
-// lineRange is the line span of one multi-line simple statement — the
-// unit an allow comment on the first line suppresses across.
-type lineRange struct {
-	start, end int
-}
-
-// collectStmtRanges records, per file, the line spans of multi-line
-// *simple* statements (calls, assignments, returns, sends, declarations,
-// defer/go) so an allow on the statement's first line covers a finding
-// reported on any of its continuation lines. Control-flow blocks are
-// deliberately excluded: an allow above an `if` must not blanket its body.
-func collectStmtRanges(fset *token.FileSet, pkg *Package, ranges map[string][]lineRange) {
-	files := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.ExprStmt, *ast.AssignStmt, *ast.ReturnStmt, *ast.SendStmt,
-				*ast.DeclStmt, *ast.DeferStmt, *ast.GoStmt:
-			default:
-				return true
-			}
-			start := fset.Position(n.Pos())
-			end := fset.Position(n.End())
-			if end.Line > start.Line {
-				ranges[start.Filename] = append(ranges[start.Filename], lineRange{start: start.Line, end: end.Line})
-			}
-			return true
-		})
-	}
-}
-
-// suppressedBy reports whether a finding is covered by an allow directive:
-// on its own line, on the line immediately above, or — when the finding
-// falls inside a multi-line simple statement — on that statement's first
-// line or the line above it.
-func suppressedBy(f Finding, sups []suppression, ranges map[string][]lineRange) bool {
-	for _, s := range sups {
-		if s.analyzer != f.Analyzer || s.file != f.File {
-			continue
-		}
-		if s.line == f.Line || s.line == f.Line-1 {
-			return true
-		}
-		for _, r := range ranges[f.File] {
-			if f.Line >= r.start && f.Line <= r.end && (s.line == r.start || s.line == r.start-1) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// RunPackages executes the analyzers over the packages, applies per-package
-// config and //lint:allow suppressions, and returns the surviving findings
-// in byte-stable (file, line, col, analyzer, message) order. The
-// whole-program view is always built over every loaded package (summaries
-// need the full graph), but when only is non-nil, findings are reported just
-// for the packages whose import path it maps to true — the -changed
-// incremental mode.
-func RunPackages(fset *token.FileSet, pkgs []*Package, cfg *Config, analyzers []*Analyzer, only map[string]bool) []Finding {
+// RunPackages executes every analyzer over the packages and returns their
+// findings, duplicates dropped, in byte-stable (file, line, col, analyzer,
+// message) order. The whole-program view is built over every loaded
+// package: the summaries need the full graph.
+func RunPackages(fset *token.FileSet, pkgs []*Package, cfg *Config) []Finding {
 	prog := buildProgram(fset, pkgs, cfg)
 	var findings []Finding
 	for _, pkg := range pkgs {
-		if only != nil && !only[pkg.Path] {
-			continue
-		}
-		sups, bad := collectSuppressions(fset, pkg)
-		findings = append(findings, bad...)
 		var raw []Finding
-		for _, a := range analyzers {
+		for _, a := range All() {
 			pass := &Pass{Analyzer: a, Cfg: cfg, Fset: fset, Pkg: pkg, Prog: prog, findings: &raw}
 			a.Run(pass)
 		}
 		seen := make(map[string]bool)
 		for _, f := range raw {
 			key := f.String()
-			if !suppressedBy(f, sups, prog.ranges) && !seen[key] {
+			if !seen[key] {
 				seen[key] = true
 				findings = append(findings, f)
 			}

@@ -24,10 +24,10 @@ type listedPackage struct {
 	Name         string
 	Standard     bool
 	Export       string
+	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Deps         []string
 	Module       *struct {
 		Path string
 		Main bool
@@ -42,7 +42,6 @@ type Package struct {
 	Path      string
 	Dir       string
 	Module    string
-	Deps      []string    // import paths of the transitive dependency closure
 	Files     []*ast.File // production sources, type-checked
 	TestFiles []*ast.File // *_test.go sources, parsed only
 	Types     *types.Package
@@ -80,12 +79,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	// -deps mixes targets with their dependency closure; a second plain
-	// list yields exactly the packages the patterns name.
-	targets, err := goList(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
 
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -97,14 +90,16 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 	})
 
 	var pkgs []*Package
-	for _, lp := range targets {
-		if lp.Standard || lp.Module == nil || !lp.Module.Main {
+	for _, lp := range listed {
+		// -deps mixes the targets with their dependency closure; DepOnly
+		// marks the packages no pattern named.
+		if lp.DepOnly || lp.Standard || lp.Module == nil || !lp.Module.Main {
 			continue
 		}
 		if lp.Error != nil {
 			return nil, nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Module: lp.Module.Path, Deps: lp.Deps}
+		pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Module: lp.Module.Path}
 		for _, name := range lp.GoFiles {
 			af, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 			if err != nil {

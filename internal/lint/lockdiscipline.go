@@ -28,7 +28,6 @@ import (
 // their execution time is not the lock holder's.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "Lock must pair with a same-function Unlock; no channel sends or rpc calls while a mutex is held",
 	Run:  runLockDiscipline,
 }
 

@@ -119,27 +119,24 @@ func pickAny(m map[string]int) int {
 	return won
 }
 
-// suppressed shows the reason-ful escape hatch: no finding survives.
+// The three functions below carry //lint:allow comments. swiftvet reads
+// no comment as a suppression, so every finding under them surfaces.
+
 func suppressed() time.Time {
-	//lint:allow determinism fixture: proves a reasoned allow silences the line below
-	return time.Now()
+	//lint:allow determinism fixture: a reasoned allow comment
+	return time.Now() // want determinism "reads the wall clock"
 }
 
-// want+3 lint "missing its mandatory reason"
-// want+3 determinism "reads the wall clock"
 func bareAllow() time.Time {
 	//lint:allow determinism
-	return time.Now()
+	return time.Now() // want determinism "reads the wall clock"
 }
 
-// multiLineAllowed proves an allow on a multi-line statement's first line
-// covers findings on its continuation lines: both time.Since calls sit
-// below the statement's first line and are still silenced.
 func multiLineAllowed(base time.Time) []time.Duration {
-	//lint:allow determinism fixture: allow on the first statement line covers the whole statement
+	//lint:allow determinism fixture: an allow on a multi-line statement's first line
 	out := []time.Duration{
-		time.Since(base),
-		time.Since(base.Add(1)),
+		time.Since(base),        // want determinism "reads the wall clock"
+		time.Since(base.Add(1)), // want determinism "reads the wall clock"
 	}
 	return out
 }

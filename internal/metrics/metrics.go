@@ -125,8 +125,7 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// FractionBelow returns the fraction of the sample strictly less than or
-// equal to x.
+// FractionBelow returns the fraction of the sample that is at most x.
 func FractionBelow(xs []float64, x float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()

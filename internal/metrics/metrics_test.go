@@ -83,6 +83,10 @@ func TestFractionBelow(t *testing.T) {
 	if got := FractionBelow(xs, 10); got != 1 {
 		t.Errorf("FractionBelow(10) = %g", got)
 	}
+	// A sample equal to x counts: callers print the result as P(<=x).
+	if got := FractionBelow([]float64{80, 80, 81}, 80); got != 2.0/3 {
+		t.Errorf("FractionBelow(80) over {80, 80, 81} = %g, want 2/3", got)
+	}
 	if !math.IsNaN(FractionBelow(nil, 1)) {
 		t.Error("empty sample should be NaN")
 	}

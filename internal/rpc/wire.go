@@ -46,8 +46,6 @@ type frame struct {
 }
 
 // appendFrame appends one encoded frame to dst, growing it at most once.
-//
-//lint:hotpath
 func appendFrame(dst []byte, id uint64, method, errMsg string, body []byte) ([]byte, error) {
 	n := uvarintLen(id) +
 		uvarintLen(uint64(len(method))) + len(method) +
@@ -74,8 +72,6 @@ const writeBufKeep = 64 << 10
 
 // writeFrame encodes one frame into *buf — the connection's reused write
 // buffer — and sends it with a single Write.
-//
-//lint:hotpath
 func writeFrame(w io.Writer, buf *[]byte, id uint64, method, errMsg string, body []byte) error {
 	b, err := appendFrame((*buf)[:0], id, method, errMsg, body)
 	if err != nil {
@@ -99,8 +95,6 @@ const firstRead = 64 << 10
 // a bounded first chunk, then doubling — so a lying length prefix followed
 // by a hang-up costs memory in proportion to what was sent, not to what
 // was claimed.
-//
-//lint:hotpath
 func readFrame(r *bufio.Reader) (frame, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
@@ -130,8 +124,6 @@ func readFrame(r *bufio.Reader) (frame, error) {
 }
 
 // parseFrame splits a frame's bytes (without the length prefix).
-//
-//lint:hotpath
 func parseFrame(buf []byte) (frame, error) {
 	rd := wireReader{b: buf}
 	f := frame{id: rd.uvarint(), method: rd.bytes(), err: rd.bytes()}
@@ -221,7 +213,6 @@ type wireReader struct {
 	bad bool
 }
 
-//lint:hotpath
 func (r *wireReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
@@ -232,7 +223,6 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
-//lint:hotpath
 func (r *wireReader) int() int64 {
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
@@ -243,7 +233,6 @@ func (r *wireReader) int() int64 {
 	return v
 }
 
-//lint:hotpath
 func (r *wireReader) bool() bool {
 	if len(r.b) == 0 || r.b[0] > 1 {
 		r.bad, r.b = true, nil
@@ -257,8 +246,6 @@ func (r *wireReader) bool() bool {
 // bytes returns a length-prefixed field as a slice of the input (nil when
 // empty, as gob decodes it). The length is checked against what is left
 // before anything is sliced, so a lying prefix allocates nothing.
-//
-//lint:hotpath
 func (r *wireReader) bytes() []byte {
 	n := r.uvarint()
 	if n > uint64(len(r.b)) {
@@ -273,13 +260,10 @@ func (r *wireReader) bytes() []byte {
 	return v
 }
 
-//lint:hotpath
 func (r *wireReader) string() string { return string(r.bytes()) }
 
 // count reads an element count and rejects one that the remaining bytes
 // cannot hold at minSize bytes per element.
-//
-//lint:hotpath
 func (r *wireReader) count(minSize int) int {
 	n := r.uvarint()
 	if n > uint64(len(r.b)/minSize) {
@@ -302,14 +286,12 @@ func (r *wireReader) done(what string) error {
 
 // FlowSubmitChunk: ID str | Data str.
 
-//lint:hotpath
 func (m FlowSubmitChunk) appendWire(dst []byte) []byte {
 	dst = slices.Grow(dst, len(m.ID)+len(m.Data)+2*binary.MaxVarintLen64) // one allocation per submit
 	dst = appendString(dst, m.ID)
 	return appendBytes(dst, m.Data)
 }
 
-//lint:hotpath
 func (m *FlowSubmitChunk) decodeWire(src []byte) error {
 	r := wireReader{b: src}
 	*m = FlowSubmitChunk{ID: r.string(), Data: r.bytes()}
@@ -319,7 +301,6 @@ func (m *FlowSubmitChunk) decodeWire(src []byte) error {
 // FlowSubmitReply: Decision str | Level str | QueuePos int |
 // RetryAfterMicros int | Reason str.
 
-//lint:hotpath
 func (m FlowSubmitReply) appendWire(dst []byte) []byte {
 	dst = appendString(dst, m.Decision)
 	dst = appendString(dst, m.Level)
@@ -328,7 +309,6 @@ func (m FlowSubmitReply) appendWire(dst []byte) []byte {
 	return appendString(dst, m.Reason)
 }
 
-//lint:hotpath
 func (m *FlowSubmitReply) decodeWire(src []byte) error {
 	r := wireReader{b: src}
 	*m = FlowSubmitReply{
@@ -342,7 +322,6 @@ func (m *FlowSubmitReply) decodeWire(src []byte) error {
 // counters, FlowQueueLen int, MaxQueueLen int, Draining bool, Level str,
 // Panics int, then Tenants as a count and that many FlowTenantStatus.
 
-//lint:hotpath
 func (m FlowStatusReply) appendWire(dst []byte) []byte {
 	dst = appendInt(dst, int64(m.LiveJobs))
 	dst = appendInt(dst, int64(m.PendingTasks))
@@ -367,7 +346,6 @@ func (m FlowStatusReply) appendWire(dst []byte) []byte {
 	return dst
 }
 
-//lint:hotpath
 func (m *FlowStatusReply) decodeWire(src []byte) error {
 	r := wireReader{b: src}
 	*m = FlowStatusReply{
@@ -390,7 +368,6 @@ func (m *FlowStatusReply) decodeWire(src []byte) error {
 // QueueLen int | InFlight int | Budget int — at least one byte each.
 const tenantStatusMinSize = 7
 
-//lint:hotpath
 func (m FlowTenantStatus) appendWire(dst []byte) []byte {
 	dst = appendString(dst, m.Tenant)
 	dst = appendInt(dst, m.Admitted)
@@ -401,7 +378,6 @@ func (m FlowTenantStatus) appendWire(dst []byte) []byte {
 	return appendInt(dst, int64(m.Budget))
 }
 
-//lint:hotpath
 func (m *FlowTenantStatus) read(r *wireReader) {
 	*m = FlowTenantStatus{
 		Tenant: r.string(), Admitted: r.int(), Queued: r.int(), Shed: r.int(),
@@ -411,10 +387,8 @@ func (m *FlowTenantStatus) read(r *wireReader) {
 
 // FlowCancelReply: Cancelled bool.
 
-//lint:hotpath
 func (m FlowCancelReply) appendWire(dst []byte) []byte { return appendBool(dst, m.Cancelled) }
 
-//lint:hotpath
 func (m *FlowCancelReply) decodeWire(src []byte) error {
 	r := wireReader{b: src}
 	*m = FlowCancelReply{Cancelled: r.bool()}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"swift/internal/raceflag"
@@ -243,6 +244,84 @@ func TestWireAllocationBudgets(t *testing.T) {
 	}
 	if &back.Data[0] != &body[len(body)-len(payload)] {
 		t.Error("decoded Data does not alias the body")
+	}
+}
+
+// Reading a frame allocates its own buffer and nothing else, whatever the
+// body size below the first chunk; splitting the header off allocates
+// nothing.
+func TestFrameReadAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	for _, size := range []int{512, 8 * 512} {
+		enc, err := appendFrame(nil, 7, "flow.submit", "", bytes.Repeat([]byte("x"), size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			src.Reset(enc)
+			br.Reset(&src)
+			if _, err := readFrame(br); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 1 {
+			t.Errorf("readFrame of a %d-byte body: %.0f allocs, budget 1 (the frame's buffer)", size, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := parseFrame(enc[4:]); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Errorf("parseFrame of a %d-byte body: %.0f allocs, budget 0", size, allocs)
+		}
+	}
+}
+
+// The flow messages' codec budgets. Encoding into a buffer that has room
+// allocates nothing (a submit chunk sizes its own buffer: one allocation),
+// and decoding allocates each non-empty string field and the tenant list —
+// so a status reply costs one more allocation per tenant, its name, and
+// nothing else per tenant.
+func TestFlowWireAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	chunk := FlowSubmitChunk{ID: "job-000123", Data: bytes.Repeat([]byte("x"), 510)}
+	if allocs := testing.AllocsPerRun(100, func() { chunk.appendWire(nil) }); allocs > 1 {
+		t.Errorf("FlowSubmitChunk encode: %.0f allocs, budget 1", allocs)
+	}
+	buf := make([]byte, 0, 4096)
+	check := func(name string, m interface {
+		wireEncoder
+		wireDecoder
+	}, encBudget, decBudget float64) {
+		t.Helper()
+		enc := m.appendWire(nil)
+		if allocs := testing.AllocsPerRun(100, func() { buf = m.appendWire(buf[:0]) }); allocs > encBudget {
+			t.Errorf("%s encode: %.0f allocs, budget %.0f", name, allocs, encBudget)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := m.decodeWire(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > decBudget {
+			t.Errorf("%s decode: %.0f allocs, budget %.0f", name, allocs, decBudget)
+		}
+	}
+	check("FlowSubmitReply", &FlowSubmitReply{
+		Decision: "shed", Level: "shed", RetryAfterMicros: 150000, Reason: "flow: overloaded",
+	}, 0, 3)
+	check("FlowCancelReply", &FlowCancelReply{Cancelled: true}, 0, 0)
+	for _, tenants := range []int{4, 8 * 4} {
+		st := &FlowStatusReply{LiveJobs: 3, Admitted: 40, Level: "queue", Tenants: make([]FlowTenantStatus, tenants)}
+		for i := range st.Tenants {
+			st.Tenants[i] = FlowTenantStatus{Tenant: "tenant-" + strconv.Itoa(i), Admitted: int64(i), Budget: 64}
+		}
+		// Level, the tenant list, and one name per tenant.
+		check("FlowStatusReply with "+strconv.Itoa(tenants)+" tenants", st, 0, float64(2+tenants))
 	}
 }
 

@@ -87,8 +87,6 @@ func (e *Engine) Steps() int64 { return e.steps }
 
 // At schedules fn to run at the given absolute time. Times in the past run
 // at the current instant (ordered after already-queued current events).
-//
-//lint:hotpath
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -156,8 +154,6 @@ func (e *Engine) RunBounded(limit Time, maxSteps int64) (Time, bool) {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // step pops the earliest event and runs it.
-//
-//lint:hotpath
 func (e *Engine) step() {
 	h := e.events
 	top := h[0]

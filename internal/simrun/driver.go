@@ -165,8 +165,6 @@ func (r *Runner) armFinish(rt *runningTask, finishAt sim.Time) {
 // finishTask is the armed completion of one attempt: record its sample,
 // tell the controller, interpret what the controller decides, and unpark
 // whoever waited for the stage.
-//
-//lint:hotpath
 func (r *Runner) finishTask(rt *runningTask, gen int) {
 	jr := rt.jr
 	sr := &jr.stages[rt.stage]
