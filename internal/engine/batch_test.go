@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -221,6 +222,51 @@ func TestTopKBatchEquivalence(t *testing.T) {
 				rowsEqual(t, "top-k", TopKBatch(in.batch, keys, k, false).Rows(), TopK(in.rows, keys, k))
 				rowsEqual(t, "top-k desc", TopKBatch(in.batch, keys, k, true).Rows(), TopKDesc(in.rows, keys, k))
 				rowsEqual(t, "top-k lazy", TopKBatch(lazy, keys, k, false).Rows(), TopK(half, keys, k))
+			}
+		}
+	}
+}
+
+// TestTopKBatchComposes: a stable top k distributes over concatenation —
+// the top k of the runs' own top ks, concatenated in run order, is the top
+// k of the runs concatenated, row for row. tpch Q3 rests on it: each join
+// task ships its local top k and `top` takes the top k of those. The keys
+// are full of ties and NULLs (randRows), an id column tells tied rows
+// apart, and runs are dense, selection views or empty.
+func TestTopKBatchComposes(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + r.Intn(200)
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		base := BatchFromRows(randRows(r, n)).WithCol(Int64Col(ids))
+		var runs []*Batch
+		for lo := 0; lo < n; {
+			hi := min(n, lo+r.Intn(n/2+2))
+			if r.Intn(2) == 0 { // a view that skips some rows of its range
+				runs = append(runs, FilterBatch(base, func(i int) bool { return i >= lo && i < hi && i%3 != 0 }))
+			} else {
+				sel := make([]int32, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					sel = append(sel, int32(i))
+				}
+				runs = append(runs, base.Gather(sel))
+			}
+			lo = hi
+		}
+		all := ConcatBatches(runs)
+		for _, keys := range [][]int{{0}, {2}, {3, 1}} {
+			for _, desc := range []bool{false, true} {
+				for _, k := range []int{0, 1, 3, all.Len, all.Len + 5} {
+					local := make([]*Batch, len(runs))
+					for i, run := range runs {
+						local[i] = TopKBatch(run, keys, k, desc)
+					}
+					rowsEqual(t, fmt.Sprintf("trial %d keys %v k %d desc %v", trial, keys, k, desc),
+						TopKBatch(ConcatBatches(local), keys, k, desc).Rows(), TopKBatch(all, keys, k, desc).Rows())
+				}
 			}
 		}
 	}

@@ -23,15 +23,43 @@ var LiteSchemas = map[string]engine.Schema{
 	"customer": {"c_custkey", "c_name", "c_mktsegment"},
 }
 
-var mktSegments = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
-var returnFlags = []string{"R", "A", "N"}
-var lineStatuses = []string{"O", "F"}
+// A row cell is an interface, and putting a string or a float64 (or an
+// int64 of 256 and up) into one allocates. Every low-cardinality value is
+// therefore boxed once, in these tables, and the generator draws an index
+// into one, so the database holds a few thousand shared boxes instead of
+// millions and the date strings a scan compares stay in cache. The draws
+// and the values they pick must stay those of boxing each value afresh:
+// TestGenerateLitePinnedDigest holds the tables to digests taken that way.
+var (
+	mktSegments = []engine.Value{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
+	returnFlags = []engine.Value{"R", "A", "N"}
+	statuses    = []engine.Value{"O", "F"} // l_linestatus and o_orderstatus
+	quantities  = boxed(50, func(i int) engine.Value { return float64(1 + i) })
+	prices      = boxed(1000, func(i int) engine.Value { return 900.0 + 100*float64(i)/10 })
+	discounts   = boxed(11, func(i int) engine.Value { return float64(i) / 100 })
+	taxes       = boxed(9, func(i int) engine.Value { return float64(i) / 100 })
+	partkeys    = boxed(2000, func(i int) engine.Value { return int64(1 + i) })
+	// dates is indexed by ((year-1992)*12 + month-1)*28 + day-1.
+	dates = boxed(7*12*28, func(i int) engine.Value {
+		return fmt.Sprintf("%04d-%02d-%02d", 1992+i/(12*28), 1+i/28%12, 1+i%28)
+	})
+)
 
-func liteDate(r *rand.Rand) string {
-	year := 1992 + r.Intn(7)
-	month := 1 + r.Intn(12)
-	day := 1 + r.Intn(28)
-	return fmt.Sprintf("%04d-%02d-%02d", year, month, day)
+// boxed returns val(0), …, val(n-1), each boxed once.
+func boxed(n int, val func(i int) engine.Value) []engine.Value {
+	out := make([]engine.Value, n)
+	for i := range out {
+		out[i] = val(i)
+	}
+	return out
+}
+
+// liteDate draws a date: year, then month, then day.
+func liteDate(r *rand.Rand) engine.Value {
+	year := r.Intn(7)
+	month := r.Intn(12)
+	day := r.Intn(28)
+	return dates[(year*12+month)*28+day]
 }
 
 // Lite holds a generated TPC-H-lite database.
@@ -75,36 +103,31 @@ func GenerateLite(sf float64, seed int64, parts int) *Lite {
 	orderRows := make([]engine.Row, orders)
 	var lineRows []engine.Row
 	for i := range orderRows {
-		okey := int64(i + 1)
+		var okey engine.Value = int64(i + 1) // one box for the order and its lines
 		lines := 1 + r.Intn(7)
 		var total float64
 		date := liteDate(r)
 		for ln := 0; ln < lines; ln++ {
-			qty := float64(1 + r.Intn(50))
-			price := 900.0 + 100*float64(r.Intn(1000))/10
-			discount := float64(r.Intn(11)) / 100
-			tax := float64(r.Intn(9)) / 100
-			total += price * (1 - discount)
+			qty := quantities[r.Intn(len(quantities))]
+			price := prices[r.Intn(len(prices))]
+			discount := discounts[r.Intn(len(discounts))]
+			tax := taxes[r.Intn(len(taxes))]
+			total += price.(float64) * (1 - discount.(float64))
+			partkey := partkeys[r.Intn(len(partkeys))]
+			suppkey := int64(1 + r.Intn(100)) // below 256: boxing it allocates nothing
+			flag := returnFlags[r.Intn(len(returnFlags))]
+			status := statuses[r.Intn(len(statuses))]
 			lineRows = append(lineRows, engine.Row{
-				okey,
-				int64(1 + r.Intn(2000)),
-				int64(1 + r.Intn(100)),
-				qty,
-				price,
-				discount,
-				tax,
-				returnFlags[r.Intn(len(returnFlags))],
-				lineStatuses[r.Intn(len(lineStatuses))],
-				liteDate(r),
+				okey, partkey, suppkey, qty, price, discount, tax, flag, status, liteDate(r),
 			})
 		}
-		status := "O"
+		status := statuses[0]
 		if r.Intn(2) == 0 {
-			status = "F"
+			status = statuses[1]
 		}
 		orderRows[i] = engine.Row{
 			okey,
-			int64(1 + r.Intn(customers)),
+			custRows[r.Intn(customers)][0], // the customer's own custkey box
 			status,
 			total,
 			date,

@@ -7,11 +7,12 @@ import (
 
 // Runnable TPC-H-lite queries: physical plans that execute for real on the
 // engine against a GenerateLite database. Four queries cover the suite's
-// operator classes — Q1 (scan + streamed aggregation), Q6 (filter + global
-// sum), Q3 (3-way join + group-by + top-k ordering) and, in lite_q12.go,
-// Q12 (co-partitioned join + conditional aggregation). Each returns the job
-// DAG and the stage bodies; reference implementations for verification live
-// beside them (LiteQ*Reference).
+// operator classes — Q1 (scan + partial aggregation, merged after the
+// shuffle), Q6 (filter + global sum), Q3 (3-way semi-join chain + group-by
+// + top-k ordering) and, in lite_q12.go, Q12 (co-partitioned join +
+// conditional aggregation). Each returns the job DAG and the stage bodies;
+// reference implementations for verification live beside them
+// (LiteQ*Reference).
 
 // liteCols caches frequently used column indexes.
 var (
@@ -22,10 +23,12 @@ var (
 
 // LiteQ1 is the pricing-summary query: per (returnflag, linestatus), sum
 // of quantity, sum of extended price, sum of discounted price and row
-// count over lineitems shipped up to the cutoff date.
+// count over lineitems shipped up to the cutoff date. Each scan task
+// aggregates its own partition, so the shuffle carries at most one row per
+// group and scan task, and `agg` sums the partials.
 func LiteQ1(scanTasks, aggTasks int, cutoff string) (*dag.Job, engine.Plans) {
 	job := dag.NewBuilder("lite-q1").
-		Stage("scan", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpShuffleWrite)).
+		Stage("scan", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpFilter), dag.Op(dag.OpHashAggregate), dag.Op(dag.OpShuffleWrite)).
 		StageOpt(&dag.Stage{Name: "agg", Tasks: aggTasks, Idempotent: true,
 			Operators: []dag.Operator{dag.Op(dag.OpShuffleRead), dag.Op(dag.OpStreamedAggregate), dag.Op(dag.OpAdhocSink)}}).
 		Edge("scan", "agg", dag.OpStreamedAggregate, 1<<20).
@@ -44,32 +47,40 @@ func LiteQ1(scanTasks, aggTasks int, cutoff string) (*dag.Job, engine.Plans) {
 			if err != nil {
 				return err
 			}
-			// Columnar scan: one typed pass over the shipdate vector builds
-			// the selection and projection is free, so what is emitted is a
-			// view over the table's columns; the partitions the shuffle
-			// stores are views over it in turn.
-			ships := b.Cols[ship].Strs
-			out := engine.FilterBatch(b, func(i int) bool { return ships[i] <= cutoff }).
-				Project([]int{flag, status, qty, price, disc})
-			return ctx.EmitBatchByKey("agg", out, []int{0, 1})
-		},
-		"agg": func(ctx *engine.TaskContext) error {
-			b, err := ctx.InputBatch("scan") // (flag, status, qty, price, disc)
-			if err != nil {
-				return err
-			}
-			// The discounted price is computed vector-at-a-time over the
-			// dense input, in the order the sum folds it.
+			// The discounted price is one typed pass over the whole
+			// partition, so the dense batch takes it as a column without a
+			// gather; the shipdate filter is a view over that, and the
+			// partial aggregate folds the view in partition order. What
+			// the shuffle carries is at most one row per group.
+			prices, discs := b.Cols[price].Floats, b.Cols[disc].Floats
 			discounted := make([]float64, b.Len)
-			prices, discs := b.Cols[3].Floats, b.Cols[4].Floats
 			for i := range discounted {
 				discounted[i] = prices[i] * (1 - discs[i])
 			}
-			ctx.SinkBatch(engine.HashAggregateBatch(b.WithCol(engine.Float64Col(discounted)), []int{0, 1}, []engine.Agg{
+			ships := b.Cols[ship].Strs
+			rows := engine.FilterBatch(
+				b.Project([]int{flag, status, qty, price}).WithCol(engine.Float64Col(discounted)),
+				func(i int) bool { return ships[i] <= cutoff })
+			partial := engine.HashAggregateBatch(rows, []int{0, 1}, []engine.Agg{
 				{Kind: engine.AggSum, Col: 2},
 				{Kind: engine.AggSum, Col: 3},
-				{Kind: engine.AggSum, Col: 5},
+				{Kind: engine.AggSum, Col: 4},
 				{Kind: engine.AggCount, Col: 0},
+			})
+			return ctx.EmitBatchByKey("agg", partial, []int{0, 1})
+		},
+		"agg": func(ctx *engine.TaskContext) error {
+			// (flag, status, sum qty, sum price, sum discounted, count):
+			// every column after the keys merges by summing.
+			b, err := ctx.InputBatch("scan")
+			if err != nil {
+				return err
+			}
+			ctx.SinkBatch(engine.HashAggregateBatch(b, []int{0, 1}, []engine.Agg{
+				{Kind: engine.AggSum, Col: 2},
+				{Kind: engine.AggSum, Col: 3},
+				{Kind: engine.AggSum, Col: 4},
+				{Kind: engine.AggSum, Col: 5},
 			}))
 			return nil
 		},
@@ -179,16 +190,21 @@ func LiteQ6Reference(l *Lite, lo, hi string) float64 {
 
 // LiteQ3 is the shipping-priority query: customers in a market segment
 // joined to their orders placed before a date, revenue aggregated per
-// order, top-k by revenue.
+// order, top-k by revenue. Each scan keeps only what the next one needs:
+// `cust` broadcasts the segment's custkeys to `ord`, `ord` broadcasts the
+// qualifying orderkeys to `line`, and `line` ships only the lineitems of
+// those orders to `join`, whose tasks each ship their own top k. The two
+// semi-joins are filters against a keySet.
 func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, engine.Plans) {
 	job := dag.NewBuilder("lite-q3").
 		Stage("cust", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpFilter), dag.Op(dag.OpShuffleWrite)).
-		Stage("ord", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpFilter), dag.Op(dag.OpShuffleWrite)).
-		Stage("line", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpShuffleWrite)).
-		Stage("join", joinTasks, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpHashJoin), dag.Op(dag.OpHashAggregate), dag.Op(dag.OpShuffleWrite)).
+		Stage("ord", scanTasks, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpTableScan), dag.Op(dag.OpFilter), dag.Op(dag.OpShuffleWrite)).
+		Stage("line", scanTasks, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpTableScan), dag.Op(dag.OpFilter), dag.Op(dag.OpShuffleWrite)).
+		Stage("join", joinTasks, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpHashJoin), dag.Op(dag.OpHashAggregate), dag.Op(dag.OpLimit), dag.Op(dag.OpShuffleWrite)).
 		StageOpt(&dag.Stage{Name: "top", Tasks: 1, Idempotent: true,
 			Operators: []dag.Operator{dag.Op(dag.OpShuffleRead), dag.Op(dag.OpSortBy), dag.Op(dag.OpLimit), dag.Op(dag.OpAdhocSink)}}).
-		Pipeline("cust", "join", 1<<20).
+		Pipeline("cust", "ord", 1<<20).
+		Pipeline("ord", "line", 1<<20).
 		Pipeline("ord", "join", 1<<20).
 		Pipeline("line", "join", 1<<20).
 		Edge("join", "top", dag.OpSortBy, 1<<20).
@@ -212,41 +228,55 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 			segs := b.Cols[cSeg].Strs
 			out := engine.FilterBatch(b, func(i int) bool { return segs[i] == segment }).
 				Project([]int{cKey})
-			// Customers partition by custkey; orders carry custkey too,
-			// but the join key downstream is orderkey, so broadcast the
-			// (small, filtered) customer set instead.
-			return ctx.BroadcastBatch("join", out)
+			// Orders are not partitioned by custkey, so every `ord` task
+			// gets the whole (small, filtered) customer set.
+			return ctx.BroadcastBatch("ord", out)
 		},
 		"ord": func(ctx *engine.TaskContext) error {
-			b, err := ctx.TablePartitionBatch("orders")
-			if err != nil {
-				return err
-			}
-			dates := b.Cols[oDate].Strs
-			out := engine.FilterBatch(b, func(i int) bool { return dates[i] < date }).
-				Project([]int{oKey, oCust, oDate})
-			return ctx.EmitBatchByKey("join", out, []int{0})
-		},
-		"line": func(ctx *engine.TaskContext) error {
-			b, err := ctx.TablePartitionBatch("lineitem")
-			if err != nil {
-				return err
-			}
-			revs := make([]float64, b.Len)
-			prices := b.Cols[lPrice].Floats
-			discs := b.Cols[lDisc].Floats
-			for i := range revs {
-				revs[i] = prices[i] * (1 - discs[i])
-			}
-			out := b.Project([]int{lKey}).WithCol(engine.Float64Col(revs))
-			return ctx.EmitBatchByKey("join", out, []int{0})
-		},
-		"join": func(ctx *engine.TaskContext) error {
 			custs, err := ctx.InputBatch("cust") // (custkey)
 			if err != nil {
 				return err
 			}
-			orders, err := ctx.InputBatch("ord") // (orderkey, custkey, orderdate)
+			b, err := ctx.TablePartitionBatch("orders")
+			if err != nil {
+				return err
+			}
+			// Orders placed before the date by the segment's customers, as
+			// a view: (orderkey, orderdate).
+			inSeg := newKeySet(custs.Cols[0].Ints)
+			dates, ocusts := b.Cols[oDate].Strs, b.Cols[oCust].Ints
+			out := engine.FilterBatch(b, func(i int) bool { return dates[i] < date && inSeg.has(ocusts[i]) }).
+				Project([]int{oKey, oDate})
+			if err := ctx.BroadcastBatch("line", out.Project([]int{0})); err != nil {
+				return err
+			}
+			return ctx.EmitBatchByKey("join", out, []int{0})
+		},
+		"line": func(ctx *engine.TaskContext) error {
+			orders, err := ctx.InputBatch("ord") // (orderkey)
+			if err != nil {
+				return err
+			}
+			b, err := ctx.TablePartitionBatch("lineitem")
+			if err != nil {
+				return err
+			}
+			// The lineitems of qualifying orders, in partition order, so
+			// each `join` task folds the same revenues in the same order as
+			// if every lineitem came.
+			qual := newKeySet(orders.Cols[0].Ints)
+			okeys := b.Cols[lKey].Ints
+			kept := engine.FilterBatch(b, func(i int) bool { return qual.has(okeys[i]) })
+			prices, discs := b.Cols[lPrice].Floats, b.Cols[lDisc].Floats
+			revs := make([]float64, kept.Len)
+			for j, i := range kept.Sel {
+				revs[j] = prices[i] * (1 - discs[i])
+			}
+			out := kept.Project([]int{lKey}).WithCol(engine.Float64Col(revs))
+			return ctx.EmitBatchByKey("join", out, []int{0})
+		},
+		"join": func(ctx *engine.TaskContext) error {
+			orders, err := ctx.InputBatch("ord") // (orderkey, orderdate)
 			if err != nil {
 				return err
 			}
@@ -254,31 +284,52 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 			if err != nil {
 				return err
 			}
-			// Semi-join orders to segment customers (custkey is unique, so
-			// an inner join cannot duplicate orders), keep (orderkey, date).
-			oj := engine.HashJoinBatch(custs, []int{0}, orders, []int{1}).
-				Project([]int{0, 2})
-			// Lineitems against qualifying orders, then revenue per order.
-			// HashAggregateBatch sorts by its keys; orderkey is unique, so
-			// the result is orderkey-ordered — deterministic for the sink.
-			j := engine.HashJoinBatch(oj, []int{0}, lines, []int{0})
+			// Revenue per order. HashAggregateBatch sorts by its keys, and
+			// orderkey is unique, so the result is orderkey-ordered.
+			j := engine.HashJoinBatch(orders, []int{0}, lines, []int{0})
 			agg := engine.HashAggregateBatch(j, []int{0, 3}, []engine.Agg{
 				{Kind: engine.AggSum, Col: 1},
 			})
 			out := agg.Project([]int{0, 2, 1}) // (orderkey, revenue, orderdate)
-			return ctx.EmitBatchPartitioned("top", []*engine.Batch{out})
+			// A stable top k of each task's run, concatenated in task order,
+			// has the same stable top k as the runs themselves.
+			return ctx.EmitBatchPartitioned("top", []*engine.Batch{engine.TopKBatch(out, []int{1}, topK, true)})
 		},
 		"top": func(ctx *engine.TaskContext) error {
 			b, err := ctx.InputBatch("join")
 			if err != nil {
 				return err
 			}
-			// Order by revenue desc; ties keep orderkey order.
+			// Order by revenue desc; ties keep join-task order, then
+			// orderkey order.
 			ctx.SinkBatch(engine.TopKBatch(b, []int{1}, topK, true))
 			return nil
 		},
 	}
 	return job, plans
+}
+
+// keySet is a semi-join's build side as one bit per key value, from 0 to
+// the largest key. GenerateLite's custkeys and orderkeys are 1..n, so the
+// set costs n/8 bytes at most and a probe is one bit test, where
+// HashJoinBatch would hash the key and walk a chain: on Q3's 300k
+// lineitems at sf 5 that was most of the query's time.
+type keySet []uint64
+
+func newKeySet(keys []int64) keySet {
+	var top int64
+	for _, k := range keys {
+		top = max(top, k)
+	}
+	s := make(keySet, top/64+1)
+	for _, k := range keys {
+		s[k/64] |= 1 << (k % 64)
+	}
+	return s
+}
+
+func (s keySet) has(k int64) bool {
+	return k >= 0 && k/64 < int64(len(s)) && s[k/64]&(1<<(k%64)) != 0
 }
 
 // LiteQ3Reference computes Q3 directly, returning orderkey → revenue for

@@ -89,37 +89,45 @@ func TestLiteQ3Q12PinnedSinkRows(t *testing.T) {
 }
 
 // pinnedQ1Q6 are the exact Q1 and Q6 sink rows at the same configuration
-// (bench/tpch.go's q1Cutoff and range), generated on the last commit whose
-// Q1 scan gathered its rows and computed the discounted price before the
-// shuffle. Q1's sums depend on the order rows reach the aggregate, so this
-// pins the shuffle's row order as well as its contents.
+// (bench/tpch.go's q1Cutoff and range). Q6's, and Q1's keys, row order,
+// quantity and price sums and counts, date from the commit whose Q1 scan
+// gathered its rows and computed the discounted price before the shuffle;
+// those sums are integer-valued, so any fold order gives them exactly. The
+// 18 discounted-price sums were re-pinned when each Q1 scan task began to
+// aggregate its partition before the shuffle: a sum of four partial sums
+// rounds differently from one running sum, and 16 of the 18 moved closer
+// to the exact sum of the same float64 products (EXPERIMENTS.md has the
+// table). Those few partials no longer pin the shuffle's row order; Q3's
+// revenue sums do — a round-robin partitioned order of three or more
+// lineitems sums rows from different `line` tasks, so a reordered
+// concatenation of the producer runs fails it.
 var pinnedQ1Q6 = []struct {
 	seed   int64
 	q1, q6 []engine.Row
 }{
 	{1, []engine.Row{
-		{"A", "F", 1.226715e+06, 2.8361644e+08, 2.693985060000008e+08, int64(48048)},
-		{"A", "O", 1.212427e+06, 2.7975705e+08, 2.6571919430000192e+08, int64(47538)},
-		{"R", "O", 1.218079e+06, 2.812991e+08, 2.6722014719999754e+08, int64(47680)},
-		{"N", "F", 1.212977e+06, 2.8018399e+08, 2.6620548939999875e+08, int64(47652)},
-		{"N", "O", 1.211379e+06, 2.7980578e+08, 2.6580407720000088e+08, int64(47487)},
-		{"R", "F", 1.208314e+06, 2.8070992e+08, 2.6667239150000042e+08, int64(47470)},
+		{"A", "F", 1.226715e+06, 2.8361644e+08, 2.6939850600000024e+08, int64(48048)},
+		{"A", "O", 1.212427e+06, 2.7975705e+08, 2.6571919430000013e+08, int64(47538)},
+		{"R", "O", 1.218079e+06, 2.812991e+08, 2.672201472000003e+08, int64(47680)},
+		{"N", "F", 1.212977e+06, 2.8018399e+08, 2.6620548939999998e+08, int64(47652)},
+		{"N", "O", 1.211379e+06, 2.7980578e+08, 2.6580407719999993e+08, int64(47487)},
+		{"R", "F", 1.208314e+06, 2.8070992e+08, 2.6667239149999994e+08, int64(47470)},
 	}, []engine.Row{{1.8850694000000004e+06}}},
 	{2, []engine.Row{
-		{"A", "F", 1.212003e+06, 2.7881482e+08, 2.648860043000001e+08, int64(47414)},
-		{"A", "O", 1.210792e+06, 2.7885511e+08, 2.6492852999999925e+08, int64(47250)},
-		{"R", "O", 1.215968e+06, 2.8240316e+08, 2.6834753979999927e+08, int64(47886)},
-		{"N", "F", 1.217581e+06, 2.8089348e+08, 2.6689973799999878e+08, int64(47669)},
-		{"N", "O", 1.221488e+06, 2.8213864e+08, 2.6803062850000122e+08, int64(47983)},
-		{"R", "F", 1.215269e+06, 2.8050956e+08, 2.6649592120000046e+08, int64(47711)},
+		{"A", "F", 1.212003e+06, 2.7881482e+08, 2.6488600429999986e+08, int64(47414)},
+		{"A", "O", 1.210792e+06, 2.7885511e+08, 2.6492853000000033e+08, int64(47250)},
+		{"R", "O", 1.215968e+06, 2.8240316e+08, 2.6834753980000007e+08, int64(47886)},
+		{"N", "F", 1.217581e+06, 2.8089348e+08, 2.6689973800000015e+08, int64(47669)},
+		{"N", "O", 1.221488e+06, 2.8213864e+08, 2.6803062850000006e+08, int64(47983)},
+		{"R", "F", 1.215269e+06, 2.8050956e+08, 2.6649592120000035e+08, int64(47711)},
 	}, []engine.Row{{1.8858086999999997e+06}}},
 	{3, []engine.Row{
-		{"A", "F", 1.227016e+06, 2.8393525e+08, 2.697614962999995e+08, int64(48015)},
-		{"A", "O", 1.217482e+06, 2.8205763e+08, 2.6797310579999864e+08, int64(47590)},
-		{"R", "O", 1.225218e+06, 2.8422972e+08, 2.701287365000005e+08, int64(48187)},
-		{"N", "F", 1.224308e+06, 2.8310065e+08, 2.6889715119999886e+08, int64(47907)},
-		{"N", "O", 1.225838e+06, 2.8288328e+08, 2.6872235409999937e+08, int64(47838)},
-		{"R", "F", 1.213207e+06, 2.8086841e+08, 2.668471489e+08, int64(47509)},
+		{"A", "F", 1.227016e+06, 2.8393525e+08, 2.697614963000004e+08, int64(48015)},
+		{"A", "O", 1.217482e+06, 2.8205763e+08, 2.6797310580000013e+08, int64(47590)},
+		{"R", "O", 1.225218e+06, 2.8422972e+08, 2.7012873649999976e+08, int64(48187)},
+		{"N", "F", 1.224308e+06, 2.8310065e+08, 2.6889715120000035e+08, int64(47907)},
+		{"N", "O", 1.225838e+06, 2.8288328e+08, 2.6872235410000026e+08, int64(47838)},
+		{"R", "F", 1.213207e+06, 2.8086841e+08, 2.6684714890000015e+08, int64(47509)},
 	}, []engine.Row{{1.8688671000000003e+06}}},
 }
 
