@@ -9,7 +9,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -93,27 +92,39 @@ func (s *Stage) HasGlobalSort() bool {
 }
 
 // Job is a complete DAG job as submitted by a client.
+//
+// TopoOrder (and Validate, which calls it) caches the order it computes in
+// the job until the next AddStage or AddEdge, so a job shared between
+// goroutines must be validated before it is shared, as every built,
+// decoded or submitted job is.
 type Job struct {
 	ID string
 	// Tenant labels the submitting tenant for multi-tenant scheduling
 	// policies and per-tenant admission budgets. Empty means the default
 	// tenant; the label never affects DAG semantics.
 	Tenant string
-	stages map[string]*Stage
-	order  []string // insertion order, used for deterministic iteration
-	edges  []*Edge
-	in     map[string][]*Edge
-	out    map[string][]*Edge
+	nodes  []node         // stages in insertion order
+	index  map[string]int // stage name → position in nodes
+	edges  []arc          // edges in insertion order
+	topo   []string       // TopoOrder's result; nil until computed
+}
+
+// node is one stage with its edges as positions in Job.edges, each list in
+// insertion order.
+type node struct {
+	stage   *Stage
+	in, out []int
+}
+
+// arc is one edge with its endpoints as positions in Job.nodes.
+type arc struct {
+	edge     *Edge
+	from, to int
 }
 
 // NewJob returns an empty job with the given identifier.
 func NewJob(id string) *Job {
-	return &Job{
-		ID:     id,
-		stages: make(map[string]*Stage),
-		in:     make(map[string][]*Edge),
-		out:    make(map[string][]*Edge),
-	}
+	return &Job{ID: id, index: make(map[string]int)}
 }
 
 // AddStage inserts a stage. It returns an error if the name is empty,
@@ -125,11 +136,12 @@ func (j *Job) AddStage(s *Stage) error {
 	if s.Tasks <= 0 {
 		return fmt.Errorf("dag: stage %s: task count must be positive, got %d", s.Name, s.Tasks)
 	}
-	if _, dup := j.stages[s.Name]; dup {
+	if _, dup := j.index[s.Name]; dup {
 		return fmt.Errorf("dag: duplicate stage %s", s.Name)
 	}
-	j.stages[s.Name] = s
-	j.order = append(j.order, s.Name)
+	j.index[s.Name] = len(j.nodes)
+	j.nodes = append(j.nodes, node{stage: s})
+	j.topo = nil
 	return nil
 }
 
@@ -143,61 +155,100 @@ func (j *Job) AddEdge(e *Edge) error {
 	if e.From == e.To {
 		return fmt.Errorf("dag: self-loop on stage %s", e.From)
 	}
-	if _, ok := j.stages[e.From]; !ok {
+	from, ok := j.index[e.From]
+	if !ok {
 		return fmt.Errorf("dag: edge %s->%s: unknown producer stage %s", e.From, e.To, e.From)
 	}
-	if _, ok := j.stages[e.To]; !ok {
+	to, ok := j.index[e.To]
+	if !ok {
 		return fmt.Errorf("dag: edge %s->%s: unknown consumer stage %s", e.From, e.To, e.To)
 	}
-	for _, old := range j.out[e.From] {
-		if old.To == e.To {
+	for _, k := range j.nodes[from].out {
+		if j.edges[k].to == to {
 			return fmt.Errorf("dag: duplicate edge %s->%s", e.From, e.To)
 		}
 	}
 	if e.Op.GlobalSort() {
 		e.Mode = Barrier
 	}
-	j.edges = append(j.edges, e)
-	j.out[e.From] = append(j.out[e.From], e)
-	j.in[e.To] = append(j.in[e.To], e)
+	k := len(j.edges)
+	j.edges = append(j.edges, arc{edge: e, from: from, to: to})
+	j.nodes[from].out = append(j.nodes[from].out, k)
+	j.nodes[to].in = append(j.nodes[to].in, k)
+	j.topo = nil
 	return nil
 }
 
 // Stage returns the named stage, or nil if absent.
-func (j *Job) Stage(name string) *Stage { return j.stages[name] }
+func (j *Job) Stage(name string) *Stage {
+	if i, ok := j.index[name]; ok {
+		return j.nodes[i].stage
+	}
+	return nil
+}
 
 // Stages returns all stages in insertion order.
 func (j *Job) Stages() []*Stage {
-	out := make([]*Stage, 0, len(j.order))
-	for _, n := range j.order {
-		out = append(out, j.stages[n])
+	out := make([]*Stage, len(j.nodes))
+	for i := range j.nodes {
+		out[i] = j.nodes[i].stage
 	}
 	return out
 }
 
 // StageNames returns all stage names in insertion order.
-func (j *Job) StageNames() []string { return append([]string(nil), j.order...) }
+func (j *Job) StageNames() []string {
+	out := make([]string, len(j.nodes))
+	for i := range j.nodes {
+		out[i] = j.nodes[i].stage.Name
+	}
+	return out
+}
 
 // NumStages returns the stage count.
-func (j *Job) NumStages() int { return len(j.stages) }
+func (j *Job) NumStages() int { return len(j.nodes) }
 
 // NumTasks returns the total task count across all stages.
 func (j *Job) NumTasks() int {
 	n := 0
-	for _, s := range j.stages {
-		n += s.Tasks
+	for i := range j.nodes {
+		n += j.nodes[i].stage.Tasks
 	}
 	return n
 }
 
 // Edges returns all edges in insertion order.
-func (j *Job) Edges() []*Edge { return append([]*Edge(nil), j.edges...) }
+func (j *Job) Edges() []*Edge {
+	out := make([]*Edge, len(j.edges))
+	for k := range j.edges {
+		out[k] = j.edges[k].edge
+	}
+	return out
+}
 
 // In returns the edges entering the named stage.
-func (j *Job) In(name string) []*Edge { return append([]*Edge(nil), j.in[name]...) }
+func (j *Job) In(name string) []*Edge {
+	if i, ok := j.index[name]; ok {
+		return j.edgesAt(j.nodes[i].in)
+	}
+	return nil
+}
 
 // Out returns the edges leaving the named stage.
-func (j *Job) Out(name string) []*Edge { return append([]*Edge(nil), j.out[name]...) }
+func (j *Job) Out(name string) []*Edge {
+	if i, ok := j.index[name]; ok {
+		return j.edgesAt(j.nodes[i].out)
+	}
+	return nil
+}
+
+func (j *Job) edgesAt(ks []int) []*Edge {
+	out := make([]*Edge, len(ks))
+	for i, k := range ks {
+		out[i] = j.edges[k].edge
+	}
+	return out
+}
 
 // Classify re-derives every edge's Mode from the paper's heuristic: an edge
 // is a barrier if its consuming operator is in the global-sort class, or if
@@ -205,9 +256,9 @@ func (j *Job) Out(name string) []*Edge { return append([]*Edge(nil), j.out[name]
 // stage that performs a global sort cannot stream onward). Edges whose Mode
 // was explicitly set to Barrier by a planner are left as barriers.
 func (j *Job) Classify() {
-	for _, e := range j.edges {
-		if e.Op.GlobalSort() || j.stages[e.From].HasGlobalSort() {
-			e.Mode = Barrier
+	for _, a := range j.edges {
+		if a.edge.Op.GlobalSort() || j.nodes[a.from].stage.HasGlobalSort() {
+			a.edge.Mode = Barrier
 		}
 	}
 }
@@ -215,58 +266,63 @@ func (j *Job) Classify() {
 // Validate checks structural invariants: at least one stage, acyclicity,
 // and every edge endpoint present. It returns the first violation found.
 func (j *Job) Validate() error {
-	if len(j.stages) == 0 {
+	if len(j.nodes) == 0 {
 		return fmt.Errorf("dag: job %s has no stages", j.ID)
 	}
-	if _, err := j.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := j.order()
+	return err
 }
 
 // TopoOrder returns the stage names in a deterministic topological order
 // (Kahn's algorithm with ties broken by insertion order). It returns an
-// error if the graph has a cycle.
+// error if the graph has a cycle. The order is computed once and cached
+// until the next AddStage or AddEdge; each call returns its own copy.
 func (j *Job) TopoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(j.stages))
-	for name := range j.stages {
-		indeg[name] = len(j.in[name])
+	order, err := j.order()
+	if err != nil {
+		return nil, err
 	}
-	pos := make(map[string]int, len(j.order))
-	for i, n := range j.order {
-		pos[n] = i
+	return append([]string(nil), order...), nil
+}
+
+// order is TopoOrder without the copy. Each round places the earliest
+// inserted stage whose producers are all placed; indeg[i] counts stage i's
+// unplaced producers and is -1 once i is placed. Jobs have a handful of
+// stages (at most 10 in the trace mix, a few dozen in a SQL plan), so the
+// linear scan for the next stage is cheaper than keeping a heap.
+func (j *Job) order() ([]string, error) {
+	if j.topo != nil {
+		return j.topo, nil
 	}
-	var ready []string
-	for _, n := range j.order {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+	indeg := make([]int, len(j.nodes))
+	for i := range j.nodes {
+		indeg[i] = len(j.nodes[i].in)
+	}
+	order := make([]string, 0, len(j.nodes))
+	for len(order) < len(j.nodes) {
+		i := 0
+		for i < len(indeg) && indeg[i] != 0 {
+			i++
+		}
+		if i == len(indeg) {
+			return nil, fmt.Errorf("dag: job %s contains a cycle", j.ID)
+		}
+		indeg[i] = -1
+		order = append(order, j.nodes[i].stage.Name)
+		for _, k := range j.nodes[i].out {
+			indeg[j.edges[k].to]--
 		}
 	}
-	var out []string
-	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return pos[ready[a]] < pos[ready[b]] })
-		n := ready[0]
-		ready = ready[1:]
-		out = append(out, n)
-		for _, e := range j.out[n] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-			}
-		}
-	}
-	if len(out) != len(j.stages) {
-		return nil, fmt.Errorf("dag: job %s contains a cycle", j.ID)
-	}
-	return out, nil
+	j.topo = order
+	return order, nil
 }
 
 // Sinks returns the stages with no outgoing edges, in insertion order.
 func (j *Job) Sinks() []string {
 	var out []string
-	for _, n := range j.order {
-		if len(j.out[n]) == 0 {
-			out = append(out, n)
+	for i := range j.nodes {
+		if len(j.nodes[i].out) == 0 {
+			out = append(out, j.nodes[i].stage.Name)
 		}
 	}
 	return out
@@ -276,7 +332,7 @@ func (j *Job) Sinks() []string {
 // of task-to-task links between producer and consumer (M×N), which drives
 // adaptive shuffle-mode selection (Section III-B).
 func (j *Job) ShuffleEdgeSize(e *Edge) int {
-	return j.stages[e.From].Tasks * j.stages[e.To].Tasks
+	return j.Stage(e.From).Tasks * j.Stage(e.To).Tasks
 }
 
 // Clone returns a deep copy of the job. Schedulers that consume the DAG
@@ -284,15 +340,15 @@ func (j *Job) ShuffleEdgeSize(e *Edge) int {
 func (j *Job) Clone() *Job {
 	c := NewJob(j.ID)
 	c.Tenant = j.Tenant
-	for _, n := range j.order {
-		s := *j.stages[n]
+	for i := range j.nodes {
+		s := *j.nodes[i].stage
 		s.Operators = append([]Operator(nil), s.Operators...)
 		if err := c.AddStage(&s); err != nil {
 			panic("dag: clone: " + err.Error()) // impossible: source was valid
 		}
 	}
-	for _, e := range j.edges {
-		ec := *e
+	for _, a := range j.edges {
+		ec := *a.edge
 		if err := c.AddEdge(&ec); err != nil {
 			panic("dag: clone: " + err.Error())
 		}
@@ -304,15 +360,16 @@ func (j *Job) Clone() *Job {
 func (j *Job) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "job %s: %d stages, %d tasks\n", j.ID, j.NumStages(), j.NumTasks())
-	for _, n := range j.order {
-		s := j.stages[n]
+	for _, nd := range j.nodes {
+		s := nd.stage
 		ops := make([]string, len(s.Operators))
 		for i, op := range s.Operators {
 			ops[i] = op.Kind.String()
 		}
 		fmt.Fprintf(&b, "  %s x%d [%s]\n", s.Name, s.Tasks, strings.Join(ops, ","))
 	}
-	for _, e := range j.edges {
+	for _, a := range j.edges {
+		e := a.edge
 		fmt.Fprintf(&b, "  %s -> %s (%s, %d bytes)\n", e.From, e.To, e.Mode, e.Bytes)
 	}
 	return b.String()

@@ -3,6 +3,8 @@ package dag
 import (
 	"strings"
 	"testing"
+
+	"swift/internal/raceflag"
 )
 
 func TestAddStageValidation(t *testing.T) {
@@ -127,6 +129,78 @@ func TestTopoOrderCycle(t *testing.T) {
 	if err := j.Validate(); err == nil {
 		t.Error("Validate accepted a cyclic job")
 	}
+}
+
+func TestTopoOrderCache(t *testing.T) {
+	j := NewJob("c")
+	mustStage(t, j, "b", 1)
+	mustStage(t, j, "a", 1)
+	if got := order(t, j); strings.Join(got, ",") != "b,a" {
+		t.Fatalf("order = %v, want [b a]", got)
+	}
+	// An edge added after a call reorders the next one.
+	if err := j.AddEdge(&Edge{From: "a", To: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := order(t, j); strings.Join(got, ",") != "a,b" {
+		t.Fatalf("order after AddEdge = %v, want [a b]", got)
+	}
+	// So does a stage.
+	mustStage(t, j, "c", 1)
+	got := order(t, j)
+	if strings.Join(got, ",") != "a,b,c" {
+		t.Fatalf("order after AddStage = %v, want [a b c]", got)
+	}
+	// A caller's slice is its own.
+	got[0] = "zzz"
+	if again := order(t, j); again[0] != "a" {
+		t.Fatalf("mutating a returned order changed the next one: %v", again)
+	}
+	// A clone's cache is independent of its source's.
+	c := j.Clone()
+	mustStage(t, c, "d", 1)
+	if got := order(t, c); strings.Join(got, ",") != "a,b,c,d" {
+		t.Fatalf("clone order = %v", got)
+	}
+	if got := order(t, j); strings.Join(got, ",") != "a,b,c" {
+		t.Fatalf("source order after the clone grew = %v", got)
+	}
+	// A cycle is an error on every call, never a cached order.
+	if err := j.AddEdge(&Edge{From: "b", To: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if got, err := j.TopoOrder(); err == nil {
+			t.Fatalf("call %d: cyclic job ordered as %v", i, got)
+		}
+	}
+}
+
+func TestTopoOrderAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	j := NewBuilder("a").
+		Stage("c", 1).Stage("a", 1).Stage("b", 1).Stage("d", 1).
+		Pipeline("a", "b", 0).Barrier("b", "c", 0).Pipeline("c", "d", 0).
+		MustBuild()
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := j.TopoOrder(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("cached TopoOrder: %v allocations, want 1 (the copy)", got)
+	}
+}
+
+func order(t *testing.T, j *Job) []string {
+	t.Helper()
+	o, err := j.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func TestValidateEmpty(t *testing.T) {

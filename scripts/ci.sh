@@ -14,7 +14,8 @@
 # against the pinned table, swiftd overload end to end), run the examples
 # (they self-verify), build the fuzz targets so they cannot rot, hold the
 # import gates (internal/rpc on the standard library alone, no gob outside
-# tests, internal/sqlparse a front end that does not import the engine),
+# tests, internal/sqlparse a front end that does not import the engine,
+# internal/trace's codec hand-written with encoding/json as a test oracle),
 # and smoke the benchmark suites (one iteration each) so a bench-only
 # compile break or panic is caught here, not at measurement time. Fuzz
 # *exploration* is not run here — CI stays deterministic; run it manually
@@ -23,6 +24,7 @@
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFlowWire -fuzztime 30s
+#   go test ./internal/trace -fuzz FuzzTraceCodec -fuzztime 30s
 #
 # Usage: scripts/ci.sh [chaos-seeds]   (default 8)
 set -euo pipefail
@@ -159,16 +161,20 @@ done
 echo "== fuzz targets build, import gates"
 go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
+go test -run '^$' -c -o /dev/null ./internal/trace/
 # The service edge stays one codec on the standard library: internal/rpc
 # imports nothing from the tree, and gob is a test oracle only.
 [ "$(go list -deps ./internal/rpc | grep '^swift/')" = "swift/internal/rpc" ] || { echo "internal/rpc imports from the tree" >&2; exit 1; }
 if grep -rln --include='*.go' --exclude='*_test.go' '"encoding/gob"' .; then echo "encoding/gob imported outside tests" >&2; exit 1; fi
 # sqlparse is a front end: it plans to a dag.Job and never runs one.
 [ -z "$(go list -f '{{join .Imports "\n"}}' ./internal/sqlparse | grep -x 'swift/internal/engine')" ] || { echo "internal/sqlparse imports internal/engine" >&2; exit 1; }
+# Submissions and trace files go through the hand-written codec; encoding/json
+# is its test oracle only.
+[ -z "$(go list -f '{{join .Imports "\n"}}' ./internal/trace | grep -x 'encoding/json')" ] || { echo "internal/trace imports encoding/json" >&2; exit 1; }
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
     ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/shuffle/ \
-    ./internal/rpc/ ./internal/flow/ > /dev/null
+    ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
 
 echo "ci: all green"
