@@ -1,9 +1,10 @@
 // Command swiftvet runs the project's static analyzers (internal/lint)
 // over the named packages — the repository-specific companion to go vet,
 // enforcing the invariants stock tooling cannot know about: simulator
-// determinism (direct and transitive, via the whole-program call graph),
-// lock discipline and global lock ordering, error discipline, enum-switch
-// exhaustiveness, and batch/row kernel parity.
+// determinism, lock discipline (nothing that may block — a second mutex
+// included — runs under a held mutex, directly or through the
+// whole-program call graph), error discipline, enum-switch exhaustiveness,
+// and batch/row kernel parity.
 //
 // Usage:
 //
@@ -15,9 +16,9 @@
 // through unlisted packages are invisible; run ./... (as CI does) for
 // authoritative whole-program results. With -json the findings stream to
 // stdout as a single JSON array of {analyzer, file, line, col, message,
-// why} objects for tooling. With -why each interprocedural finding is
-// followed by its indented call-chain witness, one frame per line, ending
-// at the terminal fact.
+// why} objects for tooling. With -why each finding about a call under a
+// held mutex is followed by its indented call-chain witness, one frame per
+// line, ending at the terminal may-block fact.
 //
 // A finding cannot be silenced, only fixed; see DESIGN.md's "Static
 // analysis" section for the analyzer catalogue.
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	why := flag.Bool("why", false, "print the call-chain witness under each interprocedural finding")
+	why := flag.Bool("why", false, "print the call-chain witness under each held-mutex call finding")
 	flag.Parse()
 
 	pkgs, fset, err := lint.Load(".", flag.Args()...)

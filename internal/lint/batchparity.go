@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -28,75 +27,33 @@ func runBatchParity(p *Pass) {
 	if p.Pkg.Path != p.Cfg.Module+"/internal/engine" {
 		return
 	}
-	kernels := batchKernels(p)
-	if len(kernels) == 0 {
-		return
-	}
 	refs := equivalenceRefs(p.Pkg.TestFiles)
-	var names []string
-	for name := range kernels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !refs[name] {
-			p.Reportf(kernels[name].Pos(), "batch kernel %s has no row-equivalence test; reference it from a Test*Equivalence/Matches/Parity function in this package", name)
-		}
-	}
-}
-
-// batchKernels finds the exported kernel functions of the package.
-func batchKernels(p *Pass) map[string]*ast.FuncDecl {
-	out := make(map[string]*ast.FuncDecl)
-	info := p.Pkg.Info
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || refs[fd.Name.Name] {
 				continue
 			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sig := obj.Type().(*types.Signature)
-			if !hasBatchParam(sig) {
-				continue
-			}
-			if returnsBatch(sig) || strings.HasPrefix(fd.Name.Name, "Hash") {
-				out[fd.Name.Name] = fd
+			sig := p.Pkg.Info.Defs[fd.Name].Type().(*types.Signature)
+			if hasBatch(sig.Params(), false) && (hasBatch(sig.Results(), true) || strings.HasPrefix(fd.Name.Name, "Hash")) {
+				p.Reportf(fd.Pos(), "batch kernel %s has no row-equivalence test; reference it from a Test*Equivalence/Matches/Parity function in this package", fd.Name.Name)
 			}
 		}
 	}
-	return out
 }
 
-func isBatchPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Batch"
-}
-
-func hasBatchParam(sig *types.Signature) bool {
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isBatchPtr(sig.Params().At(i).Type()) {
-			return true
+// hasBatch reports whether the tuple holds a *Batch (or, with slices, a
+// []*Batch).
+func hasBatch(t *types.Tuple, slices bool) bool {
+	for i := 0; i < t.Len(); i++ {
+		typ := t.At(i).Type()
+		if sl, ok := typ.(*types.Slice); ok && slices {
+			typ = sl.Elem()
 		}
-	}
-	return false
-}
-
-func returnsBatch(sig *types.Signature) bool {
-	for i := 0; i < sig.Results().Len(); i++ {
-		t := sig.Results().At(i).Type()
-		if isBatchPtr(t) {
-			return true
-		}
-		if sl, ok := t.(*types.Slice); ok && isBatchPtr(sl.Elem()) {
-			return true
+		if ptr, ok := typ.(*types.Pointer); ok {
+			if named, ok := ptr.Elem().(*types.Named); ok && named.Obj().Name() == "Batch" {
+				return true
+			}
 		}
 	}
 	return false

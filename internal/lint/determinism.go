@@ -29,53 +29,38 @@ import (
 // Seeded *rand.Rand values threaded through call graphs are fine — only
 // the process-global source and clock are forbidden.
 //
-// The transitive half (runDeterminismTransitive, interproc.go) extends
-// the direct-call rule through the whole-program call graph: a call from
-// determinism-scoped code into an out-of-scope module function that
-// transitively reaches the clock or global rand is flagged at the call
-// site, with the full chain available via swiftvet -why.
+// The check is intraprocedural and needs no call graph: every package
+// outside internal/ is a main package (TestSelfCheck holds the layout),
+// and no package can import a main package, so every module function
+// internal code can call is itself in scope.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Run:  runDeterminism,
 }
 
-// forbiddenCalls maps package-level functions to the reason they break
-// replay. Keys are "<import path>.<func>".
-var forbiddenCalls = map[string]string{
-	"time.Now":   "reads the wall clock",
-	"time.Since": "reads the wall clock",
-	"time.Until": "reads the wall clock",
-	"time.Sleep": "blocks on the wall clock",
-	"time.After": "schedules on the wall clock",
-	"time.Tick":  "schedules on the wall clock",
+// clockCalls maps the time package's wall-clock functions to the reason
+// they break replay.
+var clockCalls = map[string]string{
+	"Now":   "reads the wall clock",
+	"Since": "reads the wall clock",
+	"Until": "reads the wall clock",
+	"Sleep": "blocks on the wall clock",
+	"After": "schedules on the wall clock",
+	"Tick":  "schedules on the wall clock",
+}
 
-	"math/rand.Int":         "draws from the global rand source",
-	"math/rand.Intn":        "draws from the global rand source",
-	"math/rand.Int31":       "draws from the global rand source",
-	"math/rand.Int31n":      "draws from the global rand source",
-	"math/rand.Int63":       "draws from the global rand source",
-	"math/rand.Int63n":      "draws from the global rand source",
-	"math/rand.Uint32":      "draws from the global rand source",
-	"math/rand.Uint64":      "draws from the global rand source",
-	"math/rand.Float32":     "draws from the global rand source",
-	"math/rand.Float64":     "draws from the global rand source",
-	"math/rand.ExpFloat64":  "draws from the global rand source",
-	"math/rand.NormFloat64": "draws from the global rand source",
-	"math/rand.Perm":        "draws from the global rand source",
-	"math/rand.Shuffle":     "draws from the global rand source",
-	"math/rand.Seed":        "mutates the global rand source",
-	"math/rand.Read":        "draws from the global rand source",
-
-	"math/rand/v2.Int":         "draws from the global rand source",
-	"math/rand/v2.IntN":        "draws from the global rand source",
-	"math/rand/v2.Int64":       "draws from the global rand source",
-	"math/rand/v2.Int64N":      "draws from the global rand source",
-	"math/rand/v2.Uint64":      "draws from the global rand source",
-	"math/rand/v2.Float64":     "draws from the global rand source",
-	"math/rand/v2.Perm":        "draws from the global rand source",
-	"math/rand/v2.Shuffle":     "draws from the global rand source",
-	"math/rand/v2.ExpFloat64":  "draws from the global rand source",
-	"math/rand/v2.NormFloat64": "draws from the global rand source",
+// forbiddenCall says why a call to the package-level function path.name
+// breaks replay: a wall-clock read, or any math/rand function but the
+// New* constructors of a seeded generator — every other one uses the
+// process-global source.
+func forbiddenCall(path, name string) (why string, bad bool) {
+	switch path {
+	case "time":
+		why, bad = clockCalls[name]
+	case "math/rand", "math/rand/v2":
+		why, bad = "uses the global rand source", !strings.HasPrefix(name, "New")
+	}
+	return why, bad
 }
 
 func runDeterminism(p *Pass) {
@@ -91,8 +76,8 @@ func runDeterminism(p *Pass) {
 				return true
 			}
 			if path, name, ok := pkgFuncCallee(p.Pkg.Info, call); ok {
-				if why, bad := forbiddenCalls[path+"."+name]; bad {
-					p.Reportf(call.Pos(), "%s.%s %s; thread a seeded *rand.Rand or sim.Time instead", pkgBase(path), name, why)
+				if why, bad := forbiddenCall(path, name); bad {
+					p.Reportf(call.Pos(), "%s %s; thread a seeded *rand.Rand or sim.Time instead", renderExpr(p.Fset, call.Fun), why)
 				}
 			}
 			return true
@@ -101,44 +86,30 @@ func runDeterminism(p *Pass) {
 		// collect-then-sort check looks at the right statements.
 		funcBodies(f, func(body *ast.BlockStmt) {
 			walkShallow(body, func(n ast.Node) bool {
-				if rng, ok := n.(*ast.RangeStmt); ok {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				switch p.Pkg.Info.TypeOf(rng.X).Underlying().(type) {
+				case *types.Map:
 					checkMapRange(p, body, rng)
+				case *types.Chan:
 					checkChanRange(p, body, rng)
 				}
 				return true
 			})
 		})
 	}
-	// Interprocedural half: calls that launder a clock/rand read through
-	// out-of-scope module code (see interproc.go).
-	runDeterminismTransitive(p)
 }
 
-// pkgFuncCallee resolves a call to a package-level function, returning the
-// package import path and function name.
+// pkgFuncCallee resolves a call to a package-level function (not a
+// method), returning the package import path and function name.
 func pkgFuncCallee(info *types.Info, call *ast.CallExpr) (path, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
+	fn := calleeFunc(info, call.Fun)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return "", "", false
 	}
-	id, isIdent := sel.X.(*ast.Ident)
-	if !isIdent {
-		return "", "", false
-	}
-	pn, isPkg := info.Uses[id].(*types.PkgName)
-	if !isPkg {
-		return "", "", false
-	}
-	return pn.Imported().Path(), sel.Sel.Name, true
-}
-
-func pkgBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
+	return fn.Pkg().Path(), fn.Name(), true
 }
 
 // checkMapRange flags the map-iteration shapes whose output depends on Go's
@@ -146,13 +117,6 @@ func pkgBase(path string) string {
 // the sorted-later check).
 func checkMapRange(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
 	info := p.Pkg.Info
-	tv, ok := info.Types[rng.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
 	loopVars := rangeVars(info, rng)
 	selection := false
 	walkShallow(rng.Body, func(n ast.Node) bool {
@@ -161,15 +125,13 @@ func checkMapRange(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
 			// A nested map range gets its own visit; sends/appends in a
 			// nested non-map range are still inside this map iteration,
 			// so keep descending either way.
-			if tv, ok := info.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					return false
-				}
+			if _, isMap := info.TypeOf(n.X).Underlying().(*types.Map); isMap {
+				return false
 			}
 		case *ast.SendStmt:
 			p.Reportf(n.Pos(), "channel send inside map iteration: emission order follows Go's randomised map order")
 		case *ast.AssignStmt:
-			checkMapRangeAppend(p, fnBody, rng, n)
+			reportUnsortedAppends(p, fnBody, rng, n, "append to %s inside map iteration leaks Go's randomised map order; collect then sort, or iterate sorted keys")
 			if assignsLoopDerived(info, n, loopVars, rng) {
 				selection = true
 			}
@@ -253,15 +215,14 @@ func assignsLoopDerived(info *types.Info, as *ast.AssignStmt, loopVars []types.O
 	return false
 }
 
-// checkMapRangeAppend flags `outer = append(outer, ...)` inside a map range
-// unless the enclosing function later sorts the slice.
-func checkMapRangeAppend(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, as *ast.AssignStmt) {
-	info := p.Pkg.Info
-	for _, obj := range outerAppendTargets(info, rng, as) {
-		if sortedAfter(info, fnBody, rng, obj) {
-			continue
+// reportUnsortedAppends flags `outer = append(outer, ...)` inside the range
+// loop unless the enclosing function later sorts the slice; msg names the
+// slice with %s.
+func reportUnsortedAppends(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, as *ast.AssignStmt, msg string) {
+	for _, obj := range outerAppendTargets(p.Pkg.Info, rng, as) {
+		if !sortedAfter(p.Pkg.Info, fnBody, rng, obj) {
+			p.Reportf(as.Pos(), msg, obj.Name())
 		}
-		p.Reportf(as.Pos(), "append to %s inside map iteration leaks Go's randomised map order; collect then sort, or iterate sorted keys", obj.Name())
 	}
 }
 
@@ -272,25 +233,12 @@ func checkMapRangeAppend(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, as 
 // are untouched; collect-then-sort is sanctioned the same way it is for
 // map ranges.
 func checkChanRange(p *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
-	info := p.Pkg.Info
-	tv, ok := info.Types[rng.X]
-	if !ok {
-		return
-	}
-	if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-		return
-	}
 	walkShallow(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			return false // gets its own visit from the function-body walk
 		case *ast.AssignStmt:
-			for _, obj := range outerAppendTargets(info, rng, n) {
-				if sortedAfter(info, fnBody, rng, obj) {
-					continue
-				}
-				p.Reportf(n.Pos(), "append to %s inside a channel range leaks goroutine completion order; write results by index (res[s.i] = v) or collect then sort", obj.Name())
-			}
+			reportUnsortedAppends(p, fnBody, rng, n, "append to %s inside a channel range leaks goroutine completion order; write results by index (res[s.i] = v) or collect then sort")
 		}
 		return true
 	})
@@ -334,8 +282,7 @@ func outerAppendTargets(info *types.Info, rng *ast.RangeStmt, as *ast.AssignStmt
 }
 
 // sortedAfter reports whether, after the range loop, the enclosing function
-// calls into package sort or slices with the collected variable as an
-// argument — the collect-then-sort idiom.
+// sorts the collected variable — the collect-then-sort idiom.
 func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
@@ -359,14 +306,18 @@ func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt, ob
 	return found
 }
 
-// sortingCall reports whether call is a sort: either a sort/slices package
-// function, or a local helper whose name says it sorts (sortRefs and kin).
+// sortFuncs are the sort and slices functions that order their argument.
+var sortFuncs = map[string]bool{
+	"sort.Sort": true, "sort.Stable": true, "sort.Slice": true, "sort.SliceStable": true,
+	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
+}
+
+// sortingCall reports whether call is a sort: one of sortFuncs, or a
+// same-package helper whose name starts with "sort" (sortInts,
+// sortFindings).
 func sortingCall(info *types.Info, call *ast.CallExpr) bool {
-	if path, _, ok := pkgFuncCallee(info, call); ok {
-		return path == "sort" || path == "slices"
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		return strings.Contains(strings.ToLower(id.Name), "sort")
-	}
-	return false
+	path, name, ok := pkgFuncCallee(info, call)
+	_, local := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && (sortFuncs[path+"."+name] || local && strings.HasPrefix(name, "sort"))
 }

@@ -44,63 +44,25 @@ func runErrDiscipline(p *Pass) {
 			if !ok {
 				return true
 			}
-			if !returnsError(info, call) {
+			fn := calleeFunc(info, call.Fun)
+			if fn == nil || !returnsError(fn) || isInfallible(info, call, fn.FullName()) {
 				return true
 			}
-			name := calleeName(info, call)
-			if name == "" || isInfallible(info, call, name) {
-				return true
-			}
-			p.Reportf(call.Pos(), "result of %s includes an error that is silently discarded; handle it or assign to _ with a comment", name)
+			p.Reportf(call.Pos(), "result of %s includes an error that is silently discarded; handle it or assign to _ with a comment", fn.FullName())
 			return true
 		})
 	}
 }
 
-// returnsError reports whether the call's results include the error type.
-func returnsError(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	isErr := func(t types.Type) bool {
-		named, ok := t.(*types.Named)
-		return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if isErr(t.At(i).Type()) {
-				return true
-			}
-		}
-		return false
-	default:
-		return isErr(t)
-	}
-}
-
-// calleeName renders the callee as a stable, qualified name: method calls
-// as "(*pkg.Type).Method", package functions as "pkg.Func". Unresolvable
-// callees (function-valued expressions) return "".
-func calleeName(info *types.Info, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if sel := info.Selections[fun]; sel != nil {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f.FullName()
-			}
-			return ""
-		}
-		if obj, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return obj.FullName()
-		}
-	case *ast.Ident:
-		if obj, ok := info.Uses[fun].(*types.Func); ok {
-			return obj.FullName()
+// returnsError reports whether fn's results include the error type.
+func returnsError(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		if types.Identical(res.At(i).Type(), types.Universe.Lookup("error").Type()) {
+			return true
 		}
 	}
-	return ""
+	return false
 }
 
 // isInfallible applies the exempt-callee list, plus the special case of

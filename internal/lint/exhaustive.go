@@ -2,9 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
+	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -49,56 +50,41 @@ func runExhaustive(p *Pass) {
 }
 
 // enumMembers returns the constant members of a candidate enum type: the
-// package-scope constants of exactly that type, minus sentinel counters.
-// The result is nil unless the constants look like an iota enum —
-// at least two distinct values, numbered contiguously from zero — which
+// package-scope constants of exactly that type, minus sentinel counters,
+// keyed by exact value. The result is nil unless the constants look like
+// an iota enum — at least two distinct values, exactly 0..n-1 — which
 // keeps unit-style constant families (sim.Second, …) out of scope.
-func enumMembers(named *types.Named) map[string][]string {
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return nil
-	}
-	members := make(map[string][]string) // exact constant value -> names
-	var values []int64
-	scope := pkg.Scope()
+func enumMembers(named *types.Named) map[string]string {
+	scope := named.Obj().Pkg().Scope()
+	members := make(map[string]string) // exact constant value -> first name
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !types.Identical(c.Type(), named) {
+		if !ok || !types.Identical(c.Type(), named) || strings.HasPrefix(name, "num") {
 			continue
 		}
-		if strings.HasPrefix(name, "num") || name == "_" {
-			continue
+		if _, seen := members[c.Val().ExactString()]; !seen {
+			members[c.Val().ExactString()] = name
 		}
-		key := c.Val().ExactString()
-		if _, seen := members[key]; !seen {
-			if v, exact := constIntValue(c); exact {
-				values = append(values, v)
-			} else {
-				return nil // non-integer constants: not an iota enum
-			}
-		}
-		members[key] = append(members[key], name)
 	}
-	if len(values) < 2 {
-		return nil
-	}
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-	for i, v := range values {
-		if v != int64(i) {
+	for i := range len(members) {
+		if _, ok := members[strconv.Itoa(i)]; !ok {
 			return nil
 		}
+	}
+	if len(members) < 2 {
+		return nil
 	}
 	return members
 }
 
-func constIntValue(c *types.Const) (int64, bool) {
-	if c.Val() == nil {
-		return 0, false
+// moduleNamed returns e's type when it is a named type declared in the
+// module, else nil.
+func moduleNamed(p *Pass, e ast.Expr) *types.Named {
+	named, ok := p.Pkg.Info.TypeOf(e).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || !p.Cfg.inModule(named.Obj().Pkg().Path()) {
+		return nil
 	}
-	if basic, ok := c.Type().Underlying().(*types.Basic); !ok || basic.Info()&types.IsInteger == 0 {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(c.Val()))
+	return named
 }
 
 // checkEnumSwitch verifies value-switch coverage over module iota enums.
@@ -106,129 +92,80 @@ func checkEnumSwitch(p *Pass, sw *ast.SwitchStmt) {
 	if sw.Tag == nil {
 		return
 	}
-	info := p.Pkg.Info
-	tv, ok := info.Types[sw.Tag]
-	if !ok || tv.Type == nil {
-		return
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || !p.Cfg.inModule(named.Obj().Pkg().Path()) {
+	named := moduleNamed(p, sw.Tag)
+	if named == nil {
 		return
 	}
 	members := enumMembers(named)
 	if members == nil {
 		return
 	}
-	covered := make(map[string]bool)
-	hasDefault := false
-	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
+	reportMissing(p, sw.Pos(), sw.Body, "switch over "+named.Obj().Name(), members, func(e ast.Expr) string {
+		if v := p.Pkg.Info.Types[e].Value; v != nil {
+			return v.ExactString()
 		}
-		if cc.List == nil {
-			hasDefault = true
-			continue
-		}
-		for _, e := range cc.List {
-			if etv, ok := info.Types[e]; ok && etv.Value != nil {
-				covered[etv.Value.ExactString()] = true
-			}
-		}
-	}
-	if hasDefault {
-		return
-	}
-	var missing []string
-	for key, names := range members {
-		if !covered[key] {
-			missing = append(missing, names[0])
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	sort.Strings(missing)
-	p.Reportf(sw.Pos(), "switch over %s misses %s; add explicit cases (a commented no-op arm is fine) or a default",
-		named.Obj().Name(), strings.Join(missing, ", "))
+		return ""
+	})
 }
 
 // checkTypeSwitch verifies type-switch coverage over module sealed
 // interfaces.
 func checkTypeSwitch(p *Pass, sw *ast.TypeSwitchStmt) {
-	info := p.Pkg.Info
-	var x ast.Expr
+	var x ast.Expr // the parser guarantees `x.(type)` or `v := x.(type)`
 	switch assign := sw.Assign.(type) {
 	case *ast.ExprStmt:
-		if ta, ok := assign.X.(*ast.TypeAssertExpr); ok {
-			x = ta.X
-		}
+		x = assign.X.(*ast.TypeAssertExpr).X
 	case *ast.AssignStmt:
-		if len(assign.Rhs) == 1 {
-			if ta, ok := assign.Rhs[0].(*ast.TypeAssertExpr); ok {
-				x = ta.X
-			}
-		}
+		x = assign.Rhs[0].(*ast.TypeAssertExpr).X
 	}
-	if x == nil {
-		return
-	}
-	tv, ok := info.Types[x]
-	if !ok || tv.Type == nil {
-		return
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || !p.Cfg.inModule(named.Obj().Pkg().Path()) {
+	named := moduleNamed(p, x)
+	if named == nil {
 		return
 	}
 	iface, ok := named.Underlying().(*types.Interface)
 	if !ok || !isSealed(iface) {
 		return
 	}
-	members := interfaceMembers(p, named, iface)
-	if len(members) == 0 {
-		return
+	members := make(map[string]string)
+	for _, tn := range interfaceMembers(named, iface, p.Pkg.Types) {
+		members[tn.Pkg().Path()+"."+tn.Name()] = tn.Name()
 	}
-	covered := make(map[*types.TypeName]bool)
-	hasDefault := false
-	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
+	reportMissing(p, sw.Pos(), sw.Body, "type switch over "+named.Obj().Name(), members, func(e ast.Expr) string {
+		t := p.Pkg.Info.TypeOf(e) // nil for `case nil`
+		if ptr, isPtr := t.(*types.Pointer); isPtr {
+			t = ptr.Elem()
 		}
+		if n, isNamed := t.(*types.Named); isNamed && n.Obj().Pkg() != nil {
+			return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+		}
+		return ""
+	})
+}
+
+// reportMissing reports a switch without a default whose cases leave some
+// of members (key -> display name) uncovered; key maps a case expression
+// to the member it covers.
+func reportMissing(p *Pass, pos token.Pos, body *ast.BlockStmt, what string, members map[string]string, key func(ast.Expr) string) {
+	covered := make(map[string]bool)
+	for _, stmt := range body.List {
+		cc := stmt.(*ast.CaseClause)
 		if cc.List == nil {
-			hasDefault = true
-			continue
+			return // a default covers the rest
 		}
 		for _, e := range cc.List {
-			etv, ok := info.Types[e]
-			if !ok || !etv.IsType() {
-				continue // case nil
-			}
-			t := etv.Type
-			if ptr, isPtr := t.(*types.Pointer); isPtr {
-				t = ptr.Elem()
-			}
-			if n, isNamed := t.(*types.Named); isNamed {
-				covered[n.Obj()] = true
-			}
+			covered[key(e)] = true
 		}
-	}
-	if hasDefault {
-		return
 	}
 	var missing []string
-	for _, m := range members {
-		if !covered[m] {
-			missing = append(missing, m.Name())
+	for k, name := range members {
+		if !covered[k] {
+			missing = append(missing, name)
 		}
 	}
-	if len(missing) == 0 {
-		return
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		p.Reportf(pos, "%s misses %s; add explicit cases (a commented no-op arm is fine) or a default", what, strings.Join(missing, ", "))
 	}
-	sort.Strings(missing)
-	p.Reportf(sw.Pos(), "type switch over %s misses %s; add explicit cases (a commented no-op arm is fine) or a default",
-		named.Obj().Name(), strings.Join(missing, ", "))
 }
 
 // isSealed reports whether the interface has an unexported method — the
@@ -243,38 +180,28 @@ func isSealed(iface *types.Interface) bool {
 }
 
 // interfaceMembers lists the named types implementing the sealed interface
-// that are declared in the interface's own package (plus the analyzed
-// package, when it adds local implementations). Export data only exposes
-// exported names for imported packages; the project's sealed sums are
-// exported types, so the catalogue is complete in practice.
-func interfaceMembers(p *Pass, named *types.Named, iface *types.Interface) []*types.TypeName {
+// that are declared in the interface's own package (plus local, the
+// analyzed package, when it adds implementations), in scope order. Export
+// data only exposes exported names for imported packages; the project's
+// sealed sums are exported types, so the catalogue is complete in
+// practice.
+func interfaceMembers(named *types.Named, iface *types.Interface, local *types.Package) []*types.TypeName {
 	scopes := []*types.Scope{named.Obj().Pkg().Scope()}
-	if p.Pkg.Types != nil && p.Pkg.Types != named.Obj().Pkg() {
-		scopes = append(scopes, p.Pkg.Types.Scope())
+	if local != nil && local != named.Obj().Pkg() {
+		scopes = append(scopes, local.Scope())
 	}
 	var out []*types.TypeName
-	seen := make(map[*types.TypeName]bool)
 	for _, scope := range scopes {
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 				continue
 			}
-			t := tn.Type()
-			if types.Identical(t, named) {
-				continue
-			}
-			if _, isIface := t.Underlying().(*types.Interface); isIface {
-				continue
-			}
-			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-				if !seen[tn] {
-					seen[tn] = true
-					out = append(out, tn)
-				}
+			// *T's method set includes T's.
+			if types.Implements(types.NewPointer(tn.Type()), iface) {
+				out = append(out, tn)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
 }

@@ -84,7 +84,7 @@ func collectWants(t *testing.T) []expectation {
 	return wants
 }
 
-// TestGoldenFindings is the end-to-end check for all six analyzers: every
+// TestGoldenFindings is the end-to-end check for all five analyzers: every
 // finding must be wanted, every want must be found.
 func TestGoldenFindings(t *testing.T) {
 	pkgs, fset := loadGolden(t)

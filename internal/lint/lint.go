@@ -1,10 +1,10 @@
 // Package lint is swiftvet's analysis framework: a small go/analysis-style
 // harness built on go/parser + go/ast + go/types only (no x/tools), a
-// whole-program call-graph/summary engine (callgraph.go), and the six
-// project-specific analyzers that machine-enforce this repo's invariants —
-// simulator/controller determinism (direct and transitive), lock
-// discipline (including transitive may-block reach under a held mutex),
-// global lock-acquisition ordering, error discipline, enum-switch
+// whole-program call graph with one may-block summary (callgraph.go), and
+// the five project-specific analyzers that machine-enforce this repo's
+// invariants — simulator/controller determinism, lock discipline (nothing
+// that may block, a second mutex included, runs under a held mutex,
+// directly or through calls), error discipline, enum-switch
 // exhaustiveness, and batch/row kernel parity.
 //
 // Every reproduction experiment (Figs 3–16, the chaos soak, the invariant
@@ -22,21 +22,22 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
 
-// Finding is one analyzer hit. Interprocedural findings carry a Why
-// chain: the call path from the reported site down to the terminal fact,
-// printed by swiftvet -why and included in -json output.
+// Finding is one analyzer hit. A finding about a call made under a held
+// mutex carries a Why chain: the call path from the reported site down to
+// the terminal may-block fact, printed by swiftvet -why and included in
+// -json output.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
-	Why      []string       `json:"why,omitempty"`
+	Analyzer string   `json:"analyzer"`
+	File     string   `json:"file"`
+	Line     int      `json:"line"`
+	Col      int      `json:"col"`
+	Message  string   `json:"message"`
+	Why      []string `json:"why,omitempty"`
 }
 
 // String renders a finding the way go vet does.
@@ -52,7 +53,7 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one package. Prog is the
 // whole-program call-graph/summary view shared by every package's pass;
-// intraprocedural analyzers simply ignore it.
+// only lockdiscipline reads it.
 type Pass struct {
 	Analyzer *Analyzer
 	Cfg      *Config
@@ -73,7 +74,6 @@ func (p *Pass) reportWhy(pos token.Pos, why []string, format string, args ...int
 	position := p.Fset.Position(pos)
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -118,12 +118,11 @@ func (c *Config) internalPath(path string) bool {
 	return c.inModule(path) && strings.Contains(path, "/internal/")
 }
 
-// All returns the six analyzers in catalogue order.
+// All returns the five analyzers in catalogue order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		LockDiscipline,
-		LockOrder,
 		ErrDiscipline,
 		Exhaustive,
 		BatchParity,
@@ -133,7 +132,7 @@ func All() []*Analyzer {
 // RunPackages executes every analyzer over the packages and returns their
 // findings, duplicates dropped, in byte-stable (file, line, col, analyzer,
 // message) order. The whole-program view is built over every loaded
-// package: the summaries need the full graph.
+// package: the summary needs the full graph.
 func RunPackages(fset *token.FileSet, pkgs []*Package, cfg *Config) []Finding {
 	prog := buildProgram(fset, pkgs, cfg)
 	var findings []Finding
@@ -205,4 +204,19 @@ func walkShallow(body ast.Node, visit func(ast.Node) bool) {
 		}
 		return visit(n)
 	})
+}
+
+// calleeFunc resolves a callee expression — a plain or qualified function
+// name, or a method selector — to the function or method it names; nil
+// for func values, fields, builtins and conversions.
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if sel, isSel := ast.Unparen(fun).(*ast.SelectorExpr); isSel {
+		id, ok = sel.Sel, true
+	}
+	if !ok {
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }

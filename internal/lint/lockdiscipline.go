@@ -15,17 +15,23 @@ import (
 //     deferred) on the same receiver expression in the same function —
 //     cross-function lock helpers hide the critical section from both
 //     humans and this analyzer;
-//  2. while a mutex is held, the function must not perform a channel send
-//     or call into the rpc client — both can block indefinitely (a full
-//     channel, a dead peer behind retries), turning a mutex into a
-//     system-wide stall. The rpc package itself is exempt from the client
-//     half of rule 2: serialising calls on the connection mutex is its
-//     documented design.
+//  2. while a mutex is held, nothing may block: no channel send, receive
+//     or range, no select without default, no WaitGroup.Wait or
+//     time.Sleep, no rpc client call, and no second Lock/RLock — neither
+//     in the function itself nor through any chain of synchronous calls
+//     (the may-block summary of callgraph.go). A mutex is a leaf: nothing
+//     that can take another mutex runs while one is held, which rules out
+//     every lock-order inversion and every self-deadlock at once.
+//
+// The rpc package's own Client methods may call each other under the
+// connection mutex — serialising calls on it is the client's design — so
+// the rpc-client-call fact alone is not reported there.
 //
 // The held region is computed syntactically: from the Lock statement to
 // the first matching Unlock in source order, or to the end of the function
-// when the Unlock is deferred. Nested function literals are skipped —
-// their execution time is not the lock holder's.
+// when the Unlock is deferred. Nested function literals are their own
+// graph nodes; one that is called or passed inside the region counts as a
+// call, one that is spawned with `go` does not.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Run:  runLockDiscipline,
@@ -63,6 +69,7 @@ func checkLockFunc(p *Pass, body *ast.BlockStmt) {
 	if len(ops) == 0 {
 		return
 	}
+	node := p.Prog.byBody[body]
 	for _, lock := range ops {
 		if lock.name != "Lock" && lock.name != "RLock" {
 			continue
@@ -86,13 +93,13 @@ func checkLockFunc(p *Pass, body *ast.BlockStmt) {
 			p.Reportf(lock.call.Pos(), "%s.%s() without a matching %s in this function; release the mutex where it is taken", lock.recv, lock.name, want)
 			continue
 		}
-		// Rule 2: scan the held region for blocking operations.
+		// Rule 2: nothing in the held region may block.
 		start := lock.call.End()
 		end := body.End()
 		if directUnlock != nil {
 			end = directUnlock.call.Pos()
 		}
-		checkHeldRegion(p, body, lock, start, end)
+		checkHeldRegion(p, node, lock, start, end)
 	}
 }
 
@@ -134,67 +141,47 @@ func collectMutexOps(p *Pass, body *ast.BlockStmt) []mutexOp {
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
 // behind a pointer).
 func isSyncMutex(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
 }
 
-// checkHeldRegion flags blocking operations between start and end.
-func checkHeldRegion(p *Pass, body *ast.BlockStmt, lock mutexOp, start, end token.Pos) {
-	info := p.Pkg.Info
-	walkShallow(body, func(n ast.Node) bool {
-		if n == nil || n.Pos() < start || n.Pos() >= end {
-			// Still descend: a block spanning the region boundary
-			// contains nodes inside it.
-			return true
+// rpcClientCall is the may-block fact of a call on the rpc Client.
+const rpcClientCall = "rpc client call"
+
+// checkHeldRegion flags every may-block fact of n between start and end,
+// and every edge in that stretch to a function that may block. A package-
+// level function literal has no node; its held regions go unchecked.
+func checkHeldRegion(p *Pass, n *funcNode, lock mutexOp, start, end token.Pos) {
+	if n == nil {
+		return
+	}
+	inRPC := p.Pkg.Path == p.Cfg.rpcClientPath()
+	direct := make(map[token.Pos]bool)
+	for _, f := range n.blockFacts {
+		if f.pos < start || f.pos >= end || (inRPC && f.what == rpcClientCall) {
+			continue
 		}
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			p.Reportf(n.Pos(), "channel send while %s is held can block every other holder; release the mutex first", lock.recv)
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if s := info.Selections[sel]; s != nil && isRPCClient(s.Recv(), p.Cfg.rpcClientPath()) && p.Pkg.Path != p.Cfg.rpcClientPath() {
-					p.Reportf(n.Pos(), "rpc client call while %s is held can stall on the network for the full retry budget; release the mutex first", lock.recv)
-					// The direct rule covered this call; the transitive
-					// rule would only restate it.
-					return true
-				}
-			}
-			checkHeldRegionTransitive(p, lock, n)
+		direct[f.pos] = true
+		p.Reportf(f.pos, "%s while %s is held can block every other holder; release the mutex first", f.what, lock.recv)
+	}
+	for _, e := range n.edges {
+		w := p.Prog.blockTaint[e.callee]
+		if e.pos < start || e.pos >= end || w == nil || direct[e.pos] {
+			continue // a direct finding at the call already covers it
 		}
-		return true
-	})
+		p.reportWhy(e.pos, p.Prog.chainFrom(n, e),
+			"call to %s while %s is held transitively reaches %s; release the mutex first (run swiftvet -why for the call chain)",
+			p.Prog.nodes[e.callee].disp, lock.recv, w.what)
+	}
 }
 
 // rpcClientPath is the module's rpc package, whose Client blocks on the
-// network (dial, retries) and so is forbidden under a held mutex elsewhere.
+// network (dial, round trip) and so is forbidden under a held mutex
+// elsewhere.
 func (c *Config) rpcClientPath() string {
 	if c == nil || c.Module == "" {
 		return "swift/internal/rpc"
 	}
 	return c.Module + "/internal/rpc"
-}
-
-// isRPCClient reports whether t is the rpc package's Client.
-func isRPCClient(t types.Type, rpcClientPath string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == rpcClientPath && obj.Name() == "Client"
 }
 
 // renderExpr prints an expression as source text (receiver identity key).

@@ -4,6 +4,8 @@ package det
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 )
@@ -13,7 +15,18 @@ func clock() time.Time {
 }
 
 func draw() int {
-	return rand.Intn(6) // want determinism "draws from the global rand source"
+	return rand.Intn(6) // want determinism "uses the global rand source"
+}
+
+// math/rand/v2's global functions are forbidden too, not only the ones
+// named like math/rand's.
+func drawV2() int32 {
+	return randv2.Int32N(6) // want determinism "uses the global rand source"
+}
+
+// a seeded generator built by a New* constructor is the sanctioned idiom.
+func newSeeded(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed))
 }
 
 // seeded draws are the sanctioned idiom: only the process-global source is
@@ -57,6 +70,28 @@ func collectHelperSorted(m map[string]int) []int {
 }
 
 func sortInts(xs []int) { sort.Ints(xs) }
+
+// collectContains only searches the slice after the loop: slices.Contains
+// is not a sort, so the map order still leaks.
+func collectContains(m map[string]int) ([]int, bool) {
+	var out []int
+	for _, v := range m {
+		out = append(out, v) // want determinism "append to out inside map iteration"
+	}
+	return out, slices.Contains(out, 3)
+}
+
+// collectHelperUnsorted hands the slice to a helper whose name contains
+// "sort" without starting with it: not a sort either.
+func collectHelperUnsorted(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v) // want determinism "append to out inside map iteration"
+	}
+	return unsorted(out)
+}
+
+func unsorted(xs []int) []int { return xs }
 
 // perIteration appends to a slice scoped inside the loop: harmless.
 func perIteration(m map[string][]int) int {

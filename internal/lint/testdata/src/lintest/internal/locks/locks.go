@@ -33,6 +33,44 @@ func (b *box) rpcHeld(c *rpc.Client) {
 	_ = c.Call("status") // want lockdiscipline "rpc client call while b.mu is held"
 }
 
+// channel receive while held: rule 2.
+func (b *box) recvHeld(ch chan int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.n = <-ch // want lockdiscipline "channel receive while b.mu is held"
+}
+
+// waiting for a group while held: rule 2.
+func (b *box) waitHeld(wg *sync.WaitGroup) {
+	b.rw.RLock()
+	wg.Wait() // want lockdiscipline "sync.WaitGroup.Wait while b.rw is held"
+	b.rw.RUnlock()
+}
+
+// a select without default while held: one finding for the select, none
+// for its cases.
+func (b *box) selectHeld(ch chan int, done chan struct{}) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select { // want lockdiscipline "select without default while b.mu is held"
+	case v := <-ch:
+		b.n = v
+	case <-done:
+	}
+}
+
+// a select with a default never blocks, and a spawned goroutine does not
+// block its spawner: clean.
+func (b *box) nonBlockingHeld(ch chan int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select {
+	case ch <- b.n:
+	default:
+	}
+	go func() { ch <- 1 }()
+}
+
 // released before the send: clean.
 func (b *box) sendAfter(ch chan int) {
 	b.mu.Lock()

@@ -59,7 +59,7 @@ SWIFTVET_START="$(date +%s)"
 SWIFTVET_ELAPSED="$(( $(date +%s) - SWIFTVET_START ))"
 echo "swiftvet: clean in ${SWIFTVET_ELAPSED}s (artifact: $ARTIFACTS_DIR/swiftvet.json)"
 if [ "$SWIFTVET_ELAPSED" -gt 60 ]; then
-    echo "swiftvet: full-tree run took ${SWIFTVET_ELAPSED}s (>60s budget) — profile the call-graph build" >&2
+    echo "swiftvet: full-tree run took ${SWIFTVET_ELAPSED}s (>60s budget) — profile the package load and the may-block fixpoint (internal/lint/callgraph.go)" >&2
     exit 1
 fi
 
