@@ -55,7 +55,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "swiftsim:", err)
 		os.Exit(2)
 	}
-	opts, err := systemOptions(*system)
+	opts, err := baseline.System(*system)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "swiftsim:", err)
 		os.Exit(2)
@@ -115,20 +115,6 @@ func buildJob(name string) (*dag.Job, error) {
 		return nil, fmt.Errorf("unknown job %q (q1..q22 or terasort=MxN)", name)
 	}
 	return tpch.Query(q), nil
-}
-
-func systemOptions(name string) (core.Options, error) {
-	switch strings.ToLower(name) {
-	case "swift":
-		return baseline.Swift(), nil
-	case "spark":
-		return baseline.Spark(), nil
-	case "jetscope":
-		return baseline.JetScope(), nil
-	case "bubble":
-		return baseline.Bubble(baseline.DefaultBubbleTasks, 96<<20), nil
-	}
-	return core.Options{}, fmt.Errorf("unknown system %q", name)
 }
 
 // runOnce simulates the job and returns its result with the partition the

@@ -9,7 +9,9 @@
 package baseline
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"swift/internal/core"
 	"swift/internal/dag"
@@ -49,14 +51,33 @@ func JetScope() core.Options {
 // published system sizes bubbles to fit guaranteed resources.
 const DefaultBubbleTasks = 512
 
+// bubbleCutBytes is the shuffle-edge size at which Bubble cuts a bubble.
+const bubbleCutBytes = 96 << 20
+
 // Bubble models Bubble Execution: the DAG is divided into "bubbles" by
 // shuffle data size and resource demand, pipelined channels run inside a
 // bubble, and inter-bubble data is spilled to disk.
-func Bubble(maxBubbleTasks int, cutBytes int64) core.Options {
+func Bubble() core.Options {
 	o := core.DefaultOptions()
-	o.Partition = BubblePartition(maxBubbleTasks, cutBytes)
+	o.Partition = BubblePartition(DefaultBubbleTasks, bubbleCutBytes)
 	o.Shuffle = core.BubbleShuffle()
 	return o
+}
+
+// System returns the configuration of a compared system by name, in any
+// case: swift, spark, jetscope or bubble.
+func System(name string) (core.Options, error) {
+	switch strings.ToLower(name) {
+	case "swift":
+		return Swift(), nil
+	case "spark":
+		return Spark(), nil
+	case "jetscope":
+		return JetScope(), nil
+	case "bubble":
+		return Bubble(), nil
+	}
+	return core.Options{}, fmt.Errorf("unknown system %q", name)
 }
 
 // BubblePartition returns the Bubble Execution partitioner: walk stages in

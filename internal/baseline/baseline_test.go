@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"swift/internal/cluster"
@@ -21,30 +23,32 @@ func diamond() *dag.Job {
 		MustBuild()
 }
 
-func TestPresetShapes(t *testing.T) {
-	// gangUnits reports how many units a preset schedules the diamond as,
-	// and whether all (or none) of them are all-or-nothing gangs.
-	gangUnits := func(o core.Options) (units int, gang bool) {
-		cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
-		c := core.NewController(cl, o)
-		if err := c.SubmitJob(diamond()); err != nil {
-			t.Fatal(err)
-		}
-		gs := c.Graphlets("d")
-		for _, g := range gs {
-			if g.Gang != gs[0].Gang {
-				t.Errorf("mixed gang and wave units: %v", gs)
-			}
-		}
-		return len(gs), gs[0].Gang
+// gangUnits reports how many units a preset schedules the diamond as, and
+// whether all (or none) of them are all-or-nothing gangs.
+func gangUnits(t *testing.T, o core.Options) (units int, gang bool) {
+	t.Helper()
+	cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
+	c := core.NewController(cl, o)
+	if err := c.SubmitJob(diamond()); err != nil {
+		t.Fatal(err)
 	}
-	if n, gang := gangUnits(Spark()); !Spark().ColdLaunch || n != 4 || gang {
+	gs := c.Graphlets("d")
+	for _, g := range gs {
+		if g.Gang != gs[0].Gang {
+			t.Errorf("mixed gang and wave units: %v", gs)
+		}
+	}
+	return len(gs), gs[0].Gang
+}
+
+func TestPresetShapes(t *testing.T) {
+	if n, gang := gangUnits(t, Spark()); !Spark().ColdLaunch || n != 4 || gang {
 		t.Errorf("spark preset wrong: %d units, gang=%v", n, gang)
 	}
-	if n, gang := gangUnits(JetScope()); JetScope().ColdLaunch || n != 1 || !gang {
+	if n, gang := gangUnits(t, JetScope()); JetScope().ColdLaunch || n != 1 || !gang {
 		t.Errorf("jetscope preset wrong: %d units, gang=%v", n, gang)
 	}
-	if n, gang := gangUnits(Swift()); Swift().ColdLaunch || Swift().Recovery != core.FineGrained || n != 1 || gang {
+	if n, gang := gangUnits(t, Swift()); Swift().ColdLaunch || Swift().Recovery != core.FineGrained || n != 1 || gang {
 		t.Errorf("swift preset wrong: %d units, gang=%v", n, gang)
 	}
 	if o := JobRestart(Swift()); o.Recovery != core.JobRestart {
@@ -57,7 +61,7 @@ func TestPresetShapes(t *testing.T) {
 	if Spark().Shuffle(5, 5, false) != shuffle.Disk {
 		t.Error("spark should use disk shuffle")
 	}
-	bo := Bubble(0, 50<<20)
+	bo := Bubble()
 	if bo.Shuffle(5, 5, true) != shuffle.Disk || bo.Shuffle(5, 5, false) != shuffle.Direct {
 		t.Error("bubble shuffle should be disk across, direct within")
 	}
@@ -134,5 +138,37 @@ func TestBubblePartitionDefaultCap(t *testing.T) {
 	gs, err := BubblePartition(0, 0)(diamond())
 	if err != nil || len(gs) == 0 {
 		t.Fatalf("default cap failed: %v", err)
+	}
+}
+
+func TestSystemByName(t *testing.T) {
+	// shape is what tells the presets apart: partition, launch, recovery
+	// and the shuffle mode across and within a unit.
+	shape := func(o core.Options) string {
+		units, gang := gangUnits(t, o)
+		across, within := "adaptive", "adaptive"
+		if o.Shuffle != nil {
+			across, within = o.Shuffle(5, 5, true).String(), o.Shuffle(5, 5, false).String()
+		}
+		return fmt.Sprint(units, gang, o.ColdLaunch, o.Recovery, across, within)
+	}
+	for _, p := range []struct {
+		name string
+		want core.Options
+	}{{"swift", Swift()}, {"spark", Spark()}, {"jetscope", JetScope()}, {"bubble", Bubble()}} {
+		for _, spelled := range []string{p.name, strings.ToUpper(p.name), strings.ToUpper(p.name[:1]) + p.name[1:]} {
+			got, err := System(spelled)
+			if err != nil {
+				t.Fatalf("System(%q): %v", spelled, err)
+			}
+			if g, w := shape(got), shape(p.want); g != w {
+				t.Errorf("System(%q) = %s, want %s", spelled, g, w)
+			}
+		}
+	}
+	for _, name := range []string{"", "flink", "swift "} {
+		if _, err := System(name); err == nil {
+			t.Errorf("System(%q) resolved; want an error", name)
+		}
 	}
 }

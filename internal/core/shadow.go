@@ -16,9 +16,9 @@ import (
 // actions match what the failed primary would have emitted.
 //
 // ReplicatedController wraps a Controller with such a log. Snapshot-free
-// event sourcing keeps the mechanism simple; production deployments would
-// checkpoint the log periodically, which Compact approximates by dropping
-// events of completed jobs.
+// event sourcing keeps the mechanism simple. A checkpoint that shortened
+// the log would have to carry executor placement: replaying only the live
+// jobs' events places their tasks on other executors than the primary did.
 
 // EventKind tags a logged controller input.
 type EventKind int
@@ -149,29 +149,6 @@ func (r *ReplicatedController) ExecutorRestarted(e cluster.ExecutorID) {
 
 func (r *ReplicatedController) CancelJob(job, reason string) error {
 	return r.apply(Event{Kind: EvCancelJob, Task: TaskRef{Job: job}, Reason: reason})
-}
-
-// Compact drops log entries belonging to jobs that have since completed or
-// failed — the state they produced is terminal and a shadow does not need
-// to reconstruct it. Cluster-level events are always retained.
-func (r *ReplicatedController) Compact() {
-	keep := r.log[:0]
-	for _, ev := range r.log {
-		switch ev.Kind {
-		case EvSubmitJob:
-			if r.JobDone(ev.Job.ID) || r.JobFailed(ev.Job.ID) {
-				continue
-			}
-		case EvTaskFinished, EvTaskFailed, EvTaskOutputLost, EvCancelJob:
-			if r.JobDone(ev.Task.Job) || r.JobFailed(ev.Task.Job) {
-				continue
-			}
-		case EvMachineFailed, EvMachineUnhealthy, EvMachineRecovered, EvCacheWorkerLost, EvExecutorRestarted:
-			// cluster-level: always retained
-		}
-		keep = append(keep, ev)
-	}
-	r.log = keep
 }
 
 // Failover replays the log into a fresh controller over a fresh cluster of

@@ -176,40 +176,6 @@ func fmtActions(acts []Action) []string {
 	return out
 }
 
-func TestShadowCompact(t *testing.T) {
-	ccfg := cluster.Config{Machines: 2, ExecutorsPerMachine: 4}
-	h := newShadowHarness(t, ccfg, DefaultOptions())
-	if err := h.r.SubmitJob(pipelineJob("done-job", 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.r.SubmitJob(pipelineJob("live-job", 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	h.drain()
-	// Complete the first job only.
-	h.r.TaskFinished(ref("done-job", "A", 0), h.running[ref("done-job", "A", 0)].Attempt)
-	h.drain()
-	h.r.TaskFinished(ref("done-job", "B", 0), h.running[ref("done-job", "B", 0)].Attempt)
-	h.drain()
-	before := len(h.r.Log())
-	h.r.Compact()
-	after := len(h.r.Log())
-	if after >= before {
-		t.Errorf("compact did not shrink log: %d -> %d", before, after)
-	}
-	// Failover from the compacted log still reproduces the live job.
-	shadow, err := Failover(h.r.Log(), ccfg, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shadow.JobDone("live-job") || shadow.JobFailed("live-job") {
-		t.Error("live job state wrong after compacted replay")
-	}
-	if _, _, ok := shadow.RunningTask(ref("live-job", "A", 0)); !ok {
-		t.Error("live job tasks not running after compacted replay")
-	}
-}
-
 func TestFailoverRejectsCorruptLog(t *testing.T) {
 	bad := []Event{{Kind: EvSubmitJob, Job: nil}}
 	if _, err := Failover(bad, cluster.Config{Machines: 1, ExecutorsPerMachine: 1}, DefaultOptions()); err == nil {

@@ -5,9 +5,9 @@ import (
 
 	"swift/internal/baseline"
 	"swift/internal/cluster"
-	"swift/internal/core"
 	"swift/internal/metrics"
 	"swift/internal/shuffle"
+	"swift/internal/simrun"
 	"swift/internal/trace"
 )
 
@@ -24,15 +24,14 @@ type Fig10Result struct {
 // Fig10Systems are the compared schedulers.
 var Fig10Systems = []string{"JetScope", "Bubble", "Swift"}
 
-func systemOptions(name string) core.Options {
-	switch name {
-	case "JetScope":
-		return baseline.JetScope()
-	case "Bubble":
-		return baseline.Bubble(baseline.DefaultBubbleTasks, 96<<20)
-	default:
-		return baseline.Swift()
+// runFig10System replays tr on the Fig. 10 cluster under one of
+// Fig10Systems.
+func (c Config) runFig10System(tr *trace.Trace, sys string) *simrun.Results {
+	opts, err := baseline.System(sys)
+	if err != nil {
+		panic(err) // Fig10Systems names only known systems
 	}
+	return c.runTrace(tr, c.fig10Cluster(), opts, c.Seed)
 }
 
 // fig10Cluster is the replay cluster: the paper's Fig. 10 shows ~3,000
@@ -60,7 +59,7 @@ func Fig10ExecutorTimeline(cfg Config) Fig10Result {
 	}
 	tr := fig10Trace(cfg)
 	for _, sys := range Fig10Systems {
-		res := cfg.runTrace(tr, cfg.fig10Cluster(), systemOptions(sys), cfg.Seed)
+		res := cfg.runFig10System(tr, sys)
 		out.Makespan[sys] = res.Makespan.Seconds()
 		out.Series[sys] = res.ExecSeries.Sample(res.Makespan.Seconds(), 10)
 	}
@@ -96,7 +95,7 @@ func Fig11LatencyCDF(cfg Config) Fig11Result {
 	tr := fig10Trace(cfg)
 	durations := make(map[string]map[string]float64) // system -> job -> sec
 	for _, sys := range Fig10Systems {
-		res := cfg.runTrace(tr, cfg.fig10Cluster(), systemOptions(sys), cfg.Seed)
+		res := cfg.runFig10System(tr, sys)
 		d := make(map[string]float64)
 		for id, jr := range res.Jobs {
 			if jr.Completed {

@@ -144,3 +144,48 @@ func (b *box) mapSendHeld(m map[string]int, ch chan int) {
 		ch <- v // want determinism "channel send inside map iteration" want lockdiscipline "channel send while b.mu is held"
 	}
 }
+
+// an early-return Unlock ends the region only inside its own block: the
+// send after the if still runs under the mutex (rule 2).
+func (b *box) sendAfterEarlyUnlock(ch chan int, skip bool) {
+	b.mu.Lock()
+	if skip {
+		b.mu.Unlock()
+		return
+	}
+	ch <- b.n // want lockdiscipline "channel send while b.mu is held"
+	b.mu.Unlock()
+}
+
+// an early return that forgets its Unlock: rule 1, reported at the return.
+func (b *box) earlyReturnHeld(skip bool) int {
+	b.mu.Lock()
+	if skip {
+		return 0 // want lockdiscipline "return while b.mu is held skips its Unlock"
+	}
+	n := b.n
+	b.mu.Unlock()
+	return n
+}
+
+// an Unlock on one branch only leaves the mutex held on the other: rule 1.
+func (b *box) unlockOnOneBranch(skip bool) {
+	b.mu.Lock() // want lockdiscipline "still held where the function ends"
+	if !skip {
+		b.mu.Unlock()
+	}
+}
+
+// every path releases, and the loop without a condition never falls
+// through to the end of the function: clean.
+func (b *box) releaseInLoop(ch chan int) {
+	b.mu.Lock()
+	for {
+		if b.n > 0 {
+			b.mu.Unlock()
+			ch <- 1
+			return
+		}
+		b.n++
+	}
+}

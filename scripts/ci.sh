@@ -2,7 +2,11 @@
 # Repository gate: gofmt, vet, swiftvet (the project's own static
 # analyzers — see DESIGN.md "Static analysis"; a finding cannot be
 # silenced, only fixed), the reachability census against its expected
-# output (scripts/census.sh), race-test everything, run the allocation
+# output (scripts/census.sh), race-test everything (which includes the doc
+# gate, TestDocReferences in internal/lint: every backticked path and Go
+# name in DESIGN.md and README.md resolves, ROADMAP.md's paths exist, no
+# doc cites file.go:N, and DESIGN.md's package map is `go list ./...`),
+# run the allocation
 # guards without the race detector (every testing.AllocsPerRun budget
 # skips itself under -race, so the race run alone enforces none of them;
 # the step runs every test whose name says what it allocates, and
