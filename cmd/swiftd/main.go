@@ -29,7 +29,6 @@ import (
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/flow"
-	"swift/internal/obs"
 	"swift/internal/prof"
 	"swift/internal/rpc"
 	"swift/internal/sched"
@@ -373,7 +372,6 @@ func run(addr, addrFile string, machines, execs int, timescale float64, budget, 
 		MaxQueue:         maxQueue,
 		Rate:             rate,
 		Burst:            burst,
-		Metrics:          obs.NewRegistry(),
 		TenantBudgets:    tenantBudgets,
 	}, timescale, verbose)
 

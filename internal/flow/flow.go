@@ -6,7 +6,8 @@
 // token-bucket arrival governor whose refill is throttled by a congestion
 // signal (scheduler queue depth + free-executor ratio), and explicit load
 // shedding with a retry-after hint once the queue is full. Admission
-// degrades gracefully: accept → queue → slow → shed.
+// degrades gracefully: accept → queue → slow → shed. Each decision is
+// counted once, in its tenant's TenantStat; Stats sums them.
 //
 // Like core.Controller, the flow controller is a deterministic state
 // machine: it owns no clock, no goroutines and no randomness. Callers pass
@@ -21,7 +22,6 @@ import (
 	"sort"
 
 	"swift/internal/core"
-	"swift/internal/obs"
 	"swift/internal/sim"
 )
 
@@ -118,9 +118,6 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket capacity. Default max(1, round(Rate)).
 	Burst int
-	// Metrics, when non-nil, receives admitted/queued/shed counters,
-	// queue-depth and in-flight gauges, and the admission-wait histogram.
-	Metrics *obs.Registry
 	// TenantBudgets bounds each listed tenant's in-flight tasks on top of
 	// the global budget (tenants not listed are unbounded). Enforcement
 	// needs SetTenantLookup; a tenant with nothing in flight admits one
@@ -169,7 +166,8 @@ type Outcome struct {
 	RetryAfter sim.Duration
 }
 
-// Stats are cumulative admission statistics.
+// Stats are cumulative admission statistics. Admitted, Queued and Shed
+// are the sums of the per-tenant counters TenantStats reports.
 type Stats struct {
 	Admitted  int64 // directly or from the queue
 	Queued    int64 // ever parked in the wait queue
@@ -189,7 +187,7 @@ type Controller struct {
 	queue    []Item
 	head     int // queue[head:] is live; amortised O(1) pops
 	draining bool
-	stats    Stats
+	stats    Stats                   // Decisions and MaxQueue; Stats sums the rest from tstats
 	inflight func(tenant string) int // nil disables tenant budgets
 	tstats   map[string]*TenantStat
 }
@@ -236,7 +234,6 @@ func Congestion(snap core.StateSnapshot) float64 {
 // (then shed) until the cluster breathes again — this is the backpressure
 // half of the design.
 func (f *Controller) refill(now sim.Time, snap core.StateSnapshot) {
-	f.cfg.Metrics.Gauge("flow.inflight_tasks", float64(snap.InFlightTasks()))
 	if f.cfg.Rate <= 0 {
 		return
 	}
@@ -335,33 +332,23 @@ func (f *Controller) Offer(now sim.Time, snap core.StateSnapshot, item Item) (Ou
 	f.refill(now, snap)
 	f.stats.Decisions++
 	if f.draining {
-		f.stats.Shed++
 		f.tstat(tenantOf(item)).Shed++
-		f.cfg.Metrics.Count("flow.shed", 1)
 		return Outcome{Decision: Shed, Level: LevelShed, RetryAfter: f.retryAfter()}, ErrDraining
 	}
 	if f.QueueLen() == 0 && f.fits(snap, item.Tasks) && f.tenantFits(item) && f.hasToken() {
 		f.takeToken()
-		f.stats.Admitted++
 		f.tstat(tenantOf(item)).Admitted++
-		f.cfg.Metrics.Count("flow.admitted", 1)
-		f.observeWait(0)
 		return Outcome{Decision: Admitted, Level: LevelAccept}, nil
 	}
 	if f.QueueLen() >= f.cfg.MaxQueue {
 		ra := f.retryAfter()
-		f.stats.Shed++
 		f.tstat(tenantOf(item)).Shed++
-		f.cfg.Metrics.Count("flow.shed", 1)
 		return Outcome{Decision: Shed, Level: LevelShed, RetryAfter: ra},
 			&OverloadError{QueueLen: f.QueueLen(), RetryAfter: ra}
 	}
 	item.Enqueued = now
 	f.queue = append(f.queue, item)
-	f.stats.Queued++
 	f.tstat(tenantOf(item)).Queued++
-	f.cfg.Metrics.Count("flow.queued", 1)
-	f.cfg.Metrics.Gauge("flow.queue_depth", float64(f.QueueLen()))
 	if q := f.QueueLen(); q > f.stats.MaxQueue {
 		f.stats.MaxQueue = q
 	}
@@ -419,11 +406,7 @@ func (f *Controller) PopAdmissible(now sim.Time, snap core.StateSnapshot) (Item,
 	} else {
 		f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
 	}
-	f.stats.Admitted++
 	f.tstat(tenantOf(it)).Admitted++
-	f.cfg.Metrics.Count("flow.admitted", 1)
-	f.cfg.Metrics.Gauge("flow.queue_depth", float64(f.QueueLen()))
-	f.observeWait((now - it.Enqueued).Seconds())
 	return it, true
 }
 
@@ -432,8 +415,6 @@ func (f *Controller) CancelQueued(id string) bool {
 	for i := f.head; i < len(f.queue); i++ {
 		if f.queue[i].ID == id {
 			f.queue = append(f.queue[:i], f.queue[i+1:]...)
-			f.cfg.Metrics.Count("flow.cancelled", 1)
-			f.cfg.Metrics.Gauge("flow.queue_depth", float64(f.QueueLen()))
 			return true
 		}
 	}
@@ -490,6 +471,11 @@ func (f *Controller) TenantStats() []TenantStat {
 // Stats returns cumulative admission statistics.
 func (f *Controller) Stats() Stats {
 	s := f.stats
+	for _, ts := range f.tstats {
+		s.Admitted += ts.Admitted
+		s.Queued += ts.Queued
+		s.Shed += ts.Shed
+	}
 	s.QueueLen = f.QueueLen()
 	s.Tokens = f.tokens
 	s.Draining = f.draining
@@ -520,11 +506,4 @@ func (f *Controller) retryAfter() sim.Duration {
 	}
 	d := sim.FromSeconds(float64(f.QueueLen()+1) / rate)
 	return min(max(d, 100*sim.Millisecond), 30*sim.Second)
-}
-
-// observeWait records one admission wait (seconds) in the latency
-// histogram; direct admissions record zero so quantiles cover every
-// admitted submission.
-func (f *Controller) observeWait(secs float64) {
-	f.cfg.Metrics.Observe("flow.admission_wait_s", 0, 60, 60, secs)
 }

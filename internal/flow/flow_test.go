@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"swift/internal/core"
-	"swift/internal/obs"
 	"swift/internal/sim"
 )
 
@@ -189,24 +188,47 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
-// Metrics counters mirror decisions.
-func TestMetricsCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	f := NewController(Config{MaxInFlightTasks: 4, MaxQueue: 1, Metrics: reg}, 4)
+// Stats counts every decision once, in its tenant's TenantStat: the
+// global admitted/queued/shed are the per-tenant sums across a direct
+// admit, two queues, a queue-full shed, a cancel, a release from the queue
+// and a drain shed.
+func TestStatsSumTenantStats(t *testing.T) {
+	f := NewController(Config{MaxInFlightTasks: 4, MaxQueue: 2}, 4)
 	idle := snap(4, 4, 0, 0)
 	busy := snap(0, 4, 4, 0)
-	f.Offer(0, idle, item("a", 1))
-	f.Offer(1, busy, item("b", 1))
-	f.Offer(2, busy, item("c", 1))
-	f.PopAdmissible(3, snap(4, 4, 0, 0))
-	if got := reg.Counter("flow.admitted"); got != 2 {
-		t.Fatalf("flow.admitted = %d, want 2", got)
+	titem := func(id, tenant string) Item { return Item{ID: id, Tenant: tenant, Tasks: 1, Payload: id} }
+	want := []Decision{Admitted, Queued, Queued, Shed}
+	for i, it := range []Item{titem("a", "x"), titem("b", "y"), titem("c", "x"), titem("d", "y")} {
+		sn := busy
+		if i == 0 {
+			sn = idle
+		}
+		if out, _ := f.Offer(sim.Time(i), sn, it); out.Decision != want[i] {
+			t.Fatalf("offer %s = %v, want %v", it.ID, out.Decision, want[i])
+		}
 	}
-	if got := reg.Counter("flow.queued"); got != 1 {
-		t.Fatalf("flow.queued = %d, want 1", got)
+	if !f.CancelQueued("c") {
+		t.Fatal("cancel of queued c failed")
 	}
-	if got := reg.Counter("flow.shed"); got != 1 {
-		t.Fatalf("flow.shed = %d, want 1", got)
+	if it, ok := f.PopAdmissible(4, idle); !ok || it.ID != "b" {
+		t.Fatalf("release = %v %v, want b", it.ID, ok)
+	}
+	f.Drain()
+	if _, err := f.Offer(5, idle, titem("e", "z")); !errors.Is(err, ErrDraining) {
+		t.Fatalf("offer while draining: %v, want ErrDraining", err)
+	}
+	st := f.Stats()
+	if st.Admitted != 2 || st.Queued != 2 || st.Shed != 2 || st.Decisions != 5 || st.QueueLen != 0 || st.MaxQueue != 2 {
+		t.Fatalf("stats = %+v, want 2 admitted, 2 queued, 2 shed, 5 decisions, max queue 2", st)
+	}
+	var sum TenantStat
+	for _, ts := range f.TenantStats() {
+		sum.Admitted += ts.Admitted
+		sum.Queued += ts.Queued
+		sum.Shed += ts.Shed
+	}
+	if sum.Admitted != st.Admitted || sum.Queued != st.Queued || sum.Shed != st.Shed {
+		t.Fatalf("tenant sums %+v differ from Stats %+v", sum, st)
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
+
+	"swift/internal/metrics"
 )
 
 // Chrome trace-event export: the recorded stream renders as one JSON
@@ -295,7 +298,7 @@ func (r *Recorder) buildChrome() []traceEvent {
 }
 
 // WriteReport is the -stats/-trace epilogue the simulator binaries share:
-// with stats, the per-job breakdown and the registry snapshot go to w; with
+// with stats, the per-job breakdown and writeStats's section go to w; with
 // a tracePath, the Chrome trace goes to that file and w gets a "trace
 // written" line behind lead (each binary's own indentation). Like the
 // writers it calls, it takes a nil recorder as a disabled one.
@@ -304,7 +307,7 @@ func (r *Recorder) WriteReport(w io.Writer, stats bool, tracePath, lead string) 
 		if err := r.WriteBreakdown(w); err != nil {
 			return err
 		}
-		if _, err := r.Registry().WriteTo(w); err != nil {
+		if err := r.writeStats(w); err != nil {
 			return err
 		}
 	}
@@ -323,5 +326,48 @@ func (r *Recorder) WriteReport(w io.Writer, stats bool, tracePath, lead string) 
 		return err
 	}
 	_, err = fmt.Fprintf(w, "%strace written to %s (%d events)\n", lead, tracePath, len(r.Events()))
+	return err
+}
+
+// writeStats renders the -stats section from the event stream: an
+// event.<kind> counter for each kind that occurred and the task.work_s
+// histogram of EvTaskFinish phase sums, names sorted and formats fixed so
+// two runs of one seed print the same bytes.
+func (r *Recorder) writeStats(w io.Writer) error {
+	if r == nil {
+		_, err := io.WriteString(w, "obs: recording disabled\n")
+		return err
+	}
+	counts := metrics.NewCounter()
+	work := metrics.NewHistogram(0, 600, 60)
+	for i := range r.events {
+		e := &r.events[i]
+		counts.Add(kindCounters[e.Kind], 1)
+		if e.Kind == EvTaskFinish {
+			work.Add(e.Launch + e.Read + e.Process + e.Write)
+		}
+	}
+	var b bytes.Buffer
+	if keys := counts.Keys(); len(keys) > 0 {
+		b.WriteString("counters:\n")
+		for _, k := range keys {
+			fmt.Fprintf(&b, "  %-32s %d\n", k, counts.Get(k))
+		}
+	}
+	if work.Total > 0 {
+		fmt.Fprintf(&b, "histograms:\n  task.work_s: range=[%g,%g) total=%d under=%d over=%d\n",
+			work.Lo, work.Hi, work.Total, work.Underflow, work.Overflow)
+		// One compact row of non-empty bins keeps the section greppable.
+		var cells []string
+		for i, c := range work.Counts {
+			if c > 0 {
+				cells = append(cells, fmt.Sprintf("%g:%d", work.BinCenter(i), c))
+			}
+		}
+		if len(cells) > 0 {
+			fmt.Fprintf(&b, "    bins %s\n", strings.Join(cells, " "))
+		}
+	}
+	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -1,20 +1,21 @@
 // Package obs is the deterministic observability plane: a span/event
-// recorder plus a counters/gauges/histogram registry threaded through the
-// controller, the discrete-event simulator, the shuffle store and the
-// chaos engine. Everything it captures is a pure function of the
-// simulation seed — the recorder only observes (it never feeds back into
-// scheduling), timestamps come from the simulated clock, and every export
-// iterates in deterministic order — so two runs of the same seed produce
-// byte-identical traces (the same discipline the chaos engine's FNV trace
-// hash enforces, and what lets "where did job J's 40 seconds go?" be
-// answered reproducibly for any simrun or chaos soak).
+// recorder threaded through the controller, the discrete-event simulator,
+// the shuffle store and the chaos engine. Everything it captures is a pure
+// function of the simulation seed — the recorder only observes (it never
+// feeds back into scheduling), timestamps come from the simulated clock,
+// and every export iterates in deterministic order — so two runs of the
+// same seed produce byte-identical traces (the same discipline the chaos
+// engine's FNV trace hash enforces, and what lets "where did job J's 40
+// seconds go?" be answered reproducibly for any simrun or chaos soak).
 //
-// The recorder's event stream exports two ways: Chrome trace-event JSON
+// The recorder's event stream exports three ways: Chrome trace-event JSON
 // (WriteChromeTrace; loadable in Perfetto / about://tracing) with per-job
 // processes, per-graphlet and per-task-attempt spans on executor
-// timelines, and a plain-text per-job critical-path breakdown
+// timelines, a plain-text per-job critical-path breakdown
 // (WriteBreakdown) splitting each job's latency into queue / launch /
-// shuffle / compute / wait / recovery.
+// shuffle / compute / wait / recovery, and the -stats counters and
+// task-work histogram (WriteReport), derived from the stream at report
+// time so recording an event writes only the slice.
 //
 // A nil *Recorder is valid and records nothing: call sites thread the
 // recorder unconditionally and pay one nil check when observability is
@@ -106,8 +107,8 @@ const (
 	EvReplicaServed
 )
 
-// kindCounters holds each kind's registry counter name, "event." + the
-// kind's name, so recording an event concatenates nothing.
+// kindCounters holds each kind's -stats counter name, "event." + the
+// kind's name.
 var kindCounters = [...]string{
 	EvJobSubmit:       "event.job_submit",
 	EvJobDone:         "event.job_done",
@@ -161,21 +162,16 @@ type Event struct {
 	Launch, Read, Process, Write float64
 }
 
-// Recorder accumulates the event stream and owns the metric registry.
-// The zero value is not used; call New. A nil *Recorder is a valid,
-// disabled recorder: every method no-ops.
+// Recorder accumulates the event stream. The zero value is not used; call
+// New. A nil *Recorder is a valid, disabled recorder: every method no-ops.
 type Recorder struct {
 	clock  func() sim.Time
 	events []Event
-	reg    *Registry
 }
 
-// New returns an enabled recorder with a fresh registry. The clock reads
-// zero until SetClock is called (drivers point it at the simulation
-// engine's virtual clock).
-func New() *Recorder {
-	return &Recorder{reg: NewRegistry()}
-}
+// New returns an enabled recorder. The clock reads zero until SetClock is
+// called (drivers point it at the simulation engine's virtual clock).
+func New() *Recorder { return &Recorder{} }
 
 // SetClock installs the virtual-time source used to stamp events. The
 // simrun driver points it at its engine's Now.
@@ -188,15 +184,6 @@ func (r *Recorder) SetClock(fn func() sim.Time) {
 
 // Enabled reports whether the recorder actually records.
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// Registry returns the recorder's metric registry (nil for a nil
-// recorder; Registry methods are themselves nil-safe).
-func (r *Recorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
 
 // Events returns the recorded stream (the recorder's own slice; callers
 // must not mutate it).
@@ -220,7 +207,6 @@ func (r *Recorder) rec(e Event) {
 	}
 	e.T = r.now()
 	r.events = append(r.events, e)
-	r.reg.Count(kindCounters[e.Kind], 1)
 }
 
 // JobSubmitted records job admission.
@@ -260,14 +246,10 @@ func (r *Recorder) TaskStarted(job, stage string, index, attempt, graphlet, exec
 }
 
 // TaskFinished records a successful attempt with its phase breakdown in
-// seconds. The work histogram feeds the registry snapshot.
+// seconds.
 func (r *Recorder) TaskFinished(job, stage string, index, attempt, executor int, launch, read, process, write float64) {
-	if r == nil {
-		return
-	}
 	r.rec(Event{Kind: EvTaskFinish, Job: job, Stage: stage, Index: index, Attempt: attempt,
 		Executor: executor, Machine: -1, Launch: launch, Read: read, Process: process, Write: write})
-	r.reg.Observe("task.work_s", 0, 600, 60, launch+read+process+write)
 }
 
 // TaskAborted records a cancelled attempt.

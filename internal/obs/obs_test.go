@@ -3,8 +3,10 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swift/internal/baseline"
@@ -69,7 +71,7 @@ func chromeJSON(t *testing.T, rec *obs.Recorder) []byte {
 
 // TestTraceDeterminism is the hard contract: two runs of the same seed
 // produce the identical event stream — equal FNV hashes and byte-identical
-// Chrome trace, registry snapshot and breakdown table.
+// Chrome trace and -stats report (breakdown table and counters).
 func TestTraceDeterminism(t *testing.T) {
 	recs := [2]*obs.Recorder{obs.New(), obs.New()}
 	for _, rec := range recs {
@@ -84,19 +86,36 @@ func TestTraceDeterminism(t *testing.T) {
 	if j0, j1 := chromeJSON(t, recs[0]), chromeJSON(t, recs[1]); !bytes.Equal(j0, j1) {
 		t.Fatal("chrome traces not byte-identical across same-seed runs")
 	}
-	if s0, s1 := recs[0].Registry().Snapshot(), recs[1].Registry().Snapshot(); s0 != s1 {
-		t.Fatalf("registry snapshots differ:\n%s\n---\n%s", s0, s1)
+	s0, s1 := statsReport(t, recs[0]), statsReport(t, recs[1])
+	if s0 != s1 {
+		t.Fatalf("-stats reports differ across same-seed runs:\n%s\n---\n%s", s0, s1)
 	}
-	var b0, b1 bytes.Buffer
-	if err := recs[0].WriteBreakdown(&b0); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(s0, "counters:\n") || !strings.Contains(s0, "task.work_s:") {
+		t.Fatalf("-stats report has no counters or work histogram:\n%s", s0)
 	}
-	if err := recs[1].WriteBreakdown(&b1); err != nil {
-		t.Fatal(err)
+}
+
+// statsReport returns rec's -stats report: WriteReport with stats on and
+// no trace file.
+func statsReport(t *testing.T, rec *obs.Recorder) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := rec.WriteReport(&b, true, "", ""); err != nil {
+		t.Fatalf("WriteReport: %v", err)
 	}
-	if b0.String() != b1.String() {
-		t.Fatal("breakdown tables differ across same-seed runs")
+	return b.String()
+}
+
+// statsSection returns the counters and histograms that end rec's -stats
+// report, after the breakdown table.
+func statsSection(t *testing.T, rec *obs.Recorder) string {
+	t.Helper()
+	out := statsReport(t, rec)
+	i := strings.Index(out, "counters:\n")
+	if i < 0 {
+		t.Fatalf("no counters in the -stats report:\n%s", out)
 	}
+	return out[i:]
 }
 
 // TestRecordingDoesNotPerturb asserts the observer effect is zero: every
@@ -190,8 +209,8 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 }
 
-// TestNilRecorderSafe exercises every recorder and registry method on nil
-// receivers: all must no-op and the exports must still produce output.
+// TestNilRecorderSafe exercises every recorder method on a nil receiver:
+// all must no-op and the exports must still produce output.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *obs.Recorder
 	if r.Enabled() {
@@ -231,14 +250,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	if err := r.WriteBreakdown(&b); err != nil {
 		t.Fatalf("nil WriteBreakdown: %v", err)
 	}
-	if r.Registry() != nil {
-		t.Fatal("nil recorder returned a registry")
-	}
-	r.Registry().Count("x", 1)
-	r.Registry().Gauge("g", 1)
-	r.Registry().Observe("h", 0, 1, 4, 0.5)
-	if got := r.Registry().Snapshot(); got == "" {
-		t.Fatal("nil registry snapshot empty")
+	if got := statsReport(t, r); !strings.HasSuffix(got, "obs: recording disabled\n") {
+		t.Fatalf("nil -stats report = %q, want it to end in the disabled line", got)
 	}
 	if r.StreamHash() != (*obs.Recorder)(nil).StreamHash() {
 		t.Fatal("nil stream hash unstable")
@@ -341,26 +354,27 @@ func TestChaosObsDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshot pins the deterministic snapshot format: sections in
-// counter/gauge/histogram order, names sorted, under/overflow reported.
-func TestRegistrySnapshot(t *testing.T) {
-	g := obs.NewRegistry()
-	g.Count("b.count", 2)
-	g.Count("a.count", 1)
-	g.Gauge("z.gauge", 1.5)
-	g.Observe("lat", 0, 10, 10, 3.2)
-	g.Observe("lat", 0, 10, 10, -1) // underflow
-	g.Observe("lat", 0, 10, 10, 99) // overflow
+// TestStatsSection pins the -stats section derived from the event
+// stream: one counter per kind that occurred, names sorted, then the
+// task.work_s histogram of phase sums with its overflow reported.
+func TestStatsSection(t *testing.T) {
+	rec := obs.New()
+	rec.JobSubmitted("j", 1, 2, 1)
+	rec.TaskStarted("j", "s", 0, 1, 0, 0, "fresh")
+	rec.TaskStarted("j", "s", 1, 1, 0, 1, "fresh")
+	rec.TaskFinished("j", "s", 0, 1, 0, 0.2, 1, 2, 0)   // 3.2 s
+	rec.TaskFinished("j", "s", 1, 1, 1, 1, 100, 500, 5) // 606 s: overflow
+	rec.JobCompleted("j")
 	want := "counters:\n" +
-		"  a.count                          1\n" +
-		"  b.count                          2\n" +
-		"gauges:\n" +
-		"  z.gauge                          1.5\n" +
+		"  event.job_done                   1\n" +
+		"  event.job_submit                 1\n" +
+		"  event.task_finish                2\n" +
+		"  event.task_start                 2\n" +
 		"histograms:\n" +
-		"  lat: range=[0,10) total=3 under=1 over=1\n" +
-		"    bins 3.5:1\n"
-	if got := g.Snapshot(); got != want {
-		t.Fatalf("snapshot mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+		"  task.work_s: range=[0,600) total=2 under=0 over=1\n" +
+		"    bins 5:1\n"
+	if got := statsSection(t, rec); got != want {
+		t.Fatalf("stats section mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -384,9 +398,10 @@ func TestKindNamesAndCounters(t *testing.T) {
 	rec := obs.New()
 	rec.JobCompleted("j")
 	rec.ReplicaServed("j", "s", 0, 1)
+	section := statsSection(t, rec)
 	for _, k := range []obs.Kind{obs.EvJobDone, obs.EvReplicaServed} {
-		if n := rec.Registry().Counter("event." + k.String()); n != 1 {
-			t.Errorf("counter event.%s = %d, want 1", k, n)
+		if line := fmt.Sprintf("  %-32s 1\n", "event."+k.String()); !strings.Contains(section, line) {
+			t.Errorf("stats section lacks %q:\n%s", line, section)
 		}
 	}
 }

@@ -182,3 +182,29 @@ func TestAcceptErrorBacksOff(t *testing.T) {
 		t.Errorf("Close waited %v for a backoff sleep", waited)
 	}
 }
+
+// A conn accepted while Close runs reaches serveConn after Close has
+// walked s.conns: serveConn must close it rather than register it, or it
+// blocks in readFrame until the peer hangs up and Close's wg.Wait with it.
+func TestConnAcceptedDuringCloseIsClosed(t *testing.T) {
+	s := NewServer()
+	if _, err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	s.wg.Add(1)
+	go func() {
+		s.serveConn(server)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("serveConn still serving a conn that arrived after Close")
+	}
+}

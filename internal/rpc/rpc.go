@@ -98,7 +98,16 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	// A conn accepted while Close runs may arrive after Close has walked
+	// s.conns; registering it then would leave it open and wg.Wait hung.
 	s.connMu.Lock()
+	select {
+	case <-s.closed:
+		s.connMu.Unlock()
+		_ = conn.Close() // never served
+		return
+	default:
+	}
 	s.conns[conn] = true
 	s.connMu.Unlock()
 	defer func() {

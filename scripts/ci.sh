@@ -91,6 +91,11 @@ go run ./cmd/swiftsim -job q9 -machines 20 -executors 8 -seed 7 \
 go run ./cmd/swiftsim -job q9 -machines 20 -executors 8 -seed 7 \
     -trace "$TRACE_TMP/b.json" > /dev/null
 cmp "$TRACE_TMP/a.json" "$TRACE_TMP/b.json"
+# The -stats section is derived from the event stream; no -trace here, as
+# its "trace written to <path>" line names a different file per run.
+go run ./cmd/swiftsim -job q13 -failstage J3 -failat 0.4 -seed 7 -stats > "$TRACE_TMP/a.stats"
+go run ./cmd/swiftsim -job q13 -failstage J3 -failat 0.4 -seed 7 -stats > "$TRACE_TMP/b.stats"
+cmp "$TRACE_TMP/a.stats" "$TRACE_TMP/b.stats"
 
 echo "== fair-share smoke (seeded 3-tenant burst: reclaims, no starvation, deterministic hash)"
 # -verify re-runs the seed and exits non-zero on any hash mismatch; the
