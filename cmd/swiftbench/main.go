@@ -7,16 +7,19 @@
 //
 // With no -run flag every paper figure and table runs in paper order (the
 // other experiments — see -list — run by name). The -reduced flag shrinks
-// workloads to the CI-sized configurations the repository's tests use. -workers fans experiments across a worker
-// pool; reports still print in input order. -hashes prints one
-// "name hash" line per experiment instead of the reports — the obs
-// stream hashes that witness a parallel sweep matching a serial one.
+// workloads to the CI-sized configurations the repository's tests use.
+// -workers fans experiments across a worker pool; reports still print in
+// input order, then the exp.Fidelity rows of the experiments run, and a
+// row out of its band makes swiftbench name it and exit 1. -hashes prints
+// one "name hash" line per experiment instead — the obs stream hashes
+// that witness a parallel sweep matching a serial one.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -41,7 +44,7 @@ func main() {
 	}
 
 	cfg := exp.Config{Reduced: *reduced, Seed: *seed}
-	order := []string{"fig3", "fig8", "fig9a", "fig9b", "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
+	order := exp.PaperOrder()
 	if *run != "" {
 		order = strings.Split(*run, ",")
 		for i := range order {
@@ -59,10 +62,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "swiftbench: unknown experiment %q (try -list)\n", r.Name)
 			os.Exit(2)
 		}
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "swiftbench: %s: %v\n", r.Name, r.Err)
-			os.Exit(1)
-		}
 		if *hashes {
 			fmt.Printf("%s %016x\n", r.Name, r.Hash)
 			continue
@@ -73,7 +72,34 @@ func main() {
 		fmt.Print(r.Output)
 		printed++
 	}
-	if !*hashes {
-		fmt.Printf("[%d experiments in %.1fs on %d workers]\n", len(results), time.Since(t0).Seconds(), *workers)
+	if *hashes {
+		return
 	}
+	code := writeFidelity(os.Stdout, os.Stderr, cfg, results)
+	fmt.Printf("[%d experiments in %.1fs on %d workers]\n", len(results), time.Since(t0).Seconds(), *workers)
+	os.Exit(code)
+}
+
+// writeFidelity prints the fidelity rows of results, names on stderr each
+// row whose value left its band, and returns the exit status: 1 if any did.
+// The bands hold seeds 1–3, so at another seed the line says so.
+func writeFidelity(stdout, stderr io.Writer, cfg exp.Config, results []exp.RunResult) (code int) {
+	note := ""
+	if cfg.Seed < 1 || cfg.Seed > 3 {
+		note = fmt.Sprintf(" (bands hold seeds 1–3 only: at seed %d this may be seed variance)", cfg.Seed)
+	}
+	var ms []exp.Measured
+	for _, r := range results {
+		ms = append(ms, r.Fidelity...)
+	}
+	if len(ms) > 0 {
+		fmt.Fprintf(stdout, "\n%s", exp.FidelityTable(cfg, ms))
+	}
+	for _, m := range ms {
+		if !m.InBand() {
+			fmt.Fprintf(stderr, "swiftbench: fidelity row %s %q = %.4g, outside band %v%s\n", m.Row.Exp, m.Row.Metric, m.Value, m.Band, note)
+			code = 1
+		}
+	}
+	return code
 }

@@ -4,9 +4,9 @@
 // package is the single source of truth behind cmd/swiftbench.
 //
 // Absolute seconds differ from the paper (the substrate is a calibrated
-// simulator, not Alibaba's clusters); the shapes — who wins, by what
-// factor, where the crossovers fall — are asserted by this package's tests
-// and recorded against the paper's numbers in EXPERIMENTS.md.
+// simulator, not Alibaba's clusters). Each paper claim — who wins, by what
+// factor, where the crossovers fall — is a row of Fidelity, whose bands
+// the per-experiment tests and swiftbench enforce and EXPERIMENTS.md prints.
 package exp
 
 import (

@@ -1,264 +1,81 @@
 package exp
 
 import (
-	"bytes"
+	"os"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-
-	"swift/internal/shuffle"
 )
-
-// The experiment tests assert the paper's result *shapes* at reduced scale:
-// who wins, rough factors, orderings and crossovers. Paper-vs-measured for
-// the full-scale runs is recorded in EXPERIMENTS.md.
 
 func cfg() Config { return Config{Reduced: true, Seed: 1} }
 
-func TestFig3IdleRatioShape(t *testing.T) {
-	rows := Fig3IdleRatio(cfg())
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	sum := 0.0
-	for _, r := range rows {
-		if r.IdleRatioPct < 0 || r.IdleRatioPct > 60 {
-			t.Errorf("cluster %s idle = %.2f%%, out of range", r.Cluster, r.IdleRatioPct)
+// checkFidelity runs one paper experiment at reduced size on seeds 1–3
+// and holds each of its Fidelity rows to its reduced band. A result too
+// short for a row's extractor panics the test.
+func checkFidelity(t *testing.T, name string) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		r := RunAll([]string{name}, Config{Reduced: true, Seed: seed}, 1, false)[0]
+		if r.Err != nil {
+			t.Error(r.Err)
 		}
-		sum += r.IdleRatioPct
-	}
-	// Paper: averages between 3.81% and 14.92% — "a large quantity of
-	// resources have been wasted in gang scheduling".
-	if avg := sum / 4; avg < 3 || avg > 40 {
-		t.Errorf("average idle = %.2f%%, want meaningful waste (3..40)", avg)
-	}
-}
-
-func TestFig8TraceCharacteristicsShape(t *testing.T) {
-	s := Fig8TraceCharacteristics(cfg())
-	if s.Jobs < 150 {
-		t.Fatalf("too few completed jobs: %d", s.Jobs)
-	}
-	if s.MeanRuntimeSec < 15 || s.MeanRuntimeSec > 60 {
-		t.Errorf("mean runtime = %.1fs, paper ≈30s", s.MeanRuntimeSec)
-	}
-	if s.FracRuntimeUnder120 < 0.88 {
-		t.Errorf("P(<120s) = %.2f, paper >0.9", s.FracRuntimeUnder120)
-	}
-	if s.FracTasksUnder80 < 0.75 {
-		t.Errorf("P(tasks≤80) = %.2f, paper >0.8", s.FracTasksUnder80)
-	}
-	if s.FracStagesUnder4 < 0.75 {
-		t.Errorf("P(stages≤4) = %.2f, paper >0.8", s.FracStagesUnder4)
-	}
-}
-
-func TestFig9aSwiftBeatsSparkOnEveryQuery(t *testing.T) {
-	res := Fig9aTPCH(cfg())
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range res.Rows {
-		if r.Speedup <= 1 {
-			t.Errorf("%s: speedup %.2f ≤ 1", r.Query, r.Speedup)
-		}
-	}
-	// Paper: total speedup 2.11x; accept a 1.5..3.5 band at reduced scale.
-	if res.TotalSpeedup < 1.5 || res.TotalSpeedup > 3.5 {
-		t.Errorf("total speedup = %.2f, want ≈2.11", res.TotalSpeedup)
-	}
-}
-
-func TestFig9bPhaseBreakdownShape(t *testing.T) {
-	rows := Fig9bQ9Phases(cfg())
-	var sparkLaunch, swiftLaunch, sparkShuffle, swiftShuffle float64
-	for _, r := range rows {
-		switch r.System {
-		case "Spark":
-			sparkLaunch += r.Launch
-			if r.Stage != "M1" && r.Stage != "M5" { // scans read tables, not shuffle
-				sparkShuffle += r.Read + r.Write
-			}
-		case "Swift":
-			swiftLaunch += r.Launch
-			if r.Stage != "M1" && r.Stage != "M5" {
-				swiftShuffle += r.Read + r.Write
+		for _, m := range r.Fidelity {
+			if !m.InBand() {
+				t.Errorf("seed %d: %s %s = %.4g, outside band %v", seed, name, m.Row.Metric, m.Value, m.Band)
 			}
 		}
 	}
-	// Paper Fig. 9b: Spark's launch totals >71s across critical stages;
-	// Swift's is negligible. Spark's disk shuffle dwarfs Swift's
-	// in-network shuffle (137.8+133.9s vs 8.92+9.61s).
-	if sparkLaunch < 10*swiftLaunch {
-		t.Errorf("launch: spark=%.1fs swift=%.1fs, want ≥10x gap", sparkLaunch, swiftLaunch)
-	}
-	if sparkShuffle < 3*swiftShuffle {
-		t.Errorf("shuffle: spark=%.1fs swift=%.1fs, want ≥3x gap", sparkShuffle, swiftShuffle)
-	}
 }
 
-func TestTable1SpeedupGrowsWithJobSize(t *testing.T) {
-	rows := Table1Terasort(cfg())
-	if len(rows) < 2 {
-		t.Fatal("need at least 2 sizes")
-	}
-	prev := 0.0
-	for _, r := range rows {
-		if r.Speedup <= 1 {
-			t.Errorf("%s: swift not faster (%.2f)", r.Size, r.Speedup)
-		}
-		if r.Speedup <= prev {
-			t.Errorf("%s: speedup %.2f not growing (prev %.2f)", r.Size, r.Speedup, prev)
-		}
-		prev = r.Speedup
-	}
-	// Paper: 3.07 at 250² growing to 14.18 at 1500²; the largest reduced
-	// size must show a clearly super-proportional gap.
-	if last := rows[len(rows)-1]; last.Speedup < 2*rows[0].Speedup {
-		t.Errorf("speedup growth too weak: %.2f -> %.2f", rows[0].Speedup, last.Speedup)
-	}
-}
+func TestFig3IdleRatioShape(t *testing.T)               { checkFidelity(t, "fig3") }
+func TestFig8TraceCharacteristicsShape(t *testing.T)    { checkFidelity(t, "fig8") }
+func TestFig9aSwiftBeatsSparkOnEveryQuery(t *testing.T) { checkFidelity(t, "fig9a") }
+func TestFig9bPhaseBreakdownShape(t *testing.T)         { checkFidelity(t, "fig9b") }
+func TestTable1SpeedupGrowsWithJobSize(t *testing.T)    { checkFidelity(t, "table1") }
+func TestFig12WinnersMatchPaper(t *testing.T)           { checkFidelity(t, "fig12") }
+func TestFig13DetailMatchesPaper(t *testing.T)          { checkFidelity(t, "fig13") }
+func TestFig14RecoveryShape(t *testing.T)               { checkFidelity(t, "fig14") }
+func TestFig15RecoveryBeatsRestart(t *testing.T)        { checkFidelity(t, "fig15") }
+func TestFig16NearLinearScaling(t *testing.T)           { checkFidelity(t, "fig16") }
 
 func TestFig10SwiftFastestJetScopeSlowest(t *testing.T) {
-	res := Fig10ExecutorTimeline(cfg())
-	swift, bubble, jet := res.Makespan["Swift"], res.Makespan["Bubble"], res.Makespan["JetScope"]
-	if !(swift < jet && bubble < jet) {
-		t.Errorf("makespans swift=%.0f bubble=%.0f jet=%.0f: JetScope should be slowest", swift, bubble, jet)
-	}
-	if swift > bubble {
-		t.Errorf("swift %.0f slower than bubble %.0f", swift, bubble)
-	}
-	// Paper: Swift 2.44x, Bubble 1.98x over JetScope.
-	if res.SpeedupOverJetScope["Swift"] < 1.3 {
-		t.Errorf("swift speedup over jetscope = %.2f, want ≥1.3", res.SpeedupOverJetScope["Swift"])
-	}
+	checkFidelity(t, "fig10")
+	series := Fig10ExecutorTimeline(cfg()).Series
 	for _, sys := range Fig10Systems {
-		if len(res.Series[sys]) == 0 {
+		if len(series[sys]) == 0 {
 			t.Errorf("no executor series for %s", sys)
 		}
 	}
 }
 
 func TestFig11LatencyShape(t *testing.T) {
-	res := Fig11LatencyCDF(cfg())
-	if len(res.Ratios["JetScope"]) == 0 || len(res.Ratios["Bubble"]) == 0 {
-		t.Fatal("missing ratio samples")
-	}
-	// Paper: Swift outperforms Bubble Execution by 1.23x on average.
-	if res.MeanBubbleRatio < 1.0 || res.MeanBubbleRatio > 2.0 {
-		t.Errorf("mean bubble/swift ratio = %.2f, want ≈1.23", res.MeanBubbleRatio)
-	}
-	// JetScope must inflate a meaningful share of jobs well past Swift.
-	if res.FracJetScopeOver2x < 0.05 {
-		t.Errorf("frac jetscope >2x = %.2f, want substantial", res.FracJetScopeOver2x)
-	}
-	// Ratios are sorted.
-	js := res.Ratios["JetScope"]
-	for i := 1; i < len(js); i++ {
-		if js[i] < js[i-1] {
-			t.Fatal("ratios not sorted")
-		}
+	checkFidelity(t, "fig11")
+	if rs := Fig11LatencyCDF(cfg()).Ratios; !slices.IsSorted(rs["JetScope"]) || !slices.IsSorted(rs["Bubble"]) {
+		t.Error("ratios not sorted")
 	}
 }
 
-func TestFig12WinnersMatchPaper(t *testing.T) {
-	cells := Fig12ShuffleModes(cfg())
-	if len(cells) != 9 {
-		t.Fatalf("cells = %d", len(cells))
+// TestFidelityDoc holds EXPERIMENTS.md's fidelity block to the table: it
+// is what full-size swiftbench -seed 1 prints, so re-rendering it from its
+// own measured column must reproduce it, with no cell out of its band.
+func TestFidelityDoc(t *testing.T) {
+	data, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	best := Fig12Best(cells)
-	if best[shuffle.SmallShuffle] != shuffle.Direct {
-		t.Errorf("small winner = %v, want Direct", best[shuffle.SmallShuffle])
+	doc := append(regexp.MustCompile("(?s)```\n(Fidelity —.*?)```").FindStringSubmatch(string(data)), "", "")[1] // "" if missing
+	lines := strings.Split(doc, "\n")
+	var ms []Measured
+	for i, r := range Fidelity {
+		cells := regexp.MustCompile(`\s{2,}`).Split(lines[min(3+i, len(lines)-1)], -1)
+		v, _ := strconv.ParseFloat(cells[min(4, len(cells)-1)], 64) // a bad cell renders differently
+		ms = append(ms, Measured{&Fidelity[i], r.Full, v})
 	}
-	if best[shuffle.MediumShuffle] != shuffle.Remote {
-		t.Errorf("medium winner = %v, want Remote", best[shuffle.MediumShuffle])
-	}
-	if best[shuffle.LargeShuffle] != shuffle.Local {
-		t.Errorf("large winner = %v, want Local", best[shuffle.LargeShuffle])
-	}
-	for _, c := range cells {
-		if c.Mode == shuffle.Direct && c.Normalized != 1 {
-			t.Errorf("direct not normalized to 1: %v", c)
-		}
-		if c.Normalized <= 0 {
-			t.Errorf("non-positive cell: %v", c)
-		}
-	}
-}
-
-func TestFig13DetailMatchesPaper(t *testing.T) {
-	det := Fig13Q13Detail()
-	if len(det) != 6 {
-		t.Fatalf("rows = %d", len(det))
-	}
-	if det[0].Stage != "M1" || det[0].Tasks != 498 || det[0].RecordsPerTask != 3012048 {
-		t.Errorf("M1 row = %+v", det[0])
-	}
-}
-
-func TestFig14RecoveryShape(t *testing.T) {
-	rows := Fig14FaultInjection(cfg())
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		// Paper: Swift's slowdown stays under ~10% (we allow 15%).
-		if r.SwiftSlowdownPct > 15 {
-			t.Errorf("t=%d %s: swift slowdown %.1f%% too high", r.InjectAtPct, r.Stage, r.SwiftSlowdownPct)
-		}
-		if r.SwiftSlowdownPct < -2 {
-			t.Errorf("t=%d: negative slowdown %.1f%%", r.InjectAtPct, r.SwiftSlowdownPct)
-		}
-	}
-	// No slowdown for the first injection: M2's output already flowed on.
-	if rows[0].SwiftSlowdownPct > 1 {
-		t.Errorf("t=20 swift slowdown = %.1f%%, paper: none", rows[0].SwiftSlowdownPct)
-	}
-	// Restart slowdown grows roughly with injection time and far exceeds
-	// Swift's on late injections.
-	last := rows[len(rows)-1]
-	if last.RestartSlowdownPct < 50 {
-		t.Errorf("restart at t=100 only %.1f%%", last.RestartSlowdownPct)
-	}
-	if last.RestartSlowdownPct < 3*last.SwiftSlowdownPct {
-		t.Errorf("restart %.1f%% not ≫ swift %.1f%%", last.RestartSlowdownPct, last.SwiftSlowdownPct)
-	}
-}
-
-func TestFig15RecoveryBeatsRestart(t *testing.T) {
-	res := Fig15TraceFailures(cfg())
-	if res.BaselineNorm != 100 {
-		t.Fatal("baseline not normalized")
-	}
-	// Paper: restart ≈ +45%, Swift ≈ +5%.
-	if res.SwiftSlowdownPct < 0 || res.SwiftSlowdownPct > 15 {
-		t.Errorf("swift slowdown = %.1f%%, want small (paper ≈5%%)", res.SwiftSlowdownPct)
-	}
-	if res.RestartSlowdownPct < 2.5*res.SwiftSlowdownPct {
-		t.Errorf("restart %.1f%% not ≫ swift %.1f%%", res.RestartSlowdownPct, res.SwiftSlowdownPct)
-	}
-	if res.RestartSlowdownPct < 10 {
-		t.Errorf("restart slowdown = %.1f%%, implausibly low", res.RestartSlowdownPct)
-	}
-}
-
-func TestFig16NearLinearScaling(t *testing.T) {
-	rows := Fig16Scalability(cfg())
-	if len(rows) < 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %.2f", rows[0].Speedup)
-	}
-	prev := 0.0
-	for _, r := range rows {
-		if r.Speedup <= prev {
-			t.Errorf("speedup not monotone at %d executors: %.2f", r.Executors, r.Speedup)
-		}
-		prev = r.Speedup
-	}
-	last := rows[len(rows)-1]
-	if eff := last.Speedup / last.Ideal; eff < 0.6 {
-		t.Errorf("scaling efficiency at %d executors = %.2f, want ≥0.6 (near-linear)", last.Executors, eff)
+	trail := regexp.MustCompile(`(?m) +$`)
+	if got, want := trail.ReplaceAllString(doc, ""), trail.ReplaceAllString(FidelityTable(Config{Seed: 1}, ms).String(), ""); got != want || strings.Contains(want, "OUT") {
+		t.Errorf("EXPERIMENTS.md's fidelity block is not the table's, or holds a value out of its band; the table renders it as\n%s", want)
 	}
 }
 
@@ -312,24 +129,12 @@ func TestFairShareAcceptance(t *testing.T) {
 }
 
 func TestRunRegistryCoversAllExperiments(t *testing.T) {
-	names := Names()
 	want := []string{"fig3", "fig8", "fig9a", "fig9b", "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "flowburst", "fairshare", "shufflerecovery", "ablation-shuffle", "ablation-partition"}
-	if len(names) != len(want) {
-		t.Fatalf("registry has %d entries: %v", len(names), names)
+	if !slices.Equal(PaperOrder(), want[:12]) {
+		t.Errorf("paper order = %v, want %v", PaperOrder(), want[:12])
 	}
-	if ok, _ := Run("nope", cfg(), &bytes.Buffer{}); ok {
-		t.Error("unknown experiment accepted")
-	}
-	// Smoke-run the cheap reports through the registry.
-	for _, n := range []string{"fig13", "fig9a", "table1"} {
-		var b bytes.Buffer
-		ok, err := Run(n, cfg(), &b)
-		if !ok || err != nil {
-			t.Fatalf("Run(%s) failed: ok=%v err=%v", n, ok, err)
-		}
-		if b.Len() == 0 {
-			t.Errorf("Run(%s) produced no output", n)
-		}
+	if slices.Sort(want); !slices.Equal(Names(), want) {
+		t.Errorf("registry = %v, want %v", Names(), want)
 	}
 }
 
@@ -337,11 +142,7 @@ func TestTableRendering(t *testing.T) {
 	tbl := &Table{Title: "T", Headers: []string{"a", "bb"}}
 	tbl.Add("x", 1.5)
 	tbl.Add("longer", "v")
-	var b bytes.Buffer
-	if _, err := tbl.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := tbl.String()
 	for _, want := range []string{"T\n", "a", "bb", "1.50", "longer", "---"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -16,29 +16,31 @@ import (
 type Fig10Result struct {
 	Series   map[string][]metrics.SeriesPoint // system -> sampled timeline
 	Makespan map[string]float64               // seconds to finish all jobs
-	// SpeedupOverJetScope is makespan(JetScope)/makespan(system); the
-	// paper reports 2.44× for Swift and 1.98× for Bubble Execution.
-	SpeedupOverJetScope map[string]float64
 }
 
 // Fig10Systems are the compared schedulers.
 var Fig10Systems = []string{"JetScope", "Bubble", "Swift"}
 
-// runFig10System replays tr on the Fig. 10 cluster under one of
+// fig10Replays replays fig10Trace on the Fig. 10 cluster under each of
 // Fig10Systems.
-func (c Config) runFig10System(tr *trace.Trace, sys string) *simrun.Results {
-	opts, err := baseline.System(sys)
-	if err != nil {
-		panic(err) // Fig10Systems names only known systems
+func fig10Replays(cfg Config) map[string]*simrun.Results {
+	tr := fig10Trace(cfg)
+	out := make(map[string]*simrun.Results, len(Fig10Systems))
+	for _, sys := range Fig10Systems {
+		opts, err := baseline.System(sys)
+		if err != nil {
+			panic(err) // Fig10Systems names only known systems
+		}
+		out[sys] = cfg.runTrace(tr, cfg.fig10Cluster(), opts, cfg.Seed)
 	}
-	return c.runTrace(tr, c.fig10Cluster(), opts, c.Seed)
+	return out
 }
 
 // fig10Cluster is the replay cluster: the paper's Fig. 10 shows ~3,000
 // running executors peak on the 100-node cluster, and the trace is
-// replayed as a batch ("Swift and Bubble Execution can finish all jobs in
-// 240s and 296s"), so the scheduler runs saturated — which is exactly
-// where whole-job gang scheduling falls apart.
+// replayed as a batch (the paper reports when each system finishes all
+// jobs), so the scheduler runs saturated — which is exactly where
+// whole-job gang scheduling falls apart.
 func (c Config) fig10Cluster() cluster.Config {
 	ccfg := c.cluster100()
 	ccfg.ExecutorsPerMachine = 30
@@ -52,19 +54,10 @@ func (c Config) fig10Cluster() cluster.Config {
 // cluster under JetScope, Bubble Execution and Swift, recording the number
 // of running executors over time.
 func Fig10ExecutorTimeline(cfg Config) Fig10Result {
-	out := Fig10Result{
-		Series:              make(map[string][]metrics.SeriesPoint),
-		Makespan:            make(map[string]float64),
-		SpeedupOverJetScope: make(map[string]float64),
-	}
-	tr := fig10Trace(cfg)
-	for _, sys := range Fig10Systems {
-		res := cfg.runFig10System(tr, sys)
+	out := Fig10Result{Series: make(map[string][]metrics.SeriesPoint), Makespan: make(map[string]float64)}
+	for sys, res := range fig10Replays(cfg) {
 		out.Makespan[sys] = res.Makespan.Seconds()
 		out.Series[sys] = res.ExecSeries.Sample(res.Makespan.Seconds(), 10)
-	}
-	for _, sys := range Fig10Systems {
-		out.SpeedupOverJetScope[sys] = out.Makespan["JetScope"] / out.Makespan[sys]
 	}
 	return out
 }
@@ -74,11 +67,11 @@ func Fig10ExecutorTimeline(cfg Config) Fig10Result {
 type Fig11Result struct {
 	// Ratios maps system -> sorted per-job latency ratios vs Swift.
 	Ratios map[string][]float64
-	// FracJetScopeOver2x: the paper reports "more than 60% of jobs are
-	// with a latency 2× greater than that of Swift" for JetScope.
+	// FracJetScopeOver2x is the share of jobs JetScope runs more than 2×
+	// slower than Swift.
 	FracJetScopeOver2x float64
-	// MeanBubbleRatio: the paper's abstract reports Swift outperforming
-	// Bubble Execution by 1.23× on latency.
+	// MeanBubbleRatio is the mean of Ratios["Bubble"]. The paper's values
+	// of both are rows of Fidelity.
 	MeanBubbleRatio float64
 }
 
@@ -92,24 +85,13 @@ func fig10Trace(cfg Config) *trace.Trace {
 // Fig11LatencyCDF replays the trace under the three systems and normalises
 // each job's latency to Swift's.
 func Fig11LatencyCDF(cfg Config) Fig11Result {
-	tr := fig10Trace(cfg)
-	durations := make(map[string]map[string]float64) // system -> job -> sec
-	for _, sys := range Fig10Systems {
-		res := cfg.runFig10System(tr, sys)
-		d := make(map[string]float64)
-		for id, jr := range res.Jobs {
-			if jr.Completed {
-				d[id] = jr.Duration()
-			}
-		}
-		durations[sys] = d
-	}
+	reps := fig10Replays(cfg)
 	out := Fig11Result{Ratios: make(map[string][]float64)}
 	for _, sys := range []string{"JetScope", "Bubble"} {
 		var ratios []float64
-		for id, sw := range durations["Swift"] {
-			if other, ok := durations[sys][id]; ok && sw > 0 {
-				ratios = append(ratios, other/sw)
+		for id, sw := range reps["Swift"].Jobs {
+			if other := reps[sys].Jobs[id]; other != nil && other.Completed && sw.Completed && sw.Duration() > 0 {
+				ratios = append(ratios, other.Duration()/sw.Duration())
 			}
 		}
 		sort.Float64s(ratios)
@@ -133,42 +115,23 @@ type Fig12Cell struct {
 }
 
 // Fig12ShuffleModes replays shuffle-heavy jobs of the three size classes
-// under each fixed shuffle mode on the 2,000-node cluster. Paper: small —
-// Direct best (Local +4%, Remote +3%); medium — Remote best (Direct +25%,
-// Local +3.8%); large — Local best (Direct +108.3%, Remote +47.9%).
+// under each fixed shuffle mode on the 2,000-node cluster. The paper's
+// winners are Direct, Remote and Local; its margins are rows of Fidelity.
 func Fig12ShuffleModes(cfg Config) []Fig12Cell {
-	type category struct {
-		class   shuffle.SizeClass
-		m, n    int
-		perTask int64
-		proc    float64
-	}
-	cats := []category{
-		{shuffle.SmallShuffle, 60, 60, 256 << 20, 2},
-		{shuffle.MediumShuffle, 200, 200, 1 << 30, 2},
-		{shuffle.LargeShuffle, 1000, 1000, 1 << 30, 2},
-	}
+	classes := []shuffle.SizeClass{shuffle.SmallShuffle, shuffle.MediumShuffle, shuffle.LargeShuffle}
+	perTask := []int64{256 << 20, 1 << 30, 1 << 30} // bytes each map task writes
+	tasks, jobsPer := []int{60, 200, 1000}, 6       // map = reduce tasks, per class
 	if cfg.Reduced {
-		cats = []category{
-			{shuffle.SmallShuffle, 30, 30, 256 << 20, 2},
-			{shuffle.MediumShuffle, 150, 150, 1 << 30, 2},
-			{shuffle.LargeShuffle, 400, 400, 1 << 30, 2},
-		}
-	}
-	jobsPer := 6
-	if cfg.Reduced {
-		jobsPer = 2
+		tasks, jobsPer = []int{30, 150, 400}, 2
 	}
 	ccfg := cfg.cluster2000()
 	var cells []Fig12Cell
-	for _, cat := range cats {
+	for i, class := range classes {
 		times := make(map[shuffle.Mode]float64)
 		for _, mode := range []shuffle.Mode{shuffle.Direct, shuffle.Local, shuffle.Remote} {
 			var total float64
 			for k := 0; k < jobsPer; k++ {
-				job := trace.ShuffleCategoryJob(
-					cat.class.String()+"-"+mode.String()+"-"+string(rune('a'+k)),
-					cat.m, cat.n, cat.perTask, cat.proc)
+				job := trace.ShuffleCategoryJob(class.String()+"-"+mode.String()+"-"+string(rune('a'+k)), tasks[i], tasks[i], perTask[i], 2) // 2 s of processing a task
 				jr, _ := cfg.runOne(job, ccfg, baseline.FixedShuffle(mode), cfg.Seed+int64(k))
 				total += jr.Duration()
 			}
@@ -176,7 +139,7 @@ func Fig12ShuffleModes(cfg Config) []Fig12Cell {
 		}
 		base := times[shuffle.Direct]
 		for _, mode := range []shuffle.Mode{shuffle.Direct, shuffle.Local, shuffle.Remote} {
-			cells = append(cells, Fig12Cell{Class: cat.class, Mode: mode, Normalized: times[mode] / base})
+			cells = append(cells, Fig12Cell{Class: class, Mode: mode, Normalized: times[mode] / base})
 		}
 	}
 	return cells

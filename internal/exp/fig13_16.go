@@ -13,9 +13,6 @@ import (
 	"swift/internal/trace"
 )
 
-// Fig13Q13Detail returns the Fig. 13 job-detail table verbatim.
-func Fig13Q13Detail() []tpch.Q13Detail { return tpch.Q13Details() }
-
 // Fig14Row is one injection point of Fig. 14: a failure injected into TPC-H
 // Q13 at a normalised time, with the resulting job slowdown under Swift's
 // fine-grained recovery and under whole-job restart.
@@ -37,8 +34,7 @@ var Fig14Injections = []struct {
 
 // Fig14FaultInjection reproduces Fig. 14: the non-failure Q13 execution
 // time is the baseline (normalised to 100); one failure is injected per
-// run. Paper: Swift's slowdown stays under 10% for every injection, far
-// below job restart.
+// run. The paper's claims about both slowdowns are rows of Fidelity.
 func Fig14FaultInjection(cfg Config) []Fig14Row {
 	ccfg := cfg.cluster100()
 	clean, _ := cfg.runOne(tpch.Q13(), ccfg, baseline.Swift(), cfg.Seed)
@@ -77,9 +73,8 @@ func Fig14FaultInjection(cfg Config) []Fig14Row {
 // Fig15Result compares end-to-end trace execution with realistic failures
 // under Swift recovery vs job restart, normalised to the failure-free run.
 type Fig15Result struct {
-	BaselineNorm       float64 // always 100
-	SwiftSlowdownPct   float64 // paper: ≈5%
-	RestartSlowdownPct float64 // paper: ≈45%
+	SwiftSlowdownPct   float64
+	RestartSlowdownPct float64
 	SwiftQuartiles     metrics.Quartiles
 	RestartQuartiles   metrics.Quartiles
 }
@@ -167,7 +162,6 @@ func Fig15TraceFailures(cfg Config) Fig15Result {
 	sw, re := ratios(swiftDur), ratios(restartDur)
 	swQ, reQ := metrics.FourQuartiles(sw), metrics.FourQuartiles(re)
 	return Fig15Result{
-		BaselineNorm:       100,
 		SwiftSlowdownPct:   metrics.Mean(sw) - 100,
 		RestartSlowdownPct: metrics.Mean(re) - 100,
 		SwiftQuartiles:     swQ,
@@ -183,8 +177,8 @@ type Fig16Row struct {
 }
 
 // Fig16Scalability replays a fixed workload with growing executor counts
-// (10k → 140k), normalising end-to-end time to the 10k run. Paper: near-
-// linear scaling across the whole range.
+// (10k → 140k), normalising end-to-end time to the 10k run. The paper's
+// "near-linear" is a row of Fidelity.
 func Fig16Scalability(cfg Config) []Fig16Row {
 	counts := []int{10000, 20000, 40000, 80000, 140000}
 	jobs, scale, cap := 12000, 5.0, 90.0

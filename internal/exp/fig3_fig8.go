@@ -16,8 +16,8 @@ type Fig3Row struct {
 // Fig3IdleRatio measures the IdleRatio of trace jobs under whole-job gang
 // scheduling on four cluster profiles, reproducing Fig. 3. The paper's
 // clusters differ in workload mix; here each profile replays a trace with a
-// different seed (and thus job mix). Paper values: 3.81%, 13.15%, 14.45%,
-// 14.92%.
+// different seed (and thus job mix). The paper's values are rows of
+// Fidelity.
 func Fig3IdleRatio(cfg Config) []Fig3Row {
 	jobs := cfg.traceJobs(500)
 	if jobs < 150 {
@@ -57,18 +57,17 @@ func Fig3IdleRatio(cfg Config) []Fig3Row {
 // Fig8Stats summarises the generated production trace the way Fig. 8
 // characterises the real one.
 type Fig8Stats struct {
-	Jobs                int
+	Jobs                int // completed
+	Traced              int // in the trace
 	MeanRuntimeSec      float64
 	FracRuntimeUnder120 float64
 	FracTasksUnder80    float64
 	FracStagesUnder4    float64
-	RuntimeQuartiles    metrics.Quartiles
-	TaskQuartiles       metrics.Quartiles
 }
 
 // Fig8TraceCharacteristics replays the 2,000-job trace on Swift and reports
-// the measured job-runtime and size distributions. Paper: average runtime
-// 30 s, >90% under 120 s, >80% with ≤80 tasks and ≤4 stages.
+// the measured job-runtime and size distributions, which Fidelity holds to
+// the paper's.
 func Fig8TraceCharacteristics(cfg Config) Fig8Stats {
 	tr := trace.Generate(trace.Spec{Jobs: cfg.traceJobs(2000), Seed: cfg.Seed, ArrivalWindow: 500})
 	res := cfg.runTrace(tr, cfg.cluster100(), baseline.Swift(), cfg.Seed)
@@ -84,11 +83,10 @@ func Fig8TraceCharacteristics(cfg Config) Fig8Stats {
 	}
 	return Fig8Stats{
 		Jobs:                len(runtimes),
+		Traced:              len(tr.Jobs),
 		MeanRuntimeSec:      metrics.Mean(runtimes),
 		FracRuntimeUnder120: metrics.FractionBelow(runtimes, 120),
 		FracTasksUnder80:    metrics.FractionBelow(tasks, 80),
 		FracStagesUnder4:    metrics.FractionBelow(stages, 4),
-		RuntimeQuartiles:    metrics.FourQuartiles(runtimes),
-		TaskQuartiles:       metrics.FourQuartiles(tasks),
 	}
 }

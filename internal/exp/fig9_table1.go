@@ -20,7 +20,7 @@ type Fig9aRow struct {
 type Fig9aResult struct {
 	Rows []Fig9aRow
 	// TotalSpeedup is Σspark / Σswift, the paper's headline "total
-	// speedup of 2.11×".
+	// speedup" (a row of Fidelity).
 	TotalSpeedup float64
 	// GeoMeanSpeedup aggregates per-query speedups geometrically.
 	GeoMeanSpeedup float64
@@ -80,12 +80,10 @@ var Fig9bStages = []string{"M1", "J4", "M5", "J6", "J10", "R11", "R12"}
 func Fig9bQ9Phases(cfg Config) []Fig9bRow {
 	ccfg := cfg.cluster100()
 	var rows []Fig9bRow
-	for _, sys := range []struct {
-		name string
-	}{{"Swift"}, {"Spark"}} {
-		opts := baseline.Swift()
-		if sys.name == "Spark" {
-			opts = baseline.Spark()
+	for _, sys := range []string{"Swift", "Spark"} {
+		opts, err := baseline.System(sys)
+		if err != nil {
+			panic(err) // both names are known
 		}
 		jr, _ := cfg.runOne(tpch.Q9(), ccfg, opts, cfg.Seed)
 		for _, st := range Fig9bStages {
@@ -94,7 +92,7 @@ func Fig9bQ9Phases(cfg Config) []Fig9bRow {
 				continue
 			}
 			rows = append(rows, Fig9bRow{
-				Stage: st, System: sys.name,
+				Stage: st, System: sys,
 				Launch: p.Launch, Read: p.ShuffleRead,
 				Process: p.Process, Write: p.ShuffleWrite,
 			})
@@ -116,7 +114,7 @@ type Table1Row struct {
 var Table1Sizes = []int{250, 500, 1000, 1500}
 
 // Table1Terasort reproduces Table I: Terasort jobs of growing size on the
-// 100-node cluster. Paper speedups: 3.07, 3.96, 7.06, 14.18.
+// 100-node cluster. The paper's speedups are rows of Fidelity.
 func Table1Terasort(cfg Config) []Table1Row {
 	ccfg := cfg.cluster100()
 	sizes := Table1Sizes

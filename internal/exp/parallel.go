@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -75,10 +74,11 @@ func Sweep[T any](n, workers int, run func(i int) T) []T {
 
 // RunResult is one experiment's outcome in a RunAll sweep.
 type RunResult struct {
-	Name   string
-	Output string // the rendered paper-style report
-	Hash   uint64 // obs stream hash of every simulated run the experiment made
-	Err    error  // ErrUnknown for unregistered names, else the report error
+	Name     string
+	Output   string     // the rendered paper-style report
+	Fidelity []Measured // the experiment's Fidelity rows, read off Result
+	Hash     uint64     // obs stream hash of every simulated run the experiment made
+	Err      error      // ErrUnknown for an unregistered name
 }
 
 // RunAll executes the named experiments on a worker pool and returns their
@@ -97,11 +97,11 @@ func RunAll(names []string, cfg Config, workers int, hashes bool) []RunResult {
 		if hashes {
 			c.Obs = obs.New()
 		}
-		var buf bytes.Buffer
-		ok, err := Run(names[i], c, &buf)
+		run, ok := registry[names[i]]
 		if !ok {
-			err = fmt.Errorf("%w %q", ErrUnknown, names[i])
+			return RunResult{Name: names[i], Err: fmt.Errorf("%w %q", ErrUnknown, names[i])}
 		}
-		return RunResult{Name: names[i], Output: buf.String(), Hash: c.Obs.StreamHash(), Err: err}
+		result, report := run(c)
+		return RunResult{Name: names[i], Output: report.String(), Fidelity: measure(names[i], c, result), Hash: c.Obs.StreamHash()}
 	})
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"io"
-
 	"swift/internal/chaos"
 	"swift/internal/core"
 	"swift/internal/sim"
@@ -100,12 +98,8 @@ func ShuffleRecovery(cfg Config) []ShuffleRecoveryRow {
 	return rows
 }
 
-func reportShuffleRecovery(cfg Config, w io.Writer) error {
-	t := &Table{Title: "Shuffle recovery — recompute (R=1) vs replica failover (R=3) under machine loss",
-		Headers: []string{"policy", "replicas", "jobs", "completed", "replica_hits", "recomputes", "restarts", "last_finish_s", "mean_latency_s", "violations"}}
-	for _, r := range ShuffleRecovery(cfg) {
-		t.Add(r.Policy, r.Replicas, r.Jobs, r.Completed, r.ReplicaHits, r.Recomputes, r.Restarts, r.LastFinish, r.MeanLatency, r.Violations)
-	}
-	_, err := t.WriteTo(w)
-	return err
-}
+var reportShuffleRecovery = listReport("Shuffle recovery — recompute (R=1) vs replica failover (R=3) under machine loss",
+	[]string{"policy", "replicas", "jobs", "completed", "replica_hits", "recomputes", "restarts", "last_finish_s", "mean_latency_s", "violations"},
+	func(r ShuffleRecoveryRow) []any {
+		return []any{r.Policy, r.Replicas, r.Jobs, r.Completed, r.ReplicaHits, r.Recomputes, r.Restarts, r.LastFinish, r.MeanLatency, r.Violations}
+	})

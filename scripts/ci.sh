@@ -4,8 +4,9 @@
 # silenced, only fixed), the reachability census against its expected
 # output (scripts/census.sh), race-test everything (which includes the doc
 # gate, TestDocReferences in internal/lint: every backticked path and Go
-# name in DESIGN.md and README.md resolves, ROADMAP.md's paths exist, no
-# doc cites file.go:N, and DESIGN.md's package map is `go list ./...`),
+# name in DESIGN.md, README.md and EXPERIMENTS.md resolves, ROADMAP.md's
+# paths exist, no doc cites file.go:N, and DESIGN.md's package map is
+# `go list ./...`),
 # run the allocation
 # guards without the race detector (every testing.AllocsPerRun budget
 # skips itself under -race, so the race run alone enforces none of them;
@@ -124,7 +125,14 @@ fi
 
 echo "== shuffle recovery experiment smoke (replica arm strictly cheaper than recompute)"
 go run ./cmd/swiftbench -reduced -run shufflerecovery > "$TRACE_TMP/shufflerecovery.out"
-grep -q 'replica' "$TRACE_TMP/shufflerecovery.out"
+# Columns: policy replicas jobs completed replica_hits recomputes restarts
+# last_finish_s mean_latency_s violations. The replica arm must recompute
+# less and serve a lower mean latency, and neither arm may break an invariant.
+awk '$1 == "recompute" { rc = $6; rl = $9; rv = $10; n++ }
+     $1 == "replica" { pc = $6; pl = $9; pv = $10; n++ }
+     END { if (n != 2 || pc >= rc || pl >= rl || rv != 0 || pv != 0) {
+         printf "shuffle recovery: replica %s recomputes, %s s mean latency, %s violations; recompute %s, %s s, %s\n", pc, pl, pv, rc, rl, rv > "/dev/stderr"
+         exit 1 } }' "$TRACE_TMP/shufflerecovery.out"
 
 echo "== parallel sweep determinism smoke (per-seed obs hashes, serial vs parallel, seed 1 vs the pinned table)"
 SWEEP="fig3,fig9a,fig12,fig14,table1"
