@@ -10,11 +10,14 @@ import (
 )
 
 // harness drives a Controller from tests: it tracks running tasks from the
-// action stream and lets tests complete or fail them.
+// action stream and lets tests complete or fail them, and it tracks the
+// machines that are down — crashed through crash, or drained to read-only
+// by the health monitor — so readmit can bring them back.
 type harness struct {
 	t       *testing.T
 	c       *Controller
 	running map[TaskRef]ActStartTask
+	down    map[cluster.MachineID]bool
 	starts  []ActStartTask
 	resends []ActResend
 	events  []Action
@@ -22,8 +25,8 @@ type harness struct {
 
 func newHarness(t *testing.T, machines, execsPer int, opts Options) *harness {
 	cl := cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execsPer})
-	h := &harness{t: t, c: NewController(cl, opts), running: make(map[TaskRef]ActStartTask)}
-	return h
+	return &harness{t: t, c: NewController(cl, opts),
+		running: make(map[TaskRef]ActStartTask), down: make(map[cluster.MachineID]bool)}
 }
 
 func (h *harness) drain() {
@@ -39,6 +42,10 @@ func (h *harness) drain() {
 			}
 		case ActResend:
 			h.resends = append(h.resends, a)
+		case ActMachineReadOnly:
+			h.down[a.Machine] = true
+		case ActMachineHealthy:
+			delete(h.down, a.Machine)
 		}
 	}
 }
@@ -82,6 +89,35 @@ func (h *harness) fail(ref TaskRef, kind FailureKind) {
 	delete(h.running, ref)
 	h.c.TaskFailed(ref, a.Attempt, kind)
 	h.drain()
+}
+
+// crash fails a machine; the drained actions abort its running tasks.
+func (h *harness) crash(id cluster.MachineID) {
+	h.down[id] = true
+	h.c.MachineFailed(id)
+	h.drain()
+}
+
+// restart reports a fresh start of executor e, whose task died unaborted.
+func (h *harness) restart(e cluster.ExecutorID) {
+	for ref, a := range h.running {
+		if a.Executor == e {
+			delete(h.running, ref)
+		}
+	}
+	h.c.ExecutorRestarted(e)
+	h.drain()
+}
+
+// readmit brings every down machine back in id order, as simrun's
+// RebootMachine and RecoverMachine do once their delays have passed.
+func (h *harness) readmit() {
+	for id := range cluster.MachineID(h.c.Cluster().NumMachines()) {
+		if h.down[id] {
+			h.c.MachineRecovered(id)
+			h.drain()
+		}
+	}
 }
 
 func (h *harness) completed(job string) bool {
@@ -317,15 +353,15 @@ func TestNonIdempotentCascade(t *testing.T) {
 	h.fail(ref("j", "A", 0), FailCrash)
 	// A re-runs, finished B[0] re-runs (cascade), running B[1] and C[0]
 	// aborted and re-run.
-	wantRunning := map[TaskRef]bool{
-		ref("j", "A", 0): true, ref("j", "B", 0): true,
-		ref("j", "B", 1): true, ref("j", "C", 0): true,
+	wantRunning := map[TaskRef]int{ // task → attempt
+		ref("j", "A", 0): 2, ref("j", "B", 0): 2,
+		ref("j", "B", 1): 2, ref("j", "C", 0): 2,
 	}
 	if len(h.running) != len(wantRunning) {
 		t.Fatalf("running after cascade = %v", h.running)
 	}
-	for r := range wantRunning {
-		if _, ok := h.running[r]; !ok {
+	for r, attempt := range wantRunning {
+		if got, ok := h.running[r]; !ok || got.Attempt != attempt {
 			t.Errorf("missing relaunch of %s", r)
 		}
 	}
@@ -417,8 +453,7 @@ func TestMachineFailureRecoversRunningAndLostOutputs(t *testing.T) {
 	if len(h.running) != 2 {
 		t.Fatalf("B not started: %v", h.running)
 	}
-	h.c.MachineFailed(failedMachine)
-	h.drain()
+	h.crash(failedMachine)
 	// A[0]'s Cache Worker output was lost and B is not done consuming:
 	// A[0] must re-run. Any B task on the failed machine re-runs too.
 	if _, ok := h.running[ref("j", "A", 0)]; !ok {
@@ -450,8 +485,7 @@ func TestMachineFailureNoStepWhenConsumersDone(t *testing.T) {
 		t.Fatal("job should be done")
 	}
 	before := len(h.starts)
-	h.c.MachineFailed(machine)
-	h.drain()
+	h.crash(machine)
 	if len(h.starts) != before {
 		t.Error("machine failure after job completion triggered recovery")
 	}
@@ -500,9 +534,7 @@ func TestExecutorRestartedRecoversItsTask(t *testing.T) {
 	h := newHarness(t, 2, 2, DefaultOptions())
 	h.submit(pipelineJob("j", 1, 1))
 	a := h.running[ref("j", "A", 0)]
-	delete(h.running, ref("j", "A", 0))
-	h.c.ExecutorRestarted(a.Executor)
-	h.drain()
+	h.restart(a.Executor)
 	if got, ok := h.running[ref("j", "A", 0)]; !ok || got.Attempt != a.Attempt+1 {
 		t.Fatalf("task not recovered after executor restart: %v", h.running)
 	}

@@ -128,8 +128,7 @@ func TestRecoveryDeadlockBrokenByPreemption(t *testing.T) {
 	// The crash takes down A[0]'s buffered output and one B task; the
 	// surviving B task holds the only live executor while needing A's
 	// data, and A[0] needs an executor to regenerate it.
-	h.c.MachineFailed(mA)
-	h.drain()
+	h.crash(mA)
 	if _, ok := h.running[ref("j", "A", 0)]; !ok {
 		t.Fatal("producer A[0] not relaunched: consumers hold every executor and the scheduler is deadlocked")
 	}

@@ -183,8 +183,7 @@ func TestMachineFailedConsultsReplicas(t *testing.T) {
 	for _, replicas := range []int{1, 3} {
 		h, home := lossHarness(t, replicas)
 		before := len(h.starts)
-		h.c.MachineFailed(home)
-		h.drain()
+		h.crash(home)
 
 		wantRecomputes := 0
 		if replicas == 1 {

@@ -43,9 +43,8 @@ func ceilShare(x float64) int  { return int(math.Ceil(x - shareEps)) }
 
 // smallRound is how many queues (declared + live tenants) or tenants a
 // round handles on stack arrays; past it the scratch comes from the heap.
-// FairShare itself carries no scratch: a primary controller and its shadow
-// share one policy value (core.Failover builds the shadow from the caller's
-// options), and a policy is a pure function of its inputs.
+// FairShare itself carries no scratch: a policy is a pure function of its
+// inputs, so one value can serve any number of controllers.
 const smallRound = 8
 
 // sized returns buf[:n] when the caller's stack array covers n and a heap

@@ -30,6 +30,7 @@
 #   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFlowWire -fuzztime 30s
 #   go test ./internal/trace -fuzz FuzzTraceCodec -fuzztime 30s
+#   go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
 #
 # Usage: scripts/ci.sh [chaos-seeds]   (default 8)
 set -euo pipefail
@@ -179,6 +180,7 @@ echo "== fuzz targets build, import gates"
 go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
 go test -run '^$' -c -o /dev/null ./internal/trace/
+go test -run '^$' -c -o /dev/null ./internal/core/
 # The service edge stays one codec on the standard library: internal/rpc
 # imports nothing from the tree, and gob is a test oracle only.
 [ "$(go list -deps ./internal/rpc | grep '^swift/')" = "swift/internal/rpc" ] || { echo "internal/rpc imports from the tree" >&2; exit 1; }
