@@ -286,6 +286,17 @@ func Run(cfg Config) *Result {
 		aud.violate(end, "event budget of %d steps exhausted before the horizon: livelocked recovery loop", maxSteps)
 	}
 	aud.CheckNow(end)
+	// The driver's own ledger: every attempt it started has ended by the
+	// horizon, and no instant ran more attempts than the cluster has
+	// executors. An attempt the controller failed but the driver kept
+	// running shows up here.
+	series := runner.Results().ExecSeries
+	if pts := series.Points(); len(pts) > 0 && pts[len(pts)-1].V != 0 {
+		aud.violate(end, "running-executor series ends at %g, not 0", pts[len(pts)-1].V)
+	}
+	if peak, execs := series.Max(), cfg.Machines*cfg.ExecutorsPerMachine; peak > float64(execs) {
+		aud.violate(end, "running-executor series peaks at %g on %d executors", peak, execs)
+	}
 
 	// Bounded termination. Without admission control, every submitted job
 	// must be done or failed at the horizon. With it, the obligation moves

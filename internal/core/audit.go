@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"swift/internal/cluster"
+	"swift/internal/sched"
 )
 
 // This file is the controller's self-audit surface: deterministic
@@ -101,16 +103,17 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //   - recovery consistency: no stage with a pending consumer task has a
 //     producer task whose output is recorded lost but still marked done
 //     (the consumer would launch against data that no longer exists), and
-//     the controller's disordered-run counter — which gates the
-//     deadlock-breaking queue scan — matches the number of graphlet runs
-//     actually flagged disordered;
+//     the controller's disordered-run list — which the deadlock breaker
+//     visits — holds exactly the graphlet runs flagged disordered;
+//   - queue positions: every queue entry's run knows its position, and a
+//     live run that knows none has no entry;
 //   - tenant accounting: the O(delta) per-tenant counters behind
 //     TenantSnapshots match a full per-tenant recount of live jobs,
 //     task states and queue entries;
-//   - policy view: when the controller holds its kept view of the request
-//     queue to be valid (see Controller.itemsValid), a view built from
-//     scratch agrees with it entry for entry — a writer that changed what
-//     a policy would see without clearing the bit shows up here.
+//   - policy views: under any policy but FIFO, views built from scratch
+//     agree entry for entry with the kept queue view and gang list — a
+//     writer that changed what a policy would see without patching the
+//     view shows up here.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -239,6 +242,9 @@ func (c *Controller) CheckInvariants() []string {
 			if running != run.running {
 				v = append(v, fmt.Sprintf("%s: graphlet %d running counter %d != %d running tasks", jobID, g, run.running, running))
 			}
+			if (run.qpos >= 0) != (queued[g] > 0) {
+				v = append(v, fmt.Sprintf("%s: graphlet %d has queue position %d and %d queue entries", jobID, g, run.qpos-c.qoff, queued[g]))
+			}
 			total := 0
 			for _, n := range pendingInQueue[g] {
 				total += n
@@ -273,8 +279,18 @@ func (c *Controller) CheckInvariants() []string {
 	if busy := c.cl.BusyExecutors(); busy != totalRunning {
 		v = append(v, fmt.Sprintf("executor lease imbalance: cluster reports %d busy, controller runs %d tasks", busy, totalRunning))
 	}
-	if disordered != c.disorderedRuns {
-		v = append(v, fmt.Sprintf("disordered-run counter %d != %d flagged graphlet runs", c.disorderedRuns, disordered))
+	if disordered != len(c.disordered) {
+		v = append(v, fmt.Sprintf("disordered-run list holds %d runs, %d are flagged", len(c.disordered), disordered))
+	}
+	for _, d := range c.disordered {
+		if !d.m.gruns[d.g].disordered {
+			v = append(v, fmt.Sprintf("%s: graphlet %d on the disordered-run list but not flagged", d.m.job.ID, d.g))
+		}
+	}
+	for i, it := range c.queue {
+		if pos := it.m.gruns[it.g].qpos; pos != c.qoff+i {
+			v = append(v, fmt.Sprintf("%s: graphlet %d queued at %d thinks it is at %d", it.m.job.ID, it.g, i, pos-c.qoff))
+		}
 	}
 	// Per-tenant counters: every queue entry charges its job's tenant
 	// (entries of dead jobs are filtered by failJob/restartJob, so the
@@ -306,20 +322,49 @@ func (c *Controller) CheckInvariants() []string {
 			v = append(v, fmt.Sprintf("tenant %q counters %+v != recount %+v", name, have, want))
 		}
 	}
-	if c.itemsValid {
-		want, stale := c.buildItems(nil)
-		if len(c.items) != len(want) {
-			v = append(v, fmt.Sprintf("kept policy view holds %d entries for a queue of %d", len(c.items), len(want)))
-		} else {
-			for i := range want {
-				if c.items[i] != want[i] {
-					v = append(v, fmt.Sprintf("kept policy view entry %d is %+v, a rebuild says %+v", i, c.items[i], want[i]))
-					break
-				}
+	if !c.fifo {
+		v = append(v, c.checkViews()...)
+	}
+	return v
+}
+
+// checkViews compares the kept policy views with fresh builds.
+func (c *Controller) checkViews() []string {
+	var v []string
+	want, stale := c.buildItems()
+	if len(c.items) != len(want) {
+		v = append(v, fmt.Sprintf("kept policy view holds %d entries for a queue of %d", len(c.items), len(want)))
+	} else {
+		for i := range want {
+			if c.items[i] != want[i] {
+				v = append(v, fmt.Sprintf("kept policy view entry %d is %+v, a rebuild says %+v", i, c.items[i], want[i]))
+				break
 			}
 		}
-		if stale != c.staleItems {
-			v = append(v, fmt.Sprintf("kept policy view counts %d stale entries, a rebuild %d", c.staleItems, stale))
+	}
+	if stale != c.staleItems {
+		v = append(v, fmt.Sprintf("kept policy view counts %d stale entries, a rebuild %d", c.staleItems, stale))
+	}
+	var gangs []sched.Gang
+	var runs []*graphletRun
+	for _, m := range c.order {
+		for g, run := range m.gruns {
+			if run.running > 0 {
+				gangs = append(gangs, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
+					Graphlet: g, Running: run.running, Seq: m.seq})
+				runs = append(runs, run)
+			} else if run.gpos >= 0 {
+				v = append(v, fmt.Sprintf("%s: graphlet %d runs nothing but thinks it is gang %d", m.job.ID, g, run.gpos))
+			}
+		}
+	}
+	if !slices.Equal(gangs, c.gangs) || !slices.Equal(runs, c.gangRuns) {
+		v = append(v, fmt.Sprintf("kept gang list holds %d gangs, a rebuild %d, or they differ", len(c.gangs), len(gangs)))
+	}
+	for i, run := range c.gangRuns {
+		if run.gpos != i {
+			v = append(v, fmt.Sprintf("gang %s graphlet %d is at %d, its run says %d", c.gangs[i].Job, c.gangs[i].Graphlet, i, run.gpos))
+			break
 		}
 	}
 	return v

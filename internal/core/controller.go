@@ -77,6 +77,11 @@ type graphletRun struct {
 	// queue may no longer be in topological order and launch selection
 	// must scan for the most-upstream entry instead of popping the front.
 	disordered bool
+	// qpos is the run's position in the request queue, counted from the
+	// queue's first entry ever (Controller.qoff), or -1 while it has no
+	// entry. A run has at most one. gpos is its index in the kept gang
+	// list while it holds executors under a policy, else -1.
+	qpos, gpos int
 }
 
 type edgeKey struct{ from, to string }
@@ -138,24 +143,30 @@ func (m *monitor) ref(stage, index int) TaskRef {
 
 // Controller is the Swift Admin state machine.
 type Controller struct {
-	opts    Options
-	cl      *cluster.Cluster
-	jobs    map[string]*monitor
-	order   []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
-	queue   []reqItem  // graphlet resource requests (ReqItems), FIFO
+	opts  Options
+	cl    *cluster.Cluster
+	jobs  map[string]*monitor
+	order []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
+	queue []reqItem  // graphlet resource requests (ReqItems), FIFO
+	// qoff is the absolute position of queue[0]: dropping a served prefix
+	// advances it instead of renumbering every run behind (graphletRun.qpos)
+	// and every view entry (sched.Item.Index is the absolute position too).
+	qoff    int
 	actions []Action
 	// deferSchedule suppresses the resource loop while a batch of
 	// related failures is being processed (machine failure), so that
 	// recovery decisions see the full damage before relaunches begin.
 	deferSchedule bool
-	// disorderedRuns counts graphlet runs whose pending queue holds
-	// recovery-re-inserted tasks. Zero means no recovery is in flight
-	// anywhere, so the scheduler's deadlock check — an O(queue) scan — is
-	// skipped entirely on the hot fault-free path.
-	disorderedRuns int
+	// disordered lists the graphlet runs whose pending queue holds
+	// recovery-re-inserted tasks, in no particular order. Empty means no
+	// recovery is in flight anywhere, so the scheduler's deadlock check is
+	// skipped entirely on the hot fault-free path; otherwise it visits
+	// these runs, not the queue.
+	disordered []reqItem
 	// policy is the resolved scheduling policy (never nil); fifo caches
 	// whether it is the default sched.FIFO, which serveQueue and schedule
-	// use to skip policy-view construction entirely on the legacy path.
+	// use to take the fast path that never calls the policy, and which
+	// therefore keeps none of the policy's views.
 	policy sched.Policy
 	fifo   bool
 	// tenants holds per-tenant aggregate counters, maintained O(delta) at
@@ -171,24 +182,25 @@ type Controller struct {
 	// ("rerun" dispositions, replicated or not).
 	replicaHits int
 	recomputes  int
-	// The policy's view of the request queue, kept across rounds instead of
-	// rebuilt per round (see policyItems): items[i] describes queue[i],
-	// staleItems counts its entries with nothing launchable, and itemsValid
-	// says it still matches the queue. servePolicy patches the view for what
-	// it serves; every other writer of the queue, of a queued run's pending
-	// tasks or status, or of a job's failed/done flag clears itemsValid, and
-	// CheckInvariants compares a valid view against a fresh build.
+	// The policy's views, kept by deltas under any policy but FIFO (whose
+	// fast path reads neither): items[i] describes queue[i] and staleItems
+	// counts its entries with nothing launchable (see patchItem); gangs
+	// lists the graphlet runs holding executors by (admission seq,
+	// graphlet), the preemption candidates, and gangRuns[i] is the run
+	// behind gangs[i] (see syncGang). CheckInvariants compares both views
+	// with a fresh build.
 	items      []sched.Item
 	staleItems int
-	itemsValid bool
+	gangs      []sched.Gang
+	gangRuns   []*graphletRun
 	// Scratch the scheduling round reuses instead of allocating on every
-	// event: the other views handed to the policy (which may not retain
-	// them), the grant bookkeeping, and the deadlock breaker's per-stage
-	// marks.
-	gangs  []sched.Gang
-	served []bool
-	usage  []sched.TenantUsage
-	below  []bool
+	// event: the tenant view handed to the policy (which may not retain
+	// it), the grant bookkeeping, and the deadlock breaker's starved runs
+	// and per-stage marks.
+	served  []bool
+	usage   []sched.TenantUsage
+	starved []reqItem
+	below   []bool
 }
 
 // reqItem is one graphlet resource request. It points at the job's monitor
@@ -326,7 +338,7 @@ func (c *Controller) buildGraphletRuns(m *monitor) []*graphletRun {
 				tasks += len(st.status)
 			}
 		}
-		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks), gang: g.Gang}
+		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks), gang: g.Gang, qpos: -1, gpos: -1}
 		for si, st := range m.stages {
 			if st.graphlet != g.Index {
 				continue
@@ -369,15 +381,11 @@ func (c *Controller) enqueueReady(m *monitor) {
 }
 
 // requeue re-registers a graphlet that needs more executors (recovery or a
-// pool shrunk by machine failure).
+// pool shrunk by machine failure). A run has at most one queue entry, and
+// one still queued — stale or not — keeps its place.
 func (c *Controller) requeue(m *monitor, g int) {
-	run := m.gruns[g]
-	if run.status == gQueued {
-		for _, it := range c.queue {
-			if it.m == m && it.g == g {
-				return
-			}
-		}
+	if m.gruns[g].qpos >= 0 {
+		return
 	}
 	c.enqueue(m, g)
 }
@@ -386,10 +394,48 @@ func (c *Controller) requeue(m *monitor, g int) {
 func (c *Controller) enqueue(m *monitor, g int) {
 	run := m.gruns[g]
 	run.status = gQueued
+	run.qpos = c.qoff + len(c.queue)
 	c.queue = append(c.queue, reqItem{m: m, g: g})
-	c.itemsValid = false
+	if !c.fifo {
+		c.items = append(c.items, c.viewItem(len(c.queue)-1))
+		if c.items[len(c.items)-1].Pending == 0 {
+			c.staleItems++
+		}
+	}
 	m.tc.Queued++
 	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
+}
+
+// move shifts the queue entry at position from to position to, where
+// the caller has made room; the entry's run follows it, and so does its
+// view entry under a policy.
+func (c *Controller) move(from, to int) {
+	it := c.queue[from]
+	c.queue[to] = it
+	it.m.gruns[it.g].qpos = c.qoff + to
+	if !c.fifo {
+		c.items[to] = c.items[from]
+		c.items[to].Index = c.qoff + to
+	}
+}
+
+// drop retires the queue entry at position i; the caller compacts the
+// queue over it.
+func (c *Controller) drop(i int) {
+	it := c.queue[i]
+	it.m.gruns[it.g].qpos = -1
+	it.m.tc.Queued--
+	if !c.fifo && c.items[i].Pending == 0 {
+		c.staleItems--
+	}
+}
+
+// truncate cuts the queue, and the view with it, to its first n entries.
+func (c *Controller) truncate(n int) {
+	c.queue = c.queue[:n]
+	if !c.fifo {
+		c.items = c.items[:n]
+	}
 }
 
 // maxPreemptRounds bounds policy preemptions per scheduling round; each
@@ -433,7 +479,7 @@ func (c *Controller) schedule() {
 			if free < freeBefore {
 				continue
 			}
-			if c.disorderedRuns != 0 && c.breakDeadlock() {
+			if len(c.disordered) != 0 && c.breakDeadlock() {
 				continue
 			}
 			return
@@ -441,7 +487,7 @@ func (c *Controller) schedule() {
 		// A dry pool with waiting requests is the normal saturated state;
 		// it can only be a deadlock when recovery has re-pended work
 		// somewhere (a disordered run), so the scan is gated on that.
-		if c.disorderedRuns != 0 && c.breakDeadlock() {
+		if len(c.disordered) != 0 && c.breakDeadlock() {
 			continue
 		}
 		if c.fifo || preempts >= maxPreemptRounds || !c.preemptRound() {
@@ -487,17 +533,22 @@ func (c *Controller) serveFIFO() {
 			break
 		}
 		item := c.queue[i]
-		if c.serveItem(item, 0) {
-			if w != i {
-				c.queue[w] = item
-			}
-			w++
-			if item.m.gruns[item.g].gang {
-				i++
-				break // head-of-line blocking: nothing behind is served
-			}
-		} else {
-			item.m.tc.Queued--
+		if !c.serveItem(item, 0) {
+			c.drop(i)
+			continue
+		}
+		if w != i {
+			c.move(i, w)
+		}
+		run := item.m.gruns[item.g]
+		if !c.fifo {
+			// A round the policy deferred: keep its view in step.
+			c.items[w].Pending = len(run.pending)
+		}
+		w++
+		if run.gang {
+			i++
+			break // head-of-line blocking: nothing behind is served
 		}
 	}
 	switch {
@@ -507,9 +558,16 @@ func (c *Controller) serveFIFO() {
 		// Every visited entry was served: drop the prefix without moving
 		// the (possibly thousands deep) tail.
 		c.queue = c.queue[i:]
+		c.qoff += i
+		if !c.fifo {
+			c.items = c.items[i:]
+		}
 	default:
-		w += copy(c.queue[w:], c.queue[i:])
-		c.queue = c.queue[:w]
+		for ; i < len(c.queue); i++ {
+			c.move(i, w)
+			w++
+		}
+		c.truncate(w)
 	}
 }
 
@@ -584,10 +642,16 @@ func (c *Controller) takePending(run *graphletRun) taskID {
 	p[best] = p[0]
 	run.pending = p[1:]
 	if run.disordered && len(run.pending) == 0 {
-		run.disordered = false
-		c.disorderedRuns--
+		c.clearDisordered(run)
 	}
 	return id
+}
+
+// clearDisordered takes a run off the disordered list: its pending queue
+// emptied, or its job is being discarded.
+func (c *Controller) clearDisordered(run *graphletRun) {
+	run.disordered = false
+	c.disordered = slices.DeleteFunc(c.disordered, func(d reqItem) bool { return d.m.gruns[d.g] == run })
 }
 
 // breakDeadlock resolves the one stall the resource loop cannot serve its
@@ -605,16 +669,26 @@ func (c *Controller) takePending(run *graphletRun) taskID {
 // non-idempotent victim cascades exactly like a failed one. Returns
 // whether a task was preempted (i.e. an executor may have been freed).
 func (c *Controller) breakDeadlock() bool {
-	for qi, item := range c.queue {
+	// Every deadlock starves a recovery-re-pended producer, and
+	// re-insertion marks its run disordered — ordered runs cannot be the
+	// blocked side of a deadlock. So only the queued disordered runs are
+	// examined, in queue order. A victim is a running task of the same
+	// job: a job reclaimed down to nothing running stays queued and
+	// disordered round after round, and is passed over here.
+	c.starved = c.starved[:0]
+	for _, d := range c.disordered {
+		m, run := d.m, d.m.gruns[d.g]
+		if run.qpos >= 0 && run.status == gQueued && len(run.pending) > 0 && !m.failed && !m.done &&
+			slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
+			c.starved = append(c.starved, d)
+		}
+	}
+	if len(c.starved) > 1 {
+		slices.SortFunc(c.starved, func(a, b reqItem) int { return a.m.gruns[a.g].qpos - b.m.gruns[b.g].qpos })
+	}
+	for _, item := range c.starved {
 		m := item.m
 		run := m.gruns[item.g]
-		if !run.disordered || run.status != gQueued || len(run.pending) == 0 || m.failed || m.done {
-			// Every deadlock starves a recovery-re-pended producer, and
-			// re-insertion marks its run disordered — ordered runs cannot
-			// be the blocked side of a deadlock. Skipping them costs two
-			// loads; only a queued disordered run is examined.
-			continue
-		}
 		vs, vi := c.deadlockVictim(m, run)
 		if vs < 0 {
 			continue
@@ -630,9 +704,19 @@ func (c *Controller) breakDeadlock() bool {
 		// Serve the starved producer first: each preemption then launches
 		// a task strictly upstream of its victim, which bounds the number
 		// of preemptions one scheduling round can perform.
-		copy(c.queue[1:qi+1], c.queue[:qi])
-		c.queue[0] = item
-		c.itemsValid = false
+		qi := run.qpos - c.qoff
+		var view sched.Item
+		if !c.fifo {
+			view = c.items[qi]
+		}
+		for k := qi; k > 0; k-- {
+			c.move(k-1, k)
+		}
+		c.queue[0], run.qpos = item, c.qoff
+		if !c.fifo {
+			view.Index = c.qoff
+			c.items[0] = view
+		}
 		return true
 	}
 	return false
@@ -644,12 +728,6 @@ func (c *Controller) breakDeadlock() bool {
 // actually repool (healthy machine). It returns (-1, -1) when nothing
 // below is running.
 func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index int) {
-	// A victim is a running task. A job reclaimed down to nothing running
-	// stays queued and disordered round after round; it is turned away here,
-	// before the closure below is built for it again.
-	if !slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
-		return -1, -1
-	}
 	// Stages strictly downstream of a pending stage. Topological order
 	// makes one forward sweep a transitive closure: a stage is below if
 	// any producer is pending in this run or itself below.
@@ -701,6 +779,7 @@ func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.E
 	st.attempt[i]++
 	st.started[i] = true
 	run.running++
+	c.syncGang(m, st.graphlet)
 	c.snapDelta(m, -1, 1, 0)
 	ref := TaskRef{Job: m.job.ID, Stage: st.spec.Name, Index: i}
 	c.emit(ActStartTask{
@@ -758,12 +837,11 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	// monitor's contract (Section IV-A), so those slots are released
 	// instead and the graphlet asks the scheduler for replacements.
 	if len(run.pending) > 0 && c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Healthy {
-		if run.status == gQueued {
-			c.itemsValid = false // its queue entry's Pending moves behind servePolicy's back
-		}
 		c.launch(m, run, c.takePending(run), e)
+		c.patchItem(run) // its queue entry's Pending moves behind servePolicy's back
 	} else {
 		c.cl.ReleaseOne(e)
+		c.syncGang(m, st.graphlet)
 		if len(run.pending) > 0 {
 			c.requeue(m, st.graphlet)
 		} else if run.running == 0 && run.status != gDone {
@@ -786,7 +864,9 @@ func (c *Controller) checkJobDone(m *monitor) {
 		}
 	}
 	m.done = true
-	c.itemsValid = false
+	for _, run := range m.gruns {
+		c.patchItem(run) // a dead job's entries are stale
+	}
 	c.snapClose(m)
 	c.emit(ActJobCompleted{Job: m.job.ID})
 }

@@ -6,6 +6,7 @@ import (
 
 	"swift/internal/cluster"
 	"swift/internal/dag"
+	"swift/internal/sched"
 	"swift/internal/shuffle"
 )
 
@@ -250,11 +251,14 @@ func TestGangUnitWaitsForFullAllocation(t *testing.T) {
 }
 
 // The live-job order is what every sweep walks — recovery's eachLiveTask on
-// each machine, Cache Worker or executor loss, policyGangs on each preempt
-// round, LiveJobs, CheckInvariants — so it must shrink as jobs retire, or an
-// always-on controller pays for every job it ever ran.
+// each machine, Cache Worker or executor loss, LiveJobs, CheckInvariants —
+// so it must shrink as jobs retire, or an always-on controller pays for
+// every job it ever ran. The gang list a policy's preempt round reads
+// (c.gangs; FIFO keeps none) must shrink with it.
 func TestOrderHoldsLiveJobsOnly(t *testing.T) {
-	h := newHarness(t, 4, 4, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
+	h := newHarness(t, 4, 4, opts)
 	for _, id := range []string{"j0", "j1", "j2", "j3", "j4"} {
 		h.submit(pipelineJob(id, 1, 1))
 	}
@@ -281,11 +285,11 @@ func TestOrderHoldsLiveJobsOnly(t *testing.T) {
 		t.Errorf("eachLiveTask walked %v, want %v", walked, want)
 	}
 	var ganged []string
-	for _, g := range h.c.policyGangs() {
+	for _, g := range h.c.gangs {
 		ganged = append(ganged, g.Job)
 	}
 	if !slices.Equal(ganged, want) {
-		t.Errorf("policyGangs walked %v, want %v", ganged, want)
+		t.Errorf("the gang list holds %v, want %v", ganged, want)
 	}
 	if v := h.c.CheckInvariants(); len(v) > 0 {
 		t.Errorf("invariants: %v", v)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"swift/internal/sched"
 )
 
@@ -9,43 +11,56 @@ import (
 // executes JobOrder grant plans against the executor pool, and turns
 // Preempt victims into whole-graphlet reclaims using the same per-task
 // machinery as the deadlock breaker (abort → release → re-pend → cascade
-// → requeue). The FIFO fast path in serveFIFO never enters this file.
+// → requeue). The views are kept by deltas as the controller's state
+// changes; the FIFO fast path in serveFIFO keeps none of them.
 
-// policyItems returns the policy's view of the request queue. The view is
-// state the controller keeps: a round that finds it valid reuses it as is,
-// and only a round after some other writer touched the queue (see
-// Controller.itemsValid) pays the O(queue) rebuild. Like every view handed
-// to a policy it is controller-owned scratch the policy may not retain.
-func (c *Controller) policyItems() []sched.Item {
-	if !c.itemsValid {
-		c.items, c.staleItems = c.buildItems(c.items)
-		c.itemsValid = true
+// viewItem is the policy's view of queue entry i. Entries whose job left
+// the live set or whose graphlet is no longer actually queued carry
+// Pending 0; policies skip them and servePolicy's sweep retires them
+// exactly as the FIFO walk would.
+func (c *Controller) viewItem(i int) sched.Item {
+	it := c.queue[i]
+	m := it.m
+	pi := sched.Item{Index: c.qoff + i, Job: m.job.ID, Graphlet: it.g}
+	if !m.failed && !m.done {
+		pi.Tenant, pi.Seq = m.tenant, m.seq
+		if run := m.gruns[it.g]; run.status == gQueued {
+			pi.Pending = len(run.pending)
+		}
 	}
-	return c.items
+	return pi
 }
 
-// buildItems flattens the request queue into dst and counts the entries
-// with nothing launchable. Entries whose job left the live set or whose
-// graphlet is no longer actually queued carry Pending 0; policies skip them
-// and servePolicy's sweep retires them exactly as the FIFO walk would.
-func (c *Controller) buildItems(dst []sched.Item) (items []sched.Item, stale int) {
-	dst = resized(dst, len(c.queue))
-	for i, it := range c.queue {
-		m := it.m
-		pi := &dst[i]
-		pi.Index, pi.Job, pi.Graphlet = i, m.job.ID, it.g
-		if !m.failed && !m.done {
-			pi.Tenant = m.tenant
-			pi.Seq = m.seq
-			if run := m.gruns[it.g]; run.status == gQueued {
-				pi.Pending = len(run.pending)
-			}
-		}
-		if pi.Pending == 0 {
+// patchItem re-derives the kept view's entry of a run whose pending
+// tasks, status or job changed outside servePolicy, keeping the stale
+// count in step. A run with no queue entry, or a controller on the FIFO
+// fast path, has nothing to patch.
+func (c *Controller) patchItem(run *graphletRun) {
+	if c.fifo || run.qpos < 0 {
+		return
+	}
+	i := run.qpos - c.qoff
+	was := c.items[i].Pending
+	c.items[i] = c.viewItem(i)
+	switch now := c.items[i].Pending; {
+	case was != 0 && now == 0:
+		c.staleItems++
+	case was == 0 && now != 0:
+		c.staleItems--
+	}
+}
+
+// buildItems flattens the request queue into a fresh view and counts the
+// entries with nothing launchable: what the kept view must equal.
+func (c *Controller) buildItems() (items []sched.Item, stale int) {
+	items = make([]sched.Item, len(c.queue))
+	for i := range c.queue {
+		items[i] = c.viewItem(i)
+		if items[i].Pending == 0 {
 			stale++
 		}
 	}
-	return dst, stale
+	return items, stale
 }
 
 // resized returns s with length n and every element zeroed, reusing its
@@ -60,20 +75,43 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-// policyGangs flattens every graphlet currently holding executors, in
-// submission order — the preemption candidate set — into scratch the next
-// call overwrites.
-func (c *Controller) policyGangs() []sched.Gang {
-	c.gangs = c.gangs[:0]
-	for _, m := range c.order {
-		for g, run := range m.gruns {
-			if run.running > 0 {
-				c.gangs = append(c.gangs, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
-					Graphlet: g, Running: run.running, Seq: m.seq})
+// syncGang brings the kept gang list up to date after graphlet g's running
+// count changed. While the run holds executors only its Running count
+// moves; a run that starts holding them is inserted in (admission seq,
+// graphlet) order, one that stops is removed, and either way the runs
+// behind it learn their new index. The FIFO fast path never preempts and
+// keeps none.
+func (c *Controller) syncGang(m *monitor, g int) {
+	run := m.gruns[g]
+	switch {
+	case c.fifo:
+	case run.gpos >= 0 && run.running > 0:
+		c.gangs[run.gpos].Running = run.running
+	case run.running > 0:
+		i, _ := slices.BinarySearchFunc(c.gangs, sched.Gang{Seq: m.seq, Graphlet: g}, func(a, b sched.Gang) int {
+			if a.Seq != b.Seq {
+				return a.Seq - b.Seq
 			}
-		}
+			return a.Graphlet - b.Graphlet
+		})
+		c.gangs = slices.Insert(c.gangs, i, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
+			Graphlet: g, Running: run.running, Seq: m.seq})
+		c.gangRuns = slices.Insert(c.gangRuns, i, run)
+		c.renumberGangs(i)
+	case run.gpos >= 0:
+		i := run.gpos
+		run.gpos = -1
+		c.gangs = slices.Delete(c.gangs, i, i+1)
+		c.gangRuns = slices.Delete(c.gangRuns, i, i+1)
+		c.renumberGangs(i)
 	}
-	return c.gangs
+}
+
+// renumberGangs tells the runs from gang-list index i on where they are.
+func (c *Controller) renumberGangs(i int) {
+	for ; i < len(c.gangRuns); i++ {
+		c.gangRuns[i].gpos = i
+	}
 }
 
 // policyView assembles the cluster/tenant state policies decide against.
@@ -86,8 +124,8 @@ func (c *Controller) policyView() sched.View {
 }
 
 // usageSnapshots projects the per-tenant counters into the policy's usage
-// struct, sorted by tenant name (the View contract). Like policyItems the
-// result is scratch the next call overwrites.
+// struct, sorted by tenant name (the View contract). The result is
+// scratch the next call overwrites.
 func (c *Controller) usageSnapshots() []sched.TenantUsage {
 	if len(c.tenantList) == 0 {
 		return nil
@@ -103,7 +141,7 @@ func (c *Controller) usageSnapshots() []sched.TenantUsage {
 // servePolicy serves one scheduling round under a non-FIFO policy: ask
 // JobOrder for a grant plan, execute it against the pool, then compact
 // the queue. A nil plan falls back to the FIFO walk, so a policy can
-// defer rounds it has no opinion on.
+// defer rounds it has no opinion on; the walk keeps the view in step too.
 //
 // The round keeps the policy view current as it goes — it patches Pending
 // for the entries it serves and compacts c.items in step with c.queue — so
@@ -111,11 +149,10 @@ func (c *Controller) usageSnapshots() []sched.TenantUsage {
 // that drops nothing leaves the queue untouched, and the sweep for stale
 // entries runs only when the view says there is one.
 func (c *Controller) servePolicy() {
-	items := c.policyItems()
+	items := c.items
 	grants := c.policy.JobOrder(items, c.policyView())
 	if grants == nil {
 		c.serveFIFO()
-		c.itemsValid = false
 		return
 	}
 	c.served = resized(c.served, len(c.queue))
@@ -125,17 +162,18 @@ func (c *Controller) servePolicy() {
 		if c.cl.FreeExecutors() == 0 {
 			break
 		}
-		if g.Index < 0 || g.Index >= len(served) || served[g.Index] {
+		i := g.Index - c.qoff
+		if i < 0 || i >= len(served) || served[i] {
 			continue
 		}
-		it := c.queue[g.Index]
+		it := c.queue[i]
 		if c.serveItem(it, g.Cap) {
 			// Still queued: serveItem keeps only a live, queued run with
 			// tasks left over.
-			items[g.Index].Pending = len(it.m.gruns[it.g].pending)
+			items[i].Pending = len(it.m.gruns[it.g].pending)
 		} else {
-			served[g.Index] = true
-			first = min(first, g.Index)
+			served[i] = true
+			first = min(first, i)
 		}
 	}
 	// Compact: drop entries the grants consumed. When executors remain —
@@ -149,27 +187,23 @@ func (c *Controller) servePolicy() {
 	}
 	w := first
 	for i := first; i < len(c.queue); i++ {
-		it, stale := c.queue[i], items[i].Pending == 0
+		it := c.queue[i]
 		switch {
 		case served[i]:
-		case sweep && stale:
+		case sweep && items[i].Pending == 0:
 			// Retired unvisited; a live run still marked queued has simply
 			// run out of pending tasks.
 			if m := it.m; !m.failed && !m.done && m.gruns[it.g].status == gQueued {
 				m.gruns[it.g].status = gRunning
 			}
 		default:
-			c.queue[w], items[w] = it, items[i]
-			items[w].Index = w
+			c.move(i, w)
 			w++
 			continue
 		}
-		if stale {
-			c.staleItems--
-		}
-		it.m.tc.Queued--
+		c.drop(i)
 	}
-	c.queue, c.items = c.queue[:w], items[:w]
+	c.truncate(w)
 }
 
 // preemptRound asks the policy for graphlet victims when the pool is dry
@@ -179,9 +213,8 @@ func (c *Controller) servePolicy() {
 // rounds that actually preempt, so non-preempting runs keep their event
 // streams (and hashes) unchanged.
 func (c *Controller) preemptRound() bool {
-	items := c.policyItems()
 	view := c.policyView()
-	victims := c.policy.Preempt(items, c.policyGangs(), view)
+	victims := c.policy.Preempt(c.items, c.gangs, view)
 	if len(victims) == 0 {
 		return false
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,20 +20,16 @@ func tenantJob(tenant, id string, aTasks, bTasks int) *dag.Job {
 // requeues), task failure (requeue, or restartJob under JobRestart),
 // cancellation and a machine failure under fair share, with CheckInvariants
 // — which rebuilds the view and compares — after every event. A writer that
-// forgets to clear itemsValid fails here by name.
+// forgets to patch the view fails here by name.
 func TestKeptPolicyViewAuditedThroughRecovery(t *testing.T) {
 	for _, recovery := range []RecoveryPolicy{FineGrained, JobRestart} {
 		opts := DefaultOptions()
 		opts.Recovery = recovery
 		opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
 		h := newHarness(t, 2, 4, opts)
-		audited := 0
 		check := func(stage string) {
 			t.Helper()
 			h.drain()
-			if h.c.itemsValid {
-				audited++
-			}
 			if v := h.c.CheckInvariants(); len(v) > 0 {
 				t.Fatalf("recovery %v, %s: %v", recovery, stage, v)
 			}
@@ -70,9 +67,6 @@ func TestKeptPolicyViewAuditedThroughRecovery(t *testing.T) {
 			}
 			check("drain")
 		}
-		if audited == 0 {
-			t.Fatalf("recovery %v: the kept view was never valid at a check, so nothing was audited", recovery)
-		}
 		for _, j := range []string{"a1", "a2", "a3", "b1"} {
 			if !h.completed(j) {
 				t.Errorf("recovery %v: %s not completed", recovery, j)
@@ -81,16 +75,17 @@ func TestKeptPolicyViewAuditedThroughRecovery(t *testing.T) {
 	}
 }
 
-// A kept view that no longer matches the queue while itemsValid still says
-// it does is a named invariant violation, whichever way it went wrong.
+// A kept view that no longer matches the queue is a named invariant
+// violation, whichever way it went wrong; under FIFO there is no view to
+// audit.
 func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
 	h := newHarness(t, 1, 2, opts)
 	h.submit(tenantJob("a", "a1", 3, 1))
 	h.submit(tenantJob("a", "a2", 1, 1))
-	if !h.c.itemsValid || len(h.c.items) != 2 {
-		t.Fatalf("want a valid kept view of both queued requests, have valid=%v %+v", h.c.itemsValid, h.c.items)
+	if len(h.c.items) != 2 {
+		t.Fatalf("want a kept view of both queued requests, have %+v", h.c.items)
 	}
 	expect := func(want string) {
 		t.Helper()
@@ -99,7 +94,7 @@ func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
 			t.Fatalf("violations = %q, want exactly one containing %q", v, want)
 		}
 	}
-	// A queued run's pending count moved without the bit being cleared.
+	// A queued run's pending count moved without its entry being patched.
 	h.c.items[0].Pending++
 	expect("kept policy view entry 0 is")
 	h.c.items[0].Pending--
@@ -111,14 +106,21 @@ func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
 	h.c.items = h.c.items[:1]
 	expect("kept policy view holds 1 entries for a queue of 2")
 	h.c.items = h.c.items[:2]
+	// A gang's running count moved without its entry being synced.
+	h.c.gangs[0].Running++
+	expect("kept gang list holds 1 gangs, a rebuild 1, or they differ")
+	h.c.gangs[0].Running--
 	if v := h.c.CheckInvariants(); len(v) > 0 {
 		t.Fatalf("restored view still violates: %v", v)
 	}
-	// Clearing the bit is all a writer owes: an invalid view is not compared.
-	h.c.items[0].Pending++
-	h.c.itemsValid = false
-	if v := h.c.CheckInvariants(); len(v) > 0 {
-		t.Fatalf("invalidated view still audited: %v", v)
+
+	fifo := newHarness(t, 1, 2, DefaultOptions())
+	fifo.submit(tenantJob("a", "a1", 3, 1))
+	if len(fifo.c.items) != 0 || len(fifo.c.gangs) != 0 {
+		t.Fatalf("the FIFO fast path keeps views: %d items, %d gangs", len(fifo.c.items), len(fifo.c.gangs))
+	}
+	if v := fifo.c.CheckInvariants(); len(v) > 0 {
+		t.Fatalf("FIFO audited against views it does not keep: %v", v)
 	}
 }
 
@@ -136,25 +138,135 @@ func (p *deferringPolicy) JobOrder(items []sched.Item, view sched.View) []sched.
 	return p.FairShare.JobOrder(items, view)
 }
 
-// A round the policy defers is served by the FIFO walk, which edits the
-// queue without the view: the view must not outlive it.
-func TestDeferredRoundInvalidatesKeptView(t *testing.T) {
-	opts := DefaultOptions()
-	policy := &deferringPolicy{FairShare: sched.NewFairShare(sched.FairShareConfig{})}
-	opts.Policy = policy
-	h := newHarness(t, 1, 2, opts)
-	h.submit(tenantJob("a", "a1", 1, 1))
-	h.submit(tenantJob("a", "a2", 1, 1))
-	if !h.c.itemsValid || h.c.QueueLen() != 1 {
-		t.Fatalf("want a2 queued behind a full pool under a valid view, have valid=%v queue=%d", h.c.itemsValid, h.c.QueueLen())
+// TestKeptViewPatchedAtEverySite drives each controller path that used to
+// throw the kept view away — it patches the view in place now — and holds
+// the result to a fresh build after the event. Each case also checks that
+// the event really went through its site.
+func TestKeptViewPatchedAtEverySite(t *testing.T) {
+	fair := func() Options {
+		opts := DefaultOptions()
+		opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
+		return opts
 	}
-	policy.deferred = true
-	h.finish(ref("a1", "A", 0))
-	h.finish(ref("a1", "B", 0)) // the FIFO walk launches a2 and drops its entry
-	if h.c.QueueLen() != 0 {
-		t.Fatalf("deferred round left %d requests queued", h.c.QueueLen())
+	// item returns the view entry of a job's graphlet, failing if absent.
+	item := func(t *testing.T, h *harness, job string, g int) sched.Item {
+		t.Helper()
+		for _, it := range h.c.items {
+			if it.Job == job && it.Graphlet == g {
+				return it
+			}
+		}
+		t.Fatalf("%s graphlet %d has no view entry in %+v", job, g, h.c.items)
+		return sched.Item{}
 	}
-	if v := h.c.CheckInvariants(); len(v) > 0 {
-		t.Fatalf("after a deferred round: %v", v)
+	same := func(t *testing.T, h *harness, site string) {
+		t.Helper()
+		want, stale := h.c.buildItems()
+		if !slices.Equal(h.c.items, want) || h.c.staleItems != stale {
+			t.Fatalf("%s: kept view %+v (%d stale), a rebuild %+v (%d stale)", site, h.c.items, h.c.staleItems, want, stale)
+		}
+		if v := h.c.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("%s: %v", site, v)
+		}
 	}
+
+	t.Run("enqueue", func(t *testing.T) {
+		h := newHarness(t, 1, 2, fair())
+		h.submit(tenantJob("a", "a1", 2, 1)) // fills both executors, one task waits
+		h.submit(tenantJob("b", "b1", 1, 1)) // onto a dry pool
+		if it := item(t, h, "b1", 0); it.Pending != 2 || it.Tenant != "b" {
+			t.Fatalf("b1's request is %+v, want 2 pending for tenant b", it)
+		}
+		same(t, h, "enqueue")
+	})
+	t.Run("markPending", func(t *testing.T) {
+		h := newHarness(t, 1, 2, fair())
+		h.submit(tenantJob("a", "a1", 3, 1)) // 2 of 4 launched, 2 pending
+		h.finish(ref("a1", "A", 0))          // reuse: A[2] launches, B[0] waits
+		// The lost output is still needed by pending B[0]: A[0] re-pends
+		// while both executors stay busy, so no round patches it after.
+		h.c.TaskOutputLost(ref("a1", "A", 0))
+		h.drain()
+		if it := item(t, h, "a1", 0); it.Pending != 2 {
+			t.Fatalf("a1's request is %+v after a lost output, want 2 pending", it)
+		}
+		same(t, h, "markPending")
+	})
+	t.Run("TaskFinished reuse", func(t *testing.T) {
+		h := newHarness(t, 1, 2, fair())
+		h.submit(tenantJob("a", "a1", 3, 1))
+		h.finish(ref("a1", "A", 0)) // the freed executor goes straight to A[2]
+		if it := item(t, h, "a1", 0); it.Pending != 1 {
+			t.Fatalf("a1's request is %+v after a reuse, want 1 pending", it)
+		}
+		same(t, h, "TaskFinished reuse")
+	})
+	t.Run("checkJobDone", func(t *testing.T) {
+		h := newHarness(t, 1, 2, fair())
+		h.submit(tenantJob("a", "a1", 2, 1)) // A launches, B waits
+		h.submit(tenantJob("a", "a2", 1, 1)) // queued behind a dry pool
+		h.finish(ref("a1", "A", 0))          // reuse: B[0] takes the last pending task
+		if it := item(t, h, "a1", 0); it.Pending != 0 {
+			t.Fatalf("a1's request is %+v, want a stale entry", it)
+		}
+		h.finish(ref("a1", "A", 1))
+		// a1 completes with its stale entry queued; a2's grant takes the
+		// freed executor, so no sweep retires the entry this round.
+		h.finish(ref("a1", "B", 0))
+		if !h.completed("a1") {
+			t.Fatal("a1 did not complete")
+		}
+		if it := item(t, h, "a1", 0); it.Tenant != "" {
+			t.Fatalf("a1's entry is %+v after completion, want a dead job's", it)
+		}
+		same(t, h, "checkJobDone")
+	})
+	t.Run("dequeueJob", func(t *testing.T) {
+		h := newHarness(t, 1, 2, fair())
+		h.submit(tenantJob("a", "a1", 2, 1))
+		h.submit(tenantJob("b", "b1", 1, 1))
+		h.submit(tenantJob("a", "a2", 1, 1))
+		if err := h.c.CancelJob("b1", "test"); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.c.items) != 2 || h.c.items[1].Job != "a2" || h.c.items[1].Index != h.c.qoff+1 {
+			t.Fatalf("view after cancelling b1 is %+v, want a1 then a2 renumbered", h.c.items)
+		}
+		same(t, h, "dequeueJob")
+	})
+	t.Run("breakDeadlock", func(t *testing.T) {
+		h := newHarness(t, 2, 1, fair())
+		h.submit(barrierJob("j", 1, 2)) // A gates B; 2 executors total
+		mA := h.c.Cluster().MachineOf(h.running[ref("j", "A", 0)].Executor)
+		h.finish(ref("j", "A", 0))          // both B tasks run
+		h.submit(tenantJob("b", "k", 1, 1)) // queued ahead of j's recovery
+		// The crash re-pends A[0] behind k while B[0] holds the last
+		// executor waiting for A's data: the breaker preempts B[0] and
+		// moves A's request to the front of the queue.
+		h.crash(mA)
+		if len(h.c.queue) == 0 || h.c.queue[0].m.job.ID != "j" || h.c.queue[0].g != 0 {
+			t.Fatalf("A's request was not rotated to the front: %+v", h.c.items)
+		}
+		same(t, h, "breakDeadlock")
+	})
+	t.Run("deferred round", func(t *testing.T) {
+		opts := DefaultOptions()
+		policy := &deferringPolicy{FairShare: sched.NewFairShare(sched.FairShareConfig{})}
+		opts.Policy = policy
+		h := newHarness(t, 1, 2, opts)
+		h.submit(tenantJob("a", "a1", 1, 1))
+		h.submit(tenantJob("a", "a2", 1, 1))
+		h.submit(tenantJob("a", "a3", 1, 1))
+		policy.deferred = true
+		h.finish(ref("a1", "A", 0)) // the FIFO walk launches a2's A and keeps its entry
+		if it := item(t, h, "a2", 0); it.Pending != 1 {
+			t.Fatalf("a2's request is %+v after a deferred round, want 1 pending", it)
+		}
+		same(t, h, "deferred round")
+		h.finish(ref("a1", "B", 0)) // the walk launches a2's B and drops its entry
+		if len(h.c.items) != 1 || h.c.items[0].Job != "a3" {
+			t.Fatalf("view after a deferred round is %+v, want a3 alone", h.c.items)
+		}
+		same(t, h, "deferred round that drops an entry")
+	})
 }

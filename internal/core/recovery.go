@@ -119,6 +119,7 @@ func (c *Controller) releaseRunning(m *monitor, st *stageState, i int) {
 	}
 	run := m.gruns[st.graphlet]
 	run.running--
+	c.syncGang(m, st.graphlet)
 	if e := st.executor[i]; e >= 0 {
 		c.cl.ReleaseOne(e)
 	}
@@ -141,16 +142,16 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	delete(m.homes, id) // stale copies; re-replicated at finish
 	run := m.gruns[st.graphlet]
 	run.pending = append(run.pending, id)
-	c.itemsValid = false
 	if !run.disordered {
 		// Launch selection must restore topological order, and the
 		// scheduler's deadlock check watches for disordered runs.
 		run.disordered = true
-		c.disorderedRuns++
+		c.disordered = append(c.disordered, reqItem{m: m, g: st.graphlet})
 	}
 	if run.status == gDone {
 		run.status = gQueued
 	}
+	c.patchItem(run)
 	c.reviveLostInputs(m, st)
 }
 
@@ -464,25 +465,24 @@ func (c *Controller) abortAll(m *monitor) {
 // dequeueJob drops every queued resource request of m's job (it is being
 // restarted or abandoned).
 func (c *Controller) dequeueJob(m *monitor) {
-	var q []reqItem
-	for _, it := range c.queue {
-		if it.m != m {
-			q = append(q, it)
-		} else {
-			m.tc.Queued--
+	w := 0
+	for i, it := range c.queue {
+		if it.m == m {
+			c.drop(i)
+			continue
 		}
+		c.move(i, w)
+		w++
 	}
-	c.queue = q
-	c.itemsValid = false
+	c.truncate(w)
 }
 
-// dropDisordered removes a job's graphlet runs from the disordered count
-// (they are being discarded: job restart or abandonment).
+// dropDisordered takes a job's graphlet runs off the disordered list (they
+// are being discarded: job restart or abandonment).
 func (c *Controller) dropDisordered(m *monitor) {
 	for _, run := range m.gruns {
 		if run.disordered {
-			run.disordered = false
-			c.disorderedRuns--
+			c.clearDisordered(run)
 		}
 	}
 }

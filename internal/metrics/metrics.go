@@ -236,14 +236,19 @@ type SeriesPoint struct {
 }
 
 // Series accumulates a piecewise-constant time series by deltas, e.g. the
-// number of running executors over time (Fig. 10). Deltas are kept as an
-// append-only slice in arrival order; a delta at the timestamp of the one
-// before it folds into it, so a simulation (whose clock is monotone) pays
-// one slice append per distinct instant and Points never has to sort.
+// number of running executors over time (Fig. 10). Deltas are kept in
+// arrival order in fixed-size chunks, so the series grows by one chunk at a
+// time and never copies what it holds; a delta at the timestamp of the one
+// before it folds into it, so a simulation (whose clock is monotone) stores
+// one delta per distinct instant and Points never has to sort.
 type Series struct {
-	deltas   []SeriesPoint // V is the summed delta recorded at T
-	unsorted bool          // some delta arrived with T below its predecessor's
+	chunks   []*[seriesChunk]SeriesPoint // V is the summed delta recorded at T
+	n        int                         // deltas held, across the chunks
+	unsorted bool                        // some delta arrived with T below its predecessor's
 }
+
+// seriesChunk is how many deltas one chunk holds (16 KiB of them).
+const seriesChunk = 1024
 
 // NewSeries returns an empty series.
 func NewSeries() *Series { return &Series{} }
@@ -256,8 +261,8 @@ func (s *Series) Delta(t, v float64) {
 	if math.IsNaN(t) {
 		panic("metrics: Series.Delta timestamp is NaN")
 	}
-	if n := len(s.deltas); n > 0 {
-		last := &s.deltas[n-1]
+	if s.n > 0 {
+		last := &s.chunks[(s.n-1)/seriesChunk][(s.n-1)%seriesChunk]
 		if last.T == t {
 			last.V += v
 			return
@@ -266,29 +271,36 @@ func (s *Series) Delta(t, v float64) {
 			s.unsorted = true
 		}
 	}
-	s.deltas = append(s.deltas, SeriesPoint{T: t, V: v})
+	if s.n%seriesChunk == 0 {
+		s.chunks = append(s.chunks, new([seriesChunk]SeriesPoint))
+	}
+	s.chunks[s.n/seriesChunk][s.n%seriesChunk] = SeriesPoint{T: t, V: v}
+	s.n++
 }
 
 // Points integrates the deltas into the running value sampled at every
 // change point, in time order, one point per distinct timestamp.
 func (s *Series) Points() []SeriesPoint {
-	ds := s.deltas
+	out := make([]SeriesPoint, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c[:min(seriesChunk, s.n-len(out))]...)
+	}
 	if s.unsorted {
 		// Stable, so deltas of one timestamp still sum in arrival order.
-		ds = append([]SeriesPoint(nil), ds...)
-		sort.SliceStable(ds, func(i, j int) bool { return ds[i].T < ds[j].T })
+		sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
 	}
-	out := make([]SeriesPoint, 0, len(ds))
-	run := 0.0
-	for i := 0; i < len(ds); {
-		t, d := ds[i].T, ds[i].V
-		for i++; i < len(ds) && ds[i].T == t; i++ {
-			d += ds[i].V
+	// Integrate in place: the write index never passes the read index.
+	w, run := 0, 0.0
+	for i := 0; i < len(out); {
+		t, d := out[i].T, out[i].V
+		for i++; i < len(out) && out[i].T == t; i++ {
+			d += out[i].V
 		}
 		run += d
-		out = append(out, SeriesPoint{T: t, V: run})
+		out[w] = SeriesPoint{T: t, V: run}
+		w++
 	}
-	return out
+	return out[:w]
 }
 
 // Sample returns the series value at regular intervals over [0, end],

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"swift/internal/raceflag"
 )
 
 func TestQuantileBasics(t *testing.T) {
@@ -392,5 +394,130 @@ func TestSeriesMatchesMapOracle(t *testing.T) {
 				t.Fatalf("seed %d: Sample at t=%g is %g, map version %g", seed, p.T, p.V, cur)
 			}
 		}
+	}
+}
+
+// flatSeries is the single-slice Series the chunked one replaced, kept as
+// the reference: one append per distinct consecutive timestamp, a stable
+// sort at read time when some delta arrived out of order.
+type flatSeries struct {
+	deltas   []SeriesPoint
+	unsorted bool
+}
+
+func (f *flatSeries) delta(t, v float64) {
+	if n := len(f.deltas); n > 0 {
+		last := &f.deltas[n-1]
+		if last.T == t {
+			last.V += v
+			return
+		}
+		if t < last.T {
+			f.unsorted = true
+		}
+	}
+	f.deltas = append(f.deltas, SeriesPoint{T: t, V: v})
+}
+
+func (f *flatSeries) points() []SeriesPoint {
+	ds := f.deltas
+	if f.unsorted {
+		ds = append([]SeriesPoint(nil), ds...)
+		sort.SliceStable(ds, func(i, j int) bool { return ds[i].T < ds[j].T })
+	}
+	var out []SeriesPoint
+	run := 0.0
+	for i := 0; i < len(ds); {
+		t, d := ds[i].T, ds[i].V
+		for i++; i < len(ds) && ds[i].T == t; i++ {
+			d += ds[i].V
+		}
+		run += d
+		out = append(out, SeriesPoint{T: t, V: run})
+	}
+	return out
+}
+
+// TestSeriesMatchesFlatReference: across more than three chunks, Points,
+// Sample and Max equal the single-slice reference bit for bit — with
+// fractional deltas, so a changed summation order would show. Every run
+// folds a same-timestamp delta into the last slot of a chunk and puts the
+// next timestamp at the head of the following one; half the seeds also
+// record out-of-order timestamps.
+func TestSeriesMatchesFlatReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s, ref := NewSeries(), &flatSeries{}
+		clock, folded := 0.0, 0
+		record := func(ts, v float64) {
+			s.Delta(ts, v)
+			ref.delta(ts, v)
+		}
+		for s.n < 3*seriesChunk+seriesChunk/2 {
+			switch {
+			case s.n%seriesChunk == 0 && s.n > folded:
+				// A chunk just filled: fold into its last slot first.
+				folded = s.n
+				record(s.chunks[len(s.chunks)-1][seriesChunk-1].T, r.Float64()-0.5)
+			case seed%2 == 0 && r.Intn(8) == 0:
+				record(clock*r.Float64(), r.Float64()-0.5) // the past
+			default:
+				clock += float64(1 + r.Intn(3))
+				record(clock, r.Float64()*4-2)
+			}
+		}
+		if len(s.chunks) < 4 {
+			t.Fatalf("seed %d: %d chunks, want the run to span at least 4", seed, len(s.chunks))
+		}
+		want, got := ref.points(), s.Points()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d points, reference %d", seed, len(got), len(want))
+		}
+		max := 0.0
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: Points()[%d] = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+			max = math.Max(max, want[i].V)
+		}
+		if s.Max() != max {
+			t.Errorf("seed %d: Max = %g, reference %g", seed, s.Max(), max)
+		}
+		samp := s.Sample(clock+2, 3.5)
+		j, cur := 0, 0.0
+		for _, p := range samp {
+			for j < len(want) && want[j].T <= p.T {
+				cur = want[j].V
+				j++
+			}
+			if p.V != cur {
+				t.Fatalf("seed %d: Sample at t=%g is %g, reference %g", seed, p.T, p.V, cur)
+			}
+		}
+	}
+}
+
+// TestSeriesDeltaAllocs: a series grows by one chunk at a time and never
+// copies what it holds, so recording a chunk's worth of distinct
+// timestamps costs at most one allocation (the chunk; the chunk index
+// grows by doubling, below AllocsPerRun's integer mean), and folding into
+// the last delta costs none.
+func TestSeriesDeltaAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewSeries()
+	clock := 0.0
+	allocs := testing.AllocsPerRun(64, func() {
+		for i := 0; i < seriesChunk; i++ {
+			clock++
+			s.Delta(clock, 1)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Delta: %.0f allocs per chunk of distinct timestamps, want ≤ 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Delta(clock, -1) }); allocs != 0 {
+		t.Errorf("Delta folding into the last timestamp: %.0f allocs, want 0", allocs)
 	}
 }

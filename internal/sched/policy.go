@@ -19,9 +19,10 @@
 package sched
 
 // Item is one queued graphlet resource request as a policy sees it. Index
-// is the request's position in the controller's queue (echoed back in
-// Grant); Seq is the owning job's admission sequence number, the FIFO
-// tiebreak. Pending is zero for requests whose job already left the live
+// names the request's entry in the controller's queue (echoed back in
+// Grant): its position counted from the first entry the queue ever held,
+// so entries keep their Index while the queue drops a served prefix. Seq
+// is the owning job's admission sequence number, the FIFO tiebreak. Pending is zero for requests whose job already left the live
 // set — policies may grant or skip them, the controller discards them
 // either way when it processes the grant.
 type Item struct {

@@ -98,7 +98,8 @@ func checkAgainstOracle(t *testing.T, seed int64, e *Engine, scheduled []oracleE
 
 // TestQueueAllocs pins the queue's allocation cost: pushing and popping an
 // event allocates nothing of its own — the caller's closure is the only
-// allocation an event ever needs, and a shared one costs nothing.
+// allocation an event ever needs, and a shared one, or a pointer Handler
+// re-armed with Schedule, costs nothing.
 func TestQueueAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -117,6 +118,15 @@ func TestQueueAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("At+step with a shared callback: %.1f allocs/event, want 0", allocs)
 	}
+	h := &countingHandler{}
+	allocs = testing.AllocsPerRun(1000, func() {
+		h.armed = e.Schedule(at, h)
+		at++
+		e.step()
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule+step with a pointer handler: %.1f allocs/event, want 0", allocs)
+	}
 	n := 0
 	allocs = testing.AllocsPerRun(1000, func() {
 		e.At(at, func() { n++ })
@@ -125,6 +135,38 @@ func TestQueueAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("At+step with a fresh closure: %.1f allocs/event, want ≤ 1 (the closure)", allocs)
+	}
+}
+
+// countingHandler counts the fires that carry its latest arm's seq.
+type countingHandler struct {
+	armed int64
+	fired int
+}
+
+func (h *countingHandler) Fire(seq int64) {
+	if seq == h.armed {
+		h.fired++
+	}
+}
+
+// A handler armed twice before its first event fires sees both events, and
+// the seq tells the stale one apart: only the latest arm counts.
+func TestScheduleSeqSupersedesStaleArm(t *testing.T) {
+	e := NewEngine(1)
+	h := &countingHandler{}
+	first := e.Schedule(10, h)
+	h.armed = e.Schedule(20, h)
+	if h.armed <= first {
+		t.Fatalf("seq %d of the second arm is not above the first's %d", h.armed, first)
+	}
+	e.RunUntil(15)
+	if h.fired != 0 {
+		t.Fatalf("the stale arm at t=10 counted as a fire")
+	}
+	e.Run()
+	if h.fired != 1 || e.Now() != 20 {
+		t.Fatalf("fired %d times, clock %d; want once at 20", h.fired, e.Now())
 	}
 }
 

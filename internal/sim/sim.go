@@ -40,13 +40,26 @@ func FromSeconds(s float64) Duration {
 // String renders the time as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// event is one queued callback. Events live by value in the engine's heap:
-// no per-event allocation beyond the caller's closure, and nothing for the
-// collector to trace but fn.
+// Handler is what an event runs. Fire receives the seq the event was
+// scheduled under (Schedule's result), so a long-lived handler that is
+// re-armed or recycled can tell its latest arm from a stale one still
+// queued and ignore the stale one.
+type Handler interface{ Fire(seq int64) }
+
+// Func adapts a plain callback to a Handler. A func value is one pointer,
+// so the conversion to the interface allocates nothing.
+type Func func()
+
+// Fire runs f.
+func (f Func) Fire(int64) { f() }
+
+// event is one queued handler. Events live by value in the engine's heap:
+// no per-event allocation beyond the caller's handler, and nothing for the
+// collector to trace but h.
 type event struct {
 	at  Time
 	seq int64 // tie-break: FIFO among same-time events
-	fn  func()
+	h   Handler
 }
 
 // before is the queue's total order: time, then insertion. seq is unique,
@@ -87,29 +100,35 @@ func (e *Engine) Steps() int64 { return e.steps }
 
 // At schedules fn to run at the given absolute time. Times in the past run
 // at the current instant (ordered after already-queued current events).
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, Func(fn)) }
+
+// After schedules fn to run d from now (negative d means now).
+func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now+d, Func(fn)) }
+
+// Schedule queues h to fire at t (clamped to now, like At) and returns the
+// event's seq, which h.Fire receives: unique, and increasing in the order
+// events are scheduled.
+func (e *Engine) Schedule(t Time, h Handler) int64 {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn}
+	ev := event{at: t, seq: e.seq, h: h}
 	// Sift up: shift later parents down into the hole, then drop ev in.
-	h := append(e.events, ev)
-	i := len(h) - 1
+	q := append(e.events, ev)
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !ev.before(&h[parent]) {
+		if !ev.before(&q[parent]) {
 			break
 		}
-		h[i] = h[parent]
+		q[i] = q[parent]
 		i = parent
 	}
-	h[i] = ev
-	e.events = h
+	q[i] = ev
+	e.events = q
+	return ev.seq
 }
-
-// After schedules fn to run d from now (negative d means now).
-func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Run executes events until the queue drains and returns the final time.
 func (e *Engine) Run() Time {
@@ -159,7 +178,7 @@ func (e *Engine) step() {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the closure
+	h[n] = event{} // release the handler
 	h = h[:n]
 	// Sift down: pull the earliest child up into the hole until last fits.
 	i := 0
@@ -190,5 +209,5 @@ func (e *Engine) step() {
 	e.events = h
 	e.now = top.at
 	e.steps++
-	top.fn()
+	top.h.Fire(top.seq)
 }

@@ -13,20 +13,20 @@ import (
 
 // maxFinishTaskAllocs is the committed allocation budget of one simulated
 // task completion on a saturated cluster: the successor's ActStartTask
-// boxed into a core.Action, then the attempt the driver starts for it —
-// its runningTask and the closure that arms its finish event. A
-// completion whose graphlet has nothing left to launch hands its executor
-// to the queue through Allocate, whose result slice adds a fraction of an
-// allocation on average, below what AllocsPerRun's integer mean can see.
-const maxFinishTaskAllocs = 3
+// boxed into a core.Action. The attempt the driver starts for it reuses
+// the finished attempt's record and arms its finish with the record
+// itself as the event's handler, so neither allocates. A completion whose
+// graphlet has nothing left to launch hands its executor to the queue
+// through Allocate, whose result slice — like the growth of the job's
+// sample slice and the executor series — adds a fraction of an allocation
+// on average, below what AllocsPerRun's integer mean can see.
+const maxFinishTaskAllocs = 1
 
-// TestFinishTaskAllocs replays a burst far larger than the cluster, one
-// engine event at a time: past the submissions every event is an armed
-// finishTask.
-func TestFinishTaskAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race instrumentation allocates")
-	}
+// saturated returns a runner with a burst far larger than its cluster
+// admitted, and a step that runs one engine event: past the submissions
+// every event is an armed finishTask. The step reports false once the
+// run has drained.
+func saturated(tb testing.TB) (*Runner, func() bool) {
 	r := New(Config{
 		Cluster: cluster.Config{Machines: 20, ExecutorsPerMachine: 10, Model: cluster.DefaultModel()},
 		Options: core.DefaultOptions(),
@@ -34,21 +34,57 @@ func TestFinishTaskAllocs(t *testing.T) {
 	})
 	for _, j := range trace.Generate(trace.Spec{Jobs: 400, Seed: 1, RuntimeCap: 120}).Jobs {
 		if err := r.Submit(j.Job); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if r.Controller().QueueLen() == 0 {
-		t.Fatal("not saturated: nothing queued")
+		tb.Fatal("not saturated: nothing queued")
 	}
-	step := func() {
-		if _, drained := r.Engine().RunBounded(sim.Time(math.MaxInt64), 1); drained {
-			t.Fatal("ran out of work")
-		}
+	return r, func() bool {
+		_, drained := r.Engine().RunBounded(sim.Time(math.MaxInt64), 1)
+		return !drained
 	}
+}
+
+// TestFinishTaskAllocs replays the saturated burst one completion at a
+// time in steady state.
+func TestFinishTaskAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	_, step := saturated(t)
 	for i := 0; i < 2000; i++ { // past the first wave, into steady state
 		step()
 	}
-	if allocs := testing.AllocsPerRun(5000, step); allocs > maxFinishTaskAllocs {
+	allocs := testing.AllocsPerRun(5000, func() {
+		if !step() {
+			t.Fatal("ran out of work")
+		}
+	})
+	if allocs > maxFinishTaskAllocs {
 		t.Errorf("finishTask on a saturated cluster: %.0f allocs per completion, budget %d", allocs, maxFinishTaskAllocs)
+	}
+}
+
+// BenchmarkFinishTask is the simulator's cost per completion on the
+// saturated cluster TestFinishTaskAllocs drives: the engine pop, the
+// driver's bookkeeping, the controller round trip and the successor's
+// start.
+func BenchmarkFinishTask(b *testing.B) {
+	_, step := saturated(b)
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !step() {
+			b.StopTimer()
+			_, step = saturated(b)
+			for j := 0; j < 2000; j++ {
+				step()
+			}
+			b.StartTimer()
+		}
 	}
 }

@@ -79,12 +79,15 @@ func (r *Runner) startTask(a core.ActStartTask) {
 	if sr.tasks == nil {
 		sr.tasks = make([]*runningTask, sr.size)
 	}
-	rt := &runningTask{jr: jr, stage: si, index: a.Task.Index, executor: a.Executor,
-		attempt: a.Attempt, started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
-	if sr.tasks[rt.index] == nil {
-		jr.live++
+	if old := sr.tasks[a.Task.Index]; old != nil {
+		r.kill(old) // the controller has moved on from that attempt
 	}
+	rt := r.newTask()
+	*rt = runningTask{r: r, jr: jr, stage: int32(si), index: int32(a.Task.Index), executor: a.Executor,
+		attempt: a.Attempt, started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
 	sr.tasks[rt.index] = rt
+	jr.live++
+	r.live++
 	r.series.Delta(now.Seconds(), +1)
 	if r.down[r.cl.MachineOf(a.Executor)] {
 		// The controller launched onto a machine that is already dead but
@@ -96,7 +99,7 @@ func (r *Runner) startTask(a core.ActStartTask) {
 		from := &jr.stages[e.from]
 		if !r.ctrl.StageComplete(jr.job.ID, from.name) {
 			rt.unmet++
-			from.parked = append(from.parked, parkedTask{int32(si), int32(rt.index), rt.attempt})
+			from.parked = append(from.parked, parkedTask{rt.stage, rt.index, rt.attempt})
 		}
 	}
 	if rt.unmet == 0 {
@@ -152,26 +155,19 @@ func (r *Runner) scheduleFinish(rt *runningTask) {
 }
 
 // armFinish schedules (or reschedules) a task's completion at finishAt.
-// Bumping the generation counter invalidates any previously armed finish,
-// so straggler injection can stretch a task that is already counting down.
+// The new event's seq supersedes any finish armed before, so straggler
+// injection can stretch a task that is already counting down.
 func (r *Runner) armFinish(rt *runningTask, finishAt sim.Time) {
-	rt.gen++
-	rt.armed = true
 	rt.finishAt = finishAt
-	gen := rt.gen
-	r.eng.At(finishAt, func() { r.finishTask(rt, gen) })
+	rt.armSeq = r.eng.Schedule(finishAt, rt)
 }
 
 // finishTask is the armed completion of one attempt: record its sample,
 // tell the controller, interpret what the controller decides, and unpark
 // whoever waited for the stage.
-func (r *Runner) finishTask(rt *runningTask, gen int) {
-	jr := rt.jr
-	sr := &jr.stages[rt.stage]
-	if sr.tasks[rt.index] != rt || rt.gen != gen {
-		return // aborted or superseded meanwhile
-	}
-	r.kill(rt)
+func (r *Runner) finishTask(rt *runningTask) {
+	jr, stage, attempt := rt.jr, int(rt.stage), rt.attempt
+	sr := &jr.stages[stage]
 	ref := rt.ref()
 	if jr.res.Samples == nil {
 		jr.res.Samples = make([]TaskSample, 0, jr.numTasks)
@@ -181,16 +177,17 @@ func (r *Runner) finishTask(rt *runningTask, gen int) {
 		Start:      rt.started,
 		DataArrive: rt.dataArrive,
 		Finish:     r.eng.Now(),
-		Attempt:    rt.attempt,
+		Attempt:    attempt,
 	})
 	r.recordPhases(jr, sr, rt.launch, rt.read, rt.process, rt.write)
 	// The driver owns the finish event — only it knows the phase
 	// breakdown — while the controller records everything else.
-	r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, rt.attempt,
+	r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, attempt,
 		int(rt.executor), rt.launch, rt.read, rt.process, rt.write)
-	r.ctrl.TaskFinished(ref, rt.attempt)
+	r.kill(rt) // recycles the record: nothing below reads it
+	r.ctrl.TaskFinished(ref, attempt)
 	r.handleActions()
-	r.onStageProgress(jr, rt.stage)
+	r.onStageProgress(jr, stage)
 }
 
 // dataArrive estimates when the task's input data became available: for

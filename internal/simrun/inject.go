@@ -148,6 +148,14 @@ func (r *Runner) RestartExecutor(e cluster.ExecutorID) bool {
 	}
 	r.eng.After(sim.FromSeconds(core.SelfReportDelay.Seconds()), func() {
 		r.ctrl.ExecutorRestarted(e)
+		// The controller may have launched onto the fresh process before
+		// the self-report and failed that attempt now, without an abort:
+		// the attempt dies here, before a relaunch takes its slot.
+		for _, rt := range r.liveTasks(func(rt *runningTask) bool { return rt.executor == e }) {
+			if _, attempt, ok := r.ctrl.RunningTask(rt.ref()); !ok || attempt != rt.attempt {
+				r.kill(rt)
+			}
+		}
 		r.handleActions()
 	})
 	return true
@@ -185,7 +193,7 @@ func (r *Runner) SlowTask(ref core.TaskRef, factor float64) bool {
 		return false
 	}
 	rt.slow *= factor
-	if rt.armed {
+	if rt.armSeq != 0 {
 		now := r.eng.Now()
 		remaining := rt.finishAt - now
 		if remaining < 0 {

@@ -171,10 +171,15 @@ type jobRun struct {
 }
 
 // runningTask is one simulated task attempt: running, parked on inputs, or
-// swallowed by a machine that is down.
+// swallowed by a machine that is down. Records are recycled (see
+// Runner.free): once killed, a record may come back as the next attempt
+// of any task, so nothing holds one past its kill but the engine's queued
+// finish events, which armSeq turns away. The fields fill exactly 128
+// bytes, one allocation size class.
 type runningTask struct {
+	r            *Runner
 	jr           *jobRun
-	stage, index int // position in jr.stages[·].tasks
+	stage, index int32 // position in jr.stages[·].tasks
 	executor     cluster.ExecutorID
 	attempt      int
 	started      sim.Time
@@ -184,11 +189,11 @@ type runningTask struct {
 	// onStageProgress).
 	unmet int
 	sweep int64
-	// gen versions the armed finish event: fault injection (straggler
-	// slowdowns) supersedes a scheduled completion by bumping gen and
-	// re-arming, and the stale closure no-ops.
-	gen      int
-	armed    bool
+	// armSeq is the engine seq of the armed finish event, 0 while none is.
+	// Fire completes the attempt for that seq only: a finish a straggler
+	// re-arm superseded, or one that outlived its attempt's kill, is stale
+	// and no-ops, even once the record carries another attempt.
+	armSeq   int64
 	finishAt sim.Time
 	// slow accumulates straggler slowdown factors applied before the
 	// finish time is computed (parked tasks).
@@ -199,18 +204,31 @@ type runningTask struct {
 	dataArrive           sim.Time
 }
 
+// Fire is the armed finish event of the attempt.
+func (rt *runningTask) Fire(seq int64) {
+	if seq == rt.armSeq {
+		rt.r.finishTask(rt)
+	}
+}
+
 func (rt *runningTask) ref() core.TaskRef {
-	return core.TaskRef{Job: rt.jr.job.ID, Stage: rt.jr.stages[rt.stage].name, Index: rt.index}
+	return core.TaskRef{Job: rt.jr.job.ID, Stage: rt.jr.stages[rt.stage].name, Index: int(rt.index)}
 }
 
 // Runner executes jobs on the simulated cluster.
 type Runner struct {
-	cfg     Config
-	eng     *sim.Engine
-	cl      *cluster.Cluster
-	ctrl    *core.Controller
-	jobs    map[string]*jobRun
-	sweeps  int64 // unpark passes so far
+	cfg    Config
+	eng    *sim.Engine
+	cl     *cluster.Cluster
+	ctrl   *core.Controller
+	jobs   map[string]*jobRun
+	sweeps int64 // unpark passes so far
+	// live counts the attempts in the jobs' task tables; free holds
+	// killed records for reuse, never more than maxSpares of them nor more
+	// than there are live attempts, so the spares shrink with the
+	// cluster's load instead of staying at its peak.
+	live    int
+	free    []*runningTask
 	series  *metrics.Series
 	results *Results
 	// down marks machines that have crashed but whose failure the
@@ -270,11 +288,39 @@ func (r *Runner) task(ref core.TaskRef) *runningTask {
 }
 
 // kill removes a live attempt from the tables: it finished, was aborted,
-// or a fault took it. Whatever it was parked on forgets it lazily.
+// or a fault took it. Whatever it was parked on forgets it lazily. The
+// record goes back to the free list, so the caller must not read it after.
 func (r *Runner) kill(rt *runningTask) {
 	rt.jr.stages[rt.stage].tasks[rt.index] = nil
 	rt.jr.live--
+	r.live--
+	rt.armSeq = 0
 	r.series.Delta(r.eng.Now().Seconds(), -1)
+	switch n := len(r.free); {
+	case n < min(r.live, maxSpares):
+		r.free = append(r.free, rt)
+	case n > r.live: // one over: the load fell, so one spare goes
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	}
+}
+
+// maxSpares bounds the free list. A spare only has to carry a finished
+// attempt's record to the attempts the same event starts; holding more
+// keeps memory live past the load's peak (on the 140,040-executor replay,
+// a bound of one spare per live attempt held the peak RSS about 8 MiB
+// above this one).
+const maxSpares = 1024
+
+// newTask returns a record for a new attempt: a recycled one when the free
+// list has one.
+func (r *Runner) newTask() *runningTask {
+	if n := len(r.free); n > 0 {
+		rt := r.free[n-1]
+		r.free = r.free[:n-1]
+		return rt
+	}
+	return new(runningTask)
 }
 
 // liveTasks returns every live attempt matching keep, ordered by task

@@ -3,10 +3,10 @@
 # microbenchmarks and record them at the repo root, one file per ladder
 # rung: BENCH_engine.json (data plane: engine, tpch, exp) and
 # BENCH_core.json (control plane: sim event queue, cluster Allocate/Release,
-# core TaskFinished round trip, one fair-share policy round, shuffle cost per
-# mode, flow admission and batched completions, rpc frame/message codec and
-# loopback round trip, the trace codec on one submission). The end-to-end
-# numbers are bench/'s job (go run
+# core TaskFinished round trip, one fair-share policy round, one simulated
+# task completion, shuffle cost per mode, flow admission and batched
+# completions, rpc frame/message codec and loopback round trip, the trace
+# codec on one submission). The end-to-end numbers are bench/'s job (go run
 # ./bench), not this script's.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 1s; e.g. "100x" for a quick run)
@@ -53,4 +53,4 @@ rung() {
 }
 
 rung BENCH_engine.json ./internal/engine/ ./internal/tpch/ ./internal/exp/
-rung BENCH_core.json ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/shuffle/ ./internal/flow/ ./internal/rpc/ ./internal/trace/
+rung BENCH_core.json ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/simrun/ ./internal/shuffle/ ./internal/flow/ ./internal/rpc/ ./internal/trace/

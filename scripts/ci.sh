@@ -193,7 +193,7 @@ if grep -rln --include='*.go' --exclude='*_test.go' '"encoding/gob"' .; then ech
 
 echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
-    ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/shuffle/ \
-    ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
+    ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/simrun/ \
+    ./internal/shuffle/ ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
 
 echo "ci: all green"
