@@ -110,10 +110,10 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //   - tenant accounting: the O(delta) per-tenant counters behind
 //     TenantSnapshots match a full per-tenant recount of live jobs,
 //     task states and queue entries;
-//   - policy views: under any policy but FIFO, views built from scratch
-//     agree entry for entry with the kept queue view and gang list — a
-//     writer that changed what a policy would see without patching the
-//     view shows up here.
+//   - policy views: under every policy, sched.FIFO included, views built
+//     from scratch agree entry for entry with the kept queue view and
+//     gang list — a writer that changed what a policy would see without
+//     patching the view shows up here.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -322,10 +322,7 @@ func (c *Controller) CheckInvariants() []string {
 			v = append(v, fmt.Sprintf("tenant %q counters %+v != recount %+v", name, have, want))
 		}
 	}
-	if !c.fifo {
-		v = append(v, c.checkViews()...)
-	}
-	return v
+	return append(v, c.checkViews()...)
 }
 
 // checkViews compares the kept policy views with fresh builds.

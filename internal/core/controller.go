@@ -163,12 +163,9 @@ type Controller struct {
 	// skipped entirely on the hot fault-free path; otherwise it visits
 	// these runs, not the queue.
 	disordered []reqItem
-	// policy is the resolved scheduling policy (never nil); fifo caches
-	// whether it is the default sched.FIFO, which serveQueue and schedule
-	// use to take the fast path that never calls the policy, and which
-	// therefore keeps none of the policy's views.
+	// policy is the resolved scheduling policy (never nil); every round
+	// asks it for a plan, sched.FIFO included (see servePolicy).
 	policy sched.Policy
-	fifo   bool
 	// tenants holds per-tenant aggregate counters, maintained O(delta) at
 	// every task state transition and summed by Snapshot (see tenant.go);
 	// nextSeq numbers admissions for the policy's FIFO tiebreak.
@@ -182,13 +179,12 @@ type Controller struct {
 	// ("rerun" dispositions, replicated or not).
 	replicaHits int
 	recomputes  int
-	// The policy's views, kept by deltas under any policy but FIFO (whose
-	// fast path reads neither): items[i] describes queue[i] and staleItems
-	// counts its entries with nothing launchable (see patchItem); gangs
-	// lists the graphlet runs holding executors by (admission seq,
-	// graphlet), the preemption candidates, and gangRuns[i] is the run
-	// behind gangs[i] (see syncGang). CheckInvariants compares both views
-	// with a fresh build.
+	// The policy's views, kept by deltas under every policy: items[i]
+	// describes queue[i] and staleItems counts its entries with nothing
+	// launchable (see patchItem); gangs lists the graphlet runs holding
+	// executors by (admission seq, graphlet), the preemption candidates,
+	// and gangRuns[i] is the run behind gangs[i] (see syncGang).
+	// CheckInvariants compares both views with a fresh build.
 	items      []sched.Item
 	staleItems int
 	gangs      []sched.Gang
@@ -222,9 +218,8 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 	if opts.Policy == nil {
 		opts.Policy = sched.FIFO{}
 	}
-	_, fifo := opts.Policy.(sched.FIFO)
 	return &Controller{opts: opts, cl: cl, jobs: make(map[string]*monitor),
-		policy: opts.Policy, fifo: fifo, tenants: make(map[string]*TenantCounts)}
+		policy: opts.Policy, tenants: make(map[string]*TenantCounts)}
 }
 
 // Cluster returns the managed cluster.
@@ -396,27 +391,22 @@ func (c *Controller) enqueue(m *monitor, g int) {
 	run.status = gQueued
 	run.qpos = c.qoff + len(c.queue)
 	c.queue = append(c.queue, reqItem{m: m, g: g})
-	if !c.fifo {
-		c.items = append(c.items, c.viewItem(len(c.queue)-1))
-		if c.items[len(c.items)-1].Pending == 0 {
-			c.staleItems++
-		}
+	c.items = append(c.items, c.viewItem(len(c.queue)-1))
+	if c.items[len(c.items)-1].Pending == 0 {
+		c.staleItems++
 	}
 	m.tc.Queued++
 	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
 }
 
 // move shifts the queue entry at position from to position to, where
-// the caller has made room; the entry's run follows it, and so does its
-// view entry under a policy.
+// the caller has made room; the entry's run and view entry follow it.
 func (c *Controller) move(from, to int) {
 	it := c.queue[from]
 	c.queue[to] = it
 	it.m.gruns[it.g].qpos = c.qoff + to
-	if !c.fifo {
-		c.items[to] = c.items[from]
-		c.items[to].Index = c.qoff + to
-	}
+	c.items[to] = c.items[from]
+	c.items[to].Index = c.qoff + to
 }
 
 // drop retires the queue entry at position i; the caller compacts the
@@ -425,7 +415,7 @@ func (c *Controller) drop(i int) {
 	it := c.queue[i]
 	it.m.gruns[it.g].qpos = -1
 	it.m.tc.Queued--
-	if !c.fifo && c.items[i].Pending == 0 {
+	if c.items[i].Pending == 0 {
 		c.staleItems--
 	}
 }
@@ -433,9 +423,7 @@ func (c *Controller) drop(i int) {
 // truncate cuts the queue, and the view with it, to its first n entries.
 func (c *Controller) truncate(n int) {
 	c.queue = c.queue[:n]
-	if !c.fifo {
-		c.items = c.items[:n]
-	}
+	c.items = c.items[:n]
 }
 
 // maxPreemptRounds bounds policy preemptions per scheduling round; each
@@ -448,9 +436,9 @@ const maxPreemptRounds = 4
 // serving alone cannot fix — every executor held by pipeline consumers
 // idle-waiting on producer tasks that recovery pushed back to pending.
 // Breaking that deadlock frees an executor, so the queue is served again.
-// Under a non-FIFO policy a dry pool with starved queued work may also
-// warrant preemption: the policy nominates whole-graphlet victims to
-// reclaim, reusing the deadlock breaker's per-task machinery.
+// A dry pool with starved queued work may also warrant preemption: the
+// policy nominates whole-graphlet victims to reclaim (sched.FIFO never
+// does), reusing the deadlock breaker's per-task machinery.
 func (c *Controller) schedule() {
 	if c.deferSchedule {
 		return
@@ -458,22 +446,25 @@ func (c *Controller) schedule() {
 	preempts := 0
 	for {
 		freeBefore := c.cl.FreeExecutors()
-		c.serveQueue()
+		planned := c.servePolicy()
 		if len(c.queue) == 0 {
 			return
 		}
 		if free := c.cl.FreeExecutors(); free > 0 {
-			// Pool still wet with work queued. Under FIFO every entry was
-			// walked, so the remainder is gated — done. Under a policy the
-			// round is a budgeted plan: after a progressing round, re-plan
-			// (a launch may have consumed the last of a tenant's quota with
-			// work still queued behind it); once a round launches nothing,
-			// the clamped remainder may be wedged behind its own quota —
-			// every quota slot held by consumers parked on the very
-			// producers the clamp keeps queued, a state no future event
-			// will fix. Preempting one parked consumer frees a unit of
-			// quota for the starved producer.
-			if c.fifo {
+			// Pool still wet with work queued. A nil plan's FIFO walk was
+			// uncapped and visited every entry no gang unit blocked, so the
+			// remainder is gated — done (preempting a waiting gang's own
+			// consumer frees one executor and re-pends one task, which
+			// never makes the gang fit). A plan is budgeted: after a
+			// progressing round, re-plan (a launch may have consumed the
+			// last of a tenant's quota with work still queued behind it);
+			// once a round launches nothing, the clamped remainder may be
+			// wedged behind its own quota — every quota slot held by
+			// consumers parked on the very producers the clamp keeps
+			// queued, a state no future event will fix. Preempting one
+			// parked consumer frees a unit of quota for the starved
+			// producer.
+			if !planned {
 				return
 			}
 			if free < freeBefore {
@@ -490,33 +481,21 @@ func (c *Controller) schedule() {
 		if len(c.disordered) != 0 && c.breakDeadlock() {
 			continue
 		}
-		if c.fifo || preempts >= maxPreemptRounds || !c.preemptRound() {
+		if preempts >= maxPreemptRounds || !c.preemptRound() {
 			return
 		}
 		preempts++
 	}
 }
 
-// serveQueue serves the request queue for one round: the FIFO fast path
-// walks it in arrival order; any other policy plans the round first (see
-// servePolicy in policy.go).
-func (c *Controller) serveQueue() {
-	if len(c.queue) == 0 || c.cl.FreeExecutors() == 0 {
-		return
-	}
-	if c.fifo {
-		c.serveFIFO()
-		return
-	}
-	c.servePolicy()
-}
-
-// serveFIFO walks the request queue in FIFO order, allocates executors
-// (locality + load policy in cluster.Allocate), and launches pending
-// tasks. Items that cannot make progress stay queued; later items may
-// still be served (backfill), which is what lets small jobs flow around a
-// large one — except behind a gang unit, which blocks the walk while it
-// waits (graphlet.Graphlet.Gang).
+// serveFIFO answers a nil JobOrder plan — sched.FIFO's on every round, a
+// policy's on a round it defers: it walks the request queue in FIFO order,
+// allocates executors (locality + load policy in cluster.Allocate), and
+// launches pending tasks. Items that cannot make progress stay queued;
+// later items may still be served (backfill), which is what lets small
+// jobs flow around a large one — except behind a gang unit, which blocks
+// the walk while it waits (graphlet.Graphlet.Gang). The walk keeps the
+// policy's queue view in step with the queue.
 func (c *Controller) serveFIFO() {
 	// In-place queue compaction: entries that were fully served (or whose
 	// job died) are dropped; entries still waiting stay in FIFO order. In
@@ -541,10 +520,7 @@ func (c *Controller) serveFIFO() {
 			c.move(i, w)
 		}
 		run := item.m.gruns[item.g]
-		if !c.fifo {
-			// A round the policy deferred: keep its view in step.
-			c.items[w].Pending = len(run.pending)
-		}
+		c.items[w].Pending = len(run.pending)
 		w++
 		if run.gang {
 			i++
@@ -559,9 +535,7 @@ func (c *Controller) serveFIFO() {
 		// the (possibly thousands deep) tail.
 		c.queue = c.queue[i:]
 		c.qoff += i
-		if !c.fifo {
-			c.items = c.items[i:]
-		}
+		c.items = c.items[i:]
 	default:
 		for ; i < len(c.queue); i++ {
 			c.move(i, w)
@@ -705,18 +679,12 @@ func (c *Controller) breakDeadlock() bool {
 		// a task strictly upstream of its victim, which bounds the number
 		// of preemptions one scheduling round can perform.
 		qi := run.qpos - c.qoff
-		var view sched.Item
-		if !c.fifo {
-			view = c.items[qi]
-		}
+		view := c.items[qi]
 		for k := qi; k > 0; k-- {
 			c.move(k-1, k)
 		}
-		c.queue[0], run.qpos = item, c.qoff
-		if !c.fifo {
-			view.Index = c.qoff
-			c.items[0] = view
-		}
+		view.Index = c.qoff
+		c.queue[0], c.items[0], run.qpos = item, view, c.qoff
 		return true
 	}
 	return false

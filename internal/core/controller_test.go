@@ -250,53 +250,98 @@ func TestGangUnitWaitsForFullAllocation(t *testing.T) {
 	}
 }
 
+// A nil plan's FIFO walk is uncapped, so a gang unit it leaves waiting on
+// a wet pool ends the round: the deadlock breaker stays out, since
+// preempting the gang's own parked consumer frees one executor and
+// re-pends one task, which never makes the gang fit. Here a crash re-pends
+// A[0] (its output was on the machine) and B[0] of a whole-job gang with
+// one executor free; the surviving B keeps running until the machine
+// returns and the gang fits.
+func TestNilPlanLeavesWaitingGangsConsumersRunning(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Partition = WholeJobPartition
+	h := newHarness(t, 2, 2, opts)
+	h.submit(pipelineJob("j", 2, 2))
+	h.finish(ref("j", "A", 0))
+	h.finish(ref("j", "A", 1))
+	mOf := func(task TaskRef) cluster.MachineID {
+		for _, s := range h.starts {
+			if s.Task == task {
+				return h.c.Cluster().MachineOf(s.Executor)
+			}
+		}
+		t.Fatalf("%s never started", task)
+		return 0
+	}
+	m := mOf(ref("j", "B", 0))
+	survivor := ref("j", "B", 1)
+	if mOf(ref("j", "A", 0)) != m || mOf(survivor) == m {
+		t.Fatalf("placement changed: want A[0] and B[0] on machine %d, B[1] elsewhere; starts %+v", m, h.starts)
+	}
+	h.crash(m)
+	if _, ok := h.running[survivor]; !ok || len(h.running) != 1 || h.c.Cluster().FreeExecutors() != 1 {
+		t.Fatalf("after the crash %v run with %d executors free; want %s alone, one free",
+			h.running, h.c.Cluster().FreeExecutors(), survivor)
+	}
+	h.readmit()
+	if len(h.running) != 3 || h.running[survivor].Attempt != 1 {
+		t.Fatalf("after the machine returned %v run; want the gang's two re-pended tasks beside %s's first attempt", h.running, survivor)
+	}
+	h.finishAll()
+	if !h.completed("j") {
+		t.Fatal("job not completed")
+	}
+}
+
 // The live-job order is what every sweep walks — recovery's eachLiveTask on
 // each machine, Cache Worker or executor loss, LiveJobs, CheckInvariants —
 // so it must shrink as jobs retire, or an always-on controller pays for
-// every job it ever ran. The gang list a policy's preempt round reads
-// (c.gangs; FIFO keeps none) must shrink with it.
+// every job it ever ran. The gang list the preempt round reads (c.gangs,
+// kept under every policy) must shrink with it.
 func TestOrderHoldsLiveJobsOnly(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
-	h := newHarness(t, 4, 4, opts)
-	for _, id := range []string{"j0", "j1", "j2", "j3", "j4"} {
-		h.submit(pipelineJob(id, 1, 1))
-	}
-	h.finish(ref("j1", "A", 0))
-	h.finish(ref("j1", "B", 0))
-	if err := h.c.CancelJob("j3", "test"); err != nil {
-		t.Fatal(err)
-	}
-	h.drain()
-	if !h.completed("j1") || !h.jobFailed("j3") {
-		t.Fatal("j1 not completed or j3 not failed")
-	}
-	want := []string{"j0", "j2", "j4"}
-	if got := h.c.LiveJobs(); !slices.Equal(got, want) {
-		t.Errorf("LiveJobs = %v, want %v", got, want)
-	}
-	var walked []string
-	h.c.eachLiveTask(func(m *monitor, _, _ int) {
-		if !slices.Contains(walked, m.job.ID) {
-			walked = append(walked, m.job.ID)
+	for _, policy := range []sched.Policy{sched.FIFO{}, sched.NewFairShare(sched.FairShareConfig{})} {
+		opts := DefaultOptions()
+		opts.Policy = policy
+		h := newHarness(t, 4, 4, opts)
+		for _, id := range []string{"j0", "j1", "j2", "j3", "j4"} {
+			h.submit(pipelineJob(id, 1, 1))
 		}
-	})
-	if !slices.Equal(walked, want) {
-		t.Errorf("eachLiveTask walked %v, want %v", walked, want)
-	}
-	var ganged []string
-	for _, g := range h.c.gangs {
-		ganged = append(ganged, g.Job)
-	}
-	if !slices.Equal(ganged, want) {
-		t.Errorf("the gang list holds %v, want %v", ganged, want)
-	}
-	if v := h.c.CheckInvariants(); len(v) > 0 {
-		t.Errorf("invariants: %v", v)
-	}
-	h.finishAll()
-	if n := len(h.c.order); n != 0 {
-		t.Errorf("%d jobs still in the live order after all retired", n)
+		h.finish(ref("j1", "A", 0))
+		h.finish(ref("j1", "B", 0))
+		if err := h.c.CancelJob("j3", "test"); err != nil {
+			t.Fatal(err)
+		}
+		h.drain()
+		if !h.completed("j1") || !h.jobFailed("j3") {
+			t.Fatalf("%s: j1 not completed or j3 not failed", policy.Name())
+		}
+		want := []string{"j0", "j2", "j4"}
+		if got := h.c.LiveJobs(); !slices.Equal(got, want) {
+			t.Errorf("%s: LiveJobs = %v, want %v", policy.Name(), got, want)
+		}
+		var walked []string
+		h.c.eachLiveTask(func(m *monitor, _, _ int) {
+			if !slices.Contains(walked, m.job.ID) {
+				walked = append(walked, m.job.ID)
+			}
+		})
+		if !slices.Equal(walked, want) {
+			t.Errorf("%s: eachLiveTask walked %v, want %v", policy.Name(), walked, want)
+		}
+		var ganged []string
+		for _, g := range h.c.gangs {
+			ganged = append(ganged, g.Job)
+		}
+		if !slices.Equal(ganged, want) {
+			t.Errorf("%s: the gang list holds %v, want %v", policy.Name(), ganged, want)
+		}
+		if v := h.c.CheckInvariants(); len(v) > 0 {
+			t.Errorf("%s: invariants: %v", policy.Name(), v)
+		}
+		h.finishAll()
+		if n := len(h.c.order); n != 0 {
+			t.Errorf("%s: %d jobs still in the live order after all retired", policy.Name(), n)
+		}
 	}
 }
 

@@ -18,14 +18,15 @@ import (
 // DAGs and a configuration, then into inputs legal where each is applied,
 // and feeds every input to several controllers through the test harness.
 // After every input the primary's CheckInvariants is empty, an application
-// error has failed its job, and each other arm has drained the primary's
-// actions: a replay arm (a controller rebuilt from the input log at any
-// prefix takes over with the primary's state and future); under FIFO, a
-// fork whose fifo field is forced false, so it serves through servePolicy;
-// and with one tenant and no quota, an arm under the other policy of FIFO
-// and fair share, until the first fault (see isFault). Once the inputs
-// stop, readmitting every machine and finishing whatever runs must end
-// every job within a bound (liveness).
+// error has failed its job, every started task below a non-idempotent
+// stage of its graphlet started after that stage's latest attempt (see
+// startOrder), and each other arm has drained the primary's actions: a
+// replay arm (a controller rebuilt from the input log at any prefix takes
+// over with the primary's state and future); and with one tenant and no
+// quota, an arm under the other policy of FIFO and fair share, until the
+// first fault (see isFault). Once the inputs stop, readmitting every
+// machine and finishing whatever runs must end every job within a bound
+// (liveness).
 
 // chooser makes the scenario's decisions: pick returns a value in [0, n)
 // and more reports whether another input follows.
@@ -282,6 +283,49 @@ type arm struct {
 	untilFault bool // dropped at the first fault input
 }
 
+// startOrder holds Fig. 6b's cascade: the re-run of a non-idempotent
+// stage replaces rows its successors in the graphlet may have consumed,
+// so every running or done task below it in the graphlet must have
+// started after the stage's latest attempt. It returns the first task of
+// a live job that did not, or "".
+func startOrder(h *harness) string {
+	last := make(map[TaskRef]int, len(h.starts))
+	for k, a := range h.starts {
+		last[a.Task] = k
+	}
+	for _, m := range h.c.order {
+		for s, st := range m.stages {
+			if st.spec.Idempotent {
+				continue
+			}
+			latest := -1
+			for i := range st.status {
+				if k, ok := last[m.ref(s, i)]; ok {
+					latest = max(latest, k)
+				}
+			}
+			// Topological order: one forward sweep closes below over the
+			// graphlet's edges.
+			below := make([]bool, len(m.stages))
+			below[s] = true
+			for b := s; b < len(m.stages); b++ {
+				if !below[b] {
+					continue
+				}
+				for _, to := range m.stages[b].out {
+					below[to] = below[to] || m.stages[to].graphlet == st.graphlet
+				}
+				for i, status := range m.stages[b].status {
+					if b != s && status != tPending && last[m.ref(b, i)] < latest {
+						return fmt.Sprintf("%s started before %s's latest attempt", m.ref(b, i), st.spec.Name)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // runController decodes inputs from ch and applies each to every arm,
 // holding the oracles after each one, then checks liveness.
 func runController(t *testing.T, sc scenario, ch chooser, depth int) {
@@ -293,11 +337,6 @@ func runController(t *testing.T, sc scenario, ch chooser, depth int) {
 	opts := sc.options(sc.fair)
 	primary := newArm("primary", opts)
 	arms := []*arm{primary, newArm("replay", opts)}
-	if !sc.fair {
-		fork := newArm("servePolicy fork", opts)
-		fork.h.c.fifo = false
-		arms = append(arms, fork)
-	}
 	if sc.tenants <= 1 && sc.quota == 0 {
 		other := newArm("fair share", sc.options(true))
 		if sc.fair {
@@ -330,6 +369,9 @@ func runController(t *testing.T, sc scenario, ch chooser, depth int) {
 		}
 		if v := primary.h.c.CheckInvariants(); len(v) > 0 {
 			fatal("invariants after %s: %v", label, v)
+		}
+		if v := startOrder(primary.h); v != "" {
+			fatal("start order after %s: %s", label, v)
 		}
 		for ref, a := range primary.h.running {
 			if e, attempt, ok := primary.h.c.RunningTask(ref); !ok || e != a.Executor || attempt != a.Attempt {

@@ -5,11 +5,13 @@ package core
 // fails against the pre-fix controller.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"swift/internal/cluster"
+	"swift/internal/dag"
 	"swift/internal/shuffle"
 )
 
@@ -106,6 +108,42 @@ func TestLostOutputRevivedWhenConsumerRetries(t *testing.T) {
 	h.finishAll()
 	if !h.completed("j") {
 		t.Fatal("job did not complete after revival")
+	}
+}
+
+// Pre-fix: a producer revived because a consumer re-entered the pending
+// state re-ran without cascading, even when it was not idempotent, so a
+// done consumer kept rows the re-run replaced (Fig. 6b). Minimized by the
+// controller fuzzer's start-order oracle: A[0]'s output is lost while B[1]
+// still runs (no step), then B[1] crashes and revives A[0]; the done B[0]
+// must re-run after it.
+func TestRevivedNonIdempotentProducerCascades(t *testing.T) {
+	j := dag.NewBuilder("j").
+		StageOpt(&dag.Stage{Name: "A", Tasks: 1, Idempotent: false}).
+		StageOpt(&dag.Stage{Name: "B", Tasks: 2, Idempotent: true}).
+		Pipeline("A", "B", 1<<20).
+		MustBuild()
+	h := newHarness(t, 2, 1, DefaultOptions())
+	h.submit(j)
+	h.finish(ref("j", "A", 0)) // its executor goes to B[1]
+	h.finish(ref("j", "B", 0))
+	h.c.TaskOutputLost(ref("j", "A", 0))
+	h.drain()
+	before := len(h.starts)
+	h.fail(ref("j", "B", 1), FailCrash)
+	var relaunched []TaskRef
+	for _, s := range h.starts[before:] {
+		relaunched = append(relaunched, s.Task)
+		if s.Task == ref("j", "B", 0) && s.Reason != StartCascade {
+			t.Errorf("B[0] relaunched with reason %v, want a cascade", s.Reason)
+		}
+	}
+	if len(relaunched) == 0 || relaunched[0] != ref("j", "A", 0) || !slices.Contains(relaunched, ref("j", "B", 0)) {
+		t.Fatalf("after the revival the starts are %v; want A[0] first and the done B[0] again", relaunched)
+	}
+	h.finishAll()
+	if !h.completed("j") {
+		t.Fatal("job did not complete after the cascade")
 	}
 }
 

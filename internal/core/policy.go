@@ -12,7 +12,8 @@ import (
 // Preempt victims into whole-graphlet reclaims using the same per-task
 // machinery as the deadlock breaker (abort → release → re-pend → cascade
 // → requeue). The views are kept by deltas as the controller's state
-// changes; the FIFO fast path in serveFIFO keeps none of them.
+// changes, under every policy: sched.FIFO goes through the same round,
+// and its nil plan is answered by the FIFO walk in serveFIFO.
 
 // viewItem is the policy's view of queue entry i. Entries whose job left
 // the live set or whose graphlet is no longer actually queued carry
@@ -33,10 +34,9 @@ func (c *Controller) viewItem(i int) sched.Item {
 
 // patchItem re-derives the kept view's entry of a run whose pending
 // tasks, status or job changed outside servePolicy, keeping the stale
-// count in step. A run with no queue entry, or a controller on the FIFO
-// fast path, has nothing to patch.
+// count in step. A run with no queue entry has nothing to patch.
 func (c *Controller) patchItem(run *graphletRun) {
-	if c.fifo || run.qpos < 0 {
+	if run.qpos < 0 {
 		return
 	}
 	i := run.qpos - c.qoff
@@ -79,12 +79,10 @@ func resized[T any](s []T, n int) []T {
 // count changed. While the run holds executors only its Running count
 // moves; a run that starts holding them is inserted in (admission seq,
 // graphlet) order, one that stops is removed, and either way the runs
-// behind it learn their new index. The FIFO fast path never preempts and
-// keeps none.
+// behind it learn their new index.
 func (c *Controller) syncGang(m *monitor, g int) {
 	run := m.gruns[g]
 	switch {
-	case c.fifo:
 	case run.gpos >= 0 && run.running > 0:
 		c.gangs[run.gpos].Running = run.running
 	case run.running > 0:
@@ -138,22 +136,27 @@ func (c *Controller) usageSnapshots() []sched.TenantUsage {
 	return c.usage
 }
 
-// servePolicy serves one scheduling round under a non-FIFO policy: ask
-// JobOrder for a grant plan, execute it against the pool, then compact
-// the queue. A nil plan falls back to the FIFO walk, so a policy can
-// defer rounds it has no opinion on; the walk keeps the view in step too.
+// servePolicy serves the request queue for one scheduling round, under
+// every policy: ask JobOrder for a grant plan, execute it against the
+// pool, then compact the queue. A nil plan — sched.FIFO's always, another
+// policy's on a round it has no opinion on — is served by the FIFO walk,
+// which keeps the view in step too. It reports whether the round executed
+// a plan; a nil plan's walk is uncapped (see schedule).
 //
 // The round keeps the policy view current as it goes — it patches Pending
 // for the entries it serves and compacts c.items in step with c.queue — so
 // its cost is what it grants or retires, not the queue's depth: a round
 // that drops nothing leaves the queue untouched, and the sweep for stale
 // entries runs only when the view says there is one.
-func (c *Controller) servePolicy() {
+func (c *Controller) servePolicy() (planned bool) {
+	if len(c.queue) == 0 || c.cl.FreeExecutors() == 0 {
+		return false
+	}
 	items := c.items
 	grants := c.policy.JobOrder(items, c.policyView())
 	if grants == nil {
 		c.serveFIFO()
-		return
+		return false
 	}
 	c.served = resized(c.served, len(c.queue))
 	served := c.served
@@ -204,6 +207,7 @@ func (c *Controller) servePolicy() {
 		c.drop(i)
 	}
 	c.truncate(w)
+	return true
 }
 
 // preemptRound asks the policy for graphlet victims when the pool is dry

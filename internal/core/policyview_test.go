@@ -76,51 +76,56 @@ func TestKeptPolicyViewAuditedThroughRecovery(t *testing.T) {
 }
 
 // A kept view that no longer matches the queue is a named invariant
-// violation, whichever way it went wrong; under FIFO there is no view to
-// audit.
+// violation, whichever way it went wrong, under every policy: FIFO keeps
+// and audits the same views as fair share, and each corruption reads the
+// same to both audits.
 func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Policy = sched.NewFairShare(sched.FairShareConfig{})
-	h := newHarness(t, 1, 2, opts)
-	h.submit(tenantJob("a", "a1", 3, 1))
-	h.submit(tenantJob("a", "a2", 1, 1))
-	if len(h.c.items) != 2 {
-		t.Fatalf("want a kept view of both queued requests, have %+v", h.c.items)
-	}
-	expect := func(want string) {
-		t.Helper()
-		v := h.c.CheckInvariants()
-		if len(v) != 1 || !strings.Contains(v[0], want) {
-			t.Fatalf("violations = %q, want exactly one containing %q", v, want)
+	var fair []string // fair share's violation for each corruption, in order
+	for _, policy := range []sched.Policy{sched.NewFairShare(sched.FairShareConfig{}), sched.FIFO{}} {
+		opts := DefaultOptions()
+		opts.Policy = policy
+		h := newHarness(t, 1, 2, opts)
+		h.submit(tenantJob("a", "a1", 3, 1))
+		h.submit(tenantJob("a", "a2", 1, 1))
+		if len(h.c.items) != 2 || len(h.c.gangs) != 1 {
+			t.Fatalf("%s: want a kept view of both queued requests and one gang, have %+v and %+v",
+				policy.Name(), h.c.items, h.c.gangs)
 		}
-	}
-	// A queued run's pending count moved without its entry being patched.
-	h.c.items[0].Pending++
-	expect("kept policy view entry 0 is")
-	h.c.items[0].Pending--
-	// The stale-entry count drifted: the sweep would be skipped or run for nothing.
-	h.c.staleItems++
-	expect("kept policy view counts 1 stale entries, a rebuild 0")
-	h.c.staleItems--
-	// The queue grew behind the view.
-	h.c.items = h.c.items[:1]
-	expect("kept policy view holds 1 entries for a queue of 2")
-	h.c.items = h.c.items[:2]
-	// A gang's running count moved without its entry being synced.
-	h.c.gangs[0].Running++
-	expect("kept gang list holds 1 gangs, a rebuild 1, or they differ")
-	h.c.gangs[0].Running--
-	if v := h.c.CheckInvariants(); len(v) > 0 {
-		t.Fatalf("restored view still violates: %v", v)
-	}
-
-	fifo := newHarness(t, 1, 2, DefaultOptions())
-	fifo.submit(tenantJob("a", "a1", 3, 1))
-	if len(fifo.c.items) != 0 || len(fifo.c.gangs) != 0 {
-		t.Fatalf("the FIFO fast path keeps views: %d items, %d gangs", len(fifo.c.items), len(fifo.c.gangs))
-	}
-	if v := fifo.c.CheckInvariants(); len(v) > 0 {
-		t.Fatalf("FIFO audited against views it does not keep: %v", v)
+		if v := h.c.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("%s: kept views violate before any corruption: %v", policy.Name(), v)
+		}
+		var got []string
+		expect := func(want string) {
+			t.Helper()
+			v := h.c.CheckInvariants()
+			if len(v) != 1 || !strings.Contains(v[0], want) {
+				t.Fatalf("%s: violations = %q, want exactly one containing %q", policy.Name(), v, want)
+			}
+			if fair != nil && v[0] != fair[len(got)] {
+				t.Fatalf("%s: violation %q, fair share's %q", policy.Name(), v[0], fair[len(got)])
+			}
+			got = append(got, v[0])
+		}
+		// A queued run's pending count moved without its entry being patched.
+		h.c.items[0].Pending++
+		expect("kept policy view entry 0 is")
+		h.c.items[0].Pending--
+		// The stale-entry count drifted: the sweep would be skipped or run for nothing.
+		h.c.staleItems++
+		expect("kept policy view counts 1 stale entries, a rebuild 0")
+		h.c.staleItems--
+		// The queue grew behind the view.
+		h.c.items = h.c.items[:1]
+		expect("kept policy view holds 1 entries for a queue of 2")
+		h.c.items = h.c.items[:2]
+		// A gang's running count moved without its entry being synced.
+		h.c.gangs[0].Running++
+		expect("kept gang list holds 1 gangs, a rebuild 1, or they differ")
+		h.c.gangs[0].Running--
+		if v := h.c.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("%s: restored view still violates: %v", policy.Name(), v)
+		}
+		fair = got
 	}
 }
 

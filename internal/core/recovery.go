@@ -157,10 +157,12 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 
 // reviveLostInputs re-runs every completed producer task of a stage whose
 // buffered output was lost while "not needed" — a consumer of that output
-// has just become pending again, so the data is needed after all. The
-// recursion through markPending walks producers upward and terminates
-// because each revived task leaves the done+lost state and the DAG is
-// acyclic.
+// has just become pending again, so the data is needed after all. A
+// revived stage that is not idempotent cascades, as TaskOutputLost's
+// re-run does: its successors in the graphlet consumed rows the re-run
+// replaces (Fig. 6b). The recursion through markPending walks producers
+// upward and terminates because each revived task leaves the done+lost
+// state and the DAG is acyclic.
 func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 	for _, from := range st.in {
 		pst := m.stages[from]
@@ -174,6 +176,9 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 			revived = true
 		}
 		if revived {
+			if !pst.spec.Idempotent {
+				c.cascade(m, from, pst.graphlet, nil)
+			}
 			c.requeue(m, pst.graphlet)
 		}
 	}

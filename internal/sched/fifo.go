@@ -1,9 +1,9 @@
 package sched
 
 // FIFO is the default policy: serve the queue in arrival order, uncapped,
-// never preempt, no tenant differentiation. All three methods return nil,
-// which the controller recognises and executes on its legacy fast path —
-// same code path, same obs stream, byte-identical hashes.
+// never preempt, no tenant differentiation. All three methods return nil;
+// the controller serves a nil plan with its FIFO walk, in the same round
+// every policy goes through.
 type FIFO struct{}
 
 // Name implements Policy.

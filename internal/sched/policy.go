@@ -111,8 +111,7 @@ type Policy interface {
 	Name() string
 	// JobOrder returns the serve plan for one scheduling round. A nil
 	// result means "serve every item in queue order, uncapped" — the FIFO
-	// answer, which the controller executes on a fast path with no view
-	// construction at all.
+	// answer, which the controller executes as its FIFO walk.
 	JobOrder(items []Item, view View) []Grant
 	// Proportion computes per-tenant deserved shares, sorted by tenant
 	// name. A nil result means the policy does not differentiate tenants.
