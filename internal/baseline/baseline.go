@@ -30,7 +30,7 @@ func Swift() core.Options { return core.DefaultOptions() }
 func Spark() core.Options {
 	o := core.DefaultOptions()
 	o.Partition = core.PerStagePartition
-	o.Shuffle = core.DiskShuffle()
+	o.Shuffle = core.FixedShuffle(shuffle.Disk)
 	o.ColdLaunch = true
 	return o
 }

@@ -250,46 +250,51 @@ func TestGangUnitWaitsForFullAllocation(t *testing.T) {
 	}
 }
 
-// A nil plan's FIFO walk is uncapped, so a gang unit it leaves waiting on
-// a wet pool ends the round: the deadlock breaker stays out, since
+// A gang unit waiting on a wet pool is never starved, under every policy:
 // preempting the gang's own parked consumer frees one executor and
-// re-pends one task, which never makes the gang fit. Here a crash re-pends
-// A[0] (its output was on the machine) and B[0] of a whole-job gang with
-// one executor free; the surviving B keeps running until the machine
-// returns and the gang fits.
+// re-pends one task, which never makes the gang fit, so the deadlock
+// breaker passes it over (under FIFO the nil plan's walk also stops at
+// it). Here a crash re-pends A[0] (its output was on the machine) and B[0]
+// of a whole-job gang with one executor free; the surviving B keeps
+// running until the machine returns and the gang fits.
 func TestNilPlanLeavesWaitingGangsConsumersRunning(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Partition = WholeJobPartition
-	h := newHarness(t, 2, 2, opts)
-	h.submit(pipelineJob("j", 2, 2))
-	h.finish(ref("j", "A", 0))
-	h.finish(ref("j", "A", 1))
-	mOf := func(task TaskRef) cluster.MachineID {
-		for _, s := range h.starts {
-			if s.Task == task {
-				return h.c.Cluster().MachineOf(s.Executor)
+	for _, policy := range []sched.Policy{sched.FIFO{}, sched.NewFairShare(sched.FairShareConfig{})} {
+		opts := DefaultOptions()
+		opts.Partition = WholeJobPartition
+		opts.Policy = policy
+		h := newHarness(t, 2, 2, opts)
+		h.submit(pipelineJob("j", 2, 2))
+		h.finish(ref("j", "A", 0))
+		h.finish(ref("j", "A", 1))
+		mOf := func(task TaskRef) cluster.MachineID {
+			for _, s := range h.starts {
+				if s.Task == task {
+					return h.c.Cluster().MachineOf(s.Executor)
+				}
 			}
+			t.Fatalf("%s: %s never started", policy.Name(), task)
+			return 0
 		}
-		t.Fatalf("%s never started", task)
-		return 0
-	}
-	m := mOf(ref("j", "B", 0))
-	survivor := ref("j", "B", 1)
-	if mOf(ref("j", "A", 0)) != m || mOf(survivor) == m {
-		t.Fatalf("placement changed: want A[0] and B[0] on machine %d, B[1] elsewhere; starts %+v", m, h.starts)
-	}
-	h.crash(m)
-	if _, ok := h.running[survivor]; !ok || len(h.running) != 1 || h.c.Cluster().FreeExecutors() != 1 {
-		t.Fatalf("after the crash %v run with %d executors free; want %s alone, one free",
-			h.running, h.c.Cluster().FreeExecutors(), survivor)
-	}
-	h.readmit()
-	if len(h.running) != 3 || h.running[survivor].Attempt != 1 {
-		t.Fatalf("after the machine returned %v run; want the gang's two re-pended tasks beside %s's first attempt", h.running, survivor)
-	}
-	h.finishAll()
-	if !h.completed("j") {
-		t.Fatal("job not completed")
+		m := mOf(ref("j", "B", 0))
+		survivor := ref("j", "B", 1)
+		if mOf(ref("j", "A", 0)) != m || mOf(survivor) == m {
+			t.Fatalf("%s: placement changed: want A[0] and B[0] on machine %d, B[1] elsewhere; starts %+v",
+				policy.Name(), m, h.starts)
+		}
+		h.crash(m)
+		if _, ok := h.running[survivor]; !ok || len(h.running) != 1 || h.c.Cluster().FreeExecutors() != 1 {
+			t.Fatalf("%s: after the crash %v run with %d executors free; want %s alone, one free",
+				policy.Name(), h.running, h.c.Cluster().FreeExecutors(), survivor)
+		}
+		h.readmit()
+		if len(h.running) != 3 || h.running[survivor].Attempt != 1 {
+			t.Fatalf("%s: after the machine returned %v run; want the gang's two re-pended tasks beside %s's first attempt",
+				policy.Name(), h.running, survivor)
+		}
+		h.finishAll()
+		if !h.completed("j") {
+			t.Fatalf("%s: job not completed", policy.Name())
+		}
 	}
 }
 
@@ -639,7 +644,7 @@ func TestEdgeModeSelection(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	opts.Shuffle = DiskShuffle()
+	opts.Shuffle = FixedShuffle(shuffle.Disk)
 	h2 := newHarness(t, 4, 4, opts)
 	h2.submit(pipelineJob("j", 2, 2))
 	if got := h2.c.EdgeMode("j", "A", "B"); got != shuffle.Disk {

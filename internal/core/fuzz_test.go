@@ -160,9 +160,10 @@ func (in input) String() string {
 }
 
 // isFault reports whether an input injects a fault. Single-tenant fair
-// share equals FIFO only until one does: servePolicy keeps a queue entry
-// with nothing pending that the FIFO walk drops, so requeue leaves a
-// re-pended graphlet ahead of requests FIFO would serve first.
+// share equals FIFO only until one does: a fair-share plan skips, and a
+// dry pool then keeps, a queue entry with nothing pending that FIFO's nil
+// plan drops as it passes, so requeue leaves a re-pended graphlet ahead of
+// requests FIFO would serve first.
 func (in input) isFault() bool {
 	switch in.kind {
 	case inSubmit, inFinish, inMachineRecovered, inCancel:

@@ -73,11 +73,6 @@ func FixedShuffle(m shuffle.Mode) ShufflePolicy {
 	return func(int, int64, bool) shuffle.Mode { return m }
 }
 
-// DiskShuffle is the Spark-style file-based shuffle for every edge.
-func DiskShuffle() ShufflePolicy {
-	return func(int, int64, bool) shuffle.Mode { return shuffle.Disk }
-}
-
 // BubbleShuffle pipelines inside a bubble and spills to disk across bubble
 // boundaries, the Bubble Execution model.
 func BubbleShuffle() ShufflePolicy {
@@ -115,8 +110,8 @@ type Options struct {
 	// Policy is the pluggable scheduling policy: serve order and per-item
 	// executor caps (JobOrder), per-tenant deserved shares (Proportion)
 	// and gang-aware preemption (Preempt). Nil means sched.FIFO{}, the
-	// legacy arrival-order behaviour, which the controller runs on a fast
-	// path with zero policy overhead — provably byte-identical obs streams.
+	// arrival-order behaviour; it goes through the same scheduling round as
+	// every policy (its nil plan is "queue order, uncapped").
 	Policy sched.Policy
 	// Obs records spans and events for the observability plane. Nil (the
 	// default) disables recording; the controller's decisions are identical

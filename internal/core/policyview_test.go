@@ -263,7 +263,7 @@ func TestKeptViewPatchedAtEverySite(t *testing.T) {
 		h.submit(tenantJob("a", "a2", 1, 1))
 		h.submit(tenantJob("a", "a3", 1, 1))
 		policy.deferred = true
-		h.finish(ref("a1", "A", 0)) // the FIFO walk launches a2's A and keeps its entry
+		h.finish(ref("a1", "A", 0)) // the nil plan launches a2's A and keeps its entry
 		if it := item(t, h, "a2", 0); it.Pending != 1 {
 			t.Fatalf("a2's request is %+v after a deferred round, want 1 pending", it)
 		}

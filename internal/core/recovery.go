@@ -61,24 +61,37 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, maxTaskRetries))
 		return
 	}
-	c.releaseRunning(m, st, ref.Index)
-	c.markPending(m, si, ref.Index, StartRetry)
-
-	// Non-idempotent tasks may have streamed rows that successors
-	// already consumed; those successors must re-run too (Fig. 6b). The
-	// cascade stays within the graphlet: cross-graphlet consumers read
-	// from Cache Workers whose contents the re-run will replace before
-	// the consumer graphlet is submitted (Figs. 7a/7b).
-	if !st.spec.Idempotent {
-		c.cascade(m, si, st.graphlet, nil)
-	}
-
+	c.rerun(m, si, ref.Index)
 	c.requeue(m, st.graphlet)
 	c.schedule()
 }
 
+// rerun sends a failed or output-lost task back to pending for a retry.
+// Non-idempotent tasks may have streamed rows that successors already
+// consumed; those successors must re-run too (Fig. 6b). The cascade stays
+// within the graphlet: cross-graphlet consumers read from Cache Workers
+// whose contents the re-run will replace before the consumer graphlet is
+// submitted (Figs. 7a/7b). The caller requeues the graphlet.
+func (c *Controller) rerun(m *monitor, stage, i int) {
+	c.markPending(m, stage, i, StartRetry)
+	if st := m.stages[stage]; !st.spec.Idempotent {
+		c.cascade(m, stage, st.graphlet, nil)
+	}
+}
+
+// preempt aborts a running task that is not at fault (the deadlock
+// breaker's victim, a reclaimed gang's task) and re-runs it: the retry
+// budget is untouched, and a non-idempotent victim cascades exactly like
+// a failed one. The caller requeues the graphlet.
+func (c *Controller) preempt(m *monitor, stage, i int) {
+	st := m.stages[stage]
+	c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+	c.rerun(m, stage, i)
+}
+
 // cascade re-runs every started task of the successor stages of `stage`
-// within graphlet g, transitively. Callers pass nil for visited.
+// within graphlet g, transitively, aborting the running ones. Callers pass
+// nil for visited.
 func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 	if visited == nil {
 		visited = make([]bool, len(m.stages))
@@ -91,56 +104,48 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 		}
 		visited[to] = true
 		for i := range st.status {
-			if !st.started[i] {
-				continue
+			if !st.started[i] || st.status[i] == tPending {
+				continue // a pending task already awaits a fresh run
 			}
-			switch st.status[i] {
-			case tRunning:
+			if st.status[i] == tRunning {
 				c.emit(ActAbortTask{Task: m.ref(to, i), Executor: st.executor[i], Attempt: st.attempt[i]})
-				c.releaseRunning(m, st, i)
-				c.markPending(m, to, i, StartCascade)
-			case tDone:
-				st.done--
-				c.markPending(m, to, i, StartCascade)
-			case tPending:
-				// already awaiting a fresh run; nothing to cascade
 			}
+			c.markPending(m, to, i, StartCascade)
 		}
 		c.requeue(m, g)
 		c.cascade(m, to, g, visited)
 	}
 }
 
-// releaseRunning returns a running task's executor to the pool and fixes
-// the graphlet's running count. The task's status is left to the caller.
-func (c *Controller) releaseRunning(m *monitor, st *stageState, i int) {
-	if st.status[i] != tRunning {
-		return
-	}
-	run := m.gruns[st.graphlet]
-	run.running--
-	c.syncGang(m, st.graphlet)
-	if e := st.executor[i]; e >= 0 {
-		c.cl.ReleaseOne(e)
-	}
-	st.status[i] = tPending
-	c.snapDelta(m, 1, -1, 0)
-}
-
-// markPending resets a task for re-execution with the given reason and
-// appends it to its graphlet's pending queue. A task that re-enters the
-// pending state needs its input data again, so any producer whose buffered
-// output was lost under the "no step taken" rule must re-run first; those
-// producers are revived here, transitively up the DAG.
+// markPending is the one transition of a live task back to pending: it
+// resets the task for re-execution with the given reason and appends it to
+// its graphlet's pending queue. A running task's executor returns to the
+// pool; a done task leaves its stage's done count. A task that re-enters
+// the pending state needs its input data again, so any producer whose
+// buffered output was lost under the "no step taken" rule must re-run
+// first; those producers are revived here, transitively up the DAG.
 func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	st := m.stages[stage]
-	c.snapMarkPending(m, st.status[i])
+	run := m.gruns[st.graphlet]
+	switch st.status[i] {
+	case tRunning:
+		run.running--
+		c.syncGang(m, st.graphlet)
+		if e := st.executor[i]; e >= 0 {
+			c.cl.ReleaseOne(e)
+		}
+		c.snapDelta(m, 1, -1, 0)
+	case tDone:
+		st.done--
+		c.snapDelta(m, 1, 0, -1)
+	case tPending:
+		// already counted pending
+	}
 	st.status[i] = tPending
 	st.reason[i] = reason
 	st.lost[i] = false // a re-run regenerates the output
 	id := taskID{int32(stage), int32(i)}
 	delete(m.homes, id) // stale copies; re-replicated at finish
-	run := m.gruns[st.graphlet]
 	run.pending = append(run.pending, id)
 	if !run.disordered {
 		// Launch selection must restore topological order, and the
@@ -171,7 +176,6 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 			if pst.status[i] != tDone || !pst.lost[i] {
 				continue
 			}
-			pst.done--
 			c.markPending(m, from, i, StartRetry)
 			revived = true
 		}
@@ -343,11 +347,7 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries regenerating lost output", ref, maxTaskRetries))
 		return
 	}
-	st.done--
-	c.markPending(m, si, ref.Index, StartRetry)
-	if !st.spec.Idempotent {
-		c.cascade(m, si, st.graphlet, nil)
-	}
+	c.rerun(m, si, ref.Index)
 	c.requeue(m, st.graphlet)
 	c.schedule()
 }
@@ -457,29 +457,37 @@ func (c *Controller) restartJob(m *monitor) {
 	c.schedule()
 }
 
-// abortAll aborts every running task of a job and releases its executors.
+// abortAll aborts every running task of a job that is being restarted or
+// abandoned and releases its executors. The tasks are not re-run, so they
+// skip markPending's queueing.
 func (c *Controller) abortAll(m *monitor) {
 	m.eachTask(func(stage, i int) {
-		if st := m.stages[stage]; st.status[i] == tRunning {
-			c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
-			c.releaseRunning(m, st, i)
+		st := m.stages[stage]
+		if st.status[i] != tRunning {
+			return
 		}
+		c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+		m.gruns[st.graphlet].running--
+		c.syncGang(m, st.graphlet)
+		if e := st.executor[i]; e >= 0 {
+			c.cl.ReleaseOne(e)
+		}
+		st.status[i] = tPending
+		c.snapDelta(m, 1, -1, 0)
 	})
 }
 
 // dequeueJob drops every queued resource request of m's job (it is being
 // restarted or abandoned).
 func (c *Controller) dequeueJob(m *monitor) {
-	w := 0
+	hi := -1
 	for i, it := range c.queue {
 		if it.m == m {
 			c.drop(i)
-			continue
+			hi = i
 		}
-		c.move(i, w)
-		w++
 	}
-	c.truncate(w)
+	c.compact(hi)
 }
 
 // dropDisordered takes a job's graphlet runs off the disordered list (they

@@ -79,19 +79,3 @@ func (c *Controller) snapClose(m *monitor) {
 	m.tc.Running -= r
 	m.tc.Done -= d
 }
-
-// snapMarkPending accounts a task of m's job transitioning to tPending
-// from its current status. Must be called BEFORE the status is
-// overwritten.
-func (c *Controller) snapMarkPending(m *monitor, prev taskStatus) {
-	switch prev {
-	case tDone:
-		c.snapDelta(m, 1, 0, -1)
-	case tRunning:
-		// Callers release the executor (→ tPending) before re-marking, so
-		// this arm is defensive only.
-		c.snapDelta(m, 1, -1, 0)
-	case tPending:
-		// already counted pending
-	}
-}

@@ -2,8 +2,8 @@ package sched
 
 // FIFO is the default policy: serve the queue in arrival order, uncapped,
 // never preempt, no tenant differentiation. All three methods return nil;
-// the controller serves a nil plan with its FIFO walk, in the same round
-// every policy goes through.
+// the controller's one scheduling round reads a nil plan as every queued
+// item in queue order, uncapped.
 type FIFO struct{}
 
 // Name implements Policy.

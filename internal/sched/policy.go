@@ -111,7 +111,8 @@ type Policy interface {
 	Name() string
 	// JobOrder returns the serve plan for one scheduling round. A nil
 	// result means "serve every item in queue order, uncapped" — the FIFO
-	// answer, which the controller executes as its FIFO walk.
+	// answer, which the controller runs in the same loop as a plan, except
+	// that a waiting gang unit ends it.
 	JobOrder(items []Item, view View) []Grant
 	// Proportion computes per-tenant deserved shares, sorted by tenant
 	// name. A nil result means the policy does not differentiate tenants.

@@ -59,7 +59,8 @@ func tracedRun(seed int64, policy sched.Policy) (uint64, string) {
 // reproduce the default FIFO schedule exactly — same obs event stream
 // (hash) and byte-identical results — across seeds. One tenant's deserved
 // share is the whole pool, so budgets never bind, preemption never finds a
-// victim, and the budgeted serve must degenerate into the FIFO walk.
+// victim, and the budgeted serve must degenerate into the nil plan's
+// queue-order walk.
 func TestFairShareReducesToFIFOSingleTenant(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		fifoHash, fifoDump := tracedRun(seed, sched.FIFO{})

@@ -7,6 +7,7 @@ import (
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/metrics"
+	"swift/internal/shuffle"
 	"swift/internal/sim"
 )
 
@@ -150,7 +151,7 @@ func TestGraphletIdleBeatsWholeJobGang(t *testing.T) {
 func TestColdLaunchSlowsJob(t *testing.T) {
 	sparkOpts := core.DefaultOptions()
 	sparkOpts.Partition = core.PerStagePartition
-	sparkOpts.Shuffle = core.DiskShuffle()
+	sparkOpts.Shuffle = core.FixedShuffle(shuffle.Disk)
 	sparkOpts.ColdLaunch = true
 
 	warm := swiftRunner(4)

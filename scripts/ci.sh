@@ -23,8 +23,8 @@
 # internal/trace's codec hand-written with encoding/json as a test oracle),
 # and smoke the benchmark suites (one iteration each) so a bench-only
 # compile break or panic is caught here, not at measurement time. Fuzz
-# *exploration* is not run here — CI stays deterministic; run it manually
-# with
+# *exploration* is not run by default — the default tier stays
+# deterministic; run it manually with
 #   go test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
@@ -32,10 +32,23 @@
 #   go test ./internal/trace -fuzz FuzzTraceCodec -fuzztime 30s
 #   go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
 #
-# Usage: scripts/ci.sh [chaos-seeds]   (default 8)
+# -long is the opt-in long tier: after everything above it runs the
+# full-size experiments at seeds 1, 2 and 3 (go run ./cmd/swiftbench -seed
+# N, which exits non-zero on any fidelity row out of band; about 20 s a
+# seed on a 2-vCPU VM) and explores FuzzController for 60 s. A 40-seed
+# chaos step is not part of it yet: it waits for the thundering-herd
+# storm to be widened, because seed 12 draws no burst, and widening it
+# re-pins the soak's all-on lines.
+#
+# Usage: scripts/ci.sh [-long] [chaos-seeds]   (default 8 chaos seeds)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+LONG=0
+if [ "${1:-}" = "-long" ]; then
+    LONG=1
+    shift
+fi
 SEEDS="${1:-8}"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
@@ -195,5 +208,14 @@ echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
     ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/simrun/ \
     ./internal/shuffle/ ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
+
+if [ "$LONG" = 1 ]; then
+    echo "== long tier: full-size experiments, seeds 1-3 (every fidelity row in band)"
+    for FULL_SEED in 1 2 3; do
+        go run ./cmd/swiftbench -seed "$FULL_SEED" > "$TRACE_TMP/full-$FULL_SEED.out"
+    done
+    echo "== long tier: FuzzController exploration (60 s)"
+    go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
+fi
 
 echo "ci: all green"
