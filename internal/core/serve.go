@@ -1,0 +1,616 @@
+package core
+
+import (
+	"slices"
+
+	"swift/internal/cluster"
+	"swift/internal/sched"
+)
+
+// This file is the scheduling round, one for every policy: the request
+// queue's bookkeeping, schedule and its deadlock breaker, and the
+// controller side of the pluggable policy pipeline. The round flattens
+// controller state into the pure sched.Item/Gang/View structs (kept by
+// deltas as the state changes), runs a JobOrder plan or a nil plan's
+// queue-order walk in one loop, and turns Preempt victims into
+// whole-graphlet reclaims through the deadlock breaker's preempt.
+
+// requeue re-registers a graphlet that needs more executors (recovery or a
+// pool shrunk by machine failure). A run has at most one queue entry, and
+// one still queued — stale or not — keeps its place.
+func (c *Controller) requeue(m *monitor, g int) {
+	if m.gruns[g].qpos >= 0 {
+		return
+	}
+	c.enqueue(m, g)
+}
+
+// enqueue appends a resource request for graphlet g of m's job.
+func (c *Controller) enqueue(m *monitor, g int) {
+	run := m.gruns[g]
+	run.status = gQueued
+	run.qpos = c.qoff + len(c.queue)
+	c.queue = append(c.queue, reqItem{m: m, g: g})
+	c.items = append(c.items, c.viewItem(len(c.queue)-1))
+	if c.items[len(c.items)-1].Pending == 0 {
+		c.staleItems++
+	}
+	m.tc.Queued++
+	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
+}
+
+// move shifts the queue entry at position from to position to, where
+// the caller has made room; the entry's run and view entry follow it.
+func (c *Controller) move(from, to int) {
+	it := c.queue[from]
+	c.queue[to] = it
+	it.m.gruns[it.g].qpos = c.qoff + to
+	c.items[to] = c.items[from]
+	c.items[to].Index = c.qoff + to
+}
+
+// drop retires the queue entry at position i and marks its view entry
+// Pending -1; the caller compacts the queue over it.
+func (c *Controller) drop(i int) {
+	it := c.queue[i]
+	it.m.gruns[it.g].qpos = -1
+	it.m.tc.Queued--
+	if c.items[i].Pending == 0 {
+		c.staleItems--
+	}
+	c.items[i].Pending = -1
+}
+
+// truncate cuts the queue, and the view with it, to its first n entries.
+func (c *Controller) truncate(n int) {
+	c.queue = c.queue[:n]
+	c.items = c.items[:n]
+}
+
+// maxPreemptRounds bounds policy preemptions per scheduling round; each
+// reclaim frees executors and re-serves the queue, and the next event's
+// schedule() continues if shares are still out of balance.
+const maxPreemptRounds = 4
+
+// schedule is the ResourceScheduleLoop: serve the request queue, and if
+// requests are still waiting, check for the one stall serving alone cannot
+// fix — every executor held by pipeline consumers idle-waiting on producer
+// tasks that recovery pushed back to pending. Breaking that deadlock frees
+// an executor, so the queue is served again. A dry pool with starved
+// queued work may also warrant preemption: the policy nominates
+// whole-graphlet victims to reclaim (sched.FIFO never does), reusing the
+// deadlock breaker's per-task machinery.
+func (c *Controller) schedule() {
+	if c.deferSchedule {
+		return
+	}
+	preempts := 0
+	for {
+		freeBefore := c.cl.FreeExecutors()
+		c.servePolicy()
+		if len(c.queue) == 0 {
+			return
+		}
+		if free := c.cl.FreeExecutors(); free > 0 {
+			// Pool still wet with work queued. A plan may be budgeted: after
+			// a progressing round, re-plan (a launch may have consumed the
+			// last of a tenant's quota with work still queued behind it).
+			// Once a round launches nothing, the clamped remainder may be
+			// wedged behind its own quota — every quota slot held by
+			// consumers parked on the very producers the clamp keeps
+			// queued, a state no future event will fix. Preempting one
+			// parked consumer frees a unit of quota for the starved
+			// producer. A waiting gang is never the starved side here
+			// (see breakDeadlock).
+			if free < freeBefore {
+				continue
+			}
+			if len(c.disordered) != 0 && c.breakDeadlock() {
+				continue
+			}
+			return
+		}
+		// A dry pool with waiting requests is the normal saturated state;
+		// it can only be a deadlock when recovery has re-pended work
+		// somewhere (a disordered run), so the scan is gated on that.
+		if len(c.disordered) != 0 && c.breakDeadlock() {
+			continue
+		}
+		if preempts >= maxPreemptRounds || !c.preemptRound() {
+			return
+		}
+		preempts++
+	}
+}
+
+// serveItem tries to allocate executors for one queued graphlet request
+// and reports whether the item should remain queued. limit > 0 caps how
+// many tasks may launch this round (a policy grant's tenant budget); it
+// applies after a gang unit's full-fit check, which keeps gang semantics a
+// property of the graphlet, not of the policy.
+func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
+	m := item.m
+	if m.failed || m.done {
+		return false
+	}
+	run := m.gruns[item.g]
+	if run.status != gQueued || len(run.pending) == 0 {
+		if run.status == gQueued {
+			run.status = gRunning
+		}
+		return false
+	}
+	want := len(run.pending)
+	if run.gang && c.cl.FreeExecutors() < want {
+		// Nothing launches until the whole gang fits.
+		return true
+	}
+	if limit > 0 && want > limit {
+		want = limit
+	}
+	execs := c.cl.Allocate(want, nil)
+	if len(execs) == 0 {
+		return true
+	}
+	for i, e := range execs {
+		if len(run.pending) == 0 {
+			// More executors than pending tasks (pending shrank since
+			// `want` was computed): return the leftovers.
+			c.cl.Release(execs[i:])
+			break
+		}
+		c.launch(m, run, c.takePending(run), e)
+	}
+	if len(run.pending) > 0 {
+		return true
+	}
+	run.status = gRunning
+	return false
+}
+
+// takePending removes and returns the next pending task to launch,
+// upstream stages first. Freshly built pending queues are topologically
+// ordered, so the common path pops the front in O(1); once recovery
+// re-inserts tasks out of order, the queue is scanned for the entry with
+// the smallest (topological stage index, task index), so a re-pended
+// producer always launches before more of its consumers — launching
+// consumers first would park them on data the producer cannot regenerate
+// without an executor. A disordered queue stays disordered until it
+// empties, and every take from it scans, so the order of what remains
+// does not matter: the head moves into the hole and the slice advances,
+// which for an ordered run is the plain head pop.
+func (c *Controller) takePending(run *graphletRun) taskID {
+	p := run.pending
+	best := 0
+	if run.disordered {
+		for i := 1; i < len(p); i++ {
+			a, b := p[i], p[best]
+			if a.stage < b.stage || (a.stage == b.stage && a.index < b.index) {
+				best = i
+			}
+		}
+	}
+	id := p[best]
+	p[best] = p[0]
+	run.pending = p[1:]
+	if run.disordered && len(run.pending) == 0 {
+		c.clearDisordered(run)
+	}
+	return id
+}
+
+// clearDisordered takes a run off the disordered list: its pending queue
+// emptied, or its job is being discarded.
+func (c *Controller) clearDisordered(run *graphletRun) {
+	run.disordered = false
+	c.disordered = slices.DeleteFunc(c.disordered, func(d reqItem) bool { return d.m.gruns[d.g] == run })
+}
+
+// breakDeadlock resolves the one stall the resource loop cannot serve its
+// way out of: recovery re-pends producer tasks (lost output, machine
+// crash) while downstream consumers occupy every executor waiting for
+// exactly that data — the consumers never finish, so no executor is ever
+// freed for the producers. The stall can span graphlets: a gating stage
+// that regresses after its consumer graphlet launched leaves that
+// graphlet's tasks parked on data nobody can regenerate. For the first
+// starved queue item, the most-downstream running task of the same job
+// below a pending stage is preempted, and the starved item moves to the
+// queue front so the freed executor goes to the blocked producer rather
+// than relaunching a consumer that would only park again. The preemption
+// is not the victim's fault, so its retry budget is untouched; a
+// non-idempotent victim cascades exactly like a failed one. Returns
+// whether a task was preempted (i.e. an executor may have been freed).
+//
+// A gang waiting on a wet pool is short of executors, not of data, so it
+// is not starved. Only WholeJobPartition makes gangs, so any victim for it
+// is the gang's own task: preempting it frees one executor and re-pends
+// one task, and the gang never fits sooner.
+func (c *Controller) breakDeadlock() bool {
+	// Every deadlock starves a recovery-re-pended producer, and
+	// re-insertion marks its run disordered — ordered runs cannot be the
+	// blocked side of a deadlock. So only the queued disordered runs are
+	// examined, in queue order. A victim is a running task of the same
+	// job: a job reclaimed down to nothing running stays queued and
+	// disordered round after round, and is passed over here.
+	c.starved = c.starved[:0]
+	wet := c.cl.FreeExecutors() > 0
+	for _, d := range c.disordered {
+		m, run := d.m, d.m.gruns[d.g]
+		if run.qpos >= 0 && run.status == gQueued && len(run.pending) > 0 && !m.failed && !m.done &&
+			!(run.gang && wet) &&
+			slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
+			c.starved = append(c.starved, d)
+		}
+	}
+	if len(c.starved) > 1 {
+		slices.SortFunc(c.starved, func(a, b reqItem) int { return a.m.gruns[a.g].qpos - b.m.gruns[b.g].qpos })
+	}
+	for _, item := range c.starved {
+		m := item.m
+		run := m.gruns[item.g]
+		vs, vi := c.deadlockVictim(m, run)
+		if vs < 0 {
+			continue
+		}
+		c.preempt(m, vs, vi)
+		c.requeue(m, m.stages[vs].graphlet)
+		// Serve the starved producer first: each preemption then launches
+		// a task strictly upstream of its victim, which bounds the number
+		// of preemptions one scheduling round can perform.
+		qi := run.qpos - c.qoff
+		view := c.items[qi]
+		for k := qi; k > 0; k-- {
+			c.move(k-1, k)
+		}
+		view.Index = c.qoff
+		c.queue[0], c.items[0], run.qpos = item, view, c.qoff
+		return true
+	}
+	return false
+}
+
+// deadlockVictim picks the task to preempt for a starved disordered run:
+// the most-downstream running task of the job strictly below any stage
+// with pending work in the run, preferring one whose executor will
+// actually repool (healthy machine). It returns (-1, -1) when nothing
+// below is running.
+func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index int) {
+	// Stages strictly downstream of a pending stage. Topological order
+	// makes one forward sweep a transitive closure: a stage is below if
+	// any producer is pending in this run or itself below.
+	c.below = resized(c.below, len(m.stages))
+	below := c.below
+	for _, id := range run.pending {
+		for _, to := range m.stages[id.stage].out {
+			below[to] = true
+		}
+	}
+	for s, st := range m.stages {
+		if below[s] {
+			for _, to := range st.out {
+				below[to] = true
+			}
+		}
+	}
+	stage, index = -1, -1
+	for s := len(m.stages) - 1; s >= 0; s-- {
+		if !below[s] {
+			continue
+		}
+		st := m.stages[s]
+		for i := range st.status {
+			if st.status[i] != tRunning {
+				continue
+			}
+			if c.cl.Machine(c.cl.MachineOf(st.executor[i])).Health == cluster.Healthy {
+				return s, i
+			}
+			if index < 0 {
+				stage, index = s, i
+			}
+		}
+	}
+	return stage, index
+}
+
+// launch starts one task attempt on an executor and emits the action. The
+// start reason was recorded in the stage state by whoever marked the task
+// pending (fresh submission, retry or cascade).
+func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.ExecutorID) {
+	st := m.stages[id.stage]
+	i := int(id.index)
+	reason := st.reason[i]
+	st.reason[i] = StartFresh
+	st.status[i] = tRunning
+	st.executor[i] = e
+	st.attempt[i]++
+	st.started[i] = true
+	run.running++
+	c.syncGang(m, st.graphlet)
+	c.snapDelta(m, -1, 1, 0)
+	ref := TaskRef{Job: m.job.ID, Stage: st.spec.Name, Index: i}
+	c.emit(ActStartTask{
+		Task:     ref,
+		Executor: e,
+		Graphlet: st.graphlet,
+		Attempt:  st.attempt[i],
+		Reason:   reason,
+	})
+	if reason == StartRetry && st.spec.Idempotent {
+		// Intra-graphlet idempotent recovery: surviving pipeline
+		// producers in the same graphlet re-send buffered output.
+		for _, from := range st.in {
+			if pst := m.stages[from]; pst.graphlet == st.graphlet {
+				c.emit(ActResend{To: ref, FromStage: pst.spec.Name})
+			}
+		}
+	}
+}
+
+// viewItem is the policy's view of queue entry i. Entries whose job left
+// the live set or whose graphlet is no longer actually queued carry
+// Pending 0; policies skip them and servePolicy retires them when it
+// reaches them or sweeps.
+func (c *Controller) viewItem(i int) sched.Item {
+	it := c.queue[i]
+	m := it.m
+	pi := sched.Item{Index: c.qoff + i, Job: m.job.ID, Graphlet: it.g}
+	if !m.failed && !m.done {
+		pi.Tenant, pi.Seq = m.tenant, m.seq
+		if run := m.gruns[it.g]; run.status == gQueued {
+			pi.Pending = len(run.pending)
+		}
+	}
+	return pi
+}
+
+// patchItem re-derives the kept view's entry of a run whose pending
+// tasks, status or job changed outside servePolicy, keeping the stale
+// count in step. A run with no queue entry has nothing to patch.
+func (c *Controller) patchItem(run *graphletRun) {
+	if run.qpos < 0 {
+		return
+	}
+	i := run.qpos - c.qoff
+	was := c.items[i].Pending
+	c.items[i] = c.viewItem(i)
+	switch now := c.items[i].Pending; {
+	case was != 0 && now == 0:
+		c.staleItems++
+	case was == 0 && now != 0:
+		c.staleItems--
+	}
+}
+
+// buildItems flattens the request queue into a fresh view and counts the
+// entries with nothing launchable: what the kept view must equal.
+func (c *Controller) buildItems() (items []sched.Item, stale int) {
+	items = make([]sched.Item, len(c.queue))
+	for i := range c.queue {
+		items[i] = c.viewItem(i)
+		if items[i].Pending == 0 {
+			stale++
+		}
+	}
+	return items, stale
+}
+
+// resized returns s with length n and every element zeroed, reusing its
+// backing array when that is large enough (and over-allocating by half
+// when it is not, so a steadily growing queue reallocates rarely).
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// syncGang brings the kept gang list up to date after graphlet g's running
+// count changed. While the run holds executors only its Running count
+// moves; a run that starts holding them is inserted in (admission seq,
+// graphlet) order, one that stops is removed, and either way the runs
+// behind it learn their new index.
+func (c *Controller) syncGang(m *monitor, g int) {
+	run := m.gruns[g]
+	switch {
+	case run.gpos >= 0 && run.running > 0:
+		c.gangs[run.gpos].Running = run.running
+	case run.running > 0:
+		i, _ := slices.BinarySearchFunc(c.gangs, sched.Gang{Seq: m.seq, Graphlet: g}, func(a, b sched.Gang) int {
+			if a.Seq != b.Seq {
+				return a.Seq - b.Seq
+			}
+			return a.Graphlet - b.Graphlet
+		})
+		c.gangs = slices.Insert(c.gangs, i, sched.Gang{Job: m.job.ID, Tenant: m.tenant,
+			Graphlet: g, Running: run.running, Seq: m.seq})
+		c.gangRuns = slices.Insert(c.gangRuns, i, run)
+		c.renumberGangs(i)
+	case run.gpos >= 0:
+		i := run.gpos
+		run.gpos = -1
+		c.gangs = slices.Delete(c.gangs, i, i+1)
+		c.gangRuns = slices.Delete(c.gangRuns, i, i+1)
+		c.renumberGangs(i)
+	}
+}
+
+// renumberGangs tells the runs from gang-list index i on where they are.
+func (c *Controller) renumberGangs(i int) {
+	for ; i < len(c.gangRuns); i++ {
+		c.gangRuns[i].gpos = i
+	}
+}
+
+// policyView assembles the cluster/tenant state policies decide against.
+func (c *Controller) policyView() sched.View {
+	return sched.View{
+		TotalExecutors: c.cl.NumExecutors(),
+		FreeExecutors:  c.cl.FreeExecutors(),
+		Tenants:        c.usageSnapshots(),
+	}
+}
+
+// usageSnapshots projects the per-tenant counters into the policy's usage
+// struct, sorted by tenant name (the View contract). The result is
+// scratch the next call overwrites.
+func (c *Controller) usageSnapshots() []sched.TenantUsage {
+	if len(c.tenantList) == 0 {
+		return nil
+	}
+	c.usage = resized(c.usage, len(c.tenantList))
+	for i, tc := range c.tenantList {
+		c.usage[i] = sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running,
+			Pending: tc.Pending, Queued: tc.Queued}
+	}
+	return c.usage
+}
+
+// servePolicy is one scheduling round, under every policy: ask JobOrder
+// for a grant plan and run it against the pool, then compact the queue. A
+// nil plan — sched.FIFO's always, another policy's on a round it has no
+// opinion on — is the implicit plan "every entry in queue order, uncapped",
+// which stops after a gang unit it keeps: a waiting gang blocks the walk
+// (graphlet.Graphlet.Gang). Entries behind one that cannot progress may
+// still be served (backfill), which lets small jobs flow around a large one.
+//
+// An entry serveItem does not keep is retired as it is visited (dropped,
+// and marked Pending -1 in the view). The round keeps the view current as
+// it goes, so its cost is what it grants or retires, not the queue's
+// depth: a dropped prefix goes by re-slicing, anything else compacts from
+// the first drop, and a round that drops nothing leaves the queue
+// untouched. That makes the saturated FIFO round — the head entry absorbs
+// the one freed executor — O(1), which it must stay: it runs on every task
+// completion. Stale entries (Pending 0) the walk did not reach are swept
+// only when the pool stays wet and no gang blocked it.
+func (c *Controller) servePolicy() {
+	if len(c.queue) == 0 || c.cl.FreeExecutors() == 0 {
+		return
+	}
+	grants := c.policy.JobOrder(c.items, c.policyView())
+	hi := -1 // the highest position dropped
+	blocked := false
+	for k := 0; c.cl.FreeExecutors() > 0; k++ {
+		i, limit := k, 0
+		if grants == nil {
+			if i == len(c.queue) {
+				break
+			}
+		} else {
+			if k == len(grants) {
+				break
+			}
+			i, limit = grants[k].Index-c.qoff, grants[k].Cap
+			if i < 0 || i >= len(c.queue) || c.items[i].Pending < 0 {
+				continue
+			}
+		}
+		it := c.queue[i]
+		if !c.serveItem(it, limit) {
+			c.drop(i)
+			hi = max(hi, i)
+			continue
+		}
+		run := it.m.gruns[it.g]
+		c.items[i].Pending = len(run.pending)
+		if grants == nil && run.gang {
+			blocked = true
+			break
+		}
+	}
+	if !blocked && c.staleItems > 0 && c.cl.FreeExecutors() > 0 {
+		for i := 0; i < len(c.queue) && c.staleItems > 0; i++ {
+			if c.items[i].Pending == 0 {
+				c.serveItem(c.queue[i], 0) // never kept: it only retires the run
+				c.drop(i)
+				hi = max(hi, i)
+			}
+		}
+	}
+	c.compact(hi)
+}
+
+// compact closes the queue, and the view with it, over the entries
+// dropped at positions up to hi (none when hi is -1): a dropped prefix
+// goes by re-slicing, which keeps the tail where it is, and the entries
+// behind the first drop left move down over it.
+func (c *Controller) compact(hi int) {
+	k := 0
+	for k <= hi && c.items[k].Pending < 0 {
+		k++
+	}
+	c.queue, c.items, c.qoff, hi = c.queue[k:], c.items[k:], c.qoff+k, hi-k
+	w := 0
+	for w <= hi && c.items[w].Pending >= 0 {
+		w++
+	}
+	if w > hi {
+		return
+	}
+	for i := w; i < len(c.queue); i++ {
+		if c.items[i].Pending >= 0 {
+			c.move(i, w)
+			w++
+		}
+	}
+	c.truncate(w)
+}
+
+// preemptRound asks the policy for graphlet victims when the pool is dry
+// with queued work waiting, reclaims them, and reports whether anything
+// was freed (so schedule() re-serves the queue). The per-tenant share
+// picture justifying the reclaim is recorded to the obs stream — only on
+// rounds that actually preempt, so non-preempting runs keep their event
+// streams (and hashes) unchanged.
+func (c *Controller) preemptRound() bool {
+	view := c.policyView()
+	victims := c.policy.Preempt(c.items, c.gangs, view)
+	if len(victims) == 0 {
+		return false
+	}
+	if c.opts.Obs.Enabled() {
+		for _, s := range c.policy.Proportion(view) {
+			c.opts.Obs.TenantShare(s.Tenant, s.Running, s.Deserved)
+		}
+	}
+	reclaimed := false
+	for _, v := range victims {
+		if c.reclaimGang(v) {
+			reclaimed = true
+		}
+	}
+	return reclaimed
+}
+
+// reclaimGang preempts every running task of one graphlet, as the deadlock
+// breaker preempts its victim, and re-queues the graphlet once, after all
+// of them. Reports whether any task was actually reclaimed.
+func (c *Controller) reclaimGang(v sched.Victim) bool {
+	m := c.jobs[v.Job]
+	if m == nil || m.failed || m.done || v.Graphlet < 0 || v.Graphlet >= len(m.gruns) {
+		return false
+	}
+	aborted := 0
+	for si, st := range m.stages {
+		if st.graphlet != v.Graphlet {
+			continue
+		}
+		for i := range st.status {
+			// A non-idempotent task's cascade aborts its running successors,
+			// so this loop sees them as no longer running.
+			if st.status[i] == tRunning {
+				c.preempt(m, si, i)
+				aborted++
+			}
+		}
+	}
+	if aborted == 0 {
+		return false
+	}
+	c.requeue(m, v.Graphlet)
+	c.reclaims++
+	c.opts.Obs.GangReclaimed(m.job.ID, v.Graphlet, aborted, m.tenant)
+	return true
+}
