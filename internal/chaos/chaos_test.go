@@ -72,6 +72,21 @@ func TestGenerateScheduleDeterministicAndComplete(t *testing.T) {
 	if bursts == 0 {
 		t.Error("overload-enabled profile generated no bursts over 120s")
 	}
+	// A rate too low for the Poisson draw to land in the window still
+	// yields one burst, inside the window.
+	p.OverloadPerMin = 1e-6
+	bursts = 0
+	for _, f := range GenerateSchedule(rand.New(rand.NewSource(42)), p, 120*sim.Second, 20, 80) {
+		if f.Kind == KindOverload {
+			bursts++
+			if f.Count != 17 || f.At < 0 || f.At >= 120*sim.Second {
+				t.Fatalf("guaranteed burst %+v, want 17 submissions inside the window", f)
+			}
+		}
+	}
+	if bursts != 1 {
+		t.Errorf("a near-zero overload rate generated %d bursts, want 1", bursts)
+	}
 }
 
 // TestSoak is the chaos gate: -chaos.seeds independent schedules, each with

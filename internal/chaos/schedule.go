@@ -145,6 +145,14 @@ func DefaultProfile() Profile {
 	}
 }
 
+// overloadBurst is the submission count of one overload fault.
+func (p Profile) overloadBurst() int {
+	if p.OverloadBurst <= 0 {
+		return 20
+	}
+	return p.OverloadBurst
+}
+
 // rates returns the per-kind rates indexed by FaultKind.
 func (p Profile) rates() [numFaultKinds]float64 {
 	return [numFaultKinds]float64{
@@ -163,10 +171,12 @@ func (p Profile) rates() [numFaultKinds]float64 {
 // GenerateSchedule samples a fault schedule over [0, window): each kind is
 // an independent Poisson process (exponential inter-arrivals at its rate),
 // arrivals optionally fan into short bursts, and machine-scoped faults draw
-// their targets up front. The result is sorted by time (kind, then target,
+// their targets up front. A profile with an overload rate gets at least one
+// overload burst. The result is sorted by time (kind, then target,
 // break ties) and is a pure function of the rng's seed.
 func GenerateSchedule(rng *rand.Rand, p Profile, window sim.Duration, machines, executors int) []Fault {
 	var out []Fault
+	overloads := 0
 	minute := float64(60 * sim.Second)
 	for kind, rate := range p.rates() {
 		if rate <= 0 {
@@ -200,14 +210,18 @@ func GenerateSchedule(rng *rand.Rand, p Profile, window sim.Duration, machines, 
 					// task-scoped with no extra parameters: the victim is
 					// drawn from the live tasks at injection time.
 				case KindOverload:
-					f.Count = p.OverloadBurst
-					if f.Count <= 0 {
-						f.Count = 20
-					}
+					f.Count = p.overloadBurst()
+					overloads++
 				}
 				out = append(out, f)
 			}
 		}
+	}
+	if p.OverloadPerMin > 0 && overloads == 0 && window > 0 {
+		// A herd profile always herds: a window the Poisson draw left
+		// without a burst gets one at a uniform time. It is the last draw,
+		// so every schedule that drew a burst stays as it was.
+		out = append(out, Fault{At: sim.Time(rng.Int63n(int64(window))), Kind: KindOverload, Count: p.overloadBurst()})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

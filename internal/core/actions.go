@@ -18,7 +18,7 @@ type TaskRef struct {
 func (t TaskRef) String() string { return fmt.Sprintf("%s/%s[%d]", t.Job, t.Stage, t.Index) }
 
 // StartReason explains why a task is being started.
-type StartReason int
+type StartReason int8
 
 const (
 	// StartFresh is the first execution of a task.

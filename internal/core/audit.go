@@ -62,15 +62,15 @@ func (c *Controller) Tasks(job string) []TaskSnapshot {
 	var out []TaskSnapshot
 	for _, name := range m.job.StageNames() {
 		st := m.stage(name)
-		for i := range st.status {
+		for i, t := range st.tasks {
 			out = append(out, TaskSnapshot{
 				Ref:        TaskRef{Job: job, Stage: name, Index: i},
-				State:      TaskState(st.status[i]),
-				Executor:   st.executor[i],
-				Attempt:    st.attempt[i],
-				Retries:    st.retries[i],
+				State:      t.status,
+				Executor:   t.executor,
+				Attempt:    t.attempt,
+				Retries:    t.retries,
 				Graphlet:   st.graphlet,
-				OutputLost: st.lost[i],
+				OutputLost: t.lost,
 			})
 		}
 	}
@@ -89,9 +89,9 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //
 //   - task-state conservation: every task is exactly one of
 //     pending/running/done, and per-stage done counters match;
-//   - graphlet accounting: running counters match running tasks, the
-//     pending queue of each graphlet contains exactly the pending tasks,
-//     each exactly once;
+//   - graphlet accounting: running and pending counters match the running
+//     and pending tasks, and no pending task sits behind the launch
+//     cursor;
 //   - executor leases: no two running tasks share an executor, every
 //     running task holds a known executor, the cluster's busy-executor
 //     count balances against the controller's running-task count, and no
@@ -103,8 +103,9 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //   - recovery consistency: no stage with a pending consumer task has a
 //     producer task whose output is recorded lost but still marked done
 //     (the consumer would launch against data that no longer exists), and
-//     the controller's disordered-run list — which the deadlock breaker
-//     visits — holds exactly the graphlet runs flagged disordered;
+//     the controller's re-pended-run list — which the deadlock breaker
+//     visits — holds exactly the graphlet runs flagged re-pended, each
+//     with a pending task;
 //   - queue positions: every queue entry's run knows its position, and a
 //     live run that knows none has no entry;
 //   - tenant accounting: the O(delta) per-tenant counters behind
@@ -118,7 +119,7 @@ func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
 	totalRunning := 0
-	disordered := 0
+	repended := 0
 	tenantRecount := make(map[string]*TenantCounts)
 	recountFor := func(name string) *TenantCounts {
 		tc := tenantRecount[name]
@@ -143,42 +144,18 @@ func (c *Controller) CheckInvariants() []string {
 				queued[it.g]++
 			}
 		}
-		// A job-wide dense task key (topological stage offset + task
-		// index) for the pending multiset check.
-		offset := make([]int, len(m.stages)+1)
-		for s, st := range m.stages {
-			offset[s+1] = offset[s] + len(st.status)
-		}
-		pendingInQueue := make([]map[int]int, len(m.gruns)) // graphlet -> task key -> count
-		for g, run := range m.gruns {
-			pendingInQueue[g] = make(map[int]int)
-			for _, id := range run.pending {
-				if id.stage < 0 || int(id.stage) >= len(m.stages) || id.index < 0 || int(id.index) >= len(m.stages[id.stage].status) {
-					v = append(v, fmt.Sprintf("%s: graphlet %d pending queue holds invalid task id %+v", jobID, g, id))
-					continue
-				}
-				pendingInQueue[g][offset[id.stage]+int(id.index)]++
-			}
-		}
-
 		for _, name := range m.job.StageNames() {
-			si := m.stageIdx[name]
-			st := m.stages[si]
-			doneCount, runningCount := 0, 0
-			for i := range st.status {
+			st := m.stage(name)
+			doneCount := 0
+			for i, t := range st.tasks {
 				ref := TaskRef{Job: jobID, Stage: name, Index: i}
-				key := offset[si] + i
-				switch st.status[i] {
-				case tPending:
+				switch t.status {
+				case TaskPending:
 					ttc.Pending++
-					if n := pendingInQueue[st.graphlet][key]; n != 1 {
-						v = append(v, fmt.Sprintf("%s: pending task %s appears %d times in graphlet %d's pending queue (want 1)", jobID, ref, n, st.graphlet))
-					}
-				case tRunning:
-					runningCount++
+				case TaskRunning:
 					totalRunning++
 					ttc.Running++
-					e := st.executor[i]
+					e := t.executor
 					if e < 0 {
 						v = append(v, fmt.Sprintf("%s: running task %s has no executor", jobID, ref))
 						break
@@ -190,17 +167,11 @@ func (c *Controller) CheckInvariants() []string {
 					if c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Failed {
 						v = append(v, fmt.Sprintf("%s: task %s still running on failed machine %d", jobID, ref, c.cl.MachineOf(e)))
 					}
-					if n := pendingInQueue[st.graphlet][key]; n != 0 {
-						v = append(v, fmt.Sprintf("%s: running task %s also in pending queue", jobID, ref))
-					}
-				case tDone:
+				case TaskDone:
 					doneCount++
 					ttc.Done++
-					if n := pendingInQueue[st.graphlet][key]; n != 0 {
-						v = append(v, fmt.Sprintf("%s: done task %s also in pending queue", jobID, ref))
-					}
 				default:
-					v = append(v, fmt.Sprintf("%s: task %s has invalid status %d", jobID, ref, st.status[i]))
+					v = append(v, fmt.Sprintf("%s: task %s has invalid status %d", jobID, ref, t.status))
 				}
 			}
 			if doneCount != st.done {
@@ -211,8 +182,8 @@ func (c *Controller) CheckInvariants() []string {
 			if pendingTasks(st) > 0 {
 				for _, from := range st.in {
 					pst := m.stages[from]
-					for i := range pst.status {
-						if pst.status[i] == tDone && pst.lost[i] {
+					for i, t := range pst.tasks {
+						if t.status == TaskDone && t.lost {
 							v = append(v, fmt.Sprintf("%s: task %s/%s[%d] output lost but consumer stage %s has pending tasks", jobID, jobID, pst.spec.Name, i, name))
 						}
 					}
@@ -222,35 +193,36 @@ func (c *Controller) CheckInvariants() []string {
 
 		// Per-graphlet accounting and liveness.
 		for g, run := range m.gruns {
-			if run.disordered {
-				disordered++
-				if len(run.pending) == 0 {
-					v = append(v, fmt.Sprintf("%s: graphlet %d flagged disordered with empty pending queue", jobID, g))
+			if run.repended {
+				repended++
+				if run.pending == 0 {
+					v = append(v, fmt.Sprintf("%s: graphlet %d flagged re-pended with no pending task", jobID, g))
 				}
 			}
-			running := 0
-			for _, st := range m.stages {
-				if st.graphlet != g {
-					continue
-				}
-				for i := range st.status {
-					if st.status[i] == tRunning {
+			running, pending := 0, 0
+			for k, s := range run.stages {
+				for i, t := range m.stages[s].tasks {
+					switch t.status {
+					case TaskRunning:
 						running++
+					case TaskPending:
+						pending++
+						if k < run.nk || (k == run.nk && i < run.ni) {
+							v = append(v, fmt.Sprintf("%s: pending task %s sits behind graphlet %d's launch cursor", jobID, m.ref(s, i), g))
+						}
+					case TaskDone:
+						// counted per stage above
 					}
 				}
 			}
 			if running != run.running {
 				v = append(v, fmt.Sprintf("%s: graphlet %d running counter %d != %d running tasks", jobID, g, run.running, running))
 			}
+			if pending != run.pending {
+				v = append(v, fmt.Sprintf("%s: graphlet %d pending counter %d != %d pending tasks", jobID, g, run.pending, pending))
+			}
 			if (run.qpos >= 0) != (queued[g] > 0) {
 				v = append(v, fmt.Sprintf("%s: graphlet %d has queue position %d and %d queue entries", jobID, g, run.qpos-c.qoff, queued[g]))
-			}
-			total := 0
-			for _, n := range pendingInQueue[g] {
-				total += n
-			}
-			if total != len(run.pending) {
-				v = append(v, fmt.Sprintf("%s: graphlet %d pending queue inconsistent", jobID, g))
 			}
 			switch run.status {
 			case gWaiting:
@@ -269,8 +241,8 @@ func (c *Controller) CheckInvariants() []string {
 					v = append(v, fmt.Sprintf("%s: graphlet %d marked queued but absent from request queue", jobID, g))
 				}
 			case gRunning, gDone:
-				if len(run.pending) > 0 && running == 0 && queued[g] == 0 {
-					v = append(v, fmt.Sprintf("%s: graphlet %d stuck: %d pending tasks, none running, not queued", jobID, g, len(run.pending)))
+				if pending > 0 && running == 0 && queued[g] == 0 {
+					v = append(v, fmt.Sprintf("%s: graphlet %d stuck: %d pending tasks, none running, not queued", jobID, g, pending))
 				}
 			}
 		}
@@ -279,12 +251,12 @@ func (c *Controller) CheckInvariants() []string {
 	if busy := c.cl.BusyExecutors(); busy != totalRunning {
 		v = append(v, fmt.Sprintf("executor lease imbalance: cluster reports %d busy, controller runs %d tasks", busy, totalRunning))
 	}
-	if disordered != len(c.disordered) {
-		v = append(v, fmt.Sprintf("disordered-run list holds %d runs, %d are flagged", len(c.disordered), disordered))
+	if repended != len(c.repended) {
+		v = append(v, fmt.Sprintf("re-pended-run list holds %d runs, %d are flagged", len(c.repended), repended))
 	}
-	for _, d := range c.disordered {
-		if !d.m.gruns[d.g].disordered {
-			v = append(v, fmt.Sprintf("%s: graphlet %d on the disordered-run list but not flagged", d.m.job.ID, d.g))
+	for _, d := range c.repended {
+		if !d.m.gruns[d.g].repended {
+			v = append(v, fmt.Sprintf("%s: graphlet %d on the re-pended-run list but not flagged", d.m.job.ID, d.g))
 		}
 	}
 	for i, it := range c.queue {
@@ -370,8 +342,8 @@ func (c *Controller) checkViews() []string {
 // pendingTasks counts a stage's pending tasks.
 func pendingTasks(st *stageState) int {
 	n := 0
-	for _, s := range st.status {
-		if s == tPending {
+	for _, t := range st.tasks {
+		if t.status == TaskPending {
 			n++
 		}
 	}

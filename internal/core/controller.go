@@ -19,14 +19,6 @@ import (
 	"swift/internal/shuffle"
 )
 
-type taskStatus int8
-
-const (
-	tPending taskStatus = iota
-	tRunning
-	tDone
-)
-
 type gStatus int8
 
 const (
@@ -38,9 +30,24 @@ const (
 
 // taskID names one task of a job by its stage's topological index and its
 // task index: the controller's internal, pointer-free form of a TaskRef.
-// Pending queues hold taskIDs, so popping, scanning and growing them moves
-// eight bytes per task and gives the collector nothing to trace.
 type taskID struct{ stage, index int32 }
+
+// taskState is one task's controller-side record, the only place its
+// state lives: whether it is pending is read here, never from a second
+// list. Its fields are ordered so that it packs into 32 bytes.
+type taskState struct {
+	executor cluster.ExecutorID // executor of current/last attempt (-1 unknown)
+	attempt  int
+	retries  int
+	status   TaskState
+	reason   StartReason // reason for the next launch
+	started  bool        // ever launched (non-idempotent cascade scope)
+	// lost marks a done task whose buffered output is gone but was not
+	// needed at loss time ("no step will be taken"). If a consumer later
+	// re-enters the pending state, the producer must re-run first —
+	// markPending revives lost inputs transitively.
+	lost bool
+}
 
 // stageState tracks per-task execution state of one stage.
 type stageState struct {
@@ -48,37 +55,33 @@ type stageState struct {
 	graphlet int
 	// in and out are the topological indexes of the stage's producers and
 	// consumers, in the job's edge order.
-	in, out  []int
-	status   []taskStatus
-	executor []cluster.ExecutorID // executor of current/last attempt (-1 unknown)
-	attempt  []int
-	retries  []int
-	started  []bool        // ever launched (non-idempotent cascade scope)
-	reason   []StartReason // reason for the next launch of each task
-	// lost marks a tDone task whose buffered output is gone but was not
-	// needed at loss time ("no step will be taken"). If a consumer later
-	// re-enters the pending state, the producer must re-run first —
-	// markPending revives lost inputs transitively.
-	lost []bool
-	done int
+	in, out []int
+	tasks   []taskState
+	done    int
 }
 
-func (s *stageState) complete() bool { return s.done == len(s.status) }
+func (s *stageState) complete() bool { return s.done == len(s.tasks) }
 
 // graphletRun tracks scheduling state of one graphlet.
 type graphletRun struct {
-	status  gStatus
-	pending []taskID // tasks awaiting an executor, topologically ordered
+	status gStatus
+	// stages are the graphlet's stages, as topological indexes in
+	// ascending order. pending counts their pending tasks, and (nk, ni) is
+	// the launch cursor, a task index ni of stage stages[nk]: no pending
+	// task sits before it in (stage, index) order, so takePending finds the
+	// most-upstream pending task by walking forward from it.
+	stages  []int
+	pending int
+	nk, ni  int
 	running int
 	gating  []int // external producer stages (topological indexes) that must finish first
 	// gang is the graphlet's Gang property: all-or-nothing launch. A gang
 	// waiting for executors ends a nil plan's walk, and is never starved
 	// while the pool is wet (breakDeadlock).
 	gang bool
-	// disordered is set when recovery re-inserts a task, so the pending
-	// queue may no longer be in topological order and launch selection
-	// must scan for the most-upstream entry instead of popping the front.
-	disordered bool
+	// repended is set while the run holds tasks that recovery sent back to
+	// pending; the scheduler's deadlock check visits only such runs.
+	repended bool
 	// qpos is the run's position in the request queue, counted from the
 	// queue's first entry ever (Controller.qoff), or -1 while it has no
 	// entry. A run has at most one. gpos is its index in the kept gang
@@ -92,7 +95,6 @@ type edgeKey struct{ from, to string }
 type monitor struct {
 	job       *dag.Job
 	graphlets []*graphlet.Graphlet
-	owner     map[string]int // stage -> graphlet index
 	gruns     []*graphletRun
 	stages    []*stageState // in topological order
 	modes     map[edgeKey]shuffle.Mode
@@ -159,12 +161,12 @@ type Controller struct {
 	// related failures is being processed (machine failure), so that
 	// recovery decisions see the full damage before relaunches begin.
 	deferSchedule bool
-	// disordered lists the graphlet runs whose pending queue holds
-	// recovery-re-inserted tasks, in no particular order. Empty means no
-	// recovery is in flight anywhere, so the scheduler's deadlock check is
-	// skipped entirely on the hot fault-free path; otherwise it visits
-	// these runs, not the queue.
-	disordered []reqItem
+	// repended lists the graphlet runs that hold tasks recovery sent back
+	// to pending, in no particular order. Empty means no recovery is in
+	// flight anywhere, so the scheduler's deadlock check is skipped
+	// entirely on the hot fault-free path; otherwise it visits these runs,
+	// not the queue.
+	repended []reqItem
 	// policy is the resolved scheduling policy (never nil); every round
 	// asks it for a plan, sched.FIFO included (see servePolicy).
 	policy sched.Policy
@@ -262,7 +264,6 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	m := &monitor{
 		job:       job,
 		graphlets: gs,
-		owner:     make(map[string]int),
 		stages:    make([]*stageState, len(topo)),
 		modes:     make(map[edgeKey]shuffle.Mode),
 		stageIdx:  make(map[string]int, len(topo)),
@@ -274,19 +275,20 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	for i, s := range topo {
 		m.stageIdx[s] = i
 	}
+	owner := make(map[string]int, len(topo)) // stage -> graphlet index
 	for _, g := range gs {
 		for _, s := range g.Stages {
-			m.owner[s] = g.Index
+			owner[s] = g.Index
 		}
 	}
 	c.opts.Obs.JobSubmitted(job.ID, len(topo), job.NumTasks(), len(gs))
 	for i, name := range topo {
 		spec := job.Stage(name)
-		m.stages[i] = &stageState{spec: spec, graphlet: m.owner[name], attempt: make([]int, spec.Tasks)}
+		m.stages[i] = &stageState{spec: spec, graphlet: owner[name], tasks: make([]taskState, spec.Tasks)}
 		m.stages[i].reset()
 	}
 	for _, e := range job.Edges() {
-		crossing := m.owner[e.From] != m.owner[e.To]
+		crossing := owner[e.From] != owner[e.To]
 		mode := c.opts.Shuffle(job.ShuffleEdgeSize(e), e.Bytes, crossing)
 		c.opts.Obs.ShuffleModeSelected(job.ID, e.From, e.To, mode.String(), job.ShuffleEdgeSize(e), e.Bytes)
 		m.modes[edgeKey{e.From, e.To}] = mode
@@ -307,40 +309,26 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 // numbers are kept: they go on increasing across a job restart so a stale
 // completion can never match.
 func (s *stageState) reset() {
-	tasks := s.spec.Tasks
-	s.status = make([]taskStatus, tasks)
-	s.executor = make([]cluster.ExecutorID, tasks)
-	s.retries = make([]int, tasks)
-	s.started = make([]bool, tasks)
-	s.reason = make([]StartReason, tasks)
-	s.lost = make([]bool, tasks)
-	s.done = 0
-	for i := range s.executor {
-		s.executor[i] = -1
+	for i := range s.tasks {
+		s.tasks[i] = taskState{executor: -1, attempt: s.tasks[i].attempt}
 	}
+	s.done = 0
 }
 
-// buildGraphletRuns derives the scheduling state for each graphlet:
-// pending-task order (topological within the graphlet) and gating stages
-// (producers of edges entering from outside — the "all its input data are
-// ready" submission rule).
+// buildGraphletRuns derives the scheduling state for each graphlet: its
+// stages, all of their tasks pending with the launch cursor at the first,
+// and its gating stages (producers of edges entering from outside — the
+// "all its input data are ready" submission rule).
 func (c *Controller) buildGraphletRuns(m *monitor) []*graphletRun {
 	runs := make([]*graphletRun, len(m.graphlets))
 	for _, g := range m.graphlets {
-		tasks := 0
-		for _, st := range m.stages {
-			if st.graphlet == g.Index {
-				tasks += len(st.status)
-			}
-		}
-		run := &graphletRun{status: gWaiting, pending: make([]taskID, 0, tasks), gang: g.Gang, qpos: -1, gpos: -1}
+		run := &graphletRun{status: gWaiting, gang: g.Gang, qpos: -1, gpos: -1}
 		for si, st := range m.stages {
 			if st.graphlet != g.Index {
 				continue
 			}
-			for i := range st.status {
-				run.pending = append(run.pending, taskID{int32(si), int32(i)})
-			}
+			run.stages = append(run.stages, si)
+			run.pending += len(st.tasks)
 			for _, from := range st.in {
 				if m.stages[from].graphlet != g.Index {
 					run.gating = append(run.gating, from)
@@ -375,30 +363,41 @@ func (c *Controller) enqueueReady(m *monitor) {
 	}
 }
 
+// live resolves a task reference of a live job to the job's monitor and
+// the stage's topological index; ok is false for an unknown, completed or
+// failed job, an unknown stage, or an index out of range. The reference
+// goes by pointer: by value, the inlined call copied it through the stack
+// on every completion, a store-forwarding stall replay_scale's wall shows.
+func (c *Controller) live(ref *TaskRef) (m *monitor, si int, ok bool) {
+	m = c.jobs[ref.Job]
+	if m == nil || m.failed || m.done {
+		return nil, 0, false
+	}
+	si, ok = m.stageIdx[ref.Stage]
+	if !ok || ref.Index < 0 || ref.Index >= len(m.stages[si].tasks) {
+		return nil, 0, false
+	}
+	return m, si, true
+}
+
 // TaskFinished records a successful task completion. Stale attempts (from
 // an aborted execution racing its abort) are ignored.
 func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
-	m := c.jobs[ref.Job]
-	if m == nil || m.failed || m.done {
-		return
-	}
-	si, ok := m.stageIdx[ref.Stage]
+	m, si, ok := c.live(&ref)
 	if !ok {
 		return
 	}
 	st := m.stages[si]
-	if ref.Index < 0 || ref.Index >= len(st.status) {
+	t := &st.tasks[ref.Index]
+	if t.attempt != attempt || t.status != TaskRunning {
 		return
 	}
-	if st.attempt[ref.Index] != attempt || st.status[ref.Index] != tRunning {
-		return
-	}
-	st.status[ref.Index] = tDone
+	t.status = TaskDone
 	st.done++
 	c.snapDelta(m, 0, -1, 1)
 	run := m.gruns[st.graphlet]
 	run.running--
-	e := st.executor[ref.Index]
+	e := t.executor
 	if c.opts.ShuffleReplicas > 1 && len(st.out) > 0 {
 		// Replicate the buffered output before the executor is reused: the
 		// copy reads from the producer's Cache Worker, not the executor.
@@ -411,13 +410,13 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	// a draining (read-only) or failed machine would break the health
 	// monitor's contract (Section IV-A), so those slots are released
 	// instead and the graphlet asks the scheduler for replacements.
-	if len(run.pending) > 0 && c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Healthy {
-		c.launch(m, run, c.takePending(run), e)
+	if run.pending > 0 && c.cl.Machine(c.cl.MachineOf(e)).Health == cluster.Healthy {
+		c.launch(m, run, c.takePending(m, run), e)
 		c.patchItem(run) // its queue entry's Pending moves behind servePolicy's back
 	} else {
 		c.cl.ReleaseOne(e)
 		c.syncGang(m, st.graphlet)
-		if len(run.pending) > 0 {
+		if run.pending > 0 {
 			c.requeue(m, st.graphlet)
 		} else if run.running == 0 && run.status != gDone {
 			run.status = gDone
@@ -489,15 +488,12 @@ func (c *Controller) Graphlets(job string) []*graphlet.Graphlet {
 // RunningTask returns the executor and attempt of a task if it is
 // currently running.
 func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
-	m := c.jobs[ref.Job]
-	if m == nil {
+	m, si, ok := c.live(&ref)
+	if !ok || m.stages[si].tasks[ref.Index].status != TaskRunning {
 		return 0, 0, false
 	}
-	st := m.stage(ref.Stage)
-	if st == nil || ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tRunning {
-		return 0, 0, false
-	}
-	return st.executor[ref.Index], st.attempt[ref.Index], true
+	t := m.stages[si].tasks[ref.Index]
+	return t.executor, t.attempt, true
 }
 
 // replicateOutput records the machine homes of a finished task's buffered
@@ -520,7 +516,7 @@ func (c *Controller) replicateOutput(m *monitor, id taskID, ref TaskRef, e clust
 		m.homes = make(map[taskID][]cluster.MachineID)
 	}
 	m.homes[id] = homes
-	c.emit(ActReplicate{Task: ref, Attempt: m.stages[id.stage].attempt[id.index], Machines: homes})
+	c.emit(ActReplicate{Task: ref, Attempt: m.stages[id.stage].tasks[id.index].attempt, Machines: homes})
 }
 
 // ReplicaRecoveries returns how many lost serving copies recovery resolved

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"swift/internal/cluster"
 	"swift/internal/dag"
@@ -693,5 +694,20 @@ func TestGraphletAccessors(t *testing.T) {
 	}
 	if _, _, ok := h.c.RunningTask(ref("j", "B", 0)); ok {
 		t.Error("RunningTask found un-started B[0]")
+	}
+}
+
+// TestTaskRecordSize holds the per-task record to the 32 bytes its field
+// order packs into on a 64-bit platform, and the start action, which
+// carries a StartReason, to its 72.
+func TestTaskRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(taskState{}); n != 32 {
+		t.Errorf("taskState is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(ActStartTask{}); n != 72 {
+		t.Errorf("ActStartTask is %d bytes, want 72", n)
 	}
 }

@@ -300,7 +300,7 @@ func startOrder(h *harness) string {
 				continue
 			}
 			latest := -1
-			for i := range st.status {
+			for i := range st.tasks {
 				if k, ok := last[m.ref(s, i)]; ok {
 					latest = max(latest, k)
 				}
@@ -316,8 +316,8 @@ func startOrder(h *harness) string {
 				for _, to := range m.stages[b].out {
 					below[to] = below[to] || m.stages[to].graphlet == st.graphlet
 				}
-				for i, status := range m.stages[b].status {
-					if b != s && status != tPending && last[m.ref(b, i)] < latest {
+				for i, t := range m.stages[b].tasks {
+					if b != s && t.status != TaskPending && last[m.ref(b, i)] < latest {
 						return fmt.Sprintf("%s started before %s's latest attempt", m.ref(b, i), st.spec.Name)
 					}
 				}

@@ -21,19 +21,13 @@ const (
 // numbers are ignored. Application-logic errors skip recovery entirely
 // (Section IV-C, "Avoiding Useless Failure Recovery").
 func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
-	m := c.jobs[ref.Job]
-	if m == nil || m.failed || m.done {
-		return
-	}
-	si, ok := m.stageIdx[ref.Stage]
+	m, si, ok := c.live(&ref)
 	if !ok {
 		return
 	}
 	st := m.stages[si]
-	if ref.Index < 0 || ref.Index >= len(st.status) {
-		return
-	}
-	if st.status[ref.Index] != tRunning || st.attempt[ref.Index] != attempt {
+	t := &st.tasks[ref.Index]
+	if t.status != TaskRunning || t.attempt != attempt {
 		return
 	}
 	c.opts.Obs.TaskFailed(ref.Job, ref.Stage, ref.Index, attempt, kind.String())
@@ -44,7 +38,7 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 	}
 
 	// Track machine failure bursts for the health monitor.
-	if e := st.executor[ref.Index]; e >= 0 {
+	if e := t.executor; e >= 0 {
 		mid := c.cl.MachineOf(e)
 		if c.cl.RecordTaskFailure(mid) >= unhealthyThreshold && c.cl.Machine(mid).Health == cluster.Healthy {
 			c.MachineUnhealthy(mid)
@@ -56,8 +50,8 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 		return
 	}
 
-	st.retries[ref.Index]++
-	if st.retries[ref.Index] > maxTaskRetries {
+	t.retries++
+	if t.retries > maxTaskRetries {
 		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, maxTaskRetries))
 		return
 	}
@@ -84,8 +78,8 @@ func (c *Controller) rerun(m *monitor, stage, i int) {
 // budget is untouched, and a non-idempotent victim cascades exactly like
 // a failed one. The caller requeues the graphlet.
 func (c *Controller) preempt(m *monitor, stage, i int) {
-	st := m.stages[stage]
-	c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+	t := m.stages[stage].tasks[i]
+	c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: t.executor, Attempt: t.attempt})
 	c.rerun(m, stage, i)
 }
 
@@ -103,12 +97,12 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 			continue
 		}
 		visited[to] = true
-		for i := range st.status {
-			if !st.started[i] || st.status[i] == tPending {
+		for i, t := range st.tasks {
+			if !t.started || t.status == TaskPending {
 				continue // a pending task already awaits a fresh run
 			}
-			if st.status[i] == tRunning {
-				c.emit(ActAbortTask{Task: m.ref(to, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+			if t.status == TaskRunning {
+				c.emit(ActAbortTask{Task: m.ref(to, i), Executor: t.executor, Attempt: t.attempt})
 			}
 			c.markPending(m, to, i, StartCascade)
 		}
@@ -118,40 +112,46 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 }
 
 // markPending is the one transition of a live task back to pending: it
-// resets the task for re-execution with the given reason and appends it to
-// its graphlet's pending queue. A running task's executor returns to the
-// pool; a done task leaves its stage's done count. A task that re-enters
-// the pending state needs its input data again, so any producer whose
+// resets the task for re-execution with the given reason and counts it
+// pending in its graphlet's run, moving the run's launch cursor back when
+// the task lies behind it. A running task's executor returns to the pool;
+// a done task leaves its stage's done count. A task that re-enters the
+// pending state needs its input data again, so any producer whose
 // buffered output was lost under the "no step taken" rule must re-run
 // first; those producers are revived here, transitively up the DAG.
 func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	st := m.stages[stage]
+	t := &st.tasks[i]
 	run := m.gruns[st.graphlet]
-	switch st.status[i] {
-	case tRunning:
+	switch t.status {
+	case TaskRunning:
 		run.running--
+		run.pending++
 		c.syncGang(m, st.graphlet)
-		if e := st.executor[i]; e >= 0 {
-			c.cl.ReleaseOne(e)
+		if t.executor >= 0 {
+			c.cl.ReleaseOne(t.executor)
 		}
 		c.snapDelta(m, 1, -1, 0)
-	case tDone:
+	case TaskDone:
 		st.done--
+		run.pending++
 		c.snapDelta(m, 1, 0, -1)
-	case tPending:
+	case TaskPending:
 		// already counted pending
 	}
-	st.status[i] = tPending
-	st.reason[i] = reason
-	st.lost[i] = false // a re-run regenerates the output
+	t.status = TaskPending
+	t.reason = reason
+	t.lost = false // a re-run regenerates the output
 	id := taskID{int32(stage), int32(i)}
 	delete(m.homes, id) // stale copies; re-replicated at finish
-	run.pending = append(run.pending, id)
-	if !run.disordered {
-		// Launch selection must restore topological order, and the
-		// scheduler's deadlock check watches for disordered runs.
-		run.disordered = true
-		c.disordered = append(c.disordered, reqItem{m: m, g: st.graphlet})
+	if run.nk == len(run.stages) || stage < run.stages[run.nk] || (stage == run.stages[run.nk] && i < run.ni) {
+		run.nk, _ = slices.BinarySearch(run.stages, stage)
+		run.ni = i
+	}
+	if !run.repended {
+		// The scheduler's deadlock check watches for re-pended runs.
+		run.repended = true
+		c.repended = append(c.repended, reqItem{m: m, g: st.graphlet})
 	}
 	if run.status == gDone {
 		run.status = gQueued
@@ -172,8 +172,8 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 	for _, from := range st.in {
 		pst := m.stages[from]
 		revived := false
-		for i := range pst.status {
-			if pst.status[i] != tDone || !pst.lost[i] {
+		for i, t := range pst.tasks {
+			if t.status != TaskDone || !t.lost {
 				continue
 			}
 			c.markPending(m, from, i, StartRetry)
@@ -192,7 +192,7 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 // by index.
 func (m *monitor) eachTask(visit func(stage, i int)) {
 	for _, stage := range m.sweepOrder() {
-		for i := range m.stages[stage].status {
+		for i := range m.stages[stage].tasks {
 			visit(stage, i)
 		}
 	}
@@ -215,7 +215,7 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 	// Collect first: recovery mutates state.
 	var running []TaskRef
 	c.eachLiveTask(func(m *monitor, stage, i int) {
-		if st := m.stages[stage]; st.status[i] == tRunning && c.cl.MachineOf(st.executor[i]) == id {
+		if t := m.stages[stage].tasks[i]; t.status == TaskRunning && c.cl.MachineOf(t.executor) == id {
 			running = append(running, m.ref(stage, i))
 		}
 	})
@@ -232,9 +232,9 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 		}
 		// An earlier victim's cascade may have aborted this one already: the
 		// abort repeats, and TaskFailed ignores a task no longer running.
-		st := m.stage(ref.Stage)
-		c.emit(ActAbortTask{Task: ref, Executor: st.executor[ref.Index], Attempt: st.attempt[ref.Index]})
-		c.TaskFailed(ref, st.attempt[ref.Index], FailCrash)
+		t := m.stage(ref.Stage).tasks[ref.Index]
+		c.emit(ActAbortTask{Task: ref, Executor: t.executor, Attempt: t.attempt})
+		c.TaskFailed(ref, t.attempt, FailCrash)
 	}
 	// TaskOutputLost applies the "no step taken" rule (or restarts the job
 	// under the baseline policy).
@@ -255,13 +255,13 @@ func (c *Controller) strike(id cluster.MachineID) []TaskRef {
 	var orphans []TaskRef
 	c.eachLiveTask(func(m *monitor, stage, i int) {
 		st := m.stages[stage]
-		if st.status[i] != tDone {
+		if st.tasks[i].status != TaskDone {
 			return
 		}
 		key := taskID{int32(stage), int32(i)}
 		homes := m.homes[key]
 		if len(homes) == 0 {
-			if c.cl.MachineOf(st.executor[i]) == id {
+			if c.cl.MachineOf(st.tasks[i].executor) == id {
 				orphans = append(orphans, m.ref(stage, i))
 			}
 			return
@@ -292,10 +292,8 @@ func (c *Controller) strike(id cluster.MachineID) []TaskRef {
 func (c *Controller) outputStillNeeded(m *monitor, st *stageState) bool {
 	// A sink stage has no consumers: its output is already with the client.
 	for _, to := range st.out {
-		for _, status := range m.stages[to].status {
-			if status == tPending {
-				return true
-			}
+		if pendingTasks(m.stages[to]) > 0 {
+			return true
 		}
 	}
 	return false
@@ -307,16 +305,13 @@ func (c *Controller) outputStillNeeded(m *monitor, st *stageState) bool {
 // the data, no step is taken; otherwise the task re-runs so consumers can
 // re-fetch (the Fig. 6a / Fig. 7 semantics).
 func (c *Controller) TaskOutputLost(ref TaskRef) {
-	m := c.jobs[ref.Job]
-	if m == nil || m.failed || m.done {
-		return
-	}
-	si, ok := m.stageIdx[ref.Stage]
+	m, si, ok := c.live(&ref)
 	if !ok {
 		return
 	}
 	st := m.stages[si]
-	if ref.Index < 0 || ref.Index >= len(st.status) || st.status[ref.Index] != tDone {
+	t := &st.tasks[ref.Index]
+	if t.status != TaskDone {
 		return
 	}
 	if c.opts.Recovery == JobRestart {
@@ -333,7 +328,7 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 	if !c.outputStillNeeded(m, st) {
 		// "No step will be taken" — but remember the loss so a consumer
 		// that later re-enters the pending state revives this producer.
-		st.lost[ref.Index] = true
+		t.lost = true
 		c.opts.Obs.OutputLost(ref.Job, ref.Stage, ref.Index, "no-step")
 		return
 	}
@@ -342,8 +337,8 @@ func (c *Controller) TaskOutputLost(ref TaskRef) {
 	// Regenerating a lost output is a retry like any other: without this
 	// bound, an output that keeps getting lost (flapping Cache Worker,
 	// repeatedly crashing machine) re-runs the task forever.
-	st.retries[ref.Index]++
-	if st.retries[ref.Index] > maxTaskRetries {
+	t.retries++
+	if t.retries > maxTaskRetries {
 		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries regenerating lost output", ref, maxTaskRetries))
 		return
 	}
@@ -424,8 +419,8 @@ func (c *Controller) ExecutorRestarted(e cluster.ExecutorID) {
 	var dead TaskRef
 	attempt := -1
 	c.eachLiveTask(func(m *monitor, stage, i int) {
-		if st := m.stages[stage]; st.status[i] == tRunning && st.executor[i] == e {
-			dead, attempt = m.ref(stage, i), st.attempt[i]
+		if t := m.stages[stage].tasks[i]; t.status == TaskRunning && t.executor == e {
+			dead, attempt = m.ref(stage, i), t.attempt
 		}
 	})
 	if attempt >= 0 {
@@ -450,7 +445,7 @@ func (c *Controller) restartJob(m *monitor) {
 	m.homes = nil
 	// Drop queued items of this job and rebuild graphlet runs.
 	c.dequeueJob(m)
-	c.dropDisordered(m)
+	c.dropRepended(m)
 	m.gruns = c.buildGraphletRuns(m)
 	c.emit(ActJobRestarted{Job: m.job.ID})
 	c.enqueueReady(m)
@@ -463,16 +458,17 @@ func (c *Controller) restartJob(m *monitor) {
 func (c *Controller) abortAll(m *monitor) {
 	m.eachTask(func(stage, i int) {
 		st := m.stages[stage]
-		if st.status[i] != tRunning {
+		t := &st.tasks[i]
+		if t.status != TaskRunning {
 			return
 		}
-		c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: st.executor[i], Attempt: st.attempt[i]})
+		c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: t.executor, Attempt: t.attempt})
 		m.gruns[st.graphlet].running--
 		c.syncGang(m, st.graphlet)
-		if e := st.executor[i]; e >= 0 {
-			c.cl.ReleaseOne(e)
+		if t.executor >= 0 {
+			c.cl.ReleaseOne(t.executor)
 		}
-		st.status[i] = tPending
+		t.status = TaskPending
 		c.snapDelta(m, 1, -1, 0)
 	})
 }
@@ -490,14 +486,10 @@ func (c *Controller) dequeueJob(m *monitor) {
 	c.compact(hi)
 }
 
-// dropDisordered takes a job's graphlet runs off the disordered list (they
-// are being discarded: job restart or abandonment).
-func (c *Controller) dropDisordered(m *monitor) {
-	for _, run := range m.gruns {
-		if run.disordered {
-			c.clearDisordered(run)
-		}
-	}
+// dropRepended takes a job's graphlet runs off the re-pended list. They
+// are being discarded (job restart or abandonment), so their flags stay.
+func (c *Controller) dropRepended(m *monitor) {
+	c.repended = slices.DeleteFunc(c.repended, func(d reqItem) bool { return d.m == m })
 }
 
 // CancelJob aborts a live job on client request: every running task is
@@ -520,7 +512,7 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.abortAll(m)
 	m.failed = true
 	c.snapClose(m)
-	c.dropDisordered(m)
+	c.dropRepended(m)
 	c.dequeueJob(m)
 	c.emit(ActJobFailed{Job: m.job.ID, Reason: reason})
 	c.schedule()

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"swift/internal/cluster"
 	"swift/internal/core"
+	"swift/internal/dag"
 	"swift/internal/raceflag"
 	"swift/internal/sched"
 	"swift/internal/trace"
@@ -154,4 +156,60 @@ func BenchmarkRoundTripFIFO(b *testing.B) {
 func BenchmarkRoundTripFairShare(b *testing.B) {
 	opts, spec := fairOptions()
 	benchRoundTrip(b, opts, spec)
+}
+
+// maxSubmitAllocs is SubmitJob's budget for a chain of n pipelined stages,
+// as measured: about nine allocations a stage (its state and its one
+// task-record slice, its entries in the job's maps, what validation,
+// partitioning and shuffle selection spend on it) over about ten for the
+// job.
+var maxSubmitAllocs = map[int]float64{4: 47, 32: 306}
+
+// TestSubmitJobAllocs holds admission to a per-stage allocation budget. On
+// a dry pool SubmitJob admits a chain of pipelined stages and queues its
+// one graphlet but launches nothing; what that allocates may grow with the
+// stages but not with the tasks per stage, which one record slice per
+// stage keeps true.
+func TestSubmitJobAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	measure := func(stages, tasks int) float64 {
+		const runs = 64
+		jobs := make([]*dag.Job, runs+1) // AllocsPerRun warms up once
+		for i := range jobs {
+			b := dag.NewBuilder(fmt.Sprintf("j%d", i))
+			for s := 0; s < stages; s++ {
+				b.Stage(fmt.Sprintf("S%d", s), tasks, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpShuffleWrite))
+				if s > 0 {
+					b.Pipeline(fmt.Sprintf("S%d", s-1), fmt.Sprintf("S%d", s), 1<<20)
+				}
+			}
+			jobs[i] = b.MustBuild()
+		}
+		cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
+		cl.Allocate(1, nil) // a dry pool: nothing launches
+		c := core.NewController(cl, core.DefaultOptions())
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := c.SubmitJob(jobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if c.QueueLen() != runs+1 || cl.BusyExecutors() != 1 {
+			t.Fatalf("%d×%d: %d queued, %d busy; want every job queued and nothing launched", stages, tasks, c.QueueLen(), cl.BusyExecutors())
+		}
+		return allocs
+	}
+	for _, stages := range []int{4, 32} {
+		narrow, wide := measure(stages, 20), measure(stages, 160)
+		t.Logf("%d stages: %.0f allocs at 20 tasks per stage, %.0f at 160", stages, narrow, wide)
+		if narrow != wide {
+			t.Errorf("%d stages: %.0f allocs at 20 tasks per stage, %.0f at 160; want no per-task allocation", stages, narrow, wide)
+		}
+		if budget := maxSubmitAllocs[stages]; wide > budget {
+			t.Errorf("%d stages: %.0f allocs per SubmitJob, budget %.0f", stages, wide, budget)
+		}
+	}
 }

@@ -36,7 +36,7 @@ func (c *Controller) enqueue(m *monitor, g int) {
 		c.staleItems++
 	}
 	m.tc.Queued++
-	c.opts.Obs.GraphletQueued(m.job.ID, g, len(run.pending))
+	c.opts.Obs.GraphletQueued(m.job.ID, g, run.pending)
 }
 
 // move shifts the queue entry at position from to position to, where
@@ -105,15 +105,15 @@ func (c *Controller) schedule() {
 			if free < freeBefore {
 				continue
 			}
-			if len(c.disordered) != 0 && c.breakDeadlock() {
+			if len(c.repended) != 0 && c.breakDeadlock() {
 				continue
 			}
 			return
 		}
 		// A dry pool with waiting requests is the normal saturated state;
 		// it can only be a deadlock when recovery has re-pended work
-		// somewhere (a disordered run), so the scan is gated on that.
-		if len(c.disordered) != 0 && c.breakDeadlock() {
+		// somewhere (a re-pended run), so the scan is gated on that.
+		if len(c.repended) != 0 && c.breakDeadlock() {
 			continue
 		}
 		if preempts >= maxPreemptRounds || !c.preemptRound() {
@@ -134,13 +134,13 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 		return false
 	}
 	run := m.gruns[item.g]
-	if run.status != gQueued || len(run.pending) == 0 {
+	if run.status != gQueued || run.pending == 0 {
 		if run.status == gQueued {
 			run.status = gRunning
 		}
 		return false
 	}
-	want := len(run.pending)
+	want := run.pending
 	if run.gang && c.cl.FreeExecutors() < want {
 		// Nothing launches until the whole gang fits.
 		return true
@@ -153,57 +153,47 @@ func (c *Controller) serveItem(item reqItem, limit int) (keep bool) {
 		return true
 	}
 	for i, e := range execs {
-		if len(run.pending) == 0 {
+		if run.pending == 0 {
 			// More executors than pending tasks (pending shrank since
 			// `want` was computed): return the leftovers.
 			c.cl.Release(execs[i:])
 			break
 		}
-		c.launch(m, run, c.takePending(run), e)
+		c.launch(m, run, c.takePending(m, run), e)
 	}
-	if len(run.pending) > 0 {
+	if run.pending > 0 {
 		return true
 	}
 	run.status = gRunning
 	return false
 }
 
-// takePending removes and returns the next pending task to launch,
-// upstream stages first. Freshly built pending queues are topologically
-// ordered, so the common path pops the front in O(1); once recovery
-// re-inserts tasks out of order, the queue is scanned for the entry with
-// the smallest (topological stage index, task index), so a re-pended
-// producer always launches before more of its consumers — launching
-// consumers first would park them on data the producer cannot regenerate
-// without an executor. A disordered queue stays disordered until it
-// empties, and every take from it scans, so the order of what remains
-// does not matter: the head moves into the hole and the slice advances,
-// which for an ordered run is the plain head pop.
-func (c *Controller) takePending(run *graphletRun) taskID {
-	p := run.pending
-	best := 0
-	if run.disordered {
-		for i := 1; i < len(p); i++ {
-			a, b := p[i], p[best]
-			if a.stage < b.stage || (a.stage == b.stage && a.index < b.index) {
-				best = i
+// takePending takes the next pending task to launch, upstream stages
+// first: the smallest (topological stage index, task index) among the
+// run's pending tasks, so a re-pended producer always launches before more
+// of its consumers — launching consumers first would park them on data
+// the producer cannot regenerate without an executor. No pending task sits
+// behind the run's cursor, so the walk starts there and leaves the cursor
+// just past the task it takes. The caller launches the task, and the run
+// must have one pending.
+func (c *Controller) takePending(m *monitor, run *graphletRun) taskID {
+	for ; ; run.nk, run.ni = run.nk+1, 0 {
+		si := run.stages[run.nk]
+		tasks := m.stages[si].tasks
+		for ; run.ni < len(tasks); run.ni++ {
+			if tasks[run.ni].status != TaskPending {
+				continue
 			}
+			id := taskID{int32(si), int32(run.ni)}
+			run.ni++
+			run.pending--
+			if run.repended && run.pending == 0 {
+				run.repended = false
+				c.repended = slices.DeleteFunc(c.repended, func(d reqItem) bool { return d.m.gruns[d.g] == run })
+			}
+			return id
 		}
 	}
-	id := p[best]
-	p[best] = p[0]
-	run.pending = p[1:]
-	if run.disordered && len(run.pending) == 0 {
-		c.clearDisordered(run)
-	}
-	return id
-}
-
-// clearDisordered takes a run off the disordered list: its pending queue
-// emptied, or its job is being discarded.
-func (c *Controller) clearDisordered(run *graphletRun) {
-	run.disordered = false
-	c.disordered = slices.DeleteFunc(c.disordered, func(d reqItem) bool { return d.m.gruns[d.g] == run })
 }
 
 // breakDeadlock resolves the one stall the resource loop cannot serve its
@@ -226,17 +216,17 @@ func (c *Controller) clearDisordered(run *graphletRun) {
 // is the gang's own task: preempting it frees one executor and re-pends
 // one task, and the gang never fits sooner.
 func (c *Controller) breakDeadlock() bool {
-	// Every deadlock starves a recovery-re-pended producer, and
-	// re-insertion marks its run disordered — ordered runs cannot be the
-	// blocked side of a deadlock. So only the queued disordered runs are
+	// Every deadlock starves a recovery-re-pended producer, and re-pending
+	// puts its run on the re-pended list — other runs cannot be the
+	// blocked side of a deadlock. So only the queued re-pended runs are
 	// examined, in queue order. A victim is a running task of the same
 	// job: a job reclaimed down to nothing running stays queued and
-	// disordered round after round, and is passed over here.
+	// re-pended round after round, and is passed over here.
 	c.starved = c.starved[:0]
 	wet := c.cl.FreeExecutors() > 0
-	for _, d := range c.disordered {
+	for _, d := range c.repended {
 		m, run := d.m, d.m.gruns[d.g]
-		if run.qpos >= 0 && run.status == gQueued && len(run.pending) > 0 && !m.failed && !m.done &&
+		if run.qpos >= 0 && run.status == gQueued && run.pending > 0 && !m.failed && !m.done &&
 			!(run.gang && wet) &&
 			slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
 			c.starved = append(c.starved, d)
@@ -269,7 +259,7 @@ func (c *Controller) breakDeadlock() bool {
 	return false
 }
 
-// deadlockVictim picks the task to preempt for a starved disordered run:
+// deadlockVictim picks the task to preempt for a starved re-pended run:
 // the most-downstream running task of the job strictly below any stage
 // with pending work in the run, preferring one whose executor will
 // actually repool (healthy machine). It returns (-1, -1) when nothing
@@ -280,9 +270,11 @@ func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index 
 	// any producer is pending in this run or itself below.
 	c.below = resized(c.below, len(m.stages))
 	below := c.below
-	for _, id := range run.pending {
-		for _, to := range m.stages[id.stage].out {
-			below[to] = true
+	for _, s := range run.stages {
+		if pendingTasks(m.stages[s]) > 0 {
+			for _, to := range m.stages[s].out {
+				below[to] = true
+			}
 		}
 	}
 	for s, st := range m.stages {
@@ -297,12 +289,11 @@ func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index 
 		if !below[s] {
 			continue
 		}
-		st := m.stages[s]
-		for i := range st.status {
-			if st.status[i] != tRunning {
+		for i, t := range m.stages[s].tasks {
+			if t.status != TaskRunning {
 				continue
 			}
-			if c.cl.Machine(c.cl.MachineOf(st.executor[i])).Health == cluster.Healthy {
+			if c.cl.Machine(c.cl.MachineOf(t.executor)).Health == cluster.Healthy {
 				return s, i
 			}
 			if index < 0 {
@@ -319,12 +310,13 @@ func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index 
 func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.ExecutorID) {
 	st := m.stages[id.stage]
 	i := int(id.index)
-	reason := st.reason[i]
-	st.reason[i] = StartFresh
-	st.status[i] = tRunning
-	st.executor[i] = e
-	st.attempt[i]++
-	st.started[i] = true
+	t := &st.tasks[i]
+	reason := t.reason
+	t.reason = StartFresh
+	t.status = TaskRunning
+	t.executor = e
+	t.attempt++
+	t.started = true
 	run.running++
 	c.syncGang(m, st.graphlet)
 	c.snapDelta(m, -1, 1, 0)
@@ -333,7 +325,7 @@ func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.E
 		Task:     ref,
 		Executor: e,
 		Graphlet: st.graphlet,
-		Attempt:  st.attempt[i],
+		Attempt:  t.attempt,
 		Reason:   reason,
 	})
 	if reason == StartRetry && st.spec.Idempotent {
@@ -358,7 +350,7 @@ func (c *Controller) viewItem(i int) sched.Item {
 	if !m.failed && !m.done {
 		pi.Tenant, pi.Seq = m.tenant, m.seq
 		if run := m.gruns[it.g]; run.status == gQueued {
-			pi.Pending = len(run.pending)
+			pi.Pending = run.pending
 		}
 	}
 	return pi
@@ -514,7 +506,7 @@ func (c *Controller) servePolicy() {
 			continue
 		}
 		run := it.m.gruns[it.g]
-		c.items[i].Pending = len(run.pending)
+		c.items[i].Pending = run.pending
 		if grants == nil && run.gang {
 			blocked = true
 			break
@@ -597,10 +589,10 @@ func (c *Controller) reclaimGang(v sched.Victim) bool {
 		if st.graphlet != v.Graphlet {
 			continue
 		}
-		for i := range st.status {
+		for i := range st.tasks {
 			// A non-idempotent task's cascade aborts its running successors,
 			// so this loop sees them as no longer running.
-			if st.status[i] == tRunning {
+			if st.tasks[i].status == TaskRunning {
 				c.preempt(m, si, i)
 				aborted++
 			}

@@ -63,13 +63,13 @@ func (c *Controller) snapClose(m *monitor) {
 	}
 	p, r, d := 0, 0, 0
 	for _, st := range m.stages {
-		for i := range st.status {
-			switch st.status[i] {
-			case tPending:
+		for _, t := range st.tasks {
+			switch t.status {
+			case TaskPending:
 				p++
-			case tRunning:
+			case TaskRunning:
 				r++
-			case tDone:
+			case TaskDone:
 				d++
 			}
 		}

@@ -47,9 +47,9 @@ func runQ9(t *testing.T, seed int64, rec *obs.Recorder, fail string) *simrun.Res
 	switch fail {
 	case "":
 	case failMachine:
-		r.InjectMachineFailureAt(20*sim.Second, 3)
+		r.Engine().At(20*sim.Second, func() { r.CrashMachine(3) })
 	case failMachineLate:
-		r.InjectMachineFailureAt(275*sim.Second, 3)
+		r.Engine().At(275*sim.Second, func() { r.CrashMachine(3) })
 	default:
 		r.InjectTaskFailureAt(20*sim.Second, job.ID, fail, core.FailCrash)
 	}

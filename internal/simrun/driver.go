@@ -312,18 +312,6 @@ func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.F
 	})
 }
 
-// InjectMachineFailureAt crashes a machine at the given time; detection
-// happens one heartbeat interval later (Section IV-A).
-func (r *Runner) InjectMachineFailureAt(at sim.Time, id cluster.MachineID) {
-	r.eng.At(at, func() {
-		delay := sim.FromSeconds(core.MachineFailureDetectionDelay(r.cl.NumMachines()).Seconds())
-		r.eng.After(delay, func() {
-			r.ctrl.MachineFailed(id)
-			r.handleActions()
-		})
-	})
-}
-
 // Run executes the simulation to quiescence and returns the results.
 func (r *Runner) Run() *Results {
 	r.results.Makespan = r.eng.Run()

@@ -139,8 +139,8 @@ var goldenChaos = chaosOutcome{LastFinishUS: 279952373, Completed: 29, Failed: 1
 
 // TestGoldenChaos pins one default-profile soak seed. The profile's
 // RecoverDelay becomes simrun's ReadmitDelay, so the run exercises the
-// recovery paths the replays never reach: disordered pending queues, the
-// deadlock breaker, cascades, machine re-admission, black-hole launches.
+// recovery paths the replays never reach: re-pended tasks, the deadlock
+// breaker, cascades, machine re-admission, black-hole launches.
 func TestGoldenChaos(t *testing.T) {
 	rec := obs.New()
 	opts := core.DefaultOptions()

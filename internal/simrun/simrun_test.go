@@ -213,7 +213,7 @@ func TestFineGrainedBeatsJobRestart(t *testing.T) {
 func TestMachineFailureSurvived(t *testing.T) {
 	r := swiftRunner(7)
 	r.SubmitAt(0, twoPhase("j", 10, 5))
-	r.InjectMachineFailureAt(sim.FromSeconds(2), 0)
+	r.Engine().At(sim.FromSeconds(2), func() { r.CrashMachine(0) })
 	res := r.Run()
 	if !res.Jobs["j"].Completed {
 		t.Fatal("job did not survive machine failure")

@@ -35,10 +35,8 @@
 # -long is the opt-in long tier: after everything above it runs the
 # full-size experiments at seeds 1, 2 and 3 (go run ./cmd/swiftbench -seed
 # N, which exits non-zero on any fidelity row out of band; about 20 s a
-# seed on a 2-vCPU VM) and explores FuzzController for 60 s. A 40-seed
-# chaos step is not part of it yet: it waits for the thundering-herd
-# storm to be widened, because seed 12 draws no burst, and widening it
-# re-pins the soak's all-on lines.
+# seed on a 2-vCPU VM), the chaos soak over 40 seeds (about 40 s) and
+# explores FuzzController for 60 s.
 #
 # Usage: scripts/ci.sh [-long] [chaos-seeds]   (default 8 chaos seeds)
 set -euo pipefail
@@ -214,6 +212,9 @@ if [ "$LONG" = 1 ]; then
     for FULL_SEED in 1 2 3; do
         go run ./cmd/swiftbench -seed "$FULL_SEED" > "$TRACE_TMP/full-$FULL_SEED.out"
     done
+    echo "== long tier: chaos soak, 40 seeds"
+    go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd|TestFairShareSoak' \
+        -chaos.seeds=40 -count=1
     echo "== long tier: FuzzController exploration (60 s)"
     go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
 fi
