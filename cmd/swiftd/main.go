@@ -137,18 +137,18 @@ func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
 	now := d.now()      // tasks start now, not when the event that started them was stamped
 	d.mu.Lock()
 	before, pending := d.due.Next()
-	for _, a := range acts {
-		switch act := a.(type) {
+	for _, act := range acts {
+		switch act.Kind {
 		case core.ActStartTask:
-			d.due.Push(now+d.taskWall(act.Task), flow.Completion{Ref: act.Task, Attempt: act.Attempt})
+			d.due.Push(now+d.taskWall(act.Task), flow.Completion{Ref: act.Task, Attempt: int(act.Attempt)})
 		case core.ActJobCompleted:
-			delete(d.jobs, act.Job)
+			delete(d.jobs, act.Task.Job)
 			if d.verbose {
-				report = append(report, fmt.Sprintf("swiftd: job %s completed", act.Job))
+				report = append(report, fmt.Sprintf("swiftd: job %s completed", act.Task.Job))
 			}
 		case core.ActJobFailed:
-			delete(d.jobs, act.Job)
-			report = append(report, fmt.Sprintf("swiftd: job %s failed: %s", act.Job, act.Reason))
+			delete(d.jobs, act.Task.Job)
+			report = append(report, fmt.Sprintf("swiftd: job %s failed: %s", act.Task.Job, act.Detail.Reason))
 		case core.ActAbortTask:
 			// Nothing to cancel: the stale attempt's completion is ignored.
 		case core.ActResend, core.ActShuffleDegraded, core.ActReplicate:

@@ -82,13 +82,13 @@ func (a *Auditor) violate(now sim.Time, format string, args ...interface{}) {
 // OnAction is the action hook: it validates and hashes one controller
 // action as the driver interprets it.
 func (a *Auditor) OnAction(now sim.Time, act core.Action) {
-	a.fold(fmt.Sprintf("%d|%T|%+v\n", now, act, act))
-	switch act := act.(type) {
+	a.fold(actionLine(now, &act))
+	switch act.Kind {
 	case core.ActStartTask:
-		if last, seen := a.lastAttempt[act.Task]; seen && act.Attempt <= last {
+		if last, seen := a.lastAttempt[act.Task]; seen && int(act.Attempt) <= last {
 			a.violate(now, "attempt not monotonic: %s started with attempt %d after %d", act.Task, act.Attempt, last)
 		}
-		a.lastAttempt[act.Task] = act.Attempt
+		a.lastAttempt[act.Task] = int(act.Attempt)
 		switch a.cl.Machine(a.cl.MachineOf(act.Executor)).Health {
 		case cluster.ReadOnly:
 			a.violate(now, "task %s launched on read-only machine %d", act.Task, a.cl.MachineOf(act.Executor))
@@ -101,32 +101,32 @@ func (a *Auditor) OnAction(now sim.Time, act core.Action) {
 			a.violate(now, "task %s launched after its job %s", act.Task, state)
 		}
 	case core.ActJobCompleted:
-		if prev, dead := a.terminal[act.Job]; dead {
-			a.violate(now, "job %s completed after already %s", act.Job, prev)
+		if prev, dead := a.terminal[act.Task.Job]; dead {
+			a.violate(now, "job %s completed after already %s", act.Task.Job, prev)
 		}
-		a.terminal[act.Job] = "completed"
+		a.terminal[act.Task.Job] = "completed"
 	case core.ActJobFailed:
-		if prev, dead := a.terminal[act.Job]; dead {
-			a.violate(now, "job %s failed after already %s", act.Job, prev)
+		if prev, dead := a.terminal[act.Task.Job]; dead {
+			a.violate(now, "job %s failed after already %s", act.Task.Job, prev)
 		}
-		a.terminal[act.Job] = "failed"
+		a.terminal[act.Task.Job] = "failed"
 	case core.ActAbortTask:
 		if state, dead := a.terminal[act.Task.Job]; dead {
 			a.violate(now, "task %s aborted after its job %s", act.Task, state)
 		}
 	case core.ActResend:
-		if state, dead := a.terminal[act.To.Job]; dead {
-			a.violate(now, "resend to %s after its job %s", act.To, state)
+		if state, dead := a.terminal[act.Task.Job]; dead {
+			a.violate(now, "resend to %s after its job %s", act.Task, state)
 		}
 	case core.ActJobRestarted:
 		// A restart resets every attempt and terminal expectation for the
 		// job; forget its attempt floor so re-runs start clean.
 		for ref := range a.lastAttempt {
-			if ref.Job == act.Job {
+			if ref.Job == act.Task.Job {
 				delete(a.lastAttempt, ref)
 			}
 		}
-		delete(a.terminal, act.Job)
+		delete(a.terminal, act.Task.Job)
 	case core.ActMachineReadOnly, core.ActMachineHealthy:
 		// Health transitions carry no task state to validate; the placement
 		// checks above use the cluster's live health on every start.
@@ -134,13 +134,45 @@ func (a *Auditor) OnAction(now sim.Time, act core.Action) {
 		// Mode downgrades are validated by the controller's own invariant
 		// sweep (CheckInvariants) at the next event boundary.
 	case core.ActReplicate:
-		if len(act.Machines) == 0 {
+		if len(act.Detail.Machines) == 0 {
 			a.violate(now, "replicate %s with no target machines", act.Task)
 		}
 		if state, dead := a.terminal[act.Task.Job]; dead {
 			a.violate(now, "replicate %s after its job %s", act.Task, state)
 		}
 	}
+}
+
+// actionLine renders an action for the trace hash as the line
+// fmt.Sprintf("%d|%T|%+v\n", now, act, act) gave when each kind was a
+// struct type of its own, so the pinned soak summaries and chaos golden
+// hash read the same stream (TestAuditorRendersLegacyActionText).
+func actionLine(now sim.Time, act *core.Action) string {
+	t, d := act.Task, act.Detail
+	switch act.Kind {
+	case core.ActStartTask:
+		return fmt.Sprintf("%d|core.ActStartTask|{Task:%v Executor:%d Graphlet:%d Attempt:%d Reason:%v}\n",
+			now, t, act.Executor, act.Graphlet, act.Attempt, act.Reason)
+	case core.ActAbortTask:
+		return fmt.Sprintf("%d|core.ActAbortTask|{Task:%v Executor:%d Attempt:%d}\n", now, t, act.Executor, act.Attempt)
+	case core.ActResend:
+		return fmt.Sprintf("%d|core.ActResend|{To:%v FromStage:%s}\n", now, t, d.FromStage)
+	case core.ActJobCompleted:
+		return fmt.Sprintf("%d|core.ActJobCompleted|{Job:%s}\n", now, t.Job)
+	case core.ActJobFailed:
+		return fmt.Sprintf("%d|core.ActJobFailed|{Job:%s Reason:%s}\n", now, t.Job, d.Reason)
+	case core.ActJobRestarted:
+		return fmt.Sprintf("%d|core.ActJobRestarted|{Job:%s}\n", now, t.Job)
+	case core.ActMachineReadOnly:
+		return fmt.Sprintf("%d|core.ActMachineReadOnly|{Machine:%d}\n", now, d.Machine)
+	case core.ActMachineHealthy:
+		return fmt.Sprintf("%d|core.ActMachineHealthy|{Machine:%d}\n", now, d.Machine)
+	case core.ActShuffleDegraded:
+		return fmt.Sprintf("%d|core.ActShuffleDegraded|{Job:%s From:%s To:%s Old:%v New:%v}\n", now, t.Job, d.From, d.To, d.Old, d.New)
+	case core.ActReplicate:
+		return fmt.Sprintf("%d|core.ActReplicate|{Task:%v Attempt:%d Machines:%v}\n", now, t, act.Attempt, d.Machines)
+	}
+	return fmt.Sprintf("%d|core.Action|%+v\n", now, *act)
 }
 
 // FlowDecision records one admission decision for submission id and

@@ -8,6 +8,7 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/flow"
+	"swift/internal/shuffle"
 	"swift/internal/sim"
 )
 
@@ -203,27 +204,33 @@ func TestThunderingHerdDeterminism(t *testing.T) {
 
 // TestAuditorActionArms drives the action-stream checks directly: the
 // post-terminal rules for aborts and resends, and the attempt-floor reset
-// a job restart implies. These arms close the exhaustive-switch coverage
-// of core.Action; this pins their behaviour.
+// a job restart implies. These arms close the exhaustive switch over
+// core.ActionKind; this pins their behaviour.
 func TestAuditorActionArms(t *testing.T) {
 	newAuditor := func() *Auditor {
 		cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
 		return NewAuditor(core.NewController(cl, core.DefaultOptions()), cl)
 	}
 	ref := core.TaskRef{Job: "j", Stage: "s", Index: 0}
+	job := core.TaskRef{Job: "j"}
+	start := func(attempt int32) core.Action {
+		return core.Action{Kind: core.ActStartTask, Task: ref, Attempt: attempt}
+	}
+	abort := core.Action{Kind: core.ActAbortTask, Task: ref, Attempt: 1}
+	resend := core.Action{Kind: core.ActResend, Task: ref, Detail: &core.ActionDetail{FromStage: "up"}}
 
 	a := newAuditor()
-	a.OnAction(0, core.ActJobCompleted{Job: "j"})
-	a.OnAction(0, core.ActAbortTask{Task: ref, Attempt: 1})
-	a.OnAction(0, core.ActResend{To: ref, FromStage: "up"})
+	a.OnAction(0, core.Action{Kind: core.ActJobCompleted, Task: job})
+	a.OnAction(0, abort)
+	a.OnAction(0, resend)
 	if n := len(a.Violations()); n != 2 {
 		t.Fatalf("want 2 post-terminal violations (abort, resend), got %d: %v", n, a.Violations())
 	}
 
 	// Before the job is terminal, the same actions are legal.
 	b := newAuditor()
-	b.OnAction(0, core.ActAbortTask{Task: ref, Attempt: 1})
-	b.OnAction(0, core.ActResend{To: ref, FromStage: "up"})
+	b.OnAction(0, abort)
+	b.OnAction(0, resend)
 	if n := len(b.Violations()); n != 0 {
 		t.Fatalf("abort/resend on a live job flagged: %v", b.Violations())
 	}
@@ -232,11 +239,11 @@ func TestAuditorActionArms(t *testing.T) {
 	// attempt 1 may run again without tripping monotonicity, and the
 	// re-run may complete again.
 	c := newAuditor()
-	c.OnAction(0, core.ActStartTask{Task: ref, Attempt: 2})
-	c.OnAction(0, core.ActJobFailed{Job: "j", Reason: "x"})
-	c.OnAction(0, core.ActJobRestarted{Job: "j"})
-	c.OnAction(0, core.ActStartTask{Task: ref, Attempt: 1})
-	c.OnAction(0, core.ActJobCompleted{Job: "j"})
+	c.OnAction(0, start(2))
+	c.OnAction(0, core.Action{Kind: core.ActJobFailed, Task: job, Detail: &core.ActionDetail{Reason: "x"}})
+	c.OnAction(0, core.Action{Kind: core.ActJobRestarted, Task: job})
+	c.OnAction(0, start(1))
+	c.OnAction(0, core.Action{Kind: core.ActJobCompleted, Task: job})
 	if n := len(c.Violations()); n != 0 {
 		t.Fatalf("restart did not reset audit state: %v", c.Violations())
 	}
@@ -244,10 +251,53 @@ func TestAuditorActionArms(t *testing.T) {
 	// Without the restart, re-running attempt 1 after attempt 2 is the
 	// monotonicity bug the auditor exists to catch.
 	d := newAuditor()
-	d.OnAction(0, core.ActStartTask{Task: ref, Attempt: 2})
-	d.OnAction(0, core.ActStartTask{Task: ref, Attempt: 1})
+	d.OnAction(0, start(2))
+	d.OnAction(0, start(1))
 	if n := len(d.Violations()); n != 1 {
 		t.Fatalf("want 1 monotonicity violation, got %d: %v", n, d.Violations())
+	}
+}
+
+// TestAuditorRendersLegacyActionText pins the line the auditor hashes for
+// each action kind to the text fmt.Sprintf("%d|%T|%+v\n", …) gave when
+// each kind was a struct type of its own. The soak summaries and the
+// chaos golden hash are folded from these lines, so a rendering that
+// drifts moves them all; the literals were printed by that older code.
+func TestAuditorRendersLegacyActionText(t *testing.T) {
+	ref := core.TaskRef{Job: "j", Stage: "M1", Index: 3}
+	job := core.TaskRef{Job: "j"}
+	for _, tc := range []struct {
+		act  core.Action
+		want string
+	}{
+		{core.Action{Kind: core.ActStartTask, Task: ref, Executor: 7, Stage: 1, Graphlet: 2, Attempt: 4, Reason: core.StartRetry},
+			"1500000|core.ActStartTask|{Task:j/M1[3] Executor:7 Graphlet:2 Attempt:4 Reason:retry}\n"},
+		{core.Action{Kind: core.ActStartTask, Task: ref, Executor: -1, Reason: core.StartReason(9)},
+			"1500000|core.ActStartTask|{Task:j/M1[3] Executor:-1 Graphlet:0 Attempt:0 Reason:invalid}\n"},
+		{core.Action{Kind: core.ActAbortTask, Task: ref, Executor: 7, Attempt: 4},
+			"1500000|core.ActAbortTask|{Task:j/M1[3] Executor:7 Attempt:4}\n"},
+		{core.Action{Kind: core.ActResend, Task: ref, Detail: &core.ActionDetail{FromStage: "M0"}},
+			"1500000|core.ActResend|{To:j/M1[3] FromStage:M0}\n"},
+		{core.Action{Kind: core.ActJobCompleted, Task: job},
+			"1500000|core.ActJobCompleted|{Job:j}\n"},
+		{core.Action{Kind: core.ActJobFailed, Task: job, Detail: &core.ActionDetail{Reason: "task j/M1[3] exceeded 3 retries"}},
+			"1500000|core.ActJobFailed|{Job:j Reason:task j/M1[3] exceeded 3 retries}\n"},
+		{core.Action{Kind: core.ActJobRestarted, Task: job},
+			"1500000|core.ActJobRestarted|{Job:j}\n"},
+		{core.Action{Kind: core.ActMachineReadOnly, Detail: &core.ActionDetail{Machine: 5}},
+			"1500000|core.ActMachineReadOnly|{Machine:5}\n"},
+		{core.Action{Kind: core.ActMachineHealthy, Detail: &core.ActionDetail{Machine: 6}},
+			"1500000|core.ActMachineHealthy|{Machine:6}\n"},
+		{core.Action{Kind: core.ActShuffleDegraded, Task: job, Detail: &core.ActionDetail{From: "M0", To: "M1", Old: shuffle.Remote, New: shuffle.Direct}},
+			"1500000|core.ActShuffleDegraded|{Job:j From:M0 To:M1 Old:Remote New:Direct}\n"},
+		{core.Action{Kind: core.ActReplicate, Task: ref, Attempt: 4, Detail: &core.ActionDetail{Machines: []cluster.MachineID{1, 2, 3}}},
+			"1500000|core.ActReplicate|{Task:j/M1[3] Attempt:4 Machines:[1 2 3]}\n"},
+		{core.Action{Kind: core.ActReplicate, Task: ref, Attempt: 1, Detail: &core.ActionDetail{}},
+			"1500000|core.ActReplicate|{Task:j/M1[3] Attempt:1 Machines:[]}\n"},
+	} {
+		if got := actionLine(1500000, &tc.act); got != tc.want {
+			t.Errorf("kind %d renders\n  %q\nwant\n  %q", tc.act.Kind, got, tc.want)
+		}
 	}
 }
 

@@ -30,85 +30,62 @@ const (
 	StartCascade
 )
 
-// Action is an instruction from the controller to the runtime driver
-// (the simulator or the real engine).
-type Action interface{ isAction() }
+// ActionKind tags what an Action instructs. Task names the task acted on;
+// the job kinds set only its Job.
+type ActionKind uint8
 
-// ActStartTask launches a task on an executor. Attempt distinguishes
-// re-executions so stale completion notifications can be discarded.
-type ActStartTask struct {
+const (
+	// ActStartTask launches Task on Executor. Attempt distinguishes
+	// re-executions so stale completion notifications can be discarded.
+	ActStartTask ActionKind = iota
+	ActAbortTask            // cancels Task's running Attempt, which is obsolete
+	// ActResend tells the surviving upstream tasks of Detail.FromStage to
+	// replay their buffered output to Task, a re-launched idempotent task
+	// ("T1 and T2 are notified to update their output channels to T4' and
+	// re-send the shuffle data without re-running").
+	ActResend
+	ActJobCompleted // the job completed successfully
+	ActJobFailed    // the job was abandoned; Detail.Reason is human-readable
+	ActJobRestarted // the JobRestart recovery policy reset the job
+	// ActMachineReadOnly and ActMachineHealthy report the health monitor
+	// draining Detail.Machine, and re-admitting it after a healthy window or
+	// a reboot.
+	ActMachineReadOnly
+	ActMachineHealthy
+	// ActShuffleDegraded reports that the Cache-Worker-backed edge
+	// Detail.From → Detail.To fell back from Detail.Old to Detail.New
+	// (Local/Remote → Direct) for the re-run after a Cache Worker crash.
+	ActShuffleDegraded
+	// ActReplicate copies the buffered output of Task's finished Attempt to
+	// Detail.Machines, in serving order: the executor's machine, then the
+	// R−1 replica machines chosen on the healthy-machine ring.
+	ActReplicate
+)
+
+// Action is an instruction from the controller to the runtime driver (the
+// simulator or the real engine), one value read by Kind. What a launch or
+// a completion needs sits inline, so the controller emits into a reused
+// buffer without allocating; the rare kinds' fields sit behind Detail.
+type Action struct {
+	Kind     ActionKind
+	Reason   StartReason        // ActStartTask
+	Attempt  int32              // ActStartTask, ActAbortTask, ActReplicate
+	Graphlet int32              // ActStartTask
+	Stage    int32              // ActStartTask: Task.Stage's topological index (dag.Job.TopoOrder)
+	Executor cluster.ExecutorID // ActStartTask, ActAbortTask
 	Task     TaskRef
-	Executor cluster.ExecutorID
-	Graphlet int
-	Attempt  int
-	Reason   StartReason
+	Detail   *ActionDetail // nil for the kinds that need none
 }
 
-// ActAbortTask cancels a running task (its attempt is obsolete).
-type ActAbortTask struct {
-	Task     TaskRef
-	Executor cluster.ExecutorID
-	Attempt  int
-}
-
-// ActResend tells surviving upstream tasks to replay their buffered output
-// to a re-launched idempotent task ("T1 and T2 are notified to update their
-// output channels to T4' and re-send the shuffle data without re-running").
-type ActResend struct {
-	To        TaskRef
+// ActionDetail carries the fields of the rare action kinds.
+type ActionDetail struct {
 	FromStage string
+	Reason    string
+	Machine   cluster.MachineID
+	Machines  []cluster.MachineID
+	From, To  string
+	Old, New  shuffle.Mode
 }
-
-// ActJobCompleted reports successful job completion.
-type ActJobCompleted struct{ Job string }
-
-// ActJobFailed reports a job abandoned after an unrecoverable failure or
-// retry exhaustion; Reason is human-readable.
-type ActJobFailed struct {
-	Job    string
-	Reason string
-}
-
-// ActJobRestarted reports that the JobRestart recovery policy reset the
-// job; drivers use it to account restart overhead.
-type ActJobRestarted struct{ Job string }
-
-// ActMachineReadOnly reports the health monitor draining a machine.
-type ActMachineReadOnly struct{ Machine cluster.MachineID }
-
-// ActMachineHealthy reports a machine re-admitted to the pool after a
-// healthy window (read-only drain ended) or a reboot after a crash.
-type ActMachineHealthy struct{ Machine cluster.MachineID }
-
-// ActShuffleDegraded reports that a Cache-Worker-backed shuffle edge fell
-// back to a mode that does not depend on the lost worker (Local/Remote →
-// Direct) for the re-run after a Cache Worker crash.
-type ActShuffleDegraded struct {
-	Job      string
-	From, To string
-	Old, New shuffle.Mode
-}
-
-// ActReplicate tells the driver to copy a finished task's buffered output
-// to extra Cache Workers for resilience. Machines lists the homes in
-// serving order: the executor's own machine first, then the R−1 replica
-// machines chosen on the healthy-machine ring.
-type ActReplicate struct {
-	Task     TaskRef
-	Attempt  int
-	Machines []cluster.MachineID
-}
-
-func (ActStartTask) isAction()       {}
-func (ActAbortTask) isAction()       {}
-func (ActResend) isAction()          {}
-func (ActJobCompleted) isAction()    {}
-func (ActJobFailed) isAction()       {}
-func (ActJobRestarted) isAction()    {}
-func (ActMachineReadOnly) isAction() {}
-func (ActMachineHealthy) isAction()  {}
-func (ActShuffleDegraded) isAction() {}
-func (ActReplicate) isAction()       {}
 
 // FailureKind classifies a task failure for recovery purposes.
 type FailureKind int

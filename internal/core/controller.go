@@ -240,7 +240,7 @@ func (c *Controller) Drain() []Action {
 
 func (c *Controller) emit(a Action) {
 	c.actions = append(c.actions, a)
-	c.observe(a)
+	c.observe(&c.actions[len(c.actions)-1])
 }
 
 // SubmitJob admits a job: validates it, partitions it with the configured
@@ -272,9 +272,6 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	}
 	c.nextSeq++
 	m.tc = c.tenantCounts(m.tenant)
-	for i, s := range topo {
-		m.stageIdx[s] = i
-	}
 	owner := make(map[string]int, len(topo)) // stage -> graphlet index
 	for _, g := range gs {
 		for _, s := range g.Stages {
@@ -283,6 +280,7 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	}
 	c.opts.Obs.JobSubmitted(job.ID, len(topo), job.NumTasks(), len(gs))
 	for i, name := range topo {
+		m.stageIdx[name] = i
 		spec := job.Stage(name)
 		m.stages[i] = &stageState{spec: spec, graphlet: owner[name], tasks: make([]taskState, spec.Tasks)}
 		m.stages[i].reset()
@@ -442,7 +440,7 @@ func (c *Controller) checkJobDone(m *monitor) {
 		c.patchItem(run) // a dead job's entries are stale
 	}
 	c.snapClose(m)
-	c.emit(ActJobCompleted{Job: m.job.ID})
+	c.emit(Action{Kind: ActJobCompleted, Task: TaskRef{Job: m.job.ID}})
 }
 
 // JobDone reports whether the job has completed successfully.
@@ -457,14 +455,11 @@ func (c *Controller) JobFailed(job string) bool {
 	return m != nil && m.failed
 }
 
-// StageComplete reports whether all tasks of a stage have finished.
-func (c *Controller) StageComplete(job, stage string) bool {
+// StageComplete reports whether all tasks of the job's stage with the given
+// topological index (Action.Stage) have finished.
+func (c *Controller) StageComplete(job string, stage int) bool {
 	m := c.jobs[job]
-	if m == nil {
-		return false
-	}
-	st := m.stage(stage)
-	return st != nil && st.complete()
+	return m != nil && stage >= 0 && stage < len(m.stages) && m.stages[stage].complete()
 }
 
 // EdgeMode returns the shuffle mode selected for an edge at admission.
@@ -516,7 +511,8 @@ func (c *Controller) replicateOutput(m *monitor, id taskID, ref TaskRef, e clust
 		m.homes = make(map[taskID][]cluster.MachineID)
 	}
 	m.homes[id] = homes
-	c.emit(ActReplicate{Task: ref, Attempt: m.stages[id.stage].tasks[id.index].attempt, Machines: homes})
+	c.emit(Action{Kind: ActReplicate, Task: ref, Attempt: int32(m.stages[id.stage].tasks[id.index].attempt),
+		Detail: &ActionDetail{Machines: homes}})
 }
 
 // ReplicaRecoveries returns how many lost serving copies recovery resolved

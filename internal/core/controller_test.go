@@ -18,23 +18,23 @@ import (
 type harness struct {
 	t       *testing.T
 	c       *Controller
-	running map[TaskRef]ActStartTask
+	running map[TaskRef]Action // the starts of the running tasks
 	down    map[cluster.MachineID]bool
-	starts  []ActStartTask
-	resends []ActResend
+	starts  []Action
+	resends []Action
 	events  []Action
 }
 
 func newHarness(t *testing.T, machines, execsPer int, opts Options) *harness {
 	cl := cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execsPer})
 	return &harness{t: t, c: NewController(cl, opts),
-		running: make(map[TaskRef]ActStartTask), down: make(map[cluster.MachineID]bool)}
+		running: make(map[TaskRef]Action), down: make(map[cluster.MachineID]bool)}
 }
 
 func (h *harness) drain() {
 	for _, a := range h.c.Drain() {
 		h.events = append(h.events, a)
-		switch a := a.(type) {
+		switch a.Kind {
 		case ActStartTask:
 			h.running[a.Task] = a
 			h.starts = append(h.starts, a)
@@ -45,9 +45,9 @@ func (h *harness) drain() {
 		case ActResend:
 			h.resends = append(h.resends, a)
 		case ActMachineReadOnly:
-			h.down[a.Machine] = true
+			h.down[a.Detail.Machine] = true
 		case ActMachineHealthy:
-			delete(h.down, a.Machine)
+			delete(h.down, a.Detail.Machine)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func (h *harness) finish(ref TaskRef) {
 		h.t.Fatalf("finish of non-running task %s", ref)
 	}
 	delete(h.running, ref)
-	h.c.TaskFinished(ref, a.Attempt)
+	h.c.TaskFinished(ref, int(a.Attempt))
 	h.drain()
 }
 
@@ -89,7 +89,7 @@ func (h *harness) fail(ref TaskRef, kind FailureKind) {
 		h.t.Fatalf("fail of non-running task %s", ref)
 	}
 	delete(h.running, ref)
-	h.c.TaskFailed(ref, a.Attempt, kind)
+	h.c.TaskFailed(ref, int(a.Attempt), kind)
 	h.drain()
 }
 
@@ -124,7 +124,7 @@ func (h *harness) readmit() {
 
 func (h *harness) completed(job string) bool {
 	for _, a := range h.events {
-		if c, ok := a.(ActJobCompleted); ok && c.Job == job {
+		if a.Kind == ActJobCompleted && a.Task.Job == job {
 			return true
 		}
 	}
@@ -133,7 +133,7 @@ func (h *harness) completed(job string) bool {
 
 func (h *harness) jobFailed(job string) bool {
 	for _, a := range h.events {
-		if c, ok := a.(ActJobFailed); ok && c.Job == job {
+		if a.Kind == ActJobFailed && a.Task.Job == job {
 			return true
 		}
 	}
@@ -191,7 +191,7 @@ func TestBarrierDefersSecondGraphlet(t *testing.T) {
 	if len(h.running) != 3 {
 		t.Fatalf("after A done, running = %d, want B's 3 tasks", len(h.running))
 	}
-	if !h.c.StageComplete("j", "A") || h.c.StageComplete("j", "B") {
+	if !h.c.StageComplete("j", 0) || h.c.StageComplete("j", 1) { // A, B in topological order
 		t.Error("StageComplete wrong")
 	}
 	h.finishAll()
@@ -367,7 +367,7 @@ func TestIdempotentRetryWithResend(t *testing.T) {
 		t.Errorf("relaunch attempt=%d reason=%v", again.Attempt, again.Reason)
 	}
 	// Same-graphlet pipeline parent must re-send its buffered output.
-	if len(h.resends) != 1 || h.resends[0].FromStage != "A" || h.resends[0].To != victim {
+	if len(h.resends) != 1 || h.resends[0].Detail.FromStage != "A" || h.resends[0].Task != victim {
 		t.Errorf("resends = %v", h.resends)
 	}
 	// A and B's other task must not re-run.
@@ -408,7 +408,7 @@ func TestNonIdempotentCascade(t *testing.T) {
 	h.fail(ref("j", "A", 0), FailCrash)
 	// A re-runs, finished B[0] re-runs (cascade), running B[1] and C[0]
 	// aborted and re-run.
-	wantRunning := map[TaskRef]int{ // task → attempt
+	wantRunning := map[TaskRef]int32{ // task → attempt
 		ref("j", "A", 0): 2, ref("j", "B", 0): 2,
 		ref("j", "B", 1): 2, ref("j", "C", 0): 2,
 	}
@@ -473,7 +473,7 @@ func TestJobRestartPolicy(t *testing.T) {
 	h.fail(ref("j", "A", 1), FailCrash)
 	restarted := false
 	for _, a := range h.events {
-		if _, ok := a.(ActJobRestarted); ok {
+		if a.Kind == ActJobRestarted {
 			restarted = true
 		}
 	}
@@ -556,7 +556,7 @@ func TestUnhealthyMachineGoesReadOnly(t *testing.T) {
 		if h.c.Cluster().Machine(0).Health != cluster.Healthy {
 			t.Fatalf("machine 0 drained after %d failures, threshold is %d", fails, unhealthyThreshold)
 		}
-		var target ActStartTask
+		var target Action
 		for _, a := range h.running {
 			if h.c.Cluster().MachineOf(a.Executor) == 0 && (target.Attempt == 0 || a.Attempt < target.Attempt) {
 				target = a
@@ -572,7 +572,7 @@ func TestUnhealthyMachineGoesReadOnly(t *testing.T) {
 	}
 	sawAction := false
 	for _, a := range h.events {
-		if ro, ok := a.(ActMachineReadOnly); ok && ro.Machine == 0 {
+		if a.Kind == ActMachineReadOnly && a.Detail.Machine == 0 {
 			sawAction = true
 		}
 	}
@@ -603,8 +603,8 @@ func TestStaleEventsIgnored(t *testing.T) {
 	h := newHarness(t, 2, 2, DefaultOptions())
 	h.submit(pipelineJob("j", 1, 1))
 	a := h.running[ref("j", "A", 0)]
-	h.c.TaskFinished(ref("j", "A", 0), a.Attempt+7) // bogus attempt
-	h.c.TaskFailed(ref("j", "A", 0), a.Attempt-1, FailCrash)
+	h.c.TaskFinished(ref("j", "A", 0), int(a.Attempt)+7) // bogus attempt
+	h.c.TaskFailed(ref("j", "A", 0), int(a.Attempt)-1, FailCrash)
 	h.c.TaskFinished(ref("j", "zzz", 0), 1)  // unknown stage
 	h.c.TaskFinished(ref("nope", "A", 0), 1) // unknown job
 	h.drain()
@@ -616,7 +616,7 @@ func TestStaleEventsIgnored(t *testing.T) {
 		t.Fatal("job not completed")
 	}
 	// Finishing an already-done task is ignored.
-	h.c.TaskFinished(ref("j", "A", 0), a.Attempt)
+	h.c.TaskFinished(ref("j", "A", 0), int(a.Attempt))
 	h.drain()
 }
 
@@ -698,8 +698,9 @@ func TestGraphletAccessors(t *testing.T) {
 }
 
 // TestTaskRecordSize holds the per-task record to the 32 bytes its field
-// order packs into on a 64-bit platform, and the start action, which
-// carries a StartReason, to its 72.
+// order packs into on a 64-bit platform, and an action to its 72: every
+// event's actions are copied by value (flow.Service copies each batch out
+// of the controller's buffer), so a wider Action slows the daemon.
 func TestTaskRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are for 64-bit platforms")
@@ -707,7 +708,7 @@ func TestTaskRecordSize(t *testing.T) {
 	if n := unsafe.Sizeof(taskState{}); n != 32 {
 		t.Errorf("taskState is %d bytes, want 32", n)
 	}
-	if n := unsafe.Sizeof(ActStartTask{}); n != 72 {
-		t.Errorf("ActStartTask is %d bytes, want 72", n)
+	if n := unsafe.Sizeof(Action{}); n != 72 {
+		t.Errorf("Action is %d bytes, want 72", n)
 	}
 }

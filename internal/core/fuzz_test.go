@@ -175,11 +175,11 @@ func (in input) isFault() bool {
 // sortedRunning returns the running tasks in (job, stage, index) order,
 // and of those the ones that can finish: a task has read all its input
 // only once every task of its producer stages is done.
-func (h *harness) sortedRunning() (run, finishable []ActStartTask) {
+func (h *harness) sortedRunning() (run, finishable []Action) {
 	for _, a := range h.running {
 		run = append(run, a)
 	}
-	slices.SortFunc(run, func(a, b ActStartTask) int {
+	slices.SortFunc(run, func(a, b Action) int {
 		return cmp.Or(cmp.Compare(a.Task.Job, b.Task.Job), cmp.Compare(a.Task.Stage, b.Task.Stage), cmp.Compare(a.Task.Index, b.Task.Index))
 	})
 	for _, a := range run {
@@ -375,7 +375,7 @@ func runController(t *testing.T, sc scenario, ch chooser, depth int) {
 			fatal("start order after %s: %s", label, v)
 		}
 		for ref, a := range primary.h.running {
-			if e, attempt, ok := primary.h.c.RunningTask(ref); !ok || e != a.Executor || attempt != a.Attempt {
+			if e, attempt, ok := primary.h.c.RunningTask(ref); !ok || e != a.Executor || attempt != int(a.Attempt) {
 				fatal("harness runs %s attempt %d on %d; the controller says %d on %d (%v)", ref, a.Attempt, a.Executor, attempt, e, ok)
 			}
 		}

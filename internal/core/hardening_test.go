@@ -71,7 +71,7 @@ func TestRepeatedOutputLossIsBounded(t *testing.T) {
 	}
 	found := false
 	for _, a := range h.events {
-		if f, ok := a.(ActJobFailed); ok && strings.Contains(f.Reason, "lost output") {
+		if a.Kind == ActJobFailed && strings.Contains(a.Detail.Reason, "lost output") {
 			found = true
 		}
 	}
@@ -205,7 +205,7 @@ func TestMachineRecoveredReadmitsDrainedMachine(t *testing.T) {
 	}
 	saw := false
 	for _, a := range h.events {
-		if hc, ok := a.(ActMachineHealthy); ok && hc.Machine == 0 {
+		if a.Kind == ActMachineHealthy && a.Detail.Machine == 0 {
 			saw = true
 		}
 	}
@@ -249,7 +249,7 @@ func TestCacheWorkerLostFanOutAndDegrade(t *testing.T) {
 	}
 	saw := false
 	for _, a := range h.events {
-		if d, ok := a.(ActShuffleDegraded); ok && d.From == "A" && d.Old == shuffle.Remote && d.New == shuffle.Direct {
+		if d := a.Detail; a.Kind == ActShuffleDegraded && d.From == "A" && d.Old == shuffle.Remote && d.New == shuffle.Direct {
 			saw = true
 		}
 	}

@@ -36,37 +36,37 @@ func (k FailureKind) String() string {
 }
 
 // observe mirrors one emitted action into the recorder.
-func (c *Controller) observe(a Action) {
+func (c *Controller) observe(a *Action) {
 	r := c.opts.Obs
 	if r == nil {
 		return
 	}
-	switch a := a.(type) {
+	switch a.Kind {
 	case ActStartTask:
-		r.TaskStarted(a.Task.Job, a.Task.Stage, a.Task.Index, a.Attempt, a.Graphlet,
+		r.TaskStarted(a.Task.Job, a.Task.Stage, a.Task.Index, int(a.Attempt), int(a.Graphlet),
 			int(a.Executor), a.Reason.String())
 	case ActAbortTask:
-		r.TaskAborted(a.Task.Job, a.Task.Stage, a.Task.Index, a.Attempt, int(a.Executor))
+		r.TaskAborted(a.Task.Job, a.Task.Stage, a.Task.Index, int(a.Attempt), int(a.Executor))
 	case ActResend:
-		r.Resend(a.To.Job, a.To.Stage, a.To.Index, a.FromStage)
+		r.Resend(a.Task.Job, a.Task.Stage, a.Task.Index, a.Detail.FromStage)
 	case ActJobCompleted:
-		r.JobCompleted(a.Job)
+		r.JobCompleted(a.Task.Job)
 	case ActJobFailed:
-		r.JobFailed(a.Job, a.Reason)
+		r.JobFailed(a.Task.Job, a.Detail.Reason)
 	case ActJobRestarted:
-		r.JobRestarted(a.Job)
+		r.JobRestarted(a.Task.Job)
 	case ActMachineReadOnly:
-		r.MachineReadOnly(int(a.Machine))
+		r.MachineReadOnly(int(a.Detail.Machine))
 	case ActMachineHealthy:
-		r.MachineHealthy(int(a.Machine))
+		r.MachineHealthy(int(a.Detail.Machine))
 	case ActShuffleDegraded:
-		r.ShuffleDegraded(a.Job, a.From, a.To, a.Old.String(), a.New.String())
+		r.ShuffleDegraded(a.Task.Job, a.Detail.From, a.Detail.To, a.Detail.Old.String(), a.Detail.New.String())
 	case ActReplicate:
 		machine := -1
-		if len(a.Machines) > 0 {
-			machine = int(a.Machines[0])
+		if len(a.Detail.Machines) > 0 {
+			machine = int(a.Detail.Machines[0])
 		}
-		r.Replicated(a.Task.Job, a.Task.Stage, a.Task.Index, a.Attempt, len(a.Machines), machine)
+		r.Replicated(a.Task.Job, a.Task.Stage, a.Task.Index, int(a.Attempt), len(a.Detail.Machines), machine)
 	}
 }
 

@@ -79,7 +79,7 @@ func (c *Controller) rerun(m *monitor, stage, i int) {
 // a failed one. The caller requeues the graphlet.
 func (c *Controller) preempt(m *monitor, stage, i int) {
 	t := m.stages[stage].tasks[i]
-	c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: t.executor, Attempt: t.attempt})
+	c.emit(Action{Kind: ActAbortTask, Task: m.ref(stage, i), Executor: t.executor, Attempt: int32(t.attempt)})
 	c.rerun(m, stage, i)
 }
 
@@ -102,7 +102,7 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 				continue // a pending task already awaits a fresh run
 			}
 			if t.status == TaskRunning {
-				c.emit(ActAbortTask{Task: m.ref(to, i), Executor: t.executor, Attempt: t.attempt})
+				c.emit(Action{Kind: ActAbortTask, Task: m.ref(to, i), Executor: t.executor, Attempt: int32(t.attempt)})
 			}
 			c.markPending(m, to, i, StartCascade)
 		}
@@ -233,7 +233,7 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 		// An earlier victim's cascade may have aborted this one already: the
 		// abort repeats, and TaskFailed ignores a task no longer running.
 		t := m.stage(ref.Stage).tasks[ref.Index]
-		c.emit(ActAbortTask{Task: ref, Executor: t.executor, Attempt: t.attempt})
+		c.emit(Action{Kind: ActAbortTask, Task: ref, Executor: t.executor, Attempt: int32(t.attempt)})
 		c.TaskFailed(ref, t.attempt, FailCrash)
 	}
 	// TaskOutputLost applies the "no step taken" rule (or restarts the job
@@ -354,7 +354,7 @@ func (c *Controller) MachineUnhealthy(id cluster.MachineID) {
 		return
 	}
 	c.cl.SetHealth(id, cluster.ReadOnly)
-	c.emit(ActMachineReadOnly{Machine: id})
+	c.emit(Action{Kind: ActMachineReadOnly, Detail: &ActionDetail{Machine: id}})
 }
 
 // MachineRecovered re-admits a machine to the pool: a read-only machine
@@ -368,7 +368,7 @@ func (c *Controller) MachineRecovered(id cluster.MachineID) {
 	}
 	c.cl.ResetTaskFailures(id)
 	c.cl.SetHealth(id, cluster.Healthy)
-	c.emit(ActMachineHealthy{Machine: id})
+	c.emit(Action{Kind: ActMachineHealthy, Detail: &ActionDetail{Machine: id}})
 	c.schedule()
 }
 
@@ -407,7 +407,8 @@ func (c *Controller) degradeEdges(m *monitor, stage string) {
 			continue
 		}
 		m.modes[k] = shuffle.Direct
-		c.emit(ActShuffleDegraded{Job: m.job.ID, From: e.From, To: e.To, Old: old, New: shuffle.Direct})
+		c.emit(Action{Kind: ActShuffleDegraded, Task: TaskRef{Job: m.job.ID},
+			Detail: &ActionDetail{From: e.From, To: e.To, Old: old, New: shuffle.Direct}})
 	}
 }
 
@@ -447,7 +448,7 @@ func (c *Controller) restartJob(m *monitor) {
 	c.dequeueJob(m)
 	c.dropRepended(m)
 	m.gruns = c.buildGraphletRuns(m)
-	c.emit(ActJobRestarted{Job: m.job.ID})
+	c.emit(Action{Kind: ActJobRestarted, Task: TaskRef{Job: m.job.ID}})
 	c.enqueueReady(m)
 	c.schedule()
 }
@@ -462,7 +463,7 @@ func (c *Controller) abortAll(m *monitor) {
 		if t.status != TaskRunning {
 			return
 		}
-		c.emit(ActAbortTask{Task: m.ref(stage, i), Executor: t.executor, Attempt: t.attempt})
+		c.emit(Action{Kind: ActAbortTask, Task: m.ref(stage, i), Executor: t.executor, Attempt: int32(t.attempt)})
 		m.gruns[st.graphlet].running--
 		c.syncGang(m, st.graphlet)
 		if t.executor >= 0 {
@@ -514,6 +515,6 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.snapClose(m)
 	c.dropRepended(m)
 	c.dequeueJob(m)
-	c.emit(ActJobFailed{Job: m.job.ID, Reason: reason})
+	c.emit(Action{Kind: ActJobFailed, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
 	c.schedule()
 }

@@ -8,25 +8,20 @@ import (
 	"swift/internal/shuffle"
 )
 
-func (h *harness) replicates() []ActReplicate {
-	var out []ActReplicate
+// actions returns the actions of one kind seen so far.
+func (h *harness) actions(kind ActionKind) []Action {
+	var out []Action
 	for _, a := range h.events {
-		if r, ok := a.(ActReplicate); ok {
-			out = append(out, r)
+		if a.Kind == kind {
+			out = append(out, a)
 		}
 	}
 	return out
 }
 
-func (h *harness) degrades() []ActShuffleDegraded {
-	var out []ActShuffleDegraded
-	for _, a := range h.events {
-		if d, ok := a.(ActShuffleDegraded); ok {
-			out = append(out, d)
-		}
-	}
-	return out
-}
+func (h *harness) replicates() []Action { return h.actions(ActReplicate) }
+
+func (h *harness) degrades() []Action { return h.actions(ActShuffleDegraded) }
 
 func TestReplicationDisabledByDefault(t *testing.T) {
 	h := newHarness(t, 4, 4, DefaultOptions())
@@ -53,11 +48,11 @@ func TestTaskFinishEmitsReplicate(t *testing.T) {
 		t.Fatalf("got %d ActReplicate, want 3 (one per producer task)", len(reps))
 	}
 	for _, r := range reps {
-		if len(r.Machines) != 2 {
-			t.Errorf("replicate %s landed %d machines, want 2", r.Task, len(r.Machines))
+		if len(r.Detail.Machines) != 2 {
+			t.Errorf("replicate %s landed %d machines, want 2", r.Task, len(r.Detail.Machines))
 		}
 		seen := map[cluster.MachineID]bool{}
-		for _, m := range r.Machines {
+		for _, m := range r.Detail.Machines {
 			if seen[m] {
 				t.Errorf("replicate %s placed two copies on machine %d", r.Task, m)
 			}

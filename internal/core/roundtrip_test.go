@@ -18,7 +18,7 @@ import (
 // executor goes to whatever the scheduler picks next.
 type roundTrip struct {
 	c       *core.Controller
-	running []core.ActStartTask // launch order; [head:] are still running
+	running []core.Action // the starts in launch order; [head:] are still running
 	head    int
 }
 
@@ -33,7 +33,7 @@ func newRoundTrip(tb testing.TB, opts core.Options, spec trace.Spec) *roundTrip 
 	}
 	// Room for every launch (and, under preemption, relaunches), so the
 	// harness itself never allocates inside a measured step.
-	rt.running = make([]core.ActStartTask, 0, 2*tasks)
+	rt.running = make([]core.Action, 0, 2*tasks)
 	for _, j := range tr.Jobs {
 		if err := rt.c.SubmitJob(j.Job); err != nil {
 			tb.Fatal(err)
@@ -48,8 +48,8 @@ func newRoundTrip(tb testing.TB, opts core.Options, spec trace.Spec) *roundTrip 
 
 func (rt *roundTrip) collect() {
 	for _, a := range rt.c.Drain() {
-		if s, ok := a.(core.ActStartTask); ok {
-			rt.running = append(rt.running, s)
+		if a.Kind == core.ActStartTask {
+			rt.running = append(rt.running, a)
 		}
 	}
 }
@@ -62,7 +62,7 @@ func (rt *roundTrip) step() bool {
 	}
 	a := rt.running[rt.head]
 	rt.head++
-	rt.c.TaskFinished(a.Task, a.Attempt) // a no-op for an attempt preemption aborted
+	rt.c.TaskFinished(a.Task, int(a.Attempt)) // a no-op for an attempt preemption aborted
 	rt.collect()
 	return true
 }
@@ -85,23 +85,23 @@ func fairOptions() (core.Options, trace.Spec) {
 
 // maxRoundTripAllocs is the committed allocation budget of one saturated
 // TaskFinished+Drain round trip under FIFO: the executor slice Allocate
-// returns (8 bytes) and the ActStartTask boxed into the Action interface.
-// Job completions and queue growth add a fraction of an allocation on
-// average, below what AllocsPerRun's integer mean can see; a per-event map, view
-// or request-sized buffer would.
-const maxRoundTripAllocs = 2
+// returns (8 bytes). The start action is a value in the controller's
+// reused buffer. Job completions and queue growth add a fraction of an
+// allocation on average, below what AllocsPerRun's integer mean can see; a
+// per-event map, view, boxed action or request-sized buffer would.
+const maxRoundTripAllocs = 1
 
 func TestSaturatedRoundTripAllocs(t *testing.T) {
 	checkRoundTripAllocs(t, core.DefaultOptions(), fifoSpec, maxRoundTripAllocs)
 }
 
 // maxFairRoundTripAllocs is the same budget through servePolicy and
-// preemptRound (every completion on the dry pool asks Preempt too): the two
+// preemptRound (every completion on the dry pool asks Preempt too): the one
 // of the FIFO round trip, the grant plan JobOrder returns, and one to
-// spare. The policy's views of the queue, the gangs and the tenants are
+// spare (1 measured). The policy's views of the queue, the gangs and the tenants are
 // controller scratch and the policy's own bookkeeping lives on its stack; a
 // per-round map, budget record or rebuilt gang list would blow the budget.
-const maxFairRoundTripAllocs = 4
+const maxFairRoundTripAllocs = 3
 
 func TestFairRoundTripAllocs(t *testing.T) {
 	opts, spec := fairOptions()

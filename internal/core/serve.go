@@ -321,19 +321,14 @@ func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.E
 	c.syncGang(m, st.graphlet)
 	c.snapDelta(m, -1, 1, 0)
 	ref := TaskRef{Job: m.job.ID, Stage: st.spec.Name, Index: i}
-	c.emit(ActStartTask{
-		Task:     ref,
-		Executor: e,
-		Graphlet: st.graphlet,
-		Attempt:  t.attempt,
-		Reason:   reason,
-	})
+	c.emit(Action{Kind: ActStartTask, Task: ref, Executor: e, Stage: id.stage,
+		Graphlet: int32(st.graphlet), Attempt: int32(t.attempt), Reason: reason})
 	if reason == StartRetry && st.spec.Idempotent {
 		// Intra-graphlet idempotent recovery: surviving pipeline
 		// producers in the same graphlet re-send buffered output.
 		for _, from := range st.in {
 			if pst := m.stages[from]; pst.graphlet == st.graphlet {
-				c.emit(ActResend{To: ref, FromStage: pst.spec.Name})
+				c.emit(Action{Kind: ActResend, Task: ref, Detail: &ActionDetail{FromStage: pst.spec.Name}})
 			}
 		}
 	}

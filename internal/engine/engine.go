@@ -217,19 +217,19 @@ func (e *Engine) Run(job *dag.Job, plans Plans) ([]Row, error) {
 // applyActions drains controller actions on the loop goroutine.
 func (e *Engine) applyActions() {
 	for _, a := range e.ctrl.Drain() {
-		switch a := a.(type) {
+		switch a.Kind {
 		case core.ActStartTask:
-			e.startTask(a)
+			e.startTask(&a)
 		case core.ActAbortTask:
-			e.abortTask(a)
+			e.abortTask(&a)
 		case core.ActResend:
 			// Surviving producers' segments are still in the Store;
 			// the re-launched reader re-pulls them, so no transfer
 			// action is needed in-process.
 		case core.ActJobCompleted:
-			e.finishJob(a.Job, nil)
+			e.finishJob(a.Task.Job, nil)
 		case core.ActJobFailed:
-			e.finishJob(a.Job, errors.New(a.Reason))
+			e.finishJob(a.Task.Job, errors.New(a.Detail.Reason))
 		case core.ActJobRestarted, core.ActMachineReadOnly, core.ActMachineHealthy:
 			// Health transitions and restart accounting have no in-process
 			// work: the controller already rescheduled what they affect.
@@ -258,23 +258,26 @@ func (e *Engine) finishJob(id string, err error) {
 	close(js.done)
 }
 
-func (e *Engine) startTask(a core.ActStartTask) {
+// startTask runs a task's attempt on its own goroutine, which copies what it
+// reads of a: the controller refills its action buffer on the next event.
+func (e *Engine) startTask(a *core.Action) {
+	ref, attempt := a.Task, int(a.Attempt)
 	e.mu.Lock()
-	js := e.jobs[a.Task.Job]
+	js := e.jobs[ref.Job]
 	if js == nil {
 		e.mu.Unlock()
 		return
 	}
-	tr := &taskRun{ref: a.Task, attempt: a.Attempt, abort: make(chan struct{})}
-	e.running[a.Task] = tr
+	tr := &taskRun{ref: ref, attempt: attempt, abort: make(chan struct{})}
+	e.running[ref] = tr
 	e.mu.Unlock()
 
 	machine := int(e.cl.MachineOf(a.Executor))
 	ctx := &TaskContext{
 		engine:  e,
 		js:      js,
-		ref:     a.Task,
-		attempt: a.Attempt,
+		ref:     ref,
+		attempt: attempt,
 		machine: machine,
 		abort:   tr.abort,
 	}
@@ -282,16 +285,16 @@ func (e *Engine) startTask(a core.ActStartTask) {
 		err := e.runBody(ctx, js)
 		e.post(func() {
 			e.mu.Lock()
-			cur := e.running[a.Task]
-			if cur == nil || cur.attempt != a.Attempt {
+			cur := e.running[ref]
+			if cur == nil || cur.attempt != attempt {
 				e.mu.Unlock()
 				return // aborted; a newer attempt owns the task
 			}
-			delete(e.running, a.Task)
+			delete(e.running, ref)
 			if err == nil {
 				// Commit this attempt's sink output (replacing any
 				// earlier attempt's).
-				js.sunk[sinkKey(a.Task.Stage, a.Task.Index)] = ctx.sink
+				js.sunk[sinkKey(ref.Stage, ref.Index)] = ctx.sink
 			}
 			e.mu.Unlock()
 			if err != nil {
@@ -300,9 +303,9 @@ func (e *Engine) startTask(a core.ActStartTask) {
 				if errors.As(err, &app) {
 					kind = core.FailAppError
 				}
-				e.ctrl.TaskFailed(a.Task, a.Attempt, kind)
+				e.ctrl.TaskFailed(ref, attempt, kind)
 			} else {
-				e.ctrl.TaskFinished(a.Task, a.Attempt)
+				e.ctrl.TaskFinished(ref, attempt)
 			}
 			e.applyActions()
 		})
@@ -320,10 +323,10 @@ func (e *Engine) runBody(ctx *TaskContext, js *jobState) (err error) {
 	return js.plans[ctx.ref.Stage](ctx)
 }
 
-func (e *Engine) abortTask(a core.ActAbortTask) {
+func (e *Engine) abortTask(a *core.Action) {
 	e.mu.Lock()
 	tr := e.running[a.Task]
-	if tr != nil && tr.attempt == a.Attempt {
+	if tr != nil && tr.attempt == int(a.Attempt) {
 		delete(e.running, a.Task)
 		close(tr.abort)
 	}

@@ -67,9 +67,9 @@ func TestControllerAllocs(t *testing.T) {
 
 // TestTasksFinishedAllocs holds Service.TasksFinished on a saturated
 // cluster (batchRun's 2,000-job burst) to what each completion costs the
-// scheduler behind it — core's round-trip budget: the ActStartTask boxed
-// into a core.Action and the executor slice Allocate returns — plus one
-// copy of the batch's actions out of the controller's buffer.
+// scheduler behind it — core's round-trip budget: the executor slice
+// Allocate returns — plus one copy of the batch's actions out of the
+// controller's buffer.
 func TestTasksFinishedAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -90,8 +90,8 @@ func TestTasksFinishedAllocs(t *testing.T) {
 			r.svc.TasksFinished(r.running[r.head : r.head+size])
 			r.head += size
 		})
-		if budget := float64(2*size + 1); allocs > budget {
-			t.Errorf("TasksFinished of %d completions: %.0f allocs, budget %.0f (2 per completion, 1 per batch)", size, allocs, budget)
+		if budget := float64(size + 1); allocs > budget {
+			t.Errorf("TasksFinished of %d completions: %.0f allocs, budget %.0f (1 per completion, 1 per batch)", size, allocs, budget)
 		}
 	}
 	if v := r.svc.Invariants(); len(v) != 0 {

@@ -26,8 +26,8 @@ type recorder struct {
 func (r *recorder) sink(_ sim.Time, acts []core.Action) {
 	r.acts = append(r.acts, acts...)
 	for _, a := range acts {
-		if st, ok := a.(core.ActStartTask); ok {
-			c := Completion{Ref: st.Task, Attempt: st.Attempt}
+		if a.Kind == core.ActStartTask {
+			c := Completion{Ref: a.Task, Attempt: int(a.Attempt)}
 			r.running = append(r.running, c)
 			r.starts[c]++
 		}
@@ -243,8 +243,8 @@ func TestServiceSubmittersAgainstBatchDriver(t *testing.T) {
 	svc.SetActionSink(func(now sim.Time, acts []core.Action) {
 		mu.Lock()
 		for _, a := range acts {
-			if st, ok := a.(core.ActStartTask); ok {
-				due.Push(now, Completion{Ref: st.Task, Attempt: st.Attempt})
+			if a.Kind == core.ActStartTask {
+				due.Push(now, Completion{Ref: a.Task, Attempt: int(a.Attempt)})
 			}
 		}
 		mu.Unlock()

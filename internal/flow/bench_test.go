@@ -27,8 +27,8 @@ func newBatchRun(tb testing.TB) *batchRun {
 		func() sim.Time { now++; return now })
 	r.svc.SetActionSink(func(_ sim.Time, acts []core.Action) {
 		for _, a := range acts {
-			if st, ok := a.(core.ActStartTask); ok {
-				r.running = append(r.running, Completion{Ref: st.Task, Attempt: st.Attempt})
+			if a.Kind == core.ActStartTask {
+				r.running = append(r.running, Completion{Ref: a.Task, Attempt: int(a.Attempt)})
 			}
 		}
 	})

@@ -55,20 +55,20 @@ func newDriver() *driver {
 }
 
 func (d *driver) sink(_ sim.Time, acts []core.Action) {
-	var finish []core.ActStartTask
+	var finish []core.Action
 	d.mu.Lock()
 	for _, a := range acts {
 		d.actions++
-		if st, ok := a.(core.ActStartTask); ok {
-			key := fmt.Sprintf("%s/%s[%d]#%d", st.Task.Job, st.Task.Stage, st.Task.Index, st.Attempt)
+		if a.Kind == core.ActStartTask {
+			key := fmt.Sprintf("%s/%s[%d]#%d", a.Task.Job, a.Task.Stage, a.Task.Index, a.Attempt)
 			d.starts[key]++
-			d.jobsRun[st.Task.Job] = true
-			finish = append(finish, st)
+			d.jobsRun[a.Task.Job] = true
+			finish = append(finish, a)
 		}
 	}
 	d.mu.Unlock()
 	for _, st := range finish {
-		d.svc.TaskFinished(st.Task, st.Attempt)
+		d.svc.TaskFinished(st.Task, int(st.Attempt))
 	}
 }
 

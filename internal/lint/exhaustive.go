@@ -15,12 +15,12 @@ import (
 //
 //   - a switch whose tag is a module-declared iota enum (integer constants
 //     numbered contiguously from zero, e.g. chaos.FaultKind, shuffle.Mode,
-//     engine.ColType, core.FailureKind) must cover every member or carry a
-//     default;
+//     engine.ColType, core.FailureKind, core.ActionKind) must cover every
+//     member or carry a default;
 //   - a type switch over a module-declared sealed interface (one with an
-//     unexported method, e.g. core.Action's isAction) must cover every
-//     implementing type declared in the interface's package, or carry a
-//     default.
+//     unexported method, e.g. the testdata's Node with its isNode) must
+//     cover every implementing type declared in the interface's package,
+//     or carry a default.
 //
 // Sentinel count members (named num*, e.g. numFaultKinds) are not real
 // members and are ignored. An intentional no-op for some members is
@@ -169,7 +169,7 @@ func reportMissing(p *Pass, pos token.Pos, body *ast.BlockStmt, what string, mem
 }
 
 // isSealed reports whether the interface has an unexported method — the
-// project's closed-sum marker (e.g. isAction).
+// project's closed-sum marker (e.g. the testdata's isNode).
 func isSealed(iface *types.Interface) bool {
 	for i := 0; i < iface.NumMethods(); i++ {
 		if !iface.Method(i).Exported() {

@@ -231,12 +231,16 @@ func (r *Recorder) JobRestarted(job string) {
 
 // GraphletQueued records a graphlet registering with the scheduler.
 func (r *Recorder) GraphletQueued(job string, g, pending int) {
-	r.rec(Event{Kind: EvGraphletQueued, Job: job, Graphlet: g, Index: pending, Executor: -1, Machine: -1})
+	if r != nil {
+		r.rec(Event{Kind: EvGraphletQueued, Job: job, Graphlet: g, Index: pending, Executor: -1, Machine: -1})
+	}
 }
 
 // GraphletDone records a graphlet finishing its last task.
 func (r *Recorder) GraphletDone(job string, g int) {
-	r.rec(Event{Kind: EvGraphletDone, Job: job, Graphlet: g, Executor: -1, Machine: -1})
+	if r != nil {
+		r.rec(Event{Kind: EvGraphletDone, Job: job, Graphlet: g, Executor: -1, Machine: -1})
+	}
 }
 
 // TaskStarted records a task attempt launching.
@@ -248,8 +252,10 @@ func (r *Recorder) TaskStarted(job, stage string, index, attempt, graphlet, exec
 // TaskFinished records a successful attempt with its phase breakdown in
 // seconds.
 func (r *Recorder) TaskFinished(job, stage string, index, attempt, executor int, launch, read, process, write float64) {
-	r.rec(Event{Kind: EvTaskFinish, Job: job, Stage: stage, Index: index, Attempt: attempt,
-		Executor: executor, Machine: -1, Launch: launch, Read: read, Process: process, Write: write})
+	if r != nil {
+		r.rec(Event{Kind: EvTaskFinish, Job: job, Stage: stage, Index: index, Attempt: attempt,
+			Executor: executor, Machine: -1, Launch: launch, Read: read, Process: process, Write: write})
+	}
 }
 
 // TaskAborted records a cancelled attempt.

@@ -12,15 +12,15 @@ import (
 )
 
 // maxFinishTaskAllocs is the committed allocation budget of one simulated
-// task completion on a saturated cluster: the successor's ActStartTask
-// boxed into a core.Action. The attempt the driver starts for it reuses
-// the finished attempt's record and arms its finish with the record
-// itself as the event's handler, so neither allocates. A completion whose
-// graphlet has nothing left to launch hands its executor to the queue
-// through Allocate, whose result slice — like the growth of the job's
-// sample slice and the executor series — adds a fraction of an allocation
-// on average, below what AllocsPerRun's integer mean can see.
-const maxFinishTaskAllocs = 1
+// task completion on a saturated cluster: none. The successor's start is a
+// core.Action value in the controller's reused buffer, the attempt the
+// driver starts for it reuses the finished attempt's record, and its
+// finish is armed with the record itself as the event's handler. A
+// completion whose graphlet has nothing left to launch hands its executor
+// to the queue through Allocate, whose result slice — like the growth of
+// the job's sample slice and the executor series — adds a fraction of an
+// allocation on average, below what AllocsPerRun's integer mean can see.
+const maxFinishTaskAllocs = 0
 
 // saturated returns a runner with a burst far larger than its cluster
 // admitted, and a step that runs one engine event: past the submissions

@@ -13,25 +13,25 @@ func (r *Runner) handleActions() {
 		if r.onAction != nil {
 			r.onAction(r.eng.Now(), a)
 		}
-		switch a := a.(type) {
+		switch a.Kind {
 		case core.ActStartTask:
-			r.startTask(a)
+			r.startTask(&a)
 		case core.ActAbortTask:
-			r.abortTask(a)
+			r.abortTask(&a)
 		case core.ActResend:
-			if jr := r.jobs[a.To.Job]; jr != nil {
+			if jr := r.jobs[a.Task.Job]; jr != nil {
 				jr.res.Resends++
 			}
 		case core.ActJobCompleted:
-			jr := r.jobs[a.Job]
+			jr := r.jobs[a.Task.Job]
 			jr.res.Completed = true
 			jr.res.Finish = r.eng.Now()
 		case core.ActJobFailed:
-			jr := r.jobs[a.Job]
+			jr := r.jobs[a.Task.Job]
 			jr.res.Failed = true
 			jr.res.Finish = r.eng.Now()
 		case core.ActJobRestarted:
-			jr := r.jobs[a.Job]
+			jr := r.jobs[a.Task.Job]
 			jr.res.Restarts++
 			// All progress is discarded: stage completions and
 			// first-start marks reset.
@@ -43,7 +43,7 @@ func (r *Runner) handleActions() {
 			// observation window, re-admit it once the window passes and
 			// it is still alive and still read-only.
 			if r.cfg.ReadmitDelay > 0 {
-				id := a.Machine
+				id := a.Detail.Machine
 				r.eng.After(r.cfg.ReadmitDelay, func() {
 					if r.down[id] || r.cl.Machine(id).Health != cluster.ReadOnly {
 						return
@@ -68,10 +68,9 @@ func (r *Runner) handleActions() {
 
 // startTask begins simulating one task attempt: charge launch cost, park on
 // incomplete producer stages, and schedule completion once inputs are ready.
-func (r *Runner) startTask(a core.ActStartTask) {
+func (r *Runner) startTask(a *core.Action) {
 	jr := r.jobs[a.Task.Job]
-	si := jr.stageIdx[a.Task.Stage]
-	sr := &jr.stages[si]
+	sr := &jr.stages[a.Stage]
 	now := r.eng.Now()
 	if !sr.started {
 		sr.started, sr.firstStart = true, now
@@ -83,8 +82,8 @@ func (r *Runner) startTask(a core.ActStartTask) {
 		r.kill(old) // the controller has moved on from that attempt
 	}
 	rt := r.newTask()
-	*rt = runningTask{r: r, jr: jr, stage: int32(si), index: int32(a.Task.Index), executor: a.Executor,
-		attempt: a.Attempt, started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
+	*rt = runningTask{r: r, jr: jr, stage: a.Stage, index: int32(a.Task.Index), executor: a.Executor,
+		attempt: int(a.Attempt), started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
 	sr.tasks[rt.index] = rt
 	jr.live++
 	r.live++
@@ -96,8 +95,8 @@ func (r *Runner) startTask(a core.ActStartTask) {
 		return
 	}
 	for _, e := range sr.in {
-		from := &jr.stages[e.from]
-		if !r.ctrl.StageComplete(jr.job.ID, from.name) {
+		if !r.ctrl.StageComplete(jr.job.ID, e.from) {
+			from := &jr.stages[e.from]
 			rt.unmet++
 			from.parked = append(from.parked, parkedTask{rt.stage, rt.index, rt.attempt})
 		}
@@ -127,8 +126,8 @@ func (r *Runner) launchCost(sr *stageRun, e cluster.ExecutorID) float64 {
 
 // abortTask cancels a simulated task attempt (stale completions are
 // filtered by attempt number).
-func (r *Runner) abortTask(a core.ActAbortTask) {
-	if rt := r.task(a.Task); rt != nil && rt.attempt == a.Attempt {
+func (r *Runner) abortTask(a *core.Action) {
+	if rt := r.task(a.Task); rt != nil && rt.attempt == int(a.Attempt) {
 		r.kill(rt)
 	}
 }
@@ -241,7 +240,7 @@ func (r *Runner) recordPhases(jr *jobRun, sr *stageRun, launch, read, process, w
 // tasks waiting on it.
 func (r *Runner) onStageProgress(jr *jobRun, stage int) {
 	sr := &jr.stages[stage]
-	if !r.ctrl.StageComplete(jr.job.ID, sr.name) {
+	if !r.ctrl.StageComplete(jr.job.ID, stage) {
 		return
 	}
 	sr.done, sr.doneAt = true, r.eng.Now()

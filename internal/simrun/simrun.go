@@ -140,9 +140,10 @@ type parkedTask struct {
 }
 
 // stageRun is the simulator's state of one stage of one job. A job's
-// stages sit in one slice in DAG insertion order, and everything the
-// driver keeps per stage or per task hangs off it by index — the event
-// handlers never hash a stage name or a TaskRef.
+// stages sit in one slice in topological order (dag.Job.TopoOrder), the
+// controller's order, so a start action's Stage indexes it; everything the
+// driver keeps per stage or per task hangs off it by index — launching and
+// finishing a task hash no stage name here.
 type stageRun struct {
 	name  string
 	cost  stageCost
@@ -161,13 +162,12 @@ type stageRun struct {
 }
 
 type jobRun struct {
-	job        *dag.Job
-	res        *JobResult
-	stages     []stageRun
-	stageIdx   map[string]int
-	numTasks   int // sizes the result's sample slice on the first finish
-	costsReady bool
-	live       int // attempts currently in the stages' task tables
+	job      *dag.Job
+	res      *JobResult
+	stages   []stageRun
+	stageIdx map[string]int // edges and the fault injectors name stages
+	numTasks int            // sizes the result's sample slice on the first finish
+	live     int            // attempts currently in the stages' task tables
 }
 
 // runningTask is one simulated task attempt: running, parked on inputs, or
@@ -272,19 +272,12 @@ func (r *Runner) Cluster() *cluster.Cluster { return r.cl }
 
 // task returns the live attempt of a task, or nil.
 func (r *Runner) task(ref core.TaskRef) *runningTask {
-	jr := r.jobs[ref.Job]
-	if jr == nil {
-		return nil
+	if jr := r.jobs[ref.Job]; jr != nil {
+		if si, ok := jr.stageIdx[ref.Stage]; ok && ref.Index >= 0 && ref.Index < len(jr.stages[si].tasks) {
+			return jr.stages[si].tasks[ref.Index]
+		}
 	}
-	si, ok := jr.stageIdx[ref.Stage]
-	if !ok {
-		return nil
-	}
-	tasks := jr.stages[si].tasks
-	if ref.Index < 0 || ref.Index >= len(tasks) {
-		return nil
-	}
-	return tasks[ref.Index]
+	return nil
 }
 
 // kill removes a live attempt from the tables: it finished, was aborted,
@@ -366,7 +359,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 		// The tables of the job already running under this ID must survive.
 		return fmt.Errorf("simrun: duplicate job id %q", job.ID)
 	}
-	stages := job.Stages()
+	names, _ := job.TopoOrder() // nil for a cyclic job, which SubmitJob rejects
 	jr := &jobRun{
 		job: job,
 		res: &JobResult{
@@ -375,18 +368,17 @@ func (r *Runner) Submit(job *dag.Job) error {
 			Submit: r.eng.Now(),
 			Phases: make(map[string]*StagePhases),
 		},
-		stages:   make([]stageRun, len(stages)),
-		stageIdx: make(map[string]int, len(stages)),
-	}
-	for i, s := range stages {
-		jr.stageIdx[s.Name] = i
+		stages:   make([]stageRun, len(names)),
+		stageIdx: make(map[string]int, len(names)),
 	}
 	// Scan and processing costs are known now; the shuffle read/write
 	// components depend on the edge modes the controller selects at
 	// admission, so edgeCosts fills them in right after SubmitJob succeeds.
+	// A stage's producers precede it, so their indexes are known.
 	model := r.cl.Model()
-	for i, s := range stages {
-		sr := &jr.stages[i]
+	for i, name := range names {
+		jr.stageIdx[name] = i
+		s, sr := job.Stage(name), &jr.stages[i]
 		sr.name, sr.size = s.Name, s.Tasks
 		sr.cost = stageCost{
 			scan:    model.ScanTime(s.Cost.ScanBytes, s.Tasks),
@@ -412,10 +404,6 @@ func (r *Runner) Submit(job *dag.Job) error {
 // edgeCosts fills the read/write components of a job's stage costs once the
 // controller knows the edge modes (i.e., after SubmitJob).
 func (r *Runner) edgeCosts(jr *jobRun) {
-	if jr.costsReady {
-		return
-	}
-	jr.costsReady = true
 	model := r.cl.Model()
 	est := func(tasks int) int { return model.Spread(tasks, r.cl.NumMachines()) }
 	for _, e := range jr.job.Edges() {
