@@ -76,16 +76,16 @@ func main() {
 
 	// Clean run (also the baseline for failure injection timing).
 	stopProfiles := startProfiles()
-	clean, graphlets := runOnce(job.Clone(), ccfg, opts, *seed, "", 0, cleanRec)
+	clean := runOnce(job.Clone(), ccfg, opts, *seed, "", 0, cleanRec)
 	fmt.Printf("system=%s job=%s machines=%d executors=%d\n", *system, job.ID, *machines, *machines**execs)
 	fmt.Printf("stages=%d tasks=%d\n", job.NumStages(), job.NumTasks())
-	printGraphlets(graphlets)
+	printGraphlets(partition(job, opts))
 	fmt.Printf("\nclean run: %.2fs\n", clean.Duration())
 	printPhases(clean)
 
 	if *failStage != "" {
 		at := clean.Duration() * *failAt
-		faulty, _ := runOnce(job.Clone(), ccfg, opts, *seed, *failStage, at, rec)
+		faulty := runOnce(job.Clone(), ccfg, opts, *seed, *failStage, at, rec)
 		fmt.Printf("\nwith failure in %s at %.1fs: %.2fs (%+.1f%%), restarts=%d resends=%d\n",
 			*failStage, at, faulty.Duration(), (faulty.Duration()/clean.Duration()-1)*100,
 			faulty.Restarts, faulty.Resends)
@@ -117,9 +117,8 @@ func buildJob(name string) (*dag.Job, error) {
 	return tpch.Query(q), nil
 }
 
-// runOnce simulates the job and returns its result with the partition the
-// controller scheduled it by.
-func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, failStage string, failAt float64, rec *obs.Recorder) (*simrun.JobResult, []*graphlet.Graphlet) {
+// runOnce simulates the job and returns its result.
+func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, failStage string, failAt float64, rec *obs.Recorder) *simrun.JobResult {
 	opts.Obs = rec
 	r := simrun.New(simrun.Config{Cluster: ccfg, Options: opts, Seed: seed})
 	r.SubmitAt(0, job)
@@ -132,7 +131,24 @@ func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, f
 		fmt.Fprintln(os.Stderr, "swiftsim: job did not complete")
 		os.Exit(1)
 	}
-	return jr, r.Controller().Graphlets(job.ID)
+	return jr
+}
+
+// partition returns the graphlets the controller scheduled the job by. A
+// completed job has left the controller, so they come from the partition
+// function the controller was configured with (core.GraphletPartition when
+// opts names none), which is deterministic.
+func partition(job *dag.Job, opts core.Options) []*graphlet.Graphlet {
+	p := opts.Partition
+	if p == nil {
+		p = core.GraphletPartition
+	}
+	gs, err := p(job)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "swiftsim:", err)
+		os.Exit(1)
+	}
+	return gs
 }
 
 func printGraphlets(gs []*graphlet.Graphlet) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/graphlet"
@@ -27,12 +26,14 @@ func diamond() *dag.Job {
 // whether all (or none) of them are all-or-nothing gangs.
 func gangUnits(t *testing.T, o core.Options) (units int, gang bool) {
 	t.Helper()
-	cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
-	c := core.NewController(cl, o)
-	if err := c.SubmitJob(diamond()); err != nil {
+	partition := o.Partition
+	if partition == nil { // NewController's default
+		partition = core.GraphletPartition
+	}
+	gs, err := partition(diamond())
+	if err != nil {
 		t.Fatal(err)
 	}
-	gs := c.Graphlets("d")
 	for _, g := range gs {
 		if g.Gang != gs[0].Gang {
 			t.Errorf("mixed gang and wave units: %v", gs)

@@ -114,7 +114,10 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //   - policy views: under every policy, sched.FIFO included, views built
 //     from scratch agree entry for entry with the kept queue view and
 //     gang list — a writer that changed what a policy would see without
-//     patching the view shows up here.
+//     patching the view shows up here;
+//   - the live table: it holds exactly the live-job order's monitors, as
+//     many as Snapshot counts live jobs, none of them done or failed and
+//     none with an id the outcome table already holds.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -130,10 +133,19 @@ func (c *Controller) CheckInvariants() []string {
 		return tc
 	}
 
+	if n := c.Snapshot().LiveJobs; len(c.jobs) != n || len(c.order) != n {
+		v = append(v, fmt.Sprintf("live table holds %d jobs, the live-job order %d, the tenant counters %d", len(c.jobs), len(c.order), n))
+	}
 	for _, m := range c.order {
 		jobID := m.job.ID
+		if c.jobs[jobID] != m {
+			v = append(v, fmt.Sprintf("%s: job in the live-job order is not in the live table", jobID))
+		}
+		if _, retired := c.retired[jobID]; retired {
+			v = append(v, fmt.Sprintf("%s: job is both live and retired", jobID))
+		}
 		if m.done || m.failed {
-			v = append(v, fmt.Sprintf("%s: terminal job still in the live-job order", jobID))
+			v = append(v, fmt.Sprintf("%s: terminal job still live", jobID))
 			continue
 		}
 		ttc := recountFor(m.tenant)

@@ -147,11 +147,16 @@ func (m *monitor) ref(stage, index int) TaskRef {
 
 // Controller is the Swift Admin state machine.
 type Controller struct {
-	opts  Options
-	cl    *cluster.Cluster
-	jobs  map[string]*monitor
-	order []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
-	queue []reqItem  // graphlet resource requests (ReqItems), FIFO
+	opts Options
+	cl   *cluster.Cluster
+	// jobs is the live table: a job's monitor lives here from SubmitJob to
+	// its terminal action (ActJobCompleted or ActJobFailed), when retire
+	// moves the job to retired, which keeps only its id and outcome — true
+	// for completed, false for failed. A retired job holds no other state.
+	jobs    map[string]*monitor
+	retired map[string]bool
+	order   []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
+	queue   []reqItem  // graphlet resource requests (ReqItems), FIFO
 	// qoff is the absolute position of queue[0]: dropping a served prefix
 	// advances it instead of renumbering every run behind (graphletRun.qpos)
 	// and every view entry (sched.Item.Index is the absolute position too).
@@ -220,7 +225,7 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 	if opts.Policy == nil {
 		opts.Policy = sched.FIFO{}
 	}
-	return &Controller{opts: opts, cl: cl, jobs: make(map[string]*monitor),
+	return &Controller{opts: opts, cl: cl, jobs: make(map[string]*monitor), retired: make(map[string]bool),
 		policy: opts.Policy, tenants: make(map[string]*TenantCounts)}
 }
 
@@ -250,7 +255,7 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	if job == nil {
 		return fmt.Errorf("core: nil job")
 	}
-	if _, dup := c.jobs[job.ID]; dup {
+	if _, retired := c.retired[job.ID]; retired || c.jobs[job.ID] != nil {
 		return fmt.Errorf("core: duplicate job id %q", job.ID)
 	}
 	if err := job.Validate(); err != nil {
@@ -362,13 +367,13 @@ func (c *Controller) enqueueReady(m *monitor) {
 }
 
 // live resolves a task reference of a live job to the job's monitor and
-// the stage's topological index; ok is false for an unknown, completed or
-// failed job, an unknown stage, or an index out of range. The reference
-// goes by pointer: by value, the inlined call copied it through the stack
-// on every completion, a store-forwarding stall replay_scale's wall shows.
+// the stage's topological index; ok is false for an unknown or retired
+// job, an unknown stage, or an index out of range. The reference goes by
+// pointer: by value, the inlined call copied it through the stack on every
+// completion, a store-forwarding stall replay_scale's wall shows.
 func (c *Controller) live(ref *TaskRef) (m *monitor, si int, ok bool) {
 	m = c.jobs[ref.Job]
-	if m == nil || m.failed || m.done {
+	if m == nil {
 		return nil, 0, false
 	}
 	si, ok = m.stageIdx[ref.Stage]
@@ -441,25 +446,36 @@ func (c *Controller) checkJobDone(m *monitor) {
 	}
 	c.snapClose(m)
 	c.emit(Action{Kind: ActJobCompleted, Task: TaskRef{Job: m.job.ID}})
+	c.retire(m)
+}
+
+// retire moves a job that reached its terminal action from the live table
+// to the outcome table. Queue entries may still point at its monitor, as
+// stale entries the scheduling round drops when it reaches them; nothing
+// looks the job up by name again.
+func (c *Controller) retire(m *monitor) {
+	delete(c.jobs, m.job.ID)
+	c.retired[m.job.ID] = m.done
 }
 
 // JobDone reports whether the job has completed successfully.
-func (c *Controller) JobDone(job string) bool {
-	m := c.jobs[job]
-	return m != nil && m.done
-}
+func (c *Controller) JobDone(job string) bool { return c.retired[job] }
 
 // JobFailed reports whether the job was abandoned.
 func (c *Controller) JobFailed(job string) bool {
-	m := c.jobs[job]
-	return m != nil && m.failed
+	done, retired := c.retired[job]
+	return retired && !done
 }
 
 // StageComplete reports whether all tasks of the job's stage with the given
-// topological index (Action.Stage) have finished.
+// topological index (Action.Stage) have finished. Every stage of a
+// completed job has.
 func (c *Controller) StageComplete(job string, stage int) bool {
 	m := c.jobs[job]
-	return m != nil && stage >= 0 && stage < len(m.stages) && m.stages[stage].complete()
+	if m == nil {
+		return c.retired[job]
+	}
+	return stage >= 0 && stage < len(m.stages) && m.stages[stage].complete()
 }
 
 // EdgeMode returns the shuffle mode selected for an edge at admission.
@@ -469,15 +485,6 @@ func (c *Controller) EdgeMode(job, from, to string) shuffle.Mode {
 		return shuffle.Direct
 	}
 	return m.modes[edgeKey{from, to}]
-}
-
-// Graphlets returns the partition computed for a job at admission.
-func (c *Controller) Graphlets(job string) []*graphlet.Graphlet {
-	m := c.jobs[job]
-	if m == nil {
-		return nil
-	}
-	return m.graphlets
 }
 
 // RunningTask returns the executor and attempt of a task if it is

@@ -682,12 +682,15 @@ func TestPerStagePartitionSchedulesStagewise(t *testing.T) {
 func TestGraphletAccessors(t *testing.T) {
 	h := newHarness(t, 4, 4, DefaultOptions())
 	h.submit(barrierJob("j", 1, 1))
-	gs := h.c.Graphlets("j")
-	if len(gs) != 2 {
-		t.Fatalf("graphlets = %d", len(gs))
+	graphlets := make(map[int]bool)
+	for _, ts := range h.c.Tasks("j") {
+		graphlets[ts.Graphlet] = true
 	}
-	if h.c.Graphlets("nope") != nil {
-		t.Error("Graphlets of unknown job")
+	if len(graphlets) != 2 {
+		t.Fatalf("graphlets = %d", len(graphlets))
+	}
+	if h.c.Tasks("nope") != nil {
+		t.Error("Tasks of unknown job")
 	}
 	if _, _, ok := h.c.RunningTask(ref("j", "A", 0)); !ok {
 		t.Error("RunningTask should find A[0]")

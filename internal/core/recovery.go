@@ -227,8 +227,8 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 	// pass below then regenerates.
 	for _, ref := range running {
 		m := c.jobs[ref.Job]
-		if m.failed || m.done {
-			continue
+		if m == nil {
+			continue // an earlier victim's recovery failed the job
 		}
 		// An earlier victim's cascade may have aborted this one already: the
 		// abort repeats, and TaskFailed ignores a task no longer running.
@@ -386,8 +386,8 @@ func (c *Controller) CacheWorkerLost(id cluster.MachineID) {
 	c.deferSchedule = true
 	for _, ref := range c.strike(id) {
 		m := c.jobs[ref.Job]
-		if m.failed || m.done {
-			continue
+		if m == nil {
+			continue // an earlier output's recovery failed the job
 		}
 		c.degradeEdges(m, ref.Stage)
 		c.TaskOutputLost(ref)
@@ -499,10 +499,10 @@ func (c *Controller) dropRepended(m *monitor) {
 func (c *Controller) CancelJob(job, reason string) error {
 	m := c.jobs[job]
 	if m == nil {
+		if _, retired := c.retired[job]; retired {
+			return fmt.Errorf("core: job %q already terminal", job)
+		}
 		return fmt.Errorf("core: unknown job %q", job)
-	}
-	if m.done || m.failed {
-		return fmt.Errorf("core: job %q already terminal", job)
 	}
 	c.failJob(m, "cancelled: "+reason)
 	return nil
@@ -516,5 +516,6 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.dropRepended(m)
 	c.dequeueJob(m)
 	c.emit(Action{Kind: ActJobFailed, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
+	c.retire(m)
 	c.schedule()
 }

@@ -576,7 +576,7 @@ func (c *Controller) preemptRound() bool {
 // of them. Reports whether any task was actually reclaimed.
 func (c *Controller) reclaimGang(v sched.Victim) bool {
 	m := c.jobs[v.Job]
-	if m == nil || m.failed || m.done || v.Graphlet < 0 || v.Graphlet >= len(m.gruns) {
+	if m == nil || v.Graphlet < 0 || v.Graphlet >= len(m.gruns) {
 		return false
 	}
 	aborted := 0

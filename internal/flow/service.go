@@ -31,6 +31,11 @@ type Service struct {
 	adm       Pump            // flow in front of ctrl
 	submitted map[string]bool // IDs ever accepted (admitted or queued)
 	panics    int64
+	// bufs is the free list of action buffers: an event with actions
+	// takes one under the lock and finish gives it back once the sink has
+	// returned, so the daemon's steady state copies actions into buffers
+	// it already has. At most maxSpareBufs wait here.
+	bufs [][]core.Action
 
 	drainedOnce sync.Once
 	drained     chan struct{}
@@ -63,14 +68,30 @@ func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func
 
 // SetActionSink registers the driver callback receiving controller
 // actions. Must be called before the service starts accepting work; the
-// sink runs outside the service lock.
+// sink runs outside the service lock. acts is valid only until the sink
+// returns: the service reuses its buffer for a later event, so a sink
+// copies what it keeps.
 func (s *Service) SetActionSink(fn func(now sim.Time, acts []core.Action)) { s.sink = fn }
 
-// finish dispatches collected actions and closes the drained channel once
-// the service is idle after Drain. Called outside the lock.
+// maxSpareBufs bounds the action-buffer free list: one buffer per event
+// in flight between its lock hold and its sink's return, and swiftd runs
+// a few such events at once (rpc handlers, the completion driver, ticks).
+const maxSpareBufs = 8
+
+// finish dispatches collected actions, gives their buffer back to the
+// free list and closes the drained channel once the service is idle after
+// Drain. Called outside the lock.
 func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
-	if s.sink != nil && len(acts) > 0 {
-		s.sink(now, acts)
+	if len(acts) > 0 {
+		if s.sink != nil {
+			s.sink(now, acts)
+		}
+		clear(acts) // a spare pins no job name or action detail
+		s.mu.Lock()
+		if len(s.bufs) < maxSpareBufs {
+			s.bufs = append(s.bufs, acts[:0])
+		}
+		s.mu.Unlock()
 	}
 	if idle {
 		s.drainedOnce.Do(func() { close(s.drained) })
@@ -78,11 +99,18 @@ func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
 }
 
 // drainLocked closes one locked event: it copies the actions the controller
-// accumulated since the last call out of its reused buffer — the sink runs
-// after the lock is released, when another event may already be refilling
-// it — and reports whether a draining service has no work left.
+// accumulated since the last call out of its reused buffer into one from
+// the free list — the sink runs after the lock is released, when another
+// event may already be refilling the controller's — and reports whether a
+// draining service has no work left.
 func (s *Service) drainLocked() (acts []core.Action, idle bool) {
-	acts = append(acts, s.ctrl.Drain()...)
+	if drained := s.ctrl.Drain(); len(drained) > 0 {
+		if n := len(s.bufs); n > 0 {
+			acts = s.bufs[n-1]
+			s.bufs = s.bufs[:n-1]
+		}
+		acts = append(acts, drained...)
+	}
 	idle = s.flow.Draining() && s.flow.QueueLen() == 0 && s.ctrl.Snapshot().LiveJobs == 0
 	return acts, idle
 }

@@ -23,13 +23,9 @@ func (r *Runner) handleActions() {
 				jr.res.Resends++
 			}
 		case core.ActJobCompleted:
-			jr := r.jobs[a.Task.Job]
-			jr.res.Completed = true
-			jr.res.Finish = r.eng.Now()
+			r.retire(a.Task.Job).Completed = true
 		case core.ActJobFailed:
-			jr := r.jobs[a.Task.Job]
-			jr.res.Failed = true
-			jr.res.Finish = r.eng.Now()
+			r.retire(a.Task.Job).Failed = true
 		case core.ActJobRestarted:
 			jr := r.jobs[a.Task.Job]
 			jr.res.Restarts++
@@ -64,6 +60,15 @@ func (r *Runner) handleActions() {
 	if r.afterEvent != nil {
 		r.afterEvent(r.eng.Now())
 	}
+}
+
+// retire stamps a job's terminal action on its result and drops the
+// job's tables: only the JobResult in Results.Jobs stays.
+func (r *Runner) retire(job string) *JobResult {
+	res := r.jobs[job].res
+	res.Finish = r.eng.Now()
+	delete(r.jobs, job)
+	return res
 }
 
 // startTask begins simulating one task attempt: charge launch cost, park on
@@ -280,14 +285,18 @@ func (r *Runner) onStageProgress(jr *jobRun, stage int) {
 func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.FailureKind) {
 	r.eng.At(at, func() {
 		jr := r.jobs[job]
-		if jr == nil {
-			return
+		if jr == nil && r.results.Jobs[job] == nil {
+			return // never submitted
 		}
-		st := jr.job.Stage(stage)
-		if st == nil {
-			return
+		tasks := 0 // a retired job runs nothing
+		if jr != nil {
+			st := jr.job.Stage(stage)
+			if st == nil {
+				return
+			}
+			tasks = st.Tasks
 		}
-		for i := 0; i < st.Tasks; i++ {
+		for i := 0; i < tasks; i++ {
 			ref := core.TaskRef{Job: job, Stage: stage, Index: i}
 			if _, attempt, ok := r.ctrl.RunningTask(ref); ok {
 				delay := sim.FromSeconds(core.TaskErrorReportDelay.Seconds())
@@ -301,7 +310,8 @@ func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.F
 				return
 			}
 		}
-		// No running task: lose the first completed task's output.
+		// No running task: lose the first completed task's output. The
+		// controller ignores the report for a retired job.
 		ref := core.TaskRef{Job: job, Stage: stage, Index: 0}
 		delay := sim.FromSeconds(core.SelfReportDelay.Seconds())
 		r.eng.After(delay, func() {

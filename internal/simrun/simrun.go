@@ -355,8 +355,9 @@ func (r *Runner) SubmitAt(at sim.Time, job *dag.Job) {
 // to submit work at the moment the flow controller releases it, rather
 // than at a pre-scheduled instant.
 func (r *Runner) Submit(job *dag.Job) error {
-	if r.jobs[job.ID] != nil {
-		// The tables of the job already running under this ID must survive.
+	if r.results.Jobs[job.ID] != nil {
+		// The result, and the tables if the job still runs, of the job
+		// already submitted under this ID must survive.
 		return fmt.Errorf("simrun: duplicate job id %q", job.ID)
 	}
 	names, _ := job.TopoOrder() // nil for a cyclic job, which SubmitJob rejects
@@ -392,8 +393,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 	r.jobs[job.ID] = jr
 	r.results.Jobs[job.ID] = jr.res
 	if err := r.ctrl.SubmitJob(job); err != nil {
-		jr.res.Failed = true
-		jr.res.Finish = r.eng.Now()
+		r.retire(job.ID).Failed = true
 		return err
 	}
 	r.edgeCosts(jr)

@@ -249,6 +249,32 @@ func TestAppErrorFailsJob(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsLeaveTheRunner: a job's tables go at its terminal
+// action, completed or failed, and only its result stays. A used id is
+// refused, and a failure injected after its job ended still arrives as the
+// loss report the controller ignores, at the time it always did.
+func TestFinishedJobsLeaveTheRunner(t *testing.T) {
+	r := swiftRunner(9)
+	r.SubmitAt(0, twoPhase("done", 4, 2))
+	r.SubmitAt(0, twoPhase("failed", 4, 2))
+	r.InjectTaskFailureAt(sim.FromSeconds(1), "failed", "map", core.FailAppError)
+	late := sim.FromSeconds(1000)
+	r.InjectTaskFailureAt(late, "done", "map", core.FailCrash)
+	res := r.Run()
+	if !res.Jobs["done"].Completed || !res.Jobs["failed"].Failed {
+		t.Fatalf("results: %+v, %+v", res.Jobs["done"], res.Jobs["failed"])
+	}
+	if len(r.jobs) != 0 {
+		t.Errorf("%d finished jobs keep their tables", len(r.jobs))
+	}
+	if err := r.Submit(twoPhase("done", 1, 1)); err == nil {
+		t.Error("a finished job's id was accepted again")
+	}
+	if want := late + sim.FromSeconds(core.SelfReportDelay.Seconds()); res.Makespan != want {
+		t.Errorf("makespan %v, want the late loss report's time %v", res.Makespan, want)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (float64, int64) {
 		r := swiftRunner(1234)

@@ -9,9 +9,10 @@
 # `go list ./...`),
 # run the allocation
 # guards without the race detector (every testing.AllocsPerRun budget
-# skips itself under -race, so the race run alone enforces none of them;
-# the step runs every test whose name says what it allocates, and
-# DESIGN.md "Allocation budgets" maps the hot functions to their guards),
+# and every heap-residue bound skips itself under -race, so the race run
+# alone enforces none of them; the step runs every test whose name says
+# what it allocates or leaves behind, and DESIGN.md "Allocation budgets"
+# maps the hot functions to their guards),
 # run the fixed-seed chaos soak
 # (deterministic fault schedules + scheduler invariant auditor), the
 # seeded smokes (trace determinism, fair share, replicated shuffle,
@@ -35,8 +36,9 @@
 # -long is the opt-in long tier: after everything above it runs the
 # full-size experiments at seeds 1, 2 and 3 (go run ./cmd/swiftbench -seed
 # N, which exits non-zero on any fidelity row out of band; about 20 s a
-# seed on a 2-vCPU VM), the chaos soak over 40 seeds (about 40 s) and
-# explores FuzzController for 60 s.
+# seed on a 2-vCPU VM), the chaos soak over 40 seeds (about 40 s), runs
+# a million short jobs through one flow.Service with the heap residue per
+# job bounded (about 12 s) and explores FuzzController for 60 s.
 #
 # Usage: scripts/ci.sh [-long] [chaos-seeds]   (default 8 chaos seeds)
 set -euo pipefail
@@ -92,7 +94,7 @@ go test -race ./...
 
 echo "== allocation guards (non-race: the AllocsPerRun budgets skip themselves under -race)"
 # The rule, not a list: every guard is named for what it allocates.
-go test -count=1 -run 'Alloc|SizedToSupply' ./internal/...
+go test -count=1 -run 'Alloc|SizedToSupply|Residue' ./internal/...
 
 echo "== chaos soak ($SEEDS seeds, incl. thundering-herd admission storm + fair-share policy)"
 go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd|TestFairShareSoak' \
@@ -100,10 +102,13 @@ go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd
 
 echo "== trace determinism smoke (two seeded runs, byte-identical)"
 go run ./cmd/swiftsim -job q9 -machines 20 -executors 8 -seed 7 \
-    -trace "$TRACE_TMP/a.json" > /dev/null
+    -trace "$TRACE_TMP/a.json" > "$TRACE_TMP/q9.out"
 go run ./cmd/swiftsim -job q9 -machines 20 -executors 8 -seed 7 \
     -trace "$TRACE_TMP/b.json" > /dev/null
 cmp "$TRACE_TMP/a.json" "$TRACE_TMP/b.json"
+# The partition is printed after the run, when the job has left the
+# controller: q9 is scheduled as four graphlets.
+grep -q '^graphlets=4$' "$TRACE_TMP/q9.out"
 # The -stats section is derived from the event stream; no -trace here, as
 # its "trace written to <path>" line names a different file per run.
 go run ./cmd/swiftsim -job q13 -failstage J3 -failat 0.4 -seed 7 -stats > "$TRACE_TMP/a.stats"
@@ -215,6 +220,8 @@ if [ "$LONG" = 1 ]; then
     echo "== long tier: chaos soak, 40 seeds"
     go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd|TestFairShareSoak' \
         -chaos.seeds=40 -count=1
+    echo "== long tier: a million short jobs through one flow.Service (heap residue per job bounded)"
+    go test ./internal/flow -run 'TestServiceSoakResidue' -flow.soakjobs=1000000 -count=1 -v
     echo "== long tier: FuzzController exploration (60 s)"
     go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
 fi
