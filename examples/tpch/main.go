@@ -1,8 +1,8 @@
-// TPC-H example: the paper's Fig. 1 → Fig. 4 pipeline end to end. The Q9
-// text in the Swift language is parsed and planned into a DAG, partitioned
-// into graphlets, and then both the published Q9 physical plan and the
-// SQL-derived one run on the simulated 100-node cluster under Swift and
-// the Spark baseline — reproducing the per-query slice of Fig. 9(a).
+// TPC-H example: the published Q9 physical plan (Fig. 4) end to end. The
+// plan is partitioned into graphlets and run on the simulated 100-node
+// cluster under Swift and the Spark baseline — the per-query slice of
+// Fig. 9(a). It exits non-zero if the plan's shape drifts from Fig. 4 or
+// Swift stops beating Spark on it.
 package main
 
 import (
@@ -15,41 +15,28 @@ import (
 	"swift/internal/dag"
 	"swift/internal/graphlet"
 	"swift/internal/simrun"
-	"swift/internal/sqlparse"
 	"swift/internal/tpch"
 )
 
 func main() {
-	// Parse the paper's Fig. 1 text.
-	stmt, err := sqlparse.Parse(tpch.Q9SwiftSQL)
+	q9 := tpch.Q9()
+	gs, err := graphlet.Partition(q9)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parsed Q9: %d select items, %d joins in sub-select, group by %v, limit %d\n",
-		len(stmt.Items), len(stmt.From.Sub.Joins), stmt.GroupBy, stmt.Limit)
-
-	planned, err := sqlparse.ParseAndPlan("q9-sql", tpch.Q9SwiftSQL)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gs, _ := graphlet.Partition(planned)
-	fmt.Printf("SQL-derived plan: %d stages, %d tasks, %d graphlets\n",
-		planned.NumStages(), planned.NumTasks(), len(gs))
-
-	// The published physical plan (Fig. 4) with its exact task counts.
-	paper := tpch.Q9()
-	pgs, _ := graphlet.Partition(paper)
-	fmt.Printf("published plan:   %d stages, %d tasks, %d graphlets\n", paper.NumStages(), paper.NumTasks(), len(pgs))
-	for _, g := range pgs {
+	fmt.Printf("published Q9 plan: %d stages, %d tasks, %d graphlets\n", q9.NumStages(), q9.NumTasks(), len(gs))
+	for _, g := range gs {
 		fmt.Printf("  %s\n", g)
 	}
+	if q9.NumStages() != 12 || q9.NumTasks() != 2559 || len(gs) != 4 {
+		log.Fatal("Q9 no longer has Fig. 4's 12 stages, 2,559 tasks and 4 graphlets")
+	}
 
-	// Run both plans under Swift and Spark on the 100-node cluster.
-	fmt.Printf("\n%-16s %10s %10s %8s\n", "plan", "swift_s", "spark_s", "speedup")
-	for _, p := range []*dag.Job{paper, planned} {
-		sw := run(p.Clone(), baseline.Swift())
-		sp := run(p.Clone(), baseline.Spark())
-		fmt.Printf("%-16s %10.1f %10.1f %8.2f\n", p.ID, sw, sp, sp/sw)
+	sw := run(q9.Clone(), baseline.Swift())
+	sp := run(q9.Clone(), baseline.Spark())
+	fmt.Printf("\n%10s %10s %8s\n%10.1f %10.1f %8.2f\n", "swift_s", "spark_s", "speedup", sw, sp, sp/sw)
+	if sw >= sp {
+		log.Fatal("Swift does not beat Spark on Q9")
 	}
 }
 

@@ -77,11 +77,7 @@ func (k OperatorKind) GlobalSort() bool {
 // Operator is one step of a stage's physical plan.
 type Operator struct {
 	Kind OperatorKind
-	// Expr optionally carries a human-readable description of the
-	// operator's predicate, keys or projection (used by swiftsql and the
-	// examples; the schedulers never interpret it).
-	Expr string
 }
 
-// Op is shorthand for constructing an Operator without an expression.
+// Op is shorthand for constructing an Operator.
 func Op(kind OperatorKind) Operator { return Operator{Kind: kind} }

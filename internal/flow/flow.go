@@ -19,6 +19,7 @@ package flow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"swift/internal/core"
@@ -184,8 +185,8 @@ type Controller struct {
 	cfg      Config
 	tokens   float64
 	last     sim.Time
-	queue    []Item
-	head     int // queue[head:] is live; amortised O(1) pops
+	queue    []Item // every slot an item leaves is zeroed, so no released payload stays pinned
+	head     int    // queue[head:] is live; amortised O(1) pops
 	draining bool
 	stats    Stats                   // Decisions and MaxQueue; Stats sums the rest from tstats
 	inflight func(tenant string) int // nil disables tenant budgets
@@ -394,17 +395,19 @@ func (f *Controller) PopAdmissible(now sim.Time, snap core.StateSnapshot) (Item,
 	}
 	it := f.queue[idx]
 	if idx == f.head {
+		f.queue[f.head] = Item{}
 		f.head++
 		if f.head == len(f.queue) {
 			f.queue = f.queue[:0]
 			f.head = 0
 		} else if f.head > 64 && 2*f.head >= len(f.queue) {
 			n := copy(f.queue, f.queue[f.head:])
+			clear(f.queue[n:])
 			f.queue = f.queue[:n]
 			f.head = 0
 		}
 	} else {
-		f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
+		f.queue = slices.Delete(f.queue, idx, idx+1)
 	}
 	f.tstat(tenantOf(it)).Admitted++
 	return it, true
@@ -414,7 +417,7 @@ func (f *Controller) PopAdmissible(now sim.Time, snap core.StateSnapshot) (Item,
 func (f *Controller) CancelQueued(id string) bool {
 	for i := f.head; i < len(f.queue); i++ {
 		if f.queue[i].ID == id {
-			f.queue = append(f.queue[:i], f.queue[i+1:]...)
+			f.queue = slices.Delete(f.queue, i, i+1)
 			return true
 		}
 	}

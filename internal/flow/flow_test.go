@@ -345,3 +345,60 @@ func TestTenantStats(t *testing.T) {
 		t.Fatalf("zeta budget = %d, want 7", ts[2].Budget)
 	}
 }
+
+// Every way an item leaves the wait queue zeroes its slot, so the
+// queue's backing array pins no released payload: head pops (through a
+// compaction and the reset to empty), pops past a head parked at its
+// tenant budget, and cancels.
+func TestReleasedSlotsHoldNoPayload(t *testing.T) {
+	const n = 300
+	inflight := map[string]int{}
+	f := NewController(Config{MaxInFlightTasks: 1000, MaxQueue: n, TenantBudgets: map[string]int{"a": 1}}, 4)
+	f.SetTenantLookup(func(tenant string) int { return inflight[tenant] })
+	full := snap(0, 4, 1000, 0)
+	for i := 0; i < n; i++ {
+		tenant := "b"
+		if i%3 == 0 {
+			tenant = "a"
+		}
+		it := Item{ID: fmt.Sprintf("j%d", i), Tenant: tenant, Tasks: 1, Payload: &i}
+		if out, _ := f.Offer(0, full, it); out.Decision != Queued {
+			t.Fatalf("setup offer %d = %v, want queued", i, out.Decision)
+		}
+	}
+	f.Drain() // bypass the token governor
+	room := snap(4, 4, 0, 0)
+	pop := func(want string) {
+		t.Helper()
+		if it, ok := f.PopAdmissible(0, room); !ok || it.ID != want {
+			t.Fatalf("pop = %q %v, want %s", it.ID, ok, want)
+		}
+	}
+	// Head pops: the 150th compacts the live half to the front.
+	for i := 0; i < n/2; i++ {
+		pop(fmt.Sprintf("j%d", i))
+	}
+	// Tenant a is at budget, so its j150 stays parked at the head and the
+	// next b items release past it.
+	inflight["a"] = 1
+	pop("j151")
+	pop("j152")
+	pop("j154")
+	for _, id := range []string{"j155", "j200", "j299"} {
+		if !f.CancelQueued(id) {
+			t.Fatalf("cancel %s found nothing", id)
+		}
+	}
+	// The rest pops from the head until the queue resets to empty.
+	inflight["a"] = 0
+	for f.QueueLen() > 0 {
+		if _, ok := f.PopAdmissible(0, room); !ok {
+			t.Fatalf("pop refused with %d queued", f.QueueLen())
+		}
+	}
+	for i, it := range f.queue[:cap(f.queue)] {
+		if it.Payload != nil {
+			t.Errorf("released slot %d of %d still holds %s", i, cap(f.queue), it.ID)
+		}
+	}
+}

@@ -54,21 +54,3 @@ func Terasort(m, n int) *dag.Job {
 	j.Classify()
 	return j
 }
-
-// Q9SwiftSQL is the Fig. 1 source text of Q9 in the Swift language, used by
-// the SQL front end and the swiftsql tool.
-const Q9SwiftSQL = `select nation, o_year, sum(amount) as sum_profit
-from (
-  select n_name as nation, substr(o_orderdate, 1, 4) as o_year,
-    l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity as amount
-  from tpch_supplier s
-  join tpch_lineitem l on s.s_suppkey = l.l_suppkey
-  join tpch_partsupp ps on ps.ps_suppkey = l.l_suppkey and ps.ps_partkey = l.l_partkey
-  join tpch_part p on p.p_partkey = l.l_partkey
-  join tpch_orders o on o.o_orderkey = l.l_orderkey
-  join tpch_nation n on s.s_nationkey = n.n_nationkey
-  where p_name like '%green%'
-)
-group by nation, o_year
-order by nation, o_year desc
-limit 999999;`

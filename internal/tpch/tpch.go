@@ -1,7 +1,6 @@
 // Package tpch provides the evaluation workloads: physical DAGs for the 22
 // TPC-H queries at the paper's 1 TB scale (Q9 and Q13 reproduce the task
-// structure published in Figs. 4 and 13), the Terasort jobs of Table I, and
-// the Swift-language source of Q9 (Fig. 1) for the SQL front end.
+// structure published in Figs. 4 and 13) and the Terasort jobs of Table I.
 //
 // Task counts follow the paper's 200 MB-per-scan-task convention: lineitem
 // at 1 TB compresses to ~190 GB, giving the 956 map tasks of Fig. 4.
@@ -30,19 +29,6 @@ var TableGB = map[string]float64{
 	"supplier": 4.0,
 	"nation":   0.2,
 	"region":   0.1,
-}
-
-// ScanTasks returns the scan parallelism for a table at 1 TB.
-func ScanTasks(table string) int {
-	gb, ok := TableGB[table]
-	if !ok {
-		return 1
-	}
-	t := int(gb*1024/200 + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 // stageSpec describes one stage of a query plan compactly.

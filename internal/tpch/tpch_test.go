@@ -107,18 +107,6 @@ func TestAllQueriesValid(t *testing.T) {
 	}
 }
 
-func TestScanTasksConvention(t *testing.T) {
-	if got := ScanTasks("lineitem"); got != 956 {
-		t.Errorf("lineitem scan tasks = %d, want 956 (Fig. 4)", got)
-	}
-	if got := ScanTasks("nation"); got != 1 {
-		t.Errorf("nation scan tasks = %d", got)
-	}
-	if got := ScanTasks("unknown"); got != 1 {
-		t.Errorf("unknown table tasks = %d", got)
-	}
-}
-
 func TestTerasortShape(t *testing.T) {
 	j := Terasort(250, 250)
 	if j.NumTasks() != 500 {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Reachability census (DESIGN.md "Reachability"): prints every function a
-# non-test source file declares that no binary links — the seven cmd/
+# non-test source file declares that no binary links — the six cmd/
 # binaries, bench/ and the four examples are the roots. A function the
 # linker keeps in no binary has no non-test caller; inlining would hide
 # callees, so everything is built with -l. scripts/census.expected holds

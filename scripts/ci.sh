@@ -20,13 +20,12 @@
 # against the pinned table, swiftd overload end to end), run the examples
 # (they self-verify), build the fuzz targets so they cannot rot, hold the
 # import gates (internal/rpc on the standard library alone, no gob outside
-# tests, internal/sqlparse a front end that does not import the engine,
-# internal/trace's codec hand-written with encoding/json as a test oracle),
+# tests, internal/trace's codec hand-written with encoding/json as a test
+# oracle),
 # and smoke the benchmark suites (one iteration each) so a bench-only
 # compile break or panic is caught here, not at measurement time. Fuzz
 # *exploration* is not run by default — the default tier stays
 # deterministic; run it manually with
-#   go test ./internal/sqlparse -fuzz FuzzParse -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFrame -fuzztime 30s
 #   go test ./internal/rpc -fuzz FuzzFlowWire -fuzztime 30s
@@ -187,13 +186,12 @@ grep -Eq 'queued=[1-9]' "$TRACE_TMP/submit.out"
 grep -Eq 'shed=[1-9]' "$TRACE_TMP/submit.out"
 wait "$SWIFTD_PID"   # drain must exit 0
 
-echo "== examples smoke (the batch API's reference users; a wrong answer is a log.Fatal)"
+echo "== examples smoke (each checks its own result; a wrong one is a log.Fatal)"
 for EXAMPLE in quickstart terasort faulttolerance tpch; do
     go run "./examples/$EXAMPLE" > "$TRACE_TMP/example-$EXAMPLE.out"
 done
 
 echo "== fuzz targets build, import gates"
-go test -run '^$' -c -o /dev/null ./internal/sqlparse/
 go test -run '^$' -c -o /dev/null ./internal/rpc/
 go test -run '^$' -c -o /dev/null ./internal/trace/
 go test -run '^$' -c -o /dev/null ./internal/core/
@@ -201,8 +199,6 @@ go test -run '^$' -c -o /dev/null ./internal/core/
 # imports nothing from the tree, and gob is a test oracle only.
 [ "$(go list -deps ./internal/rpc | grep '^swift/')" = "swift/internal/rpc" ] || { echo "internal/rpc imports from the tree" >&2; exit 1; }
 if grep -rln --include='*.go' --exclude='*_test.go' '"encoding/gob"' .; then echo "encoding/gob imported outside tests" >&2; exit 1; fi
-# sqlparse is a front end: it plans to a dag.Job and never runs one.
-[ -z "$(go list -f '{{join .Imports "\n"}}' ./internal/sqlparse | grep -x 'swift/internal/engine')" ] || { echo "internal/sqlparse imports internal/engine" >&2; exit 1; }
 # Submissions and trace files go through the hand-written codec; encoding/json
 # is its test oracle only.
 [ -z "$(go list -f '{{join .Imports "\n"}}' ./internal/trace | grep -x 'encoding/json')" ] || { echo "internal/trace imports encoding/json" >&2; exit 1; }
