@@ -117,17 +117,28 @@ func buildJob(name string) (*dag.Job, error) {
 	return tpch.Query(q), nil
 }
 
-// runOnce simulates the job and returns its result.
+// runOnce simulates the job and returns its result. A job that does not
+// complete exits 1, with the controller's reason when it failed the job.
 func runOnce(job *dag.Job, ccfg cluster.Config, opts core.Options, seed int64, failStage string, failAt float64, rec *obs.Recorder) *simrun.JobResult {
 	opts.Obs = rec
 	r := simrun.New(simrun.Config{Cluster: ccfg, Options: opts, Seed: seed})
+	reason := ""
+	r.SetActionHook(func(_ sim.Time, a core.Action) {
+		if a.Kind == core.ActJobFailed {
+			reason = a.Detail.Reason
+		}
+	})
 	r.SubmitAt(0, job)
 	if failStage != "" {
 		r.InjectTaskFailureAt(sim.FromSeconds(failAt), job.ID, failStage, core.FailCrash)
 	}
 	res := r.Run()
 	jr := res.Jobs[job.ID]
-	if jr == nil || !jr.Completed {
+	switch {
+	case reason != "":
+		fmt.Fprintln(os.Stderr, "swiftsim: job failed:", reason)
+		os.Exit(1)
+	case jr == nil || !jr.Completed:
 		fmt.Fprintln(os.Stderr, "swiftsim: job did not complete")
 		os.Exit(1)
 	}

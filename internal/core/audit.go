@@ -51,20 +51,19 @@ func (c *Controller) LiveJobs() []string {
 	return out
 }
 
-// Tasks returns snapshots of every task of a job in stage order (nil for
-// unknown jobs). The order is deterministic: stages in DAG insertion
-// order, tasks by index.
+// Tasks returns snapshots of every task of a live job (nil for unknown
+// jobs) in a deterministic order: stages in topological order
+// (dag.Job.TopoOrder), tasks by index.
 func (c *Controller) Tasks(job string) []TaskSnapshot {
 	m := c.jobs[job]
 	if m == nil {
 		return nil
 	}
 	var out []TaskSnapshot
-	for _, name := range m.job.StageNames() {
-		st := m.stage(name)
+	for s, st := range m.stages {
 		for i, t := range st.tasks {
 			out = append(out, TaskSnapshot{
-				Ref:        TaskRef{Job: job, Stage: name, Index: i},
+				Ref:        m.ref(s, i),
 				State:      t.status,
 				Executor:   t.executor,
 				Attempt:    t.attempt,
@@ -151,16 +150,16 @@ func (c *Controller) CheckInvariants() []string {
 		ttc := recountFor(m.tenant)
 		ttc.Jobs++
 		queued := make(map[int]int) // graphlet -> queue entries
-		for _, it := range c.queue {
-			if it.m == m {
-				queued[it.g]++
+		for _, run := range c.queue {
+			if run.m == m {
+				queued[run.g]++
 			}
 		}
-		for _, name := range m.job.StageNames() {
-			st := m.stage(name)
+		for s, st := range m.stages {
+			name := st.spec.Name
 			doneCount := 0
 			for i, t := range st.tasks {
-				ref := TaskRef{Job: jobID, Stage: name, Index: i}
+				ref := m.ref(s, i)
 				switch t.status {
 				case TaskPending:
 					ttc.Pending++
@@ -266,22 +265,22 @@ func (c *Controller) CheckInvariants() []string {
 	if repended != len(c.repended) {
 		v = append(v, fmt.Sprintf("re-pended-run list holds %d runs, %d are flagged", len(c.repended), repended))
 	}
-	for _, d := range c.repended {
-		if !d.m.gruns[d.g].repended {
-			v = append(v, fmt.Sprintf("%s: graphlet %d on the re-pended-run list but not flagged", d.m.job.ID, d.g))
+	for _, run := range c.repended {
+		if !run.repended {
+			v = append(v, fmt.Sprintf("%s: graphlet %d on the re-pended-run list but not flagged", run.m.job.ID, run.g))
 		}
 	}
-	for i, it := range c.queue {
-		if pos := it.m.gruns[it.g].qpos; pos != c.qoff+i {
-			v = append(v, fmt.Sprintf("%s: graphlet %d queued at %d thinks it is at %d", it.m.job.ID, it.g, i, pos-c.qoff))
+	for i, run := range c.queue {
+		if run.qpos != c.qoff+i {
+			v = append(v, fmt.Sprintf("%s: graphlet %d queued at %d thinks it is at %d", run.m.job.ID, run.g, i, run.qpos-c.qoff))
 		}
 	}
 	// Per-tenant counters: every queue entry charges its job's tenant
 	// (entries of dead jobs are filtered by failJob/restartJob, so the
 	// lookup always resolves), then each maintained record must match the
 	// recount — including records whose tenant retired (recount zero).
-	for _, it := range c.queue {
-		recountFor(it.m.tenant).Queued++
+	for _, run := range c.queue {
+		recountFor(run.m.tenant).Queued++
 	}
 	names := make([]string, 0, len(c.tenants)+len(tenantRecount))
 	for name := range c.tenants {

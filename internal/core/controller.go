@@ -62,8 +62,13 @@ type stageState struct {
 
 func (s *stageState) complete() bool { return s.done == len(s.tasks) }
 
-// graphletRun tracks scheduling state of one graphlet.
+// graphletRun tracks scheduling state of one graphlet: graphlet g of m's
+// job. It is also the graphlet's resource request, the entry the request
+// queue and the re-pended list hold; monitors outlive their queue entries
+// (failJob and restartJob filter the queue).
 type graphletRun struct {
+	m      *monitor
+	g      int
 	status gStatus
 	// stages are the graphlet's stages, as topological indexes in
 	// ascending order. pending counts their pending tasks, and (nk, ni) is
@@ -99,7 +104,6 @@ type monitor struct {
 	stages    []*stageState // in topological order
 	modes     map[edgeKey]shuffle.Mode
 	stageIdx  map[string]int // stage -> topological index
-	insertion []int          // see sweepOrder
 	done      bool
 	failed    bool
 	tenant    string        // normalized tenant label (TenantName)
@@ -112,32 +116,6 @@ type monitor struct {
 	// executor. Recovery knows only this model; it never asks whether
 	// replication is on.
 	homes map[taskID][]cluster.MachineID
-}
-
-// stage returns the named stage's state, or nil for a name the job does
-// not have. Event entry points resolve a TaskRef's stage name here once;
-// everything below them addresses stages by topological index.
-func (m *monitor) stage(name string) *stageState {
-	i, ok := m.stageIdx[name]
-	if !ok {
-		return nil
-	}
-	return m.stages[i]
-}
-
-// sweepOrder returns the stages' topological indexes in the job's stage
-// insertion order — the order recovery sweeps visit them, which is not the
-// order of m.stages when a job declares a consumer before its producer.
-// Built on first use: only fault handling sweeps.
-func (m *monitor) sweepOrder() []int {
-	if m.insertion == nil {
-		names := m.job.StageNames()
-		m.insertion = make([]int, len(names))
-		for k, name := range names {
-			m.insertion[k] = m.stageIdx[name]
-		}
-	}
-	return m.insertion
 }
 
 // ref renders a task's public name.
@@ -155,23 +133,19 @@ type Controller struct {
 	// for completed, false for failed. A retired job holds no other state.
 	jobs    map[string]*monitor
 	retired map[string]bool
-	order   []*monitor // live jobs in submission order; snapClose drops a job when it completes or fails
-	queue   []reqItem  // graphlet resource requests (ReqItems), FIFO
+	order   []*monitor     // live jobs in submission order; snapClose drops a job when it completes or fails
+	queue   []*graphletRun // graphlet resource requests, FIFO
 	// qoff is the absolute position of queue[0]: dropping a served prefix
 	// advances it instead of renumbering every run behind (graphletRun.qpos)
 	// and every view entry (sched.Item.Index is the absolute position too).
 	qoff    int
 	actions []Action
-	// deferSchedule suppresses the resource loop while a batch of
-	// related failures is being processed (machine failure), so that
-	// recovery decisions see the full damage before relaunches begin.
-	deferSchedule bool
 	// repended lists the graphlet runs that hold tasks recovery sent back
 	// to pending, in no particular order. Empty means no recovery is in
 	// flight anywhere, so the scheduler's deadlock check is skipped
 	// entirely on the hot fault-free path; otherwise it visits these runs,
 	// not the queue.
-	repended []reqItem
+	repended []*graphletRun
 	// policy is the resolved scheduling policy (never nil); every round
 	// asks it for a plan, sched.FIFO included (see servePolicy).
 	policy sched.Policy
@@ -202,16 +176,8 @@ type Controller struct {
 	// event: the tenant view handed to the policy (which may not retain
 	// it) and the deadlock breaker's starved runs and per-stage marks.
 	usage   []sched.TenantUsage
-	starved []reqItem
+	starved []*graphletRun
 	below   []bool
-}
-
-// reqItem is one graphlet resource request. It points at the job's monitor
-// so serving and scanning the queue never look a job up by name; monitors
-// outlive their queue entries (failJob and restartJob filter the queue).
-type reqItem struct {
-	m *monitor
-	g int
 }
 
 // NewController builds a controller over the given cluster.
@@ -250,7 +216,8 @@ func (c *Controller) emit(a Action) {
 
 // SubmitJob admits a job: validates it, partitions it with the configured
 // policy, selects shuffle modes per edge, and registers resource requests
-// for the graphlets whose inputs are already available.
+// for the graphlets whose inputs are already available. A job with a gang
+// larger than the cluster is admitted and failed at once (ActJobFailed).
 func (c *Controller) SubmitJob(job *dag.Job) error {
 	if job == nil {
 		return fmt.Errorf("core: nil job")
@@ -303,6 +270,15 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	c.jobs[job.ID] = m
 	c.order = append(c.order, m)
 	c.snapAdmit(m)
+	// A gang launches whole or not at all, so one larger than the cluster
+	// would wait for ever; one that fits only its healthy part still waits.
+	for _, run := range m.gruns {
+		if run.gang && run.pending > c.cl.NumExecutors() {
+			c.failJob(m, fmt.Sprintf("graphlet %d is a gang of %d tasks and the cluster has %d executors",
+				run.g, run.pending, c.cl.NumExecutors()))
+			break
+		}
+	}
 	c.enqueueReady(m)
 	c.schedule()
 	return nil
@@ -325,7 +301,7 @@ func (s *stageState) reset() {
 func (c *Controller) buildGraphletRuns(m *monitor) []*graphletRun {
 	runs := make([]*graphletRun, len(m.graphlets))
 	for _, g := range m.graphlets {
-		run := &graphletRun{status: gWaiting, gang: g.Gang, qpos: -1, gpos: -1}
+		run := &graphletRun{m: m, g: g.Index, status: gWaiting, gang: g.Gang, qpos: -1, gpos: -1}
 		for si, st := range m.stages {
 			if st.graphlet != g.Index {
 				continue
@@ -349,7 +325,7 @@ func (c *Controller) enqueueReady(m *monitor) {
 	if m.failed || m.done {
 		return
 	}
-	for i, run := range m.gruns {
+	for _, run := range m.gruns {
 		if run.status != gWaiting {
 			continue
 		}
@@ -361,7 +337,7 @@ func (c *Controller) enqueueReady(m *monitor) {
 			}
 		}
 		if ready {
-			c.enqueue(m, i)
+			c.enqueue(run)
 		}
 	}
 }
@@ -418,9 +394,9 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 		c.patchItem(run) // its queue entry's Pending moves behind servePolicy's back
 	} else {
 		c.cl.ReleaseOne(e)
-		c.syncGang(m, st.graphlet)
+		c.syncGang(run)
 		if run.pending > 0 {
-			c.requeue(m, st.graphlet)
+			c.requeue(run)
 		} else if run.running == 0 && run.status != gDone {
 			run.status = gDone
 			c.opts.Obs.GraphletDone(m.job.ID, st.graphlet)

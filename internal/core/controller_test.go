@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -251,6 +252,37 @@ func TestGangUnitWaitsForFullAllocation(t *testing.T) {
 	}
 }
 
+// A gang launches whole or not at all, so one larger than the configured
+// cluster is refused at admission with a reason naming both counts, where
+// it used to wait for ever; a gang as large as the cluster still runs.
+func TestOversizeGangRefusedAtSubmit(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Partition = WholeJobPartition
+	h := newHarness(t, 2, 2, opts)
+	h.submit(pipelineJob("big", 3, 2)) // 5 tasks, 4 executors
+	var failed []Action
+	for _, a := range h.events {
+		switch a.Kind {
+		case ActJobFailed:
+			failed = append(failed, a)
+		case ActStartTask:
+			t.Errorf("oversize gang started %s", a.Task)
+		}
+	}
+	if len(failed) != 1 || failed[0].Task.Job != "big" ||
+		!strings.Contains(failed[0].Detail.Reason, "5") || !strings.Contains(failed[0].Detail.Reason, "4") {
+		t.Fatalf("want one ActJobFailed for big naming 5 tasks and 4 executors, got %+v", failed)
+	}
+	if !h.c.JobFailed("big") {
+		t.Error("JobFailed(big) = false")
+	}
+	h.submit(pipelineJob("fits", 2, 2)) // 4 tasks, 4 executors
+	h.finishAll()
+	if !h.completed("fits") {
+		t.Error("a gang as large as the cluster did not complete")
+	}
+}
+
 // A gang unit waiting on a wet pool is never starved, under every policy:
 // preempting the gang's own parked consumer frees one executor and
 // re-pends one task, which never makes the gang fit, so the deadlock
@@ -326,9 +358,9 @@ func TestOrderHoldsLiveJobsOnly(t *testing.T) {
 			t.Errorf("%s: LiveJobs = %v, want %v", policy.Name(), got, want)
 		}
 		var walked []string
-		h.c.eachLiveTask(func(m *monitor, _, _ int) {
-			if !slices.Contains(walked, m.job.ID) {
-				walked = append(walked, m.job.ID)
+		h.c.eachLiveTask(func(at taskAt, _ *taskState) {
+			if !slices.Contains(walked, at.m.job.ID) {
+				walked = append(walked, at.m.job.ID)
 			}
 		})
 		if !slices.Equal(walked, want) {
@@ -529,6 +561,85 @@ func TestMachineFailureRecoversRunningAndLostOutputs(t *testing.T) {
 	}
 }
 
+// A machine crash is one event: every victim's recovery is decided before
+// anything relaunches, so no task starts until every task the crash killed
+// has been aborted. Here machine 0 runs two tasks of j1 and one of j0 and
+// holds the only copy of j0/A[0]'s output, which j0/B still needs, while
+// machines 1 and 2 are idle.
+func TestMachineFailedAbortsBeforeRelaunching(t *testing.T) {
+	h := newHarness(t, 3, 3, DefaultOptions())
+	h.c.MachineUnhealthy(1)
+	h.c.MachineUnhealthy(2) // everything below launches on machine 0
+	h.submit(barrierJob("j0", 2, 1))
+	h.finish(ref("j0", "A", 0))
+	h.submit(pipelineJob("j1", 1, 1))
+	h.c.MachineRecovered(1)
+	h.c.MachineRecovered(2)
+	h.drain()
+	if len(h.running) != 3 {
+		t.Fatalf("running %d tasks before the crash, want 3", len(h.running))
+	}
+	from := len(h.events)
+	h.crash(0)
+	firstStart, aborted := -1, map[string]int{}
+	for k, a := range h.events[from:] {
+		switch a.Kind {
+		case ActStartTask:
+			if firstStart < 0 {
+				firstStart = k
+			}
+		case ActAbortTask:
+			aborted[a.Task.Job]++
+			if firstStart >= 0 {
+				t.Errorf("abort of %s after a start: %+v", a.Task, h.events[from:])
+			}
+		}
+	}
+	if aborted["j0"] == 0 || aborted["j1"] == 0 {
+		t.Errorf("aborts per job %v, want both jobs", aborted)
+	}
+	if _, ok := h.running[ref("j0", "A", 0)]; !ok {
+		t.Error("the lost output of j0/A[0] was not regenerated")
+	}
+	h.finishAll()
+	if !h.completed("j0") || !h.completed("j1") {
+		t.Error("a job did not complete after the crash")
+	}
+}
+
+// A Cache Worker loss is one event too: each orphaned output degrades its
+// stage's out-edges before anything relaunches.
+func TestCacheWorkerLostDegradesBeforeRelaunching(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Shuffle = FixedShuffle(shuffle.Remote)
+	h := newHarness(t, 1, 4, opts)
+	for _, j := range []string{"j0", "j1"} {
+		h.submit(barrierJob(j, 2, 1))
+	}
+	// A[1] of each job keeps running, so each B is gated and still needs
+	// A[0]'s output; the two finishes leave two executors free.
+	h.finish(ref("j0", "A", 0))
+	h.finish(ref("j1", "A", 0))
+	from := len(h.events)
+	h.c.CacheWorkerLost(0)
+	h.drain()
+	degraded, started := 0, 0
+	for _, a := range h.events[from:] {
+		switch a.Kind {
+		case ActShuffleDegraded:
+			if started > 0 {
+				t.Errorf("%s's edges degraded after a start", a.Task.Job)
+			}
+			degraded++
+		case ActStartTask:
+			started++
+		}
+	}
+	if degraded != 2 || started != 2 {
+		t.Errorf("%d edges degraded and %d tasks started, want 2 and 2: %+v", degraded, started, h.events[from:])
+	}
+}
+
 func TestMachineFailureNoStepWhenConsumersDone(t *testing.T) {
 	h := newHarness(t, 2, 4, DefaultOptions())
 	h.submit(barrierJob("j", 1, 1))
@@ -697,6 +808,16 @@ func TestGraphletAccessors(t *testing.T) {
 	}
 	if _, _, ok := h.c.RunningTask(ref("j", "B", 0)); ok {
 		t.Error("RunningTask found un-started B[0]")
+	}
+	// Tasks lists stages in topological order, whatever order the job
+	// declared them in.
+	h.submit(dag.NewBuilder("c").Stage("B", 1).Stage("A", 2).Pipeline("A", "B", 1<<20).MustBuild())
+	var got []TaskRef
+	for _, ts := range h.c.Tasks("c") {
+		got = append(got, ts.Ref)
+	}
+	if want := []TaskRef{ref("c", "A", 0), ref("c", "A", 1), ref("c", "B", 0)}; !slices.Equal(got, want) {
+		t.Errorf("Tasks(c) = %v, want %v", got, want)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // over with the primary's state and future); and with one tenant and no
 // quota, an arm under the other policy of FIFO and fair share, until the
 // first fault (see isFault). Once the inputs stop, readmitting every
-// machine and finishing whatever runs must end every job within a bound
-// (liveness).
+// machine and finishing whatever runs must end every job within a bound,
+// and every job that failed must have said why (liveness).
 
 // chooser makes the scenario's decisions: pick returns a value in [0, n)
 // and more reports whether another input follows.
@@ -60,16 +60,18 @@ type scenario struct {
 	tenants         int  // ≤ 1: every job in the default tenant
 	replicas        int
 	recovery        RecoveryPolicy
+	gang            bool // WholeJobPartition, else Swift's graphlets
 }
 
 // decodeScenario reads: ≤ 3 machines × ≤ 2 executors; the policy; the
-// replication factor 1 or 3; the recovery policy; one or two tenants; a
-// quota under fair share; and one to three jobs.
+// replication factor 1 or 3; the recovery policy; the partition; one or
+// two tenants; a quota under fair share; and one to three jobs.
 func decodeScenario(ch chooser) scenario {
 	sc := scenario{machines: 1 + ch.pick(3), execs: 1 + ch.pick(2)}
 	sc.fair = ch.pick(2) == 1
 	sc.replicas = 1 + 2*ch.pick(2)
 	sc.recovery = RecoveryPolicy(ch.pick(2))
+	sc.gang = ch.pick(2) == 1
 	sc.tenants = 1 + ch.pick(2)
 	if sc.fair {
 		sc.quota = 2 * ch.pick(2)
@@ -109,6 +111,9 @@ func (sc scenario) options(fair bool) Options {
 	opts := DefaultOptions()
 	opts.ShuffleReplicas = sc.replicas
 	opts.Recovery = sc.recovery
+	if sc.gang {
+		opts.Partition = WholeJobPartition
+	}
 	if fair {
 		var cfg sched.FairShareConfig
 		if sc.quota > 0 {
@@ -184,7 +189,7 @@ func (h *harness) sortedRunning() (run, finishable []Action) {
 	})
 	for _, a := range run {
 		m := h.c.jobs[a.Task.Job]
-		if !slices.ContainsFunc(m.stage(a.Task.Stage).in, func(from int) bool { return !m.stages[from].complete() }) {
+		if !slices.ContainsFunc(m.stages[a.Stage].in, func(from int) bool { return !m.stages[from].complete() }) {
 			finishable = append(finishable, a)
 		}
 	}
@@ -414,7 +419,14 @@ func runController(t *testing.T, sc scenario, ch chooser, depth int) {
 		step(in.String(), false, func(h *harness) { h.apply(in, sc) })
 	}
 	for _, j := range sc.jobs[:submitted] {
-		if !primary.h.c.JobDone(j.ID) && !primary.h.c.JobFailed(j.ID) {
+		switch {
+		case primary.h.c.JobFailed(j.ID):
+			if !slices.ContainsFunc(primary.h.events, func(a Action) bool {
+				return a.Kind == ActJobFailed && a.Task.Job == j.ID && a.Detail.Reason != ""
+			}) {
+				fatal("liveness: %s failed without a reason", j.ID)
+			}
+		case !primary.h.c.JobDone(j.ID):
 			fatal("liveness: nothing runs and %s has not ended: %+v", j.ID, primary.h.c.Tasks(j.ID))
 		}
 	}
@@ -424,8 +436,9 @@ func runController(t *testing.T, sc scenario, ch chooser, depth int) {
 // retired shadow failover test, every input kind in one sequence, and
 // fixed random bytes.
 func FuzzController(f *testing.F) {
-	// 3×2, FIFO, j0 = A:3 ⇒ B:2 (barrier), j1 = A:2 → B:1 (pipeline).
-	config := []byte{2, 1, 0, 0, 0, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0}
+	// 3×2, FIFO, graphlets, j0 = A:3 ⇒ B:2 (barrier), j1 = A:2 → B:1
+	// (pipeline).
+	config := []byte{2, 1, 0, 0, 0, 0, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0}
 	for _, seed := range [][]byte{
 		// Submit both, finish j0/A[0], crash j1/A[0], finish j0/A[1]; the
 		// liveness phase drives the rest to completion.
@@ -483,7 +496,7 @@ func (o *odometer) next() bool {
 // TestControllerSmallScope holds the fuzzer's oracles on every input
 // sequence of length smallScopeDepth — every order of every legal input,
 // faults included — on two- and three-stage jobs over two one-executor
-// machines.
+// machines, and on a whole-job gang that fits them and one that does not.
 func TestControllerSmallScope(t *testing.T) {
 	const smallScopeDepth = 4
 	job := func(id, stages string, edges ...string) *dag.Job {
@@ -502,6 +515,8 @@ func TestControllerSmallScope(t *testing.T) {
 		"three stages fair":    {fair: true, jobs: []*dag.Job{job("j0", "A1 B1! C1", "A-B", "B=C")}},
 		"three stages restart": {recovery: JobRestart, jobs: []*dag.Job{job("j0", "A1! B1 C1", "A=B", "B-C", "A-C")}},
 		"two jobs":             {jobs: []*dag.Job{job("j0", "A1 B1", "A=B"), job("j1", "A1! B1", "A-B")}},
+		"gang":                 {gang: true, jobs: []*dag.Job{job("j0", "A1 B1", "A-B")}},
+		"gang too large":       {gang: true, jobs: []*dag.Job{job("j0", "A2 B1", "A-B")}},
 	}
 	for name, sc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -10,7 +10,9 @@ import "time"
 
 // HeartbeatInterval returns the heartbeat period for a cluster of the
 // given machine count: "5s, 10s, 15s for small, medium, large cluster
-// respectively".
+// respectively". It is also how long a machine crash goes unnoticed: the
+// heartbeat proxy stops answering and Swift Admin declares the machine
+// dead after one missed interval.
 func HeartbeatInterval(machines int) time.Duration {
 	switch {
 	case machines <= 200:
@@ -30,10 +32,3 @@ const SelfReportDelay = 500 * time.Millisecond
 // TaskErrorReportDelay is the latency for an executor to report a task
 // that exited with an error (the executor itself is alive).
 const TaskErrorReportDelay = 200 * time.Millisecond
-
-// MachineFailureDetectionDelay returns how long a machine crash goes
-// unnoticed: the heartbeat proxy stops answering and Swift Admin declares
-// the machine dead after one missed interval.
-func MachineFailureDetectionDelay(machines int) time.Duration {
-	return HeartbeatInterval(machines)
-}

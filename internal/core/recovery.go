@@ -17,24 +17,36 @@ const (
 	unhealthyThreshold = 8
 )
 
+// taskAt addresses one task of a live job by its stage's topological
+// index: what the storm handlers collect before they recover anything.
+type taskAt struct {
+	m        *monitor
+	stage, i int
+}
+
 // TaskFailed handles a detected task failure (Section IV-B). Stale attempt
-// numbers are ignored. Application-logic errors skip recovery entirely
-// (Section IV-C, "Avoiding Useless Failure Recovery").
+// numbers are ignored.
 func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
-	m, si, ok := c.live(&ref)
-	if !ok {
-		return
+	if m, si, ok := c.live(&ref); ok && c.taskFailed(m, si, ref.Index, attempt, kind) {
+		c.schedule()
 	}
+}
+
+// taskFailed recovers task i of stage si from a failure of the given
+// attempt and reports whether that attempt was the running one.
+// Application-logic errors skip recovery entirely (Section IV-C, "Avoiding
+// Useless Failure Recovery").
+func (c *Controller) taskFailed(m *monitor, si, i, attempt int, kind FailureKind) bool {
 	st := m.stages[si]
-	t := &st.tasks[ref.Index]
+	t := &st.tasks[i]
 	if t.status != TaskRunning || t.attempt != attempt {
-		return
+		return false
 	}
-	c.opts.Obs.TaskFailed(ref.Job, ref.Stage, ref.Index, attempt, kind.String())
+	c.opts.Obs.TaskFailed(m.job.ID, st.spec.Name, i, attempt, kind.String())
 
 	if kind == FailAppError {
-		c.failJob(m, fmt.Sprintf("application error in %s", ref))
-		return
+		c.failJob(m, fmt.Sprintf("application error in %s", m.ref(si, i)))
+		return true
 	}
 
 	// Track machine failure bursts for the health monitor.
@@ -47,17 +59,24 @@ func (c *Controller) TaskFailed(ref TaskRef, attempt int, kind FailureKind) {
 
 	if c.opts.Recovery == JobRestart {
 		c.restartJob(m)
-		return
+	} else {
+		c.retry(m, si, i, "")
 	}
+	return true
+}
 
+// retry spends one of task i's retries on re-running it, or fails the job
+// when the budget is gone; what says what the retries were for.
+func (c *Controller) retry(m *monitor, si, i int, what string) {
+	st := m.stages[si]
+	t := &st.tasks[i]
 	t.retries++
 	if t.retries > maxTaskRetries {
-		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries", ref, maxTaskRetries))
+		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries%s", m.ref(si, i), maxTaskRetries, what))
 		return
 	}
-	c.rerun(m, si, ref.Index)
-	c.requeue(m, st.graphlet)
-	c.schedule()
+	c.rerun(m, si, i)
+	c.requeue(m.gruns[st.graphlet])
 }
 
 // rerun sends a failed or output-lost task back to pending for a retry.
@@ -106,7 +125,7 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 			}
 			c.markPending(m, to, i, StartCascade)
 		}
-		c.requeue(m, g)
+		c.requeue(m.gruns[g])
 		c.cascade(m, to, g, visited)
 	}
 }
@@ -125,13 +144,7 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	run := m.gruns[st.graphlet]
 	switch t.status {
 	case TaskRunning:
-		run.running--
-		run.pending++
-		c.syncGang(m, st.graphlet)
-		if t.executor >= 0 {
-			c.cl.ReleaseOne(t.executor)
-		}
-		c.snapDelta(m, 1, -1, 0)
+		c.unlaunch(m, run, t)
 	case TaskDone:
 		st.done--
 		run.pending++
@@ -151,7 +164,7 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	if !run.repended {
 		// The scheduler's deadlock check watches for re-pended runs.
 		run.repended = true
-		c.repended = append(c.repended, reqItem{m: m, g: st.graphlet})
+		c.repended = append(c.repended, run)
 	}
 	if run.status == gDone {
 		run.status = gQueued
@@ -160,10 +173,23 @@ func (c *Controller) markPending(m *monitor, stage, i int, reason StartReason) {
 	c.reviveLostInputs(m, st)
 }
 
+// unlaunch returns a running task of the run to pending and its executor
+// to the pool.
+func (c *Controller) unlaunch(m *monitor, run *graphletRun, t *taskState) {
+	t.status = TaskPending
+	run.running--
+	run.pending++
+	c.syncGang(run)
+	if t.executor >= 0 {
+		c.cl.ReleaseOne(t.executor)
+	}
+	c.snapDelta(m, 1, -1, 0)
+}
+
 // reviveLostInputs re-runs every completed producer task of a stage whose
 // buffered output was lost while "not needed" — a consumer of that output
 // has just become pending again, so the data is needed after all. A
-// revived stage that is not idempotent cascades, as TaskOutputLost's
+// revived stage that is not idempotent cascades, as outputLost's
 // re-run does: its successors in the graphlet consumed rows the re-run
 // replaces (Fig. 6b). The recursion through markPending walks producers
 // upward and terminates because each revived task leaves the done+lost
@@ -183,65 +209,60 @@ func (c *Controller) reviveLostInputs(m *monitor, st *stageState) {
 			if !pst.spec.Idempotent {
 				c.cascade(m, from, pst.graphlet, nil)
 			}
-			c.requeue(m, pst.graphlet)
-		}
-	}
-}
-
-// eachTask visits every task of the job: stages in insertion order, tasks
-// by index.
-func (m *monitor) eachTask(visit func(stage, i int)) {
-	for _, stage := range m.sweepOrder() {
-		for i := range m.stages[stage].tasks {
-			visit(stage, i)
+			c.requeue(m.gruns[pst.graphlet])
 		}
 	}
 }
 
 // eachLiveTask is the one sweep recovery uses to find tasks by where they
-// ran: live jobs in submission order, each in eachTask's order, so the
-// recoveries of one instant never reorder.
-func (c *Controller) eachLiveTask(visit func(m *monitor, stage, i int)) {
+// ran: live jobs in submission order, stages in topological order, tasks by
+// index, so the recoveries of one instant never reorder.
+func (c *Controller) eachLiveTask(visit func(at taskAt, t *taskState)) {
 	for _, m := range c.order {
-		m.eachTask(func(stage, i int) { visit(m, stage, i) })
+		for s, st := range m.stages {
+			for i := range st.tasks {
+				visit(taskAt{m, s, i}, &st.tasks[i])
+			}
+		}
 	}
 }
 
 // MachineFailed handles a detected machine crash: every executor on the
 // machine is revoked, running tasks there fail, and completed tasks whose
 // last buffered copy lived on the machine and is still needed are re-run
-// (their consumers will fetch the regenerated data; Section IV-B2).
+// (their consumers will fetch the regenerated data; Section IV-B2). The
+// whole crash is one event: every victim is recovered before the one
+// scheduling round, so relaunches see the full damage.
 func (c *Controller) MachineFailed(id cluster.MachineID) {
 	// Collect first: recovery mutates state.
-	var running []TaskRef
-	c.eachLiveTask(func(m *monitor, stage, i int) {
-		if t := m.stages[stage].tasks[i]; t.status == TaskRunning && c.cl.MachineOf(t.executor) == id {
-			running = append(running, m.ref(stage, i))
+	var running []taskAt
+	c.eachLiveTask(func(at taskAt, t *taskState) {
+		if t.status == TaskRunning && c.cl.MachineOf(t.executor) == id {
+			running = append(running, at)
 		}
 	})
 	c.cl.SetHealth(id, cluster.Failed)
 	c.opts.Obs.MachineFailed(int(id))
-	c.deferSchedule = true
 	// Running tasks recover first: a consumer re-marked pending by that
 	// pass re-needs its producers' buffered outputs, which the lost-output
 	// pass below then regenerates.
-	for _, ref := range running {
-		m := c.jobs[ref.Job]
-		if m == nil {
+	for _, v := range running {
+		if v.m.failed {
 			continue // an earlier victim's recovery failed the job
 		}
 		// An earlier victim's cascade may have aborted this one already: the
-		// abort repeats, and TaskFailed ignores a task no longer running.
-		t := m.stage(ref.Stage).tasks[ref.Index]
-		c.emit(Action{Kind: ActAbortTask, Task: ref, Executor: t.executor, Attempt: int32(t.attempt)})
-		c.TaskFailed(ref, t.attempt, FailCrash)
+		// abort repeats, and taskFailed ignores a task no longer running.
+		t := v.m.stages[v.stage].tasks[v.i]
+		c.emit(Action{Kind: ActAbortTask, Task: v.m.ref(v.stage, v.i), Executor: t.executor, Attempt: int32(t.attempt)})
+		c.taskFailed(v.m, v.stage, v.i, t.attempt, FailCrash)
 	}
-	// TaskOutputLost applies the "no step taken" rule (or restarts the job
+	// outputLost applies the "no step taken" rule (or restarts the job
 	// under the baseline policy).
-	for _, ref := range c.strike(id) {
-		c.TaskOutputLost(ref)
+	for _, o := range c.strike(id) {
+		if !o.m.failed {
+			c.outputLost(o.m, o.stage, o.i)
+		}
 	}
-	c.deferSchedule = false
 	c.schedule()
 }
 
@@ -251,18 +272,18 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 // home, the machine it ran on. When the serving (head) copy dies and a
 // replica survives, the survivor is promoted in place — counted as a replica
 // recovery, no scheduling step.
-func (c *Controller) strike(id cluster.MachineID) []TaskRef {
-	var orphans []TaskRef
-	c.eachLiveTask(func(m *monitor, stage, i int) {
-		st := m.stages[stage]
-		if st.tasks[i].status != TaskDone {
+func (c *Controller) strike(id cluster.MachineID) []taskAt {
+	var orphans []taskAt
+	c.eachLiveTask(func(at taskAt, t *taskState) {
+		if t.status != TaskDone {
 			return
 		}
-		key := taskID{int32(stage), int32(i)}
+		m := at.m
+		key := taskID{int32(at.stage), int32(at.i)}
 		homes := m.homes[key]
 		if len(homes) == 0 {
-			if c.cl.MachineOf(st.tasks[i].executor) == id {
-				orphans = append(orphans, m.ref(stage, i))
+			if c.cl.MachineOf(t.executor) == id {
+				orphans = append(orphans, at)
 			}
 			return
 		}
@@ -274,10 +295,10 @@ func (c *Controller) strike(id cluster.MachineID) []TaskRef {
 		m.homes[key] = homes
 		switch {
 		case len(homes) == 0:
-			orphans = append(orphans, m.ref(stage, i))
+			orphans = append(orphans, at)
 		case pos == 0:
 			c.replicaHits++
-			c.opts.Obs.ReplicaServed(m.job.ID, st.spec.Name, i, int(homes[0]))
+			c.opts.Obs.ReplicaServed(m.job.ID, m.stages[at.stage].spec.Name, at.i, int(homes[0]))
 		}
 	})
 	return orphans
@@ -301,50 +322,48 @@ func (c *Controller) outputStillNeeded(m *monitor, st *stageState) bool {
 
 // TaskOutputLost reports that the buffered output of a completed task was
 // lost (e.g. its Cache Worker's memory was reclaimed or the hosting process
-// died without taking the machine down). If every consumer already received
+// died without taking the machine down).
+func (c *Controller) TaskOutputLost(ref TaskRef) {
+	if m, si, ok := c.live(&ref); ok && c.outputLost(m, si, ref.Index) {
+		c.schedule()
+	}
+}
+
+// outputLost handles the loss of done task i of stage si's buffered output
+// and reports whether it took a step. If every consumer already received
 // the data, no step is taken; otherwise the task re-runs so consumers can
 // re-fetch (the Fig. 6a / Fig. 7 semantics).
-func (c *Controller) TaskOutputLost(ref TaskRef) {
-	m, si, ok := c.live(&ref)
-	if !ok {
-		return
-	}
+func (c *Controller) outputLost(m *monitor, si, i int) bool {
 	st := m.stages[si]
-	t := &st.tasks[ref.Index]
+	t := &st.tasks[i]
 	if t.status != TaskDone {
-		return
+		return false
 	}
 	if c.opts.Recovery == JobRestart {
 		// The baseline policy restarts on any failure; the "no step
 		// taken" shortcut below is Swift's fine-grained intelligence.
-		c.opts.Obs.OutputLost(ref.Job, ref.Stage, ref.Index, "restart")
+		c.opts.Obs.OutputLost(m.job.ID, st.spec.Name, i, "restart")
 		c.restartJob(m)
-		return
+		return true
 	}
 	// Reaching here means every copy is gone: strike found none left, or a
 	// direct loss report bypassed the replicas by design (the buffer was
 	// evicted fleet-wide).
-	delete(m.homes, taskID{int32(si), int32(ref.Index)})
+	delete(m.homes, taskID{int32(si), int32(i)})
 	if !c.outputStillNeeded(m, st) {
 		// "No step will be taken" — but remember the loss so a consumer
 		// that later re-enters the pending state revives this producer.
 		t.lost = true
-		c.opts.Obs.OutputLost(ref.Job, ref.Stage, ref.Index, "no-step")
-		return
+		c.opts.Obs.OutputLost(m.job.ID, st.spec.Name, i, "no-step")
+		return false
 	}
-	c.opts.Obs.OutputLost(ref.Job, ref.Stage, ref.Index, "rerun")
+	c.opts.Obs.OutputLost(m.job.ID, st.spec.Name, i, "rerun")
 	c.recomputes++
 	// Regenerating a lost output is a retry like any other: without this
 	// bound, an output that keeps getting lost (flapping Cache Worker,
 	// repeatedly crashing machine) re-runs the task forever.
-	t.retries++
-	if t.retries > maxTaskRetries {
-		c.failJob(m, fmt.Sprintf("task %s exceeded %d retries regenerating lost output", ref, maxTaskRetries))
-		return
-	}
-	c.rerun(m, si, ref.Index)
-	c.requeue(m, st.graphlet)
-	c.schedule()
+	c.retry(m, si, i, " regenerating lost output")
+	return true
 }
 
 // MachineUnhealthy applies the health monitor's read-only policy: the
@@ -375,40 +394,37 @@ func (c *Controller) MachineRecovered(id cluster.MachineID) {
 // CacheWorkerLost handles the crash of one machine's Cache Worker process
 // (the machine itself survives): every buffered copy hosted there is gone.
 // Outputs with a surviving replica fail over in place; each output left
-// with no copy is reported to the recovery logic individually —
-// TaskOutputLost applies the "no step taken" rule per task — and shuffle
-// edges out of its stage that depended on Cache Workers degrade to Direct
-// for the regenerated data, so the re-run cannot be taken down by the same
-// worker again. Scheduling is deferred until the whole storm is processed
-// so recovery decisions see the full damage.
+// with no copy goes through outputLost, which applies the "no step taken"
+// rule per task, and shuffle edges out of its stage that depended on Cache
+// Workers degrade to Direct for the regenerated data, so the re-run cannot
+// be taken down by the same worker again. Like a machine crash, the storm
+// is one event with one scheduling round, after all of it.
 func (c *Controller) CacheWorkerLost(id cluster.MachineID) {
 	c.opts.Obs.CacheWorkerLost(int(id))
-	c.deferSchedule = true
-	for _, ref := range c.strike(id) {
-		m := c.jobs[ref.Job]
-		if m == nil {
+	for _, o := range c.strike(id) {
+		if o.m.failed {
 			continue // an earlier output's recovery failed the job
 		}
-		c.degradeEdges(m, ref.Stage)
-		c.TaskOutputLost(ref)
+		c.degradeEdges(o.m, o.stage)
+		c.outputLost(o.m, o.stage, o.i)
 	}
-	c.deferSchedule = false
 	c.schedule()
 }
 
 // degradeEdges switches Cache-Worker-dependent shuffle modes (Local,
 // Remote) of a stage's out-edges to Direct after the hosting Cache Worker
 // died, emitting one action per degraded edge.
-func (c *Controller) degradeEdges(m *monitor, stage string) {
-	for _, e := range m.job.Out(stage) {
-		k := edgeKey{e.From, e.To}
+func (c *Controller) degradeEdges(m *monitor, stage int) {
+	from := m.stages[stage].spec.Name
+	for _, to := range m.stages[stage].out {
+		k := edgeKey{from, m.stages[to].spec.Name}
 		old := m.modes[k]
 		if old != shuffle.Local && old != shuffle.Remote {
 			continue
 		}
 		m.modes[k] = shuffle.Direct
 		c.emit(Action{Kind: ActShuffleDegraded, Task: TaskRef{Job: m.job.ID},
-			Detail: &ActionDetail{From: e.From, To: e.To, Old: old, New: shuffle.Direct}})
+			Detail: &ActionDetail{From: k.from, To: k.to, Old: old, New: shuffle.Direct}})
 	}
 }
 
@@ -417,15 +433,15 @@ func (c *Controller) degradeEdges(m *monitor, stage string) {
 // controller believed was running there has died.
 func (c *Controller) ExecutorRestarted(e cluster.ExecutorID) {
 	// Find, then fail: the retry may relaunch on e inside the sweep.
-	var dead TaskRef
+	var dead taskAt
 	attempt := -1
-	c.eachLiveTask(func(m *monitor, stage, i int) {
-		if t := m.stages[stage].tasks[i]; t.status == TaskRunning && t.executor == e {
-			dead, attempt = m.ref(stage, i), t.attempt
+	c.eachLiveTask(func(at taskAt, t *taskState) {
+		if t.status == TaskRunning && t.executor == e {
+			dead, attempt = at, t.attempt
 		}
 	})
-	if attempt >= 0 {
-		c.TaskFailed(dead, attempt, FailCrash)
+	if attempt >= 0 && c.taskFailed(dead.m, dead.stage, dead.i, attempt, FailCrash) {
+		c.schedule()
 	}
 }
 
@@ -435,12 +451,8 @@ func (c *Controller) restartJob(m *monitor) {
 	c.abortAll(m)
 	// abortAll released every running task to pending, so only completed
 	// tasks change aggregate state in the wholesale reset below.
-	doneTasks := 0
 	for _, st := range m.stages {
-		doneTasks += st.done
-	}
-	c.snapDelta(m, doneTasks, 0, -doneTasks)
-	for _, st := range m.stages {
+		c.snapDelta(m, st.done, 0, -st.done)
 		st.reset()
 	}
 	m.homes = nil
@@ -450,36 +462,28 @@ func (c *Controller) restartJob(m *monitor) {
 	m.gruns = c.buildGraphletRuns(m)
 	c.emit(Action{Kind: ActJobRestarted, Task: TaskRef{Job: m.job.ID}})
 	c.enqueueReady(m)
-	c.schedule()
 }
 
 // abortAll aborts every running task of a job that is being restarted or
 // abandoned and releases its executors. The tasks are not re-run, so they
 // skip markPending's queueing.
 func (c *Controller) abortAll(m *monitor) {
-	m.eachTask(func(stage, i int) {
-		st := m.stages[stage]
-		t := &st.tasks[i]
-		if t.status != TaskRunning {
-			return
+	for s, st := range m.stages {
+		for i := range st.tasks {
+			if t := &st.tasks[i]; t.status == TaskRunning {
+				c.emit(Action{Kind: ActAbortTask, Task: m.ref(s, i), Executor: t.executor, Attempt: int32(t.attempt)})
+				c.unlaunch(m, m.gruns[st.graphlet], t)
+			}
 		}
-		c.emit(Action{Kind: ActAbortTask, Task: m.ref(stage, i), Executor: t.executor, Attempt: int32(t.attempt)})
-		m.gruns[st.graphlet].running--
-		c.syncGang(m, st.graphlet)
-		if t.executor >= 0 {
-			c.cl.ReleaseOne(t.executor)
-		}
-		t.status = TaskPending
-		c.snapDelta(m, 1, -1, 0)
-	})
+	}
 }
 
 // dequeueJob drops every queued resource request of m's job (it is being
 // restarted or abandoned).
 func (c *Controller) dequeueJob(m *monitor) {
 	hi := -1
-	for i, it := range c.queue {
-		if it.m == m {
+	for i, run := range c.queue {
+		if run.m == m {
 			c.drop(i)
 			hi = i
 		}
@@ -490,7 +494,7 @@ func (c *Controller) dequeueJob(m *monitor) {
 // dropRepended takes a job's graphlet runs off the re-pended list. They
 // are being discarded (job restart or abandonment), so their flags stay.
 func (c *Controller) dropRepended(m *monitor) {
-	c.repended = slices.DeleteFunc(c.repended, func(d reqItem) bool { return d.m == m })
+	c.repended = slices.DeleteFunc(c.repended, func(run *graphletRun) bool { return run.m == m })
 }
 
 // CancelJob aborts a live job on client request: every running task is
@@ -505,6 +509,7 @@ func (c *Controller) CancelJob(job, reason string) error {
 		return fmt.Errorf("core: unknown job %q", job)
 	}
 	c.failJob(m, "cancelled: "+reason)
+	c.schedule()
 	return nil
 }
 
@@ -517,5 +522,4 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.dequeueJob(m)
 	c.emit(Action{Kind: ActJobFailed, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
 	c.retire(m)
-	c.schedule()
 }

@@ -55,27 +55,18 @@ func (c *Controller) snapAdmit(m *monitor) {
 }
 
 // snapClose removes a job leaving the live set (completed or failed) from
-// the aggregates and from the live-job order. O(tasks of the job + live
-// jobs), paid once per job lifetime.
+// the aggregates and from the live-job order, by the runs' pending and
+// running counters and the stages' done counters. O(stages + live jobs),
+// paid once per job lifetime.
 func (c *Controller) snapClose(m *monitor) {
 	if i := slices.Index(c.order, m); i >= 0 {
 		c.order = slices.Delete(c.order, i, i+1)
 	}
-	p, r, d := 0, 0, 0
-	for _, st := range m.stages {
-		for _, t := range st.tasks {
-			switch t.status {
-			case TaskPending:
-				p++
-			case TaskRunning:
-				r++
-			case TaskDone:
-				d++
-			}
-		}
-	}
 	m.tc.Jobs--
-	m.tc.Pending -= p
-	m.tc.Running -= r
-	m.tc.Done -= d
+	for _, run := range m.gruns {
+		c.snapDelta(m, -run.pending, -run.running, 0)
+	}
+	for _, st := range m.stages {
+		c.snapDelta(m, 0, 0, -st.done)
+	}
 }

@@ -48,7 +48,7 @@ func (r *Runner) CrashMachine(id cluster.MachineID) bool {
 	for _, rt := range r.liveTasks(func(rt *runningTask) bool { return r.cl.MachineOf(rt.executor) == id }) {
 		r.kill(rt)
 	}
-	delay := sim.FromSeconds(core.MachineFailureDetectionDelay(r.cl.NumMachines()).Seconds())
+	delay := sim.FromSeconds(core.HeartbeatInterval(r.cl.NumMachines()).Seconds())
 	r.eng.After(delay, func() {
 		if !r.down[id] || r.cl.Machine(id).Health == cluster.Failed {
 			return // rebooted first, or detected via another path

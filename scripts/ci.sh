@@ -15,8 +15,8 @@
 # maps the hot functions to their guards),
 # run the fixed-seed chaos soak
 # (deterministic fault schedules + scheduler invariant auditor), the
-# seeded smokes (trace determinism, fair share, replicated shuffle,
-# shuffle recovery, serial-vs-parallel sweep hashes
+# seeded smokes (trace determinism, oversize-gang refusal, fair share,
+# replicated shuffle, shuffle recovery, serial-vs-parallel sweep hashes
 # against the pinned table, swiftd overload end to end), run the examples
 # (they self-verify), build the fuzz targets so they cannot rot, hold the
 # import gates (internal/rpc on the standard library alone, no gob outside
@@ -113,6 +113,18 @@ grep -q '^graphlets=4$' "$TRACE_TMP/q9.out"
 go run ./cmd/swiftsim -job q13 -failstage J3 -failat 0.4 -seed 7 -stats > "$TRACE_TMP/a.stats"
 go run ./cmd/swiftsim -job q13 -failstage J3 -failat 0.4 -seed 7 -stats > "$TRACE_TMP/b.stats"
 cmp "$TRACE_TMP/a.stats" "$TRACE_TMP/b.stats"
+
+echo "== oversize gang smoke (a gang larger than the cluster fails with a reason)"
+# JetScope schedules q9 as one gang of 2,559 tasks and 20 machines hold 160
+# executors: SubmitJob fails the job, and swiftsim exits 1 naming both counts.
+GANG_STATUS=0
+go run ./cmd/swiftsim -job q9 -system jetscope -machines 20 -executors 8 \
+    > /dev/null 2> "$TRACE_TMP/gang.err" || GANG_STATUS=$?
+if [ "$GANG_STATUS" != 1 ] || ! grep -q 2559 "$TRACE_TMP/gang.err" || ! grep -q 160 "$TRACE_TMP/gang.err"; then
+    echo "oversize gang: exit $GANG_STATUS, stderr:" >&2
+    cat "$TRACE_TMP/gang.err" >&2
+    exit 1
+fi
 
 echo "== fair-share smoke (seeded 3-tenant burst: reclaims, no starvation, deterministic hash)"
 # -verify re-runs the seed and exits non-zero on any hash mismatch; the
