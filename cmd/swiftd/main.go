@@ -140,7 +140,7 @@ func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
 	for _, act := range acts {
 		switch act.Kind {
 		case core.ActStartTask:
-			d.due.Push(now+d.taskWall(act.Task), flow.Completion{Ref: act.Task, Attempt: int(act.Attempt)})
+			d.due.Push(now+d.taskWall(act.Task), flow.CompletionOf(&act))
 		case core.ActJobCompleted:
 			delete(d.jobs, act.Task.Job)
 			if d.verbose {

@@ -44,13 +44,15 @@ func (h Health) String() string {
 	return "unknown"
 }
 
-// Machine is one simulated worker machine.
+// Machine is one simulated worker machine. Its executors are the
+// contiguous ID range [ID·per, (ID+1)·per), per being the configuration's
+// ExecutorsPerMachine: executors are numbered machine by machine, so an
+// executor's machine is one division away (Cluster.MachineOf).
 type Machine struct {
-	ID        MachineID
-	Executors []ExecutorID
-	Health    Health
-	busy      int          // executors currently running tasks
-	freeList  []ExecutorID // idle executors (stack)
+	ID       MachineID
+	Health   Health
+	busy     int          // executors currently running tasks
+	freeList []ExecutorID // idle executors (stack)
 	// recentTaskFailures counts task failures since the last health
 	// sweep; a burst marks the machine unhealthy.
 	recentTaskFailures int
@@ -143,10 +145,11 @@ func (h *loadHeap) popTop() {
 
 // Cluster tracks machines, executor occupancy and active connection load.
 type Cluster struct {
-	cfg      Config
-	machines []*Machine
-	owner    []MachineID // executor -> machine
-	busyExec []bool      // executor -> running a task
+	cfg Config
+	// machines never grows after New, so the pointers Machine returns stay
+	// valid for the cluster's lifetime.
+	machines []Machine
+	busyExec []bool // executor -> running a task
 	nFree    int
 	byLoad   loadHeap
 	inHeap   []bool // machine -> has a (possibly stale) heap entry
@@ -162,24 +165,31 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:      cfg,
+		machines: make([]Machine, cfg.Machines),
 		busyExec: make([]bool, cfg.Machines*cfg.ExecutorsPerMachine),
 		inHeap:   make([]bool, cfg.Machines),
 	}
-	next := ExecutorID(0)
-	for i := 0; i < cfg.Machines; i++ {
-		m := &Machine{ID: MachineID(i)}
-		for j := 0; j < cfg.ExecutorsPerMachine; j++ {
-			m.Executors = append(m.Executors, next)
-			c.owner = append(c.owner, m.ID)
-			next++
-		}
-		// Stack order: highest ID on top; allocation pops from the top.
-		m.freeList = append([]ExecutorID(nil), m.Executors...)
-		c.machines = append(c.machines, m)
+	for i := range c.machines {
+		m := &c.machines[i]
+		m.ID = MachineID(i)
+		m.freeList = make([]ExecutorID, 0, cfg.ExecutorsPerMachine)
+		c.repool(m)
 		c.pushLoad(m)
 	}
-	c.nFree = len(c.owner)
+	c.nFree = len(c.busyExec)
 	return c
+}
+
+// repool refills a machine's free stack with the idle executors of its
+// range, the highest ID on top (allocation pops from the top).
+func (c *Cluster) repool(m *Machine) {
+	per := ExecutorID(c.cfg.ExecutorsPerMachine)
+	m.freeList = m.freeList[:0]
+	for e := ExecutorID(m.ID) * per; e < ExecutorID(m.ID+1)*per; e++ {
+		if !c.busyExec[e] {
+			m.freeList = append(m.freeList, e)
+		}
+	}
 }
 
 func (c *Cluster) pushLoad(m *Machine) {
@@ -194,7 +204,7 @@ func (c *Cluster) Model() *Model { return c.cfg.Model }
 func (c *Cluster) NumMachines() int { return len(c.machines) }
 
 // NumExecutors returns the total executor count.
-func (c *Cluster) NumExecutors() int { return len(c.owner) }
+func (c *Cluster) NumExecutors() int { return len(c.busyExec) }
 
 // FreeExecutors returns how many executors are idle and schedulable.
 func (c *Cluster) FreeExecutors() int { return c.nFree }
@@ -202,17 +212,21 @@ func (c *Cluster) FreeExecutors() int { return c.nFree }
 // BusyExecutors returns how many executors are running tasks.
 func (c *Cluster) BusyExecutors() int {
 	n := 0
-	for _, m := range c.machines {
-		n += m.busy
+	for i := range c.machines {
+		n += c.machines[i].busy
 	}
 	return n
 }
 
-// Machine returns the machine with the given ID.
-func (c *Cluster) Machine(id MachineID) *Machine { return c.machines[id] }
+// Machine returns the machine with the given ID. The pointer stays valid,
+// and reads the machine's live state, for the cluster's lifetime.
+func (c *Cluster) Machine(id MachineID) *Machine { return &c.machines[id] }
 
-// MachineOf returns the machine hosting an executor.
-func (c *Cluster) MachineOf(e ExecutorID) MachineID { return c.owner[e] }
+// MachineOf returns the machine hosting an executor: executors are
+// numbered machine by machine.
+func (c *Cluster) MachineOf(e ExecutorID) MachineID {
+	return MachineID(int(e) / c.cfg.ExecutorsPerMachine)
+}
 
 // takeFrom pops one free executor from a machine; the caller guarantees
 // one exists.
@@ -243,11 +257,11 @@ func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 		if len(out) >= n {
 			break
 		}
-		m := c.machines[mid]
+		m := &c.machines[mid]
 		if m.Health != Healthy {
 			continue
 		}
-		localityCap := int(0.9 * float64(len(m.Executors)))
+		localityCap := int(0.9 * float64(c.cfg.ExecutorsPerMachine))
 		for len(out) < n && len(m.freeList) > 0 && m.busy < localityCap {
 			out = append(out, c.takeFrom(m))
 		}
@@ -258,7 +272,7 @@ func (c *Cluster) Allocate(n int, locality []MachineID) []ExecutorID {
 	// Load-balancing pass over the lazy min-heap.
 	for len(out) < n && c.nFree > 0 && len(c.byLoad) > 0 {
 		top := c.byLoad[0]
-		m := c.machines[top.id]
+		m := &c.machines[top.id]
 		if top.busy != m.busy {
 			// Stale entry: refresh.
 			c.byLoad.popTop()
@@ -292,7 +306,7 @@ func (c *Cluster) ReleaseOne(e ExecutorID) {
 		return
 	}
 	c.busyExec[e] = false
-	m := c.machines[c.owner[e]]
+	m := &c.machines[c.MachineOf(e)]
 	m.busy--
 	if m.Health == Healthy {
 		m.freeList = append(m.freeList, e)
@@ -307,7 +321,7 @@ func (c *Cluster) ReleaseOne(e ExecutorID) {
 // or ReadOnly removes its idle executors from the pool; restoring it to
 // Healthy re-pools the idle ones.
 func (c *Cluster) SetHealth(id MachineID, h Health) {
-	m := c.machines[id]
+	m := &c.machines[id]
 	if m.Health == h {
 		return
 	}
@@ -319,12 +333,7 @@ func (c *Cluster) SetHealth(id MachineID, h Health) {
 	case !wasHealthy && h == Healthy:
 		// Re-pool idle executors that are not running tasks. A failed
 		// machine's executors were revoked; they come back fresh.
-		m.freeList = m.freeList[:0]
-		for _, e := range m.Executors {
-			if !c.busyExec[e] {
-				m.freeList = append(m.freeList, e)
-			}
-		}
+		c.repool(m)
 		c.nFree += len(m.freeList)
 		if !c.inHeap[id] {
 			c.pushLoad(m)
@@ -336,7 +345,7 @@ func (c *Cluster) SetHealth(id MachineID, h Health) {
 // the new count, letting the health monitor apply its "large quantity of
 // tasks failed in a short time" rule.
 func (c *Cluster) RecordTaskFailure(id MachineID) int {
-	m := c.machines[id]
+	m := &c.machines[id]
 	m.recentTaskFailures++
 	return m.recentTaskFailures
 }
@@ -349,5 +358,5 @@ func (c *Cluster) ResetTaskFailures(id MachineID) {
 // String summarises the cluster.
 func (c *Cluster) String() string {
 	return fmt.Sprintf("cluster{%d machines, %d executors, %d free}",
-		len(c.machines), len(c.owner), c.nFree)
+		len(c.machines), len(c.busyExec), c.nFree)
 }

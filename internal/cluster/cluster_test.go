@@ -219,3 +219,79 @@ func TestAllocateReleaseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMachineOfIsArithmetic holds the executor-numbering invariant: an
+// executor's machine is its ID divided by the executors per machine.
+// Re-admitting a failed machine re-pools exactly the idle executors of its
+// range, and a Machine pointer taken before a storm of Allocate and
+// Release calls still reads the machine's live state after it.
+func TestMachineOfIsArithmetic(t *testing.T) {
+	for _, size := range [][2]int{{1, 1}, {4, 3}, {7, 5}} {
+		machines, per := size[0], size[1]
+		c := New(Config{Machines: machines, ExecutorsPerMachine: per})
+		for e := range ExecutorID(c.NumExecutors()) {
+			if got, want := c.MachineOf(e), MachineID(int(e)/per); got != want {
+				t.Fatalf("%d×%d: MachineOf(%d) = %d, want %d", machines, per, e, got, want)
+			}
+		}
+
+		// Take every executor, then free the odd ones of the last machine:
+		// two before its crash, one while it is down.
+		id := MachineID(machines - 1)
+		all := c.Allocate(c.NumExecutors(), nil)
+		idle := map[ExecutorID]bool{}
+		for e := ExecutorID(int(id) * per); e < ExecutorID(int(id+1)*per); e += 2 {
+			idle[e] = true
+		}
+		var late ExecutorID = -1
+		for e := range idle {
+			if late < 0 {
+				late = e
+				continue
+			}
+			c.ReleaseOne(e)
+		}
+		c.SetHealth(id, Failed)
+		c.ReleaseOne(late)
+		if c.FreeExecutors() != 0 {
+			t.Fatalf("%d×%d: %d executors free while the only idle ones sit on a failed machine", machines, per, c.FreeExecutors())
+		}
+		c.SetHealth(id, Healthy)
+		if c.FreeExecutors() != len(idle) {
+			t.Fatalf("%d×%d: re-admission pooled %d executors, want the %d idle ones", machines, per, c.FreeExecutors(), len(idle))
+		}
+		for _, e := range c.Allocate(len(idle), nil) {
+			if !idle[e] {
+				t.Errorf("%d×%d: re-admission pooled executor %d, not an idle one of machine %d", machines, per, e, id)
+			}
+		}
+		c.Release(all)
+
+		// A pointer taken before the storm reads the live state after it.
+		m := c.Machine(0)
+		rng := rand.New(rand.NewSource(int64(machines)))
+		var held []ExecutorID
+		for range 200 {
+			if rng.Intn(2) == 0 {
+				held = append(held, c.Allocate(1+rng.Intn(per), []MachineID{0})...)
+			} else if len(held) > 0 {
+				k := rng.Intn(len(held))
+				c.ReleaseOne(held[k])
+				held = append(held[:k], held[k+1:]...)
+			}
+		}
+		busy := 0
+		for _, e := range held {
+			if c.MachineOf(e) == 0 {
+				busy++
+			}
+		}
+		if m != c.Machine(0) || m.busy != busy || len(m.freeList) != per-busy {
+			t.Errorf("%d×%d: pointer reads busy %d free %d; the machine has %d busy of %d", machines, per, m.busy, len(m.freeList), busy, per)
+		}
+		c.SetHealth(0, ReadOnly)
+		if m.Health != ReadOnly {
+			t.Errorf("%d×%d: pointer reads health %v after SetHealth(ReadOnly)", machines, per, m.Health)
+		}
+	}
+}

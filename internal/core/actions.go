@@ -62,6 +62,13 @@ const (
 	ActReplicate
 )
 
+// JobHandle is a live job's name inside the process: its index in the
+// controller's handle table, issued by SubmitJob. Handle 0 is never
+// issued, so a zero Action or completion names no job, and a handle is
+// never reused, so a stale one names no other job once its job retired.
+// Drivers key their per-job state by it; names stay at the edges.
+type JobHandle int32
+
 // Action is an instruction from the controller to the runtime driver (the
 // simulator or the real engine), one value read by Kind. What a launch or
 // a completion needs sits inline, so the controller emits into a reused
@@ -69,9 +76,10 @@ const (
 type Action struct {
 	Kind     ActionKind
 	Reason   StartReason        // ActStartTask
+	Graphlet int16              // ActStartTask (SubmitJob refuses more graphlets than fit)
 	Attempt  int32              // ActStartTask, ActAbortTask, ActReplicate
-	Graphlet int32              // ActStartTask
-	Stage    int32              // ActStartTask: Task.Stage's topological index (dag.Job.TopoOrder)
+	Stage    int32              // ActStartTask, ActAbortTask: Task.Stage's topological index (dag.Job.TopoOrder)
+	Job      JobHandle          // every kind that names a job: Task.Job's handle
 	Executor cluster.ExecutorID // ActStartTask, ActAbortTask
 	Task     TaskRef
 	Detail   *ActionDetail // nil for the kinds that need none

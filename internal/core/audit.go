@@ -116,7 +116,8 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //     patching the view shows up here;
 //   - the live table: it holds exactly the live-job order's monitors, as
 //     many as Snapshot counts live jobs, none of them done or failed and
-//     none with an id the outcome table already holds.
+//     none with an id the outcome table already holds, and each job's
+//     handle names it.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -139,6 +140,9 @@ func (c *Controller) CheckInvariants() []string {
 		jobID := m.job.ID
 		if c.jobs[jobID] != m {
 			v = append(v, fmt.Sprintf("%s: job in the live-job order is not in the live table", jobID))
+		}
+		if m.handle <= 0 || int(m.handle) >= len(c.handles) || c.handles[m.handle] != m {
+			v = append(v, fmt.Sprintf("%s: handle %d does not name the live job", jobID, m.handle))
 		}
 		if _, retired := c.retired[jobID]; retired {
 			v = append(v, fmt.Sprintf("%s: job is both live and retired", jobID))

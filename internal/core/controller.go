@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"swift/internal/cluster"
 	"swift/internal/dag"
@@ -109,6 +110,7 @@ type monitor struct {
 	tenant    string        // normalized tenant label (TenantName)
 	tc        *TenantCounts // the tenant's live aggregate counters
 	seq       int           // admission sequence number (policy FIFO tiebreak)
+	handle    JobHandle     // index in Controller.handles
 	// homes is where done tasks' buffered outputs live: for each output
 	// TaskFinished replicated, the machines holding a copy in serving order
 	// (head = serving copy). A done task with no entry — all of them at
@@ -133,6 +135,11 @@ type Controller struct {
 	// for completed, false for failed. A retired job holds no other state.
 	jobs    map[string]*monitor
 	retired map[string]bool
+	// handles is the live table by JobHandle: slot h holds the monitor of
+	// the job SubmitJob issued h, from admission to retire, which nils it.
+	// Slot 0 stays nil and no slot is reused, so a retired job leaves one
+	// nil slot behind.
+	handles []*monitor
 	order   []*monitor     // live jobs in submission order; snapClose drops a job when it completes or fails
 	queue   []*graphletRun // graphlet resource requests, FIFO
 	// qoff is the absolute position of queue[0]: dropping a served prefix
@@ -192,7 +199,7 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 		opts.Policy = sched.FIFO{}
 	}
 	return &Controller{opts: opts, cl: cl, jobs: make(map[string]*monitor), retired: make(map[string]bool),
-		policy: opts.Policy, tenants: make(map[string]*TenantCounts)}
+		handles: make([]*monitor, 1), policy: opts.Policy, tenants: make(map[string]*TenantCounts)}
 }
 
 // Cluster returns the managed cluster.
@@ -215,9 +222,11 @@ func (c *Controller) emit(a Action) {
 }
 
 // SubmitJob admits a job: validates it, partitions it with the configured
-// policy, selects shuffle modes per edge, and registers resource requests
-// for the graphlets whose inputs are already available. A job with a gang
-// larger than the cluster is admitted and failed at once (ActJobFailed).
+// policy, selects shuffle modes per edge, issues its JobHandle, and
+// registers resource requests for the graphlets whose inputs are already
+// available. A job with a gang larger than the cluster is admitted and
+// failed at once (ActJobFailed). A job of more graphlets than
+// Action.Graphlet can name is refused.
 func (c *Controller) SubmitJob(job *dag.Job) error {
 	if job == nil {
 		return fmt.Errorf("core: nil job")
@@ -232,6 +241,9 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	if err != nil {
 		return err
 	}
+	if len(gs) > math.MaxInt16 {
+		return fmt.Errorf("core: job %q has %d graphlets, more than the %d an action can name", job.ID, len(gs), math.MaxInt16)
+	}
 	topo, _ := job.TopoOrder() // validated above
 	m := &monitor{
 		job:       job,
@@ -241,6 +253,7 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		stageIdx:  make(map[string]int, len(topo)),
 		tenant:    TenantName(job),
 		seq:       c.nextSeq,
+		handle:    JobHandle(len(c.handles)),
 	}
 	c.nextSeq++
 	m.tc = c.tenantCounts(m.tenant)
@@ -268,6 +281,7 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 	}
 	m.gruns = c.buildGraphletRuns(m)
 	c.jobs[job.ID] = m
+	c.handles = append(c.handles, m)
 	c.order = append(c.order, m)
 	c.snapAdmit(m)
 	// A gang launches whole or not at all, so one larger than the cluster
@@ -344,9 +358,7 @@ func (c *Controller) enqueueReady(m *monitor) {
 
 // live resolves a task reference of a live job to the job's monitor and
 // the stage's topological index; ok is false for an unknown or retired
-// job, an unknown stage, or an index out of range. The reference goes by
-// pointer: by value, the inlined call copied it through the stack on every
-// completion, a store-forwarding stall replay_scale's wall shows.
+// job, an unknown stage, or an index out of range.
 func (c *Controller) live(ref *TaskRef) (m *monitor, si int, ok bool) {
 	m = c.jobs[ref.Job]
 	if m == nil {
@@ -359,17 +371,54 @@ func (c *Controller) live(ref *TaskRef) (m *monitor, si int, ok bool) {
 	return m, si, true
 }
 
+// Handle returns the JobHandle of a live job, or 0 when no job of that
+// id is live.
+func (c *Controller) Handle(job string) JobHandle {
+	if m := c.jobs[job]; m != nil {
+		return m.handle
+	}
+	return 0
+}
+
+// at resolves a task of a live job, named by the job's handle, its stage's
+// topological index and its index, to the job's monitor; nil for handle 0,
+// a retired handle, or a position out of range.
+func (c *Controller) at(job JobHandle, stage, index int) *monitor {
+	if uint(job) >= uint(len(c.handles)) {
+		return nil
+	}
+	m := c.handles[job]
+	if m == nil || uint(stage) >= uint(len(m.stages)) || uint(index) >= uint(len(m.stages[stage].tasks)) {
+		return nil
+	}
+	return m
+}
+
 // TaskFinished records a successful task completion. Stale attempts (from
 // an aborted execution racing its abort) are ignored.
 func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
-	m, si, ok := c.live(&ref)
-	if !ok {
-		return
+	if m, si, ok := c.live(&ref); ok && c.taskFinished(m, si, ref.Index, attempt) {
+		c.schedule()
 	}
+}
+
+// FinishTask is TaskFinished for a task named the way its start action
+// names it inside the process: the job's handle (Action.Job), the stage's
+// topological index (Action.Stage) and the task's index. It is the
+// completion path of the simulator and the daemon, and hashes no name.
+func (c *Controller) FinishTask(job JobHandle, stage, index, attempt int) {
+	if m := c.at(job, stage, index); m != nil && c.taskFinished(m, stage, index, attempt) {
+		c.schedule()
+	}
+}
+
+// taskFinished records the completion of the given attempt of task i of
+// stage si and reports whether that attempt was the running one.
+func (c *Controller) taskFinished(m *monitor, si, i, attempt int) bool {
 	st := m.stages[si]
-	t := &st.tasks[ref.Index]
+	t := &st.tasks[i]
 	if t.attempt != attempt || t.status != TaskRunning {
-		return
+		return false
 	}
 	t.status = TaskDone
 	st.done++
@@ -380,7 +429,7 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 	if c.opts.ShuffleReplicas > 1 && len(st.out) > 0 {
 		// Replicate the buffered output before the executor is reused: the
 		// copy reads from the producer's Cache Worker, not the executor.
-		c.replicateOutput(m, taskID{int32(si), int32(ref.Index)}, ref, e)
+		c.replicateOutput(m, taskID{int32(si), int32(i)}, e)
 	}
 
 	// Reuse the freed executor for the next pending task of the same
@@ -407,7 +456,7 @@ func (c *Controller) TaskFinished(ref TaskRef, attempt int) {
 		c.enqueueReady(m)
 		c.checkJobDone(m)
 	}
-	c.schedule()
+	return true
 }
 
 func (c *Controller) checkJobDone(m *monitor) {
@@ -421,16 +470,17 @@ func (c *Controller) checkJobDone(m *monitor) {
 		c.patchItem(run) // a dead job's entries are stale
 	}
 	c.snapClose(m)
-	c.emit(Action{Kind: ActJobCompleted, Task: TaskRef{Job: m.job.ID}})
+	c.emit(Action{Kind: ActJobCompleted, Job: m.handle, Task: TaskRef{Job: m.job.ID}})
 	c.retire(m)
 }
 
 // retire moves a job that reached its terminal action from the live table
-// to the outcome table. Queue entries may still point at its monitor, as
-// stale entries the scheduling round drops when it reaches them; nothing
-// looks the job up by name again.
+// to the outcome table and nils its handle's slot. Queue entries may still
+// point at its monitor, as stale entries the scheduling round drops when
+// it reaches them; nothing looks the job up by name or handle again.
 func (c *Controller) retire(m *monitor) {
 	delete(c.jobs, m.job.ID)
+	c.handles[m.handle] = nil
 	c.retired[m.job.ID] = m.done
 }
 
@@ -443,15 +493,16 @@ func (c *Controller) JobFailed(job string) bool {
 	return retired && !done
 }
 
-// StageComplete reports whether all tasks of the job's stage with the given
-// topological index (Action.Stage) have finished. Every stage of a
-// completed job has.
-func (c *Controller) StageComplete(job string, stage int) bool {
-	m := c.jobs[job]
-	if m == nil {
-		return c.retired[job]
+// StageComplete reports whether all tasks of a live job's stage with the
+// given topological index (Action.Stage) have finished. It is false for a
+// retired handle: a driver knows a retired job's outcome from its
+// terminal action, and every stage of a completed job is complete.
+func (c *Controller) StageComplete(job JobHandle, stage int) bool {
+	if uint(job) >= uint(len(c.handles)) {
+		return false
 	}
-	return stage >= 0 && stage < len(m.stages) && m.stages[stage].complete()
+	m := c.handles[job]
+	return m != nil && uint(stage) < uint(len(m.stages)) && m.stages[stage].complete()
 }
 
 // EdgeMode returns the shuffle mode selected for an edge at admission.
@@ -479,7 +530,7 @@ func (c *Controller) RunningTask(ref TaskRef) (cluster.ExecutorID, int, bool) {
 // executor's machine (where the Cache Worker already buffered the data),
 // the R−1 extras the next healthy machines on the machine-ID ring — a
 // deterministic placement every component can recompute.
-func (c *Controller) replicateOutput(m *monitor, id taskID, ref TaskRef, e cluster.ExecutorID) {
+func (c *Controller) replicateOutput(m *monitor, id taskID, e cluster.ExecutorID) {
 	n := c.cl.NumMachines()
 	primary := c.cl.MachineOf(e)
 	homes := make([]cluster.MachineID, 1, c.opts.ShuffleReplicas)
@@ -494,8 +545,9 @@ func (c *Controller) replicateOutput(m *monitor, id taskID, ref TaskRef, e clust
 		m.homes = make(map[taskID][]cluster.MachineID)
 	}
 	m.homes[id] = homes
-	c.emit(Action{Kind: ActReplicate, Task: ref, Attempt: int32(m.stages[id.stage].tasks[id.index].attempt),
-		Detail: &ActionDetail{Machines: homes}})
+	c.emit(Action{Kind: ActReplicate, Job: m.handle, Task: m.ref(int(id.stage), int(id.index)),
+		Attempt: int32(m.stages[id.stage].tasks[id.index].attempt),
+		Detail:  &ActionDetail{Machines: homes}})
 }
 
 // ReplicaRecoveries returns how many lost serving copies recovery resolved

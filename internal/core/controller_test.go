@@ -192,7 +192,7 @@ func TestBarrierDefersSecondGraphlet(t *testing.T) {
 	if len(h.running) != 3 {
 		t.Fatalf("after A done, running = %d, want B's 3 tasks", len(h.running))
 	}
-	if !h.c.StageComplete("j", 0) || h.c.StageComplete("j", 1) { // A, B in topological order
+	if j := h.c.Handle("j"); !h.c.StageComplete(j, 0) || h.c.StageComplete(j, 1) { // A, B in topological order
 		t.Error("StageComplete wrong")
 	}
 	h.finishAll()

@@ -97,9 +97,15 @@ func (c *Controller) rerun(m *monitor, stage, i int) {
 // budget is untouched, and a non-idempotent victim cascades exactly like
 // a failed one. The caller requeues the graphlet.
 func (c *Controller) preempt(m *monitor, stage, i int) {
-	t := m.stages[stage].tasks[i]
-	c.emit(Action{Kind: ActAbortTask, Task: m.ref(stage, i), Executor: t.executor, Attempt: int32(t.attempt)})
+	c.abort(m, stage, i)
 	c.rerun(m, stage, i)
+}
+
+// abort emits the abort of the latest attempt of task i of stage s.
+func (c *Controller) abort(m *monitor, s, i int) {
+	t := &m.stages[s].tasks[i]
+	c.emit(Action{Kind: ActAbortTask, Job: m.handle, Stage: int32(s), Task: m.ref(s, i),
+		Executor: t.executor, Attempt: int32(t.attempt)})
 }
 
 // cascade re-runs every started task of the successor stages of `stage`
@@ -121,7 +127,7 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 				continue // a pending task already awaits a fresh run
 			}
 			if t.status == TaskRunning {
-				c.emit(Action{Kind: ActAbortTask, Task: m.ref(to, i), Executor: t.executor, Attempt: int32(t.attempt)})
+				c.abort(m, to, i)
 			}
 			c.markPending(m, to, i, StartCascade)
 		}
@@ -252,9 +258,8 @@ func (c *Controller) MachineFailed(id cluster.MachineID) {
 		}
 		// An earlier victim's cascade may have aborted this one already: the
 		// abort repeats, and taskFailed ignores a task no longer running.
-		t := v.m.stages[v.stage].tasks[v.i]
-		c.emit(Action{Kind: ActAbortTask, Task: v.m.ref(v.stage, v.i), Executor: t.executor, Attempt: int32(t.attempt)})
-		c.taskFailed(v.m, v.stage, v.i, t.attempt, FailCrash)
+		c.abort(v.m, v.stage, v.i)
+		c.taskFailed(v.m, v.stage, v.i, v.m.stages[v.stage].tasks[v.i].attempt, FailCrash)
 	}
 	// outputLost applies the "no step taken" rule (or restarts the job
 	// under the baseline policy).
@@ -423,7 +428,7 @@ func (c *Controller) degradeEdges(m *monitor, stage int) {
 			continue
 		}
 		m.modes[k] = shuffle.Direct
-		c.emit(Action{Kind: ActShuffleDegraded, Task: TaskRef{Job: m.job.ID},
+		c.emit(Action{Kind: ActShuffleDegraded, Job: m.handle, Task: TaskRef{Job: m.job.ID},
 			Detail: &ActionDetail{From: k.from, To: k.to, Old: old, New: shuffle.Direct}})
 	}
 }
@@ -460,7 +465,7 @@ func (c *Controller) restartJob(m *monitor) {
 	c.dequeueJob(m)
 	c.dropRepended(m)
 	m.gruns = c.buildGraphletRuns(m)
-	c.emit(Action{Kind: ActJobRestarted, Task: TaskRef{Job: m.job.ID}})
+	c.emit(Action{Kind: ActJobRestarted, Job: m.handle, Task: TaskRef{Job: m.job.ID}})
 	c.enqueueReady(m)
 }
 
@@ -471,7 +476,7 @@ func (c *Controller) abortAll(m *monitor) {
 	for s, st := range m.stages {
 		for i := range st.tasks {
 			if t := &st.tasks[i]; t.status == TaskRunning {
-				c.emit(Action{Kind: ActAbortTask, Task: m.ref(s, i), Executor: t.executor, Attempt: int32(t.attempt)})
+				c.abort(m, s, i)
 				c.unlaunch(m, m.gruns[st.graphlet], t)
 			}
 		}
@@ -520,6 +525,6 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.snapClose(m)
 	c.dropRepended(m)
 	c.dequeueJob(m)
-	c.emit(Action{Kind: ActJobFailed, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
+	c.emit(Action{Kind: ActJobFailed, Job: m.handle, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
 	c.retire(m)
 }

@@ -72,23 +72,32 @@ func TestRetiredJobKeepsItsOutcome(t *testing.T) {
 }
 
 // TestStageCompleteAfterCompletion: the simulator asks whether a stage is
-// complete right after the finish that completed the job, so a completed
-// job answers true for every stage though its monitor is gone.
+// complete right after the finish that completed the job. The job's handle
+// names no job any more, so the controller answers false for every stage
+// and the driver reads the outcome from its terminal action; handle 0 and
+// a handle never issued name no job either.
 func TestStageCompleteAfterCompletion(t *testing.T) {
 	h := newHarness(t, 2, 2, DefaultOptions())
 	h.submit(barrierJob("j", 3, 2))
+	j := h.c.Handle("j")
+	if j == 0 {
+		t.Fatal("live job has handle 0")
+	}
 	h.finishAll()
 	if !h.completed("j") {
 		t.Fatal("job not completed")
 	}
 	h.retired("j")
+	if h.c.Handle("j") != 0 {
+		t.Error("a retired job still has a handle")
+	}
 	for stage := range 2 {
-		if !h.c.StageComplete("j", stage) {
-			t.Errorf("stage %d of a completed job is not complete", stage)
+		if h.c.StageComplete(j, stage) {
+			t.Errorf("stage %d of a retired handle is complete", stage)
 		}
 	}
-	if h.c.StageComplete("never", 0) {
-		t.Error("a stage of an unknown job is complete")
+	if h.c.StageComplete(0, 0) || h.c.StageComplete(j+1, 0) || h.c.StageComplete(-1, 0) {
+		t.Error("a stage of a handle naming no job is complete")
 	}
 }
 

@@ -62,7 +62,7 @@ func (rt *roundTrip) step() bool {
 	}
 	a := rt.running[rt.head]
 	rt.head++
-	rt.c.TaskFinished(a.Task, int(a.Attempt)) // a no-op for an attempt preemption aborted
+	rt.c.FinishTask(a.Job, int(a.Stage), a.Task.Index, int(a.Attempt)) // a no-op for an attempt preemption aborted
 	rt.collect()
 	return true
 }
@@ -84,7 +84,7 @@ func fairOptions() (core.Options, trace.Spec) {
 }
 
 // maxRoundTripAllocs is the committed allocation budget of one saturated
-// TaskFinished+Drain round trip under FIFO: the executor slice Allocate
+// FinishTask+Drain round trip under FIFO: the executor slice Allocate
 // returns (8 bytes). The start action is a value in the controller's
 // reused buffer. Job completions and queue growth add a fraction of an
 // allocation on average, below what AllocsPerRun's integer mean can see; a
@@ -108,7 +108,7 @@ func TestFairRoundTripAllocs(t *testing.T) {
 	checkRoundTripAllocs(t, opts, spec, maxFairRoundTripAllocs)
 }
 
-// checkRoundTripAllocs holds a saturated TaskFinished+Drain round trip in
+// checkRoundTripAllocs holds a saturated FinishTask+Drain round trip in
 // steady state to an allocation budget.
 func checkRoundTripAllocs(t *testing.T, opts core.Options, spec trace.Spec, budget float64) {
 	if raceflag.Enabled {
@@ -124,7 +124,7 @@ func checkRoundTripAllocs(t *testing.T, opts core.Options, spec trace.Spec, budg
 		}
 	})
 	if allocs > budget {
-		t.Errorf("saturated TaskFinished+Drain: %.0f allocs per round trip, budget %.0f", allocs, budget)
+		t.Errorf("saturated FinishTask+Drain: %.0f allocs per round trip, budget %.0f", allocs, budget)
 	}
 	if v := rt.c.CheckInvariants(); len(v) > 0 {
 		t.Errorf("invariants: %v", v)

@@ -312,14 +312,14 @@ func (c *Controller) launch(m *monitor, run *graphletRun, id taskID, e cluster.E
 	c.syncGang(run)
 	c.snapDelta(m, -1, 1, 0)
 	ref := TaskRef{Job: m.job.ID, Stage: st.spec.Name, Index: i}
-	c.emit(Action{Kind: ActStartTask, Task: ref, Executor: e, Stage: id.stage,
-		Graphlet: int32(st.graphlet), Attempt: int32(t.attempt), Reason: reason})
+	c.emit(Action{Kind: ActStartTask, Job: m.handle, Task: ref, Executor: e, Stage: id.stage,
+		Graphlet: int16(st.graphlet), Attempt: int32(t.attempt), Reason: reason})
 	if reason == StartRetry && st.spec.Idempotent {
 		// Intra-graphlet idempotent recovery: surviving pipeline
 		// producers in the same graphlet re-send buffered output.
 		for _, from := range st.in {
 			if pst := m.stages[from]; pst.graphlet == st.graphlet {
-				c.emit(Action{Kind: ActResend, Task: ref, Detail: &ActionDetail{FromStage: pst.spec.Name}})
+				c.emit(Action{Kind: ActResend, Job: m.handle, Task: ref, Detail: &ActionDetail{FromStage: pst.spec.Name}})
 			}
 		}
 	}

@@ -21,15 +21,17 @@ type recorder struct {
 	acts    []core.Action
 	running []Completion
 	starts  map[Completion]int
+	refs    map[Completion]core.TaskRef // each started attempt's task by name
 }
 
 func (r *recorder) sink(_ sim.Time, acts []core.Action) {
 	r.acts = append(r.acts, acts...)
 	for _, a := range acts {
 		if a.Kind == core.ActStartTask {
-			c := Completion{Ref: a.Task, Attempt: int(a.Attempt)}
+			c := CompletionOf(&a)
 			r.running = append(r.running, c)
 			r.starts[c]++
+			r.refs[c] = a.Task
 		}
 	}
 }
@@ -47,7 +49,7 @@ func newRecordedService(fcfg Config) (*Service, *recorder) {
 	clk := &testClock{}
 	cl := cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2})
 	svc := NewService(cl, core.DefaultOptions(), fcfg, clk.now)
-	rec := &recorder{starts: make(map[Completion]int)}
+	rec := &recorder{starts: make(map[Completion]int), refs: make(map[Completion]core.TaskRef)}
 	svc.SetActionSink(rec.sink)
 	return svc, rec
 }
@@ -68,7 +70,9 @@ func submitMix(t *testing.T, svc *Service, rng *rand.Rand, jobs int) (largest in
 
 // With an empty wait queue the pump has nothing to release, so how a
 // completion sequence is cut into batches must be invisible: the same
-// concatenated action stream, the same snapshot, no invariant broken.
+// concatenated action stream, the same snapshot, no invariant broken. The
+// reference run names each completion by its task reference, the batches
+// by the start action's handle, so the two paths must also agree.
 func TestTasksFinishedBatchSplitsAreInvisible(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,7 +88,7 @@ func TestTasksFinishedBatchSplitsAreInvisible(t *testing.T) {
 		for len(oneRec.running) > 0 {
 			c := oneRec.take(rng)
 			seq = append(seq, c)
-			one.TaskFinished(c.Ref, c.Attempt)
+			one.TaskFinished(oneRec.refs[c], int(c.Attempt))
 		}
 		for rest := seq; len(rest) > 0; {
 			n := 1 + rng.Intn(9)
@@ -153,7 +157,7 @@ func TestTasksFinishedBatchPumpsWaitQueue(t *testing.T) {
 		}
 		for c, n := range rec.starts {
 			if n != 1 {
-				t.Fatalf("seed %d: %v#%d started %d times", seed, c.Ref, c.Attempt, n)
+				t.Fatalf("seed %d: %v#%d started %d times", seed, rec.refs[c], c.Attempt, n)
 			}
 		}
 	}
@@ -176,7 +180,7 @@ func TestDeadlineHeapMatchesStableSort(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if rng.Intn(3) > 0 {
 				for n := rng.Intn(8); n > 0; n-- {
-					e := entry{at: now + sim.Time(rng.Intn(6)), c: Completion{Attempt: pushed}}
+					e := entry{at: now + sim.Time(rng.Intn(6)), c: Completion{Attempt: int32(pushed)}}
 					pushed++
 					h.Push(e.at, e.c)
 					oracle = append(oracle, e)
@@ -217,7 +221,7 @@ func TestDeadlineHeapDoesNotAllocate(t *testing.T) {
 	var buf [16]Completion
 	round := func() {
 		for i := 0; i < 64; i++ {
-			h.Push(sim.Time(i%7), Completion{Attempt: i})
+			h.Push(sim.Time(i%7), Completion{Attempt: int32(i)})
 		}
 		for h.PopDue(7, buf[:]) > 0 {
 		}
@@ -244,7 +248,7 @@ func TestServiceSubmittersAgainstBatchDriver(t *testing.T) {
 		mu.Lock()
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
-				due.Push(now, Completion{Ref: a.Task, Attempt: int(a.Attempt)})
+				due.Push(now, CompletionOf(&a))
 			}
 		}
 		mu.Unlock()

@@ -28,7 +28,7 @@ func newBatchRun(tb testing.TB) *batchRun {
 	r.svc.SetActionSink(func(_ sim.Time, acts []core.Action) {
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
-				r.running = append(r.running, Completion{Ref: a.Task, Attempt: int(a.Attempt)})
+				r.running = append(r.running, CompletionOf(&a))
 			}
 		}
 	})

@@ -6,10 +6,21 @@ import (
 )
 
 // Completion is one task attempt's finish report, the unit
-// Service.TasksFinished consumes.
+// Service.TasksFinished consumes. It names the task the way the start
+// action does inside the process — the job's handle, the stage's
+// topological index, the task's index — so it holds no string and a
+// completion resolves without hashing a name (core.Controller.FinishTask).
 type Completion struct {
-	Ref     core.TaskRef
-	Attempt int
+	Job     core.JobHandle
+	Stage   int32
+	Index   int32
+	Attempt int32
+}
+
+// CompletionOf is the finish report of the attempt a start action
+// launched.
+func CompletionOf(a *core.Action) Completion {
+	return Completion{Job: a.Job, Stage: a.Stage, Index: int32(a.Task.Index), Attempt: a.Attempt}
 }
 
 // DeadlineHeap holds the completions of running tasks ordered by the time
@@ -83,7 +94,6 @@ func (h *DeadlineHeap) pop() Completion {
 	top := s[0].c
 	n := len(s) - 1
 	last := s[n]
-	s[n] = dueItem{} // release the task reference's strings
 	s = s[:n]
 	// Sift down: pull the earlier child up into the hole until last fits.
 	i := 0

@@ -180,14 +180,16 @@ func (s *Service) TasksFinished(batch []Completion) {
 	// PopAdmissible.
 	s.event(func(sim.Time) {
 		for i := range batch {
-			s.ctrl.TaskFinished(batch[i].Ref, batch[i].Attempt)
+			c := &batch[i]
+			s.ctrl.FinishTask(c.Job, int(c.Stage), int(c.Index), int(c.Attempt))
 		}
 	})
 }
 
-// TaskFinished feeds one completion event: a batch of one.
+// TaskFinished feeds one completion event named by its task reference,
+// which the controller resolves once.
 func (s *Service) TaskFinished(ref core.TaskRef, attempt int) {
-	s.TasksFinished([]Completion{{Ref: ref, Attempt: attempt}})
+	s.event(func(sim.Time) { s.ctrl.TaskFinished(ref, attempt) })
 }
 
 // Tick advances the token bucket and pumps the wait queue; the daemon

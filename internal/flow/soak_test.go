@@ -44,7 +44,7 @@ func TestServiceSoakResidue(t *testing.T) {
 	svc.SetActionSink(func(_ sim.Time, acts []core.Action) {
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
-				running = append(running, Completion{Ref: a.Task, Attempt: int(a.Attempt)})
+				running = append(running, CompletionOf(&a))
 			}
 		}
 	})

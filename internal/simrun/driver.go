@@ -19,15 +19,15 @@ func (r *Runner) handleActions() {
 		case core.ActAbortTask:
 			r.abortTask(&a)
 		case core.ActResend:
-			if jr := r.jobs[a.Task.Job]; jr != nil {
+			if jr := r.job(&a); jr != nil {
 				jr.res.Resends++
 			}
 		case core.ActJobCompleted:
-			r.retire(a.Task.Job).Completed = true
+			r.retire(r.job(&a)).Completed = true
 		case core.ActJobFailed:
-			r.retire(a.Task.Job).Failed = true
+			r.retire(r.job(&a)).Failed = true
 		case core.ActJobRestarted:
-			jr := r.jobs[a.Task.Job]
+			jr := r.job(&a)
 			jr.res.Restarts++
 			// All progress is discarded: stage completions and
 			// first-start marks reset.
@@ -62,19 +62,32 @@ func (r *Runner) handleActions() {
 	}
 }
 
+// job returns the live job an action names: by its handle, or by name for
+// a job the controller failed inside SubmitJob.
+func (r *Runner) job(a *core.Action) *jobRun {
+	if uint(a.Job) < uint(len(r.handles)) {
+		if jr := r.handles[a.Job]; jr != nil {
+			return jr
+		}
+	}
+	return r.jobs[a.Task.Job]
+}
+
 // retire stamps a job's terminal action on its result and drops the
 // job's tables: only the JobResult in Results.Jobs stays.
-func (r *Runner) retire(job string) *JobResult {
-	res := r.jobs[job].res
-	res.Finish = r.eng.Now()
-	delete(r.jobs, job)
-	return res
+func (r *Runner) retire(jr *jobRun) *JobResult {
+	jr.res.Finish = r.eng.Now()
+	delete(r.jobs, jr.job.ID)
+	if jr.handle != 0 {
+		r.handles[jr.handle] = nil
+	}
+	return jr.res
 }
 
 // startTask begins simulating one task attempt: charge launch cost, park on
 // incomplete producer stages, and schedule completion once inputs are ready.
 func (r *Runner) startTask(a *core.Action) {
-	jr := r.jobs[a.Task.Job]
+	jr := r.handles[a.Job]
 	sr := &jr.stages[a.Stage]
 	now := r.eng.Now()
 	if !sr.started {
@@ -100,7 +113,7 @@ func (r *Runner) startTask(a *core.Action) {
 		return
 	}
 	for _, e := range sr.in {
-		if !r.ctrl.StageComplete(jr.job.ID, e.from) {
+		if !r.ctrl.StageComplete(jr.handle, e.from) {
 			from := &jr.stages[e.from]
 			rt.unmet++
 			from.parked = append(from.parked, parkedTask{rt.stage, rt.index, rt.attempt})
@@ -132,8 +145,12 @@ func (r *Runner) launchCost(sr *stageRun, e cluster.ExecutorID) float64 {
 // abortTask cancels a simulated task attempt (stale completions are
 // filtered by attempt number).
 func (r *Runner) abortTask(a *core.Action) {
-	if rt := r.task(a.Task); rt != nil && rt.attempt == int(a.Attempt) {
-		r.kill(rt)
+	if jr := r.job(a); jr != nil {
+		if tasks := jr.stages[a.Stage].tasks; tasks != nil {
+			if rt := tasks[a.Task.Index]; rt != nil && rt.attempt == int(a.Attempt) {
+				r.kill(rt)
+			}
+		}
 	}
 }
 
@@ -170,7 +187,7 @@ func (r *Runner) armFinish(rt *runningTask, finishAt sim.Time) {
 // tell the controller, interpret what the controller decides, and unpark
 // whoever waited for the stage.
 func (r *Runner) finishTask(rt *runningTask) {
-	jr, stage, attempt := rt.jr, int(rt.stage), rt.attempt
+	jr, stage, index, attempt := rt.jr, int(rt.stage), int(rt.index), rt.attempt
 	sr := &jr.stages[stage]
 	ref := rt.ref()
 	if jr.res.Samples == nil {
@@ -189,7 +206,7 @@ func (r *Runner) finishTask(rt *runningTask) {
 	r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, attempt,
 		int(rt.executor), rt.launch, rt.read, rt.process, rt.write)
 	r.kill(rt) // recycles the record: nothing below reads it
-	r.ctrl.TaskFinished(ref, attempt)
+	r.ctrl.FinishTask(jr.handle, stage, index, attempt)
 	r.handleActions()
 	r.onStageProgress(jr, stage)
 }
@@ -242,10 +259,11 @@ func (r *Runner) recordPhases(jr *jobRun, sr *stageRun, launch, read, process, w
 }
 
 // onStageProgress checks whether a stage just completed and unparks the
-// tasks waiting on it.
+// tasks waiting on it. A job that completed in the same event has left the
+// controller, and every stage of it is complete.
 func (r *Runner) onStageProgress(jr *jobRun, stage int) {
 	sr := &jr.stages[stage]
-	if !r.ctrl.StageComplete(jr.job.ID, stage) {
+	if !jr.res.Completed && !r.ctrl.StageComplete(jr.handle, stage) {
 		return
 	}
 	sr.done, sr.doneAt = true, r.eng.Now()

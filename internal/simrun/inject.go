@@ -71,7 +71,7 @@ func (r *Runner) RebootMachine(id cluster.MachineID) bool {
 		r.ctrl.MachineFailed(id)
 		r.handleActions()
 	}
-	delete(r.down, id)
+	r.down[id] = false
 	r.ctrl.MachineRecovered(id)
 	r.handleActions()
 	return true

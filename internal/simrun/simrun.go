@@ -163,6 +163,7 @@ type stageRun struct {
 
 type jobRun struct {
 	job      *dag.Job
+	handle   core.JobHandle // 0 for a job the controller failed inside SubmitJob
 	res      *JobResult
 	stages   []stageRun
 	stageIdx map[string]int // edges and the fault injectors name stages
@@ -217,12 +218,17 @@ func (rt *runningTask) ref() core.TaskRef {
 
 // Runner executes jobs on the simulated cluster.
 type Runner struct {
-	cfg    Config
-	eng    *sim.Engine
-	cl     *cluster.Cluster
-	ctrl   *core.Controller
-	jobs   map[string]*jobRun
-	sweeps int64 // unpark passes so far
+	cfg  Config
+	eng  *sim.Engine
+	cl   *cluster.Cluster
+	ctrl *core.Controller
+	// handles holds the live jobs by their controller handle, the key
+	// every task action carries; jobs holds them by name, for the fault
+	// injectors and for a job the controller failed inside SubmitJob,
+	// which never had a live handle.
+	handles []*jobRun
+	jobs    map[string]*jobRun
+	sweeps  int64 // unpark passes so far
 	// live counts the attempts in the jobs' task tables; free holds
 	// killed records for reuse, never more than maxSpares of them nor more
 	// than there are live attempts, so the spares shrink with the
@@ -231,10 +237,11 @@ type Runner struct {
 	free    []*runningTask
 	series  *metrics.Series
 	results *Results
-	// down marks machines that have crashed but whose failure the
-	// controller has not yet detected: their tasks are dead and new
-	// launches on them are black holes until the heartbeat delay elapses.
-	down map[cluster.MachineID]bool
+	// down marks, by machine, the machines that have crashed but whose
+	// failure the controller has not yet detected: their tasks are dead
+	// and new launches on them are black holes until the heartbeat delay
+	// elapses.
+	down []bool
 	// onAction observes every controller action as the driver interprets
 	// it; afterEvent fires once the controller has processed an event and
 	// its actions are drained (the chaos auditor's invariant checkpoint).
@@ -251,7 +258,7 @@ func New(cfg Config) *Runner {
 		cl:      cl,
 		ctrl:    core.NewController(cl, cfg.Options),
 		jobs:    make(map[string]*jobRun),
-		down:    make(map[cluster.MachineID]bool),
+		down:    make([]bool, cl.NumMachines()),
 		series:  metrics.NewSeries(),
 		results: &Results{Jobs: make(map[string]*JobResult)},
 	}
@@ -393,8 +400,14 @@ func (r *Runner) Submit(job *dag.Job) error {
 	r.jobs[job.ID] = jr
 	r.results.Jobs[job.ID] = jr.res
 	if err := r.ctrl.SubmitJob(job); err != nil {
-		r.retire(job.ID).Failed = true
+		r.retire(jr).Failed = true
 		return err
+	}
+	if jr.handle = r.ctrl.Handle(job.ID); jr.handle != 0 {
+		for len(r.handles) <= int(jr.handle) {
+			r.handles = append(r.handles, nil)
+		}
+		r.handles[jr.handle] = jr
 	}
 	r.edgeCosts(jr)
 	r.handleActions()

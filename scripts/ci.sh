@@ -23,7 +23,10 @@
 # tests, internal/trace's codec hand-written with encoding/json as a test
 # oracle),
 # and smoke the benchmark suites (one iteration each) so a bench-only
-# compile break or panic is caught here, not at measurement time. Fuzz
+# compile break or panic is caught here, not at measurement time, and the
+# bench's replay workloads (their traced pass replays every completion
+# through the TaskRef adapters) and one short service_burst, which must
+# leave no swiftd process behind. Fuzz
 # *exploration* is not run by default — the default tier stays
 # deterministic; run it manually with
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
@@ -219,6 +222,21 @@ echo "== bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./internal/exp/ \
     ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/simrun/ \
     ./internal/shuffle/ ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
+
+echo "== bench replay smoke (TaskRef adapters agree with the handle path; service_burst leaves no swiftd behind)"
+# The traced pass of each replay workload re-drives a bare controller with
+# the completions the simulator fed it by handle, now named by TaskRef
+# (RunningTask, TaskFinished); a call the two runs disagree on counts as a
+# failed operation, and the bench exits non-zero.
+for W in replay_batch replay_scale replay_fair; do
+    go run ./bench --workload "$W" --trace 1 > "$TRACE_TMP/bench-$W.out"
+done
+go run ./bench --workload service_burst --seconds 0.1 --trace 0 > "$TRACE_TMP/bench-service.out"
+if pgrep -f '[.]bench_build/swiftd' > /dev/null; then
+    echo "service_burst left a swiftd process running:" >&2
+    pgrep -af '[.]bench_build/swiftd' >&2
+    exit 1
+fi
 
 if [ "$LONG" = 1 ]; then
     echo "== long tier: full-size experiments, seeds 1-3 (every fidelity row in band)"
