@@ -2,6 +2,7 @@ package exp
 
 import (
 	"swift/internal/baseline"
+	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/shuffle"
 	"swift/internal/trace"
@@ -30,9 +31,7 @@ func AblationAdaptiveShuffle(cfg Config) []AblationShuffleRow {
 		{60, 60, 256 << 20},
 		{200, 200, 1 << 30},
 		{400, 400, 1 << 30},
-	}
-	if !cfg.Reduced {
-		specs = append(specs, jobSpec{1000, 1000, 1 << 30})
+		{1000, 1000, 1 << 30},
 	}
 	policies := []struct {
 		name string
@@ -43,7 +42,7 @@ func AblationAdaptiveShuffle(cfg Config) []AblationShuffleRow {
 		{"local", baseline.FixedShuffle(shuffle.Local)},
 		{"remote", baseline.FixedShuffle(shuffle.Remote)},
 	}
-	ccfg := cfg.cluster2000()
+	ccfg := cluster.Paper2000()
 	var rows []AblationShuffleRow
 	for _, p := range policies {
 		var total float64
@@ -90,7 +89,7 @@ func AblationPartition(cfg Config) []AblationPartitionRow {
 	}
 	var rows []AblationPartitionRow
 	for _, p := range policies {
-		res := cfg.runTrace(tr, cfg.fig10Cluster(), p.opts, cfg.Seed)
+		res := cfg.runTrace(tr, fig10Cluster(), p.opts, cfg.Seed)
 		var idle []float64
 		for _, jr := range res.SortedJobs() {
 			if !jr.Completed {

@@ -19,48 +19,17 @@ import (
 	"swift/internal/trace"
 )
 
-// Config scales the experiments. Reduced runs shrink workloads so the full
-// suite finishes in seconds (used by the tests and CI); the default
-// is the paper-scale configuration.
+// Config configures the experiments, which run at the paper's scale.
 type Config struct {
-	Reduced bool
-	Seed    int64
+	Seed int64
 
 	// Obs, when non-nil, is installed as the observability recorder of
 	// every simulated deployment an experiment spins up (unless the
 	// experiment supplies its own via core.Options). RunAll, asked for
-	// hashes, gives each experiment a fresh recorder and reports its
-	// StreamHash — the witness that a parallel sweep replayed exactly the
-	// serial execution.
+	// hashes, gives each experiment a fresh hash-only recorder and reports
+	// its StreamHash — the witness that a parallel sweep replayed exactly
+	// the serial execution.
 	Obs *obs.Recorder
-}
-
-// cluster100 is the paper's 100-node evaluation cluster. The reduced
-// variant stays above 2,000 executors — the largest job in the trace —
-// so whole-job gang scheduling (JetScope) can always eventually place
-// every job.
-func (c Config) cluster100() cluster.Config {
-	cfg := cluster.Paper100()
-	if c.Reduced {
-		cfg.Machines = 40
-	}
-	return cfg
-}
-
-// cluster2000 is the paper's 2,000-node cluster.
-func (c Config) cluster2000() cluster.Config {
-	cfg := cluster.Paper2000()
-	if c.Reduced {
-		cfg.Machines = 100
-	}
-	return cfg
-}
-
-func (c Config) traceJobs(full int) int {
-	if c.Reduced {
-		return full / 10
-	}
-	return full
 }
 
 // sim builds a fresh simulated deployment, routing the config's recorder

@@ -7,26 +7,45 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"swift/internal/obs"
 )
 
-func cfg() Config { return Config{Reduced: true, Seed: 1} }
+func cfg() Config { return Config{Seed: 1} }
 
-// checkFidelity runs one paper experiment at reduced size on seeds 1–3
-// and holds each of its Fidelity rows to its reduced band. A result too
-// short for a row's extractor panics the test.
-func checkFidelity(t *testing.T, name string) {
+// checkFidelity runs one paper experiment on seeds 1–3, holds each of its
+// Fidelity rows to its band and seed 1's obs stream hash to the pinned
+// table, and returns seed 1's result. A result too short for a row's
+// extractor panics the test.
+func checkFidelity(t *testing.T, name string) (seed1 any) {
+	return checkSeeds(t, name, func(c Config) (any, []Measured) {
+		result, _ := registry[name](c)
+		return result, measure(name, result)
+	})
+}
+
+// checkSeeds runs run on seeds 1–3, seed 1 under a hash-only recorder, and
+// fails t for each measured value outside its band and unless seed 1's
+// stream hash is name's pinned one. It returns seed 1's result.
+func checkSeeds(t *testing.T, name string, run func(Config) (any, []Measured)) (seed1 any) {
 	t.Parallel()
 	for seed := int64(1); seed <= 3; seed++ {
-		r := RunAll([]string{name}, Config{Reduced: true, Seed: seed}, 1, false)[0]
-		if r.Err != nil {
-			t.Error(r.Err)
+		c := Config{Seed: seed}
+		if seed == 1 {
+			c.Obs = obs.NewHash()
 		}
-		for _, m := range r.Fidelity {
+		result, ms := run(c)
+		for _, m := range ms {
 			if !m.InBand() {
 				t.Errorf("seed %d: %s %s = %.4g, outside band %v", seed, name, m.Row.Metric, m.Value, m.Band)
 			}
 		}
+		if seed == 1 {
+			checkPinned(t, name, c.Obs.StreamHash())
+			seed1 = result
+		}
 	}
+	return seed1
 }
 
 func TestFig3IdleRatioShape(t *testing.T)               { checkFidelity(t, "fig3") }
@@ -38,11 +57,34 @@ func TestFig12WinnersMatchPaper(t *testing.T)           { checkFidelity(t, "fig1
 func TestFig13DetailMatchesPaper(t *testing.T)          { checkFidelity(t, "fig13") }
 func TestFig14RecoveryShape(t *testing.T)               { checkFidelity(t, "fig14") }
 func TestFig15RecoveryBeatsRestart(t *testing.T)        { checkFidelity(t, "fig15") }
-func TestFig16NearLinearScaling(t *testing.T)           { checkFidelity(t, "fig16") }
+
+// fig16Short is the Fig. 16 sweep the tests run, a tenth of the full one:
+// 1,000–8,000 executors replaying 1,200 jobs with runtimes scaled by 3 and
+// capped at 60 s. The full sweep takes most of a minute a seed and runs in
+// scripts/ci.sh -long.
+func fig16Short(c Config) []Fig16Row {
+	return fig16Scalability(c, []int{1000, 2000, 4000, 8000}, 1200, 3, 60)
+}
+
+// TestFig16NearLinearScaling holds the short sweep to its own bands, one
+// per point: it has no 14x point, and its scaling is not the full
+// sweep's.
+func TestFig16NearLinearScaling(t *testing.T) {
+	short := []Band{{1, 1}, {1, 1.03}, {0.962, 1}, {0.898, 0.968}}
+	checkSeeds(t, "fig16", func(c Config) (any, []Measured) {
+		rows := fig16Short(c)
+		var ms []Measured
+		for i := range Fidelity {
+			if r := &Fidelity[i]; r.Exp == "fig16" && len(ms) < len(short) {
+				ms = append(ms, Measured{r, short[len(ms)], r.Value(rows)})
+			}
+		}
+		return rows, ms
+	})
+}
 
 func TestFig10SwiftFastestJetScopeSlowest(t *testing.T) {
-	checkFidelity(t, "fig10")
-	series := Fig10ExecutorTimeline(cfg()).Series
+	series := checkFidelity(t, "fig10").(Fig10Result).Series
 	for _, sys := range Fig10Systems {
 		if len(series[sys]) == 0 {
 			t.Errorf("no executor series for %s", sys)
@@ -51,8 +93,7 @@ func TestFig10SwiftFastestJetScopeSlowest(t *testing.T) {
 }
 
 func TestFig11LatencyShape(t *testing.T) {
-	checkFidelity(t, "fig11")
-	if rs := Fig11LatencyCDF(cfg()).Ratios; !slices.IsSorted(rs["JetScope"]) || !slices.IsSorted(rs["Bubble"]) {
+	if rs := checkFidelity(t, "fig11").(Fig11Result).Ratios; !slices.IsSorted(rs["JetScope"]) || !slices.IsSorted(rs["Bubble"]) {
 		t.Error("ratios not sorted")
 	}
 }

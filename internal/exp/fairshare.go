@@ -67,10 +67,6 @@ func FairShare(cfg Config) []FairShareRow {
 }
 
 func (c Config) fairShareOne(policy string, mult int) FairShareRow {
-	base := 10
-	if c.Reduced {
-		base = 5
-	}
 	opts := core.DefaultOptions()
 	if policy == "fair" {
 		opts.Policy = sched.NewFairShare(sched.FairShareConfig{Queues: []sched.QueueSpec{
@@ -92,9 +88,9 @@ func (c Config) fairShareOne(policy string, mult int) FairShareRow {
 	// not merely withhold grants.
 	tr := trace.Generate(trace.Spec{Seed: c.Seed, Scale: 0.5, RuntimeCap: 60,
 		Tenants: []trace.TenantSpec{
-			{Name: fairTenants[0], Jobs: 2 * base, ArrivalWindow: 10},
-			{Name: fairTenants[1], Jobs: 2 * base * mult, ArrivalWindow: 2},
-			{Name: fairTenants[2], Jobs: 2 * base, ArrivalWindow: 10},
+			{Name: fairTenants[0], Jobs: 20, ArrivalWindow: 10},
+			{Name: fairTenants[1], Jobs: 20 * mult, ArrivalWindow: 2},
+			{Name: fairTenants[2], Jobs: 20, ArrivalWindow: 10},
 		}})
 	steadyAt := sim.Time(0)
 	for _, j := range tr.Jobs {

@@ -11,13 +11,10 @@ import (
 	"swift/internal/tpch"
 )
 
-// Band is the accepted range of a row at one size, ends included: every
-// value seeds 1–3 give today, rounded outward. It comes from measurements,
-// never from the paper, and may be tightened but never widened.
+// Band is the accepted range of a row, ends included: every value seeds
+// 1–3 give today, rounded outward. It comes from measurements, never from
+// the paper, and may be tightened but never widened.
 type Band struct{ Lo, Hi float64 }
-
-// none is the band of a row the run at that size has no point for.
-var none = Band{math.Inf(1), math.Inf(-1)}
 
 func (b Band) String() string { return num(b.Lo, -1) + ".." + num(b.Hi, -1) }
 
@@ -33,10 +30,10 @@ func num(v float64, digits int) string {
 // FidelityRow is one claim of the paper's evaluation, held to the
 // experiment that reproduces it.
 type FidelityRow struct {
-	Exp, Metric   string // experiment id, what is measured
-	Paper         string // the paper's value, or a bound such as "<10"
-	Full, Reduced Band
-	Value         func(result any) float64 // reads the experiment's result
+	Exp, Metric string                   // experiment id, what is measured
+	Paper       string                   // the paper's value, or a bound such as "<10"
+	Full        Band                     // the band at the paper's scale
+	Value       func(result any) float64 // reads the experiment's result
 }
 
 // of adapts a typed extractor to FidelityRow.Value.
@@ -53,61 +50,61 @@ func of[T any](f func(T) float64) func(any) float64 {
 // over every job of the trace, and a restart at t=100 redoes over half
 // of the job.
 var Fidelity = []FidelityRow{
-	{"fig3", "clusters", "4", Band{4, 4}, Band{4, 4}, of(func(rows []Fig3Row) float64 { return float64(len(rows)) })},
-	{"fig3", "cluster 1 idle ratio %", "3.81", Band{16.4, 18.4}, Band{14.3, 18.8}, of(func(rows []Fig3Row) float64 { return rows[0].IdleRatioPct })},
-	{"fig3", "cluster 2 idle ratio %", "13.15", Band{16.8, 18}, Band{15.8, 18.3}, of(func(rows []Fig3Row) float64 { return rows[1].IdleRatioPct })},
-	{"fig3", "cluster 3 idle ratio %", "14.45", Band{17.2, 18.2}, Band{17.5, 19.8}, of(func(rows []Fig3Row) float64 { return rows[2].IdleRatioPct })},
-	{"fig3", "cluster 4 idle ratio %", "14.92", Band{17.6, 18.1}, Band{16.7, 18.2}, of(func(rows []Fig3Row) float64 { return rows[3].IdleRatioPct })},
-	{"fig8", "trace jobs completed %", "100", Band{100, 100}, Band{100, 100}, of(func(s Fig8Stats) float64 { return 100 * float64(s.Jobs) / float64(s.Traced) })},
-	{"fig8", "mean job runtime s", "30", Band{27.7, 30}, Band{28.8, 33.8}, of(func(s Fig8Stats) float64 { return s.MeanRuntimeSec })},
-	{"fig8", "jobs under 120 s %", ">90", Band{96.2, 97.1}, Band{96, 96.5}, of(func(s Fig8Stats) float64 { return 100 * s.FracRuntimeUnder120 })},
-	{"fig8", "jobs with <=80 tasks %", ">80", Band{81.3, 82.7}, Band{82, 87.5}, of(func(s Fig8Stats) float64 { return 100 * s.FracTasksUnder80 })},
-	{"fig8", "jobs with <=4 stages %", ">80", Band{81.4, 83.2}, Band{79.5, 85.5}, of(func(s Fig8Stats) float64 { return 100 * s.FracStagesUnder4 })},
-	{"fig9a", "total speedup vs Spark", "2.11", Band{2.1, 2.11}, Band{2.12, 2.13}, of(func(r Fig9aResult) float64 { return r.TotalSpeedup })},
-	{"fig9a", "lowest per-query speedup", ">1", Band{1.53, 1.55}, Band{1.59, 1.61}, of(func(r Fig9aResult) float64 {
+	{"fig3", "clusters", "4", Band{4, 4}, of(func(rows []Fig3Row) float64 { return float64(len(rows)) })},
+	{"fig3", "cluster 1 idle ratio %", "3.81", Band{16.4, 18.4}, of(func(rows []Fig3Row) float64 { return rows[0].IdleRatioPct })},
+	{"fig3", "cluster 2 idle ratio %", "13.15", Band{16.8, 18}, of(func(rows []Fig3Row) float64 { return rows[1].IdleRatioPct })},
+	{"fig3", "cluster 3 idle ratio %", "14.45", Band{17.2, 18.2}, of(func(rows []Fig3Row) float64 { return rows[2].IdleRatioPct })},
+	{"fig3", "cluster 4 idle ratio %", "14.92", Band{17.6, 18.1}, of(func(rows []Fig3Row) float64 { return rows[3].IdleRatioPct })},
+	{"fig8", "trace jobs completed %", "100", Band{100, 100}, of(func(s Fig8Stats) float64 { return 100 * float64(s.Jobs) / float64(s.Traced) })},
+	{"fig8", "mean job runtime s", "30", Band{27.7, 30}, of(func(s Fig8Stats) float64 { return s.MeanRuntimeSec })},
+	{"fig8", "jobs under 120 s %", ">90", Band{96.2, 97.1}, of(func(s Fig8Stats) float64 { return 100 * s.FracRuntimeUnder120 })},
+	{"fig8", "jobs with <=80 tasks %", ">80", Band{81.3, 82.7}, of(func(s Fig8Stats) float64 { return 100 * s.FracTasksUnder80 })},
+	{"fig8", "jobs with <=4 stages %", ">80", Band{81.4, 83.2}, of(func(s Fig8Stats) float64 { return 100 * s.FracStagesUnder4 })},
+	{"fig9a", "total speedup vs Spark", "2.11", Band{2.1, 2.11}, of(func(r Fig9aResult) float64 { return r.TotalSpeedup })},
+	{"fig9a", "lowest per-query speedup", ">1", Band{1.53, 1.55}, of(func(r Fig9aResult) float64 {
 		return fold(func(q Fig9aRow) float64 { return q.Speedup }, math.Min)(r.Rows)
 	})},
-	{"fig9b", "Spark launch s, all stages", ">71", Band{38.8, 38.9}, Band{38.8, 38.9}, fig9b("Spark", false)},
-	{"fig9b", "Swift launch s, all stages", "<1", Band{0.38, 0.39}, Band{0.38, 0.39}, fig9b("Swift", false)},
-	{"fig9b", "Spark/Swift shuffle read+write", "14.66", Band{10.5, 10.6}, Band{11.6, 11.7}, of(func(rows []Fig9bRow) float64 { return fig9b("Spark", true)(rows) / fig9b("Swift", true)(rows) })},
-	{"table1", "speedup 250x250", "3.07", Band{3.98, 3.99}, Band{3.97, 3.99}, table1(250)},
-	{"table1", "speedup 500x500", "3.96", Band{4.49, 4.5}, none, table1(500)},
-	{"table1", "speedup 1000x1000", "7.06", Band{7.56, 7.57}, Band{12.9, 13}, table1(1000)},
-	{"table1", "speedup 1500x1500", "14.18", Band{15.2, 15.3}, none, table1(1500)},
-	{"fig10", "Swift/JetScope speedup", "2.44", Band{1.59, 1.67}, Band{1.23, 1.9}, of(func(r Fig10Result) float64 { return r.Makespan["JetScope"] / r.Makespan["Swift"] })},
-	{"fig10", "Bubble/JetScope speedup", "1.98", Band{1.55, 1.59}, Band{1.3, 1.74}, of(func(r Fig10Result) float64 { return r.Makespan["JetScope"] / r.Makespan["Bubble"] })},
-	{"fig10", "Swift/Bubble speedup", ">1", Band{1.005, 1.055}, Band{0.94, 1.1}, of(func(r Fig10Result) float64 { return r.Makespan["Bubble"] / r.Makespan["Swift"] })},
-	{"fig11", "mean Bubble/Swift latency", "1.23", Band{1.06, 1.28}, Band{0.84, 1.12}, of(func(r Fig11Result) float64 { return r.MeanBubbleRatio })},
-	{"fig11", "JetScope jobs >2x Swift %", ">60", Band{10.2, 16.3}, Band{3.5, 27}, of(func(r Fig11Result) float64 { return 100 * r.FracJetScopeOver2x })},
-	{"fig12", "cells", "9", Band{9, 9}, Band{9, 9}, of(func(cells []Fig12Cell) float64 { return float64(len(cells)) })},
-	{"fig12", "Direct cells normalized to 1", "3", Band{3, 3}, Band{3, 3}, of(func(cells []Fig12Cell) float64 {
+	{"fig9b", "Spark launch s, all stages", ">71", Band{38.8, 38.9}, fig9b("Spark", false)},
+	{"fig9b", "Swift launch s, all stages", "<1", Band{0.38, 0.39}, fig9b("Swift", false)},
+	{"fig9b", "Spark/Swift shuffle read+write", "14.66", Band{10.5, 10.6}, of(func(rows []Fig9bRow) float64 { return fig9b("Spark", true)(rows) / fig9b("Swift", true)(rows) })},
+	{"table1", "speedup 250x250", "3.07", Band{3.98, 3.99}, table1(250)},
+	{"table1", "speedup 500x500", "3.96", Band{4.49, 4.5}, table1(500)},
+	{"table1", "speedup 1000x1000", "7.06", Band{7.56, 7.57}, table1(1000)},
+	{"table1", "speedup 1500x1500", "14.18", Band{15.2, 15.3}, table1(1500)},
+	{"fig10", "Swift/JetScope speedup", "2.44", Band{1.59, 1.67}, of(func(r Fig10Result) float64 { return r.Makespan["JetScope"] / r.Makespan["Swift"] })},
+	{"fig10", "Bubble/JetScope speedup", "1.98", Band{1.55, 1.59}, of(func(r Fig10Result) float64 { return r.Makespan["JetScope"] / r.Makespan["Bubble"] })},
+	{"fig10", "Swift/Bubble speedup", ">1", Band{1.005, 1.055}, of(func(r Fig10Result) float64 { return r.Makespan["Bubble"] / r.Makespan["Swift"] })},
+	{"fig11", "mean Bubble/Swift latency", "1.23", Band{1.06, 1.28}, of(func(r Fig11Result) float64 { return r.MeanBubbleRatio })},
+	{"fig11", "JetScope jobs >2x Swift %", ">60", Band{10.2, 16.3}, of(func(r Fig11Result) float64 { return 100 * r.FracJetScopeOver2x })},
+	{"fig12", "cells", "9", Band{9, 9}, of(func(cells []Fig12Cell) float64 { return float64(len(cells)) })},
+	{"fig12", "Direct cells normalized to 1", "3", Band{3, 3}, of(func(cells []Fig12Cell) float64 {
 		return float64(len(slices.DeleteFunc(slices.Clone(cells), func(c Fig12Cell) bool { return c.Mode != shuffle.Direct || c.Normalized != 1 })))
 	})},
-	{"fig12", "small: runner-up over Direct %", ">0", Band{3.37, 3.38}, Band{4.95, 4.98}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Local, shuffle.Remote)},
-	{"fig12", "small: Local over Direct %", "4", Band{9.5, 9.51}, Band{11.8, 11.9}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Local)},
-	{"fig12", "small: Remote over Direct %", "3", Band{3.37, 3.38}, Band{4.95, 4.98}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Remote)},
-	{"fig12", "medium: runner-up over Remote %", ">0", Band{5.12, 5.13}, Band{6.62, 6.63}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Direct, shuffle.Local)},
-	{"fig12", "medium: Direct over Remote %", "25", Band{14.7, 14.8}, Band{7.95, 7.96}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Direct)},
-	{"fig12", "medium: Local over Remote %", "3.8", Band{5.12, 5.13}, Band{6.62, 6.63}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Local)},
-	{"fig12", "large: runner-up over Local %", ">0", Band{16.7, 16.8}, Band{0.867, 0.868}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Direct, shuffle.Remote)},
-	{"fig12", "large: Direct over Local %", "108.3", Band{50, 50.1}, Band{38.6, 38.7}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Direct)},
-	{"fig12", "large: Remote over Local %", "47.9", Band{16.7, 16.8}, Band{0.867, 0.868}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Remote)},
-	{"fig13", "stages", "6", Band{6, 6}, Band{6, 6}, of(func(d []tpch.Q13Detail) float64 { return float64(len(d)) })},
-	{"fig13", "M1 tasks", "498", Band{498, 498}, Band{498, 498}, q13M1(func(m1 tpch.Q13Detail) int64 { return int64(m1.Tasks) })},
-	{"fig13", "M1 records per task", "3012048", Band{3012048, 3012048}, Band{3012048, 3012048}, q13M1(func(m1 tpch.Q13Detail) int64 { return m1.RecordsPerTask })},
-	{"fig14", "injection points", "5", Band{5, 5}, Band{5, 5}, of(func(rows []Fig14Row) float64 { return float64(len(rows)) })},
-	{"fig14", "Swift slowdown at t=20 (M2) %", "0", Band{0, 0}, Band{0, 0}, of(func(rows []Fig14Row) float64 { return rows[0].SwiftSlowdownPct })},
-	{"fig14", "max Swift slowdown %", "<10", Band{11.6, 12.6}, Band{11.6, 12.6}, fold(func(r Fig14Row) float64 { return r.SwiftSlowdownPct }, math.Max)},
-	{"fig14", "min Swift slowdown %", "0", Band{0, 0}, Band{0, 0}, fold(func(r Fig14Row) float64 { return r.SwiftSlowdownPct }, math.Min)},
-	{"fig14", "restart slowdown at t=100 (R6) %", ">50", Band{98, 98.6}, Band{98, 98.6}, of(func(rows []Fig14Row) float64 { return rows[4].RestartSlowdownPct })},
-	{"fig14", "min restart minus Swift, points", ">0", Band{19.2, 20.9}, Band{19.2, 20.9}, fold(func(r Fig14Row) float64 { return r.RestartSlowdownPct - r.SwiftSlowdownPct }, math.Min)},
-	{"fig15", "job restart mean slowdown %", "45", Band{28.6, 46.5}, Band{18, 26}, of(func(r Fig15Result) float64 { return r.RestartSlowdownPct })},
-	{"fig15", "Swift mean slowdown %", "5", Band{2.49, 3.42}, Band{2.34, 2.95}, of(func(r Fig15Result) float64 { return r.SwiftSlowdownPct })},
-	{"fig16", "speedup at 1x executors", "1", Band{1, 1}, Band{1, 1}, of(func(r []Fig16Row) float64 { return r[0].Speedup })},
-	{"fig16", "speedup/ideal at 2x executors", ">0.8", Band{0.985, 0.989}, Band{1, 1.03}, of(func(r []Fig16Row) float64 { return r[1].Speedup / r[1].Ideal })},
-	{"fig16", "speedup/ideal at 4x executors", ">0.8", Band{0.955, 0.966}, Band{0.962, 1}, of(func(r []Fig16Row) float64 { return r[2].Speedup / r[2].Ideal })},
-	{"fig16", "speedup/ideal at 8x executors", ">0.8", Band{0.906, 0.928}, Band{0.898, 0.968}, of(func(r []Fig16Row) float64 { return r[3].Speedup / r[3].Ideal })},
-	{"fig16", "speedup/ideal at 14x executors", ">0.8", Band{0.842, 0.871}, none, of(func(r []Fig16Row) float64 { return r[4].Speedup / r[4].Ideal })},
+	{"fig12", "small: runner-up over Direct %", ">0", Band{3.37, 3.38}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Local, shuffle.Remote)},
+	{"fig12", "small: Local over Direct %", "4", Band{9.5, 9.51}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Local)},
+	{"fig12", "small: Remote over Direct %", "3", Band{3.37, 3.38}, fig12(shuffle.SmallShuffle, shuffle.Direct, shuffle.Remote)},
+	{"fig12", "medium: runner-up over Remote %", ">0", Band{5.12, 5.13}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Direct, shuffle.Local)},
+	{"fig12", "medium: Direct over Remote %", "25", Band{14.7, 14.8}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Direct)},
+	{"fig12", "medium: Local over Remote %", "3.8", Band{5.12, 5.13}, fig12(shuffle.MediumShuffle, shuffle.Remote, shuffle.Local)},
+	{"fig12", "large: runner-up over Local %", ">0", Band{16.7, 16.8}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Direct, shuffle.Remote)},
+	{"fig12", "large: Direct over Local %", "108.3", Band{50, 50.1}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Direct)},
+	{"fig12", "large: Remote over Local %", "47.9", Band{16.7, 16.8}, fig12(shuffle.LargeShuffle, shuffle.Local, shuffle.Remote)},
+	{"fig13", "stages", "6", Band{6, 6}, of(func(d []tpch.Q13Detail) float64 { return float64(len(d)) })},
+	{"fig13", "M1 tasks", "498", Band{498, 498}, q13M1(func(m1 tpch.Q13Detail) int64 { return int64(m1.Tasks) })},
+	{"fig13", "M1 records per task", "3012048", Band{3012048, 3012048}, q13M1(func(m1 tpch.Q13Detail) int64 { return m1.RecordsPerTask })},
+	{"fig14", "injection points", "5", Band{5, 5}, of(func(rows []Fig14Row) float64 { return float64(len(rows)) })},
+	{"fig14", "Swift slowdown at t=20 (M2) %", "0", Band{0, 0}, of(func(rows []Fig14Row) float64 { return rows[0].SwiftSlowdownPct })},
+	{"fig14", "max Swift slowdown %", "<10", Band{11.6, 12.6}, fold(func(r Fig14Row) float64 { return r.SwiftSlowdownPct }, math.Max)},
+	{"fig14", "min Swift slowdown %", "0", Band{0, 0}, fold(func(r Fig14Row) float64 { return r.SwiftSlowdownPct }, math.Min)},
+	{"fig14", "restart slowdown at t=100 (R6) %", ">50", Band{98, 98.6}, of(func(rows []Fig14Row) float64 { return rows[4].RestartSlowdownPct })},
+	{"fig14", "min restart minus Swift, points", ">0", Band{19.2, 20.9}, fold(func(r Fig14Row) float64 { return r.RestartSlowdownPct - r.SwiftSlowdownPct }, math.Min)},
+	{"fig15", "job restart mean slowdown %", "45", Band{28.6, 46.5}, of(func(r Fig15Result) float64 { return r.RestartSlowdownPct })},
+	{"fig15", "Swift mean slowdown %", "5", Band{2.49, 3.42}, of(func(r Fig15Result) float64 { return r.SwiftSlowdownPct })},
+	{"fig16", "speedup at 1x executors", "1", Band{1, 1}, of(func(r []Fig16Row) float64 { return r[0].Speedup })},
+	{"fig16", "speedup/ideal at 2x executors", ">0.8", Band{0.985, 0.989}, of(func(r []Fig16Row) float64 { return r[1].Speedup / r[1].Ideal })},
+	{"fig16", "speedup/ideal at 4x executors", ">0.8", Band{0.955, 0.966}, of(func(r []Fig16Row) float64 { return r[2].Speedup / r[2].Ideal })},
+	{"fig16", "speedup/ideal at 8x executors", ">0.8", Band{0.906, 0.928}, of(func(r []Fig16Row) float64 { return r[3].Speedup / r[3].Ideal })},
+	{"fig16", "speedup/ideal at 14x executors", ">0.8", Band{0.842, 0.871}, of(func(r []Fig16Row) float64 { return r[4].Speedup / r[4].Ideal })},
 }
 
 // fig9b sums one system's launch time, or with readWrite its shuffle time
@@ -174,7 +171,7 @@ func fold[T any](f func(T) float64, pick func(a, b float64) float64) func(any) f
 // Measured is one fidelity row evaluated on one run.
 type Measured struct {
 	Row   *FidelityRow
-	Band  Band // the row's band at the run's size
+	Band  Band // the band the value is held to: the row's Full band, or a test's own
 	Value float64
 }
 
@@ -196,14 +193,10 @@ func (m Measured) Mark() string {
 }
 
 // measure evaluates the rows of experiment name on its result.
-func measure(name string, cfg Config, result any) (ms []Measured) {
+func measure(name string, result any) (ms []Measured) {
 	for i, r := range Fidelity {
-		b := r.Full
-		if cfg.Reduced {
-			b = r.Reduced
-		}
-		if r.Exp == name && b.Lo <= b.Hi {
-			ms = append(ms, Measured{&Fidelity[i], b, r.Value(result)})
+		if r.Exp == name {
+			ms = append(ms, Measured{&Fidelity[i], r.Full, r.Value(result)})
 		}
 	}
 	return ms
@@ -233,8 +226,7 @@ func paperOf(id string, metrics ...string) string {
 
 // FidelityTable is the fidelity table of a run's measured rows.
 func FidelityTable(cfg Config, ms []Measured) *Table {
-	size := map[bool]string{false: "full", true: "reduced"}[cfg.Reduced]
-	t := &Table{Title: fmt.Sprintf("Fidelity — paper vs measured, %s size, seed %d (bands hold seeds 1–3)", size, cfg.Seed),
+	t := &Table{Title: fmt.Sprintf("Fidelity — paper vs measured, full size, seed %d (bands hold seeds 1–3)", cfg.Seed),
 		Headers: []string{"exp", "metric", "paper", "band", "measured", "mark"}}
 	for _, m := range ms {
 		t.Add(m.Row.Exp, m.Row.Metric, m.Row.Paper, m.Band, num(m.Value, 4), m.Mark())

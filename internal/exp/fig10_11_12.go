@@ -31,7 +31,7 @@ func fig10Replays(cfg Config) map[string]*simrun.Results {
 		if err != nil {
 			panic(err) // Fig10Systems names only known systems
 		}
-		out[sys] = cfg.runTrace(tr, cfg.fig10Cluster(), opts, cfg.Seed)
+		out[sys] = cfg.runTrace(tr, fig10Cluster(), opts, cfg.Seed)
 	}
 	return out
 }
@@ -41,12 +41,9 @@ func fig10Replays(cfg Config) map[string]*simrun.Results {
 // replayed as a batch (the paper reports when each system finishes all
 // jobs), so the scheduler runs saturated — which is exactly where
 // whole-job gang scheduling falls apart.
-func (c Config) fig10Cluster() cluster.Config {
-	ccfg := c.cluster100()
+func fig10Cluster() cluster.Config {
+	ccfg := cluster.Paper100()
 	ccfg.ExecutorsPerMachine = 30
-	if c.Reduced {
-		ccfg.Machines = 70 // keep capacity above the largest gang (2,000 tasks)
-	}
 	return ccfg
 }
 
@@ -79,7 +76,7 @@ type Fig11Result struct {
 // the Fig. 8 "90% under 120 s" knee so a single straggler's critical path
 // does not mask the schedulers' differences.
 func fig10Trace(cfg Config) *trace.Trace {
-	return trace.Generate(trace.Spec{Jobs: cfg.traceJobs(2000), Seed: cfg.Seed, RuntimeCap: 120})
+	return trace.Generate(trace.Spec{Jobs: 2000, Seed: cfg.Seed, RuntimeCap: 120})
 }
 
 // Fig11LatencyCDF replays the trace under the three systems and normalises
@@ -121,10 +118,7 @@ func Fig12ShuffleModes(cfg Config) []Fig12Cell {
 	classes := []shuffle.SizeClass{shuffle.SmallShuffle, shuffle.MediumShuffle, shuffle.LargeShuffle}
 	perTask := []int64{256 << 20, 1 << 30, 1 << 30} // bytes each map task writes
 	tasks, jobsPer := []int{60, 200, 1000}, 6       // map = reduce tasks, per class
-	if cfg.Reduced {
-		tasks, jobsPer = []int{30, 150, 400}, 2
-	}
-	ccfg := cfg.cluster2000()
+	ccfg := cluster.Paper2000()
 	var cells []Fig12Cell
 	for i, class := range classes {
 		times := make(map[shuffle.Mode]float64)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"swift/internal/baseline"
+	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/metrics"
 	"swift/internal/sim"
@@ -36,7 +37,7 @@ var Fig14Injections = []struct {
 // time is the baseline (normalised to 100); one failure is injected per
 // run. The paper's claims about both slowdowns are rows of Fidelity.
 func Fig14FaultInjection(cfg Config) []Fig14Row {
-	ccfg := cfg.cluster100()
+	ccfg := cluster.Paper100()
 	clean, _ := cfg.runOne(tpch.Q13(), ccfg, baseline.Swift(), cfg.Seed)
 	base := clean.Duration()
 
@@ -84,8 +85,8 @@ type Fig15Result struct {
 // the same failures under job restart. Failure times follow the Fig. 8(a)
 // distribution; roughly half the jobs experience one failure.
 func Fig15TraceFailures(cfg Config) Fig15Result {
-	tr := trace.Generate(trace.Spec{Jobs: cfg.traceJobs(1000), Seed: cfg.Seed, ArrivalWindow: 120})
-	ccfg := cfg.cluster100()
+	tr := trace.Generate(trace.Spec{Jobs: 1000, Seed: cfg.Seed, ArrivalWindow: 120})
+	ccfg := cluster.Paper100()
 
 	type injection struct {
 		job   string
@@ -180,18 +181,19 @@ type Fig16Row struct {
 // (10k → 140k), normalising end-to-end time to the 10k run. The paper's
 // "near-linear" is a row of Fidelity.
 func Fig16Scalability(cfg Config) []Fig16Row {
-	counts := []int{10000, 20000, 40000, 80000, 140000}
-	jobs, scale, cap := 12000, 5.0, 90.0
-	execsPerMachine := 60
-	if cfg.Reduced {
-		counts = []int{1000, 2000, 4000, 8000}
-		jobs, scale, cap = 1200, 3.0, 60.0
-	}
+	return fig16Scalability(cfg, []int{10000, 20000, 40000, 80000, 140000}, 12000, 5, 90)
+}
+
+// fig16Scalability runs one strong-scaling sweep: a trace of jobs jobs,
+// with runtimes scaled by scale and capped at cap seconds, replayed on
+// each of counts executors.
+func fig16Scalability(cfg Config, counts []int, jobs int, scale, cap float64) []Fig16Row {
+	const execsPerMachine = 60
 	tr := trace.Generate(trace.Spec{Jobs: jobs, Seed: cfg.Seed, Scale: scale, RuntimeCap: cap})
 	var rows []Fig16Row
 	var baseMakespan float64
 	for i, n := range counts {
-		ccfg := cfg.cluster2000()
+		ccfg := cluster.Paper2000()
 		ccfg.ExecutorsPerMachine = execsPerMachine
 		ccfg.Machines = (n + execsPerMachine - 1) / execsPerMachine
 		res := cfg.runTrace(tr, ccfg, baseline.Swift(), cfg.Seed)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"swift/internal/baseline"
+	"swift/internal/cluster"
 	"swift/internal/metrics"
 	"swift/internal/trace"
 )
@@ -19,18 +20,14 @@ type Fig3Row struct {
 // different seed (and thus job mix). The paper's values are rows of
 // Fidelity.
 func Fig3IdleRatio(cfg Config) []Fig3Row {
-	jobs := cfg.traceJobs(500)
-	if jobs < 150 {
-		jobs = 150 // keep the per-cluster sample meaningful at reduced scale
-	}
 	var rows []Fig3Row
 	for i := 0; i < 4; i++ {
 		tr := trace.Generate(trace.Spec{
-			Jobs:          jobs,
+			Jobs:          500,
 			Seed:          cfg.Seed + int64(i)*101,
 			ArrivalWindow: 120,
 		})
-		res := cfg.runTrace(tr, cfg.cluster100(), baseline.JetScope(), cfg.Seed+int64(i))
+		res := cfg.runTrace(tr, cluster.Paper100(), baseline.JetScope(), cfg.Seed+int64(i))
 		// Per-job mean task IdleRatio, then the four-quartile average
 		// across jobs (the paper reports per-cluster averages of job
 		// measurements).
@@ -69,8 +66,8 @@ type Fig8Stats struct {
 // the measured job-runtime and size distributions, which Fidelity holds to
 // the paper's.
 func Fig8TraceCharacteristics(cfg Config) Fig8Stats {
-	tr := trace.Generate(trace.Spec{Jobs: cfg.traceJobs(2000), Seed: cfg.Seed, ArrivalWindow: 500})
-	res := cfg.runTrace(tr, cfg.cluster100(), baseline.Swift(), cfg.Seed)
+	tr := trace.Generate(trace.Spec{Jobs: 2000, Seed: cfg.Seed, ArrivalWindow: 500})
+	res := cfg.runTrace(tr, cluster.Paper100(), baseline.Swift(), cfg.Seed)
 	var runtimes, tasks, stages []float64
 	for _, j := range tr.Jobs {
 		jr := res.Jobs[j.Job.ID]

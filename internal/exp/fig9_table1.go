@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swift/internal/baseline"
+	"swift/internal/cluster"
 	"swift/internal/metrics"
 	"swift/internal/tpch"
 )
@@ -29,16 +30,11 @@ type Fig9aResult struct {
 // Fig9aTPCH runs the 22 TPC-H queries on the 100-node cluster under Swift
 // and under the Spark baseline.
 func Fig9aTPCH(cfg Config) Fig9aResult {
-	ccfg := cfg.cluster100()
+	ccfg := cluster.Paper100()
 	var out Fig9aResult
 	var sparkTotal, swiftTotal float64
 	var speedups []float64
-	queries := 22
-	step := 1
-	if cfg.Reduced {
-		step = 4 // Q1, Q5, Q9, Q13, Q17, Q21
-	}
-	for i := 1; i <= queries; i += step {
+	for i := 1; i <= 22; i++ {
 		job := tpch.Query(i)
 		swiftRes, _ := cfg.runOne(job, ccfg, baseline.Swift(), cfg.Seed)
 		sparkRes, _ := cfg.runOne(tpch.Query(i), ccfg, baseline.Spark(), cfg.Seed)
@@ -78,7 +74,7 @@ var Fig9bStages = []string{"M1", "J4", "M5", "J6", "J10", "R11", "R12"}
 // Fig9bQ9Phases decomposes Q9's critical-stage tasks into the launching /
 // shuffle-read / processing / shuffle-write phases for both systems.
 func Fig9bQ9Phases(cfg Config) []Fig9bRow {
-	ccfg := cfg.cluster100()
+	ccfg := cluster.Paper100()
 	var rows []Fig9bRow
 	for _, sys := range []string{"Swift", "Spark"} {
 		opts, err := baseline.System(sys)
@@ -116,13 +112,9 @@ var Table1Sizes = []int{250, 500, 1000, 1500}
 // Table1Terasort reproduces Table I: Terasort jobs of growing size on the
 // 100-node cluster. The paper's speedups are rows of Fidelity.
 func Table1Terasort(cfg Config) []Table1Row {
-	ccfg := cfg.cluster100()
-	sizes := Table1Sizes
-	if cfg.Reduced {
-		sizes = []int{250, 1000}
-	}
+	ccfg := cluster.Paper100()
 	var rows []Table1Row
-	for _, s := range sizes {
+	for _, s := range Table1Sizes {
 		swiftRes, _ := cfg.runOne(tpch.Terasort(s, s), ccfg, baseline.Swift(), cfg.Seed)
 		sparkRes, _ := cfg.runOne(tpch.Terasort(s, s), ccfg, baseline.Spark(), cfg.Seed)
 		row := Table1Row{

@@ -58,11 +58,7 @@ func FlowBurst(cfg Config) []FlowBurstRow {
 }
 
 func (c Config) flowBurstOne(mult int) FlowBurstRow {
-	base := 20
-	if c.Reduced {
-		base = 8
-	}
-	jobs := base * mult
+	jobs := 20 * mult
 	ccfg := cluster.Config{Machines: 20, ExecutorsPerMachine: 4}
 	r := c.sim(ccfg, core.DefaultOptions(), c.Seed)
 	eng, ctrl := r.Engine(), r.Controller()

@@ -82,26 +82,26 @@ type RunResult struct {
 }
 
 // RunAll executes the named experiments on a worker pool and returns their
-// reports in input order. With hashes, each experiment gets a fresh obs
-// recorder, so its Hash witnesses that experiment's simulated event stream
-// in isolation: RunAll(names, cfg, 1, true) and RunAll(names, cfg, k, true)
-// must agree on every Output and every Hash. A caller that only wants the
-// reports passes false and pays for no recording (Hash is then the
-// empty-stream hash): the recorder keeps every event, which at full size is
-// what used to OOM-kill the Fig. 16 sweep. Either way a recorder already
-// present in cfg is dropped — the experiments must not share one.
+// reports in input order. With hashes, each experiment gets a fresh
+// hash-only recorder, so its Hash witnesses that experiment's simulated
+// event stream in isolation: RunAll(names, cfg, 1, true) and
+// RunAll(names, cfg, k, true) must agree on every Output and every Hash.
+// The recorder keeps no events, but folding each one still costs; a
+// caller that only wants the reports passes false and pays for no
+// recording (Hash is then the empty-stream hash). Either way a recorder
+// already present in cfg is dropped — the experiments must not share one.
 func RunAll(names []string, cfg Config, workers int, hashes bool) []RunResult {
 	return Sweep(len(names), workers, func(i int) RunResult {
 		c := cfg
 		c.Obs = nil
 		if hashes {
-			c.Obs = obs.New()
+			c.Obs = obs.NewHash()
 		}
 		run, ok := registry[names[i]]
 		if !ok {
 			return RunResult{Name: names[i], Err: fmt.Errorf("%w %q", ErrUnknown, names[i])}
 		}
 		result, report := run(c)
-		return RunResult{Name: names[i], Output: report.String(), Fidelity: measure(names[i], c, result), Hash: c.Obs.StreamHash()}
+		return RunResult{Name: names[i], Output: report.String(), Fidelity: measure(names[i], result), Hash: c.Obs.StreamHash()}
 	})
 }

@@ -34,7 +34,7 @@ func TestSweepOrderAndCoverage(t *testing.T) {
 // runner: four workers must reproduce the one-worker outputs and obs stream
 // hashes byte for byte.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
-	cfg := Config{Reduced: true, Seed: 3}
+	cfg := Config{Seed: 3}
 	names := []string{"fig3", "fig9a", "fig12", "fig14", "table1"}
 	serial := RunAll(names, cfg, 1, true)
 	parallel := RunAll(names, cfg, 4, true)
@@ -63,7 +63,7 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunAllUnknownName(t *testing.T) {
-	res := RunAll([]string{"fig12", "nope"}, Config{Reduced: true, Seed: 1}, 2, false)
+	res := RunAll([]string{"fig12", "nope"}, Config{Seed: 1}, 2, false)
 	if res[0].Err != nil {
 		t.Fatalf("fig12: %v", res[0].Err)
 	}
@@ -72,10 +72,9 @@ func TestRunAllUnknownName(t *testing.T) {
 	}
 }
 
-// BenchmarkRunAllReduced measures the reduced sweep serial vs parallel —
-// the speedup column of the EXPERIMENTS.md wall-clock table.
-func BenchmarkRunAllReduced(b *testing.B) {
-	cfg := Config{Reduced: true, Seed: 1}
+// BenchmarkRunAll measures a sweep of six experiments serial vs parallel.
+func BenchmarkRunAll(b *testing.B) {
+	cfg := Config{Seed: 1}
 	names := []string{"fig3", "fig9a", "fig9b", "table1", "fig12", "fig14"}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -53,12 +53,6 @@ func shuffleRecoveryProfile() chaos.Profile {
 // collapse to the rare all-copies-lost case and recovery cost (last-finish
 // time, mean latency) drops with them.
 func ShuffleRecovery(cfg Config) []ShuffleRecoveryRow {
-	jobs, machines := 16, 12
-	window := 600 * sim.Second
-	if cfg.Reduced {
-		jobs, machines = 8, 8
-		window = 120 * sim.Second
-	}
 	profile := shuffleRecoveryProfile()
 	arms := []struct {
 		policy   string
@@ -74,9 +68,9 @@ func ShuffleRecovery(cfg Config) []ShuffleRecoveryRow {
 		opts.ShuffleReplicas = arm.replicas
 		res := chaos.Run(chaos.Config{
 			Seed:        cfg.Seed,
-			Jobs:        jobs,
-			Machines:    machines,
-			FaultWindow: window,
+			Jobs:        16,
+			Machines:    12,
+			FaultWindow: 600 * sim.Second,
 			Profile:     &profile,
 			Options:     &opts,
 		})

@@ -7,7 +7,7 @@ import "testing"
 // recover strictly more cheaply than the recompute arm — fewer producer
 // re-runs, because surviving replicas absorb the losses.
 func TestShuffleRecoveryReplicaCheaper(t *testing.T) {
-	cfg := Config{Reduced: true, Seed: 1}
+	cfg := Config{Seed: 1}
 	rows := ShuffleRecovery(cfg)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
@@ -40,7 +40,7 @@ func TestShuffleRecoveryReplicaCheaper(t *testing.T) {
 // trace hash: replication and its recovery events are part of the
 // determinism witness.
 func TestShuffleRecoveryDeterministic(t *testing.T) {
-	cfg := Config{Reduced: true, Seed: 1}
+	cfg := Config{Seed: 1}
 	a := ShuffleRecovery(cfg)
 	b := ShuffleRecovery(cfg)
 	for i := range a {

@@ -20,11 +20,14 @@
 // A nil *Recorder is valid and records nothing: call sites thread the
 // recorder unconditionally and pay one nil check when observability is
 // off, which is also what guarantees recording cannot perturb scheduling
-// outcomes.
+// outcomes. A hash-only recorder (NewHash) folds each event into the
+// stream hash as it arrives and keeps none, so a run asked only for its
+// determinism witness holds no event stream in memory.
 package obs
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 
 	"swift/internal/sim"
 )
@@ -163,15 +166,23 @@ type Event struct {
 }
 
 // Recorder accumulates the event stream. The zero value is not used; call
-// New. A nil *Recorder is a valid, disabled recorder: every method no-ops.
+// New or NewHash. A nil *Recorder is a valid, disabled recorder: every
+// method no-ops.
 type Recorder struct {
 	clock  func() sim.Time
 	events []Event
+	hash   *streamHash // non-nil for a hash-only recorder, which keeps no events
 }
 
-// New returns an enabled recorder. The clock reads zero until SetClock is
-// called (drivers point it at the simulation engine's virtual clock).
+// New returns an enabled recorder that keeps every event. The clock reads
+// zero until SetClock is called (drivers point it at the simulation
+// engine's virtual clock).
 func New() *Recorder { return &Recorder{} }
+
+// NewHash returns an enabled recorder that folds each event into its
+// StreamHash as it is recorded and keeps none: Events is empty and the
+// exports see an empty stream.
+func NewHash() *Recorder { return &Recorder{hash: &streamHash{h: fnv1aOffset}} }
 
 // SetClock installs the virtual-time source used to stamp events. The
 // simrun driver points it at its engine's Now.
@@ -206,6 +217,10 @@ func (r *Recorder) rec(e Event) {
 		return
 	}
 	e.T = r.now()
+	if r.hash != nil {
+		r.hash.fold(&e)
+		return
+	}
 	r.events = append(r.events, e)
 }
 
@@ -356,25 +371,56 @@ const (
 	fnv1aPrime  = 1099511628211
 )
 
-// StreamHash folds every recorded event into an FNV-1a hash: the
-// determinism witness. Two runs of the same seed must produce identical
-// hashes (and, stronger, byte-identical exports).
-func (r *Recorder) StreamHash() uint64 {
-	var h uint64 = fnv1aOffset
-	if r == nil {
-		return h
+// streamHash is the FNV-1a state of an event stream, with the buffer each
+// event's line is formatted into.
+type streamHash struct {
+	h   uint64
+	buf []byte
+}
+
+// fold hashes e's line: its fields '|'-separated in declaration order
+// (Kind by name, floats in shortest 'g' form), ending in a newline.
+func (s *streamHash) fold(e *Event) {
+	b := strconv.AppendInt(s.buf[:0], int64(e.T), 10)
+	b = append(append(b, '|'), e.Kind.String()...)
+	for _, f := range [...]string{e.Job, e.Stage, e.To} {
+		b = append(append(b, '|'), f...)
 	}
-	fold := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= fnv1aPrime
+	for _, n := range [...]int{e.Index, e.Attempt, e.Graphlet, e.Executor, e.Machine} {
+		b = strconv.AppendInt(append(b, '|'), int64(n), 10)
+	}
+	b = append(append(b, '|'), e.Label...)
+	b = strconv.AppendInt(append(b, '|'), e.Bytes, 10)
+	for _, f := range [...]float64{e.Launch, e.Read, e.Process, e.Write} {
+		if b = append(b, '|'); f == 0 && !math.Signbit(f) {
+			b = append(b, '0') // most kinds carry no phases
+		} else {
+			b = strconv.AppendFloat(b, f, 'g', -1, 64)
 		}
 	}
-	for i := range r.events {
-		e := &r.events[i]
-		fold(fmt.Sprintf("%d|%s|%s|%s|%s|%d|%d|%d|%d|%d|%s|%d|%g|%g|%g|%g\n",
-			e.T, e.Kind, e.Job, e.Stage, e.To, e.Index, e.Attempt, e.Graphlet,
-			e.Executor, e.Machine, e.Label, e.Bytes, e.Launch, e.Read, e.Process, e.Write))
+	b = append(b, '\n')
+	for _, c := range b {
+		s.h ^= uint64(c)
+		s.h *= fnv1aPrime
 	}
-	return h
+	s.buf = b
+}
+
+// StreamHash folds every recorded event into an FNV-1a hash: the
+// determinism witness. Two runs of the same seed must produce identical
+// hashes (and, stronger, byte-identical exports). A hash-only recorder
+// has folded its events as they arrived; a full one folds its kept events
+// here, so recording an event stays an append.
+func (r *Recorder) StreamHash() uint64 {
+	if r == nil {
+		return fnv1aOffset
+	}
+	if r.hash != nil {
+		return r.hash.h
+	}
+	s := streamHash{h: fnv1aOffset}
+	for i := range r.events {
+		s.fold(&r.events[i])
+	}
+	return s.h
 }

@@ -95,6 +95,29 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestHashRecorderMatchesFull: on one seeded run with a recovery in it, a
+// hash-only recorder gives the stream hash a full recorder gives, and
+// keeps no events; with nothing recorded, it and the nil recorder give the
+// empty-stream hash, the FNV-1a offset.
+func TestHashRecorderMatchesFull(t *testing.T) {
+	full, hash := obs.New(), obs.NewHash()
+	runQ9(t, 7, full, failMachine)
+	runQ9(t, 7, hash, failMachine)
+	if len(full.Events()) == 0 {
+		t.Fatal("no events recorded")
+	}
+	if h, f := hash.StreamHash(), full.StreamHash(); h != f {
+		t.Errorf("hash-only recorder %016x, full recorder %016x", h, f)
+	}
+	if n := len(hash.Events()); n != 0 {
+		t.Errorf("hash-only recorder kept %d events", n)
+	}
+	const empty = 14695981039346656037
+	if h, n := obs.NewHash().StreamHash(), (*obs.Recorder)(nil).StreamHash(); h != empty || n != empty {
+		t.Errorf("empty-stream hashes: hash-only %016x, nil %016x, want %016x", h, n, uint64(empty))
+	}
+}
+
 // statsReport returns rec's -stats report: WriteReport with stats on and
 // no trace file.
 func statsReport(t *testing.T, rec *obs.Recorder) string {

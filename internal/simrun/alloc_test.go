@@ -69,22 +69,28 @@ func TestFinishTaskAllocs(t *testing.T) {
 // BenchmarkFinishTask is the simulator's cost per completion on the
 // saturated cluster TestFinishTaskAllocs drives: the engine pop, the
 // driver's bookkeeping, the controller round trip and the successor's
-// start.
+// start. Iteration i times completion 2,000 + i mod finishWindow of a
+// fresh burst's replay (untimed: building the burst and its first 2,000
+// steps), so every iteration count times the same completions, all of
+// them with requests still queued.
 func BenchmarkFinishTask(b *testing.B) {
+	const finishWindow = 40000 // the burst's queue empties after ≈ 43,600
 	_, step := saturated(b)
-	for i := 0; i < 2000; i++ {
-		step()
+	for step() { // one untimed replay grows the heap to its steady size
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !step() {
+		if i%finishWindow == 0 {
 			b.StopTimer()
 			_, step = saturated(b)
 			for j := 0; j < 2000; j++ {
 				step()
 			}
 			b.StartTimer()
+		}
+		if !step() {
+			b.Fatal("the burst drained inside the window")
 		}
 	}
 }

@@ -35,10 +35,12 @@
 #   go test ./internal/trace -fuzz FuzzTraceCodec -fuzztime 30s
 #   go test ./internal/core -run '^$' -fuzz FuzzController -fuzztime 60s
 #
-# -long is the opt-in long tier: after everything above it runs the
-# full-size experiments at seeds 1, 2 and 3 (go run ./cmd/swiftbench -seed
-# N, which exits non-zero on any fidelity row out of band; about 20 s a
-# seed on a 2-vCPU VM), the chaos soak over 40 seeds (about 40 s), runs
+# -long is the opt-in long tier: after everything above it runs Fig 16's
+# full sweep, up to 140,000 executors, at seeds 1, 2 and 3 (go run
+# ./cmd/swiftbench -seed N -run fig16, which exits non-zero on any fidelity
+# row out of band; 35–48 s a seed on a 2-vCPU VM — the tests run every
+# other experiment at full size and Fig 16 on a short sweep), the chaos
+# soak over 40 seeds (about 40 s), runs
 # a million short jobs through one flow.Service with the heap residue per
 # job bounded (about 12 s) and explores FuzzController for 60 s.
 #
@@ -155,7 +157,7 @@ if [ "$REPLICA_HITS" -le 0 ] || [ "$RECOMPUTES" -ge "$REPLICA_HITS" ]; then
 fi
 
 echo "== shuffle recovery experiment smoke (replica arm strictly cheaper than recompute)"
-go run ./cmd/swiftbench -reduced -run shufflerecovery > "$TRACE_TMP/shufflerecovery.out"
+go run ./cmd/swiftbench -run shufflerecovery > "$TRACE_TMP/shufflerecovery.out"
 # Columns: policy replicas jobs completed replica_hits recomputes restarts
 # last_finish_s mean_latency_s violations. The replica arm must recompute
 # less and serve a lower mean latency, and neither arm may break an invariant.
@@ -167,11 +169,11 @@ awk '$1 == "recompute" { rc = $6; rl = $9; rv = $10; n++ }
 
 echo "== parallel sweep determinism smoke (per-seed obs hashes, serial vs parallel, seed 1 vs the pinned table)"
 SWEEP="fig3,fig9a,fig12,fig14,table1"
-PINNED=internal/exp/testdata/reduced_hashes.txt
+PINNED=internal/exp/testdata/hashes.txt
 for SWEEP_SEED in 1 7 13; do
-    go run ./cmd/swiftbench -reduced -seed "$SWEEP_SEED" -run "$SWEEP" -hashes -workers 1 \
+    go run ./cmd/swiftbench -seed "$SWEEP_SEED" -run "$SWEEP" -hashes -workers 1 \
         > "$TRACE_TMP/sweep-serial-$SWEEP_SEED.txt"
-    go run ./cmd/swiftbench -reduced -seed "$SWEEP_SEED" -run "$SWEEP" -hashes -workers 0 \
+    go run ./cmd/swiftbench -seed "$SWEEP_SEED" -run "$SWEEP" -hashes -workers 0 \
         > "$TRACE_TMP/sweep-parallel-$SWEEP_SEED.txt"
     cmp "$TRACE_TMP/sweep-serial-$SWEEP_SEED.txt" "$TRACE_TMP/sweep-parallel-$SWEEP_SEED.txt"
 done
@@ -239,9 +241,9 @@ if pgrep -f '[.]bench_build/swiftd' > /dev/null; then
 fi
 
 if [ "$LONG" = 1 ]; then
-    echo "== long tier: full-size experiments, seeds 1-3 (every fidelity row in band)"
+    echo "== long tier: Fig 16's full sweep, seeds 1-3 (every fig16 fidelity row in band)"
     for FULL_SEED in 1 2 3; do
-        go run ./cmd/swiftbench -seed "$FULL_SEED" > "$TRACE_TMP/full-$FULL_SEED.out"
+        go run ./cmd/swiftbench -seed "$FULL_SEED" -run fig16 > "$TRACE_TMP/fig16-$FULL_SEED.out"
     done
     echo "== long tier: chaos soak, 40 seeds"
     go test ./internal/chaos/ -run 'TestSoak$|TestSoakDeterminism|TestThunderingHerd|TestFairShareSoak' \
