@@ -111,9 +111,10 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //     TenantSnapshots match a full per-tenant recount of live jobs,
 //     task states and queue entries;
 //   - policy views: under every policy, sched.FIFO included, views built
-//     from scratch agree entry for entry with the kept queue view and
-//     gang list — a writer that changed what a policy would see without
-//     patching the view shows up here;
+//     from scratch agree entry for entry with the kept queue view, gang
+//     list, tenant usage view and per-job running counts — a writer that
+//     changed what a policy would see without patching the view shows up
+//     here;
 //   - the live table: it holds exactly the live-job order's monitors, as
 //     many as Snapshot counts live jobs, none of them done or failed and
 //     none with an id the outcome table already holds, and each job's
@@ -300,7 +301,7 @@ func (c *Controller) CheckInvariants() []string {
 		var have, want TenantCounts
 		have.Tenant, want.Tenant = name, name
 		if tc := c.tenants[name]; tc != nil {
-			have = *tc
+			have = tc.TenantCounts
 		}
 		if tc := tenantRecount[name]; tc != nil {
 			want = *tc
@@ -312,7 +313,8 @@ func (c *Controller) CheckInvariants() []string {
 	return append(v, c.checkViews()...)
 }
 
-// checkViews compares the kept policy views with fresh builds.
+// checkViews compares the kept policy views, and each job's running
+// count, with fresh builds.
 func (c *Controller) checkViews() []string {
 	var v []string
 	want, stale := c.buildItems()
@@ -349,6 +351,26 @@ func (c *Controller) checkViews() []string {
 		if run.gpos != i {
 			v = append(v, fmt.Sprintf("gang %s graphlet %d is at %d, its run says %d", c.gangs[i].Job, c.gangs[i].Graphlet, i, run.gpos))
 			break
+		}
+	}
+	if len(c.usage) != len(c.tenantList) {
+		v = append(v, fmt.Sprintf("kept usage view holds %d tenants, the counters %d", len(c.usage), len(c.tenantList)))
+	} else {
+		for i, tc := range c.tenantList {
+			want := sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running, Pending: tc.Pending, Queued: tc.Queued}
+			if c.usage[i] != want || tc.ui != i {
+				v = append(v, fmt.Sprintf("kept usage view entry %d is %+v, a rebuild says %+v (its record says %d)", i, c.usage[i], want, tc.ui))
+				break
+			}
+		}
+	}
+	for _, m := range c.order {
+		running := 0
+		for _, run := range m.gruns {
+			running += run.running
+		}
+		if running != m.running {
+			v = append(v, fmt.Sprintf("%s: job running count %d != %d over its graphlets", m.job.ID, m.running, running))
 		}
 	}
 	return v

@@ -107,10 +107,11 @@ type monitor struct {
 	stageIdx  map[string]int // stage -> topological index
 	done      bool
 	failed    bool
-	tenant    string        // normalized tenant label (TenantName)
-	tc        *TenantCounts // the tenant's live aggregate counters
-	seq       int           // admission sequence number (policy FIFO tiebreak)
-	handle    JobHandle     // index in Controller.handles
+	tenant    string       // normalized tenant label (TenantName)
+	tc        *tenantState // the tenant's live aggregate counters
+	running   int          // running tasks, kept by snapDelta
+	seq       int          // admission sequence number (policy FIFO tiebreak)
+	handle    JobHandle    // index in Controller.handles
 	// homes is where done tasks' buffered outputs live: for each output
 	// TaskFinished replicated, the machines holding a copy in serving order
 	// (head = serving copy). A done task with no entry — all of them at
@@ -153,14 +154,15 @@ type Controller struct {
 	// entirely on the hot fault-free path; otherwise it visits these runs,
 	// not the queue.
 	repended []*graphletRun
-	// policy is the resolved scheduling policy (never nil); every round
+	// policy is the resolved scheduling policy (never nil), or the round
+	// of its own it handed this controller (sched.Rounder); every round
 	// asks it for a plan, sched.FIFO included (see servePolicy).
 	policy sched.Policy
 	// tenants holds per-tenant aggregate counters, maintained O(delta) at
 	// every task state transition and summed by Snapshot (see tenant.go);
 	// nextSeq numbers admissions for the policy's FIFO tiebreak.
-	tenants    map[string]*TenantCounts
-	tenantList []*TenantCounts // the same records, sorted by tenant name
+	tenants    map[string]*tenantState
+	tenantList []*tenantState // the same records, sorted by tenant name
 	nextSeq    int
 	reclaims   int // gangs reclaimed by policy preemption, for reports
 	// Output-loss recovery counters, for reports: replicaHits counts
@@ -173,16 +175,16 @@ type Controller struct {
 	// describes queue[i] and staleItems counts its entries with nothing
 	// launchable (see patchItem); gangs lists the graphlet runs holding
 	// executors by (admission seq, graphlet), the preemption candidates,
-	// and gangRuns[i] is the run behind gangs[i] (see syncGang).
-	// CheckInvariants compares both views with a fresh build.
+	// and gangRuns[i] is the run behind gangs[i] (see syncGang); usage[i]
+	// is tenantList[i]'s running, pending and queued counts (see snapDelta
+	// and snapQueued). CheckInvariants compares the views with fresh builds.
 	items      []sched.Item
 	staleItems int
 	gangs      []sched.Gang
 	gangRuns   []*graphletRun
-	// Scratch the scheduling round reuses instead of allocating on every
-	// event: the tenant view handed to the policy (which may not retain
-	// it) and the deadlock breaker's starved runs and per-stage marks.
-	usage   []sched.TenantUsage
+	usage      []sched.TenantUsage
+	// Scratch the deadlock breaker reuses instead of allocating on every
+	// event: its starved runs and per-stage marks.
 	starved []*graphletRun
 	below   []bool
 }
@@ -198,8 +200,12 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 	if opts.Policy == nil {
 		opts.Policy = sched.FIFO{}
 	}
+	policy := opts.Policy
+	if r, ok := policy.(sched.Rounder); ok {
+		policy = r.NewRound()
+	}
 	return &Controller{opts: opts, cl: cl, jobs: make(map[string]*monitor), retired: make(map[string]bool),
-		handles: make([]*monitor, 1), policy: opts.Policy, tenants: make(map[string]*TenantCounts)}
+		handles: make([]*monitor, 1), policy: policy, tenants: make(map[string]*tenantState)}
 }
 
 // Cluster returns the managed cluster.

@@ -122,6 +122,14 @@ func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
 		h.c.gangs[0].Running++
 		expect("kept gang list holds 1 gangs, a rebuild 1, or they differ")
 		h.c.gangs[0].Running--
+		// A tenant's running count moved without its usage entry being patched.
+		h.c.usage[0].Running++
+		expect("kept usage view entry 0 is")
+		h.c.usage[0].Running--
+		// A job's running count moved without its graphlets'.
+		h.c.jobs["a1"].running++
+		expect("a1: job running count")
+		h.c.jobs["a1"].running--
 		if v := h.c.CheckInvariants(); len(v) > 0 {
 			t.Fatalf("%s: restored view still violates: %v", policy.Name(), v)
 		}
@@ -130,9 +138,11 @@ func TestCheckInvariantsCatchesStaleKeptView(t *testing.T) {
 }
 
 // deferringPolicy is fair share that can be told to answer JobOrder with
-// nil — "no opinion, serve in queue order".
+// nil — "no opinion, serve in queue order". It embeds the Policy
+// interface, not *sched.FairShare, so it is no sched.Rounder and the
+// controller calls it, not a round of the fair share inside.
 type deferringPolicy struct {
-	*sched.FairShare
+	sched.Policy
 	deferred bool
 }
 
@@ -140,7 +150,7 @@ func (p *deferringPolicy) JobOrder(items []sched.Item, view sched.View) []sched.
 	if p.deferred {
 		return nil
 	}
-	return p.FairShare.JobOrder(items, view)
+	return p.Policy.JobOrder(items, view)
 }
 
 // TestKeptViewPatchedAtEverySite drives each controller path that used to
@@ -256,7 +266,7 @@ func TestKeptViewPatchedAtEverySite(t *testing.T) {
 	})
 	t.Run("deferred round", func(t *testing.T) {
 		opts := DefaultOptions()
-		policy := &deferringPolicy{FairShare: sched.NewFairShare(sched.FairShareConfig{})}
+		policy := &deferringPolicy{Policy: sched.NewFairShare(sched.FairShareConfig{})}
 		opts.Policy = policy
 		h := newHarness(t, 1, 2, opts)
 		h.submit(tenantJob("a", "a1", 1, 1))

@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"swift/internal/cluster"
@@ -96,12 +99,12 @@ func TestSaturatedRoundTripAllocs(t *testing.T) {
 }
 
 // maxFairRoundTripAllocs is the same budget through servePolicy and
-// preemptRound (every completion on the dry pool asks Preempt too): the one
-// of the FIFO round trip, the grant plan JobOrder returns, and one to
-// spare (1 measured). The policy's views of the queue, the gangs and the tenants are
-// controller scratch and the policy's own bookkeeping lives on its stack; a
-// per-round map, budget record or rebuilt gang list would blow the budget.
-const maxFairRoundTripAllocs = 3
+// preemptRound (every completion on the dry pool asks Preempt too): the
+// FIFO round trip's. The policy's views of the queue, the gangs and the
+// tenants are kept by the controller, and its round reuses its water-fill
+// scratch and grant buffer; a per-round map, budget record, rebuilt view
+// or fresh grant plan would blow the budget.
+const maxFairRoundTripAllocs = 1
 
 func TestFairRoundTripAllocs(t *testing.T) {
 	opts, spec := fairOptions()
@@ -156,6 +159,84 @@ func BenchmarkRoundTripFIFO(b *testing.B) {
 func BenchmarkRoundTripFairShare(b *testing.B) {
 	opts, spec := fairOptions()
 	benchRoundTrip(b, opts, spec)
+}
+
+// TestSharedFairShareAcrossControllers runs two controllers at once, in
+// parallel goroutines, over one *sched.FairShare, the way a chaos preset's
+// config or a fuzzer's arms share a policy value. Each controller gets a
+// round of its own from the value, so under -race a round or a value that
+// both write shows up, and each controller must start the tasks a
+// controller run alone starts, in the same order.
+func TestSharedFairShareAcrossControllers(t *testing.T) {
+	opts, _ := fairOptions()
+	spec := trace.Spec{Seed: 3, RuntimeCap: 60, Tenants: []trace.TenantSpec{
+		{Name: "a", Jobs: 12, ArrivalWindow: 30},
+		{Name: "b", Jobs: 24, ArrivalWindow: 30},
+		{Name: "c", Jobs: 12, ArrivalWindow: 30},
+	}}
+	// drive admits the trace's jobs onto a small cluster tenant by tenant,
+	// so the later tenants arrive starved at a pool the earlier ones hold,
+	// finishing the oldest running task after each admission; then it
+	// finishes tasks in launch order until none runs, and returns the starts.
+	drive := func() ([]core.Action, error) {
+		c := core.NewController(cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 8}), opts)
+		var starts []core.Action
+		head := 0
+		step := func() bool {
+			for _, a := range c.Drain() {
+				if a.Kind == core.ActStartTask {
+					starts = append(starts, a)
+				}
+			}
+			if head == len(starts) {
+				return false
+			}
+			a := starts[head]
+			head++
+			c.FinishTask(a.Job, int(a.Stage), a.Task.Index, int(a.Attempt)) // a no-op for an attempt preemption aborted
+			return true
+		}
+		jobs := trace.Generate(spec).Jobs // a trace each: a job caches its order
+		slices.SortStableFunc(jobs, func(x, y trace.Job) int { return strings.Compare(x.Job.Tenant, y.Job.Tenant) })
+		for _, j := range jobs {
+			if err := c.SubmitJob(j.Job); err != nil {
+				return nil, err
+			}
+			step()
+		}
+		for step() {
+		}
+		if v := c.CheckInvariants(); len(v) > 0 {
+			return nil, fmt.Errorf("invariants: %v", v)
+		}
+		if c.ReclaimedGangs() == 0 {
+			return nil, fmt.Errorf("no gang reclaimed: Preempt never named a victim")
+		}
+		return starts, nil
+	}
+	want, err := drive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]core.Action
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = drive()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("controller %d: %v", i, errs[i])
+		}
+		if !slices.Equal(got[i], want) {
+			t.Errorf("controller %d started %d tasks, alone %d, or in another order", i, len(got[i]), len(want))
+		}
+	}
 }
 
 // maxSubmitAllocs is SubmitJob's budget for a chain of n pipelined stages,

@@ -33,7 +33,7 @@ func (c *Controller) enqueue(run *graphletRun) {
 	if c.items[len(c.items)-1].Pending == 0 {
 		c.staleItems++
 	}
-	run.m.tc.Queued++
+	c.snapQueued(run.m, 1)
 	c.opts.Obs.GraphletQueued(run.m.job.ID, run.g, run.pending)
 }
 
@@ -52,7 +52,7 @@ func (c *Controller) move(from, to int) {
 func (c *Controller) drop(i int) {
 	run := c.queue[i]
 	run.qpos = -1
-	run.m.tc.Queued--
+	c.snapQueued(run.m, -1)
 	if c.items[i].Pending == 0 {
 		c.staleItems--
 	}
@@ -220,7 +220,7 @@ func (c *Controller) breakDeadlock() bool {
 		m := run.m
 		if run.qpos >= 0 && run.status == gQueued && run.pending > 0 && !m.failed && !m.done &&
 			!(run.gang && free > 0 && run.pending > free) &&
-			slices.ContainsFunc(m.gruns, func(r *graphletRun) bool { return r.running > 0 }) {
+			m.running > 0 {
 			c.starved = append(c.starved, run)
 		}
 	}
@@ -422,28 +422,15 @@ func (c *Controller) renumberGangs(i int) {
 	}
 }
 
-// policyView assembles the cluster/tenant state policies decide against.
+// policyView is the cluster/tenant state policies decide against. Its
+// tenants are the kept usage view, sorted by tenant name (the View
+// contract).
 func (c *Controller) policyView() sched.View {
 	return sched.View{
 		TotalExecutors: c.cl.NumExecutors(),
 		FreeExecutors:  c.cl.FreeExecutors(),
-		Tenants:        c.usageSnapshots(),
+		Tenants:        c.usage,
 	}
-}
-
-// usageSnapshots projects the per-tenant counters into the policy's usage
-// struct, sorted by tenant name (the View contract). The result is
-// scratch the next call overwrites.
-func (c *Controller) usageSnapshots() []sched.TenantUsage {
-	if len(c.tenantList) == 0 {
-		return nil
-	}
-	c.usage = resized(c.usage, len(c.tenantList))
-	for i, tc := range c.tenantList {
-		c.usage[i] = sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running,
-			Pending: tc.Pending, Queued: tc.Queued}
-	}
-	return c.usage
 }
 
 // servePolicy is one scheduling round, under every policy: ask JobOrder

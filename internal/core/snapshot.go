@@ -40,18 +40,29 @@ func (c *Controller) Snapshot() StateSnapshot {
 }
 
 // snapDelta applies one incremental task-count adjustment for a task of
-// m's job to its tenant's counters.
+// m's job to its tenant's counters, the tenant's entry in the kept usage
+// view and the job's running count.
 func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
 	m.tc.Pending += dPending
 	m.tc.Running += dRunning
 	m.tc.Done += dDone
+	u := &c.usage[m.tc.ui]
+	u.Pending += dPending
+	u.Running += dRunning
+	m.running += dRunning
+}
+
+// snapQueued moves the count of m's tenant's queue entries by d, in its
+// counters and in the kept usage view.
+func (c *Controller) snapQueued(m *monitor, d int) {
+	m.tc.Queued += d
+	c.usage[m.tc.ui].Queued += d
 }
 
 // snapAdmit accounts a freshly admitted job: all tasks start pending.
 func (c *Controller) snapAdmit(m *monitor) {
-	tasks := m.job.NumTasks()
 	m.tc.Jobs++
-	m.tc.Pending += tasks
+	c.snapDelta(m, m.job.NumTasks(), 0, 0)
 }
 
 // snapClose removes a job leaving the live set (completed or failed) from

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"swift/internal/dag"
+	"swift/internal/sched"
 )
 
 // DefaultTenant is the tenant label assigned to jobs submitted without
@@ -31,20 +33,29 @@ type TenantCounts struct {
 	Queued  int // graphlet resource requests in the scheduler queue
 }
 
+// tenantState is one tenant's counter record and its place in the
+// by-name order, which is also its entry in the kept usage view.
+type tenantState struct {
+	TenantCounts
+	ui int // index in Controller.tenantList and Controller.usage
+}
+
 // tenantCounts returns (creating on first use) the counter record for a
 // tenant. Records persist after a tenant's last job retires — the counts
 // drop back to zero but the tenant stays listed in status output.
-func (c *Controller) tenantCounts(name string) *TenantCounts {
+func (c *Controller) tenantCounts(name string) *tenantState {
 	tc := c.tenants[name]
 	if tc == nil {
-		tc = &TenantCounts{Tenant: name}
+		tc = &tenantState{TenantCounts: TenantCounts{Tenant: name}}
 		c.tenants[name] = tc
-		// Keep the by-name order the snapshots promise, paid once per
-		// tenant instead of a collect-and-sort per scheduling round.
+		// Keep the by-name order the snapshots and the policy view promise,
+		// paid once per tenant instead of a collect-and-sort per round.
 		i := sort.Search(len(c.tenantList), func(i int) bool { return c.tenantList[i].Tenant > name })
-		c.tenantList = append(c.tenantList, nil)
-		copy(c.tenantList[i+1:], c.tenantList[i:])
-		c.tenantList[i] = tc
+		c.tenantList = slices.Insert(c.tenantList, i, tc)
+		c.usage = slices.Insert(c.usage, i, sched.TenantUsage{Tenant: name})
+		for ; i < len(c.tenantList); i++ {
+			c.tenantList[i].ui = i
+		}
 	}
 	return tc
 }
@@ -57,7 +68,7 @@ func (c *Controller) TenantSnapshots() []TenantCounts {
 	}
 	out := make([]TenantCounts, len(c.tenantList))
 	for i, tc := range c.tenantList {
-		out[i] = *tc
+		out[i] = tc.TenantCounts
 	}
 	return out
 }

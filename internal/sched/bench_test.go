@@ -7,13 +7,18 @@ import (
 	"swift/internal/raceflag"
 )
 
-// fairRound returns one policy round of a saturated replay_fair — JobOrder
-// then Preempt over three tenants at 2:1:1 with one quota, 300 queued
-// requests and 300 running gangs on a dry 3,000-executor pool, b bursting
-// past its share — as a function that runs it and fails on an empty answer.
-func fairRound() func(tb testing.TB) {
-	p := NewFairShare(FairShareConfig{Queues: []QueueSpec{
+// replayFairShare is replay_fair's policy: three tenants at 2:1:1, one
+// with a quota.
+func replayFairShare() *FairShare {
+	return NewFairShare(FairShareConfig{Queues: []QueueSpec{
 		{Name: "a", Weight: 2}, {Name: "b", Weight: 1}, {Name: "c", Weight: 1, Quota: 600}}})
+}
+
+// fairRound returns one policy round of a saturated replay_fair — p's
+// JobOrder then Preempt over three tenants, 300 queued requests and 300
+// running gangs on a dry 3,000-executor pool, b bursting past its share —
+// as a function that runs it and fails on an empty answer.
+func fairRound(p Policy) func(tb testing.TB) {
 	tenants := []string{"a", "b", "b", "c"} // b submits twice as often
 	items := make([]Item, 300)
 	gangs := make([]Gang, 300)
@@ -38,8 +43,8 @@ func fairRound() func(tb testing.TB) {
 	}
 }
 
-func BenchmarkFairShareRound(b *testing.B) {
-	round := fairRound()
+func benchFairRound(b *testing.B, p Policy) {
+	round := fairRound(p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,19 +52,44 @@ func BenchmarkFairShareRound(b *testing.B) {
 	}
 }
 
+// BenchmarkFairShareRound is the round through the FairShare value's
+// methods, which water-fill afresh on every call.
+func BenchmarkFairShareRound(b *testing.B) { benchFairRound(b, replayFairShare()) }
+
+// BenchmarkFairShareControllerRound is the same round through the round a
+// controller gets from NewRound. The view does not change between calls,
+// so every call after the first reuses the kept water-fill: this is the
+// cost of a round whose shares did not move, most of replay_fair's.
+func BenchmarkFairShareControllerRound(b *testing.B) {
+	benchFairRound(b, replayFairShare().NewRound())
+}
+
 // maxFairRoundAllocs is the committed allocation budget of one JobOrder +
-// Preempt round at three tenants: the grant slice and the victim slice,
-// with one to spare for a shares slice. A per-round map, budget record or
-// queue-sized buffer would blow it.
+// Preempt round at three tenants through the FairShare value: the grant
+// slice and the victim slice, with one to spare for a shares slice. A
+// per-round map, budget record or queue-sized buffer would blow it.
 const maxFairRoundAllocs = 3
 
+// maxControllerRoundAllocs is the same round's budget through a
+// controller's round, which reuses its grant buffer and returns its
+// victim from a buffer of its own.
+const maxControllerRoundAllocs = 0
+
 func TestFairShareRoundAllocs(t *testing.T) {
+	checkFairRoundAllocs(t, replayFairShare(), maxFairRoundAllocs)
+}
+
+func TestFairShareControllerRoundAllocs(t *testing.T) {
+	checkFairRoundAllocs(t, replayFairShare().NewRound(), maxControllerRoundAllocs)
+}
+
+func checkFairRoundAllocs(t *testing.T, p Policy, budget int) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
-	round := fairRound()
-	if allocs := testing.AllocsPerRun(1000, func() { round(t) }); allocs > maxFairRoundAllocs {
-		t.Errorf("JobOrder+Preempt: %.0f allocs per round, budget %d", allocs, maxFairRoundAllocs)
+	round := fairRound(p)
+	if allocs := testing.AllocsPerRun(1000, func() { round(t) }); allocs > float64(budget) {
+		t.Errorf("JobOrder+Preempt: %.0f allocs per round, budget %d", allocs, budget)
 	}
 }
 

@@ -19,6 +19,16 @@ type oracleFairShare struct {
 	cfg FairShareConfig
 }
 
+// oracleQueue is one queue during the oracle's water-fill.
+type oracleQueue struct {
+	weight   float64
+	quota    int
+	tenant   int     // index into view.Tenants, -1 for a declared queue with no live tenant
+	cap      float64 // quota-clamped demand
+	deserved float64
+	filled   bool // took its whole cap; out of the water-fill
+}
+
 // Proportion is the oracle water-fill: deserved shares per tenant, sorted by
 // tenant name. The queues are the declared ones in declaration order, then
 // the view's undeclared tenants in view order (sorted by name — the
@@ -32,9 +42,9 @@ func (f *oracleFairShare) Proportion(view View) []Share {
 	if len(view.Tenants) == 0 {
 		return nil
 	}
-	qs := make([]fsQueue, len(f.cfg.Queues), len(f.cfg.Queues)+len(view.Tenants))
+	qs := make([]oracleQueue, len(f.cfg.Queues), len(f.cfg.Queues)+len(view.Tenants))
 	for i, spec := range f.cfg.Queues {
-		qs[i] = fsQueue{weight: 1, quota: max(spec.Quota, 0), tenant: -1}
+		qs[i] = oracleQueue{weight: 1, quota: max(spec.Quota, 0), tenant: -1}
 		if spec.Weight > 0 {
 			qs[i].weight = spec.Weight
 		}
@@ -43,7 +53,7 @@ func (f *oracleFairShare) Proportion(view View) []Share {
 		qi := slices.IndexFunc(f.cfg.Queues, func(spec QueueSpec) bool { return spec.Name == t.Tenant })
 		if qi < 0 {
 			qi = len(qs)
-			qs = append(qs, fsQueue{weight: 1})
+			qs = append(qs, oracleQueue{weight: 1})
 		}
 		q := &qs[qi]
 		q.tenant = ti

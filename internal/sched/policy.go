@@ -11,11 +11,15 @@
 //   - Preempt: which running graphlet, if any, to reclaim when the pool is
 //     dry and an under-served tenant is starving.
 //
-// Policies are pure functions of the inputs they are handed: they own no
-// clock, no randomness and no state that changes answer-for-equal-inputs,
-// so scheduling stays deterministic and replayable. The package must not
-// import core (core imports it); everything a policy sees is flattened
-// into the plain structs below.
+// A policy value is immutable and may be shared by any number of
+// controllers at once. Its answers are pure functions of the inputs it is
+// handed: no clock, no randomness and no state that changes
+// answer-for-equal-inputs, so scheduling stays deterministic and
+// replayable. A policy that implements Rounder hands each controller a
+// round of its own, which may keep state between that controller's calls
+// — a water-fill to reuse, a grant buffer — so long as no answer changes.
+// The package must not import core (core imports it); everything a policy
+// sees is flattened into the plain structs below.
 package sched
 
 // Item is one queued graphlet resource request as a policy sees it. Index
@@ -122,4 +126,15 @@ type Policy interface {
 	// preemption; the controller re-serves the queue after each reclaim
 	// and asks again, so returning a single victim per call is enough.
 	Preempt(items []Item, gangs []Gang, view View) []Victim
+}
+
+// Rounder is implemented by a policy value that can hand a controller a
+// round of its own: a Policy that answers every call exactly as the value
+// would, and may keep what it computed for one call to answer the next
+// one cheaper. core.NewController asks for a round when its policy
+// implements Rounder. A round serves one controller; it is not safe for
+// concurrent use, while the value it came from stays shareable.
+type Rounder interface {
+	Policy
+	NewRound() Policy
 }
