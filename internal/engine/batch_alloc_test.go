@@ -2,15 +2,17 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // Allocation regression guards: the batch kernels' costs must stay
 // O(columns), never O(rows) — and for the partitioner, the join and the
-// aggregate, never O(partitions) or O(distinct keys) either. Bounds are
-// deliberately a little loose so a runtime version bump doesn't trip them,
-// but an accidental per-row allocation (boxing a cell, growing a slice per
-// element) blows straight through.
+// aggregate, never O(partitions) or O(distinct keys) either. The kernels'
+// throw-away vectors come from scratch (scratch.go), so most bounds sit at
+// the measured count: a runtime version bump that moves one is a reason to
+// re-measure, and an accidental per-row allocation (boxing a cell, growing
+// a slice per element) blows straight through.
 
 // skipUnderRace skips allocation-count assertions when the race detector
 // is on: its instrumentation allocates, making AllocsPerRun overcount.
@@ -43,9 +45,9 @@ func TestFilterBatchAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		FilterBatch(b, func(i int) bool { return i%2 == 0 })
 	})
-	// sel slice + output batch + one vector per column.
-	if allocs > 12 {
-		t.Errorf("FilterBatch allocs = %.0f, want ≤ 12", allocs)
+	// The exact-size selection and the output batch; the columns are shared.
+	if allocs > 2 {
+		t.Errorf("FilterBatch allocs = %.0f, want ≤ 2", allocs)
 	}
 }
 
@@ -66,12 +68,12 @@ func TestPartitionBatchByKeyAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(20, func() {
 				PartitionBatchByKey(in.b, []int{0}, parts)
 			})
-			// Partition indexes, partition bounds, one selection carved into
-			// every partition, the view headers and the slice of them: the
-			// partitions are views, so neither the column count nor the
-			// partition count (nor the row count) shows.
-			if allocs > 5 {
-				t.Errorf("%s, %d parts: PartitionBatchByKey allocs = %.0f, want ≤ 5", in.name, parts, allocs)
+			// Partition bounds, one selection carved into every partition,
+			// the view headers and the slice of them (the partition indexes
+			// are scratch): the partitions are views, so neither the column
+			// count nor the partition count (nor the row count) shows.
+			if allocs > 4 {
+				t.Errorf("%s, %d parts: PartitionBatchByKey allocs = %.0f, want ≤ 4", in.name, parts, allocs)
 			}
 		}
 	}
@@ -106,11 +108,11 @@ func TestHashJoinBatchAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			HashJoinBatch(build, []int{0}, probe, []int{0})
 		})
-		// Two hash vectors, the chain heads and links, the compiled key
-		// test (two), two match index arrays, the output batch and its
-		// columns, and one gathered vector per output column: 16 today.
-		if allocs > 18 {
-			t.Errorf("%d probe rows, %d keys: HashJoinBatch allocs = %.0f, want ≤ 18", sh.rows, sh.domain, allocs)
+		// The compiled key test (two), the output batch and its columns,
+		// and one gathered vector per output column: 10 today. Hashes,
+		// chains and match indexes are scratch.
+		if allocs > 10 {
+			t.Errorf("%d probe rows, %d keys: HashJoinBatch allocs = %.0f, want ≤ 10", sh.rows, sh.domain, allocs)
 		}
 	}
 }
@@ -123,13 +125,13 @@ func TestHashAggregateBatchAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			HashAggregateBatch(b, []int{0}, aggs)
 		})
-		// Hashes, the compiled key test, the group table, group
-		// representatives and ids, the unsorted output (batch, columns, one
+		// The compiled key test, the unsorted output (batch, columns, one
 		// key vector, two vectors per sum/min and one per count), then the
-		// sort's key list, index vector, comparator list and closure, and
-		// gathered output: 23 today.
-		if allocs > 25 {
-			t.Errorf("%d rows, %d keys: HashAggregateBatch allocs = %.0f, want ≤ 25", sh.rows, sh.domain, allocs)
+		// sort's key list, comparator list and closure, and gathered
+		// output: 18 today. Hashes, group table, group representatives and
+		// ids and the sort's index vector are scratch.
+		if allocs > 18 {
+			t.Errorf("%d rows, %d keys: HashAggregateBatch allocs = %.0f, want ≤ 18", sh.rows, sh.domain, allocs)
 		}
 	}
 }
@@ -151,22 +153,22 @@ func checkRowInvariantAllocs(t *testing.T, name string, budget float64, kernel f
 }
 
 func TestSortBatchAllocs(t *testing.T) {
-	// The index vector, the comparator list, one comparator per key (two),
-	// then the gathered batch, its column list and one vector per column
-	// (four): 10 today.
-	checkRowInvariantAllocs(t, "SortBatch", 10, func(b *Batch) { SortBatch(b, []int{0, 2}) })
+	// The comparator list, one comparator per key (two), then the gathered
+	// batch, its column list and one vector per column (four): 9 today.
+	// The index vector is scratch.
+	checkRowInvariantAllocs(t, "SortBatch", 9, func(b *Batch) { SortBatch(b, []int{0, 2}) })
 }
 
 func TestTopKBatchAllocs(t *testing.T) {
 	// SortBatch's count: the k-row gather allocates as the full one does.
-	checkRowInvariantAllocs(t, "TopKBatch", 10, func(b *Batch) { TopKBatch(b, []int{0, 2}, 10, true) })
+	checkRowInvariantAllocs(t, "TopKBatch", 9, func(b *Batch) { TopKBatch(b, []int{0, 2}, 10, true) })
 }
 
 func TestPartitionBatchByRangeAllocs(t *testing.T) {
 	bounds := []Row{{int64(25)}, {int64(50)}, {int64(75)}}
-	// The bounds batch (batch, column list, one vector), the partition indexes,
-	// then partitionViews' four: 8 today.
-	checkRowInvariantAllocs(t, "PartitionBatchByRange", 8, func(b *Batch) { PartitionBatchByRange(b, []int{0}, bounds) })
+	// The bounds batch (batch, column list, one vector), then
+	// partitionViews' four: 7 today. The partition indexes are scratch.
+	checkRowInvariantAllocs(t, "PartitionBatchByRange", 7, func(b *Batch) { PartitionBatchByRange(b, []int{0}, bounds) })
 }
 
 func TestAppendBatchAllocs(t *testing.T) {
@@ -207,3 +209,100 @@ func TestHashBatchIntoAllocs(t *testing.T) {
 		t.Errorf("HashBatchInto allocs = %.0f, want 0", allocs)
 	}
 }
+
+// warmBytes is the fewest bytes one call of f allocated over eight calls
+// after a warm-up call: a collection that empties the scratch pool costs
+// one call a refill, not the measurement.
+func warmBytes(f func()) uint64 {
+	f()
+	best := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 8; i++ {
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return best
+}
+
+// lowCardinalityBatch is Q1's partial-aggregate input at n rows: two
+// one-byte string keys over six combinations and three float64 payloads.
+func lowCardinalityBatch(n int, seed int64) *Batch {
+	r := rand.New(rand.NewSource(seed))
+	flags, statuses := make([]string, n), make([]string, n)
+	qty, price, disc := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		flags[i] = string("ANR"[r.Intn(3)])
+		statuses[i] = string("FO"[r.Intn(2)])
+		qty[i] = float64(1 + r.Intn(50))
+		price[i] = qty[i] * (900 + r.Float64()*100)
+		disc[i] = price[i] * (1 - float64(r.Intn(11))/100)
+	}
+	return NewBatch(StringCol(flags), StringCol(statuses), Float64Col(qty), Float64Col(price), Float64Col(disc))
+}
+
+// TestKernelAllocBytesFollowOutput: on warm kernels the bytes a call
+// allocates follow its output, not its input rows — every row-sized vector
+// a kernel only reads while it runs is scratch. Each kernel runs at 1,000
+// and 100,000 input rows with the same output, and the larger call may not
+// allocate more than the smaller, nor more than its budget. The
+// partitioner, whose views cover every row, owes one int32 per row.
+func TestKernelAllocBytesFollowOutput(t *testing.T) {
+	skipUnderRace(t)
+	q1Aggs := []Agg{{AggSum, 2}, {AggSum, 3}, {AggSum, 4}, {AggCount, 0}}
+	build := NewBatch(Int64Col(make([]int64, 64)))
+	for k := range build.Cols[0].Ints {
+		build.Cols[0].Ints[k] = int64(k)
+	}
+	for _, k := range []struct {
+		name   string
+		budget func(rows int) uint64
+		call   func(rows int) func() // builds the input, returns the measured call
+	}{
+		{"aggregate into 6 groups (Q1's partial)", fixed(4 << 10), func(rows int) func() {
+			b := lowCardinalityBatch(rows, 1)
+			return func() { HashAggregateBatch(b, []int{0, 1}, q1Aggs) }
+		}},
+		{"aggregate of a 97% view into 6 groups", fixed(4 << 10), func(rows int) func() {
+			b := FilterBatch(lowCardinalityBatch(rows, 2), func(i int) bool { return i%32 != 0 })
+			return func() { HashAggregateBatch(b, []int{0, 1}, q1Aggs) }
+		}},
+		{"filter keeping 64 rows", fixed(512), func(rows int) func() {
+			b := typedBatch(rows)
+			step := rows / 64
+			return func() { FilterBatch(b, func(i int) bool { return i%step == 0 && i/step < 64 }) }
+		}},
+		{"top 10", fixed(2 << 10), func(rows int) func() {
+			b := typedBatch(rows)
+			return func() { TopKBatch(b, []int{0, 2}, 10, true) }
+		}},
+		{"join matching 64 probe rows", fixed(4 << 10), func(rows int) func() {
+			probe := NewBatch(Int64Col(make([]int64, rows)))
+			for i := range probe.Cols[0].Ints {
+				probe.Cols[0].Ints[i] = int64(64 + i)
+			}
+			for k := 0; k < 64; k++ {
+				probe.Cols[0].Ints[k*(rows/64)] = int64(k)
+			}
+			return func() { HashJoinBatch(build, []int{0}, probe, []int{0}) }
+		}},
+		// One int32 per row, rounded up to the allocator's 8 KiB pages.
+		{"partition into 16", func(rows int) uint64 { return 41*uint64(rows)/10 + 2<<10 }, func(rows int) func() {
+			b := typedBatch(rows)
+			return func() { PartitionBatchByKey(b, []int{0}, 16) }
+		}},
+	} {
+		small, large := warmBytes(k.call(1000)), warmBytes(k.call(100_000))
+		if k.budget(1000) == k.budget(100_000) && large > small {
+			t.Errorf("%s: %d B at 100,000 rows, %d B at 1,000: the input rows show", k.name, large, small)
+		}
+		if large > k.budget(100_000) || small > k.budget(1000) {
+			t.Errorf("%s: %d B at 1,000 rows, %d B at 100,000, want ≤ %d and ≤ %d",
+				k.name, small, large, k.budget(1000), k.budget(100_000))
+		}
+	}
+}
+
+// fixed is a byte budget that does not depend on the input rows.
+func fixed(bytes uint64) func(int) uint64 { return func(int) uint64 { return bytes } }

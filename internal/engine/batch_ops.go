@@ -266,23 +266,31 @@ func compareBatchRows(a *Batch, i int, akeys []int, b *Batch, j int, bkeys []int
 // instead of gathering. The predicate receives a PHYSICAL row index, so
 // typed plan code reads the column vectors directly; filters compose (a
 // second FilterBatch narrows the same selection). Materialization happens
-// at emit/codec boundaries or via (*Batch).Materialize.
+// at emit/codec boundaries or via (*Batch).Materialize. The selection is
+// built in scratch and copied out at its exact size, so a selective filter
+// allocates for the rows it keeps, not the rows it reads.
 func FilterBatch(b *Batch, keep func(i int) bool) *Batch {
-	sel := make([]int32, 0, b.Len)
+	s := getScratch()
+	buf, n := s.int32s(0, b.Len), 0
 	if b.Sel == nil {
 		for i := 0; i < b.Len; i++ {
 			if keep(i) {
-				sel = append(sel, int32(i))
+				buf[n] = int32(i)
+				n++
 			}
 		}
 	} else {
-		for _, s := range b.Sel {
-			if keep(int(s)) {
-				sel = append(sel, s)
+		for _, p := range b.Sel {
+			if keep(int(p)) {
+				buf[n] = p
+				n++
 			}
 		}
 	}
-	return &Batch{Cols: b.Cols, Len: len(sel), Sel: sel}
+	sel := make([]int32, n) // non-nil even when empty: Len 0 stays a view
+	copy(sel, buf)
+	s.put()
+	return &Batch{Cols: b.Cols, Len: n, Sel: sel}
 }
 
 // colComparator builds a same-column ordering closure over physical
@@ -339,7 +347,10 @@ func colComparator(c *Column) func(i, j int) int {
 // materialises the pre-sort view). The result is dense. Sorting the
 // producer-ordered concatenation of sorted runs is their stable k-way merge.
 func SortBatch(b *Batch, keys []int) *Batch {
-	return b.Gather(argsort(b, keys, false))
+	s := getScratch()
+	out := b.Gather(argsort(b, keys, false, s))
+	s.put()
+	return out
 }
 
 // TopKBatch returns the first k rows of the key ordering — ascending, or
@@ -347,14 +358,18 @@ func SortBatch(b *Batch, keys []int) *Batch {
 // kernel (argsort, then a k-row gather). Ties keep input order in both
 // directions; k >= b.Len sorts the whole batch.
 func TopKBatch(b *Batch, keys []int, k int, desc bool) *Batch {
-	idx := argsort(b, keys, desc)
-	return b.Gather(idx[:min(max(k, 0), len(idx))])
+	s := getScratch()
+	idx := argsort(b, keys, desc, s)
+	out := b.Gather(idx[:min(max(k, 0), len(idx))])
+	s.put()
+	return out
 }
 
 // argsort returns the batch's physical row indices stably ordered by the
-// key columns, one colComparator per key.
-func argsort(b *Batch, keys []int, desc bool) []int32 {
-	idx := make([]int32, b.Len)
+// key columns, one colComparator per key. The indices live in s's first
+// int32 vector, so the caller gathers through them before putting s back.
+func argsort(b *Batch, keys []int, desc bool, s *scratch) []int32 {
+	idx := s.int32s(0, b.Len)
 	if b.Sel == nil {
 		for i := range idx {
 			idx[i] = int32(i)
@@ -393,12 +408,15 @@ func PartitionBatchByKey(b *Batch, keys []int, n int) []*Batch {
 	if n <= 1 {
 		return []*Batch{b}
 	}
-	pidx := make([]uint64, b.Len)
+	s := getScratch()
+	pidx := s.uint64s(0, b.Len)
 	HashBatchInto(b, keys, pidx)
 	for i, h := range pidx {
 		pidx[i] = h % uint64(n)
 	}
-	return partitionViews(b, pidx, n)
+	parts := partitionViews(b, pidx, n)
+	s.put()
+	return parts
 }
 
 // PartitionBatchByRange splits the batch into len(bounds)+1 contiguous
@@ -410,13 +428,16 @@ func PartitionBatchByRange(b *Batch, keys []int, bounds []Row) []*Batch {
 		return []*Batch{b}
 	}
 	bb := BatchFromRows(bounds)
-	pidx := make([]uint64, b.Len)
+	s := getScratch()
+	pidx := s.uint64s(0, b.Len)
 	for i := range pidx {
 		pidx[i] = uint64(sort.Search(len(bounds), func(bi int) bool {
 			return compareBatchRows(b, i, keys, bb, bi, keys) < 0
 		}))
 	}
-	return partitionViews(b, pidx, len(bounds)+1)
+	parts := partitionViews(b, pidx, len(bounds)+1)
+	s.put()
+	return parts
 }
 
 // partitionViews splits b into n views, logical row j going to partition
@@ -467,23 +488,26 @@ func slot(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shif
 // candidate must match the full 64-bit hash before its keys are compared
 // (typed, compiled once per call). Matches accumulate as physical index
 // pairs and materialise with one typed gather per side, so lazy inputs join
-// through their selections.
+// through their selections. Hashes, table and match indexes are scratch:
+// the output columns are the call's only row-sized allocations.
 func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int) *Batch {
-	bh := make([]uint64, build.Len)
+	s := getScratch()
+	bh := s.uint64s(0, build.Len)
 	HashBatchInto(build, buildKeys, bh)
 	shift := tableShift(build.Len)
-	heads := make([]int32, 1<<(64-shift)) // build row + 1; 0 ends a chain
-	next := make([]int32, build.Len)
+	heads := s.int32s(0, 1<<(64-shift)) // build row + 1; 0 ends a chain
+	clear(heads)
+	next := s.int32s(1, build.Len)
 	for i := build.Len - 1; i >= 0; i-- {
-		s := slot(bh[i], shift)
-		next[i] = heads[s]
-		heads[s] = int32(i + 1)
+		sl := slot(bh[i], shift)
+		next[i] = heads[sl]
+		heads[sl] = int32(i + 1)
 	}
 
-	ph := make([]uint64, probe.Len)
+	ph := s.uint64s(1, probe.Len)
 	HashBatchInto(probe, probeKeys, ph)
 	// Hash matches bound the match count (over only by 64-bit collisions
-	// between distinct keys), so the match index arrays are allocated once.
+	// between distinct keys), so the match index arrays are sized once.
 	cand := 0
 	for _, h := range ph {
 		for e := heads[slot(h, shift)]; e != 0; e = next[e-1] {
@@ -492,8 +516,8 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 			}
 		}
 	}
-	pIdx := make([]int32, 0, cand)
-	bIdx := make([]int32, 0, cand)
+	pIdx := s.int32s(2, cand)[:0]
+	bIdx := s.int32s(3, cand)[:0]
 	if cand > 0 {
 		eq := keyMatcher(probe, probeKeys, build, buildKeys)
 		for i, h := range ph {
@@ -516,44 +540,54 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 	for c := range build.Cols {
 		out.Cols[len(probe.Cols)+c] = gatherCol(&build.Cols[c], bIdx)
 	}
+	s.put()
 	return out
 }
 
 // ---- hash aggregate ----
 
+// minGroupSlots bounds the aggregate's first table: it starts at the
+// smallest power of two above twice min(rows, minGroupSlots) slots.
+const minGroupSlots = 32
+
 // HashAggregateBatch groups the batch by the key columns and folds the
 // aggregates, emitting key columns followed by one column per aggregate,
 // sorted by key (no aggregates: the distinct keys). Groups are found in one
-// open-addressed table of group ids, sized at twice the row count and
-// probed linearly; a slot's group matches only if the hash of its first row
-// does before the keys are compared (typed, compiled once per call). Each
-// aggregate then folds in one typed pass over the whole batch, so sums over
-// an int64 or float64 column never box a value. Output columns stay typed:
-// Count and int sums are TInt64 vectors, float sums TFloat64, Min/Max the
-// input column's type.
+// open-addressed table of group ids, probed linearly; it starts small (see
+// minGroupSlots) and doubles, rehashing from the groups' first rows'
+// hashes, whenever it passes half load, so its size follows the group
+// count, not the row count. A slot's group matches only if the hash of its
+// first row does before the keys are compared (typed, compiled once per
+// call). Each aggregate then folds in one typed pass over the whole batch,
+// so sums over an int64 or float64 column never box a value. Output columns
+// stay typed: Count and int sums are TInt64 vectors, float sums TFloat64,
+// Min/Max the input column's type. Hashes, table, group representatives
+// and group ids are scratch: what the call allocates follows the groups.
 func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 	nk, na := len(keys), len(aggs)
 	if b == nil || b.Len == 0 {
 		return &Batch{Cols: make([]Column, nk+na)}
 	}
-	hashes := make([]uint64, b.Len)
+	s := getScratch()
+	hashes := s.uint64s(0, b.Len)
 	HashBatchInto(b, keys, hashes)
 	eq := keyMatcher(b, keys, b, keys)
-	shift := tableShift(2 * b.Len)
-	mask := uint64(1)<<(64-shift) - 1
-	slots := make([]int32, mask+1) // group id + 1; 0 is empty
-	// Worst case every row is its own group; sizing rep up front keeps the
-	// grouping loop growth-free.
-	rep := make([]int32, 0, b.Len) // group id -> first row, logical
-	gids := make([]int32, b.Len)   // logical row -> group id
+	shift := tableShift(2 * min(b.Len, minGroupSlots))
+	slots := s.int32s(0, 1<<(64-shift)) // group id + 1; 0 is empty
+	clear(slots)
+	mask := uint64(len(slots) - 1)
+	rep := s.int32s(1, b.Len)  // group id -> first row, logical; groups entries used
+	gids := s.int32s(2, b.Len) // logical row -> group id
+	groups := 0
 	for i, h := range hashes {
 		pi := b.physical(i)
-		for s := slot(h, shift); ; s = (s + 1) & mask {
-			e := slots[s]
+		for sl := slot(h, shift); ; sl = (sl + 1) & mask {
+			e := slots[sl]
 			if e == 0 {
-				gids[i] = int32(len(rep))
-				slots[s] = int32(len(rep)) + 1
-				rep = append(rep, int32(i))
+				gids[i] = int32(groups)
+				rep[groups] = int32(i)
+				groups++
+				slots[sl] = int32(groups)
 				break
 			}
 			if g := e - 1; hashes[rep[g]] == h && eq(b.physical(int(rep[g])), pi) {
@@ -561,13 +595,26 @@ func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 				break
 			}
 		}
+		if 2*groups > len(slots) {
+			shift--
+			slots = s.int32s(0, 1<<(64-shift))
+			clear(slots)
+			mask = uint64(len(slots) - 1)
+			for g, r := range rep[:groups] {
+				sl := slot(hashes[r], shift)
+				for slots[sl] != 0 {
+					sl = (sl + 1) & mask
+				}
+				slots[sl] = int32(g + 1)
+			}
+		}
 	}
+	rep = rep[:groups]
 	if b.Sel != nil {
 		for g, i := range rep {
 			rep[g] = b.Sel[i] // logical -> physical, for the key gather
 		}
 	}
-	groups := len(rep)
 	out := &Batch{Cols: make([]Column, nk+na), Len: groups}
 	for x, k := range keys {
 		out.Cols[x] = gatherCol(&b.Cols[k], rep)
@@ -575,6 +622,7 @@ func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
 	for x, a := range aggs {
 		out.Cols[nk+x] = aggColumn(b, a, gids, groups)
 	}
+	s.put()
 	return SortBatch(out, identity(nk))
 }
 

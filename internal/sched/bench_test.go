@@ -14,30 +14,52 @@ func replayFairShare() *FairShare {
 		{Name: "a", Weight: 2}, {Name: "b", Weight: 1}, {Name: "c", Weight: 1, Quota: 600}}})
 }
 
-// fairRound returns one policy round of a saturated replay_fair — p's
-// JobOrder then Preempt over three tenants, 300 queued requests and 300
-// running gangs on a dry 3,000-executor pool, b bursting past its share —
-// as a function that runs it and fails on an empty answer.
+// fairRound returns one policy round of a saturated replay_fair over three
+// tenants, 300 queued requests and 300 running ten-task gangs on a
+// 3,000-executor pool, as a function that runs it and fails on an empty
+// answer. It asks each question of the pool a controller asks it of:
+// JobOrder when completions have freed a handful of executors and the
+// tenants hold about their shares (a 1,600, b 800, c its quota of 600), so
+// the plan is a grant or two, as on replay_fair's saturated rounds;
+// Preempt when the pool is dry and b has burst one gang past its share.
 func fairRound(p Policy) func(tb testing.TB) {
 	tenants := []string{"a", "b", "b", "c"} // b submits twice as often
 	items := make([]Item, 300)
-	gangs := make([]Gang, 300)
-	usage := map[string]*TenantUsage{"a": {Tenant: "a"}, "b": {Tenant: "b"}, "c": {Tenant: "c"}}
+	usage := map[string]TenantUsage{}
 	for i := range items {
 		tenant := tenants[i%len(tenants)]
 		items[i] = Item{Index: i, Job: fmt.Sprintf("q%d", i), Tenant: tenant, Pending: 5 + i%40, Seq: 300 + i}
-		gangs[i] = Gang{Job: fmt.Sprintf("r%d", i), Tenant: tenant, Running: 10, Seq: i}
 		u := usage[tenant]
+		u.Tenant = tenant
 		u.Pending += items[i].Pending
 		u.Queued++
-		u.Running += gangs[i].Running
+		usage[tenant] = u
 	}
-	view := View{TotalExecutors: 3000, Tenants: []TenantUsage{*usage["a"], *usage["b"], *usage["c"]}}
+	gangs := make([]Gang, 0, 300)
+	for _, t := range []struct {
+		tenant string
+		gangs  int
+	}{{"a", 159}, {"b", 81}, {"c", 60}} {
+		for range t.gangs {
+			gangs = append(gangs, Gang{Job: fmt.Sprintf("r%d", len(gangs)), Tenant: t.tenant, Running: 10, Seq: len(gangs)})
+		}
+	}
+	view := func(free int, running ...int) View {
+		v := View{TotalExecutors: 3000, FreeExecutors: free}
+		for i, tenant := range []string{"a", "b", "c"} {
+			u := usage[tenant]
+			u.Running = running[i]
+			v.Tenants = append(v.Tenants, u)
+		}
+		return v
+	}
+	serve := view(2, 1599, 799, 600)
+	dry := view(0, 1590, 810, 600)
 	return func(tb testing.TB) {
-		if g := p.JobOrder(items, view); len(g) == 0 {
+		if g := p.JobOrder(items, serve); len(g) == 0 {
 			tb.Fatal("no grants")
 		}
-		if v := p.Preempt(items, gangs, view); len(v) == 0 {
+		if v := p.Preempt(items, gangs, dry); len(v) == 0 {
 			tb.Fatal("no victim")
 		}
 	}
@@ -57,9 +79,10 @@ func benchFairRound(b *testing.B, p Policy) {
 func BenchmarkFairShareRound(b *testing.B) { benchFairRound(b, replayFairShare()) }
 
 // BenchmarkFairShareControllerRound is the same round through the round a
-// controller gets from NewRound. The view does not change between calls,
-// so every call after the first reuses the kept water-fill: this is the
-// cost of a round whose shares did not move, most of replay_fair's.
+// controller gets from NewRound. Neither view changes between calls, and
+// the kept water-fill answers both, so every call after the first reuses
+// it: this is the cost of a round whose shares did not move, most of
+// replay_fair's.
 func BenchmarkFairShareControllerRound(b *testing.B) {
 	benchFairRound(b, replayFairShare().NewRound())
 }
