@@ -2,11 +2,14 @@ package chaos
 
 import (
 	"flag"
+	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swift/internal/cluster"
 	"swift/internal/core"
+	"swift/internal/dag"
 	"swift/internal/flow"
 	"swift/internal/shuffle"
 	"swift/internal/sim"
@@ -347,5 +350,39 @@ func TestFairShareSoakDeterminism(t *testing.T) {
 	}
 	if a.Reclaims != b.Reclaims || a.Completed != b.Completed {
 		t.Fatalf("fair soak outcome differs: %v vs %v", a, b)
+	}
+}
+
+// The fair-share preset's auditor enforces the quota its policy declares,
+// and no other: Run reads it off the policy's shares.
+func TestFairSharePresetDerivesQuotas(t *testing.T) {
+	if got, want := tenantQuotas(fairConfig(0).withDefaults()), map[string]int{"c": 30}; !maps.Equal(got, want) {
+		t.Errorf("fair-share preset quotas = %v, want %v", got, want)
+	}
+	if got := tenantQuotas(Config{Tenants: fairConfig(0).Tenants}.withDefaults()); len(got) != 0 {
+		t.Errorf("FIFO quotas = %v, want none", got)
+	}
+}
+
+// The hard-quota invariant fires: FIFO caps no tenant, so a quota below
+// what one tenant runs is a violation at the next state sweep.
+func TestAuditorFlagsTenantAboveQuota(t *testing.T) {
+	cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 4})
+	ctrl := core.NewController(cl, core.DefaultOptions())
+	a := NewAuditor(ctrl, cl)
+	job := dag.NewBuilder("j").Stage("A", 4, dag.Op(dag.OpTableScan)).MustBuild()
+	job.Tenant = "a"
+	if err := ctrl.SubmitJob(job); err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Drain()
+	a.CheckNow(0)
+	if v := a.Violations(); len(v) != 0 {
+		t.Fatalf("violations before arming a quota: %v", v)
+	}
+	a.SetTenantQuotas(map[string]int{"a": 3})
+	a.CheckNow(0)
+	if v := a.Violations(); len(v) != 1 || !strings.Contains(v[0], "tenant a runs 4 tasks above its quota 3") {
+		t.Fatalf("violations = %q, want tenant a above its quota", v)
 	}
 }

@@ -32,7 +32,8 @@ func (c *Config) profile() *Profile {
 // UseFairShare switches the soak to the multi-tenant fairness mix: three
 // tenants under the fair-share policy with weights 2:1:1, tenant b
 // bursting 10x for 30 s and tenant c hard-capped at 30 executors, with the
-// auditor's starvation and hard-quota invariants armed. Jobs is ignored.
+// auditor's starvation invariant armed and c's quota audited (Run reads it
+// off the policy). Jobs is ignored.
 func (c *Config) UseFairShare() {
 	c.options().Policy = sched.NewFairShare(sched.FairShareConfig{Queues: []sched.QueueSpec{
 		{Name: "a", Weight: 2},
@@ -44,7 +45,6 @@ func (c *Config) UseFairShare() {
 		{Name: "b", Jobs: 12, Rate: 0.4, BurstAt: 20, BurstDur: 30, BurstFactor: 10},
 		{Name: "c", Jobs: 8, ArrivalWindow: 60},
 	}
-	c.TenantQuotas = map[string]int{"c": 30}
 }
 
 // UseReplicatedShuffle turns on 3-way output replication and makes Cache

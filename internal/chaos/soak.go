@@ -3,12 +3,15 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/flow"
 	"swift/internal/metrics"
+	"swift/internal/sched"
 	"swift/internal/sim"
 	"swift/internal/simrun"
 	"swift/internal/trace"
@@ -46,12 +49,9 @@ type Config struct {
 	// (see trace.TenantSpec); Jobs is then ignored. The soak additionally
 	// audits fairness: every tenant's terminal tallies fold into the trace
 	// hash, and a tenant whose every job dies — while others complete — is
-	// reported as starved.
+	// reported as starved. A tenant the scheduling policy gives a hard
+	// quota is audited against it (see tenantQuotas).
 	Tenants []trace.TenantSpec
-	// TenantQuotas arms the auditor's hard-quota invariant: no listed
-	// tenant may ever hold more running tasks than its quota. Pair with a
-	// quota-configured scheduling policy in Options.
-	TenantQuotas map[string]int
 }
 
 const (
@@ -82,6 +82,27 @@ func (c Config) withDefaults() Config {
 	c.profile()
 	c.options()
 	return c
+}
+
+// tenantQuotas reads the hard quota the configured scheduling policy gives
+// each of the workload's tenants off its Proportion shares, for the
+// auditor's hard-quota invariant.
+func tenantQuotas(cfg Config) map[string]int {
+	if cfg.Options.Policy == nil || len(cfg.Tenants) == 0 {
+		return nil
+	}
+	view := sched.View{Tenants: make([]sched.TenantUsage, len(cfg.Tenants))}
+	for i, t := range cfg.Tenants {
+		view.Tenants[i].Tenant = t.Name
+	}
+	slices.SortFunc(view.Tenants, func(a, b sched.TenantUsage) int { return strings.Compare(a.Tenant, b.Tenant) })
+	quotas := make(map[string]int)
+	for _, s := range cfg.Options.Policy.Proportion(view) {
+		if s.Quota > 0 {
+			quotas[s.Tenant] = s.Quota
+		}
+	}
+	return quotas
 }
 
 // Result summarises one soak.
@@ -178,7 +199,7 @@ func Run(cfg Config) *Result {
 		ReadmitDelay: cfg.Profile.RecoverDelay,
 	})
 	aud := NewAuditor(runner.Controller(), runner.Cluster())
-	aud.SetTenantQuotas(cfg.TenantQuotas)
+	aud.SetTenantQuotas(tenantQuotas(cfg))
 	runner.SetActionHook(aud.OnAction)
 
 	ctrl := runner.Controller()

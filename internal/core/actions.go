@@ -78,7 +78,7 @@ type Action struct {
 	Reason   StartReason        // ActStartTask
 	Graphlet int16              // ActStartTask (SubmitJob refuses more graphlets than fit)
 	Attempt  int32              // ActStartTask, ActAbortTask, ActReplicate
-	Stage    int32              // ActStartTask, ActAbortTask: Task.Stage's topological index (dag.Job.TopoOrder)
+	Stage    int32              // ActStartTask, ActAbortTask: Task.Stage's topological index (dag.Job.TopoIndex)
 	Job      JobHandle          // every kind that names a job: Task.Job's handle
 	Executor cluster.ExecutorID // ActStartTask, ActAbortTask
 	Task     TaskRef

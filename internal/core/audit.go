@@ -108,13 +108,12 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //   - queue positions: every queue entry's run knows its position, and a
 //     live run that knows none has no entry;
 //   - tenant accounting: the O(delta) per-tenant counters behind
-//     TenantSnapshots match a full per-tenant recount of live jobs,
-//     task states and queue entries;
+//     TenantSnapshots, the kept usage view among them, match a full
+//     per-tenant recount of live jobs, task states and queue entries;
 //   - policy views: under every policy, sched.FIFO included, views built
 //     from scratch agree entry for entry with the kept queue view, gang
-//     list, tenant usage view and per-job running counts — a writer that
-//     changed what a policy would see without patching the view shows up
-//     here;
+//     list and per-job running counts — a writer that changed what a
+//     policy would see without patching the view shows up here;
 //   - the live table: it holds exactly the live-job order's monitors, as
 //     many as Snapshot counts live jobs, none of them done or failed and
 //     none with an id the outcome table already holds, and each job's
@@ -301,7 +300,7 @@ func (c *Controller) CheckInvariants() []string {
 		var have, want TenantCounts
 		have.Tenant, want.Tenant = name, name
 		if tc := c.tenants[name]; tc != nil {
-			have = tc.TenantCounts
+			have = c.counts(tc)
 		}
 		if tc := tenantRecount[name]; tc != nil {
 			want = *tc
@@ -351,17 +350,6 @@ func (c *Controller) checkViews() []string {
 		if run.gpos != i {
 			v = append(v, fmt.Sprintf("gang %s graphlet %d is at %d, its run says %d", c.gangs[i].Job, c.gangs[i].Graphlet, i, run.gpos))
 			break
-		}
-	}
-	if len(c.usage) != len(c.tenantList) {
-		v = append(v, fmt.Sprintf("kept usage view holds %d tenants, the counters %d", len(c.usage), len(c.tenantList)))
-	} else {
-		for i, tc := range c.tenantList {
-			want := sched.TenantUsage{Tenant: tc.Tenant, Running: tc.Running, Pending: tc.Pending, Queued: tc.Queued}
-			if c.usage[i] != want || tc.ui != i {
-				v = append(v, fmt.Sprintf("kept usage view entry %d is %+v, a rebuild says %+v (its record says %d)", i, c.usage[i], want, tc.ui))
-				break
-			}
 		}
 	}
 	for _, m := range c.order {

@@ -54,11 +54,19 @@ type taskState struct {
 type stageState struct {
 	spec     *dag.Stage
 	graphlet int
-	// in and out are the topological indexes of the stage's producers and
-	// consumers, in the job's edge order.
-	in, out []int
-	tasks   []taskState
-	done    int
+	// in are the topological indexes of the stage's producers and out its
+	// edges to its consumers, each in the job's edge order.
+	in    []int
+	out   []outEdge
+	tasks []taskState
+	done  int
+}
+
+// outEdge is one shuffle edge out of a stage: its consumer's topological
+// index and the mode selected at admission (degradeEdges may lower it).
+type outEdge struct {
+	to   int
+	mode shuffle.Mode
 }
 
 func (s *stageState) complete() bool { return s.done == len(s.tasks) }
@@ -95,16 +103,12 @@ type graphletRun struct {
 	qpos, gpos int
 }
 
-type edgeKey struct{ from, to string }
-
 // monitor is the per-job state the paper calls the Job Monitor.
 type monitor struct {
 	job       *dag.Job
 	graphlets []*graphlet.Graphlet
 	gruns     []*graphletRun
-	stages    []*stageState // in topological order
-	modes     map[edgeKey]shuffle.Mode
-	stageIdx  map[string]int // stage -> topological index
+	stages    []*stageState // in topological order (dag.Job.TopoIndex)
 	done      bool
 	failed    bool
 	tenant    string       // normalized tenant label (TenantName)
@@ -158,9 +162,10 @@ type Controller struct {
 	// of its own it handed this controller (sched.Rounder); every round
 	// asks it for a plan, sched.FIFO included (see servePolicy).
 	policy sched.Policy
-	// tenants holds per-tenant aggregate counters, maintained O(delta) at
-	// every task state transition and summed by Snapshot (see tenant.go);
-	// nextSeq numbers admissions for the policy's FIFO tiebreak.
+	// tenants holds each tenant's record (live jobs, done tasks and its
+	// index in usage, which holds the rest of its counts), maintained
+	// O(delta) at every task state transition and summed by Snapshot (see
+	// tenant.go); nextSeq numbers admissions for the policy's FIFO tiebreak.
 	tenants    map[string]*tenantState
 	tenantList []*tenantState // the same records, sorted by tenant name
 	nextSeq    int
@@ -176,8 +181,9 @@ type Controller struct {
 	// launchable (see patchItem); gangs lists the graphlet runs holding
 	// executors by (admission seq, graphlet), the preemption candidates,
 	// and gangRuns[i] is the run behind gangs[i] (see syncGang); usage[i]
-	// is tenantList[i]'s running, pending and queued counts (see snapDelta
-	// and snapQueued). CheckInvariants compares the views with fresh builds.
+	// is tenantList[i]'s running, pending and queued counts, their only
+	// store (see snapDelta and snapQueued). CheckInvariants compares the
+	// views with fresh builds and recounts the tenants.
 	items      []sched.Item
 	staleItems int
 	gangs      []sched.Gang
@@ -255,41 +261,37 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		job:       job,
 		graphlets: gs,
 		stages:    make([]*stageState, len(topo)),
-		modes:     make(map[edgeKey]shuffle.Mode),
-		stageIdx:  make(map[string]int, len(topo)),
 		tenant:    TenantName(job),
 		seq:       c.nextSeq,
 		handle:    JobHandle(len(c.handles)),
 	}
 	c.nextSeq++
 	m.tc = c.tenantCounts(m.tenant)
-	owner := make(map[string]int, len(topo)) // stage -> graphlet index
-	for _, g := range gs {
-		for _, s := range g.Stages {
-			owner[s] = g.Index
-		}
-	}
 	c.opts.Obs.JobSubmitted(job.ID, len(topo), job.NumTasks(), len(gs))
 	for i, name := range topo {
-		m.stageIdx[name] = i
 		spec := job.Stage(name)
-		m.stages[i] = &stageState{spec: spec, graphlet: owner[name], tasks: make([]taskState, spec.Tasks)}
+		m.stages[i] = &stageState{spec: spec, tasks: make([]taskState, spec.Tasks)}
 		m.stages[i].reset()
 	}
+	for _, g := range gs {
+		for _, s := range g.Stages {
+			m.stages[job.TopoIndex(s)].graphlet = g.Index
+		}
+	}
 	for _, e := range job.Edges() {
-		crossing := owner[e.From] != owner[e.To]
+		from, to := job.TopoIndex(e.From), job.TopoIndex(e.To)
+		crossing := m.stages[from].graphlet != m.stages[to].graphlet
 		mode := c.opts.Shuffle(job.ShuffleEdgeSize(e), e.Bytes, crossing)
 		c.opts.Obs.ShuffleModeSelected(job.ID, e.From, e.To, mode.String(), job.ShuffleEdgeSize(e), e.Bytes)
-		m.modes[edgeKey{e.From, e.To}] = mode
-		from, to := m.stageIdx[e.From], m.stageIdx[e.To]
-		m.stages[from].out = append(m.stages[from].out, to)
+		m.stages[from].out = append(m.stages[from].out, outEdge{to, mode})
 		m.stages[to].in = append(m.stages[to].in, from)
 	}
 	m.gruns = c.buildGraphletRuns(m)
 	c.jobs[job.ID] = m
 	c.handles = append(c.handles, m)
 	c.order = append(c.order, m)
-	c.snapAdmit(m)
+	m.tc.jobs++
+	c.snapDelta(m, job.NumTasks(), 0, 0) // every task starts pending
 	// A gang launches whole or not at all, so one larger than the cluster
 	// would wait for ever; one that fits only its healthy part still waits.
 	for _, run := range m.gruns {
@@ -370,8 +372,8 @@ func (c *Controller) live(ref *TaskRef) (m *monitor, si int, ok bool) {
 	if m == nil {
 		return nil, 0, false
 	}
-	si, ok = m.stageIdx[ref.Stage]
-	if !ok || ref.Index < 0 || ref.Index >= len(m.stages[si].tasks) {
+	si = m.job.TopoIndex(ref.Stage)
+	if si < 0 || ref.Index < 0 || ref.Index >= len(m.stages[si].tasks) {
 		return nil, 0, false
 	}
 	return m, si, true
@@ -504,20 +506,26 @@ func (c *Controller) JobFailed(job string) bool {
 // retired handle: a driver knows a retired job's outcome from its
 // terminal action, and every stage of a completed job is complete.
 func (c *Controller) StageComplete(job JobHandle, stage int) bool {
-	if uint(job) >= uint(len(c.handles)) {
-		return false
-	}
-	m := c.handles[job]
-	return m != nil && uint(stage) < uint(len(m.stages)) && m.stages[stage].complete()
+	m := c.at(job, stage, 0) // every stage has a task
+	return m != nil && m.stages[stage].complete()
 }
 
-// EdgeMode returns the shuffle mode selected for an edge at admission.
+// EdgeMode returns the shuffle mode of a live job's edge: the one selected
+// at admission, or Direct once a Cache Worker crash degraded it. It is
+// Direct for a job, stage or edge it does not know.
 func (c *Controller) EdgeMode(job, from, to string) shuffle.Mode {
 	m := c.jobs[job]
 	if m == nil {
 		return shuffle.Direct
 	}
-	return m.modes[edgeKey{from, to}]
+	if fi, ti := m.job.TopoIndex(from), m.job.TopoIndex(to); fi >= 0 {
+		for _, e := range m.stages[fi].out {
+			if e.to == ti {
+				return e.mode
+			}
+		}
+	}
+	return shuffle.Direct
 }
 
 // RunningTask returns the executor and attempt of a task if it is

@@ -769,6 +769,51 @@ func TestEdgeModeSelection(t *testing.T) {
 	if got := h3.c.EdgeMode("big", "A", "B"); got != shuffle.Local {
 		t.Errorf("adaptive large mode = %v, want Local", got)
 	}
+
+	// A fan-out stage whose edges got different modes: a Cache Worker
+	// crash degrades its Local and Remote edges and leaves the others.
+	opts = DefaultOptions()
+	byConsumer := []shuffle.Mode{shuffle.Direct, shuffle.Local, shuffle.Remote, shuffle.Disk}
+	opts.Shuffle = func(edgeSize int, _ int64, _ bool) shuffle.Mode { return byConsumer[edgeSize-1] }
+	b := dag.NewBuilder("f").Stage("A", 1, dag.Op(dag.OpTableScan), dag.Op(dag.OpMergeSort), dag.Op(dag.OpShuffleWrite))
+	consumers := []string{"B", "C", "D", "E"}
+	for i, name := range consumers {
+		b.Stage(name, i+1, dag.Op(dag.OpShuffleRead), dag.Op(dag.OpAdhocSink)).Barrier("A", name, 1<<20)
+	}
+	h4 := newHarness(t, 1, 4, opts)
+	h4.submit(b.MustBuild())
+	for i, name := range consumers {
+		if got := h4.c.EdgeMode("f", "A", name); got != byConsumer[i] {
+			t.Errorf("A->%s mode = %v, want %v", name, got, byConsumer[i])
+		}
+	}
+	for _, e := range [][2]string{{"A", "nope"}, {"nope", "B"}, {"B", "C"}} {
+		if got := h4.c.EdgeMode("f", e[0], e[1]); got != shuffle.Direct {
+			t.Errorf("%s->%s of a live job: mode = %v, want Direct", e[0], e[1], got)
+		}
+	}
+	h4.finish(ref("f", "A", 0))
+	from := len(h4.events)
+	h4.c.CacheWorkerLost(0)
+	h4.drain()
+	var degraded []string
+	for _, a := range h4.events[from:] {
+		if a.Kind == ActShuffleDegraded {
+			degraded = append(degraded, a.Detail.From+"->"+a.Detail.To+" "+a.Detail.Old.String())
+		}
+	}
+	if want := []string{"A->C " + shuffle.Local.String(), "A->D " + shuffle.Remote.String()}; !slices.Equal(degraded, want) {
+		t.Errorf("degraded %q, want %q", degraded, want)
+	}
+	for i, name := range consumers {
+		want := byConsumer[i]
+		if want == shuffle.Local || want == shuffle.Remote {
+			want = shuffle.Direct
+		}
+		if got := h4.c.EdgeMode("f", "A", name); got != want {
+			t.Errorf("after the crash A->%s mode = %v, want %v", name, got, want)
+		}
+	}
 }
 
 func TestPerStagePartitionSchedulesStagewise(t *testing.T) {

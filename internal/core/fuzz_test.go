@@ -318,8 +318,8 @@ func startOrder(h *harness) string {
 				if !below[b] {
 					continue
 				}
-				for _, to := range m.stages[b].out {
-					below[to] = below[to] || m.stages[to].graphlet == st.graphlet
+				for _, e := range m.stages[b].out {
+					below[e.to] = below[e.to] || m.stages[e.to].graphlet == st.graphlet
 				}
 				for i, t := range m.stages[b].tasks {
 					if b != s && t.status != TaskPending && last[m.ref(b, i)] < latest {

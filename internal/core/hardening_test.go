@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"swift/internal/cluster"
 	"swift/internal/dag"
@@ -338,29 +337,6 @@ func TestReadOnlyDrainPath(t *testing.T) {
 	}
 	if h.c.Cluster().BusyExecutors() != 0 {
 		t.Error("machine 0 not fully drained")
-	}
-}
-
-// The paper's heartbeat intervals scale with cluster size; pin the
-// 200/1000-machine threshold boundaries (Section IV-A).
-func TestHeartbeatThresholdBoundaries(t *testing.T) {
-	cases := []struct {
-		machines int
-		want     time.Duration
-	}{
-		{1, 5 * time.Second},
-		{199, 5 * time.Second},
-		{200, 5 * time.Second},
-		{201, 10 * time.Second},
-		{999, 10 * time.Second},
-		{1000, 10 * time.Second},
-		{1001, 15 * time.Second},
-		{2000, 15 * time.Second},
-	}
-	for _, c := range cases {
-		if got := HeartbeatInterval(c.machines); got != c.want {
-			t.Errorf("HeartbeatInterval(%d) = %v, want %v", c.machines, got, c.want)
-		}
 	}
 }
 

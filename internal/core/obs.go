@@ -1,7 +1,5 @@
 package core
 
-import "swift/internal/obs"
-
 // Observability hooks. The controller records alongside emit(): every
 // action the drivers see is also translated into a typed obs event, so the
 // trace is a faithful mirror of the action stream. Detection-side events
@@ -69,6 +67,3 @@ func (c *Controller) observe(a *Action) {
 		r.Replicated(a.Task.Job, a.Task.Stage, a.Task.Index, int(a.Attempt), len(a.Detail.Machines), machine)
 	}
 }
-
-// Obs returns the controller's recorder (nil when observability is off).
-func (c *Controller) Obs() *obs.Recorder { return c.opts.Obs }

@@ -35,16 +35,14 @@ func PerStagePartition(j *dag.Job) ([]*graphlet.Graphlet, error) {
 	if err != nil {
 		return nil, err
 	}
-	owner := make(map[string]int, len(topo))
 	gs := make([]*graphlet.Graphlet, 0, len(topo))
 	for i, s := range topo {
-		owner[s] = i
 		gs = append(gs, &graphlet.Graphlet{Index: i, Stages: []string{s}, Tasks: j.Stage(s).Tasks})
 	}
 	for _, g := range gs {
 		seen := make(map[int]bool)
 		for _, e := range j.In(g.Stages[0]) {
-			d := owner[e.From]
+			d := j.TopoIndex(e.From) // stage i is graphlet i
 			if !seen[d] {
 				seen[d] = true
 				g.DependsOn = append(g.DependsOn, d)

@@ -116,7 +116,8 @@ func (c *Controller) cascade(m *monitor, stage, g int, visited []bool) {
 		visited = make([]bool, len(m.stages))
 		visited[stage] = true
 	}
-	for _, to := range m.stages[stage].out {
+	for _, e := range m.stages[stage].out {
+		to := e.to
 		st := m.stages[to]
 		if visited[to] || st.graphlet != g {
 			continue
@@ -317,8 +318,8 @@ func (c *Controller) strike(id cluster.MachineID) []taskAt {
 // step will be taken").
 func (c *Controller) outputStillNeeded(m *monitor, st *stageState) bool {
 	// A sink stage has no consumers: its output is already with the client.
-	for _, to := range st.out {
-		if pendingTasks(m.stages[to]) > 0 {
+	for _, e := range st.out {
+		if pendingTasks(m.stages[e.to]) > 0 {
 			return true
 		}
 	}
@@ -420,16 +421,14 @@ func (c *Controller) CacheWorkerLost(id cluster.MachineID) {
 // Remote) of a stage's out-edges to Direct after the hosting Cache Worker
 // died, emitting one action per degraded edge.
 func (c *Controller) degradeEdges(m *monitor, stage int) {
-	from := m.stages[stage].spec.Name
-	for _, to := range m.stages[stage].out {
-		k := edgeKey{from, m.stages[to].spec.Name}
-		old := m.modes[k]
-		if old != shuffle.Local && old != shuffle.Remote {
+	st := m.stages[stage]
+	for k, e := range st.out {
+		if e.mode != shuffle.Local && e.mode != shuffle.Remote {
 			continue
 		}
-		m.modes[k] = shuffle.Direct
+		st.out[k].mode = shuffle.Direct
 		c.emit(Action{Kind: ActShuffleDegraded, Job: m.handle, Task: TaskRef{Job: m.job.ID},
-			Detail: &ActionDetail{From: k.from, To: k.to, Old: old, New: shuffle.Direct}})
+			Detail: &ActionDetail{From: st.spec.Name, To: m.stages[e.to].spec.Name, Old: e.mode, New: shuffle.Direct}})
 	}
 }
 
@@ -461,17 +460,16 @@ func (c *Controller) restartJob(m *monitor) {
 		st.reset()
 	}
 	m.homes = nil
-	// Drop queued items of this job and rebuild graphlet runs.
-	c.dequeueJob(m)
-	c.dropRepended(m)
 	m.gruns = c.buildGraphletRuns(m)
 	c.emit(Action{Kind: ActJobRestarted, Job: m.handle, Task: TaskRef{Job: m.job.ID}})
 	c.enqueueReady(m)
 }
 
-// abortAll aborts every running task of a job that is being restarted or
-// abandoned and releases its executors. The tasks are not re-run, so they
-// skip markPending's queueing.
+// abortAll tears down a job that is being restarted or abandoned: it
+// aborts every running task and releases its executor, and drops the
+// job's queued resource requests and its runs on the re-pended list. The
+// tasks are not re-run, so they skip markPending's queueing, and the runs
+// are discarded, so their flags stay.
 func (c *Controller) abortAll(m *monitor) {
 	for s, st := range m.stages {
 		for i := range st.tasks {
@@ -481,11 +479,6 @@ func (c *Controller) abortAll(m *monitor) {
 			}
 		}
 	}
-}
-
-// dequeueJob drops every queued resource request of m's job (it is being
-// restarted or abandoned).
-func (c *Controller) dequeueJob(m *monitor) {
 	hi := -1
 	for i, run := range c.queue {
 		if run.m == m {
@@ -494,11 +487,6 @@ func (c *Controller) dequeueJob(m *monitor) {
 		}
 	}
 	c.compact(hi)
-}
-
-// dropRepended takes a job's graphlet runs off the re-pended list. They
-// are being discarded (job restart or abandonment), so their flags stay.
-func (c *Controller) dropRepended(m *monitor) {
 	c.repended = slices.DeleteFunc(c.repended, func(run *graphletRun) bool { return run.m == m })
 }
 
@@ -523,8 +511,6 @@ func (c *Controller) failJob(m *monitor, reason string) {
 	c.abortAll(m)
 	m.failed = true
 	c.snapClose(m)
-	c.dropRepended(m)
-	c.dequeueJob(m)
 	c.emit(Action{Kind: ActJobFailed, Job: m.handle, Task: TaskRef{Job: m.job.ID}, Detail: &ActionDetail{Reason: reason}})
 	c.retire(m)
 }

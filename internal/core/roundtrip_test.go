@@ -240,11 +240,11 @@ func TestSharedFairShareAcrossControllers(t *testing.T) {
 }
 
 // maxSubmitAllocs is SubmitJob's budget for a chain of n pipelined stages,
-// as measured: about nine allocations a stage (its state and its one
-// task-record slice, its entries in the job's maps, what validation,
-// partitioning and shuffle selection spend on it) over about ten for the
-// job.
-var maxSubmitAllocs = map[int]float64{4: 47, 32: 306}
+// as measured: about nine allocations a stage (its state, its one
+// task-record slice, its edge lists, what validation, partitioning and
+// shuffle selection spend on it) over about ten for the job, which keeps
+// no map of its own.
+var maxSubmitAllocs = map[int]float64{4: 43, 32: 290}
 
 // TestSubmitJobAllocs holds admission to a per-stage allocation budget. On
 // a dry pool SubmitJob admits a chain of pipelined stages and queues its

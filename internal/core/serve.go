@@ -59,12 +59,6 @@ func (c *Controller) drop(i int) {
 	c.items[i].Pending = -1
 }
 
-// truncate cuts the queue, and the view with it, to its first n entries.
-func (c *Controller) truncate(n int) {
-	c.queue = c.queue[:n]
-	c.items = c.items[:n]
-}
-
 // maxPreemptRounds bounds policy preemptions per scheduling round; each
 // reclaim frees executors and re-serves the queue, and the next event's
 // schedule() continues if shares are still out of balance.
@@ -263,15 +257,15 @@ func (c *Controller) deadlockVictim(m *monitor, run *graphletRun) (stage, index 
 	below := c.below
 	for _, s := range run.stages {
 		if pendingTasks(m.stages[s]) > 0 {
-			for _, to := range m.stages[s].out {
-				below[to] = true
+			for _, e := range m.stages[s].out {
+				below[e.to] = true
 			}
 		}
 	}
 	for s, st := range m.stages {
 		if below[s] {
-			for _, to := range st.out {
-				below[to] = true
+			for _, e := range st.out {
+				below[e.to] = true
 			}
 		}
 	}
@@ -519,7 +513,7 @@ func (c *Controller) compact(hi int) {
 			w++
 		}
 	}
-	c.truncate(w)
+	c.queue, c.items = c.queue[:w], c.items[:w]
 }
 
 // preemptRound asks the policy for graphlet victims when the pool is dry
@@ -557,14 +551,11 @@ func (c *Controller) reclaimGang(v sched.Victim) bool {
 		return false
 	}
 	aborted := 0
-	for si, st := range m.stages {
-		if st.graphlet != v.Graphlet {
-			continue
-		}
-		for i := range st.tasks {
+	for _, si := range m.gruns[v.Graphlet].stages {
+		for i := range m.stages[si].tasks {
 			// A non-idempotent task's cascade aborts its running successors,
 			// so this loop sees them as no longer running.
-			if st.tasks[i].status == TaskRunning {
+			if m.stages[si].tasks[i].status == TaskRunning {
 				c.preempt(m, si, i)
 				aborted++
 			}

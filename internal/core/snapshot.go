@@ -30,39 +30,29 @@ func (c *Controller) Snapshot() StateSnapshot {
 		FreeExecutors:  c.cl.FreeExecutors(),
 		TotalExecutors: c.cl.NumExecutors(),
 	}
-	for _, tc := range c.tenantList {
-		s.LiveJobs += tc.Jobs
-		s.PendingTasks += tc.Pending
-		s.RunningTasks += tc.Running
-		s.DoneTasks += tc.Done
+	for i, tc := range c.tenantList {
+		s.LiveJobs += tc.jobs
+		s.PendingTasks += c.usage[i].Pending
+		s.RunningTasks += c.usage[i].Running
+		s.DoneTasks += tc.done
 	}
 	return s
 }
 
 // snapDelta applies one incremental task-count adjustment for a task of
-// m's job to its tenant's counters, the tenant's entry in the kept usage
-// view and the job's running count.
+// m's job to its tenant's usage-view entry and done count and to the
+// job's running count.
 func (c *Controller) snapDelta(m *monitor, dPending, dRunning, dDone int) {
-	m.tc.Pending += dPending
-	m.tc.Running += dRunning
-	m.tc.Done += dDone
 	u := &c.usage[m.tc.ui]
 	u.Pending += dPending
 	u.Running += dRunning
+	m.tc.done += dDone
 	m.running += dRunning
 }
 
-// snapQueued moves the count of m's tenant's queue entries by d, in its
-// counters and in the kept usage view.
+// snapQueued moves the count of m's tenant's queue entries by d.
 func (c *Controller) snapQueued(m *monitor, d int) {
-	m.tc.Queued += d
 	c.usage[m.tc.ui].Queued += d
-}
-
-// snapAdmit accounts a freshly admitted job: all tasks start pending.
-func (c *Controller) snapAdmit(m *monitor) {
-	m.tc.Jobs++
-	c.snapDelta(m, m.job.NumTasks(), 0, 0)
 }
 
 // snapClose removes a job leaving the live set (completed or failed) from
@@ -73,7 +63,7 @@ func (c *Controller) snapClose(m *monitor) {
 	if i := slices.Index(c.order, m); i >= 0 {
 		c.order = slices.Delete(c.order, i, i+1)
 	}
-	m.tc.Jobs--
+	m.tc.jobs--
 	for _, run := range m.gruns {
 		c.snapDelta(m, -run.pending, -run.running, 0)
 	}

@@ -23,7 +23,8 @@ func TenantName(job *dag.Job) string {
 
 // TenantCounts is one tenant's live aggregate state, maintained O(delta),
 // summed by Snapshot and cross-checked against a full recount by
-// CheckInvariants.
+// CheckInvariants. Pending, Running and Queued are the tenant's entry in
+// the kept usage view; the rest is its tenantState.
 type TenantCounts struct {
 	Tenant  string
 	Jobs    int // live jobs (admitted, not yet completed or failed)
@@ -33,11 +34,19 @@ type TenantCounts struct {
 	Queued  int // graphlet resource requests in the scheduler queue
 }
 
-// tenantState is one tenant's counter record and its place in the
-// by-name order, which is also its entry in the kept usage view.
+// tenantState is what a tenant counts beyond its usage-view entry, and
+// its place in the by-name order, which is also that entry's index.
 type tenantState struct {
-	TenantCounts
-	ui int // index in Controller.tenantList and Controller.usage
+	jobs, done int // TenantCounts.Jobs and Done
+	ui         int // index in Controller.tenantList and Controller.usage
+}
+
+// counts assembles a tenant's TenantCounts from its record and its
+// usage-view entry.
+func (c *Controller) counts(tc *tenantState) TenantCounts {
+	u := c.usage[tc.ui]
+	return TenantCounts{Tenant: u.Tenant, Jobs: tc.jobs, Pending: u.Pending, Running: u.Running,
+		Done: tc.done, Queued: u.Queued}
 }
 
 // tenantCounts returns (creating on first use) the counter record for a
@@ -46,11 +55,11 @@ type tenantState struct {
 func (c *Controller) tenantCounts(name string) *tenantState {
 	tc := c.tenants[name]
 	if tc == nil {
-		tc = &tenantState{TenantCounts: TenantCounts{Tenant: name}}
+		tc = &tenantState{}
 		c.tenants[name] = tc
 		// Keep the by-name order the snapshots and the policy view promise,
 		// paid once per tenant instead of a collect-and-sort per round.
-		i := sort.Search(len(c.tenantList), func(i int) bool { return c.tenantList[i].Tenant > name })
+		i := sort.Search(len(c.usage), func(i int) bool { return c.usage[i].Tenant > name })
 		c.tenantList = slices.Insert(c.tenantList, i, tc)
 		c.usage = slices.Insert(c.usage, i, sched.TenantUsage{Tenant: name})
 		for ; i < len(c.tenantList); i++ {
@@ -68,7 +77,7 @@ func (c *Controller) TenantSnapshots() []TenantCounts {
 	}
 	out := make([]TenantCounts, len(c.tenantList))
 	for i, tc := range c.tenantList {
-		out[i] = tc.TenantCounts
+		out[i] = c.counts(tc)
 	}
 	return out
 }
@@ -81,7 +90,8 @@ func (c *Controller) TenantInFlight(name string) int {
 	if tc == nil {
 		return 0
 	}
-	return tc.Pending + tc.Running
+	u := &c.usage[tc.ui]
+	return u.Pending + u.Running
 }
 
 // ReclaimedGangs returns how many whole graphlets policy preemption has

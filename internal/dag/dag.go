@@ -110,10 +110,12 @@ type Job struct {
 }
 
 // node is one stage with its edges as positions in Job.edges, each list in
-// insertion order.
+// insertion order, and its position in the cached topological order (valid
+// while Job.topo is set).
 type node struct {
 	stage   *Stage
 	in, out []int
+	rank    int
 }
 
 // arc is one edge with its endpoints as positions in Job.nodes.
@@ -285,6 +287,20 @@ func (j *Job) TopoOrder() ([]string, error) {
 	return append([]string(nil), order...), nil
 }
 
+// TopoIndex returns the named stage's position in TopoOrder, or -1 for an
+// unknown stage or a cyclic job. It reads the cached order, so on a
+// validated job it allocates nothing.
+func (j *Job) TopoIndex(name string) int {
+	i, ok := j.index[name]
+	if !ok {
+		return -1
+	}
+	if _, err := j.order(); err != nil {
+		return -1
+	}
+	return j.nodes[i].rank
+}
+
 // order is TopoOrder without the copy. Each round places the earliest
 // inserted stage whose producers are all placed; indeg[i] counts stage i's
 // unplaced producers and is -1 once i is placed. Jobs have a handful of
@@ -308,6 +324,7 @@ func (j *Job) order() ([]string, error) {
 			return nil, fmt.Errorf("dag: job %s contains a cycle", j.ID)
 		}
 		indeg[i] = -1
+		j.nodes[i].rank = len(order)
 		order = append(order, j.nodes[i].stage.Name)
 		for _, k := range j.nodes[i].out {
 			indeg[j.edges[k].to]--

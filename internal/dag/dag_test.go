@@ -194,6 +194,61 @@ func TestTopoOrderAllocs(t *testing.T) {
 	}
 }
 
+// TopoIndex reads the cached order: nothing allocates on a validated job.
+func TestTopoIndexAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	j := NewBuilder("a").
+		Stage("c", 1).Stage("a", 1).Stage("b", 1).Stage("d", 1).
+		Pipeline("a", "b", 0).Barrier("b", "c", 0).Pipeline("c", "d", 0).
+		MustBuild()
+	got := testing.AllocsPerRun(100, func() {
+		if i := j.TopoIndex("c"); i != 2 {
+			t.Fatalf("TopoIndex(c) = %d, want 2", i)
+		}
+	})
+	if got != 0 {
+		t.Errorf("TopoIndex on a validated job: %v allocations, want 0", got)
+	}
+}
+
+// TopoIndex follows the order through AddStage and AddEdge, and names no
+// position for an unknown stage or in a cyclic job.
+func TestTopoIndex(t *testing.T) {
+	j := NewJob("i")
+	mustStage(t, j, "b", 1)
+	mustStage(t, j, "a", 1)
+	if j.TopoIndex("b") != 0 || j.TopoIndex("a") != 1 {
+		t.Fatalf("TopoIndex(b, a) = %d, %d, want 0, 1", j.TopoIndex("b"), j.TopoIndex("a"))
+	}
+	if err := j.AddEdge(&Edge{From: "a", To: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if j.TopoIndex("a") != 0 || j.TopoIndex("b") != 1 {
+		t.Fatalf("after AddEdge TopoIndex(a, b) = %d, %d, want 0, 1", j.TopoIndex("a"), j.TopoIndex("b"))
+	}
+	mustStage(t, j, "c", 1)
+	if err := j.AddEdge(&Edge{From: "c", To: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if j.TopoIndex("c") != 0 || j.TopoIndex("a") != 1 || j.TopoIndex("b") != 2 {
+		t.Fatalf("after AddStage TopoIndex(c, a, b) = %d, %d, %d, want 0, 1, 2",
+			j.TopoIndex("c"), j.TopoIndex("a"), j.TopoIndex("b"))
+	}
+	if i := j.TopoIndex("zzz"); i != -1 {
+		t.Errorf("TopoIndex of an unknown stage = %d, want -1", i)
+	}
+	if err := j.AddEdge(&Edge{From: "b", To: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if i := j.TopoIndex(name); i != -1 {
+			t.Errorf("TopoIndex(%s) in a cyclic job = %d, want -1", name, i)
+		}
+	}
+}
+
 func order(t *testing.T, j *Job) []string {
 	t.Helper()
 	o, err := j.TopoOrder()

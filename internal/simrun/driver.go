@@ -203,7 +203,7 @@ func (r *Runner) finishTask(rt *runningTask) {
 	r.recordPhases(jr, sr, rt.launch, rt.read, rt.process, rt.write)
 	// The driver owns the finish event — only it knows the phase
 	// breakdown — while the controller records everything else.
-	r.ctrl.Obs().TaskFinished(ref.Job, ref.Stage, ref.Index, attempt,
+	r.cfg.Options.Obs.TaskFinished(ref.Job, ref.Stage, ref.Index, attempt,
 		int(rt.executor), rt.launch, rt.read, rt.process, rt.write)
 	r.kill(rt) // recycles the record: nothing below reads it
 	r.ctrl.FinishTask(jr.handle, stage, index, attempt)
@@ -317,8 +317,7 @@ func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.F
 		for i := 0; i < tasks; i++ {
 			ref := core.TaskRef{Job: job, Stage: stage, Index: i}
 			if _, attempt, ok := r.ctrl.RunningTask(ref); ok {
-				delay := sim.FromSeconds(core.TaskErrorReportDelay.Seconds())
-				r.eng.After(delay, func() {
+				r.eng.After(taskErrorReportDelay, func() {
 					if rt := r.task(ref); rt != nil && rt.attempt == attempt {
 						r.kill(rt)
 					}
@@ -331,8 +330,7 @@ func (r *Runner) InjectTaskFailureAt(at sim.Time, job, stage string, kind core.F
 		// No running task: lose the first completed task's output. The
 		// controller ignores the report for a retired job.
 		ref := core.TaskRef{Job: job, Stage: stage, Index: 0}
-		delay := sim.FromSeconds(core.SelfReportDelay.Seconds())
-		r.eng.After(delay, func() {
+		r.eng.After(selfReportDelay, func() {
 			r.ctrl.TaskOutputLost(ref)
 			r.handleActions()
 		})

@@ -48,8 +48,7 @@ func (r *Runner) CrashMachine(id cluster.MachineID) bool {
 	for _, rt := range r.liveTasks(func(rt *runningTask) bool { return r.cl.MachineOf(rt.executor) == id }) {
 		r.kill(rt)
 	}
-	delay := sim.FromSeconds(core.HeartbeatInterval(r.cl.NumMachines()).Seconds())
-	r.eng.After(delay, func() {
+	r.eng.After(heartbeatInterval(r.cl.NumMachines()), func() {
 		if !r.down[id] || r.cl.Machine(id).Health == cluster.Failed {
 			return // rebooted first, or detected via another path
 		}
@@ -101,7 +100,7 @@ func (r *Runner) RecoverMachine(id cluster.MachineID) bool {
 }
 
 // CrashTask kills one running task attempt now; the executor reports the
-// error after TaskErrorReportDelay. kind distinguishes infrastructure
+// error after taskErrorReportDelay. kind distinguishes infrastructure
 // crashes from application errors (which abort the whole job, Section
 // IV-C). Returns false if the task is not running.
 func (r *Runner) CrashTask(ref core.TaskRef, kind core.FailureKind) bool {
@@ -112,7 +111,7 @@ func (r *Runner) CrashTask(ref core.TaskRef, kind core.FailureKind) bool {
 	if rt := r.task(ref); rt != nil && rt.attempt == attempt {
 		r.kill(rt)
 	}
-	r.eng.After(sim.FromSeconds(core.TaskErrorReportDelay.Seconds()), func() {
+	r.eng.After(taskErrorReportDelay, func() {
 		r.ctrl.TaskFailed(ref, attempt, kind)
 		r.handleActions()
 	})
@@ -130,8 +129,7 @@ func (r *Runner) TimeoutTask(ref core.TaskRef) bool {
 	if rt := r.task(ref); rt != nil && rt.attempt == attempt {
 		r.kill(rt)
 	}
-	delay := sim.FromSeconds(core.HeartbeatInterval(r.cl.NumMachines()).Seconds())
-	r.eng.After(delay, func() {
+	r.eng.After(heartbeatInterval(r.cl.NumMachines()), func() {
 		r.ctrl.TaskFailed(ref, attempt, core.FailCrash)
 		r.handleActions()
 	})
@@ -139,14 +137,14 @@ func (r *Runner) TimeoutTask(ref core.TaskRef) bool {
 }
 
 // RestartExecutor kills one executor process: its running task (if any)
-// dies now, and the fresh process self-reports after SelfReportDelay — the
+// dies now, and the fresh process self-reports after selfReportDelay — the
 // fast detection channel. Returns true always; restarting an idle executor
 // is a valid (harmless) fault.
 func (r *Runner) RestartExecutor(e cluster.ExecutorID) bool {
 	for _, rt := range r.liveTasks(func(rt *runningTask) bool { return rt.executor == e }) {
 		r.kill(rt)
 	}
-	r.eng.After(sim.FromSeconds(core.SelfReportDelay.Seconds()), func() {
+	r.eng.After(selfReportDelay, func() {
 		r.ctrl.ExecutorRestarted(e)
 		// The controller may have launched onto the fresh process before
 		// the self-report and failed that attempt now, without an abort:

@@ -165,10 +165,9 @@ type jobRun struct {
 	job      *dag.Job
 	handle   core.JobHandle // 0 for a job the controller failed inside SubmitJob
 	res      *JobResult
-	stages   []stageRun
-	stageIdx map[string]int // edges and the fault injectors name stages
-	numTasks int            // sizes the result's sample slice on the first finish
-	live     int            // attempts currently in the stages' task tables
+	stages   []stageRun // in topological order (dag.Job.TopoIndex)
+	numTasks int        // sizes the result's sample slice on the first finish
+	live     int        // attempts currently in the stages' task tables
 }
 
 // runningTask is one simulated task attempt: running, parked on inputs, or
@@ -280,7 +279,7 @@ func (r *Runner) Cluster() *cluster.Cluster { return r.cl }
 // task returns the live attempt of a task, or nil.
 func (r *Runner) task(ref core.TaskRef) *runningTask {
 	if jr := r.jobs[ref.Job]; jr != nil {
-		if si, ok := jr.stageIdx[ref.Stage]; ok && ref.Index >= 0 && ref.Index < len(jr.stages[si].tasks) {
+		if si := jr.job.TopoIndex(ref.Stage); si >= 0 && ref.Index >= 0 && ref.Index < len(jr.stages[si].tasks) {
 			return jr.stages[si].tasks[ref.Index]
 		}
 	}
@@ -376,8 +375,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 			Submit: r.eng.Now(),
 			Phases: make(map[string]*StagePhases),
 		},
-		stages:   make([]stageRun, len(names)),
-		stageIdx: make(map[string]int, len(names)),
+		stages: make([]stageRun, len(names)),
 	}
 	// Scan and processing costs are known now; the shuffle read/write
 	// components depend on the edge modes the controller selects at
@@ -385,7 +383,6 @@ func (r *Runner) Submit(job *dag.Job) error {
 	// A stage's producers precede it, so their indexes are known.
 	model := r.cl.Model()
 	for i, name := range names {
-		jr.stageIdx[name] = i
 		s, sr := job.Stage(name), &jr.stages[i]
 		sr.name, sr.size = s.Name, s.Tasks
 		sr.cost = stageCost{
@@ -393,7 +390,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 			process: s.Cost.ProcessSecondsPerTask,
 		}
 		for _, e := range job.In(s.Name) {
-			sr.in = append(sr.in, inEdge{from: jr.stageIdx[e.From], pipeline: e.Mode == dag.Pipeline})
+			sr.in = append(sr.in, inEdge{from: job.TopoIndex(e.From), pipeline: e.Mode == dag.Pipeline})
 		}
 		jr.numTasks += s.Tasks
 	}
@@ -420,7 +417,7 @@ func (r *Runner) edgeCosts(jr *jobRun) {
 	model := r.cl.Model()
 	est := func(tasks int) int { return model.Spread(tasks, r.cl.NumMachines()) }
 	for _, e := range jr.job.Edges() {
-		from, to := &jr.stages[jr.stageIdx[e.From]], &jr.stages[jr.stageIdx[e.To]]
+		from, to := &jr.stages[jr.job.TopoIndex(e.From)], &jr.stages[jr.job.TopoIndex(e.To)]
 		mode := r.ctrl.EdgeMode(jr.job.ID, e.From, e.To)
 		in := shuffle.CostInput{
 			M:                from.size,

@@ -270,7 +270,7 @@ func TestFinishedJobsLeaveTheRunner(t *testing.T) {
 	if err := r.Submit(twoPhase("done", 1, 1)); err == nil {
 		t.Error("a finished job's id was accepted again")
 	}
-	if want := late + sim.FromSeconds(core.SelfReportDelay.Seconds()); res.Makespan != want {
+	if want := late + selfReportDelay; res.Makespan != want {
 		t.Errorf("makespan %v, want the late loss report's time %v", res.Makespan, want)
 	}
 }
@@ -320,5 +320,28 @@ func TestIdleRatioClamps(t *testing.T) {
 	s = TaskSample{Start: 100, DataArrive: 100, Finish: 100}
 	if s.IdleRatio() != 0 {
 		t.Error("zero-duration sample not handled")
+	}
+}
+
+// The paper's heartbeat intervals scale with cluster size; pin the
+// 200/1000-machine threshold boundaries (Section IV-A).
+func TestHeartbeatThresholdBoundaries(t *testing.T) {
+	cases := []struct {
+		machines int
+		want     sim.Duration
+	}{
+		{1, 5 * sim.Second},
+		{199, 5 * sim.Second},
+		{200, 5 * sim.Second},
+		{201, 10 * sim.Second},
+		{999, 10 * sim.Second},
+		{1000, 10 * sim.Second},
+		{1001, 15 * sim.Second},
+		{2000, 15 * sim.Second},
+	}
+	for _, c := range cases {
+		if got := heartbeatInterval(c.machines); got != c.want {
+			t.Errorf("heartbeatInterval(%d) = %v, want %v", c.machines, got, c.want)
+		}
 	}
 }
