@@ -10,9 +10,10 @@ import (
 // TPC-H-lite: a seeded, dbgen-like generator for the three tables the
 // runnable query suite needs, sized by a miniature scale factor (sf = 1.0
 // ≈ 60k lineitems). Dates are ISO strings, so lexicographic comparison is
-// chronological. The generated distributions follow the TPC-H spec's
-// shapes (1–7 lineitems per order, uniform discounts 0–10%, etc.) closely
-// enough for the queries' selectivities to be realistic.
+// chronological; the plans compare them as packed integer keys (dateKey),
+// which order the same way. The generated distributions follow the TPC-H
+// spec's shapes (1–7 lineitems per order, uniform discounts 0–10%, etc.)
+// closely enough for the queries' selectivities to be realistic.
 
 // LiteSchemas gives the column layout of each generated table.
 var LiteSchemas = map[string]engine.Schema{

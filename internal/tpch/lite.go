@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"fmt"
+
 	"swift/internal/dag"
 	"swift/internal/engine"
 )
@@ -12,7 +14,9 @@ import (
 // + top-k ordering) and, in lite_q12.go, Q12 (co-partitioned join +
 // conditional aggregation). Each returns the job DAG and the stage bodies;
 // reference implementations for verification live beside them
-// (LiteQ*Reference).
+// (LiteQ*Reference). Every date predicate compares packed keys (dateKey),
+// never strings; the references compare the strings, so they check the
+// packing as well as the plans.
 
 // liteCols caches frequently used column indexes.
 var (
@@ -40,6 +44,7 @@ func LiteQ1(scanTasks, aggTasks int, cutoff string) (*dag.Job, engine.Plans) {
 	qty := liCols.MustCol("l_quantity")
 	price := liCols.MustCol("l_extendedprice")
 	disc := liCols.MustCol("l_discount")
+	cut := mustDateKey(cutoff)
 
 	plans := engine.Plans{
 		"scan": func(ctx *engine.TaskContext) error {
@@ -60,7 +65,7 @@ func LiteQ1(scanTasks, aggTasks int, cutoff string) (*dag.Job, engine.Plans) {
 			ships := b.Cols[ship].Strs
 			rows := engine.FilterBatch(
 				b.Project([]int{flag, status, qty, price}).WithCol(engine.Float64Col(discounted)),
-				func(i int) bool { return ships[i] <= cutoff })
+				func(i int) bool { return dateKey(ships[i]) <= cut })
 			partial := engine.HashAggregateBatch(rows, []int{0, 1}, []engine.Agg{
 				{Kind: engine.AggSum, Col: 2},
 				{Kind: engine.AggSum, Col: 3},
@@ -126,6 +131,7 @@ func LiteQ6(scanTasks int, lo, hi string) (*dag.Job, engine.Plans) {
 	qty := liCols.MustCol("l_quantity")
 	price := liCols.MustCol("l_extendedprice")
 	disc := liCols.MustCol("l_discount")
+	from, until := mustDateKey(lo), mustDateKey(hi)
 	plans := engine.Plans{
 		"scan": func(ctx *engine.TaskContext) error {
 			b, err := ctx.TablePartitionBatch("lineitem")
@@ -139,7 +145,7 @@ func LiteQ6(scanTasks int, lo, hi string) (*dag.Job, engine.Plans) {
 			prices := b.Cols[price].Floats
 			var rev float64
 			for i, d := range b.Cols[disc].Floats {
-				if s := ships[i]; s < lo || s >= hi {
+				if s := dateKey(ships[i]); s < from || s >= until {
 					continue
 				}
 				if d < 0.05 || d > 0.07 || qtys[i] >= 24 {
@@ -218,6 +224,7 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 	lKey := liCols.MustCol("l_orderkey")
 	lPrice := liCols.MustCol("l_extendedprice")
 	lDisc := liCols.MustCol("l_discount")
+	before := mustDateKey(date)
 
 	plans := engine.Plans{
 		"cust": func(ctx *engine.TaskContext) error {
@@ -245,7 +252,7 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 			// a view: (orderkey, orderdate).
 			inSeg := newKeySet(custs.Cols[0].Ints)
 			dates, ocusts := b.Cols[oDate].Strs, b.Cols[oCust].Ints
-			out := engine.FilterBatch(b, func(i int) bool { return dates[i] < date && inSeg.has(ocusts[i]) }).
+			out := engine.FilterBatch(b, func(i int) bool { return dateKey(dates[i]) < before && inSeg.has(ocusts[i]) }).
 				Project([]int{oKey, oDate})
 			if err := ctx.BroadcastBatch("line", out.Project([]int{0})); err != nil {
 				return err
@@ -313,9 +320,12 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 // the largest key. GenerateLite's custkeys and orderkeys are 1..n, so the
 // set costs n/8 bytes at most and a probe is one bit test, where
 // HashJoinBatch would hash the key and walk a chain: on Q3's 300k
-// lineitems at sf 5 that was most of the query's time.
+// lineitems at sf 5 that was most of the query's time. Q3's two
+// semi-joins and Q12's join filter against one.
 type keySet []uint64
 
+// newKeySet sets the bit of every key; a negative key, which has can never
+// report, is skipped.
 func newKeySet(keys []int64) keySet {
 	var top int64
 	for _, k := range keys {
@@ -323,13 +333,46 @@ func newKeySet(keys []int64) keySet {
 	}
 	s := make(keySet, top/64+1)
 	for _, k := range keys {
-		s[k/64] |= 1 << (k % 64)
+		if k >= 0 {
+			s[k/64] |= 1 << (k % 64)
+		}
 	}
 	return s
 }
 
 func (s keySet) has(k int64) bool {
 	return k >= 0 && k/64 < int64(len(s)) && s[k/64]&(1<<(k%64)) != 0
+}
+
+// dateKey packs a YYYY-MM-DD date's eight digit bytes, big-endian, into one
+// integer. Two such strings have their dashes in the same places, so they
+// order exactly as their keys do, and a plan's date predicate is an integer
+// compare where a string compare is a runtime call per row. Plans pack each
+// row's date as they read it (GenerateLite draws only well-formed dates; a
+// string shorter than ten bytes panics, which fails the task) and each
+// bound once, when the plan is built, through mustDateKey.
+func dateKey(s string) uint64 {
+	_ = s[9]
+	return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+		uint64(s[5])<<24 | uint64(s[6])<<16 | uint64(s[8])<<8 | uint64(s[9])
+}
+
+// mustDateKey is dateKey for a query's date argument: like MustCol, it
+// panics on a malformed one, anything but four, two and two ASCII digits
+// joined by dashes.
+func mustDateKey(s string) uint64 {
+	ok := len(s) == 10
+	for i := 0; ok && i < len(s); i++ {
+		if i == 4 || i == 7 {
+			ok = s[i] == '-'
+		} else {
+			ok = '0' <= s[i] && s[i] <= '9'
+		}
+	}
+	if !ok {
+		panic(fmt.Sprintf("tpch: date %q is not YYYY-MM-DD", s))
+	}
+	return dateKey(s)
 }
 
 // LiteQ3Reference computes Q3 directly, returning orderkey → revenue for

@@ -9,7 +9,8 @@ import (
 // shipped inside a date window and count, per order status, how many
 // qualifying orders are high-priority (total price above the threshold)
 // versus low-priority — TPC-H Q12's conditional-aggregation shape over a
-// co-partitioned join.
+// co-partitioned join. The join is a semi-join: each `join` task sets a
+// keySet from its lineitems' orderkeys and keeps the orders it holds.
 func LiteQ12(scanTasks, joinTasks int, lo, hi string, priceCut float64) (*dag.Job, engine.Plans) {
 	job := dag.NewBuilder("lite-q12").
 		Stage("ord", scanTasks, dag.Op(dag.OpTableScan), dag.Op(dag.OpShuffleWrite)).
@@ -27,6 +28,7 @@ func LiteQ12(scanTasks, joinTasks int, lo, hi string, priceCut float64) (*dag.Jo
 	oTotal := orCols.MustCol("o_totalprice")
 	lKey := liCols.MustCol("l_orderkey")
 	lShip := liCols.MustCol("l_shipdate")
+	from, until := mustDateKey(lo), mustDateKey(hi)
 
 	// statusSums folds (status, high, low) rows into per-status totals.
 	statusSums := []engine.Agg{{Kind: engine.AggSum, Col: 1}, {Kind: engine.AggSum, Col: 2}}
@@ -45,7 +47,10 @@ func LiteQ12(scanTasks, joinTasks int, lo, hi string, priceCut float64) (*dag.Jo
 				return err
 			}
 			ships := b.Cols[lShip].Strs
-			out := engine.FilterBatch(b, func(i int) bool { return ships[i] >= lo && ships[i] < hi }).
+			out := engine.FilterBatch(b, func(i int) bool {
+				s := dateKey(ships[i])
+				return s >= from && s < until
+			}).
 				Project([]int{lKey})
 			return ctx.EmitBatchByKey("join", out, []int{0})
 		},
@@ -58,25 +63,26 @@ func LiteQ12(scanTasks, joinTasks int, lo, hi string, priceCut float64) (*dag.Jo
 			if err != nil {
 				return err
 			}
-			// Semi-join: the distinct qualifying order keys of this partition
-			// (an aggregate with no aggregates) as the build side, so an order
-			// with several qualifying lineitems still counts once.
-			qual := engine.HashAggregateBatch(lines, []int{0}, nil)
-			j := engine.HashJoinBatch(qual, []int{0}, orders, []int{0})
-			high := make([]int64, j.Len)
-			low := make([]int64, j.Len)
-			for i, total := range j.Cols[2].Floats {
+			// Semi-join: an order qualifies if any lineitem of this partition
+			// names it, so one with several qualifying lineitems still
+			// counts once. The set is a bit per orderkey, and the orders
+			// that qualify are a view over the input.
+			qual := newKeySet(lines.Cols[0].Ints)
+			okeys, totals := orders.Cols[0].Ints, orders.Cols[2].Floats
+			high := make([]int64, orders.Len)
+			low := make([]int64, orders.Len)
+			for i, total := range totals {
 				if total > priceCut {
 					high[i] = 1
 				} else {
 					low[i] = 1
 				}
 			}
+			flagged := orders.Project([]int{1}).WithCol(engine.Int64Col(high)).WithCol(engine.Int64Col(low))
+			kept := engine.FilterBatch(flagged, func(i int) bool { return qual.has(okeys[i]) })
 			// Pre-aggregate per status: the edge to `agg` carries one row per
 			// status and join task, not one per qualifying order.
-			out := engine.HashAggregateBatch(
-				j.Project([]int{1}).WithCol(engine.Int64Col(high)).WithCol(engine.Int64Col(low)),
-				[]int{0}, statusSums)
+			out := engine.HashAggregateBatch(kept, []int{0}, statusSums)
 			return ctx.EmitBatchPartitioned("agg", []*engine.Batch{out})
 		},
 		"agg": func(ctx *engine.TaskContext) error {

@@ -43,7 +43,9 @@ func countEdgeRows(job *dag.Job, plans engine.Plans) map[string]int {
 
 // TestLitePlansShipOnlyWhatTheyUse: Q1's scan tasks ship partial
 // aggregates, not lineitems; Q3's `line` stage ships exactly the lineitems
-// of the qualifying orders, and its join tasks ship at most k rows each.
+// of the qualifying orders, and its join tasks ship at most k rows each;
+// Q12's `ord` ships every order, its `line` exactly the lineitems inside
+// the window, and its join tasks one row per order status each.
 func TestLitePlansShipOnlyWhatTheyUse(t *testing.T) {
 	e, l := liteEngine(t, 0.3, 13, 4)
 	const (
@@ -90,6 +92,31 @@ func TestLitePlansShipOnlyWhatTheyUse(t *testing.T) {
 	}
 	if got := q3["join>top"]; got > k*joinTasks {
 		t.Errorf("Q3 join→top carried %d rows, want at most %d (k per join task)", got, k*joinTasks)
+	}
+
+	const lo, hi = "1994-01-01", "1995-01-01"
+	job, plans = LiteQ12(scanTasks, joinTasks, lo, hi, 20000)
+	q12 := countEdgeRows(job, plans)
+	if _, err := e.Run(job, plans); err != nil {
+		t.Fatal(err)
+	}
+	lShip := liCols.MustCol("l_shipdate")
+	inWindow := 0
+	for _, part := range l.Lineitem.Partitions {
+		for _, r := range part {
+			if s := r[lShip].(string); s >= lo && s < hi {
+				inWindow++
+			}
+		}
+	}
+	if got, want := q12["ord>join"], l.Orders.NumRows(); got != want {
+		t.Errorf("Q12 ord→join carried %d rows, want every one of the %d orders", got, want)
+	}
+	if got := q12["line>join"]; got != inWindow {
+		t.Errorf("Q12 line→join carried %d rows, want the %d lineitems shipped in [%s, %s)", got, inWindow, lo, hi)
+	}
+	if got := q12["join>agg"]; got == 0 || got > 2*joinTasks {
+		t.Errorf("Q12 join→agg carried %d rows, want 1..%d (two order statuses per join task)", got, 2*joinTasks)
 	}
 }
 

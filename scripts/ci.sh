@@ -25,8 +25,9 @@
 # and smoke the benchmark suites (one iteration each) so a bench-only
 # compile break or panic is caught here, not at measurement time, and the
 # bench's replay workloads (their traced pass replays every completion
-# through the TaskRef adapters) and one short service_burst, which must
-# leave no swiftd process behind. Fuzz
+# through the TaskRef adapters), one short service_burst, which must
+# leave no swiftd process behind, and one short engine_tpch at the
+# benchmark's size, whose answers bench checks against the references. Fuzz
 # *exploration* is not run by default — the default tier stays
 # deterministic; run it manually with
 #   go test ./internal/rpc -fuzz FuzzBatchCodec -fuzztime 30s
@@ -225,7 +226,7 @@ go test -run '^$' -bench . -benchtime 1x ./internal/engine/ ./internal/tpch/ ./i
     ./internal/sim/ ./internal/cluster/ ./internal/core/ ./internal/sched/ ./internal/simrun/ \
     ./internal/shuffle/ ./internal/rpc/ ./internal/flow/ ./internal/trace/ > /dev/null
 
-echo "== bench replay smoke (TaskRef adapters agree with the handle path; service_burst leaves no swiftd behind)"
+echo "== bench replay smoke (TaskRef adapters agree with the handle path; service_burst leaves no swiftd behind; engine_tpch answers right)"
 # The traced pass of each replay workload re-drives a bare controller with
 # the completions the simulator fed it by handle, now named by TaskRef
 # (RunningTask, TaskFinished); a call the two runs disagree on counts as a
@@ -239,6 +240,10 @@ if pgrep -f '[.]bench_build/swiftd' > /dev/null; then
     pgrep -af '[.]bench_build/swiftd' >&2
     exit 1
 fi
+# The TPC-H-lite plans at the benchmark's size (sf 5): every pass's answers
+# are checked against the Lite*Reference functions, a wrong one counts as a
+# failed operation, and the bench exits non-zero.
+go run ./bench --workload engine_tpch --seconds 0.1 --trace 0 > "$TRACE_TMP/bench-tpch.out"
 
 if [ "$LONG" = 1 ]; then
     echo "== long tier: Fig 16's full sweep, seeds 1-3 (every fig16 fidelity row in band)"
