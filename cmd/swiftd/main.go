@@ -2,9 +2,10 @@
 // accepts streaming job submissions over the rpc plane, pushes every one
 // through the global flow controller (admission control, backpressure,
 // load shedding — see internal/flow), schedules admitted jobs on a
-// simulated cluster, and executes tasks for their trace cost scaled to wall
-// time by -timescale: one completion driver goroutine holds every running
-// task on a deadline heap and feeds the ones that fall due back in batches.
+// simulated cluster, and runs each task for the price the simulator charges
+// (shuffle.Price) scaled to wall time by -timescale: one completion driver
+// goroutine holds every running task on a deadline heap and feeds the ones
+// that fall due back in batches.
 // SIGINT/SIGTERM or the flow.drain endpoint start a graceful drain: new
 // submissions shed, queued work re-admits, and the process exits 0 once
 // nothing is in flight.
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -27,7 +29,6 @@ import (
 
 	"swift/internal/cluster"
 	"swift/internal/core"
-	"swift/internal/dag"
 	"swift/internal/flow"
 	"swift/internal/prof"
 	"swift/internal/rpc"
@@ -96,13 +97,11 @@ type daemon struct {
 	timescale float64
 	verbose   bool
 
-	// mu guards the cost table and the deadline heap. It is a leaf lock:
-	// the service runs the sink after releasing its own mutex, and the
-	// driver releases mu before it calls into the service, so the two are
-	// never held together.
-	mu   sync.Mutex
-	jobs map[string]*dag.Job // submissions in admission, queued or live, for task cost lookup
-	due  flow.DeadlineHeap   // running tasks by the wall time they finish at
+	// mu guards the deadline heap. It is a leaf lock: the service runs the
+	// sink after releasing its own mutex, and the driver releases mu before
+	// it calls into the service, so the two are never held together.
+	mu  sync.Mutex
+	due flow.DeadlineHeap // running tasks by the wall time they finish at
 	// wake tells the driver that the earliest deadline moved up while it
 	// may be asleep on a later one. One pending signal is enough.
 	wake chan struct{}
@@ -116,12 +115,10 @@ func newDaemon(cl *cluster.Cluster, copts core.Options, fcfg flow.Config, timesc
 		start:     time.Now(),
 		timescale: timescale,
 		verbose:   verbose,
-		jobs:      make(map[string]*dag.Job),
 		wake:      make(chan struct{}, 1),
 		drainReq:  make(chan struct{}),
 	}
-	d.svc = flow.NewService(cl, copts, fcfg, d.now)
-	d.svc.SetActionSink(d.onActions)
+	d.svc = flow.NewService(cl, copts, fcfg, d.now, d.onActions)
 	return d
 }
 
@@ -129,31 +126,29 @@ func newDaemon(cl *cluster.Cluster, copts core.Options, fcfg flow.Config, timesc
 func (d *daemon) now() sim.Time { return sim.Time(time.Since(d.start).Microseconds()) }
 
 // onActions is the service's action sink: every started task goes on the
-// deadline heap for the driver to complete, and a finished job leaves the
-// cost table. Aborts remove nothing from the heap — the controller ignores
-// the stale attempt's completion.
-func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
+// deadline heap for the driver to complete once its price has passed at
+// -timescale, and at least 200µs. Aborts remove nothing from it: the
+// controller ignores a stale completion.
+func (d *daemon) onActions(_ sim.Time, acts []core.Action, secs []float64) {
 	var report []string // job-level log lines, printed once mu is released
 	now := d.now()      // tasks start now, not when the event that started them was stamped
 	d.mu.Lock()
 	before, pending := d.due.Next()
-	for _, act := range acts {
+	for i, act := range acts {
 		switch act.Kind {
 		case core.ActStartTask:
-			d.due.Push(now+d.taskWall(act.Task), flow.CompletionOf(&act))
+			d.due.Push(now+max(sim.FromSeconds(secs[i]/d.timescale), 200*sim.Microsecond), flow.CompletionOf(&act))
 		case core.ActJobCompleted:
-			delete(d.jobs, act.Task.Job)
 			if d.verbose {
 				report = append(report, fmt.Sprintf("swiftd: job %s completed", act.Task.Job))
 			}
 		case core.ActJobFailed:
-			delete(d.jobs, act.Task.Job)
 			report = append(report, fmt.Sprintf("swiftd: job %s failed: %s", act.Task.Job, act.Detail.Reason))
 		case core.ActAbortTask:
 			// Nothing to cancel: the stale attempt's completion is ignored.
 		case core.ActResend, core.ActShuffleDegraded, core.ActReplicate:
-			// Data-plane directives; the wall-clock driver models task cost
-			// only, so transfers (and replica copies) are free.
+			// Data-plane directives: transfers and replica copies are in
+			// the price, as in the simulator.
 		case core.ActJobRestarted, core.ActMachineHealthy, core.ActMachineReadOnly:
 			// No machine faults or whole-job restarts in service mode.
 		}
@@ -169,22 +164,6 @@ func (d *daemon) onActions(_ sim.Time, acts []core.Action) {
 	for _, line := range report {
 		fmt.Println(line)
 	}
-}
-
-// taskWall is the wall time a task runs for: its stage's trace cost scaled
-// by -timescale, at least 200µs. Called with mu held.
-func (d *daemon) taskWall(ref core.TaskRef) sim.Time {
-	secs := 0.05 // default virtual task cost when the trace carries none
-	if job := d.jobs[ref.Job]; job != nil {
-		if st := job.Stage(ref.Stage); st != nil && st.Cost.ProcessSecondsPerTask > 0 {
-			secs = st.Cost.ProcessSecondsPerTask
-		}
-	}
-	wall := sim.FromSeconds(secs / d.timescale)
-	if wall < 200*sim.Microsecond {
-		wall = 200 * sim.Microsecond
-	}
-	return wall
 }
 
 // drive is the completion driver, the daemon's one clock: it sleeps on a
@@ -235,27 +214,6 @@ func (d *daemon) drive(stop <-chan struct{}) {
 	}
 }
 
-// track records a submission's job for cost lookup before it is offered,
-// so the tasks the service starts from inside Submit already find it. It
-// refuses an id that is still in admission, queued or live: overwriting
-// would hand the running job's tasks the newcomer's costs.
-func (d *daemon) track(job *dag.Job) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, dup := d.jobs[job.ID]; dup {
-		return false
-	}
-	d.jobs[job.ID] = job
-	return true
-}
-
-// untrack forgets a job that was never accepted or is over.
-func (d *daemon) untrack(id string) {
-	d.mu.Lock()
-	delete(d.jobs, id)
-	d.mu.Unlock()
-}
-
 // FlowSubmit implements rpc.FlowHandler: decode the trace-encoded job and
 // push it through admission.
 func (d *daemon) FlowSubmit(id string, payload []byte) (rpc.FlowSubmitReply, error) {
@@ -268,17 +226,12 @@ func (d *daemon) FlowSubmit(id string, payload []byte) (rpc.FlowSubmitReply, err
 	}
 	job := tr.Jobs[0].Job
 	var out flow.Outcome
-	switch {
-	case job.ID != id:
-		// The job is tracked, admitted, logged and cancelled under its own
-		// id: a frame naming another could never be cancelled by its sender.
+	if job.ID != id {
+		// The job is admitted, logged and cancelled under its own id: a
+		// frame naming another could never be cancelled by its sender.
 		err = fmt.Errorf("swiftd: submission %q carries job %q: the frame id must be the job's id", id, job.ID)
-	case !d.track(job):
-		err = fmt.Errorf("swiftd: duplicate submission id %q: still queued or running", job.ID)
-	default:
-		if out, err = d.svc.Submit(job); err != nil {
-			d.untrack(job.ID) // shed, draining or invalid: it never ran
-		}
+	} else {
+		out, err = d.svc.Submit(job)
 	}
 	rep := rpc.FlowSubmitReply{
 		Decision:         out.Decision.String(),
@@ -336,9 +289,6 @@ func (d *daemon) FlowStatus() (rpc.FlowStatusReply, error) {
 // FlowCancel implements rpc.FlowHandler.
 func (d *daemon) FlowCancel(id string) (rpc.FlowCancelReply, error) {
 	err := d.svc.Cancel(id)
-	if err == nil {
-		d.untrack(id) // a queued submission leaves no ActJobFailed behind
-	}
 	return rpc.FlowCancelReply{Cancelled: err == nil}, nil
 }
 
@@ -349,8 +299,9 @@ func (d *daemon) FlowDrain() error {
 }
 
 func run(addr, addrFile string, machines, execs int, timescale float64, budget, maxQueue int, rate float64, burst int, tbudgets, policy string, drainWait time.Duration, verbose bool) int {
-	if timescale <= 0 {
-		timescale = 1
+	if !(timescale > 0) || math.IsInf(timescale, 1) {
+		fmt.Fprintf(os.Stderr, "swiftd: -timescale %v: want a finite positive number\n", timescale)
+		return 1
 	}
 	tenantBudgets, err := parseTenantBudgets(tbudgets)
 	if err != nil {
@@ -422,10 +373,8 @@ func run(addr, addrFile string, machines, execs int, timescale float64, budget, 
 	st := d.svc.Status()
 	fmt.Printf("swiftd: drained admitted=%d queued=%d shed=%d live=%d panics=%d\n",
 		st.Flow.Admitted, st.Flow.Queued, st.Flow.Shed, st.Snapshot.LiveJobs, st.Panics)
-	if v := d.svc.Invariants(); len(v) != 0 {
-		for _, msg := range v {
-			fmt.Fprintf(os.Stderr, "swiftd: invariant violated: %s\n", msg)
-		}
+	for _, msg := range d.svc.Invariants() {
+		fmt.Fprintf(os.Stderr, "swiftd: invariant violated: %s\n", msg)
 		code = 1
 	}
 	_ = server.Close()

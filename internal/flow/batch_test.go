@@ -24,7 +24,7 @@ type recorder struct {
 	refs    map[Completion]core.TaskRef // each started attempt's task by name
 }
 
-func (r *recorder) sink(_ sim.Time, acts []core.Action) {
+func (r *recorder) sink(_ sim.Time, acts []core.Action, _ []float64) {
 	r.acts = append(r.acts, acts...)
 	for _, a := range acts {
 		if a.Kind == core.ActStartTask {
@@ -48,9 +48,8 @@ func (r *recorder) take(rng *rand.Rand) Completion {
 func newRecordedService(fcfg Config) (*Service, *recorder) {
 	clk := &testClock{}
 	cl := cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2})
-	svc := NewService(cl, core.DefaultOptions(), fcfg, clk.now)
 	rec := &recorder{starts: make(map[Completion]int), refs: make(map[Completion]core.TaskRef)}
-	svc.SetActionSink(rec.sink)
+	svc := NewService(cl, core.DefaultOptions(), fcfg, clk.now, rec.sink)
 	return svc, rec
 }
 
@@ -238,13 +237,12 @@ func TestDeadlineHeapDoesNotAllocate(t *testing.T) {
 func TestServiceSubmittersAgainstBatchDriver(t *testing.T) {
 	clk := &testClock{}
 	cl := cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2})
-	svc := NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 16, MaxQueue: 64}, clk.now)
 	var (
 		mu   sync.Mutex
 		due  DeadlineHeap
 		wake = make(chan struct{}, 1)
 	)
-	svc.SetActionSink(func(now sim.Time, acts []core.Action) {
+	sink := func(now sim.Time, acts []core.Action, _ []float64) {
 		mu.Lock()
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
@@ -256,7 +254,8 @@ func TestServiceSubmittersAgainstBatchDriver(t *testing.T) {
 		case wake <- struct{}{}:
 		default:
 		}
-	})
+	}
+	svc := NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 16, MaxQueue: 64}, clk.now, sink)
 	stop := make(chan struct{})
 	driverDone := make(chan struct{})
 	go func() {

@@ -23,15 +23,15 @@ func newBatchRun(tb testing.TB) *batchRun {
 	r := &batchRun{}
 	var now sim.Time
 	cl := cluster.New(cluster.Config{Machines: 100, ExecutorsPerMachine: 30})
-	r.svc = NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 1 << 30},
-		func() sim.Time { now++; return now })
-	r.svc.SetActionSink(func(_ sim.Time, acts []core.Action) {
+	sink := func(_ sim.Time, acts []core.Action, _ []float64) {
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
 				r.running = append(r.running, CompletionOf(&a))
 			}
 		}
-	})
+	}
+	r.svc = NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 1 << 30},
+		func() sim.Time { now++; return now }, sink)
 	for _, j := range trace.Generate(trace.Spec{Jobs: 2000, Seed: 1, RuntimeCap: 120}).Jobs {
 		if out, err := r.svc.Submit(j.Job); err != nil || out.Decision != Admitted {
 			tb.Fatalf("submit %s: %+v, %v", j.Job.ID, out, err)

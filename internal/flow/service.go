@@ -7,6 +7,7 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
+	"swift/internal/shuffle"
 	"swift/internal/sim"
 )
 
@@ -20,22 +21,28 @@ import (
 // Actions emitted by the core controller are collected under the lock and
 // handed to the registered sink after it is released, so a driver may call
 // straight back into the service (e.g. to finish a zero-cost task) without
-// deadlocking.
+// deadlocking. Each start reaches the sink with its price.
 type Service struct {
 	clock func() sim.Time
-	sink  func(now sim.Time, acts []core.Action)
+	sink  func(now sim.Time, acts []core.Action, secs []float64)
 
 	mu        sync.Mutex
 	flow      *Controller
 	ctrl      *core.Controller
+	replicas  int             // core.Options.ShuffleReplicas, which Price charges
 	adm       Pump            // flow in front of ctrl
 	submitted map[string]bool // IDs ever accepted (admitted or queued)
-	panics    int64
-	// bufs is the free list of action buffers: an event with actions
-	// takes one under the lock and finish gives it back once the sink has
-	// returned, so the daemon's steady state copies actions into buffers
-	// it already has. At most maxSpareBufs wait here.
-	bufs [][]core.Action
+	// costs holds each live job's shuffle.Price by handle, and a nil entry
+	// (24 B) per retired job. It sits under the lock that orders admissions
+	// and starts: a table kept by a sink, which run in no fixed order, could
+	// see a start before its job's price.
+	costs  [][]shuffle.StageCost
+	panics int64
+	// bufs is the free list of action and price buffers: an event with
+	// actions takes one under the lock and finish gives it back once the
+	// sink has returned, so the daemon's steady state copies actions into
+	// buffers it already has. At most maxSpareBufs wait here.
+	bufs []batch
 
 	drainedOnce sync.Once
 	drained     chan struct{}
@@ -52,12 +59,20 @@ type ServiceStatus struct {
 
 // NewService builds a service over a fresh core controller. The flow
 // controller's tenant-budget enforcement reads the scheduler's O(1)
-// per-tenant in-flight counters.
-func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func() sim.Time) *Service {
+// per-tenant in-flight counters. sink, if not nil, is the driver callback
+// receiving controller actions; it runs outside the service lock. secs[i]
+// is the price of the start acts[i] in virtual seconds
+// (shuffle.StageCost.Total; zero for other kinds). Both are valid only
+// until the sink returns: the service reuses their buffers for a later
+// event, so a sink copies what it keeps.
+func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func() sim.Time,
+	sink func(now sim.Time, acts []core.Action, secs []float64)) *Service {
 	s := &Service{
 		clock:     clock,
+		sink:      sink,
 		flow:      NewController(fcfg, cl.NumExecutors()),
 		ctrl:      core.NewController(cl, copts),
+		replicas:  copts.ShuffleReplicas,
 		submitted: make(map[string]bool),
 		drained:   make(chan struct{}),
 	}
@@ -66,12 +81,11 @@ func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func
 	return s
 }
 
-// SetActionSink registers the driver callback receiving controller
-// actions. Must be called before the service starts accepting work; the
-// sink runs outside the service lock. acts is valid only until the sink
-// returns: the service reuses its buffer for a later event, so a sink
-// copies what it keeps.
-func (s *Service) SetActionSink(fn func(now sim.Time, acts []core.Action)) { s.sink = fn }
+// batch is one event's actions and their prices, as the sink gets them.
+type batch struct {
+	acts []core.Action
+	secs []float64
+}
 
 // maxSpareBufs bounds the action-buffer free list: one buffer per event
 // in flight between its lock hold and its sink's return, and swiftd runs
@@ -81,15 +95,15 @@ const maxSpareBufs = 8
 // finish dispatches collected actions, gives their buffer back to the
 // free list and closes the drained channel once the service is idle after
 // Drain. Called outside the lock.
-func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
-	if len(acts) > 0 {
+func (s *Service) finish(now sim.Time, b batch, idle bool) {
+	if len(b.acts) > 0 {
 		if s.sink != nil {
-			s.sink(now, acts)
+			s.sink(now, b.acts, b.secs)
 		}
-		clear(acts) // a spare pins no job name or action detail
+		clear(b.acts) // a spare pins no job name or action detail
 		s.mu.Lock()
 		if len(s.bufs) < maxSpareBufs {
-			s.bufs = append(s.bufs, acts[:0])
+			s.bufs = append(s.bufs, batch{b.acts[:0], b.secs[:0]})
 		}
 		s.mu.Unlock()
 	}
@@ -101,18 +115,31 @@ func (s *Service) finish(now sim.Time, acts []core.Action, idle bool) {
 // drainLocked closes one locked event: it copies the actions the controller
 // accumulated since the last call out of its reused buffer into one from
 // the free list — the sink runs after the lock is released, when another
-// event may already be refilling the controller's — and reports whether a
-// draining service has no work left.
-func (s *Service) drainLocked() (acts []core.Action, idle bool) {
+// event may already be refilling the controller's — prices them, and
+// reports whether a draining service has no work left.
+func (s *Service) drainLocked() (b batch, idle bool) {
 	if drained := s.ctrl.Drain(); len(drained) > 0 {
 		if n := len(s.bufs); n > 0 {
-			acts = s.bufs[n-1]
+			b = s.bufs[n-1]
 			s.bufs = s.bufs[:n-1]
 		}
-		acts = append(acts, drained...)
+		b.acts = append(b.acts, drained...)
+		for i := range drained {
+			a, secs := &drained[i], 0.0
+			switch a.Kind {
+			case core.ActStartTask: // only a live, so priced, job starts tasks
+				secs = s.costs[a.Job][a.Stage].Total()
+			case core.ActJobCompleted, core.ActJobFailed:
+				if int(a.Job) < len(s.costs) { // else failed inside SubmitJob, never priced
+					s.costs[a.Job] = nil
+				}
+			default: // the other kinds run nothing
+			}
+			b.secs = append(b.secs, secs)
+		}
 	}
 	idle = s.flow.Draining() && s.flow.QueueLen() == 0 && s.ctrl.Snapshot().LiveJobs == 0
-	return acts, idle
+	return b, idle
 }
 
 // event runs one locked event: fn (nil for a bare tick), then the pump
@@ -124,9 +151,9 @@ func (s *Service) event(fn func(now sim.Time)) {
 		fn(now)
 	}
 	s.adm.Run(now)
-	acts, idle := s.drainLocked()
+	b, idle := s.drainLocked()
 	s.mu.Unlock()
-	s.finish(now, acts, idle)
+	s.finish(now, b, idle)
 }
 
 // Submit pushes one job through admission. A panic anywhere in validation
@@ -159,10 +186,18 @@ func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, err err
 
 // admitLocked is the pump's admit callback. A directly admitted id is
 // recorded before the scheduler sees the job, so it stays taken even if
-// SubmitJob rejects it or panics.
+// SubmitJob rejects it or panics. A live job is priced before any of its
+// starts is drained.
 func (s *Service) admitLocked(_ sim.Time, job *dag.Job, _ sim.Duration, _ bool) error {
 	s.submitted[job.ID] = true
-	return s.ctrl.SubmitJob(job)
+	if err := s.ctrl.SubmitJob(job); err != nil {
+		return err
+	}
+	if h := int(s.ctrl.Handle(job.ID)); h != 0 {
+		s.costs = append(s.costs, make([][]shuffle.StageCost, h+1-len(s.costs))...)
+		s.costs[h] = shuffle.Price(job, s.ctrl.EdgeMode, s.ctrl.Cluster(), s.replicas)
+	}
+	return nil
 }
 
 // TasksFinished feeds a batch of completion events (swiftd's completion
@@ -244,9 +279,18 @@ func (s *Service) JobFailed(id string) bool {
 	return s.ctrl.JobFailed(id)
 }
 
-// Invariants runs the core controller's full self-audit under the lock.
+// Invariants runs the core controller's full self-audit under the lock,
+// and checks that as many jobs are priced as are live.
 func (s *Service) Invariants() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ctrl.CheckInvariants()
+	v := s.ctrl.CheckInvariants()
+	priced := 0
+	for _, c := range s.costs {
+		priced += min(len(c), 1) // a job has stages
+	}
+	if live := s.ctrl.Snapshot().LiveJobs; priced != live {
+		v = append(v, fmt.Sprintf("flow: %d jobs priced, %d live", priced, live))
+	}
+	return v
 }

@@ -54,7 +54,7 @@ func newDriver() *driver {
 	return &driver{starts: make(map[string]int), jobsRun: make(map[string]bool)}
 }
 
-func (d *driver) sink(_ sim.Time, acts []core.Action) {
+func (d *driver) sink(_ sim.Time, acts []core.Action, _ []float64) {
 	var finish []core.Action
 	d.mu.Lock()
 	for _, a := range acts {
@@ -75,9 +75,8 @@ func (d *driver) sink(_ sim.Time, acts []core.Action) {
 func newTestService(fcfg Config, clock func() sim.Time) (*Service, *driver) {
 	cl := cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2})
 	d := newDriver()
-	svc := NewService(cl, core.DefaultOptions(), fcfg, clock)
+	svc := NewService(cl, core.DefaultOptions(), fcfg, clock, d.sink)
 	d.svc = svc
-	svc.SetActionSink(d.sink)
 	return svc, d
 }
 
@@ -152,9 +151,8 @@ func TestServicePanicIsolation(t *testing.T) {
 		return core.GraphletPartition(j)
 	}
 	d := newDriver()
-	svc := NewService(cl, opts, Config{MaxInFlightTasks: 100, MaxQueue: 4}, clk.now)
+	svc := NewService(cl, opts, Config{MaxInFlightTasks: 100, MaxQueue: 4}, clk.now, d.sink)
 	d.svc = svc
-	svc.SetActionSink(d.sink)
 
 	_, err := svc.Submit(testJob("poison-1", 1, 1))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -266,7 +264,7 @@ func TestServiceCancel(t *testing.T) {
 	clk := &testClock{}
 	// Tiny budget and a driver that never finishes tasks: jobs stay live.
 	cl := cluster.New(cluster.Config{Machines: 1, ExecutorsPerMachine: 1})
-	svc := NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 2, MaxQueue: 4}, clk.now)
+	svc := NewService(cl, core.DefaultOptions(), Config{MaxInFlightTasks: 2, MaxQueue: 4}, clk.now, nil)
 	if out, err := svc.Submit(testJob("live", 1, 2)); err != nil || out.Decision != Admitted {
 		t.Fatalf("submit live = %+v, %v", out, err)
 	}
@@ -295,7 +293,7 @@ func TestServiceTenantBudgets(t *testing.T) {
 	clock := &testClock{}
 	cl := cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2})
 	svc := NewService(cl, core.DefaultOptions(),
-		Config{TenantBudgets: map[string]int{"a": 2}}, clock.now)
+		Config{TenantBudgets: map[string]int{"a": 2}}, clock.now, nil)
 	// No action sink: started tasks never finish, so in-flight stays put.
 
 	ja1 := testJob("a1", 1, 2)

@@ -38,16 +38,16 @@ func TestServiceSoakResidue(t *testing.T) {
 	jobs := *soakJobs
 	warm := max(jobs/10, round)
 	clk := &testClock{}
-	svc := NewService(cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2}),
-		core.DefaultOptions(), Config{}, clk.now)
 	var running, batch []Completion
-	svc.SetActionSink(func(_ sim.Time, acts []core.Action) {
+	sink := func(_ sim.Time, acts []core.Action, _ []float64) {
 		for _, a := range acts {
 			if a.Kind == core.ActStartTask {
 				running = append(running, CompletionOf(&a))
 			}
 		}
-	})
+	}
+	svc := NewService(cluster.New(cluster.Config{Machines: 4, ExecutorsPerMachine: 2}),
+		core.DefaultOptions(), Config{}, clk.now, sink)
 	run := func(from, to int) {
 		for i := from; i < to; {
 			for end := min(i+round, to); i < end; i++ {

@@ -1,6 +1,9 @@
 package shuffle
 
-import "swift/internal/cluster"
+import (
+	"swift/internal/cluster"
+	"swift/internal/dag"
+)
 
 // CostInput describes one shuffle edge for the cost model.
 type CostInput struct {
@@ -157,4 +160,44 @@ func Cost(mode Mode, in CostInput) Breakdown {
 			(m.NetTransferTime(in.Bytes, py) + m.MemCopyTime(in.Bytes, y, 1))
 	}
 	return b
+}
+
+// StageCost is what one task of a stage costs, in virtual seconds, phase by
+// phase (the Fig. 9b decomposition, with the scan apart from the read).
+type StageCost struct {
+	Launch  float64 // plan delivery and dispatch to a pre-launched executor
+	Scan    float64 // table scanning, for stages that read a table
+	Read    float64 // shuffle read of every input edge
+	Process float64
+	Write   float64 // shuffle write of every output edge
+}
+
+// Total is the task's cost end to end.
+func (c StageCost) Total() float64 { return c.Launch + c.Scan + c.Read + c.Process + c.Write }
+
+// Price is the one task model, which the simulator and the daemon both
+// charge: each stage's per-task cost in topological order (dag.Job.TopoIndex)
+// under the edge modes the controller chose at admission (core.Controller.EdgeMode),
+// on cl, with replicas copies of each cache-backed shuffle. Per-attempt
+// effects (process jitter, waits on producers, cold launches) are the caller's.
+func Price(job *dag.Job, modes func(job, from, to string) Mode, cl *cluster.Cluster, replicas int) []StageCost {
+	m, machines := cl.Model(), cl.NumMachines()
+	costs := make([]StageCost, job.NumStages())
+	for _, s := range job.Stages() {
+		costs[job.TopoIndex(s.Name)] = StageCost{
+			Launch:  m.SwiftPlanDelivery + m.TaskDispatch,
+			Scan:    m.ScanTime(s.Cost.ScanBytes, s.Tasks),
+			Process: s.Cost.ProcessSecondsPerTask,
+		}
+	}
+	for _, e := range job.Edges() {
+		from, to := job.Stage(e.From).Tasks, job.Stage(e.To).Tasks
+		b := Cost(modes(job.ID, e.From, e.To), CostInput{
+			M: from, N: to, ProducerMachines: m.Spread(from, machines), ConsumerMachines: m.Spread(to, machines),
+			Bytes: e.Bytes, ClusterMachines: machines, Model: m, Replicas: replicas,
+		})
+		costs[job.TopoIndex(e.From)].Write += b.Write()
+		costs[job.TopoIndex(e.To)].Read += b.Read()
+	}
+	return costs
 }

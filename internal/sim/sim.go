@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -27,12 +28,19 @@ const (
 // Seconds converts a Time or Duration to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
+// MaxDuration is the longest Duration FromSeconds returns, about 73,000
+// years: an instant below it plus three such durations still fits an int64.
+const MaxDuration Duration = math.MaxInt64 / 4
+
 // FromSeconds converts floating-point seconds to a Duration, rounding to
-// the nearest microsecond and flooring negative inputs at zero (cost models
-// occasionally produce tiny negative values from subtraction).
+// the nearest microsecond. Negative inputs (cost models' subtractions leave
+// tiny ones) and NaN floor at zero; MaxDuration or more, +Inf too, saturates.
 func FromSeconds(s float64) Duration {
-	if s <= 0 {
+	switch {
+	case !(s > 0):
 		return 0
+	case s >= MaxDuration.Seconds():
+		return MaxDuration
 	}
 	return Duration(s*float64(Second) + 0.5)
 }

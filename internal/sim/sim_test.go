@@ -1,18 +1,33 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestTimeConversions(t *testing.T) {
-	if got := FromSeconds(1.5); got != 1500000 {
-		t.Errorf("FromSeconds(1.5) = %d", got)
+	for _, c := range []struct {
+		s    float64
+		want Duration
+	}{
+		{1.5, 1500000},
+		{-2, 0},
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{9.2e12, MaxDuration}, // above MaxInt64 µs, where a plain conversion wraps
+		{1e13, MaxDuration},
+		{1e300, MaxDuration}, // a trace's "proc_sec":1e300
+		{math.Inf(1), MaxDuration},
+		{MaxDuration.Seconds(), MaxDuration},
+		{1e12, 1e18}, // below the bound: exact
+	} {
+		if got := FromSeconds(c.s); got != c.want {
+			t.Errorf("FromSeconds(%g) = %d, want %d", c.s, got, c.want)
+		}
 	}
-	if got := FromSeconds(-2); got != 0 {
-		t.Errorf("FromSeconds(-2) = %d", got)
-	}
+	const _ = 4 * MaxDuration // an instant below MaxDuration plus three durations: a constant overflow fails the build
 	if got := Time(2500000).Seconds(); got != 2.5 {
 		t.Errorf("Seconds() = %g", got)
 	}

@@ -53,8 +53,8 @@ func (r *Runner) handleActions() {
 			// re-run cost is dominated by the re-execution itself.
 		case core.ActReplicate:
 			// Replica copies ride the cost model (Breakdown.Replicate via
-			// edgeCosts), not per-action charging; the controller already
-			// tracks the homes for recovery.
+			// shuffle.Price), not per-action charging; the controller
+			// already tracks the homes for recovery.
 		}
 	}
 	if r.afterEvent != nil {
@@ -101,7 +101,7 @@ func (r *Runner) startTask(a *core.Action) {
 	}
 	rt := r.newTask()
 	*rt = runningTask{r: r, jr: jr, stage: a.Stage, index: int32(a.Task.Index), executor: a.Executor,
-		attempt: int(a.Attempt), started: now, launch: r.launchCost(sr, a.Executor), slow: 1}
+		attempt: int(a.Attempt), started: now, launch: r.launchCost(sr, jr.costs[a.Stage].Launch, a.Executor), slow: 1}
 	sr.tasks[rt.index] = rt
 	jr.live++
 	r.live++
@@ -124,20 +124,16 @@ func (r *Runner) startTask(a *core.Action) {
 	}
 }
 
-// launchCost returns the task-launching phase duration: Swift delivers a
-// cached plan to a pre-launched executor; cold-launch systems (Spark)
-// download packages and start an executor once per (stage, executor).
-func (r *Runner) launchCost(sr *stageRun, e cluster.ExecutorID) float64 {
-	m := r.cl.Model()
-	launch := m.SwiftPlanDelivery + m.TaskDispatch
-	if r.cfg.Options.ColdLaunch {
+// launchCost returns the task-launching phase duration: the priced launch,
+// plus, for cold-launch systems (Spark), downloading packages and starting
+// an executor once per (stage, executor).
+func (r *Runner) launchCost(sr *stageRun, launch float64, e cluster.ExecutorID) float64 {
+	if r.cfg.Options.ColdLaunch && !sr.launched[e] {
 		if sr.launched == nil {
 			sr.launched = make(map[cluster.ExecutorID]bool)
 		}
-		if !sr.launched[e] {
-			sr.launched[e] = true
-			launch += m.ColdLaunch
-		}
+		sr.launched[e] = true
+		launch += r.cl.Model().ColdLaunch
 	}
 	return launch
 }
@@ -161,11 +157,11 @@ const processJitter = 0.05
 // are (or are about to be) available, then arms the finish event.
 func (r *Runner) scheduleFinish(rt *runningTask) {
 	now := r.eng.Now()
-	c := &rt.jr.stages[rt.stage].cost
+	c := &rt.jr.costs[rt.stage]
 	jitter := 1 + processJitter*(2*r.eng.Rand().Float64()-1)
-	rt.process = c.process * jitter * rt.slow
-	rt.read = c.scan + c.read
-	rt.write = c.write
+	rt.process = c.Process * jitter * rt.slow
+	rt.read = c.Scan + c.Read
+	rt.write = c.Write
 
 	effStart := rt.started + sim.FromSeconds(rt.launch)
 	if now > effStart {

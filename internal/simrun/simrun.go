@@ -119,14 +119,6 @@ func (r *Results) JobDurations() []float64 {
 	return out
 }
 
-// stageCost holds the precomputed per-task cost components of one stage.
-type stageCost struct {
-	scan    float64
-	read    float64
-	write   float64
-	process float64
-}
-
 // inEdge is one producer of a stage as the simulator needs it.
 type inEdge struct {
 	from     int  // producer's index in jobRun.stages
@@ -146,7 +138,6 @@ type parkedTask struct {
 // finishing a task hash no stage name here.
 type stageRun struct {
 	name  string
-	cost  stageCost
 	in    []inEdge
 	tasks []*runningTask // live attempt per task index; made on first start
 	size  int            // the stage's task count
@@ -165,9 +156,10 @@ type jobRun struct {
 	job      *dag.Job
 	handle   core.JobHandle // 0 for a job the controller failed inside SubmitJob
 	res      *JobResult
-	stages   []stageRun // in topological order (dag.Job.TopoIndex)
-	numTasks int        // sizes the result's sample slice on the first finish
-	live     int        // attempts currently in the stages' task tables
+	stages   []stageRun          // in topological order (dag.Job.TopoIndex)
+	costs    []shuffle.StageCost // by stage, as stages: shuffle.Price at admission
+	numTasks int                 // sizes the result's sample slice on the first finish
+	live     int                 // attempts currently in the stages' task tables
 }
 
 // runningTask is one simulated task attempt: running, parked on inputs, or
@@ -377,18 +369,9 @@ func (r *Runner) Submit(job *dag.Job) error {
 		},
 		stages: make([]stageRun, len(names)),
 	}
-	// Scan and processing costs are known now; the shuffle read/write
-	// components depend on the edge modes the controller selects at
-	// admission, so edgeCosts fills them in right after SubmitJob succeeds.
-	// A stage's producers precede it, so their indexes are known.
-	model := r.cl.Model()
 	for i, name := range names {
 		s, sr := job.Stage(name), &jr.stages[i]
 		sr.name, sr.size = s.Name, s.Tasks
-		sr.cost = stageCost{
-			scan:    model.ScanTime(s.Cost.ScanBytes, s.Tasks),
-			process: s.Cost.ProcessSecondsPerTask,
-		}
 		for _, e := range job.In(s.Name) {
 			sr.in = append(sr.in, inEdge{from: job.TopoIndex(e.From), pipeline: e.Mode == dag.Pipeline})
 		}
@@ -406,31 +389,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 		}
 		r.handles[jr.handle] = jr
 	}
-	r.edgeCosts(jr)
+	jr.costs = shuffle.Price(job, r.ctrl.EdgeMode, r.cl, r.cfg.Options.ShuffleReplicas)
 	r.handleActions()
 	return nil
-}
-
-// edgeCosts fills the read/write components of a job's stage costs once the
-// controller knows the edge modes (i.e., after SubmitJob).
-func (r *Runner) edgeCosts(jr *jobRun) {
-	model := r.cl.Model()
-	est := func(tasks int) int { return model.Spread(tasks, r.cl.NumMachines()) }
-	for _, e := range jr.job.Edges() {
-		from, to := &jr.stages[jr.job.TopoIndex(e.From)], &jr.stages[jr.job.TopoIndex(e.To)]
-		mode := r.ctrl.EdgeMode(jr.job.ID, e.From, e.To)
-		in := shuffle.CostInput{
-			M:                from.size,
-			N:                to.size,
-			ProducerMachines: est(from.size),
-			ConsumerMachines: est(to.size),
-			Bytes:            e.Bytes,
-			ClusterMachines:  r.cl.NumMachines(),
-			Model:            model,
-			Replicas:         r.cfg.Options.ShuffleReplicas,
-		}
-		b := shuffle.Cost(mode, in)
-		from.cost.write += b.Write()
-		to.cost.read += b.Read()
-	}
 }

@@ -203,6 +203,8 @@ done
 grep -Eq 'queued=[1-9]' "$TRACE_TMP/submit.out"
 grep -Eq 'shed=[1-9]' "$TRACE_TMP/submit.out"
 wait "$SWIFTD_PID"   # drain must exit 0
+# ...with nothing live and no panic-isolated submission, which exits 0 too.
+grep -q 'drained .* live=0 panics=0$' "$TRACE_TMP/swiftd.log" || { echo "swiftd drained dirty:" >&2; cat "$TRACE_TMP/swiftd.log" >&2; exit 1; }
 
 echo "== examples smoke (each checks its own result; a wrong one is a log.Fatal)"
 for EXAMPLE in quickstart terasort faulttolerance tpch; do
