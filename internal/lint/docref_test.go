@@ -80,11 +80,7 @@ func TestDocReferences(t *testing.T) {
 }
 
 // docIgnore lists deleted names the documents quote on purpose.
-var docIgnore = []string{
-	"flow.(*Service).pumpLocked",               // a frame of a CPU profile EXPERIMENTS.md records
-	"BenchmarkRunAllReduced",                   // the reduced sweep's benchmark, in EXPERIMENTS.md's dated wall-clock table
-	"internal/exp/testdata/reduced_hashes.txt", // the reduced-size pins a dated census in EXPERIMENTS.md checked
-}
+var docIgnore = []string{}
 
 // docIndex is everything a document may cite.
 type docIndex struct {

@@ -96,11 +96,11 @@ func TestLiteQ3Q12PinnedSinkRows(t *testing.T) {
 // 18 discounted-price sums were re-pinned when each Q1 scan task began to
 // aggregate its partition before the shuffle: a sum of four partial sums
 // rounds differently from one running sum, and 16 of the 18 moved closer
-// to the exact sum of the same float64 products (EXPERIMENTS.md has the
-// table). Those few partials no longer pin the shuffle's row order; Q3's
-// revenue sums do — a round-robin partitioned order of three or more
-// lineitems sums rows from different `line` tasks, so a reordered
-// concatenation of the producer runs fails it.
+// to the exact sum of the same float64 products (the EXPERIMENTS.md of
+// commit a602661 has the table). Those few partials no longer pin the
+// shuffle's row order; Q3's revenue sums do — a round-robin partitioned
+// order of three or more lineitems sums rows from different `line` tasks,
+// so a reordered concatenation of the producer runs fails it.
 var pinnedQ1Q6 = []struct {
 	seed   int64
 	q1, q6 []engine.Row
