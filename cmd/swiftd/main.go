@@ -3,9 +3,10 @@
 // through the global flow controller (admission control, backpressure,
 // load shedding — see internal/flow), schedules admitted jobs on a
 // simulated cluster, and runs each task for the price the simulator charges
-// (shuffle.Price) scaled to wall time by -timescale: one completion driver
-// goroutine holds every running task on a deadline heap and feeds the ones
-// that fall due back in batches.
+// (core.Controller.Price, set when the controller admits the job) scaled
+// to wall time by -timescale: one completion driver goroutine holds every
+// running task on a deadline heap and feeds the ones that fall due back in
+// batches.
 // SIGINT/SIGTERM or the flow.drain endpoint start a graceful drain: new
 // submissions shed, queued work re-admits, and the process exits 0 once
 // nothing is in flight.

@@ -14,7 +14,6 @@ import (
 	"swift/internal/core"
 	"swift/internal/dag"
 	"swift/internal/flow"
-	"swift/internal/shuffle"
 	"swift/internal/sim"
 	"swift/internal/trace"
 )
@@ -136,18 +135,14 @@ func TestTaskRunsForItsPrice(t *testing.T) {
 	payload := encode(t, trace.Job{Job: job})
 
 	// The oracle: the same job admitted by a bare controller on the same
-	// cluster, priced by the shared function.
+	// cluster, which prices it at admission.
 	ref, _ := trace.Read(bytes.NewReader(payload))
-	refCl := cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execs})
-	ctrl := core.NewController(refCl, core.DefaultOptions())
+	ctrl := core.NewController(cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execs}), core.DefaultOptions())
 	if err := ctrl.SubmitJob(ref.Jobs[0].Job); err != nil {
 		t.Fatal(err)
 	}
-	if mode := ctrl.EdgeMode("priced", "scan", "agg"); mode == shuffle.Direct {
-		t.Fatalf("the edge is %v: the test needs a Cache-Worker mode", mode)
-	}
 	var want []float64
-	for _, c := range shuffle.Price(ref.Jobs[0].Job, ctrl.EdgeMode, refCl, 0) {
+	for _, c := range ctrl.Price(ctrl.Handle("priced")) {
 		if c.Scan+c.Read+c.Write == 0 {
 			t.Fatalf("stage priced %+v: the test needs a scan or a shuffle term", c)
 		}
@@ -200,9 +195,10 @@ func TestSubmitFrameIDMustBeTheJobID(t *testing.T) {
 	}
 }
 
-// The price table holds the live jobs and nothing else: shed, cancelled
-// and finished submissions leave no entry behind (flow.Service.Invariants
-// checks that as many jobs are priced as are live).
+// A daemon's prices live with its live jobs and go with them: shed,
+// cancelled and finished submissions leave none behind
+// (core.Controller.CheckInvariants, which flow.Service.Invariants runs,
+// checks that every live job has one price per stage).
 func TestCostTableEmptiesWithTheDaemon(t *testing.T) {
 	d := testDaemon(flow.Config{MaxInFlightTasks: 8, MaxQueue: 16}, 1e6)
 

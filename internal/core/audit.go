@@ -116,8 +116,8 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 //     policy would see without patching the view shows up here;
 //   - the live table: it holds exactly the live-job order's monitors, as
 //     many as Snapshot counts live jobs, none of them done or failed and
-//     none with an id the outcome table already holds, and each job's
-//     handle names it.
+//     none with an id the outcome table already holds, each job's handle
+//     names it, and each has one price (Price) per stage.
 func (c *Controller) CheckInvariants() []string {
 	var v []string
 	seenExec := make(map[cluster.ExecutorID]TaskRef)
@@ -146,6 +146,9 @@ func (c *Controller) CheckInvariants() []string {
 		}
 		if _, retired := c.retired[jobID]; retired {
 			v = append(v, fmt.Sprintf("%s: job is both live and retired", jobID))
+		}
+		if len(m.costs) != len(m.stages) {
+			v = append(v, fmt.Sprintf("%s: %d stage prices for %d stages", jobID, len(m.costs), len(m.stages)))
 		}
 		if m.done || m.failed {
 			v = append(v, fmt.Sprintf("%s: terminal job still live", jobID))

@@ -116,6 +116,9 @@ type monitor struct {
 	running   int          // running tasks, kept by snapDelta
 	seq       int          // admission sequence number (policy FIFO tiebreak)
 	handle    JobHandle    // index in Controller.handles
+	// costs is each stage's per-task price, as stages, under the edge
+	// modes chosen at admission (Controller.Price).
+	costs []shuffle.StageCost
 	// homes is where done tasks' buffered outputs live: for each output
 	// TaskFinished replicated, the machines holding a copy in serving order
 	// (head = serving copy). A done task with no entry — all of them at
@@ -214,9 +217,6 @@ func NewController(cl *cluster.Cluster, opts Options) *Controller {
 		handles: make([]*monitor, 1), policy: policy, tenants: make(map[string]*tenantState)}
 }
 
-// Cluster returns the managed cluster.
-func (c *Controller) Cluster() *cluster.Cluster { return c.cl }
-
 // Drain returns the actions accumulated since the last call. The slice is
 // the controller's own buffer, reused for the next event's actions: it is
 // valid until the controller is fed another event, so a caller that keeps
@@ -234,11 +234,11 @@ func (c *Controller) emit(a Action) {
 }
 
 // SubmitJob admits a job: validates it, partitions it with the configured
-// policy, selects shuffle modes per edge, issues its JobHandle, and
-// registers resource requests for the graphlets whose inputs are already
-// available. A job with a gang larger than the cluster is admitted and
-// failed at once (ActJobFailed). A job of more graphlets than
-// Action.Graphlet can name is refused.
+// policy, selects shuffle modes per edge, prices its stages under those
+// modes (Price), issues its JobHandle, and registers resource requests for
+// the graphlets whose inputs are already available. A job with a gang
+// larger than the cluster is admitted and failed at once (ActJobFailed). A
+// job of more graphlets than Action.Graphlet can name is refused.
 func (c *Controller) SubmitJob(job *dag.Job) error {
 	if job == nil {
 		return fmt.Errorf("core: nil job")
@@ -257,10 +257,12 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		return fmt.Errorf("core: job %q has %d graphlets, more than the %d an action can name", job.ID, len(gs), math.MaxInt16)
 	}
 	topo, _ := job.TopoOrder() // validated above
+	model, machines := c.cl.Model(), c.cl.NumMachines()
 	m := &monitor{
 		job:       job,
 		graphlets: gs,
 		stages:    make([]*stageState, len(topo)),
+		costs:     make([]shuffle.StageCost, len(topo)),
 		tenant:    TenantName(job),
 		seq:       c.nextSeq,
 		handle:    JobHandle(len(c.handles)),
@@ -272,6 +274,11 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		spec := job.Stage(name)
 		m.stages[i] = &stageState{spec: spec, tasks: make([]taskState, spec.Tasks)}
 		m.stages[i].reset()
+		m.costs[i] = shuffle.StageCost{
+			Launch:  model.SwiftPlanDelivery + model.TaskDispatch,
+			Scan:    model.ScanTime(spec.Cost.ScanBytes, spec.Tasks),
+			Process: spec.Cost.ProcessSecondsPerTask,
+		}
 	}
 	for _, g := range gs {
 		for _, s := range g.Stages {
@@ -285,6 +292,13 @@ func (c *Controller) SubmitJob(job *dag.Job) error {
 		c.opts.Obs.ShuffleModeSelected(job.ID, e.From, e.To, mode.String(), job.ShuffleEdgeSize(e), e.Bytes)
 		m.stages[from].out = append(m.stages[from].out, outEdge{to, mode})
 		m.stages[to].in = append(m.stages[to].in, from)
+		mt, nt := m.stages[from].spec.Tasks, m.stages[to].spec.Tasks
+		b := shuffle.Cost(mode, shuffle.CostInput{
+			M: mt, N: nt, ProducerMachines: model.Spread(mt, machines), ConsumerMachines: model.Spread(nt, machines),
+			Bytes: e.Bytes, ClusterMachines: machines, Model: model, Replicas: c.opts.ShuffleReplicas,
+		})
+		m.costs[from].Write += b.Write()
+		m.costs[to].Read += b.Read()
 	}
 	m.gruns = c.buildGraphletRuns(m)
 	c.jobs[job.ID] = m
@@ -510,22 +524,18 @@ func (c *Controller) StageComplete(job JobHandle, stage int) bool {
 	return m != nil && m.stages[stage].complete()
 }
 
-// EdgeMode returns the shuffle mode of a live job's edge: the one selected
-// at admission, or Direct once a Cache Worker crash degraded it. It is
-// Direct for a job, stage or edge it does not know.
-func (c *Controller) EdgeMode(job, from, to string) shuffle.Mode {
-	m := c.jobs[job]
-	if m == nil {
-		return shuffle.Direct
+// Price returns each stage's per-task price (shuffle.StageCost), as
+// stages (Action.Stage), under the edge modes chosen at admission: the one
+// task model the simulator and the daemon both charge. Per-attempt effects
+// (process jitter, waits on producers, cold launches) are the caller's. A
+// Cache Worker crash that later degrades an edge does not re-price the
+// job. It is nil for handle 0 and for an unknown or retired handle. The
+// slice is the controller's own; callers must not modify it.
+func (c *Controller) Price(job JobHandle) []shuffle.StageCost {
+	if uint(job) >= uint(len(c.handles)) || c.handles[job] == nil {
+		return nil
 	}
-	if fi, ti := m.job.TopoIndex(from), m.job.TopoIndex(to); fi >= 0 {
-		for _, e := range m.stages[fi].out {
-			if e.to == ti {
-				return e.mode
-			}
-		}
-	}
-	return shuffle.Direct
+	return c.handles[job].costs
 }
 
 // RunningTask returns the executor and attempt of a task if it is

@@ -19,6 +19,7 @@ import (
 type harness struct {
 	t       *testing.T
 	c       *Controller
+	cl      *cluster.Cluster
 	running map[TaskRef]Action // the starts of the running tasks
 	down    map[cluster.MachineID]bool
 	starts  []Action
@@ -28,7 +29,7 @@ type harness struct {
 
 func newHarness(t *testing.T, machines, execsPer int, opts Options) *harness {
 	cl := cluster.New(cluster.Config{Machines: machines, ExecutorsPerMachine: execsPer})
-	return &harness{t: t, c: NewController(cl, opts),
+	return &harness{t: t, c: NewController(cl, opts), cl: cl,
 		running: make(map[TaskRef]Action), down: make(map[cluster.MachineID]bool)}
 }
 
@@ -115,7 +116,7 @@ func (h *harness) restart(e cluster.ExecutorID) {
 // readmit brings every down machine back in id order, as simrun's
 // RebootMachine and RecoverMachine do once their delays have passed.
 func (h *harness) readmit() {
-	for id := range cluster.MachineID(h.c.Cluster().NumMachines()) {
+	for id := range cluster.MachineID(h.cl.NumMachines()) {
 		if h.down[id] {
 			h.c.MachineRecovered(id)
 			h.drain()
@@ -170,8 +171,8 @@ func TestSimplePipelineJobCompletes(t *testing.T) {
 	if !h.completed("j") {
 		t.Fatal("job not completed")
 	}
-	if h.c.Cluster().BusyExecutors() != 0 {
-		t.Errorf("executors leaked: %d busy", h.c.Cluster().BusyExecutors())
+	if h.cl.BusyExecutors() != 0 {
+		t.Errorf("executors leaked: %d busy", h.cl.BusyExecutors())
 	}
 	if !h.c.JobDone("j") || h.c.JobFailed("j") {
 		t.Error("job state wrong")
@@ -302,7 +303,7 @@ func TestNilPlanLeavesWaitingGangsConsumersRunning(t *testing.T) {
 		mOf := func(task TaskRef) cluster.MachineID {
 			for _, s := range h.starts {
 				if s.Task == task {
-					return h.c.Cluster().MachineOf(s.Executor)
+					return h.cl.MachineOf(s.Executor)
 				}
 			}
 			t.Fatalf("%s: %s never started", policy.Name(), task)
@@ -315,9 +316,9 @@ func TestNilPlanLeavesWaitingGangsConsumersRunning(t *testing.T) {
 				policy.Name(), m, h.starts)
 		}
 		h.crash(m)
-		if _, ok := h.running[survivor]; !ok || len(h.running) != 1 || h.c.Cluster().FreeExecutors() != 1 {
+		if _, ok := h.running[survivor]; !ok || len(h.running) != 1 || h.cl.FreeExecutors() != 1 {
 			t.Fatalf("%s: after the crash %v run with %d executors free; want %s alone, one free",
-				policy.Name(), h.running, h.c.Cluster().FreeExecutors(), survivor)
+				policy.Name(), h.running, h.cl.FreeExecutors(), survivor)
 		}
 		h.readmit()
 		if len(h.running) != 3 || h.running[survivor].Attempt != 1 {
@@ -473,7 +474,7 @@ func TestAppErrorFailsJobWithoutRecovery(t *testing.T) {
 	if len(h.running) != 0 {
 		t.Errorf("tasks still running after job failure: %v", h.running)
 	}
-	if h.c.Cluster().BusyExecutors() != 0 {
+	if h.cl.BusyExecutors() != 0 {
 		t.Error("executors leaked after job failure")
 	}
 	if !h.c.JobFailed("j") {
@@ -534,7 +535,7 @@ func TestMachineFailureRecoversRunningAndLostOutputs(t *testing.T) {
 	// Finish A entirely; B starts; then the machine hosting A[0]'s
 	// output fails while B is running.
 	a0Exec := h.running[ref("j", "A", 0)].Executor
-	failedMachine := h.c.Cluster().MachineOf(a0Exec)
+	failedMachine := h.cl.MachineOf(a0Exec)
 	h.finish(ref("j", "A", 0))
 	h.finish(ref("j", "A", 1))
 	if len(h.running) != 2 {
@@ -546,7 +547,7 @@ func TestMachineFailureRecoversRunningAndLostOutputs(t *testing.T) {
 	if _, ok := h.running[ref("j", "A", 0)]; !ok {
 		t.Error("lost output of A[0] not regenerated")
 	}
-	if h.c.Cluster().Machine(failedMachine).Health != cluster.Failed {
+	if h.cl.Machine(failedMachine).Health != cluster.Failed {
 		t.Error("machine not marked failed")
 	}
 	h.finishAll()
@@ -555,7 +556,7 @@ func TestMachineFailureRecoversRunningAndLostOutputs(t *testing.T) {
 	}
 	// New allocations avoided the failed machine.
 	for _, s := range h.starts {
-		if s.Attempt > 1 && h.c.Cluster().MachineOf(s.Executor) == failedMachine {
+		if s.Attempt > 1 && h.cl.MachineOf(s.Executor) == failedMachine {
 			t.Error("recovery task scheduled on failed machine")
 		}
 	}
@@ -644,7 +645,7 @@ func TestMachineFailureNoStepWhenConsumersDone(t *testing.T) {
 	h := newHarness(t, 2, 4, DefaultOptions())
 	h.submit(barrierJob("j", 1, 1))
 	aExec := h.running[ref("j", "A", 0)].Executor
-	machine := h.c.Cluster().MachineOf(aExec)
+	machine := h.cl.MachineOf(aExec)
 	h.finish(ref("j", "A", 0))
 	h.finish(ref("j", "B", 0))
 	if !h.completed("j") {
@@ -664,12 +665,12 @@ func TestUnhealthyMachineGoesReadOnly(t *testing.T) {
 	h := newHarness(t, 2, 8, DefaultOptions())
 	h.submit(pipelineJob("j", 8, 8))
 	for fails := 0; fails < unhealthyThreshold; fails++ {
-		if h.c.Cluster().Machine(0).Health != cluster.Healthy {
+		if h.cl.Machine(0).Health != cluster.Healthy {
 			t.Fatalf("machine 0 drained after %d failures, threshold is %d", fails, unhealthyThreshold)
 		}
 		var target Action
 		for _, a := range h.running {
-			if h.c.Cluster().MachineOf(a.Executor) == 0 && (target.Attempt == 0 || a.Attempt < target.Attempt) {
+			if h.cl.MachineOf(a.Executor) == 0 && (target.Attempt == 0 || a.Attempt < target.Attempt) {
 				target = a
 			}
 		}
@@ -678,8 +679,8 @@ func TestUnhealthyMachineGoesReadOnly(t *testing.T) {
 		}
 		h.fail(target.Task, FailCrash)
 	}
-	if h.c.Cluster().Machine(0).Health != cluster.ReadOnly {
-		t.Errorf("machine 0 health = %v, want read-only", h.c.Cluster().Machine(0).Health)
+	if h.cl.Machine(0).Health != cluster.ReadOnly {
+		t.Errorf("machine 0 health = %v, want read-only", h.cl.Machine(0).Health)
 	}
 	sawAction := false
 	for _, a := range h.events {
@@ -745,13 +746,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// edgeMode returns the shuffle mode of a live job's edge: the one selected
+// at admission, or Direct once a Cache Worker crash degraded it. It is
+// Direct for a job, stage or edge it does not know.
+func (c *Controller) edgeMode(job, from, to string) shuffle.Mode {
+	m := c.jobs[job]
+	if m == nil {
+		return shuffle.Direct
+	}
+	if fi, ti := m.job.TopoIndex(from), m.job.TopoIndex(to); fi >= 0 {
+		for _, e := range m.stages[fi].out {
+			if e.to == ti {
+				return e.mode
+			}
+		}
+	}
+	return shuffle.Direct
+}
+
 func TestEdgeModeSelection(t *testing.T) {
 	h := newHarness(t, 4, 4, DefaultOptions())
 	h.submit(pipelineJob("j", 2, 2)) // edge size 4 -> Direct
-	if got := h.c.EdgeMode("j", "A", "B"); got != shuffle.Direct {
+	if got := h.c.edgeMode("j", "A", "B"); got != shuffle.Direct {
 		t.Errorf("mode = %v, want Direct", got)
 	}
-	if got := h.c.EdgeMode("nope", "A", "B"); got != shuffle.Direct {
+	if got := h.c.edgeMode("nope", "A", "B"); got != shuffle.Direct {
 		t.Errorf("unknown job mode = %v", got)
 	}
 
@@ -759,14 +778,14 @@ func TestEdgeModeSelection(t *testing.T) {
 	opts.Shuffle = FixedShuffle(shuffle.Disk)
 	h2 := newHarness(t, 4, 4, opts)
 	h2.submit(pipelineJob("j", 2, 2))
-	if got := h2.c.EdgeMode("j", "A", "B"); got != shuffle.Disk {
+	if got := h2.c.edgeMode("j", "A", "B"); got != shuffle.Disk {
 		t.Errorf("disk policy mode = %v", got)
 	}
 
 	big := pipelineJob("big", 400, 400) // 160k edges -> Local under adaptive
 	h3 := newHarness(t, 100, 60, DefaultOptions())
 	h3.submit(big)
-	if got := h3.c.EdgeMode("big", "A", "B"); got != shuffle.Local {
+	if got := h3.c.edgeMode("big", "A", "B"); got != shuffle.Local {
 		t.Errorf("adaptive large mode = %v, want Local", got)
 	}
 
@@ -783,12 +802,12 @@ func TestEdgeModeSelection(t *testing.T) {
 	h4 := newHarness(t, 1, 4, opts)
 	h4.submit(b.MustBuild())
 	for i, name := range consumers {
-		if got := h4.c.EdgeMode("f", "A", name); got != byConsumer[i] {
+		if got := h4.c.edgeMode("f", "A", name); got != byConsumer[i] {
 			t.Errorf("A->%s mode = %v, want %v", name, got, byConsumer[i])
 		}
 	}
 	for _, e := range [][2]string{{"A", "nope"}, {"nope", "B"}, {"B", "C"}} {
-		if got := h4.c.EdgeMode("f", e[0], e[1]); got != shuffle.Direct {
+		if got := h4.c.edgeMode("f", e[0], e[1]); got != shuffle.Direct {
 			t.Errorf("%s->%s of a live job: mode = %v, want Direct", e[0], e[1], got)
 		}
 	}
@@ -810,7 +829,7 @@ func TestEdgeModeSelection(t *testing.T) {
 		if want == shuffle.Local || want == shuffle.Remote {
 			want = shuffle.Direct
 		}
-		if got := h4.c.EdgeMode("f", "A", name); got != want {
+		if got := h4.c.edgeMode("f", "A", name); got != want {
 			t.Errorf("after the crash A->%s mode = %v, want %v", name, got, want)
 		}
 	}

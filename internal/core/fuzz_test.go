@@ -225,7 +225,7 @@ func candidates(h *harness, sc scenario, submitted int) [numInputKinds][]input {
 		}
 	}
 	for id := range cluster.MachineID(sc.machines) {
-		health := h.c.Cluster().Machine(id).Health
+		health := h.cl.Machine(id).Health
 		up, healthy := health != cluster.Failed, health == cluster.Healthy
 		legal := [numInputKinds]bool{inMachineFailed: up, inMachineUnhealthy: healthy, inMachineRecovered: !healthy, inCacheWorkerLost: up}
 		for k, ok := range legal {

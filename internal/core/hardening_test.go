@@ -37,7 +37,7 @@ func TestNoNewTasksOnReadOnlyMachineAfterReuse(t *testing.T) {
 		t.Fatal("job did not complete after read-only drain")
 	}
 	for _, s := range h.starts[marker:] {
-		if h.c.Cluster().MachineOf(s.Executor) == 0 {
+		if h.cl.MachineOf(s.Executor) == 0 {
 			t.Fatalf("task %s launched on read-only machine 0 after drain began", s.Task)
 		}
 	}
@@ -157,7 +157,7 @@ func TestRevivedNonIdempotentProducerCascades(t *testing.T) {
 func TestRecoveryDeadlockBrokenByPreemption(t *testing.T) {
 	h := newHarness(t, 2, 1, DefaultOptions())
 	h.submit(barrierJob("j", 1, 2)) // A gates B; 2 executors total
-	mA := h.c.Cluster().MachineOf(h.running[ref("j", "A", 0)].Executor)
+	mA := h.cl.MachineOf(h.running[ref("j", "A", 0)].Executor)
 	h.finish(ref("j", "A", 0))
 	if len(h.running) != 2 {
 		t.Fatalf("B not fully running: %v", h.running)
@@ -219,24 +219,24 @@ func TestMachineRecoveredReadmitsDrainedMachine(t *testing.T) {
 	h.submit(pipelineJob("j", 2, 2)) // fills all 4 executors
 	h.c.MachineUnhealthy(0)
 	h.drain()
-	if h.c.Cluster().Machine(0).Health != cluster.ReadOnly {
+	if h.cl.Machine(0).Health != cluster.ReadOnly {
 		t.Fatal("machine 0 not read-only")
 	}
 	// Drain machine 0 completely.
 	for r, a := range h.running {
-		if h.c.Cluster().MachineOf(a.Executor) == 0 {
+		if h.cl.MachineOf(a.Executor) == 0 {
 			h.finish(r)
 		}
 	}
-	if free := h.c.Cluster().FreeExecutors(); free != 0 {
+	if free := h.cl.FreeExecutors(); free != 0 {
 		t.Fatalf("read-only machine's executors re-pooled: %d free", free)
 	}
 	h.c.MachineRecovered(0)
 	h.drain()
-	if h.c.Cluster().Machine(0).Health != cluster.Healthy {
+	if h.cl.Machine(0).Health != cluster.Healthy {
 		t.Fatal("machine 0 not healthy after recovery")
 	}
-	if free := h.c.Cluster().FreeExecutors(); free != 2 {
+	if free := h.cl.FreeExecutors(); free != 2 {
 		t.Fatalf("want 2 free executors after re-admission, got %d", free)
 	}
 	saw := false
@@ -266,7 +266,7 @@ func TestCacheWorkerLostFanOutAndDegrade(t *testing.T) {
 	// tasks make A[0]'s hosted output "still needed" when the worker dies.
 	h.submit(barrierJob("j", 2, 2))
 	a0 := h.running[ref("j", "A", 0)].Executor
-	machine := h.c.Cluster().MachineOf(a0)
+	machine := h.cl.MachineOf(a0)
 	h.finish(ref("j", "A", 0))
 	h.c.CacheWorkerLost(machine)
 	h.drain()
@@ -280,7 +280,7 @@ func TestCacheWorkerLostFanOutAndDegrade(t *testing.T) {
 	if !relaunched {
 		t.Fatal("cache-worker crash did not re-run hosted outputs")
 	}
-	if got := h.c.EdgeMode("j", "A", "B"); got != shuffle.Direct {
+	if got := h.c.edgeMode("j", "A", "B"); got != shuffle.Direct {
 		t.Fatalf("edge A->B mode = %v after cache-worker loss, want Direct", got)
 	}
 	saw := false
@@ -306,7 +306,7 @@ func TestReadOnlyDrainPath(t *testing.T) {
 	h.submit(pipelineJob("j", 4, 4)) // 8 tasks > 6 executors
 	running0 := 0
 	for _, a := range h.running {
-		if h.c.Cluster().MachineOf(a.Executor) == 0 {
+		if h.cl.MachineOf(a.Executor) == 0 {
 			running0++
 		}
 	}
@@ -318,7 +318,7 @@ func TestReadOnlyDrainPath(t *testing.T) {
 	// Running tasks on machine 0 are NOT aborted by the drain.
 	still := 0
 	for _, a := range h.running {
-		if h.c.Cluster().MachineOf(a.Executor) == 0 {
+		if h.cl.MachineOf(a.Executor) == 0 {
 			still++
 		}
 	}
@@ -331,11 +331,11 @@ func TestReadOnlyDrainPath(t *testing.T) {
 		t.Fatal("job not completed during drain")
 	}
 	for _, s := range h.starts[startsBefore:] {
-		if h.c.Cluster().MachineOf(s.Executor) == 0 {
+		if h.cl.MachineOf(s.Executor) == 0 {
 			t.Fatalf("new task %s launched on read-only machine 0", s.Task)
 		}
 	}
-	if h.c.Cluster().BusyExecutors() != 0 {
+	if h.cl.BusyExecutors() != 0 {
 		t.Error("machine 0 not fully drained")
 	}
 }

@@ -253,7 +253,7 @@ func TestKeptViewPatchedAtEverySite(t *testing.T) {
 	t.Run("breakDeadlock", func(t *testing.T) {
 		h := newHarness(t, 2, 1, fair())
 		h.submit(barrierJob("j", 1, 2)) // A gates B; 2 executors total
-		mA := h.c.Cluster().MachineOf(h.running[ref("j", "A", 0)].Executor)
+		mA := h.cl.MachineOf(h.running[ref("j", "A", 0)].Executor)
 		h.finish(ref("j", "A", 0))          // both B tasks run
 		h.submit(tenantJob("b", "k", 1, 1)) // queued ahead of j's recovery
 		// The crash re-pends A[0] behind k while B[0] holds the last

@@ -84,7 +84,7 @@ func lossHarness(t *testing.T, replicas int) (*harness, cluster.MachineID) {
 	opts.Shuffle = FixedShuffle(shuffle.Remote)
 	h := newHarness(t, 6, 1, opts)
 	h.submit(barrierJob("j", 2, 8))
-	home := h.c.Cluster().MachineOf(h.running[ref("j", "A", 0)].Executor)
+	home := h.cl.MachineOf(h.running[ref("j", "A", 0)].Executor)
 	h.finish(ref("j", "A", 0))
 	h.finish(ref("j", "A", 1))
 	want := 0
@@ -217,7 +217,7 @@ func TestSinkOutputLossReportedAtEveryR(t *testing.T) {
 			h.submit(barrierJob("j", 2, 2))
 			h.finish(ref("j", "A", 0))
 			h.finish(ref("j", "A", 1))
-			sink := h.c.Cluster().MachineOf(h.running[ref("j", "B", 0)].Executor)
+			sink := h.cl.MachineOf(h.running[ref("j", "B", 0)].Executor)
 			h.finish(ref("j", "B", 0))
 			lose(h.c, sink)
 			h.drain()

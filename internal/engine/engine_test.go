@@ -74,7 +74,7 @@ func TestWordcountEndToEnd(t *testing.T) {
 		if got := counts(rows); !reflect.DeepEqual(got, want) {
 			t.Errorf("counts = %v, want %v", got, want)
 		}
-		if e.Controller().Cluster().BusyExecutors() != 0 {
+		if e.cl.BusyExecutors() != 0 {
 			t.Error("executors leaked")
 		}
 		if st := e.Store().Stats(); st.Puts == 0 {

@@ -70,9 +70,11 @@ type AblationPartitionRow struct {
 // AblationPartition replays one saturated trace under the three DAG
 // partitioning strategies with everything else fixed (adaptive shuffle,
 // fine-grained recovery): Swift's graphlets, Spark-style per-stage
-// scheduling, and JetScope-style whole-job gangs. Graphlets should match
-// per-stage on utilization while avoiding its per-stage scheduling latency,
-// and beat whole-job on both.
+// scheduling, and JetScope-style whole-job gangs. Each row is the trace's
+// makespan and the mean idle ratio of its completed tasks. On the Fig. 10
+// trace per-stage scheduling finishes sooner than graphlets (seed 1:
+// 687.93 s against 798.45 s, both idle 0.000), and whole-job gangs last
+// (1,329.34 s, idle 0.178).
 func AblationPartition(cfg Config) []AblationPartitionRow {
 	tr := fig10Trace(cfg)
 	policies := []struct {

@@ -19,9 +19,9 @@ import (
 // themselves, so a refactor that must not move simulated behaviour is held
 // to the values of the commit that set the table. Each paper experiment's
 // test checks its own line on the seed-1 run it makes anyway
-// (checkPinned), and TestPinnedReducedHashes runs the experiments no such
-// test runs. scripts/ci.sh compares the binary's output against the same
-// file.
+// (checkPinned), and TestPinnedBeyondPaperFullSize runs the experiments no
+// such test runs. scripts/ci.sh compares the binary's output against the
+// same file.
 //
 // go test ./internal/exp -run Pinned -update rewrites the table — only
 // legitimate when a change is *meant* to move simulated behaviour, and then
@@ -48,7 +48,10 @@ func checkPinned(t *testing.T, name string, hash uint64) {
 	}
 }
 
-func TestPinnedReducedHashes(t *testing.T) {
+// TestPinnedBeyondPaperFullSize runs the experiments beyond the paper, the
+// ones no TestFig* or TestTable1 runs, at full size on seed 1 and checks
+// each one's line of the table; under -update it rewrites the whole table.
+func TestPinnedBeyondPaperFullSize(t *testing.T) {
 	if *update {
 		names := slices.DeleteFunc(Names(), func(n string) bool { return n == "fig16" })
 		got := map[string]string{}

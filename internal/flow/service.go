@@ -7,7 +7,6 @@ import (
 	"swift/internal/cluster"
 	"swift/internal/core"
 	"swift/internal/dag"
-	"swift/internal/shuffle"
 	"swift/internal/sim"
 )
 
@@ -21,7 +20,8 @@ import (
 // Actions emitted by the core controller are collected under the lock and
 // handed to the registered sink after it is released, so a driver may call
 // straight back into the service (e.g. to finish a zero-cost task) without
-// deadlocking. Each start reaches the sink with its price.
+// deadlocking. Each start reaches the sink with its price
+// (core.Controller.Price), read under the lock.
 type Service struct {
 	clock func() sim.Time
 	sink  func(now sim.Time, acts []core.Action, secs []float64)
@@ -29,15 +29,9 @@ type Service struct {
 	mu        sync.Mutex
 	flow      *Controller
 	ctrl      *core.Controller
-	replicas  int             // core.Options.ShuffleReplicas, which Price charges
 	adm       Pump            // flow in front of ctrl
 	submitted map[string]bool // IDs ever accepted (admitted or queued)
-	// costs holds each live job's shuffle.Price by handle, and a nil entry
-	// (24 B) per retired job. It sits under the lock that orders admissions
-	// and starts: a table kept by a sink, which run in no fixed order, could
-	// see a start before its job's price.
-	costs  [][]shuffle.StageCost
-	panics int64
+	panics    int64
 	// bufs is the free list of action and price buffers: an event with
 	// actions takes one under the lock and finish gives it back once the
 	// sink has returned, so the daemon's steady state copies actions into
@@ -62,9 +56,10 @@ type ServiceStatus struct {
 // per-tenant in-flight counters. sink, if not nil, is the driver callback
 // receiving controller actions; it runs outside the service lock. secs[i]
 // is the price of the start acts[i] in virtual seconds
-// (shuffle.StageCost.Total; zero for other kinds). Both are valid only
-// until the sink returns: the service reuses their buffers for a later
-// event, so a sink copies what it keeps.
+// (shuffle.StageCost.Total; zero for other kinds, and for a start whose
+// job retired later in the same event). Both are valid only until the sink
+// returns: the service reuses their buffers for a later event, so a sink
+// copies what it keeps.
 func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func() sim.Time,
 	sink func(now sim.Time, acts []core.Action, secs []float64)) *Service {
 	s := &Service{
@@ -72,7 +67,6 @@ func NewService(cl *cluster.Cluster, copts core.Options, fcfg Config, clock func
 		sink:      sink,
 		flow:      NewController(fcfg, cl.NumExecutors()),
 		ctrl:      core.NewController(cl, copts),
-		replicas:  copts.ShuffleReplicas,
 		submitted: make(map[string]bool),
 		drained:   make(chan struct{}),
 	}
@@ -125,15 +119,11 @@ func (s *Service) drainLocked() (b batch, idle bool) {
 		}
 		b.acts = append(b.acts, drained...)
 		for i := range drained {
-			a, secs := &drained[i], 0.0
-			switch a.Kind {
-			case core.ActStartTask: // only a live, so priced, job starts tasks
-				secs = s.costs[a.Job][a.Stage].Total()
-			case core.ActJobCompleted, core.ActJobFailed:
-				if int(a.Job) < len(s.costs) { // else failed inside SubmitJob, never priced
-					s.costs[a.Job] = nil
+			secs := 0.0
+			if a := &drained[i]; a.Kind == core.ActStartTask {
+				if costs := s.ctrl.Price(a.Job); costs != nil { // nil: the job retired later in this event
+					secs = costs[a.Stage].Total()
 				}
-			default: // the other kinds run nothing
 			}
 			b.secs = append(b.secs, secs)
 		}
@@ -186,18 +176,10 @@ func (s *Service) submitLocked(now sim.Time, job *dag.Job) (out Outcome, err err
 
 // admitLocked is the pump's admit callback. A directly admitted id is
 // recorded before the scheduler sees the job, so it stays taken even if
-// SubmitJob rejects it or panics. A live job is priced before any of its
-// starts is drained.
+// SubmitJob rejects it or panics.
 func (s *Service) admitLocked(_ sim.Time, job *dag.Job, _ sim.Duration, _ bool) error {
 	s.submitted[job.ID] = true
-	if err := s.ctrl.SubmitJob(job); err != nil {
-		return err
-	}
-	if h := int(s.ctrl.Handle(job.ID)); h != 0 {
-		s.costs = append(s.costs, make([][]shuffle.StageCost, h+1-len(s.costs))...)
-		s.costs[h] = shuffle.Price(job, s.ctrl.EdgeMode, s.ctrl.Cluster(), s.replicas)
-	}
-	return nil
+	return s.ctrl.SubmitJob(job)
 }
 
 // TasksFinished feeds a batch of completion events (swiftd's completion
@@ -279,18 +261,9 @@ func (s *Service) JobFailed(id string) bool {
 	return s.ctrl.JobFailed(id)
 }
 
-// Invariants runs the core controller's full self-audit under the lock,
-// and checks that as many jobs are priced as are live.
+// Invariants runs the core controller's full self-audit under the lock.
 func (s *Service) Invariants() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.ctrl.CheckInvariants()
-	priced := 0
-	for _, c := range s.costs {
-		priced += min(len(c), 1) // a job has stages
-	}
-	if live := s.ctrl.Snapshot().LiveJobs; priced != live {
-		v = append(v, fmt.Sprintf("flow: %d jobs priced, %d live", priced, live))
-	}
-	return v
+	return s.ctrl.CheckInvariants()
 }

@@ -20,14 +20,15 @@ var soakJobs = flag.Int("flow.soakjobs", 20000, "number of short jobs TestServic
 // soakResidue is how far the heap in use may grow per retired job once
 // the service is warm. What stays of a job is its id in core's outcome
 // table and in the service's submitted set, which shares the id's bytes,
-// plus two slots indexed by its handle: the 24-B nil entry of the
-// service's cost table (flow.Service.costs) and the 8-B nil slot of
-// core's handle table. Measured on linux/amd64 with go1.24 on a 2-vCPU
-// VM: 152–161 B a job at 20,000 jobs and 187 B at 1,000,000 (the tables'
-// load factor differs), against 2,824 B while core kept every monitor. A
-// flat heap needs an id-reuse policy for both id tables and slot reuse
-// for both handle-indexed slices (DESIGN.md "Control-plane performance").
-const soakResidue = 200
+// and the 8-B nil slot of core's handle table; its price went with its
+// monitor (core.Controller.Price). Measured on linux/amd64 with go1.24 on
+// a 2-vCPU VM: 125–126 B a job at 20,000 jobs and 162 B at 1,000,000 (the
+// tables' load factor differs), against 144–152 B and 191 B while the
+// service kept a price table of its own and 2,824 B while core kept every
+// monitor. A flat heap needs an id-reuse policy for both id tables and
+// slot reuse for core's handle table (DESIGN.md "Control-plane
+// performance").
+const soakResidue = 176
 
 // TestServiceSoakResidue runs -flow.soakjobs short two-stage jobs through
 // one flow.Service under a fake clock, eight at a time, completing every

@@ -52,8 +52,8 @@ func (r *Runner) handleActions() {
 			// Allocation/shuffle-mode side effects only; the degraded
 			// re-run cost is dominated by the re-execution itself.
 		case core.ActReplicate:
-			// Replica copies ride the cost model (Breakdown.Replicate via
-			// shuffle.Price), not per-action charging; the controller
+			// Replica copies ride the cost model (Breakdown.Replicate in
+			// core.Controller.Price), not per-action charging; the controller
 			// already tracks the homes for recovery.
 		}
 	}

@@ -157,7 +157,7 @@ type jobRun struct {
 	handle   core.JobHandle // 0 for a job the controller failed inside SubmitJob
 	res      *JobResult
 	stages   []stageRun          // in topological order (dag.Job.TopoIndex)
-	costs    []shuffle.StageCost // by stage, as stages: shuffle.Price at admission
+	costs    []shuffle.StageCost // by stage, as stages: core.Controller.Price at admission
 	numTasks int                 // sizes the result's sample slice on the first finish
 	live     int                 // attempts currently in the stages' task tables
 }
@@ -389,7 +389,7 @@ func (r *Runner) Submit(job *dag.Job) error {
 		}
 		r.handles[jr.handle] = jr
 	}
-	jr.costs = shuffle.Price(job, r.ctrl.EdgeMode, r.cl, r.cfg.Options.ShuffleReplicas)
+	jr.costs = r.ctrl.Price(jr.handle)
 	r.handleActions()
 	return nil
 }
