@@ -26,24 +26,28 @@ import (
 //
 // Segments are retained until the whole job completes rather than being
 // freed at first consumption, so fine-grained recovery can re-read them;
-// DropJob releases everything at job completion (the simulator's cost
-// model covers the memory-pressure/LRU behaviour via shuffle.CacheWorker,
-// which also backs this store).
+// DropJob releases everything at job completion.
 type Store struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	workers []*shuffle.CacheWorker // per machine
-	home    map[string]int         // segment key -> machine
-	segs    map[string]*Batch      // segment payloads
+	workers []*shuffle.CacheWorker // per machine; they account the bytes
+	segs    map[string]storedSeg
 	jobKeys map[string][]string
 }
 
-// NewStore creates a store with one Cache Worker per machine; capacity is
-// the per-worker memory budget in bytes (0 = unbounded).
+// storedSeg is one segment's payload and the machine whose Cache Worker
+// accounts it.
+type storedSeg struct {
+	b    *Batch
+	home int
+}
+
+// NewStore creates a store with one unbounded Cache Worker per machine.
+// capacity must be 0, as for shuffle.NewCacheWorker; any other value
+// panics.
 func NewStore(machines int, capacity int64) *Store {
 	s := &Store{
-		home:    make(map[string]int),
-		segs:    make(map[string]*Batch),
+		segs:    make(map[string]storedSeg),
 		jobKeys: make(map[string][]string),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -93,19 +97,18 @@ func (s *Store) put(job string, machine int, key string, b *Batch, aborted func(
 	if aborted != nil && aborted() {
 		return ErrInjected
 	}
-	if old, ok := s.home[key]; ok {
-		s.workers[old].Drop(key)
+	if old, ok := s.segs[key]; ok {
+		s.workers[old.home].Drop(key)
 	} else {
 		s.jobKeys[job] = append(s.jobKeys[job], key)
 	}
-	w := s.workers[machine%len(s.workers)]
-	// The Cache Worker tracks memory accounting and spill behaviour; the
-	// payload rides in the segment side table.
-	if _, err := w.Put(key, size, nil, 1<<30); err != nil {
+	// The Cache Worker accounts the bytes; the payload rides in segs.
+	// DropJob frees the segment, so the worker's reference count is unused.
+	home := machine % len(s.workers)
+	if _, err := s.workers[home].Put(key, size, nil, 1); err != nil {
 		return err
 	}
-	s.home[key] = machine % len(s.workers)
-	s.segs[key] = b
+	s.segs[key] = storedSeg{b: b, home: home}
 	s.cond.Broadcast()
 	return nil
 }
@@ -117,11 +120,9 @@ func (s *Store) GetBatch(key string, aborted func() bool) (*Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if b, exists := s.segs[key]; exists {
-			if m, ok2 := s.home[key]; ok2 {
-				s.workers[m].Get(key) // touch LRU / reload accounting
-			}
-			return b, true
+		if seg, exists := s.segs[key]; exists {
+			s.workers[seg.home].Get(key)
+			return seg.b, true
 		}
 		if aborted != nil && aborted() {
 			return nil, false
@@ -142,9 +143,8 @@ func (s *Store) DropJob(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, key := range s.jobKeys[job] {
-		if m, ok := s.home[key]; ok {
-			s.workers[m].Drop(key)
-			delete(s.home, key)
+		if seg, ok := s.segs[key]; ok {
+			s.workers[seg.home].Drop(key)
 			delete(s.segs, key)
 		}
 	}
@@ -161,9 +161,6 @@ func (s *Store) Stats() shuffle.CacheStats {
 		out.Puts += st.Puts
 		out.Gets += st.Gets
 		out.Misses += st.Misses
-		out.SpillEvents += st.SpillEvents
-		out.SpillBytes += st.SpillBytes
-		out.LoadBytes += st.LoadBytes
 		out.Freed += st.Freed
 		out.UsedBytes += st.UsedBytes
 	}

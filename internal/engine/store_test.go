@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"swift/internal/shuffle"
 )
 
 // TestStoreUsedBytesZeroAfterDropJob pins the byte-accounting invariant:
 // whatever a job writes — batches converted from rows at the edge, native
-// batches, selection views, nil, re-puts from recovery, LRU spill under
-// pressure — CacheStats.UsedBytes returns to zero once DropJob releases the
-// job's segments.
+// batches, selection views, nil, re-puts from recovery —
+// CacheStats.UsedBytes returns to zero once DropJob releases the job's
+// segments.
 func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	rows := randRows(r, 100)
@@ -65,25 +69,23 @@ func TestStoreUsedBytesZeroAfterDropJob(t *testing.T) {
 		}
 	})
 
-	t.Run("spill path", func(t *testing.T) {
-		// Tiny capacity: every put pushes earlier segments to disk.
-		s := NewStore(1, 64)
-		for i := 0; i < 8; i++ {
-			key := SegmentKey("job", "a", "b", i, 0)
-			if err := s.PutBatch("job", 0, key, BatchFromRows(rows[:10+i])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := s.Stats(); st.SpillEvents == 0 {
-			t.Fatal("expected spills under a 64-byte budget")
-		}
-		// Reads load spilled segments back in (and may evict others).
-		if _, ok := s.GetBatch(SegmentKey("job", "a", "b", 0, 0), nil); !ok {
-			t.Fatal("segment lost")
-		}
-		s.DropJob("job")
-		if used := s.Stats().UsedBytes; used != 0 {
-			t.Fatalf("UsedBytes = %d after DropJob with spills", used)
-		}
-	})
+}
+
+// TestCacheWorkerCapacityPanics: the Cache Worker has no spill tier, so a
+// capacity other than 0 — given to the worker or to the store that builds
+// one per machine — panics naming the value instead of being ignored.
+func TestCacheWorkerCapacityPanics(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewCacheWorker": func() { shuffle.NewCacheWorker(64) },
+		"NewStore":       func() { NewStore(1, 64) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "64") {
+					t.Errorf("%s(64): panic %q, want one naming the capacity", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
 }

@@ -1,8 +1,8 @@
 // Package shuffle implements Swift's adaptive memory-based in-network
 // shuffling (Section III-B): the three shuffle modes (Direct, Local via
 // Cache Workers, Remote), their TCP-connection and memory-copy arithmetic,
-// runtime mode selection by shuffle edge size, the Cache Worker memory
-// manager with LRU spill, and the composed cost model used by the
+// runtime mode selection by shuffle edge size, the in-memory Cache Worker
+// with reference-counted segments, and the composed cost model used by the
 // simulator. The disk-based mode used by the Spark/Bubble baselines lives
 // here too so every engine shares one shuffle vocabulary.
 package shuffle

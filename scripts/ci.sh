@@ -237,10 +237,18 @@ echo "== bench replay smoke (TaskRef adapters agree with the handle path; servic
 # it sees only the schedules its seed produces: an admission change can
 # pass seed 1 and fail this pass on another, so each workload runs three
 # seeds (about 10 s more than one).
+# A failing run is named, with the tail of its output, before the gate exits.
 go build -o "$TRACE_TMP/bench" ./bench
 for W in replay_batch replay_scale replay_fair; do
     for BENCH_SEED in 1 2 3; do
-        "$TRACE_TMP/bench" --workload "$W" --seed "$BENCH_SEED" --trace 1 > "$TRACE_TMP/bench-$W-$BENCH_SEED.out"
+        BENCH_OUT="$TRACE_TMP/bench-$W-$BENCH_SEED.out"
+        BENCH_STATUS=0
+        "$TRACE_TMP/bench" --workload "$W" --seed "$BENCH_SEED" --trace 1 > "$BENCH_OUT" 2>&1 || BENCH_STATUS=$?
+        if [ "$BENCH_STATUS" != 0 ]; then
+            echo "bench --workload $W --seed $BENCH_SEED --trace 1 exited $BENCH_STATUS; last lines of its output:" >&2
+            tail -n 20 "$BENCH_OUT" >&2
+            exit "$BENCH_STATUS"
+        fi
     done
 done
 go run ./bench --workload service_burst --seconds 0.1 --trace 0 > "$TRACE_TMP/bench-service.out"
